@@ -21,12 +21,14 @@ from .reproduce import (
     PRE_UNKNOWNS,
     TANH_UNKNOWNS,
     branch_json,
-    system_json,
     derive_pre_system,
     derive_tanh_system,
+    manifest,
     run_reproduce,
     solve_pre,
     solve_tanh,
+    system_json,
+    system_latex,
 )
 
 EXIT_OK = 0
@@ -57,20 +59,9 @@ def _spec_from_args(args) -> EquationSpec:
 
 def _manifest(args, command: str, method: str | None, lambdas: list[str], seed=None):
     spec = _spec_from_args(args) if hasattr(args, "preset") else ito()
-    return {
-        "command": command,
-        "equation": {
-            "alpha": str(spec.alpha),
-            "beta": str(spec.beta),
-            "gamma": str(spec.gamma),
-            "omega": str(spec.omega),
-        },
-        "method": method,
-        "lambda_values": lambdas,
-        "seed": seed,
-        "tool_version": __version__,
-        "timestamp": getattr(args, "timestamp", None),
-    }
+    return manifest(
+        command, spec, method, lambdas, seed, getattr(args, "timestamp", None), __version__
+    )
 
 
 def _emit_json(args, doc: dict) -> None:
@@ -140,16 +131,7 @@ def cmd_derive(args) -> int:
         "order": order,
         "systems": system_json(system),
     }
-    latex_lines = [r"\begin{align*}"]
-    for eq in system:
-        head = (
-            rf"\varphi^{{{eq.power}}}"
-            if eq.tau_degree is None
-            else rf"\sigma^{{{eq.power}}}\tau^{{{eq.tau_degree}}}"
-        )
-        latex_lines.append(rf"{head}:\quad & {eq.poly.latex()} = 0 \\")
-    latex_lines.append(r"\end{align*}")
-    _emit_latex(args, "\n".join(latex_lines) + "\n")
+    _emit_latex(args, system_latex(system) + "\n")
 
     if args.check_fixture:
         if spec != ito() or order != (2 if args.method == "tanh" else 1):
@@ -283,6 +265,16 @@ def cmd_reproduce(args) -> int:
     return result.exit_code
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=["ito"], help="named coefficient set")
     p.add_argument("--alpha", help="coefficient of u^2*u_x (rational)")
@@ -336,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--lambda", dest="lam", action="append", help="negative wave speed (repeatable)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--compare", action="store_true",
                    help="also compare two ids pointwise")
     _add_output_flags(p)

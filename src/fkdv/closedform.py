@@ -432,9 +432,6 @@ class SolutionRecord:
         out[LAM] = Fraction(-6) * m**4
         return out
 
-    def lam_value(self, m: int) -> Fraction:
-        return Fraction(-6) * m**4
-
 
 def _catalog() -> tuple[SolutionRecord, ...]:
     lam = Param(LAM)

@@ -6,16 +6,17 @@ u(x,t) = v(xi), xi = x + lam*t, the PDE becomes the ODE
 
     lam*v' + alpha*v^2*v' + beta*v'*v'' + gamma*v*v''' + omega*v''''' = 0
 
-which is what both ansatz modules expand.
+which is what both ansatz modules expand, each with its own derivative rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .poly import MPoly
-from .symbols import LAM
+from .symbols import LAM, Sym
 
 
 @dataclass(frozen=True)
@@ -46,31 +47,20 @@ def ito(lam: Fraction | None = None) -> EquationSpec:
     return EquationSpec(Fraction(2), Fraction(6), Fraction(3), Fraction(1), lam)
 
 
-def ode_terms(spec: EquationSpec, v):
-    """The five named terms of the traveling-wave ODE at the ansatz ``v``.
-
-    ``v`` may be any closed differential algebra value (PhiPoly, STPoly):
-    it needs diff(), scale(), + and *.
-    """
-    v1 = v.diff()
-    v2 = v1.diff()
-    v3 = v2.diff()
-    v5 = v3.diff().diff()
-    return [
-        ("lam*v'", v1.scale(spec.lam_poly())),
-        ("alpha*v^2*v'", (v * v * v1).scale(spec.alpha)),
-        ("beta*v'*v''", (v1 * v2).scale(spec.beta)),
-        ("gamma*v*v'''", (v * v3).scale(spec.gamma)),
-        ("omega*v'''''", v5.scale(spec.omega)),
-    ]
-
-
-def ode_residual(spec: EquationSpec, v):
-    terms = ode_terms(spec, v)
-    total = terms[0][1]
-    for _, t in terms[1:]:
-        total = total + t
-    return total
+def ode_residual(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> MPoly:
+    """The traveling-wave ODE expanded at the ansatz ``v``, where d/dxi is
+    the derivation that sends each auxiliary symbol to its rule."""
+    v1 = v.derive(rules)
+    v2 = v1.derive(rules)
+    v3 = v2.derive(rules)
+    v5 = v3.derive(rules).derive(rules)
+    return (
+        v1 * spec.lam_poly()
+        + v * v * v1 * spec.alpha
+        + v1 * v2 * spec.beta
+        + v * v3 * spec.gamma
+        + v5 * spec.omega
+    )
 
 
 @dataclass(frozen=True)

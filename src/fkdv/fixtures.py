@@ -70,12 +70,17 @@ def load_fixture(method: str) -> Fixture:
     return Fixture(method=method, ansatz_order=doc["ansatz_order"], equations=tuple(eqs))
 
 
+def _only_in(p: MPoly, q: MPoly) -> list[str]:
+    """The terms of p that q lacks or carries with another coefficient."""
+    return [MPoly.monomial(m, c).ascii() for m, c in p.sorted_terms() if q.terms.get(m) != c]
+
+
 @dataclass(frozen=True)
 class FixtureDiff:
     key: tuple[int, int | None]
     label: int | None
-    generated: str | None  # canonical ascii, None when missing
-    expected: str | None
+    generated: MPoly | None  # canonical form, None when missing
+    expected: MPoly | None
 
     def describe(self) -> str:
         where = (
@@ -87,12 +92,10 @@ class FixtureDiff:
             return f"{where}: missing from generated system (expected eq. {self.label})"
         if self.expected is None:
             return f"{where}: generated but absent from the transcription"
-        gen = set(self.generated.split(" + "))
-        exp = set(self.expected.split(" + "))
         return (
             f"{where} (eq. {self.label}): generated != transcribed;"
-            f" only-generated terms: {sorted(gen - exp)};"
-            f" only-expected terms: {sorted(exp - gen)}"
+            f" only-generated terms: {_only_in(self.generated, self.expected)};"
+            f" only-expected terms: {_only_in(self.expected, self.generated)}"
         )
 
 
@@ -107,12 +110,7 @@ def compare_systems(system: list[SystemEq], fixture: Fixture) -> list[FixtureDif
     diffs: list[FixtureDiff] = []
     for key in sorted(set(gen) | set(exp), key=lambda k: (k[1] or 0, k[0])):
         g = gen.get(key)
-        if key not in exp:
-            diffs.append(FixtureDiff(key, None, g.ascii(), None))
-            continue
-        label, e = exp[key]
-        if g is None:
-            diffs.append(FixtureDiff(key, label, None, e.ascii()))
-        elif g != e:
-            diffs.append(FixtureDiff(key, label, g.ascii(), e.ascii()))
+        label, e = exp.get(key, (None, None))
+        if g != e:
+            diffs.append(FixtureDiff(key, label, g, e))
     return diffs

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .symbols import Sym
 
@@ -268,6 +268,16 @@ class MPoly:
                 out[rest] = out.get(rest, 0) + c
         return MPoly(out)
 
+    def split(self, syms: Sequence[Sym]) -> dict[tuple[int, ...], "MPoly"]:
+        """Coefficients by the exponents of ``syms``: self is the sum over
+        the keys of coefficient * prod(s**e for s, e in zip(syms, key))."""
+        parts: dict[tuple[int, ...], dict[Mono, Fraction]] = {}
+        for m, c in self.terms.items():
+            key = tuple(m.exponent(s) for s in syms)
+            rest = Mono([(t, e) for t, e in m.exps if t not in syms])
+            parts.setdefault(key, {})[rest] = c
+        return {key: MPoly._raw(terms) for key, terms in parts.items()}
+
     def max_exponent(self, s: Sym) -> int:
         return max((m.exponent(s) for m in self.terms), default=0)
 
@@ -314,6 +324,19 @@ class MPoly:
             for f in factors:
                 term = term * f
             out = out + term
+        return out
+
+    def derive(self, rules: Mapping[Sym, "MPoly"]) -> "MPoly":
+        """The derivation sending each symbol in ``rules`` to its rule and
+        every other symbol to 0: the sum over s of (d/ds self) * rules[s]."""
+        out = MPoly.zero()
+        for s, rule in rules.items():
+            partial: dict[Mono, Fraction] = {}
+            for m, c in self.terms.items():
+                e = m.exponent(s)
+                if e:
+                    partial[Mono([(t, f - (t is s)) for t, f in m.exps])] = c * e
+            out = out + MPoly._raw(partial) * rule
         return out
 
     def eval_rat(self, point: Mapping[Sym, Coeffable]) -> Fraction:
@@ -419,17 +442,6 @@ class MPoly:
             else:
                 parts.append(f" - {body}" if neg else f" + {body}")
         return "".join(parts)
-
-
-def arith(p: MPoly, q: MPoly, op: str) -> MPoly:
-    """Exact ring operation, ``op`` one of add/sub/mul."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def _divisors(n: int) -> list[int]:
@@ -613,10 +625,3 @@ def parse_poly(text: str) -> MPoly:
     symbols, ``+ - * ^`` and parentheses)."""
     return _Parser(text).parse()
 
-
-def parse_rat(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
-def format_rat(x: Fraction) -> str:
-    return str(x)

@@ -1,13 +1,15 @@
 """The projective Riccati method: ansatz in a function pair (sigma, tau).
 
-The pair satisfies sigma' = e*sigma*tau and tau' = e*tau^2 - mu*sigma + r,
-with the first integral
+The pair satisfies sigma' = e*sigma*tau and tau' = e*tau^2 - mu*sigma + r.
+The method is that rule table over the polynomial kernel: sigma and tau are
+symbols, d/dxi is the derivation ``MPoly.derive(PRE_RULES)``, and the first
+integral
 
     tau^2 = -e*(r - 2*mu*sigma + ((mu^2+rho)/r)*sigma^2)
 
-used to eliminate every tau power above one.  The division by r is kept
-polynomial by r-clearing: an STPoly stores coefficients multiplied by a
-recorded global power of r, so the true value is terms / r**r_power.  The
+eliminates every tau power above one (``eliminate_tau``).  The division by r
+is kept polynomial by r-clearing: an STPoly stores its polynomial multiplied
+by a recorded global power of r, so the true value is poly / r**r_power.  The
 sign symbols e and rho stay fully symbolic during generation; no e^2 = 1
 rewriting is applied (solving substitutes the signs later).
 
@@ -28,81 +30,73 @@ from typing import Mapping
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .errors import PoleError
-from .poly import Coeffable, MPoly
-from .symbols import E, MU, R, RHO, Sym, a, b
+from .poly import Coeffable, Mono, MPoly
+from .symbols import E, MU, R, RHO, SIGMA, TAU, Sym, a, b
 
 Key = tuple[int, int]  # (sigma power, tau power)
 
 _E = MPoly.var(E)
 _MU = MPoly.var(MU)
 _R = MPoly.var(R)
-_RP = MPoly.var(RHO)
+_SIGMA = MPoly.var(SIGMA)
+_TAU = MPoly.var(TAU)
 
-# r * tau^2 written as sigma-power contributions (the r-cleared first integral)
-_R_TAU2: tuple[tuple[int, MPoly], ...] = (
-    (0, -(_E * _R * _R)),
-    (1, _E * _MU * _R * 2),
-    (2, -(_E * (_MU * _MU + _RP))),
-)
+PRE_RULES = {SIGMA: _E * _SIGMA * _TAU, TAU: _E * _TAU**2 - _MU * _SIGMA + _R}
+
+# r * tau^2 by the first integral
+_R_TAU2 = -(_E * (_R**2 - _MU * _R * _SIGMA * 2 + (_MU**2 + MPoly.var(RHO)) * _SIGMA**2))
 
 
-def _reduce(raw: dict[Key, MPoly], r_power: int) -> tuple[dict[Key, MPoly], int]:
-    """Rewrite every tau power >= 2 down to {0, 1}, r-clearing as needed."""
-    terms = {k: c for k, c in raw.items() if not c.is_zero()}
-    while any(j >= 2 for _, j in terms):
-        r_power += 1
-        nxt: dict[Key, MPoly] = {}
+def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
+    """(r**s * p with every tau^2 rewritten by the first integral, s), where
+    s = max tau exponent // 2; the result has tau-degree <= 1.
 
-        def put(key: Key, val: MPoly) -> None:
-            cur = nxt.get(key)
-            tot = val if cur is None else cur + val
-            if tot.is_zero():
-                nxt.pop(key, None)
-            else:
-                nxt[key] = tot
-
-        for (i, j), c in terms.items():
-            if j >= 2:
-                for di, piece in _R_TAU2:
-                    put((i + di, j - 2), c * piece)
-            else:
-                put((i, j), c * _R)
-        terms = nxt
-    return terms, r_power
+    Writing p = sum_q P_q * tau^(2q) with each P_q of tau-degree <= 1, the
+    result is sum_q P_q * (r*tau^2)^q * r^(s-q), evaluated by Horner in r*tau^2.
+    """
+    s = p.max_exponent(TAU) // 2
+    if s == 0:
+        return p, 0
+    parts: list[dict[Mono, Fraction]] = [{} for _ in range(s + 1)]
+    for m, c in p.terms.items():
+        q = m.exponent(TAU) // 2
+        parts[q][Mono([(t, e - 2 * q if t is TAU else e) for t, e in m.exps])] = c
+    acc = MPoly._raw(parts[s])
+    for q in range(s - 1, -1, -1):
+        acc = acc * _R_TAU2 + MPoly._raw(parts[q]) * _R ** (s - q)
+    return acc, s
 
 
 class STPoly:
-    """Polynomial in (sigma, tau) with tau-degree <= 1 after reduction.
+    """Polynomial in (sigma, tau) with tau-degree <= 1, held as one MPoly.
 
-    The stored coefficient of sigma^i tau^j is the true one multiplied by
-    r**r_power; the recorded power is global to the value.
+    The stored polynomial is the true value multiplied by r**r_power; the
+    recorded power is global to the value.
     """
 
-    __slots__ = ("terms", "r_power")
+    __slots__ = ("poly", "r_power")
 
     def __init__(self, terms: Mapping[Key, Coeffable] | None = None, r_power: int = 0):
         if r_power < 0:
             raise ValueError("r_power must be >= 0")
-        raw: dict[Key, MPoly] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i < 0 or j < 0:
-                    raise ValueError("negative sigma/tau power")
-                c = c if isinstance(c, MPoly) else MPoly.const(c)
-                if not c.is_zero():
-                    raw[(i, j)] = raw.get((i, j), MPoly.zero()) + c
-        self.terms, self.r_power = _reduce(raw, r_power)
+        poly = MPoly.zero()
+        for (i, j), c in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError("negative sigma/tau power")
+            poly = poly + _SIGMA**i * _TAU**j * c
+        self.poly, s = eliminate_tau(poly)
+        self.r_power = r_power + s
 
     @classmethod
-    def _trusted(cls, terms: dict[Key, MPoly], r_power: int) -> "STPoly":
+    def _reduced(cls, raw: MPoly, r_power: int) -> "STPoly":
         self = object.__new__(cls)
-        self.terms = terms
-        self.r_power = r_power
+        self.poly, s = eliminate_tau(raw)
+        self.r_power = r_power + s
         return self
 
     @classmethod
     def zero(cls) -> "STPoly":
-        return cls._trusted({}, 0)
+        return cls()
 
     @classmethod
     def const(cls, c: Coeffable) -> "STPoly":
@@ -116,26 +110,23 @@ class STPoly:
     def tau(cls) -> "STPoly":
         return cls({(0, 1): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> dict[Key, MPoly]:
+        """Coefficient of each sigma^i tau^j present."""
+        return self.poly.split((SIGMA, TAU))
 
-    def coeff(self, i: int, j: int) -> MPoly:
-        return self.terms.get((i, j), MPoly.zero())
+    def is_zero(self) -> bool:
+        return self.poly.is_zero()
 
     def sigma_degree(self, tau_degree: int) -> int:
-        return max((i for i, j in self.terms if j == tau_degree), default=-1)
+        return max(
+            (m.exponent(SIGMA) for m in self.poly.terms if m.exponent(TAU) == tau_degree),
+            default=-1,
+        )
 
-    def _aligned(self, other: "STPoly") -> tuple[dict[Key, MPoly], dict[Key, MPoly], int]:
+    def _aligned(self, other: "STPoly") -> tuple[MPoly, MPoly, int]:
         s = max(self.r_power, other.r_power)
-        mine = self.terms
-        theirs = other.terms
-        if self.r_power < s:
-            f = _R ** (s - self.r_power)
-            mine = {k: c * f for k, c in mine.items()}
-        if other.r_power < s:
-            f = _R ** (s - other.r_power)
-            theirs = {k: c * f for k, c in theirs.items()}
-        return mine, theirs, s
+        return self.poly * _R ** (s - self.r_power), other.poly * _R ** (s - other.r_power), s
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, STPoly):
@@ -145,82 +136,26 @@ class STPoly:
 
     def __add__(self, other: "STPoly") -> "STPoly":
         mine, theirs, s = self._aligned(other)
-        out = dict(mine)
-        for k, c in theirs.items():
-            tot = out.get(k, MPoly.zero()) + c
-            if tot.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = tot
-        return STPoly._trusted(out, s)
+        return STPoly._reduced(mine + theirs, s)
 
     def __sub__(self, other: "STPoly") -> "STPoly":
-        return self + other.scale(Fraction(-1))
+        mine, theirs, s = self._aligned(other)
+        return STPoly._reduced(mine - theirs, s)
 
     def __mul__(self, other: "STPoly") -> "STPoly":
-        raw: dict[Key, MPoly] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                cur = raw.get(k)
-                prod = c1 * c2
-                raw[k] = prod if cur is None else cur + prod
-        terms, s = _reduce(raw, self.r_power + other.r_power)
-        return STPoly._trusted(terms, s)
-
-    def scale(self, c: Coeffable) -> "STPoly":
-        c = c if isinstance(c, MPoly) else MPoly.const(c)
-        if c.is_zero():
-            return STPoly.zero()
-        return STPoly._trusted(
-            {k: v * c for k, v in self.terms.items()}, self.r_power
-        )
+        return STPoly._reduced(self.poly * other.poly, self.r_power + other.r_power)
 
     def diff(self) -> "STPoly":
-        """d/dxi of each monomial via the product rule and the two rewrite
-        rules, followed by tau reduction."""
-        raw: dict[Key, MPoly] = {}
-
-        def put(key: Key, val: MPoly) -> None:
-            cur = raw.get(key)
-            tot = val if cur is None else cur + val
-            if tot.is_zero():
-                raw.pop(key, None)
-            else:
-                raw[key] = tot
-
-        for (i, j), c in self.terms.items():
-            if i:
-                put((i, j + 1), c * _E * i)
-            if j:
-                put((i, j + 1), c * _E * j)
-                put((i + 1, j - 1), -(c * _MU * j))
-                put((i, j - 1), c * _R * j)
-        terms, s = _reduce(raw, self.r_power)
-        return STPoly._trusted(terms, s)
+        """d/dxi under the two derivative rules, followed by tau elimination."""
+        return STPoly._reduced(self.poly.derive(PRE_RULES), self.r_power)
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "STPoly":
         """Substitute into the stored coefficients.  Binding r scales the
         cleared powers too, so zero-ness is preserved only for r != 0."""
-        out: dict[Key, MPoly] = {}
-        for k, c in self.terms.items():
-            c2 = c.substitute(bind)
-            if not c2.is_zero():
-                out[k] = c2
-        return STPoly._trusted(out, self.r_power)
+        return STPoly._reduced(self.poly.substitute(bind), self.r_power)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            mono = "".join(
-                (f"*sigma^{i}" if i > 1 else "*sigma" if i else "",
-                 f"*tau^{j}" if j > 1 else "*tau" if j else ""),
-            )
-            parts.append(f"({c}){mono}")
-        body = " + ".join(parts)
-        return body if self.r_power == 0 else f"[{body}] / r^{self.r_power}"
+        return str(self.poly) if self.r_power == 0 else f"[{self.poly}] / r^{self.r_power}"
 
     __repr__ = __str__
 
@@ -232,56 +167,6 @@ def tau2_reduce(raw: Mapping[Key, Coeffable], r_power: int = 0) -> STPoly:
 
 def st_diff(p: STPoly) -> STPoly:
     return p.diff()
-
-
-def _accumulate(out: dict[Key, MPoly], key: Key, val: MPoly) -> None:
-    cur = out.get(key)
-    tot = val if cur is None else cur + val
-    if tot.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = tot
-
-
-class _RawST:
-    """Unreduced sigma-tau polynomial: tau powers accumulate freely.
-
-    Used only inside the residual expansion, where elimination must wait
-    until the whole polynomial is assembled.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Key, MPoly]):
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-
-    def diff(self) -> "_RawST":
-        out: dict[Key, MPoly] = {}
-        for (i, j), c in self.terms.items():
-            if i:
-                _accumulate(out, (i, j + 1), c * _E * i)
-            if j:
-                _accumulate(out, (i, j + 1), c * _E * j)
-                _accumulate(out, (i + 1, j - 1), -(c * _MU * j))
-                _accumulate(out, (i, j - 1), c * _R * j)
-        return _RawST(out)
-
-    def __add__(self, other: "_RawST") -> "_RawST":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        return _RawST(out)
-
-    def __mul__(self, other: "_RawST") -> "_RawST":
-        out: dict[Key, MPoly] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                _accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
-        return _RawST(out)
-
-    def scale(self, c: Coeffable) -> "_RawST":
-        c = c if isinstance(c, MPoly) else MPoly.const(c)
-        return _RawST({k: v * c for k, v in self.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -296,7 +181,7 @@ class PreAnsatzSpec:
 def build_pre_ansatz(spec: PreAnsatzSpec | int) -> STPoly:
     """a0 + sum_{j=1..m} sigma^(j-1) * (a_j*sigma + b_j*tau)."""
     m = spec.m if isinstance(spec, PreAnsatzSpec) else PreAnsatzSpec(spec).m
-    terms: dict[Key, MPoly] = {(0, 0): MPoly.var(a(0))}
+    terms: dict[Key, Coeffable] = {(0, 0): MPoly.var(a(0))}
     for j in range(1, m + 1):
         terms[(j, 0)] = MPoly.var(a(j))
         terms[(j - 1, 1)] = MPoly.var(b(j))
@@ -333,7 +218,7 @@ def pre_degree_candidates() -> frozenset[int]:
 
 
 def pre_ode_residual(spec: EquationSpec, v: STPoly) -> STPoly:
-    """Expand the traveling-wave ODE at ``v`` and reduce tau powers once.
+    """Expand the traveling-wave ODE at ``v`` and eliminate tau powers once.
 
     ``v`` must be an ansatz-like value: already reduced and with no cleared
     r-power (the elimination-after-expansion convention is only meaningful
@@ -341,8 +226,7 @@ def pre_ode_residual(spec: EquationSpec, v: STPoly) -> STPoly:
     """
     if v.r_power != 0:
         raise ValueError("residual expansion expects an r_power-free ansatz")
-    raw = _shared_residual(spec, _RawST(v.terms))
-    return tau2_reduce(raw.terms)
+    return STPoly._reduced(_shared_residual(spec, v.poly, PRE_RULES), 0)
 
 
 def split_r(p: MPoly) -> tuple[int, MPoly]:
@@ -364,17 +248,11 @@ def split_r(p: MPoly) -> tuple[int, MPoly]:
 def extract_pre_system(residual: STPoly) -> list[SystemEq]:
     """Normalized coefficient polynomials tagged with (sigma, tau) origin and
     the cleared r-power; tau-degree-0 block first, ascending sigma power."""
-    out = []
-    for (i, j) in sorted(residual.terms, key=lambda k: (k[1], k[0])):
-        out.append(
-            SystemEq(
-                power=i,
-                poly=residual.terms[(i, j)].normalize(),
-                tau_degree=j,
-                r_power=residual.r_power,
-            )
-        )
-    return out
+    terms = residual.terms
+    return [
+        SystemEq(power=i, poly=terms[(i, j)].normalize(), tau_degree=j, r_power=residual.r_power)
+        for i, j in sorted(terms, key=lambda k: (k[1], k[0]))
+    ]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closedform, fixtures, pre, tanh
-from .equation import ito
+from .equation import EquationSpec, ito
 from .solver import Assignment, SolveConfig, solve, verify_assignment
 from .solver import rational_lambda_grid
 from .symbols import E, LAM, MU, R, RHO, K, a, b
@@ -211,6 +211,39 @@ def system_json(system) -> list[dict]:
     return out
 
 
+def system_latex(system) -> str:
+    """The system as a LaTeX align block, one row per equation."""
+    lines = [r"\begin{align*}"]
+    for eq in system:
+        head = (
+            rf"\varphi^{{{eq.power}}}"
+            if eq.tau_degree is None
+            else rf"\sigma^{{{eq.power}}}\tau^{{{eq.tau_degree}}}"
+        )
+        lines.append(rf"{head}:\quad & {eq.poly.latex()} = 0 \\")
+    lines.append(r"\end{align*}")
+    return "\n".join(lines)
+
+
+def manifest(command: str, spec: EquationSpec, method: str | None, lambdas: list[str],
+             seed: int | None, timestamp: str | None, tool_version: str) -> dict:
+    """The run manifest every JSON document embeds."""
+    return {
+        "command": command,
+        "equation": {
+            "alpha": str(spec.alpha),
+            "beta": str(spec.beta),
+            "gamma": str(spec.gamma),
+            "omega": str(spec.omega),
+        },
+        "method": method,
+        "lambda_values": lambdas,
+        "seed": seed,
+        "tool_version": tool_version,
+        "timestamp": timestamp,
+    }
+
+
 def run_reproduce(
     grid_depth: int = 3,
     seed: int = 7,
@@ -312,18 +345,10 @@ def run_reproduce(
         worst_pair = max(worst_pair, d if n >= 20 else 1.0)
     stage("identities", worst_pair <= 1e-10, f"worst pairwise diff {worst_pair:.3e}")
 
-    manifest = {
-        "command": "reproduce",
-        "equation": {"alpha": "2", "beta": "6", "gamma": "3", "omega": "1"},
-        "method": "tanh+pre",
-        "lambda_values": [str(v) for v in grid] + ["-6.0", "-2.5"],
-        "seed": seed,
-        "tool_version": tool_version,
-        "timestamp": timestamp,
-    }
+    lambdas = [str(v) for v in grid] + ["-6.0", "-2.5"]
     doc = {
         "schema": 1,
-        "manifest": manifest,
+        "manifest": manifest("reproduce", ito(), "tanh+pre", lambdas, seed, timestamp, tool_version),
         "stages": stages,
         "systems": {"tanh": system_json(tanh_system), "pre": system_json(pre_system)},
         "solves": solves,
@@ -338,18 +363,11 @@ def render_latex(tanh_system, pre_system) -> str:
     lines = [
         r"\section*{Derived algebraic systems}",
         r"\subsection*{tanh ansatz, order 2}",
-        r"\begin{align*}",
+        system_latex(tanh_system),
+        r"\subsection*{projective Riccati ansatz, depth 1}",
+        system_latex(pre_system),
+        r"\section*{Solution catalog}",
     ]
-    for eq in tanh_system:
-        lines.append(rf"\varphi^{{{eq.power}}}:\quad & {eq.poly.latex()} = 0 \\")
-    lines.append(r"\end{align*}")
-    lines.append(r"\subsection*{projective Riccati ansatz, depth 1}")
-    lines.append(r"\begin{align*}")
-    for eq in pre_system:
-        head = rf"\sigma^{{{eq.power}}}\tau^{{{eq.tau_degree}}}"
-        lines.append(rf"{head}:\quad & {eq.poly.latex()} = 0 \\")
-    lines.append(r"\end{align*}")
-    lines.append(r"\section*{Solution catalog}")
     for rec in closedform.catalog():
         lines.append(rf"\subsection*{{{rec.id} (branch {rec.anchor}, {rec.method})}}")
         lines.append(rf"\[ {closedform.param_latex(rec.params)} \]")

@@ -2,16 +2,21 @@
 
 The symbol alphabet is closed: the two indexed families ``a0, a1, ...`` and
 ``b1, b2, ...`` (ansatz coefficients), followed by the fixed tail
-``k, lam, mu, r, e, rho, alpha, beta, gamma, omega``.  The total order used
-everywhere (canonical monomial order, solver tie-breaking) is exactly that
-listing: a-family by index, then b-family by index, then the tail.
+``k, lam, mu, r, e, rho, alpha, beta, gamma, omega`` of parameters and the
+auxiliary functions ``phi, sigma, tau`` of the two ansatz methods.  The total
+order used everywhere (canonical monomial order, solver tie-breaking) is
+exactly that listing: a-family by index, then b-family by index, then the
+tail.
 """
 
 from __future__ import annotations
 
 import re
 
-_TAIL = ("k", "lam", "mu", "r", "e", "rho", "alpha", "beta", "gamma", "omega")
+_TAIL = (
+    "k", "lam", "mu", "r", "e", "rho", "alpha", "beta", "gamma", "omega",
+    "phi", "sigma", "tau",
+)
 _TAIL_RANK = {name: i for i, name in enumerate(_TAIL)}
 
 _NAME_RE = re.compile(r"^(?:a(?:0|[1-9]\d*)|b[1-9]\d*|%s)$" % "|".join(_TAIL))
@@ -24,6 +29,9 @@ LATEX = {
     "beta": r"\beta",
     "gamma": r"\gamma",
     "omega": r"\omega",
+    "phi": r"\varphi",
+    "sigma": r"\sigma",
+    "tau": r"\tau",
 }
 
 
@@ -98,3 +106,6 @@ ALPHA = Sym("alpha")
 BETA = Sym("beta")
 GAMMA = Sym("gamma")
 OMEGA = Sym("omega")
+PHI = Sym("phi")
+SIGMA = Sym("sigma")
+TAU = Sym("tau")

@@ -1,9 +1,9 @@
 """The tanh method: ansatz in an auxiliary function phi with phi' = k + phi^2.
 
-A PhiPoly is a polynomial in phi whose coefficients are exact multivariate
-polynomials in the parameter symbols.  Differentiation w.r.t. the wave
-variable uses the rewrite d(phi^n) = n*k*phi^(n-1) + n*phi^(n+1), so the
-algebra is closed and the ODE residual stays a PhiPoly.
+The method is one rule table: phi is a symbol of the polynomial kernel and
+d/dxi is the derivation ``MPoly.derive(TANH_RULES)``, under which the
+parameters are constants.  A PhiPoly is a view of one MPoly in phi whose
+coefficients in phi are the polynomials of the algebraic system.
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .errors import BalanceError, PoleError
 from .poly import Coeffable, MPoly
-from .symbols import K, Sym, a
+from .symbols import K, PHI, Sym, a
+
+_PHI = MPoly.var(PHI)
+TANH_RULES = {PHI: MPoly.var(K) + _PHI**2}
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,6 @@ class BalanceTerm:
         if p < 0 or q < 0:
             raise ValueError("orders must be >= 0")
         return cls(p + 1, q, f"v^{p}*v^({q})")
-
-    def order_at(self, m: int) -> int:
-        return self.slope * m + self.intercept
 
     def order_str(self) -> str:
         if self.slope == 0:
@@ -98,15 +98,21 @@ def balance_M(terms: Sequence[BalanceTerm]) -> int:
 
 
 class PhiPoly:
-    """Polynomial in the auxiliary function; coeffs[j] multiplies phi^j."""
+    """Polynomial in the auxiliary function, held as one MPoly in ``phi``;
+    coeffs[j] multiplies phi^j."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("poly",)
 
     def __init__(self, coeffs: Sequence[Coeffable] = ()):
-        cs = [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs: tuple[MPoly, ...] = tuple(cs)
+        self.poly = MPoly.zero()
+        for j, c in enumerate(coeffs):
+            self.poly = self.poly + _PHI**j * c
+
+    @classmethod
+    def _of(cls, poly: MPoly) -> "PhiPoly":
+        self = object.__new__(cls)
+        self.poly = poly
+        return self
 
     @classmethod
     def zero(cls) -> "PhiPoly":
@@ -118,72 +124,43 @@ class PhiPoly:
 
     @classmethod
     def phi(cls, power: int = 1) -> "PhiPoly":
-        return cls([MPoly.zero()] * power + [MPoly.const(1)])
+        return cls._of(_PHI**power)
+
+    @property
+    def coeffs(self) -> tuple[MPoly, ...]:
+        parts = self.poly.split((PHI,))
+        return tuple(parts.get((j,), MPoly.zero()) for j in range(self.degree() + 1))
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, j: int) -> MPoly:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else MPoly.zero()
+        return self.poly.max_exponent(PHI) if self.poly else -1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhiPoly) and self.coeffs == other.coeffs
+        return isinstance(other, PhiPoly) and self.poly == other.poly
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.poly)
 
     def __add__(self, other: "PhiPoly") -> "PhiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PhiPoly([self.coeff(j) + other.coeff(j) for j in range(n)])
+        return PhiPoly._of(self.poly + other.poly)
 
     def __sub__(self, other: "PhiPoly") -> "PhiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PhiPoly([self.coeff(j) - other.coeff(j) for j in range(n)])
+        return PhiPoly._of(self.poly - other.poly)
 
     def __mul__(self, other: "PhiPoly") -> "PhiPoly":
-        if not self.coeffs or not other.coeffs:
-            return PhiPoly()
-        out = [MPoly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return PhiPoly(out)
-
-    def scale(self, c: Coeffable) -> "PhiPoly":
-        return PhiPoly([ci * c for ci in self.coeffs])
+        return PhiPoly._of(self.poly * other.poly)
 
     def diff(self) -> "PhiPoly":
-        """d/dxi under the rewrite d(phi^n) = n*k*phi^(n-1) + n*phi^(n+1)."""
-        k = MPoly.var(K)
-        out = [MPoly.zero()] * (len(self.coeffs) + 1)
-        for n, c in enumerate(self.coeffs):
-            if n == 0 or c.is_zero():
-                continue
-            out[n - 1] = out[n - 1] + c * k * n
-            out[n + 1] = out[n + 1] + c * n
-        return PhiPoly(out)
+        """d/dxi under the rule phi' = k + phi^2."""
+        return PhiPoly._of(self.poly.derive(TANH_RULES))
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "PhiPoly":
-        return PhiPoly([c.substitute(bind) for c in self.coeffs])
+        return PhiPoly._of(self.poly.substitute(bind))
 
     def eval_numeric(self, phi_value: float, point: Mapping[Sym, Fraction]) -> float:
-        total = 0.0
-        for j, c in enumerate(self.coeffs):
-            total += float(c.eval_rat(point)) * phi_value**j
-        return total
+        return sum(float(c.eval_rat(point)) * phi_value**j for j, c in enumerate(self.coeffs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            head = f"({c})" if len(c.terms) > 1 else str(c)
-            parts.append(head if j == 0 else f"{head}*phi^{j}")
-        return " + ".join(parts) or "0"
+        return str(self.poly)
 
     __repr__ = __str__
 
@@ -200,7 +177,7 @@ def build_ansatz(m: int) -> PhiPoly:
 
 
 def ode_residual(spec: EquationSpec, v: PhiPoly) -> PhiPoly:
-    return _shared_residual(spec, v)
+    return PhiPoly._of(_shared_residual(spec, v.poly, TANH_RULES))
 
 
 def extract_system(residual: PhiPoly) -> list[SystemEq]:

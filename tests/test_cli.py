@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fkdv import cli, fixtures
 
 
@@ -190,6 +192,16 @@ def test_verify_inconclusive_exits_4(capsys):
     assert "inconclusive" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_nonpositive_samples_is_usage_error(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "u3", "--samples", samples])
+    _, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--samples" in err and "positive integer" in err
+    assert "max()" not in err
+
+
 def test_verify_unknown_id(capsys):
     code, _, err = run(["verify", "u11", "--lambda", "-6"], capsys)
     assert code == cli.EXIT_USAGE
@@ -220,6 +232,18 @@ def test_reproduce_latex_appendix(capsys, tmp_path):
     assert code == 0
     body = tex.read_text()
     assert "Solution catalog" in body and "u10" in body
+
+
+def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
+    appendix = tmp_path / "appendix.tex"
+    run(["reproduce", "--lambda-grid-depth", "1", "--latex", str(appendix)], capsys)
+    for method in ("tanh", "pre"):
+        block = tmp_path / f"{method}.tex"
+        code, _, _ = run(
+            ["derive", "--method", method, "--preset", "ito", "--latex", str(block)], capsys
+        )
+        assert code == 0
+        assert block.read_text() in appendix.read_text()
 
 
 def test_out_dir_redirects_relative_paths(capsys, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fkdv.poly import MPoly, Mono, arith, parse_poly, rational_roots
+from fkdv.poly import MPoly, Mono, parse_poly, rational_roots
 from fkdv.symbols import Sym, a, b
 
 
@@ -36,16 +36,39 @@ def test_symbols_closed_alphabet(bad):
 
 
 def test_difference_of_squares():
-    assert arith(P("a1+1"), P("a1-1"), "mul") == P("a1^2-1")
+    assert P("a1+1") * P("a1-1") == P("a1^2-1")
 
 
 def test_additive_identity():
     p = P("3*a1*k - 7/2")
-    assert arith(p, MPoly.zero(), "add") == p
+    assert p + MPoly.zero() == p
 
 
 def test_monomial_product():
-    assert arith(P("2*a2"), P("3*k"), "mul") == P("6*a2*k")
+    assert P("2*a2") * P("3*k") == P("6*a2*k")
+
+
+def test_derive_applies_rules_and_fixes_other_symbols():
+    rules = {Sym("phi"): P("k + phi^2")}
+    assert P("a1*phi^2 + a0").derive(rules) == P("2*a1*k*phi + 2*a1*phi^3")
+    assert P("a0*k + 3").derive(rules).is_zero()
+
+
+def test_derive_is_a_derivation():
+    rules = {Sym("sigma"): P("e*sigma*tau"), Sym("tau"): P("e*tau^2 - mu*sigma + r")}
+    p, q = P("a1*sigma^2*tau + b1*tau - 2"), P("sigma - a0*tau^3")
+    assert (p * q).derive(rules) == p.derive(rules) * q + p * q.derive(rules)
+
+
+def test_split_recombines():
+    p = P("3*a1*sigma^2*tau + b1*tau - sigma + 7")
+    parts = p.split((Sym("sigma"), Sym("tau")))
+    assert set(parts) == {(2, 1), (0, 1), (1, 0), (0, 0)}
+    assert parts[(2, 1)] == P("3*a1")
+    total = MPoly.zero()
+    for (i, j), c in parts.items():
+        total = total + c * P("sigma") ** i * P("tau") ** j
+    assert total == p
 
 
 def test_leading_term_graded_lex():

@@ -13,6 +13,7 @@ from fkdv.pre import (
     STClosedForm,
     STPoly,
     build_pre_ansatz,
+    eliminate_tau,
     first_integral_defect,
     linear_balance,
     pre_degree_candidates,
@@ -41,6 +42,15 @@ def test_tau_squared_reduces_to_first_integral():
     )
     assert got == expected
     assert got.r_power == 1
+
+
+def test_eliminate_tau_clears_one_r_per_pair_of_tau_powers():
+    # tau^5 = tau * (tau^2)^2, so s = 2 and r^2*tau^5 = tau*(r*tau^2)^2
+    got, s = eliminate_tau(P("a1*tau^5 + b1*sigma*tau^2 + 4"))
+    r_tau2 = P("-e*(r^2 - 2*mu*r*sigma + (mu^2+rho)*sigma^2)")
+    assert s == 2
+    assert got == P("a1*tau") * r_tau2**2 + P("b1*sigma*r") * r_tau2 + P("4*r^2")
+    assert eliminate_tau(P("a0*tau + sigma")) == (P("a0*tau + sigma"), 0)
 
 
 def test_tau_first_power_unchanged():
