@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +39,10 @@ EXIT_FIXTURE = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
 
+# rational flags are capped so every number printed stays far below the
+# interpreter's 4300-digit limit on int-to-str conversion
+MAX_DIGITS = 1000
+
 
 def _say(args, text: str) -> None:
     """Human-readable line; moves to stderr when the JSON goes to stdout."""
@@ -50,10 +55,10 @@ def _spec_from_args(args) -> EquationSpec:
         return ito()
     vals = {}
     for name in ("alpha", "beta", "gamma", "omega"):
-        raw = getattr(args, name)
-        if raw is None:
+        value = getattr(args, name)
+        if value is None:
             raise BalanceError(f"--{name} is required without --preset ito")
-        vals[name] = Fraction(raw)
+        vals[name] = value
     return EquationSpec(**vals)
 
 
@@ -156,7 +161,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    lam = Fraction(args.lam)
+    lam = args.lam
     if args.method == "tanh":
         _, system = derive_tanh_system()
         branches = solve_tanh(system, lam, args.budget)
@@ -205,10 +210,16 @@ def cmd_verify(args) -> int:
     if bad:
         print(f"unknown solution ids: {', '.join(bad)} (u1..u10)", file=sys.stderr)
         return EXIT_USAGE
-    lambdas = [float(v) for v in args.lam] if args.lam else [-6.0]
-    if any(v >= 0 for v in lambdas):
-        print("verification requires lambda < 0", file=sys.stderr)
-        return EXIT_USAGE
+    lambdas = []
+    for text in args.lam or ["-6"]:
+        try:
+            lam = float(text)
+        except ValueError:
+            lam = math.nan
+        if not -math.inf < lam < 0:
+            print(f"verification requires a finite lambda < 0, got {text!r}", file=sys.stderr)
+            return EXIT_USAGE
+        lambdas.append(lam)
     plan = closedform.SamplePlan(seed=args.seed, count=args.samples)
     reports = []
     worst_exit = EXIT_OK
@@ -275,12 +286,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """An integer, n/d or decimal whose numerator and denominator have at
+    most MAX_DIGITS digits.  The exponent is checked before parsing, so a
+    text like 1e99999999 is not expanded."""
+    exp = text.lower().partition("e")[2]
+    try:
+        if abs(int(exp or 0)) > MAX_DIGITS:
+            raise ValueError
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or max(abs(value.numerator), value.denominator) >= 10**MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite rational such as -6, 3/2 or -6e40 with at most "
+            f"{MAX_DIGITS} digits, got {text!r}"
+        )
+    return value
+
+
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=["ito"], help="named coefficient set")
-    p.add_argument("--alpha", help="coefficient of u^2*u_x (rational)")
-    p.add_argument("--beta", help="coefficient of u_x*u_xx (rational)")
-    p.add_argument("--gamma", help="coefficient of u*u_xxx (rational)")
-    p.add_argument("--omega", help="coefficient of u_xxxxx (rational, nonzero)")
+    p.add_argument("--alpha", type=_rational, help="coefficient of u^2*u_x (rational)")
+    p.add_argument("--beta", type=_rational, help="coefficient of u_x*u_xx (rational)")
+    p.add_argument("--gamma", type=_rational, help="coefficient of u*u_xxx (rational)")
+    p.add_argument("--omega", type=_rational,
+                   help="coefficient of u_xxxxx (rational, nonzero)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -316,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="branch-solve a derived system at rational lambda")
     p.add_argument("--method", choices=["tanh", "pre"], required=True)
-    p.add_argument("--lambda", dest="lam", required=True, help="rational wave speed")
+    p.add_argument("--lambda", dest="lam", type=_rational, required=True,
+                   help="rational wave speed")
     p.add_argument("--e", type=int, choices=[-1, 1], default=1)
     p.add_argument("--rho", type=int, choices=[-1, 1], default=-1)
     p.add_argument("--budget", type=int, default=10000)

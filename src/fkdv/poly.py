@@ -46,10 +46,26 @@ class Mono:
         return isinstance(other, Mono) and self.exps == other.exps
 
     def __mul__(self, other: "Mono") -> "Mono":
-        merged = dict(self.exps)
-        for s, e in other.exps:
-            merged[s] = merged.get(s, 0) + e
-        return Mono(merged)
+        # linear merge of the two sorted exponent tuples
+        a, b = self.exps, other.exps
+        out: list[tuple[Sym, int]] = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (sa, ea), (sb, eb) = a[i], b[j]
+            if sa is sb:
+                out.append((sa, ea + eb))
+                i, j = i + 1, j + 1
+            elif sa.key < sb.key:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        m = object.__new__(Mono)
+        m.exps = (*out, *a[i:], *b[j:])
+        m.degree = self.degree + other.degree
+        m._hash = hash(m.exps)
+        return m
 
     def __pow__(self, n: int) -> "Mono":
         if n < 0:
@@ -306,7 +322,7 @@ class MPoly:
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "MPoly":
         """Homomorphic substitution; unbound symbols remain."""
-        out = MPoly.zero()
+        out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
             residual: list[tuple[Sym, int]] = []
             scalar = c
@@ -323,8 +339,9 @@ class MPoly:
             term = MPoly.monomial(Mono(residual), scalar)
             for f in factors:
                 term = term * f
-            out = out + term
-        return out
+            for tm, tc in term.terms.items():
+                out[tm] = out.get(tm, 0) + tc
+        return MPoly._raw({m: c for m, c in out.items() if c != 0})
 
     def derive(self, rules: Mapping[Sym, "MPoly"]) -> "MPoly":
         """The derivation sending each symbol in ``rules`` to its rule and
@@ -444,77 +461,96 @@ class MPoly:
         return "".join(parts)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _primitive(cs: Sequence[Fraction | int]) -> list[int]:
+    """The coprime integer list that is a positive multiple of ``cs``."""
+    den = lcm(*[Fraction(c).denominator for c in cs])
+    ints = [int(c * den) for c in cs]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _divmod(a: list[int], b: list[int]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of ascending coefficient lists over Q."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def _horner(cs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(cs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
 
 
 def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
     """All rational roots of the dense coefficient list (ascending powers).
 
-    Uses rational-root candidates on the primitive integer form, deflating by
-    synthetic division after each hit so repeated and nested roots are found.
-    Multiplicities are not reported.  Rejects the identically zero list: the
-    caller must treat that case as a branch, not a root-finding problem.
+    With a_n the leading coefficient of the primitive integer form f of
+    degree n, x = y/a_n turns f into the monic integer polynomial
+    g(y) = a_n**(n-1) * f(y/a_n), whose rational roots are integers.  The
+    integer roots of the square-free part of g are isolated by bisecting
+    integer intervals (lo, hi] inside the Cauchy bound with a Sturm
+    sequence, so the cost depends on the degree and the digit count, not
+    on the size of the coefficients.  Multiplicities are not reported.
+    Rejects the identically zero list: the caller must treat that case as a
+    branch, not a root-finding problem.
     """
     cs = [_as_rat(c) for c in coeffs]
     if all(c == 0 for c in cs):
         raise ValueError("identically zero polynomial has every value as a root")
-    while cs and cs[-1] == 0:
+    while cs[-1] == 0:
         cs.pop()
     roots: set[Fraction] = set()
     while len(cs) > 1 and cs[0] == 0:
         roots.add(Fraction(0))
         cs.pop(0)
-    den = lcm(*[c.denominator for c in cs]) if cs else 1
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    while len(ints) > 1:
-        a0, an = ints[0], ints[-1]
-        hit = None
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                if gcd(p, q) != 1:
-                    continue
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        hit = cand
-                        break
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            break
-        roots.add(hit)
-        # synthetic division by (x - hit), then back to primitive integers
-        quot: list[Fraction] = [Fraction(0)] * (len(ints) - 1)
-        carry = Fraction(0)
-        for i in range(len(ints) - 1, 0, -1):
-            carry = carry * hit + ints[i]
-            quot[i - 1] = carry
-        den = lcm(*[c.denominator for c in quot])
-        ints = [int(c * den) for c in quot]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
+    f = _primitive(cs)
+    n, an = len(f) - 1, f[-1]
+    if n == 0:
+        return roots
+    g = [c * an ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    d, e = g, _derivative(g)
+    while e:
+        r = _divmod(d, e)[1]
+        d, e = e, (_primitive(r) if r else [])
+    h = _primitive(_divmod(g, d)[0])
+    # h is square-free, so its Sturm sequence ends in a nonzero constant
+    sturm = [h, _derivative(h)]
+    while len(sturm[-1]) > 1:
+        sturm.append([-c for c in _primitive(_divmod(sturm[-2], sturm[-1])[1])])
+
+    def variations(x: int) -> int:
+        signs = [v > 0 for v in (_horner(p, x) for p in sturm) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    # Cauchy bound (|h_n| >= 1); variations(lo) - variations(hi) counts the
+    # distinct roots in (lo, hi]
+    bound = 1 + max(abs(c) for c in h)
+    work = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
+    while work:
+        lo, hi, vlo, vhi = work.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if _horner(h, hi) == 0:
+                roots.add(Fraction(hi, an))
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        work += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
     return roots
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -149,6 +150,47 @@ def test_solve_json_is_deterministic(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_solve_tanh_at_forty_digit_grid_lambda(capsys, tmp_path):
+    # lambda = -6*m^4 with m = 10^10 keeps the paper branches rational
+    out_json = tmp_path / "branches.json"
+    start = time.perf_counter()
+    code, _, _ = run(
+        ["solve", "--method", "tanh", "--lambda=-6e40", "--json", str(out_json)], capsys
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    doc = json.loads(out_json.read_text())
+    bindings = [br["bindings"] for br in doc["branches"] if br["status"] == "solved"]
+    for sign in (1, -1):
+        branch = {"a0": str(-sign * 5 * 10**20), "a1": "0", "a2": "-30", "k": str(sign * 25 * 10**18)}
+        assert branch in bindings
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--method", "tanh", "--lambda", "1/0"],
+        ["balance", "--alpha", "1/0", "--beta", "6", "--gamma", "3", "--omega", "1"],
+        ["solve", "--method", "tanh", "--lambda", "abc"],
+        ["solve", "--method", "tanh", "--lambda", "nan"],
+        ["solve", "--method", "tanh", "--lambda=-inf"],
+        ["solve", "--method", "tanh", "--lambda=-1e5000"],
+        ["solve", "--method", "pre", "--lambda=-1e99999999"],
+        ["derive", "--method", "tanh", "--alpha", "2", "--beta", "6", "--gamma", "3", "--omega", "x"],
+    ],
+    ids=["lambda-1/0", "alpha-1/0", "lambda-abc", "lambda-nan", "lambda-inf",
+         "lambda-1e5000", "lambda-1e99999999", "omega-x"],
+)
+def test_bad_rational_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "expected a finite rational" in err
+    assert "Traceback" not in err and "Fraction" not in err and "limit" not in err
+    assert "branches" not in out
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -184,6 +226,14 @@ def test_verify_compare_needs_two_ids(capsys):
 def test_verify_nonnegative_lambda_rejected(capsys):
     code, _, _ = run(["verify", "u3", "--lambda", "2"], capsys)
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("lam", ["nan", "-inf", "abc", "-1e400"])
+def test_verify_non_finite_or_non_numeric_lambda_rejected(capsys, lam):
+    code, out, err = run(["verify", "u3", f"--lambda={lam}"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "finite lambda < 0" in err and "convert" not in err
+    assert "verdict" not in out
 
 
 def test_verify_inconclusive_exits_4(capsys):

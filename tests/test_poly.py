@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -183,6 +184,37 @@ def test_rational_roots_vs_brute_force_grid():
                 if sum(c * num**i * den ** (n - i) for i, c in enumerate(coeffs)) == 0:
                     brute.add(F(num, den))
         assert rational_roots(coeffs) == brute
+
+
+def test_rational_roots_thirty_digit_coefficients_are_fast():
+    # trial division to sqrt(10**30) would not finish; the cost must follow
+    # the digit count instead
+    start = time.perf_counter()
+    assert rational_roots([-3 * (10**30 + 57), 0, 3]) == set()
+    assert rational_roots([0, 0, 0, -81 * 10**12, 0, 1]) == {F(0), F(9 * 10**6), F(-9 * 10**6)}
+    assert time.perf_counter() - start <= 2
+
+
+@st.composite
+def split_polys(draw):
+    """c * prod((q_i*x - p_i)**m_i) * (x^2 + s) with s > 0, and its roots."""
+    x = MPoly.var(a(0))
+    poly = MPoly.const(F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))))
+    poly = poly * draw(st.sampled_from([1, -1]))
+    roots = set()
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.integers(-(10**30), 10**30)), draw(st.integers(1, 10**6))
+        roots.add(F(p, q))
+        poly = poly * (x * q - p) ** draw(st.integers(1, 3))
+    s = F(draw(st.integers(1, 10**30)), draw(st.integers(1, 10**6)))
+    return (poly * (x * x + s)).as_univariate(a(0)), roots
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(split_polys())
+def test_rational_roots_of_split_products(case):
+    coeffs, roots = case
+    assert rational_roots(coeffs) == roots
 
 
 # ---------------------------------------------------------------- properties
