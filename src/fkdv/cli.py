@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 failed verification verdicts, 2 usage or balance
 failure, 3 fixture mismatch, 4 inconclusive sampling, 5 internal invariant
-breach.  JSON documents embed the run manifest and are byte-stable for a
-fixed manifest and seed (the timestamp field stays null unless supplied).
+breach, 141 output pipe closed by its reader.  JSON documents embed the run
+manifest and are byte-stable for a fixed manifest and seed (the timestamp
+field stays null unless supplied).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_FIXTURE = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `| head`
 
 # rational flags are capped so every number printed stays far below the
 # interpreter's 4300-digit limit on int-to-str conversion
@@ -379,7 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull so the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BalanceError as exc:
         print(f"balance error: {exc}", file=sys.stderr)
         return EXIT_USAGE

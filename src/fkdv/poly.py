@@ -61,10 +61,15 @@ class Mono:
             else:
                 out.append(b[j])
                 j += 1
-        m = object.__new__(Mono)
-        m.exps = (*out, *a[i:], *b[j:])
-        m.degree = self.degree + other.degree
-        m._hash = hash(m.exps)
+        return Mono._raw((*out, *a[i:], *b[j:]), self.degree + other.degree)
+
+    @classmethod
+    def _raw(cls, exps: tuple[tuple[Sym, int], ...], degree: int) -> "Mono":
+        # internal: trusts sorted, positive exponents and their sum
+        m = object.__new__(cls)
+        m.exps = exps
+        m.degree = degree
+        m._hash = hash(exps)
         return m
 
     def __pow__(self, n: int) -> "Mono":
@@ -141,7 +146,7 @@ def _as_rat(v) -> Fraction:
 class MPoly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_ascii")
 
     def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
         self.terms: dict[Mono, Fraction] = {}
@@ -151,6 +156,7 @@ class MPoly:
                 if c != 0:
                     self.terms[m] = c
         self._hash = None
+        self._ascii = None
 
     @classmethod
     def _raw(cls, terms: dict[Mono, Fraction]) -> "MPoly":
@@ -158,6 +164,7 @@ class MPoly:
         self = object.__new__(cls)
         self.terms = terms
         self._hash = None
+        self._ascii = None
         return self
 
     @classmethod
@@ -251,10 +258,7 @@ class MPoly:
         return max((m.degree for m in self.terms), default=-1)
 
     def symbols(self) -> set[Sym]:
-        out: set[Sym] = set()
-        for m in self.terms:
-            out |= m.symbols()
-        return out
+        return {s for m in self.terms for s, _ in m.exps}
 
     def leading(self) -> tuple[Mono, Fraction]:
         if not self.terms:
@@ -322,21 +326,32 @@ class MPoly:
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "MPoly":
         """Homomorphic substitution; unbound symbols remain."""
+        if bind.keys().isdisjoint(self.symbols()):
+            return self
         out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
+            # dropping the bound symbols leaves the exponents sorted and
+            # positive, so the residual monomial is built directly
             residual: list[tuple[Sym, int]] = []
-            scalar = c
+            degree = m.degree
             factors: list[MPoly] = []
             for s, e in m.exps:
-                if s in bind:
-                    v = bind[s]
-                    if isinstance(v, (int, Fraction)):
-                        scalar = scalar * _as_rat(v) ** e
-                    else:
-                        factors.append(v**e)
-                else:
+                if s not in bind:
                     residual.append((s, e))
-            term = MPoly.monomial(Mono(residual), scalar)
+                    continue
+                degree -= e
+                v = bind[s]
+                if isinstance(v, (int, Fraction)):
+                    c = c * v**e
+                else:
+                    factors.append(v**e)
+            if not c:
+                continue
+            rm = Mono._raw(tuple(residual), degree)
+            if not factors:
+                out[rm] = out.get(rm, 0) + c
+                continue
+            term = MPoly.monomial(rm, c)
             for f in factors:
                 term = term * f
             for tm, tc in term.terms.items():
@@ -410,7 +425,12 @@ class MPoly:
 
     def ascii(self) -> str:
         """Canonical ASCII form: graded-lex descending, ``^`` powers,
-        ``*`` products.  Bit-stable for equal polynomials."""
+        ``*`` products.  Bit-stable for equal polynomials; computed once."""
+        if self._ascii is None:
+            self._ascii = self._render_ascii()
+        return self._ascii
+
+    def _render_ascii(self) -> str:
         if not self.terms:
             return "0"
         parts: list[str] = []

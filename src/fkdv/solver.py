@@ -14,9 +14,10 @@ first available move:
    plus the cofactor branch.
 
 Every discarded case surfaces as a contradiction or stuck leaf; nothing is
-dropped silently.  Output order is canonical regardless of exploration
-order, and every solved branch is re-verified against the original system
-before it is returned.
+dropped silently.  A node equal to one already explored replays that
+subtree's leaves when the budget allows it to finish again.  Output order is
+canonical regardless of exploration order, and every solved point is
+re-verified against the original system, once, before it is returned.
 """
 
 from __future__ import annotations
@@ -178,6 +179,9 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     start = [p.substitute(preset_map) for p in system]
     budget = [cfg.branch_budget]
     leaves: list[Branch] = []
+    # node state -> (first leaf, end leaf, nodes used) of a finished subtree
+    memo: dict[tuple, tuple[int, int, int]] = {}
+    verified: set[frozenset] = set()
 
     def finish(node: _Node, status: str, witness: MPoly | None = None) -> None:
         # resolve recorded eliminations that have become constant
@@ -198,7 +202,9 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
                 status = FREE
             for x, expr in pending:
                 remaining.append(MPoly.var(x) - expr)
-            if status == SOLVED:
+            # each distinct solved point is verified once per solve()
+            point = frozenset(resolved.items())
+            if status == SOLVED and point not in verified:
                 ok, bad = verify_assignment(
                     system, Assignment(resolved).merged(cfg.presets)
                 )
@@ -206,6 +212,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
                     raise InternalInvariantError(
                         f"solved branch fails re-verification on {bad}"
                     )
+                verified.add(point)
         else:
             free = ()
         leaves.append(
@@ -241,6 +248,24 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         polys = sorted(set(polys), key=_poly_key)
         node.polys = polys
 
+        # The redundant splits of move 3 reach equal nodes along several
+        # paths.  A finished subtree is replayed when exploring it again
+        # could not run out of budget: its k-th node would see the entry
+        # budget minus k, so an entry budget above the nodes it used keeps
+        # every leaf the same.  A subtree that did run out is never replayed,
+        # as the budget stays spent.
+        key = (frozenset(node.bindings.items()), tuple(node.elims), tuple(polys))
+        seen = memo.get(key)
+        if seen is not None and budget[0] >= seen[2]:
+            first, end, used = seen
+            leaves.extend(leaves[first:end])
+            budget[0] -= used - 1
+            return
+        first, entry = len(leaves), budget[0] + 1
+        expand(node, polys)
+        memo[key] = (first, len(leaves), entry - budget[0])
+
+    def expand(node: _Node, polys: list[MPoly]) -> None:
         if not polys:
             finish(node, SOLVED)
             return
@@ -305,5 +330,8 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         finish(node, STUCK, witness=polys[0])
 
     explore(_Node({}, [], start))
+    # explore and expand refer to each other, so this frame outlives the
+    # call until the cycle collector runs; drop the memo now
+    memo.clear()
     leaves.sort(key=Branch.sort_key)
     return leaves

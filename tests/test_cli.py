@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -317,3 +318,21 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "M = 2" in proc.stdout
+
+
+def test_closed_output_pipe_exits_141_without_traceback():
+    # the reader has gone before anything is written, as with `| head` on
+    # a long output
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fkdv.cli", "solve", "--method", "pre", "--lambda", "-6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""

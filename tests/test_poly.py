@@ -275,3 +275,41 @@ def test_substitution_is_a_homomorphism(p, q, bind):
 @given(polys())
 def test_ascii_parse_round_trip(p):
     assert parse_poly(p.ascii()) == p
+
+
+# ints (0 among them) and fractions, as the solver binds both
+_RATS = st.sampled_from([0, 1, -1]) | st.builds(F, st.integers(-30, 30), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(), polys(), st.sampled_from(_SYMS), _RATS, st.booleans())
+def test_rational_substitute_matches_constant_polynomial(base, q, s, c, cancel):
+    # q * (s - c) vanishes at s = c, so its terms cancel in the substitution
+    p = base + q * (MPoly.var(s) - c) if cancel else base
+    got = p.substitute({s: c})
+    general = p.substitute({s: MPoly.const(c)})
+    assert got == general
+    assert got.ascii() == general.ascii() and got.degree() == general.degree()
+    assert got == base.substitute({s: c})
+    assert s not in got.symbols()
+    assert all(v != 0 for v in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(), bindings())
+def test_substitute_ignores_absent_symbols(p, bind):
+    absent = {s: v for s, v in bind.items() if s not in p.symbols()}
+    assert p.substitute(absent) == p
+    assert p.substitute({}) == p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(), polys(), bindings())
+def test_ascii_stable_and_parses_after_arithmetic(p, q, bind):
+    first = p.ascii()
+    assert p.ascii() == first == str(p)
+    for r in (p + q, p * q, p.substitute(bind), (p * q).substitute(bind)):
+        text = r.ascii()
+        assert text == r.ascii() == MPoly(dict(r.terms)).ascii()
+        assert parse_poly(text) == r
+    assert p.ascii() == first

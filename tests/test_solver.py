@@ -1,12 +1,16 @@
+import hashlib
 import time
 from collections import Counter
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
+from fkdv import solver
 from fkdv.closedform import catalog
 from fkdv.errors import UnboundSymbolError
 from fkdv.reproduce import (
+    derive_pre_system,
     expected_pre_branches,
     expected_tanh_branches,
     solve_pre,
@@ -229,3 +233,66 @@ def test_scaled_branches_found_on_grid(tanh_system, pre_system):
         got_p = _solved_set(solve_pre(pre_system, lam))
         for exp in expected_pre_branches(m):
             assert _as_key(exp) in got_p
+
+
+# ---------------------------------------------------------------- leaf lists
+
+# sha256 of repr([(sort_key, free symbol names)]) over every leaf of the
+# projective Ito solve with e=1, rho=-1, keyed by (depth, lambda, budget) and
+# recorded before the solver memoized repeated subtrees: replaying a subtree
+# must leave every leaf, and where the budget runs out, unchanged.  Disjoint
+# case splits (ROADMAP item 3) will change these digests on purpose.
+PINNED_LEAVES = {
+    (2, -6, 10000): (267, "ac4a20d4432832e6fdc34f62be6d5ae1ec836d68e867fe844d8f071b67247ac5"),
+    (2, -96, 10000): (267, "333c3759321ca7f42f49ed9d98545128a2bf9a139590f9753bbf19cca6a6e7da"),
+    (3, -6, 10000): (1354, "66b03e5e7f42a901abd641a6e98cbbad478574ce8f9e68699ae1b181e38e6055"),
+    (1, -6, 5): (6, "e16d6d3dc56589431c5ed3ccb2e17af6420f96ab344c988a45cf524dac4a456e"),
+    (2, -6, 60): (33, "1c74d350b20caa4b30c0e3c125e588aa0157fc84d8f05135c6648aa9b550ac6e"),
+    (2, -6, 250): (129, "fbabf8b6edbd195ab42fc5924f2f654573ea94d70c66d033546acee63470704a"),
+    (2, -6, 400): (217, "ff9bca14372d4c6ac130c25396f601a3e7d1089f7477acd65e644dd739149697"),
+    (3, -6, 1300): (714, "23198bbb56263545266a022ad354cfbb682880b562c3bb09cb386404d47dbc81"),
+}
+
+
+@cache
+def _pre_polys(depth):
+    return tuple(eq.poly for eq in derive_pre_system(depth))
+
+
+def _pre_solve(depth, lam, budget=10000):
+    unknowns = (
+        tuple(a(j) for j in range(depth + 1))
+        + tuple(b(j) for j in range(1, depth + 1))
+        + (MU, R)
+    )
+    cfg = SolveConfig(
+        unknowns=unknowns,
+        presets=Assignment({LAM: F(lam), E: 1, RHO: -1}),
+        branch_budget=budget,
+    )
+    return solve(_pre_polys(depth), cfg)
+
+
+@pytest.mark.parametrize(("depth", "lam", "budget"), list(PINNED_LEAVES))
+def test_leaf_list_matches_pinned_digest(depth, lam, budget):
+    leaves = _pre_solve(depth, lam, budget)
+    text = repr([(br.sort_key(), [s.name for s in br.free_symbols]) for br in leaves])
+    count, digest = PINNED_LEAVES[depth, lam, budget]
+    assert len(leaves) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if budget < 10000:
+        assert any(br.status == "stuck" for br in leaves)
+
+
+def test_each_solved_point_verified_once(monkeypatch):
+    calls = Counter()
+
+    def counting(system, asg):
+        calls[tuple(asg.items())] += 1
+        return verify_assignment(system, asg)
+
+    monkeypatch.setattr(solver, "verify_assignment", counting)
+    leaves = _pre_solve(2, -6)
+    solved = Counter(tuple(br.assignment.items()) for br in leaves if br.status == "solved")
+    assert max(solved.values()) > 1  # the case tree reaches some points twice
+    assert len(calls) == len(solved) and set(calls.values()) == {1}
