@@ -1,9 +1,19 @@
-"""Sparse exact multivariate polynomials over big rationals.
+"""Sparse exact multivariate polynomials over the rationals.
 
-Coefficients are :class:`fractions.Fraction` (aliased ``Rat``), which already
-carries the invariants we need: positive denominator, lowest terms, zero as
-0/1.  Monomials map symbols to positive exponents; polynomials map monomials
-to nonzero coefficients, so equal values always have equal term maps.
+A coefficient is an ``int`` when it is integral and a
+:class:`fractions.Fraction` (aliased ``Rat``) otherwise, so integer
+arithmetic, the common case after :meth:`MPoly.normalize`, never builds a big
+rational.  Every value entering the kernel goes through :func:`_as_rat`, which
+turns an integral ``Fraction`` into its ``int``; Fraction arithmetic may still
+yield an integral ``Fraction``, which equals and hashes like the ``int``, and
+``normalize()`` always returns coprime ``int`` coefficients.  No ``/`` runs
+between two ints: an exact quotient is ``//`` by a known divisor, any other
+is ``Fraction`` division.  Values handed out of the kernel
+(``constant_value``, ``eval_rat``, ``content``, ``rational_roots``) are
+``Fraction``.
+
+Monomials map symbols to positive exponents; polynomials map monomials to
+nonzero coefficients, so equal values always have equal term maps.
 
 The canonical term order is graded lexicographic with the fixed symbol order
 from :mod:`fkdv.symbols`: higher total degree first, ties broken by the
@@ -20,6 +30,7 @@ from .symbols import Sym
 
 Rat = Fraction
 
+Coef = Union[int, Fraction]  # int when integral, see the module docstring
 Coeffable = Union["MPoly", Fraction, int]
 
 
@@ -135,11 +146,13 @@ class Mono:
 _UNIT = Mono()
 
 
-def _as_rat(v) -> Fraction:
+def _as_rat(v) -> Coef:
+    """The canonical coefficient: an int when ``v`` is integral, else the
+    Fraction itself; floats and other types raise TypeError."""
     if isinstance(v, Fraction):
-        return v
+        return v.numerator if v.denominator == 1 else v
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v)
     raise TypeError(f"expected rational, got {type(v).__name__}")
 
 
@@ -148,8 +161,8 @@ class MPoly:
 
     __slots__ = ("terms", "_hash", "_ascii")
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        self.terms: dict[Mono, Fraction] = {}
+    def __init__(self, terms: Mapping[Mono, Coef] | None = None):
+        self.terms: dict[Mono, Coef] = {}
         if terms:
             for m, c in terms.items():
                 c = _as_rat(c)
@@ -159,7 +172,7 @@ class MPoly:
         self._ascii = None
 
     @classmethod
-    def _raw(cls, terms: dict[Mono, Fraction]) -> "MPoly":
+    def _raw(cls, terms: dict[Mono, Coef]) -> "MPoly":
         # internal: takes ownership, trusts no zero coefficients
         self = object.__new__(cls)
         self.terms = terms
@@ -178,7 +191,7 @@ class MPoly:
 
     @classmethod
     def var(cls, s: Sym) -> "MPoly":
-        return cls._raw({Mono([(s, 1)]): Fraction(1)})
+        return cls._raw({Mono([(s, 1)]): 1})
 
     @classmethod
     def monomial(cls, m: Mono, c=1) -> "MPoly":
@@ -232,7 +245,7 @@ class MPoly:
             if other == 0:
                 return MPoly.zero()
             return MPoly._raw({m: c * other for m, c in self.terms.items()})
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Coef] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
@@ -260,13 +273,13 @@ class MPoly:
     def symbols(self) -> set[Sym]:
         return {s for m in self.terms for s, _ in m.exps}
 
-    def leading(self) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, Coef]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms)
         return m, self.terms[m]
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, Coef]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0], reverse=True)
 
     def is_constant(self) -> bool:
@@ -277,11 +290,11 @@ class MPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[_UNIT]
+        return Fraction(self.terms[_UNIT])
 
     def coefficient_of(self, s: Sym, power: int) -> "MPoly":
         """Polynomial coefficient of s**power (s removed from the monomials)."""
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Coef] = {}
         for m, c in self.terms.items():
             if m.exponent(s) == power:
                 rest = Mono([(t, e) for t, e in m.exps if t is not s])
@@ -291,44 +304,55 @@ class MPoly:
     def split(self, syms: Sequence[Sym]) -> dict[tuple[int, ...], "MPoly"]:
         """Coefficients by the exponents of ``syms``: self is the sum over
         the keys of coefficient * prod(s**e for s, e in zip(syms, key))."""
-        parts: dict[tuple[int, ...], dict[Mono, Fraction]] = {}
+        parts: dict[tuple[int, ...], dict[Mono, Coef]] = {}
         for m, c in self.terms.items():
             key = tuple(m.exponent(s) for s in syms)
-            rest = Mono([(t, e) for t, e in m.exps if t not in syms])
+            # dropping symbols keeps the exponents sorted and positive
+            exps = tuple((t, e) for t, e in m.exps if t not in syms)
+            rest = Mono._raw(exps, m.degree - sum(key))
             parts.setdefault(key, {})[rest] = c
         return {key: MPoly._raw(terms) for key, terms in parts.items()}
 
     def max_exponent(self, s: Sym) -> int:
         return max((m.exponent(s) for m in self.terms), default=0)
 
+    def _content(self) -> tuple[int, int]:
+        # (gcd of the numerators, lcm of the denominators) is the content in
+        # lowest terms, as every coefficient is in lowest terms
+        num, den = 0, 1
+        for c in self.terms.values():
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
+        return num, den
+
     def content(self) -> Fraction:
         """Positive gcd of the coefficients; 0 for the zero polynomial."""
         if not self.terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(*self._content())
 
     def normalize(self) -> "MPoly":
         """Divide by the positive content and make the leading coefficient
-        positive.  Idempotent; preserves the zero set exactly."""
+        positive, giving coprime int coefficients.  Idempotent; preserves
+        the zero set exactly."""
         if not self.terms:
             return self
-        d = self.content()
+        num, den = self._content()
         if self.leading()[1] < 0:
-            d = -d
-        if d == 1:
+            num = -num
+        if num == den == 1 and all(type(c) is int for c in self.terms.values()):
             return self
-        return MPoly._raw({m: c / d for m, c in self.terms.items()})
+        # c * den / num is an integer: num divides every numerator
+        return MPoly._raw(
+            {m: c.numerator * (den // c.denominator) // num for m, c in self.terms.items()}
+        )
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "MPoly":
         """Homomorphic substitution; unbound symbols remain."""
         if bind.keys().isdisjoint(self.symbols()):
             return self
-        out: dict[Mono, Fraction] = {}
+        bind = {s: v if isinstance(v, MPoly) else _as_rat(v) for s, v in bind.items()}
+        out: dict[Mono, Coef] = {}
         for m, c in self.terms.items():
             # dropping the bound symbols leaves the exponents sorted and
             # positive, so the residual monomial is built directly
@@ -341,10 +365,10 @@ class MPoly:
                     continue
                 degree -= e
                 v = bind[s]
-                if isinstance(v, (int, Fraction)):
-                    c = c * v**e
-                else:
+                if isinstance(v, MPoly):
                     factors.append(v**e)
+                else:
+                    c = c * v**e
             if not c:
                 continue
             rm = Mono._raw(tuple(residual), degree)
@@ -363,37 +387,42 @@ class MPoly:
         every other symbol to 0: the sum over s of (d/ds self) * rules[s]."""
         out = MPoly.zero()
         for s, rule in rules.items():
-            partial: dict[Mono, Fraction] = {}
+            partial: dict[Mono, Coef] = {}
             for m, c in self.terms.items():
-                e = m.exponent(s)
-                if e:
-                    partial[Mono([(t, f - (t is s)) for t, f in m.exps])] = c * e
+                for i, (t, e) in enumerate(m.exps):
+                    if t is s:
+                        # lowering one exponent keeps the tuple sorted
+                        lowered = ((s, e - 1),) if e > 1 else ()
+                        exps = m.exps[:i] + lowered + m.exps[i + 1 :]
+                        partial[Mono._raw(exps, m.degree - 1)] = c * e
+                        break
             out = out + MPoly._raw(partial) * rule
         return out
 
     def eval_rat(self, point: Mapping[Sym, Coeffable]) -> Fraction:
         """Exact evaluation; every symbol must be bound to a rational."""
-        total = Fraction(0)
+        point = {s: _as_rat(v) for s, v in point.items()}
+        total: Coef = 0
         for m, c in self.terms.items():
             v = c
             for s, e in m.exps:
                 if s not in point:
                     raise KeyError(f"unbound symbol {s}")
-                v *= _as_rat(point[s]) ** e
+                v *= point[s] ** e
             total += v
-        return total
+        return Fraction(total)
 
-    def as_univariate(self, x: Sym) -> Optional[list[Fraction]]:
+    def as_univariate(self, x: Sym) -> Optional[list[Coef]]:
         """Dense coefficient list in ``x`` (ascending), or None if any other
         symbol occurs.  Constants give a single-entry list."""
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, Coef] = {}
         for m, c in self.terms.items():
             e = m.exponent(x)
             if any(s is not x for s, _ in m.exps):
                 return None
             coeffs[e] = coeffs.get(e, 0) + c
         n = max(coeffs, default=0)
-        return [coeffs.get(i, Fraction(0)) for i in range(n + 1)]
+        return [coeffs.get(i, 0) for i in range(n + 1)]
 
     def monomial_gcd(self) -> Mono:
         """Componentwise-minimum monomial dividing every term."""
@@ -412,7 +441,7 @@ class MPoly:
 
     def divide_mono(self, g: Mono) -> "MPoly":
         """Exact division by a monomial dividing every term."""
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Coef] = {}
         shift = dict(g.exps)
         for m, c in self.terms.items():
             exps = dict(m.exps)

@@ -30,7 +30,7 @@ from typing import Mapping
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .errors import PoleError
-from .poly import Coeffable, Mono, MPoly
+from .poly import Coef, Coeffable, Mono, MPoly
 from .symbols import E, MU, R, RHO, SIGMA, TAU, Sym, a, b
 
 Key = tuple[int, int]  # (sigma power, tau power)
@@ -57,7 +57,7 @@ def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
     s = p.max_exponent(TAU) // 2
     if s == 0:
         return p, 0
-    parts: list[dict[Mono, Fraction]] = [{} for _ in range(s + 1)]
+    parts: list[dict[Mono, Coef]] = [{} for _ in range(s + 1)]
     for m, c in p.terms.items():
         q = m.exponent(TAU) // 2
         parts[q][Mono([(t, e - 2 * q if t is TAU else e) for t, e in m.exps])] = c

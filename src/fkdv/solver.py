@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
-from .poly import MPoly, rational_roots
+from .poly import Coef, MPoly, rational_roots
 from .symbols import Sym
 
 SOLVED = "solved"
@@ -157,6 +157,19 @@ class _Node:
         self.bindings: dict[Sym, Fraction] = bindings
         self.elims: list[tuple[Sym, MPoly]] = elims  # x -> expr, insertion order
         self.polys: list[MPoly] = polys
+
+
+def linear_pivots(p: MPoly) -> dict[Sym, Coef]:
+    """{x: c} for each symbol x that occurs in p only in one term c*x, that
+    is, linearly with a constant coefficient; one pass over the terms."""
+    pivots: dict[Sym, Coef] = {}
+    other: set[Sym] = set()
+    for m, c in p.terms.items():
+        if len(m.exps) == 1 and m.exps[0][1] == 1:
+            pivots[m.exps[0][0]] = c
+        else:
+            other.update(s for s, _ in m.exps)
+    return {x: c for x, c in pivots.items() if x not in other}
 
 
 def _poly_key(p: MPoly):
@@ -297,18 +310,16 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         # move 2: linear elimination with a constant coefficient
         best = None
         for p in polys:
-            for x in sorted(p.symbols(), key=lambda s: s.key):
-                if x not in live or p.max_exponent(x) != 1:
-                    continue
-                c = p.coefficient_of(x, 1)
-                if not c.is_constant():
+            for x, c in linear_pivots(p).items():
+                if x not in live:
                     continue
                 key = (len(p.terms), p.degree(), x.key, p.ascii())
                 if best is None or key < best[0]:
-                    best = (key, p, x, c.constant_value())
+                    best = (key, p, x, c)
         if best is not None:
             _, p, x, c = best
-            expr = p.coefficient_of(x, 0) * Fraction(-1, 1) * (1 / c)
+            # the pivot is usually an int: divide as a Fraction to stay exact
+            expr = p.coefficient_of(x, 0) * (Fraction(-1) / c)
             bind = {x: expr}
             node.elims = [(y, q.substitute(bind)) for y, q in node.elims]
             node.elims.append((x, expr))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -295,6 +296,42 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
         )
         assert code == 0
         assert block.read_text() in appendix.read_text()
+
+
+# sha256 of the documents that `reproduce --seed 7` and
+# `derive --preset ito --check-fixture` write.  The bytes are the output
+# contract: an intended output change (for example the disjoint case splits
+# of ROADMAP item 3) updates the pin here and records the new digest in
+# CHANGES.md.
+REPRODUCE_SEED_7_JSON = "75104f09c1fb1b350105a279a74fdc87fff353af20674877c88b0552b3be5055"
+DERIVE_FIXTURE_DIGESTS = {
+    ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
+    ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",
+    ("pre", "json"): "ee873b44b245b25170936117c4ab241f2e10dd52ae9dc9f3f7aca082bf106798",
+    ("pre", "latex"): "5716cfc646dbd9689a29a69c6c840e2c8b80884ba39591b8083800628a10574e",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_reproduce_seed_7_json_matches_pinned_digest(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    code, _, _ = run(["reproduce", "--seed", "7", "--json", str(out)], capsys)
+    assert code == 0
+    assert _sha256(out) == REPRODUCE_SEED_7_JSON
+
+
+@pytest.mark.parametrize(("method", "fmt"), list(DERIVE_FIXTURE_DIGESTS))
+def test_derive_fixture_output_matches_pinned_digest(method, fmt, capsys, tmp_path):
+    out = tmp_path / f"{method}.{fmt}"
+    code, _, _ = run(
+        ["derive", "--method", method, "--preset", "ito", "--check-fixture", f"--{fmt}", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert _sha256(out) == DERIVE_FIXTURE_DIGESTS[method, fmt]
 
 
 def test_out_dir_redirects_relative_paths(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -313,3 +314,56 @@ def test_ascii_stable_and_parses_after_arithmetic(p, q, bind):
         assert text == r.ascii() == MPoly(dict(r.terms)).ascii()
         assert parse_poly(text) == r
     assert p.ascii() == first
+
+
+# ---------------------------------------------------------------- coefficients
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        MPoly.const(0.5)
+    with pytest.raises(TypeError):
+        MPoly({Mono({A0: 1}): 1.0})
+
+
+def test_integral_coefficients_are_ints_and_boundaries_fractions():
+    p = MPoly.var(A0) * F(6, 2) + MPoly.const(F(4, 2)) + P("1/2*k")
+    assert {type(c) for c in p.terms.values()} == {int, F}
+    assert type(MPoly.var(A0).terms[Mono({A0: 1})]) is int
+    assert type(MPoly.const(F(8, 4)).constant_value()) is F
+    assert type(MPoly.zero().constant_value()) is F
+    assert type(P("2*a0 + 4").content()) is F
+    assert type(P("2*a0 + 4").eval_rat({A0: 1})) is F
+    # int and Fraction coefficients of equal value make equal polynomials
+    q = MPoly({Mono({A0: 1}): F(3), Mono(): F(1, 2)})
+    assert q == P("3*a0 + 1/2") and hash(q) == hash(P("3*a0 + 1/2"))
+    # Fraction arithmetic can leave an integral Fraction; normalize() makes
+    # it an int even when there is nothing to divide out
+    r = P("1/2*a0 + 3/2") * 2
+    assert {type(c) for c in r.terms.values()} == {F}
+    assert r.normalize() == P("a0 + 3")
+    assert all(type(c) is int for c in r.normalize().terms.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(), _RATS)
+def test_normalize_gives_coprime_int_coefficients(p, scale):
+    n = (p * scale).normalize()
+    coeffs = list(n.terms.values())
+    assert all(type(c) is int for c in coeffs)
+    if coeffs:
+        assert math.gcd(*coeffs) == 1
+        assert n.leading()[1] > 0
+        # n is p up to a nonzero rational factor
+        assert n * (p * scale).leading()[1] == (p * scale) * n.leading()[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(), st.sampled_from(_SYMS))
+def test_derive_and_split_build_canonical_monomials(p, s):
+    # derive and split assemble residual monomials without Mono.__init__
+    parts = p.split((s, Sym("mu"))).values()
+    for q in (p.derive({s: MPoly.const(1)}), p.derive({s: p}), *parts):
+        for m in q.terms:
+            rebuilt = Mono(dict(m.exps))
+            assert m.exps == rebuilt.exps and m.degree == rebuilt.degree

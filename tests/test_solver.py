@@ -5,10 +5,12 @@ from fractions import Fraction as F
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fkdv import solver
 from fkdv.closedform import catalog
 from fkdv.errors import UnboundSymbolError
+from fkdv.poly import MPoly, Mono, parse_poly
 from fkdv.reproduce import (
     derive_pre_system,
     expected_pre_branches,
@@ -296,3 +298,60 @@ def test_each_solved_point_verified_once(monkeypatch):
     solved = Counter(tuple(br.assignment.items()) for br in leaves if br.status == "solved")
     assert max(solved.values()) > 1  # the case tree reaches some points twice
     assert len(calls) == len(solved) and set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------- move 2
+
+
+def test_non_unit_integer_pivot_eliminates_exactly():
+    # no univariate equation, so move 2 eliminates a0 with the pivot 3
+    system = [parse_poly("3*a0 + 2*a1 - 1"), parse_poly("a0*a1 + a1")]
+    assert solver.linear_pivots(system[0]) == {a(0): 3, a(1): 2}
+    assert solver.linear_pivots(system[1]) == {}
+    leaves = solve(system, SolveConfig(unknowns=(a(0), a(1))))
+    assert [br.status for br in leaves] == ["solved", "solved"]
+    assert {tuple(br.assignment.items()) for br in leaves} == {
+        ((a(0), F(1, 3)), (a(1), F(0))),
+        ((a(0), F(-1)), (a(1), F(2))),
+    }
+    assert all(type(v) is F for br in leaves for _, v in br.assignment.items())
+
+
+def test_non_unit_pivot_left_pending_stays_exact():
+    # a1 stays free, so the elimination of a0 = (1 - 2*a1)/3 is reported
+    leaves = solve([parse_poly("3*a0 + 2*a1 - 1")], SolveConfig(unknowns=(a(0), a(1))))
+    assert [br.status for br in leaves] == [solver.FREE]
+    (rem,) = leaves[0].remaining
+    assert rem == parse_poly("a0 + 2/3*a1 - 1/3")
+    assert all(type(c) in (int, F) for c in rem.terms.values())
+
+
+def _old_linear_symbols(p):
+    # the move-2 predicate before the one-pass scan
+    return {
+        x
+        for x in p.symbols()
+        if p.max_exponent(x) == 1 and p.coefficient_of(x, 1).is_constant()
+    }
+
+
+@st.composite
+def _small_polys(draw):
+    syms = [a(0), a(1), b(1), MU]
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        chosen = draw(st.lists(st.sampled_from(syms), max_size=2, unique=True))
+        mono = Mono({s: draw(st.integers(1, 2)) for s in chosen})
+        coef = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        terms[mono] = terms.get(mono, 0) + coef
+    return MPoly(terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_polys())
+def test_linear_pivots_match_old_predicate(p):
+    for q in (p, p.normalize()):
+        pivots = solver.linear_pivots(q)
+        assert set(pivots) == _old_linear_symbols(q)
+        for x, c in pivots.items():
+            assert c == q.coefficient_of(x, 1).constant_value()
