@@ -39,7 +39,7 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_FIXTURE = 3
 EXIT_INCONCLUSIVE = 4
-EXIT_INTERNAL = 5
+EXIT_INVARIANT = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `| head`
 
 # rational flags are capped so every number printed stays far below the
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InternalInvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_INVARIANT
     except (FkdvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

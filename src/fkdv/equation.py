@@ -47,20 +47,27 @@ def ito(lam: Fraction | None = None) -> EquationSpec:
     return EquationSpec(Fraction(2), Fraction(6), Fraction(3), Fraction(1), lam)
 
 
-def ode_residual(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> MPoly:
-    """The traveling-wave ODE expanded at the ansatz ``v``, where d/dxi is
-    the derivation that sends each auxiliary symbol to its rule."""
+def ode_terms(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> list[tuple[str, MPoly]]:
+    """The five PDE terms at the traveling wave ``v``, named as in the PDE,
+    where d/dxi is the derivation that sends each auxiliary symbol to its
+    rule (u_x = v', u_t = lam*v')."""
     v1 = v.derive(rules)
     v2 = v1.derive(rules)
     v3 = v2.derive(rules)
     v5 = v3.derive(rules).derive(rules)
-    return (
-        v1 * spec.lam_poly()
-        + v * v * v1 * spec.alpha
-        + v1 * v2 * spec.beta
-        + v * v3 * spec.gamma
-        + v5 * spec.omega
-    )
+    return [
+        ("u_t", v1 * spec.lam_poly()),
+        ("omega*u_xxxxx", v5 * spec.omega),
+        ("alpha*u^2*u_x", v * v * v1 * spec.alpha),
+        ("beta*u_x*u_xx", v1 * v2 * spec.beta),
+        ("gamma*u*u_xxx", v * v3 * spec.gamma),
+    ]
+
+
+def ode_residual(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> MPoly:
+    """The traveling-wave ODE expanded at the ansatz ``v``: the sum of
+    :func:`ode_terms`."""
+    return sum((term for _, term in ode_terms(spec, v, rules)), MPoly.zero())
 
 
 @dataclass(frozen=True)

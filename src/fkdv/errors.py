@@ -13,10 +13,6 @@ class PoleError(FkdvError):
     """Numeric evaluation hit a pole or exceeded the magnitude guard."""
 
 
-class DomainError(FkdvError):
-    """Numeric evaluation left the real domain (negative radicand)."""
-
-
 class UnboundSymbolError(FkdvError):
     """An assignment left a symbol of the system unbound."""
 

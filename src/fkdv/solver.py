@@ -6,7 +6,8 @@ surviving nonzero constant as a contradiction.  Otherwise it applies the
 first available move:
 
 1. branch on the rational roots of the best univariate equation
-   (lowest degree, then fewest terms, then symbol order);
+   (lowest degree, then fewest terms, then symbol order); the factor left
+   after dividing the roots out, if any, ends in a stuck leaf;
 2. eliminate a symbol that occurs linearly with a constant coefficient,
    recording the dependency and resolving it to a rational once the
    remaining symbols are pinned;
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
-from .poly import Coef, MPoly, rational_roots
+from .poly import Coef, Mono, MPoly, rational_roots
 from .symbols import Sym
 
 SOLVED = "solved"
@@ -172,6 +173,24 @@ def linear_pivots(p: MPoly) -> dict[Sym, Coef]:
     return {x: c for x, c in pivots.items() if x not in other}
 
 
+def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
+    """Ascending integer coefficients divided by (d*x - n), root = n/d, as
+    often as it divides.  By Gauss's lemma the quotient of an integer
+    polynomial by a primitive integer factor is integral, so the first
+    inexact step proves that the factor does not divide."""
+    n, d = root.numerator, root.denominator
+    while True:
+        quotient, carry = [], 0
+        for c in reversed(coeffs[1:]):
+            carry, rem = divmod(c + n * carry, d)
+            if rem:
+                return coeffs
+            quotient.append(carry)
+        if coeffs[0] + n * carry:
+            return coeffs
+        coeffs = quotient[::-1]
+
+
 def _poly_key(p: MPoly):
     return (p.degree(), len(p.terms), p.ascii())
 
@@ -299,12 +318,14 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
                 key=lambda q: (q.degree(), len(q.terms), next(iter(q.symbols())).key),
             )
             x = next(iter(p.symbols()))
-            roots = rational_roots(p.as_univariate(x))
-            if not roots:
-                finish(node, STUCK, witness=p)
-                return
-            for root in sorted(roots):
+            coeffs = p.as_univariate(x)
+            roots = sorted(rational_roots(coeffs))
+            for root in roots:
                 explore(substituted(node, x, root))
+                coeffs = _deflate(coeffs, root)
+            if len(coeffs) > 1:
+                rest = MPoly({Mono([(x, i)]): c for i, c in enumerate(coeffs)}) if roots else p
+                finish(node, STUCK, witness=rest.normalize())
             return
 
         # move 2: linear elimination with a constant coefficient
@@ -328,10 +349,9 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             return
 
         # move 3: common monomial case split
-        candidates = [p for p in polys if not p.monomial_gcd().is_unit()]
+        candidates = [(p, g) for p in polys if not (g := p.monomial_gcd()).is_unit()]
         if candidates:
-            p = min(candidates, key=_poly_key)
-            g = p.monomial_gcd()
+            p, g = min(candidates, key=lambda pg: _poly_key(pg[0]))
             rest = [q for q in polys if q is not p]
             for s in sorted(g.symbols(), key=lambda t: t.key):
                 explore(substituted(_Node(node.bindings, node.elims, rest + [p]), s, Fraction(0)))

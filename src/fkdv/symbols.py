@@ -2,11 +2,14 @@
 
 The symbol alphabet is closed: the two indexed families ``a0, a1, ...`` and
 ``b1, b2, ...`` (ansatz coefficients), followed by the fixed tail
-``k, lam, mu, r, e, rho, alpha, beta, gamma, omega`` of parameters and the
-auxiliary functions ``phi, sigma, tau`` of the two ansatz methods.  The total
-order used everywhere (canonical monomial order, solver tie-breaking) is
-exactly that listing: a-family by index, then b-family by index, then the
-tail.
+``k, lam, mu, r, e, rho, alpha, beta, gamma, omega`` of parameters, the
+auxiliary functions ``phi, sigma, tau`` of the two ansatz methods, and the
+symbols of the closed-form catalog: ``w`` = (-lam/6)^(1/4), the trig and
+hyperbolic functions ``tan, sec, cot, csc, tanh, sech, coth, csch`` at the
+angle w*xi/2, ``cscw, cotw`` = csc(w*xi), cot(w*xi), and the reciprocals
+``ym, yp`` = 1/(1 -+ csc(w*xi)).  The total order used everywhere (canonical
+monomial order, solver tie-breaking) is exactly that listing: a-family by
+index, then b-family by index, then the tail.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import re
 _TAIL = (
     "k", "lam", "mu", "r", "e", "rho", "alpha", "beta", "gamma", "omega",
     "phi", "sigma", "tau",
+    "w", "tan", "sec", "cot", "csc", "tanh", "sech", "coth", "csch",
+    "cscw", "cotw", "ym", "yp",
 )
 _TAIL_RANK = {name: i for i, name in enumerate(_TAIL)}
 
@@ -32,6 +37,18 @@ LATEX = {
     "phi": r"\varphi",
     "sigma": r"\sigma",
     "tau": r"\tau",
+    "tan": r"\tan\left(\tfrac{w\xi}{2}\right)",
+    "sec": r"\sec\left(\tfrac{w\xi}{2}\right)",
+    "cot": r"\cot\left(\tfrac{w\xi}{2}\right)",
+    "csc": r"\csc\left(\tfrac{w\xi}{2}\right)",
+    "tanh": r"\tanh\left(\tfrac{w\xi}{2}\right)",
+    "sech": r"\operatorname{sech}\left(\tfrac{w\xi}{2}\right)",
+    "coth": r"\coth\left(\tfrac{w\xi}{2}\right)",
+    "csch": r"\operatorname{csch}\left(\tfrac{w\xi}{2}\right)",
+    "cscw": r"\csc(w\xi)",
+    "cotw": r"\cot(w\xi)",
+    "ym": r"{\left(1 - \csc(w\xi)\right)^{-1}}",
+    "yp": r"{\left(1 + \csc(w\xi)\right)^{-1}}",
 }
 
 
@@ -109,3 +126,16 @@ OMEGA = Sym("omega")
 PHI = Sym("phi")
 SIGMA = Sym("sigma")
 TAU = Sym("tau")
+W = Sym("w")
+TAN = Sym("tan")
+SEC = Sym("sec")
+COT = Sym("cot")
+CSC = Sym("csc")
+TANH = Sym("tanh")
+SECH = Sym("sech")
+COTH = Sym("coth")
+CSCH = Sym("csch")
+CSCW = Sym("cscw")
+COTW = Sym("cotw")
+YM = Sym("ym")
+YP = Sym("yp")

@@ -303,7 +303,7 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
 # contract: an intended output change (for example the disjoint case splits
 # of ROADMAP item 3) updates the pin here and records the new digest in
 # CHANGES.md.
-REPRODUCE_SEED_7_JSON = "75104f09c1fb1b350105a279a74fdc87fff353af20674877c88b0552b3be5055"
+REPRODUCE_SEED_7_JSON = "9ec3802a1f529e01198d2588a0c78e47ddcbf75f7be1d771716f8e3005f534dc"
 DERIVE_FIXTURE_DIGESTS = {
     ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
     ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",

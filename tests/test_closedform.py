@@ -1,75 +1,102 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from fkdv.closedform import (
-    Coord,
-    add,
+    MAGNITUDE_GUARD,
+    SQUARES,
     SamplePlan,
     catalog,
-    const,
-    differentiate,
-    evaluate,
-    evaluate_many,
-    fn,
+    clear_reciprocal,
+    eval_float,
+    exact_residual,
     get_solution,
-    intpow,
-    latex_expr,
-    nth_derivative,
-    pde_residual,
-    pde_residual_terms,
     pointwise_compare,
-    root,
+    rebuild_from_branch,
+    reduce_squares,
+    residual_terms_for,
     sample_report,
 )
-from fkdv.equation import ito
-from fkdv.errors import DomainError, PoleError
-from fkdv.symbols import LAM, Sym, a
+from fkdv.equation import ito, ode_residual
+from fkdv.errors import PoleError
+from fkdv.poly import MPoly
+from fkdv.symbols import COTW, CSCW, LAM, TAN, W, YM, YP, Sym, a
 
-X = Coord("x")
+_W = MPoly.var(W)
+FUNCTION_SYMBOLS = sorted({s for rec in catalog() for s in rec.rules}, key=lambda s: s.key)
 
 
-# ---------------------------------------------------------------- derivative
+def _point(rec, w, xi):
+    point = rec.values(w, xi)
+    point[W] = w
+    return point
+
+
+def _value(rec, p, xi, lam=-6.0):
+    return eval_float(p, _point(rec, (-lam / 6.0) ** 0.25, xi))
+
+
+def _at_lambda(p):
+    return p.substitute({LAM: _W**4 * -6})
+
+
+# ---------------------------------------------------------------- rule tables
 
 
 def test_derivative_of_tan_stays_in_the_function_set():
-    d = differentiate(fn("tan", X), "x")
-    assert d == add(const(1), intpow(fn("tan", X), 2))
+    rule = get_solution("u1").rules[TAN]
+    assert rule == _W * F(1, 2) * (1 + MPoly.var(TAN) ** 2)
 
 
 def test_derivative_of_constant():
-    assert differentiate(const(F(3, 7)), "x") == const(0)
-    assert evaluate(differentiate(const(5), "x"), {}) == 0.0
+    rules = get_solution("u5").rules
+    assert MPoly.const(F(3, 7)).derive(rules).is_zero()
+    assert eval_float(MPoly.const(5).derive(rules), {}) == 0.0
 
 
-@pytest.mark.parametrize("name", ["cot", "sec", "csc", "tanh", "coth", "sech", "csch"])
-def test_derivative_identities_numerically(name):
-    f = fn(name, X)
-    df = differentiate(f, "x")
-    for x0 in (0.35, 0.8, 1.1):
-        h = 1e-5
-        fd = (evaluate(f, {"x": x0 + h}) - evaluate(f, {"x": x0 - h})) / (2 * h)
-        assert evaluate(df, {"x": x0}) == pytest.approx(fd, rel=1e-8, abs=1e-8)
+def test_rule_tables_close_over_their_symbols():
+    for rec in catalog():
+        assert rec.template.symbols() - {W} <= rec.rules.keys()
+        for rule in rec.rules.values():
+            assert rule.symbols() - {W} <= rec.rules.keys()
+        assert 1 <= len(rec.rules) <= 3
+        assert rec.squares == {s: SQUARES[s] for s in rec.rules if s in SQUARES}
+
+
+@pytest.mark.parametrize("sym", FUNCTION_SYMBOLS, ids=lambda s: s.name)
+def test_derivative_identities_numerically(sym):
+    # each rule, evaluated on the float map, is the derivative of that map
+    rec = next(r for r in catalog() if sym in r.rules)
+    h = 1e-5
+    for w in (1.0, 0.8):
+        for xi in (0.35, 0.8, 1.1):
+            up, down = rec.values(w, xi + h)[sym], rec.values(w, xi - h)[sym]
+            exact = eval_float(rec.rules[sym], _point(rec, w, xi))
+            assert exact == pytest.approx((up - down) / (2 * h), rel=1e-7, abs=1e-7)
 
 
 def test_traveling_wave_identity():
     # u(x, t) = v(x + lam*t), so u_t = lam * u_x pointwise
     rng = random.Random(2)
+    h = 1e-6
     for rec in catalog():
-        ut = differentiate(rec.template, "t")
-        ux = differentiate(rec.template, "x")
+        (name, ut), *_ = residual_terms_for(rec)
+        assert name == "u_t"
         checked = 0
         while checked < 20:
-            env = {"x": rng.uniform(-1.0, 1.0), "t": rng.uniform(-0.2, 0.2), LAM: -6.0}
-            if rec.singular_at_origin and abs(env["x"] + -6.0 * env["t"]) < 0.1:
+            x, t = rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2)
+            if rec.singular_at_origin and abs(x - 6.0 * t) < 0.1:
                 continue
             try:
-                vt, vx = evaluate_many([ut, ux], env)
-            except (PoleError, DomainError):
+                up = _value(rec, rec.template, x - 6.0 * (t + h))
+                down = _value(rec, rec.template, x - 6.0 * (t - h))
+                exact = _value(rec, ut, x - 6.0 * t)
+            except PoleError:
                 continue
-            assert abs(vt - (-6.0) * vx) <= 1e-8 * max(1.0, abs(vt), abs(vx))
+            assert abs(exact - (up - down) / (2 * h)) <= 1e-5 * max(1.0, abs(exact))
             checked += 1
 
 
@@ -78,14 +105,16 @@ _STEPS = {1: 1e-3, 2: 1e-3, 3: 1e-3, 4: 1e-2, 5: 1e-2}
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_derivatives_match_finite_differences(order):
-    # sixth-order central stencil on the previous symbolic derivative; the
-    # step follows the order (1e-2 from the fourth derivative up), and valid
+    # sixth-order central stencil on the previous derivative; the step
+    # follows the order (1e-2 from the fourth derivative up), and valid
     # points keep their distance from the singular forms' origin
     h = _STEPS[order]
     rng = random.Random(order)
     for rec in catalog():
-        lower = nth_derivative(rec.template, "x", order - 1)
-        target = differentiate(lower, "x")
+        lower = rec.template
+        for _ in range(order - 1):
+            lower = lower.derive(rec.rules)
+        target = lower.derive(rec.rules)
         checked = 0
         attempts = 0
         while checked < 20 and attempts < 1000:
@@ -93,15 +122,10 @@ def test_derivatives_match_finite_differences(order):
             xi = rng.uniform(-1.2, 1.2)
             if rec.singular_at_origin and abs(xi) < 0.45:
                 continue
-            t = rng.uniform(-0.2, 0.2)
-            x = xi - (-6.0) * t
             try:
-                stencil = [
-                    evaluate(lower, {"x": x + s * h, "t": t, LAM: -6.0})
-                    for s in (-3, -2, -1, 1, 2, 3)
-                ]
-                exact = evaluate(target, {"x": x, "t": t, LAM: -6.0})
-            except (PoleError, DomainError):
+                stencil = [_value(rec, lower, xi + s * h) for s in (-3, -2, -1, 1, 2, 3)]
+                exact = _value(rec, target, xi)
+            except PoleError:
                 continue
             s0, s1, s2, s3, s4, s5 = stencil
             fd = (-s0 + 9 * s1 - 45 * s2 + 45 * s3 - 9 * s4 + s5) / (60 * h)
@@ -115,46 +139,57 @@ def test_derivatives_match_finite_differences(order):
 
 
 def test_eval_u3_at_origin():
-    assert evaluate(get_solution("u3").template, {"x": 0.0, "t": 0.0, LAM: -6.0}) == 5.0
+    rec = get_solution("u3")
+    assert _value(rec, rec.template, 0.0) == 5.0
 
 
 def test_eval_u1_at_origin():
-    assert evaluate(get_solution("u1").template, {"x": 0.0, "t": 0.0, LAM: -6.0}) == -5.0
+    rec = get_solution("u1")
+    assert _value(rec, rec.template, 0.0) == -5.0
 
 
 def test_eval_u1_pole_rejected():
+    rec = get_solution("u1")
     with pytest.raises(PoleError):
-        evaluate(get_solution("u1").template, {"x": math.pi, "t": 0.0, LAM: -6.0})
+        _value(rec, rec.template, math.pi)
 
 
-def test_eval_negative_radicand_rejected():
-    with pytest.raises(DomainError):
-        evaluate(root(Coord("x"), 2), {"x": -1.0})
+def test_eval_exact_pole_rejected():
+    with pytest.raises(PoleError):
+        get_solution("u2").values(1.0, 0.0)
 
 
 def test_eval_magnitude_guard():
+    # the guard applies to symbol values, monomials, terms and the sum
     with pytest.raises(PoleError):
-        evaluate(intpow(Coord("x"), 3), {"x": 1e4})
+        get_solution("u1").values(1.0, 2 * math.atan(2 * MAGNITUDE_GUARD))
+    with pytest.raises(PoleError):
+        eval_float(_W**3 * F(1, 10**7), {W: 1e4})
+    with pytest.raises(PoleError):
+        eval_float(_W * 10**7, {W: 1.0})
+    with pytest.raises(PoleError):
+        eval_float(_W * 600000 + 600000, {W: 1.0})
+    assert eval_float(_W * 600000 - 600000, {W: 1.0}) == 0.0
 
 
 # ---------------------------------------------------------------- residual
 
 
 def test_pde_residual_of_constant_folds_to_zero():
-    assert pde_residual(ito(), const(F(9, 2))) == const(0)
-    assert pde_residual(ito(), const(0)) == const(0)
+    rules = get_solution("u1").rules
+    assert ode_residual(ito(), MPoly.const(F(9, 2)), rules).is_zero()
+    assert ode_residual(ito(), MPoly.zero(), rules).is_zero()
 
 
 def test_pde_residual_u3_small_at_sample_point():
-    terms = pde_residual_terms(ito(), get_solution("u3").template)
-    env = {"x": 0.4, "t": 0.1, LAM: -6.0}
-    values = evaluate_many([t for _, t in terms], env)
+    rec = get_solution("u3")
+    values = [_value(rec, term, 0.4 - 6.0 * 0.1) for _, term in residual_terms_for(rec)]
     scale = 1.0 + max(abs(v) for v in values)
     assert abs(math.fsum(values)) / scale < 1e-7
 
 
 def test_pde_residual_has_five_addressable_terms():
-    terms = pde_residual_terms(ito(), get_solution("u5").template)
+    terms = residual_terms_for(get_solution("u5"))
     assert [name for name, _ in terms] == [
         "u_t",
         "omega*u_xxxxx",
@@ -162,6 +197,66 @@ def test_pde_residual_has_five_addressable_terms():
         "beta*u_x*u_xx",
         "gamma*u*u_xxx",
     ]
+    assert all(LAM not in term.symbols() for _, term in terms)
+
+
+@pytest.mark.parametrize("sid", [f"u{i}" for i in range(1, 11)])
+def test_exact_residual_is_zero(sid):
+    assert exact_residual(get_solution(sid)).is_zero()
+
+
+@pytest.mark.parametrize("sid", ["u1", "u3", "u5", "u8"])
+def test_wrong_a0_gives_nonzero_residual(sid):
+    rec = get_solution(sid)
+    shifted = replace(rec, template=rec.template + _W**2)
+    assert not exact_residual(shifted).is_zero()
+
+
+def _reduced_residual(rec, rules):
+    p = _at_lambda(ode_residual(ito(), rec.template, rules))
+    for y in rec.rules.keys() & {YM, YP}:
+        p = clear_reciprocal(p, y)
+    return reduce_squares(p, rec.squares)
+
+
+@pytest.mark.parametrize("sid", ["u5", "u6", "u7", "u8", "u9", "u10"])
+def test_wrong_rule_sign_gives_nonzero_residual(sid):
+    rec = get_solution(sid)
+    assert _reduced_residual(rec, rec.rules).is_zero()
+    for sym in rec.rules:
+        rules = {**rec.rules, sym: -rec.rules[sym]}
+        assert not _reduced_residual(rec, rules).is_zero(), (sid, sym)
+
+
+@pytest.mark.parametrize("sid", ["u1", "u2", "u3", "u4"])
+def test_wrong_sign_inside_rule_gives_nonzero_residual(sid):
+    # flipping a lone rule's sign only reflects xi, which the equation
+    # allows, so flip the sign of its square term instead
+    rec = get_solution(sid)
+    ((sym, rule),) = rec.rules.items()
+    constant = rule.substitute({sym: 0})
+    wrong = constant * 2 - rule
+    assert not _reduced_residual(rec, {sym: wrong}).is_zero()
+
+
+def test_clear_reciprocal_multiplies_out_the_denominator():
+    y, c = MPoly.var(YM), MPoly.var(CSCW)
+    assert clear_reciprocal(y**2 * 3 + y, YM) == 3 + (1 - c)
+    assert clear_reciprocal(c, YM) == c
+
+
+def test_reduce_squares_leaves_degree_at_most_one():
+    c, ct = MPoly.var(CSCW), MPoly.var(COTW)
+    assert reduce_squares(c**5, {CSCW: SQUARES[CSCW]}) == c * (1 + ct**2) ** 2
+
+
+@pytest.mark.parametrize("pair", [("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")])
+def test_cross_method_identities_are_exact(pair):
+    r1, r2 = get_solution(pair[0]), get_solution(pair[1])
+    assert reduce_squares(r1.template - r2.template, r1.squares).is_zero()
+    # and the two rule tables agree on the shared symbol
+    shared = r1.rules.keys() & r2.rules.keys()
+    assert shared and all(r1.rules[s] == r2.rules[s] for s in shared)
 
 
 # ---------------------------------------------------------------- catalog
@@ -229,15 +324,13 @@ def test_cross_method_identities(pair):
 
 
 def test_latex_render_smoke():
-    text = latex_expr(get_solution("u1").template)
-    assert r"\tan" in text and r"\lambda" in text and r"\sqrt" in text
+    text = get_solution("u1").template.latex()
+    assert r"\tan" in text and "w^{2}" in text
 
 
 def test_stored_branch_to_form_mapping_rebuilds_each_template():
     # the parameter tuple fed through the record's auxiliary form must give
     # the template back pointwise (grid speeds keep the parameters rational)
-    from fkdv.closedform import rebuild_from_branch
-
     for m in (1, 2):
         lam = -6.0 * m**4
         for rec in catalog():
@@ -248,11 +341,9 @@ def test_stored_branch_to_form_mapping_rebuilds_each_template():
                 xi = 0.12 + (1.15 - 0.12) * i / 199.0
                 for signed in (xi, -xi):
                     try:
-                        direct = evaluate(
-                            rec.template, {"x": signed, "t": 0.0, LAM: lam}
-                        )
+                        direct = _value(rec, rec.template, signed, lam)
                         rebuilt = rebuild_from_branch(rec, m, signed)
-                    except (PoleError, DomainError):
+                    except PoleError:
                         continue
                     assert abs(direct - rebuilt) <= 1e-10 * max(1.0, abs(direct))
                     used += 1
@@ -262,8 +353,6 @@ def test_stored_branch_to_form_mapping_rebuilds_each_template():
 
 
 def test_negative_r_records_have_no_cataloged_form():
-    from fkdv.closedform import rebuild_from_branch
-
     for sid in ("u9", "u10"):
         assert get_solution(sid).aux_form is None
         with pytest.raises(ValueError):

@@ -300,6 +300,55 @@ def test_each_solved_point_verified_once(monkeypatch):
     assert len(calls) == len(solved) and set(calls.values()) == {1}
 
 
+# ---------------------------------------------------------------- move 1
+
+
+def test_factor_left_after_the_roots_ends_in_a_stuck_leaf():
+    leaves = solve([parse_poly("(a0 - 1)*(a0^2 - 2)")], SolveConfig(unknowns=(a(0),)))
+    assert [(br.status, br.assignment.as_dict()) for br in leaves] == [
+        ("solved", {a(0): F(1)}),
+        ("stuck", {}),
+    ]
+    assert leaves[1].witness == parse_poly("a0^2 - 2")
+
+
+def test_off_grid_projective_solve_keeps_the_irrational_r_factor():
+    # at lambda = -7 the paper's branches need r = +-sqrt(7/6): after r = 0
+    # is branched on, 6*r^2 - 7 is left and must surface
+    leaves = _pre_solve(1, -7)
+    stuck = [br for br in leaves if br.status == "stuck" and br.witness == parse_poly("6*r^2 - 7")]
+    assert len(leaves) == 31 and len(stuck) == 2
+    assert {MU: -1, b(1): 0, a(1): 15} in [br.assignment.as_dict() for br in stuck]
+
+
+@st.composite
+def _factored(draw):
+    roots = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                          max_size=3, unique=True))
+    quads = draw(st.lists(st.sampled_from(["a0^2 - 2", "a0^2 + 1", "3*a0^2 - 5", "a0^2 + a0 + 1"]),
+                          max_size=2))
+    if not roots and not quads:
+        roots = [F(0)]
+    factors = [(MPoly.var(a(0)) - r) ** draw(st.integers(1, 2)) for r in roots]
+    return roots, quads, factors + [parse_poly(q) for q in quads]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_factored())
+def test_move_1_leaves_account_for_every_factor(case):
+    roots, quads, factors = case
+    p = MPoly.const(1)
+    for f in factors:
+        p = p * f
+    leaves = solve([p], SolveConfig(unknowns=(a(0),)))
+    assert sorted(br.assignment[a(0)] for br in leaves if br.status == "solved") == sorted(roots)
+    stuck = [br.witness for br in leaves if br.status == "stuck"]
+    rest = MPoly.const(1)
+    for q in quads:
+        rest = rest * parse_poly(q)
+    assert stuck == ([rest.normalize()] if quads else [])
+
+
 # ---------------------------------------------------------------- move 2
 
 
