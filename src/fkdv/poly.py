@@ -159,7 +159,8 @@ def _as_rat(v) -> Coef:
 class MPoly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
-    __slots__ = ("terms", "_hash", "_ascii")
+    # _syms caches symbols(); _normal marks a result of normalize()
+    __slots__ = ("terms", "_hash", "_ascii", "_syms", "_normal")
 
     def __init__(self, terms: Mapping[Mono, Coef] | None = None):
         self.terms: dict[Mono, Coef] = {}
@@ -170,6 +171,8 @@ class MPoly:
                     self.terms[m] = c
         self._hash = None
         self._ascii = None
+        self._syms = None
+        self._normal = False
 
     @classmethod
     def _raw(cls, terms: dict[Mono, Coef]) -> "MPoly":
@@ -178,6 +181,8 @@ class MPoly:
         self.terms = terms
         self._hash = None
         self._ascii = None
+        self._syms = None
+        self._normal = False
         return self
 
     @classmethod
@@ -270,8 +275,11 @@ class MPoly:
         """Total degree; -1 for the zero polynomial."""
         return max((m.degree for m in self.terms), default=-1)
 
-    def symbols(self) -> set[Sym]:
-        return {s for m in self.terms for s, _ in m.exps}
+    def symbols(self) -> frozenset[Sym]:
+        """The symbols that occur; computed once."""
+        if self._syms is None:
+            self._syms = frozenset(s for m in self.terms for s, _ in m.exps)
+        return self._syms
 
     def leading(self) -> tuple[Mono, Coef]:
         if not self.terms:
@@ -335,25 +343,45 @@ class MPoly:
         """Divide by the positive content and make the leading coefficient
         positive, giving coprime int coefficients.  Idempotent; preserves
         the zero set exactly."""
-        if not self.terms:
+        if self._normal or not self.terms:
             return self
         num, den = self._content()
         if self.leading()[1] < 0:
             num = -num
         if num == den == 1 and all(type(c) is int for c in self.terms.values()):
-            return self
-        # c * den / num is an integer: num divides every numerator
-        return MPoly._raw(
-            {m: c.numerator * (den // c.denominator) // num for m, c in self.terms.items()}
-        )
+            out = self
+        else:
+            # c * den / num is an integer: num divides every numerator
+            out = MPoly._raw(
+                {m: c.numerator * (den // c.denominator) // num for m, c in self.terms.items()}
+            )
+            out._syms = self._syms  # same monomials
+        out._normal = True
+        return out
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "MPoly":
         """Homomorphic substitution; unbound symbols remain."""
-        if bind.keys().isdisjoint(self.symbols()):
+        syms = self.symbols()
+        bind = {
+            s: v if isinstance(v, MPoly) else _as_rat(v)
+            for s, v in bind.items()
+            if s in syms
+        }
+        if not bind:
             return self
-        bind = {s: v if isinstance(v, MPoly) else _as_rat(v) for s, v in bind.items()}
+        # a binding to 0 drops every term it touches, so the terms are filtered
+        zero = not any(bind.values())
         out: dict[Mono, Coef] = {}
         for m, c in self.terms.items():
+            for s, _ in m.exps:
+                if s in bind:
+                    break
+            else:
+                # no binding touches the term: keep its monomial
+                out[m] = out.get(m, 0) + c
+                continue
+            if zero:
+                continue
             # dropping the bound symbols leaves the exponents sorted and
             # positive, so the residual monomial is built directly
             residual: list[tuple[Sym, int]] = []
@@ -380,6 +408,8 @@ class MPoly:
                 term = term * f
             for tm, tc in term.terms.items():
                 out[tm] = out.get(tm, 0) + tc
+        if zero:
+            return MPoly._raw(out)
         return MPoly._raw({m: c for m, c in out.items() if c != 0})
 
     def derive(self, rules: Mapping[Sym, "MPoly"]) -> "MPoly":
@@ -426,7 +456,7 @@ class MPoly:
 
     def monomial_gcd(self) -> Mono:
         """Componentwise-minimum monomial dividing every term."""
-        if not self.terms:
+        if not self.terms or _UNIT in self.terms:
             return _UNIT
         common: dict[Sym, int] | None = None
         for m in self.terms:
@@ -512,25 +542,36 @@ class MPoly:
 
 def _primitive(cs: Sequence[Fraction | int]) -> list[int]:
     """The coprime integer list that is a positive multiple of ``cs``."""
-    den = lcm(*[Fraction(c).denominator for c in cs])
-    ints = [int(c * den) for c in cs]
+    den = lcm(*[c.denominator for c in cs])
+    ints = [c.numerator * (den // c.denominator) for c in cs]
     g = gcd(*ints)
     return [v // g for v in ints]
 
 
-def _divmod(a: list[int], b: list[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of ascending coefficient lists over Q."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of ascending coefficient lists: q, r and k
+    with |lc(b)|**k * a == q*b + r and deg r < deg b.  A step scales by
+    |lc(b)| only when lc(b) does not divide the leading coefficient, and the
+    positive scale keeps the sign of the remainder."""
+    lb = b[-1]
+    sb = abs(lb)
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    k = 0
     while len(r) >= len(b):
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
+        c, shift = r[-1], len(r) - len(b)
+        f, rem = divmod(c, lb)
+        if rem:
+            r = [sb * v for v in r]
+            q = [sb * v for v in q]
+            f = c if lb > 0 else -c
+            k += 1
+        q[shift] += f
         for i, bc in enumerate(b):
-            r[k + i] -= c * bc
+            r[shift + i] -= f * bc
         while r and r[-1] == 0:
             r.pop()
-    return q, r
+    return q, r, k
 
 
 def _horner(cs: list[int], x: int) -> int:
@@ -571,15 +612,17 @@ def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
     if n == 0:
         return roots
     g = [c * an ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    # pseudo-remainders are positive multiples of the remainders over Q, so
+    # their primitive parts, and the chains below, are those of Q division
     d, e = g, _derivative(g)
     while e:
-        r = _divmod(d, e)[1]
+        r = _pseudo_divmod(d, e)[1]
         d, e = e, (_primitive(r) if r else [])
-    h = _primitive(_divmod(g, d)[0])
+    h = _primitive(_pseudo_divmod(g, d)[0])
     # h is square-free, so its Sturm sequence ends in a nonzero constant
     sturm = [h, _derivative(h)]
     while len(sturm[-1]) > 1:
-        sturm.append([-c for c in _primitive(_divmod(sturm[-2], sturm[-1])[1])])
+        sturm.append([-c for c in _primitive(_pseudo_divmod(sturm[-2], sturm[-1])[1])])
 
     def variations(x: int) -> int:
         signs = [v > 0 for v in (_horner(p, x) for p in sturm) if v]

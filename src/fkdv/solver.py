@@ -134,9 +134,9 @@ def verify_assignment(
     """
     point = asg.as_dict() if isinstance(asg, Assignment) else dict(asg)
     for p in system:
-        for s in sorted(p.symbols(), key=lambda t: t.key):
-            if s not in point:
-                raise UnboundSymbolError(s)
+        missing = [s for s in p.symbols() if s not in point]
+        if missing:
+            raise UnboundSymbolError(min(missing, key=lambda t: t.key))
     for p in system:
         if p.eval_rat(point) != 0:
             return False, p
@@ -162,15 +162,19 @@ class _Node:
 
 def linear_pivots(p: MPoly) -> dict[Sym, Coef]:
     """{x: c} for each symbol x that occurs in p only in one term c*x, that
-    is, linearly with a constant coefficient; one pass over the terms."""
+    is, linearly with a constant coefficient.  One pass over the terms finds
+    the candidates; the terms of another shape then rule them out."""
     pivots: dict[Sym, Coef] = {}
-    other: set[Sym] = set()
+    other: list[Mono] = []
     for m, c in p.terms.items():
         if len(m.exps) == 1 and m.exps[0][1] == 1:
             pivots[m.exps[0][0]] = c
         else:
-            other.update(s for s, _ in m.exps)
-    return {x: c for x, c in pivots.items() if x not in other}
+            other.append(m)
+    for m in other if pivots else ():
+        for s, _ in m.exps:
+            pivots.pop(s, None)
+    return pivots
 
 
 def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
@@ -191,8 +195,34 @@ def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
         coeffs = quotient[::-1]
 
 
+class _Text:
+    """A polynomial that compares by its canonical text, rendered only when
+    a comparison reaches it."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: MPoly):
+        self.p = p
+
+    def __eq__(self, other: "_Text") -> bool:
+        return self.p is other.p or self.p.ascii() == other.p.ascii()
+
+    def __lt__(self, other: "_Text") -> bool:
+        return self.p.ascii() < other.p.ascii()
+
+
 def _poly_key(p: MPoly):
-    return (p.degree(), len(p.terms), p.ascii())
+    return (p.degree(), len(p.terms), _Text(p))
+
+
+def _common_factor(polys: list[MPoly]) -> tuple[MPoly, Mono] | None:
+    """The first equation with a non-unit monomial gcd, and that gcd.  On a
+    list sorted by _poly_key and deduplicated it has the least key."""
+    for p in polys:
+        g = p.monomial_gcd()
+        if not g.is_unit():
+            return p, g
+    return None
 
 
 def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
@@ -334,7 +364,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             for x, c in linear_pivots(p).items():
                 if x not in live:
                     continue
-                key = (len(p.terms), p.degree(), x.key, p.ascii())
+                key = (len(p.terms), p.degree(), x.key, _Text(p))
                 if best is None or key < best[0]:
                     best = (key, p, x, c)
         if best is not None:
@@ -349,9 +379,9 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             return
 
         # move 3: common monomial case split
-        candidates = [(p, g) for p in polys if not (g := p.monomial_gcd()).is_unit()]
-        if candidates:
-            p, g = min(candidates, key=lambda pg: _poly_key(pg[0]))
+        split = _common_factor(polys)
+        if split is not None:
+            p, g = split
             rest = [q for q in polys if q is not p]
             for s in sorted(g.symbols(), key=lambda t: t.key):
                 explore(substituted(_Node(node.bindings, node.elims, rest + [p]), s, Fraction(0)))

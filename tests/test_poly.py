@@ -6,7 +6,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fkdv.poly import MPoly, Mono, parse_poly, rational_roots
+from fkdv.poly import (
+    MPoly,
+    Mono,
+    _derivative,
+    _horner,
+    _pseudo_divmod,
+    parse_poly,
+    rational_roots,
+)
 from fkdv.symbols import Sym, a, b
 
 
@@ -218,6 +226,127 @@ def test_rational_roots_of_split_products(case):
     assert rational_roots(coeffs) == roots
 
 
+def _list_mul(f, g):
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _list_add(f, g):
+    out = [x + y for x, y in zip(f, g)] + f[len(g):] + g[len(f):]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+_INT_LISTS = st.lists(st.integers(-(10**6), 10**6), max_size=8)
+# unit and small leading coefficients exercise the steps that need no scaling
+_LEADS = st.sampled_from([1, -1, 2, -3]) | st.integers(-(10**6), 10**6).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_INT_LISTS, _INT_LISTS, _LEADS)
+def test_pseudo_division_identity(f, g, lead):
+    g = g[:4] + [lead]
+    while f and f[-1] == 0:
+        f.pop()
+    q, r, k = _pseudo_divmod(f, g)
+    assert all(type(c) is int for c in q + r)
+    assert len(r) < len(g) and (not r or r[-1] != 0)
+    assert [abs(lead) ** k * c for c in f] == _list_add(_list_mul(q, g), r)
+
+
+def _fraction_primitive(cs):
+    den = math.lcm(*[F(c).denominator for c in cs])
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _fraction_divmod(f, g):
+    r = [F(c) for c in f]
+    q = [F(0)] * max(len(f) - len(g) + 1, 0)
+    while len(r) >= len(g):
+        c = r[-1] / g[-1]
+        k = len(r) - len(g)
+        q[k] = c
+        for i, gc in enumerate(g):
+            r[k + i] -= c * gc
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def _fraction_rational_roots(coeffs):
+    # the Sturm-bisection root finder with Fraction long division, before the
+    # integer pseudo-remainders
+    cs = [F(c) for c in coeffs]
+    while cs[-1] == 0:
+        cs.pop()
+    roots = set()
+    while len(cs) > 1 and cs[0] == 0:
+        roots.add(F(0))
+        cs.pop(0)
+    f = _fraction_primitive(cs)
+    n, an = len(f) - 1, f[-1]
+    if n == 0:
+        return roots
+    g = [c * an ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    d, e = g, _derivative(g)
+    while e:
+        r = _fraction_divmod(d, e)[1]
+        d, e = e, (_fraction_primitive(r) if r else [])
+    h = _fraction_primitive(_fraction_divmod(g, d)[0])
+    sturm = [h, _derivative(h)]
+    while len(sturm[-1]) > 1:
+        sturm.append([-c for c in _fraction_primitive(_fraction_divmod(sturm[-2], sturm[-1])[1])])
+
+    def variations(x):
+        signs = [v > 0 for v in (_horner(p, x) for p in sturm) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in h)
+    work = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
+    while work:
+        lo, hi, vlo, vhi = work.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if _horner(h, hi) == 0:
+                roots.add(F(hi, an))
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        work += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return roots
+
+
+@st.composite
+def linear_and_quadratic_products(draw):
+    """c * prod of linear factors q*x - p and irreducible quadratics
+    u*x^2 + v*x + w, with multiplicities."""
+    x = MPoly.var(a(0))
+    poly = MPoly.const(F(draw(st.integers(-(10**6), 10**6).filter(bool)), draw(st.integers(1, 10**3))))
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.integers(-(10**12), 10**12)), draw(st.integers(1, 10**4))
+        poly = poly * (x * q - p) ** draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.integers(1, 10**4))
+        v, w = draw(st.integers(-(10**8), 10**8)), draw(st.integers(-(10**8), 10**8))
+        disc = v * v - 4 * u * w
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:  # irreducible over Q
+            poly = poly * (x * x * u + x * v + w) ** draw(st.integers(1, 2))
+    return poly.as_univariate(a(0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(linear_and_quadratic_products())
+def test_rational_roots_match_fraction_division(coeffs):
+    assert rational_roots(coeffs) == _fraction_rational_roots(coeffs)
+
+
 # ---------------------------------------------------------------- properties
 
 _SYMS = [a(0), a(1), a(2), b(1), Sym("k"), Sym("mu")]
@@ -302,6 +431,41 @@ def test_substitute_ignores_absent_symbols(p, bind):
     absent = {s: v for s, v in bind.items() if s not in p.symbols()}
     assert p.substitute(absent) == p
     assert p.substitute({}) == p
+
+
+@st.composite
+def rational_bindings(draw):
+    """Rational values, zeros among them, for some of the symbols."""
+    syms = draw(st.lists(st.sampled_from(_SYMS), min_size=1, max_size=3, unique=True))
+    return {s: draw(_RATS) for s in syms}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(), rational_bindings())
+def test_partial_and_zero_bindings_match_constant_polynomials(p, bind):
+    zero = {s: 0 for s in bind}
+    for rats in (bind, zero):
+        got = p.substitute(rats)
+        assert got == p.substitute({s: MPoly.const(v) for s, v in rats.items()})
+        assert all(v != 0 for v in got.terms.values())
+    # binding to 0 keeps the untouched terms, monomial objects included
+    for m, c in p.substitute(zero).terms.items():
+        assert not m.symbols() & zero.keys() and p.terms[m] == c
+        assert any(k is m for k in p.terms)
+
+
+def _rebuilt_symbols(p):
+    return {s for m in p.terms for s, _ in m.exps}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(), polys(), bindings(), _RATS)
+def test_cached_symbols_match_a_rebuild(p, q, bind, scale):
+    for r in (p, q):
+        r.symbols()  # fill the caches before deriving new polynomials
+    for r in (p + q, p * q, p - q, p.substitute(bind), (p * scale).normalize(), p.normalize()):
+        assert r.symbols() == _rebuilt_symbols(r)
+        assert r.normalize().symbols() == _rebuilt_symbols(r)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

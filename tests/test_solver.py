@@ -199,6 +199,13 @@ def test_verify_assignment_unbound_symbol_named(tanh_system):
         verify_assignment(polys, {a(0): 0, a(1): 0, a(2): 0, K: 0})
 
 
+def test_verify_assignment_names_the_first_polynomial_s_least_unbound_symbol():
+    polys = [parse_poly("lam*a2 + 1"), parse_poly("a0 + 1")]
+    with pytest.raises(UnboundSymbolError) as err:
+        verify_assignment(polys, {})
+    assert err.value.sym == a(2)
+
+
 # ---------------------------------------------------------------- grid
 
 
@@ -404,3 +411,39 @@ def test_linear_pivots_match_old_predicate(p):
         assert set(pivots) == _old_linear_symbols(q)
         for x, c in pivots.items():
             assert c == q.coefficient_of(x, 1).constant_value()
+
+
+# ---------------------------------------------------------------- move 3
+
+
+def _text_key(p):
+    # the working order before the lazy text tie-break
+    return (p.degree(), len(p.terms), p.ascii())
+
+
+@st.composite
+def _systems(draw):
+    """Normalized equations, some with a common monomial factor."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(_small_polys())
+        if draw(st.booleans()):
+            syms = draw(st.lists(st.sampled_from([a(0), a(1), b(1), MU]), min_size=1, max_size=2))
+            p = p * MPoly.monomial(Mono({s: 1 for s in syms}))
+        if not p.is_constant():
+            out.append(p.normalize())
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_systems())
+def test_move_3_takes_the_least_candidate(system):
+    polys = sorted(set(system), key=solver._poly_key)
+    assert polys == sorted(set(system), key=_text_key)
+    candidates = [(p, g) for p in polys if not (g := p.monomial_gcd()).is_unit()]
+    got = solver._common_factor(polys)
+    if not candidates:
+        assert got is None
+        return
+    p, g = min(candidates, key=lambda pg: solver._poly_key(pg[0]))
+    assert got[0] is p and got[1] == g
