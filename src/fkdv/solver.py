@@ -256,14 +256,15 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             else:
                 pending.append((x, expr))
         remaining = list(node.polys)
+        if status != CONTRADICTION:
+            # a solved or stuck leaf reports what it still depends on
+            remaining += [MPoly.var(x) - expr for x, expr in pending]
         if status in (SOLVED, FREE):
             free = tuple(
                 s for s in cfg.unknowns if s not in resolved
             )
             if status == SOLVED and (free or pending):
                 status = FREE
-            for x, expr in pending:
-                remaining.append(MPoly.var(x) - expr)
             # each distinct solved point is verified once per solve()
             point = frozenset(resolved.items())
             if status == SOLVED and point not in verified:

@@ -301,9 +301,9 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
 # sha256 of the documents that `reproduce --seed 7` and
 # `derive --preset ito --check-fixture` write.  The bytes are the output
 # contract: an intended output change (for example the disjoint case splits
-# of ROADMAP item 3) updates the pin here and records the new digest in
+# of ROADMAP item 5) updates the pin here and records the new digest in
 # CHANGES.md.
-REPRODUCE_SEED_7_JSON = "9ec3802a1f529e01198d2588a0c78e47ddcbf75f7be1d771716f8e3005f534dc"
+REPRODUCE_SEED_7_JSON = "e6517adb5b72660994240ac32ddf9692824f6bc4ca3883d5bdee43a62fb9b59f"
 DERIVE_FIXTURE_DIGESTS = {
     ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
     ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",

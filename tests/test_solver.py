@@ -247,19 +247,20 @@ def test_scaled_branches_found_on_grid(tanh_system, pre_system):
 # ---------------------------------------------------------------- leaf lists
 
 # sha256 of repr([(sort_key, free symbol names)]) over every leaf of the
-# projective Ito solve with e=1, rho=-1, keyed by (depth, lambda, budget) and
-# recorded before the solver memoized repeated subtrees: replaying a subtree
-# must leave every leaf, and where the budget runs out, unchanged.  Disjoint
-# case splits (ROADMAP item 3) will change these digests on purpose.
+# projective Ito solve with e=1, rho=-1, keyed by (depth, lambda, budget).
+# First recorded before the solver memoized repeated subtrees: replaying a
+# subtree must leave every leaf, and where the budget runs out, unchanged.
+# Re-recorded when stuck leaves began to list their pending eliminations.
+# Disjoint case splits (ROADMAP item 5) will change these digests on purpose.
 PINNED_LEAVES = {
-    (2, -6, 10000): (267, "ac4a20d4432832e6fdc34f62be6d5ae1ec836d68e867fe844d8f071b67247ac5"),
-    (2, -96, 10000): (267, "333c3759321ca7f42f49ed9d98545128a2bf9a139590f9753bbf19cca6a6e7da"),
-    (3, -6, 10000): (1354, "66b03e5e7f42a901abd641a6e98cbbad478574ce8f9e68699ae1b181e38e6055"),
+    (2, -6, 10000): (267, "a2ae3fcae92bc780059657ccb3aa31fb1f805fda1e90d00f0936a92c55822ffd"),
+    (2, -96, 10000): (267, "524ac0b0df1a9bddeaddafd20fc449f77af5aa2e9ff1791c8813a01370abd524"),
+    (3, -6, 10000): (1354, "d9482564f37eb6be62ae92c5077f445a89b8539d79feed9dba5fec0d8623b948"),
     (1, -6, 5): (6, "e16d6d3dc56589431c5ed3ccb2e17af6420f96ab344c988a45cf524dac4a456e"),
     (2, -6, 60): (33, "1c74d350b20caa4b30c0e3c125e588aa0157fc84d8f05135c6648aa9b550ac6e"),
-    (2, -6, 250): (129, "fbabf8b6edbd195ab42fc5924f2f654573ea94d70c66d033546acee63470704a"),
-    (2, -6, 400): (217, "ff9bca14372d4c6ac130c25396f601a3e7d1089f7477acd65e644dd739149697"),
-    (3, -6, 1300): (714, "23198bbb56263545266a022ad354cfbb682880b562c3bb09cb386404d47dbc81"),
+    (2, -6, 250): (129, "e4e296ae23a1e39973248c7517c45b07253e2d68d33947932fad2bfd44c51227"),
+    (2, -6, 400): (217, "061786ab878a24f24f73ea24cc67ee1011e81252cb716fb0b5c576809b2540c7"),
+    (3, -6, 1300): (714, "d8ad9a3f84bcab7b3e5f5fef6c4ce1acbdadf1e53001132e508fca6ee38a109e"),
 }
 
 
@@ -325,7 +326,10 @@ def test_off_grid_projective_solve_keeps_the_irrational_r_factor():
     leaves = _pre_solve(1, -7)
     stuck = [br for br in leaves if br.status == "stuck" and br.witness == parse_poly("6*r^2 - 7")]
     assert len(leaves) == 31 and len(stuck) == 2
-    assert {MU: -1, b(1): 0, a(1): 15} in [br.assignment.as_dict() for br in stuck]
+    by_point = {tuple(br.assignment.items()): br for br in stuck}
+    leaf = by_point[tuple(Assignment({MU: -1, b(1): 0, a(1): 15}).items())]
+    # a0 = 5/2*r is still pending on r, so the leaf can be resumed from it
+    assert parse_poly("a0 - 5/2*r") in leaf.remaining
 
 
 @st.composite
