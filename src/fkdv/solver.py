@@ -205,7 +205,7 @@ class _Text:
         self.p = p
 
     def __eq__(self, other: "_Text") -> bool:
-        return self.p is other.p or self.p.ascii() == other.p.ascii()
+        return self.p.ascii() == other.p.ascii()
 
     def __lt__(self, other: "_Text") -> bool:
         return self.p.ascii() < other.p.ascii()
