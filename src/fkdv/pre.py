@@ -8,8 +8,8 @@ integral
     tau^2 = -e*(r - 2*mu*sigma + ((mu^2+rho)/r)*sigma^2)
 
 eliminates every tau power above one (``eliminate_tau``).  The division by r
-is kept polynomial by r-clearing: an STPoly stores its polynomial multiplied
-by a recorded global power of r, so the true value is poly / r**r_power.  The
+is kept polynomial by r-clearing: the reduced polynomial is returned with the
+power of r it was multiplied by, so the true value is poly / r**r_power.  The
 sign symbols e and rho stay fully symbolic during generation; no e^2 = 1
 rewriting is applied (solving substitutes the signs later).
 
@@ -25,15 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .errors import PoleError
-from .poly import Coef, Coeffable, Mono, MPoly
-from .symbols import E, MU, R, RHO, SIGMA, TAU, Sym, a, b
-
-Key = tuple[int, int]  # (sigma power, tau power)
+from .poly import Coef, Mono, MPoly
+from .symbols import E, MU, R, RHO, SIGMA, TAU, a, b
 
 _E = MPoly.var(E)
 _MU = MPoly.var(MU)
@@ -67,125 +64,14 @@ def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
     return acc, s
 
 
-class STPoly:
-    """Polynomial in (sigma, tau) with tau-degree <= 1, held as one MPoly.
-
-    The stored polynomial is the true value multiplied by r**r_power; the
-    recorded power is global to the value.
-    """
-
-    __slots__ = ("poly", "r_power")
-
-    def __init__(self, terms: Mapping[Key, Coeffable] | None = None, r_power: int = 0):
-        if r_power < 0:
-            raise ValueError("r_power must be >= 0")
-        poly = MPoly.zero()
-        for (i, j), c in (terms or {}).items():
-            if i < 0 or j < 0:
-                raise ValueError("negative sigma/tau power")
-            poly = poly + _SIGMA**i * _TAU**j * c
-        self.poly, s = eliminate_tau(poly)
-        self.r_power = r_power + s
-
-    @classmethod
-    def _reduced(cls, raw: MPoly, r_power: int) -> "STPoly":
-        self = object.__new__(cls)
-        self.poly, s = eliminate_tau(raw)
-        self.r_power = r_power + s
-        return self
-
-    @classmethod
-    def zero(cls) -> "STPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, c: Coeffable) -> "STPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def sigma(cls) -> "STPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def tau(cls) -> "STPoly":
-        return cls({(0, 1): 1})
-
-    @property
-    def terms(self) -> dict[Key, MPoly]:
-        """Coefficient of each sigma^i tau^j present."""
-        return self.poly.split((SIGMA, TAU))
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def sigma_degree(self, tau_degree: int) -> int:
-        return max(
-            (m.exponent(SIGMA) for m in self.poly.terms if m.exponent(TAU) == tau_degree),
-            default=-1,
-        )
-
-    def _aligned(self, other: "STPoly") -> tuple[MPoly, MPoly, int]:
-        s = max(self.r_power, other.r_power)
-        return self.poly * _R ** (s - self.r_power), other.poly * _R ** (s - other.r_power), s
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, STPoly):
-            return NotImplemented
-        mine, theirs, _ = self._aligned(other)
-        return mine == theirs
-
-    def __add__(self, other: "STPoly") -> "STPoly":
-        mine, theirs, s = self._aligned(other)
-        return STPoly._reduced(mine + theirs, s)
-
-    def __sub__(self, other: "STPoly") -> "STPoly":
-        mine, theirs, s = self._aligned(other)
-        return STPoly._reduced(mine - theirs, s)
-
-    def __mul__(self, other: "STPoly") -> "STPoly":
-        return STPoly._reduced(self.poly * other.poly, self.r_power + other.r_power)
-
-    def diff(self) -> "STPoly":
-        """d/dxi under the two derivative rules, followed by tau elimination."""
-        return STPoly._reduced(self.poly.derive(PRE_RULES), self.r_power)
-
-    def substitute(self, bind: Mapping[Sym, Coeffable]) -> "STPoly":
-        """Substitute into the stored coefficients.  Binding r scales the
-        cleared powers too, so zero-ness is preserved only for r != 0."""
-        return STPoly._reduced(self.poly.substitute(bind), self.r_power)
-
-    def __str__(self) -> str:
-        return str(self.poly) if self.r_power == 0 else f"[{self.poly}] / r^{self.r_power}"
-
-    __repr__ = __str__
-
-
-def tau2_reduce(raw: Mapping[Key, Coeffable], r_power: int = 0) -> STPoly:
-    """Reduce a raw sigma-tau polynomial to tau-degree <= 1."""
-    return STPoly(raw, r_power)
-
-
-def st_diff(p: STPoly) -> STPoly:
-    return p.diff()
-
-
-@dataclass(frozen=True)
-class PreAnsatzSpec:
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("ansatz depth m must be >= 1 (m = 0 is trivial)")
-
-
-def build_pre_ansatz(spec: PreAnsatzSpec | int) -> STPoly:
+def build_pre_ansatz(m: int) -> MPoly:
     """a0 + sum_{j=1..m} sigma^(j-1) * (a_j*sigma + b_j*tau)."""
-    m = spec.m if isinstance(spec, PreAnsatzSpec) else PreAnsatzSpec(spec).m
-    terms: dict[Key, Coeffable] = {(0, 0): MPoly.var(a(0))}
+    if m < 1:
+        raise ValueError("ansatz depth m must be >= 1 (m = 0 is trivial)")
+    v = MPoly.var(a(0))
     for j in range(1, m + 1):
-        terms[(j, 0)] = MPoly.var(a(j))
-        terms[(j - 1, 1)] = MPoly.var(b(j))
-    return STPoly(terms)
+        v = v + _SIGMA ** (j - 1) * (_SIGMA * MPoly.var(a(j)) + _TAU * MPoly.var(b(j)))
+    return v
 
 
 def linear_balance(order1: tuple[int, int], order2: tuple[int, int]) -> int | None:
@@ -217,16 +103,10 @@ def pre_degree_candidates() -> frozenset[int]:
     return frozenset({1} | balanced)
 
 
-def pre_ode_residual(spec: EquationSpec, v: STPoly) -> STPoly:
-    """Expand the traveling-wave ODE at ``v`` and eliminate tau powers once.
-
-    ``v`` must be an ansatz-like value: already reduced and with no cleared
-    r-power (the elimination-after-expansion convention is only meaningful
-    there).
-    """
-    if v.r_power != 0:
-        raise ValueError("residual expansion expects an r_power-free ansatz")
-    return STPoly._reduced(_shared_residual(spec, v.poly, PRE_RULES), 0)
+def pre_ode_residual(spec: EquationSpec, v: MPoly) -> tuple[MPoly, int]:
+    """Expand the traveling-wave ODE at the ansatz ``v`` and eliminate tau
+    powers once: ``eliminate_tau``'s (r**r_power * residual, r_power)."""
+    return eliminate_tau(_shared_residual(spec, v, PRE_RULES))
 
 
 def split_r(p: MPoly) -> tuple[int, MPoly]:
@@ -245,12 +125,14 @@ def split_r(p: MPoly) -> tuple[int, MPoly]:
     return s, p.divide_mono(mono_r**s)
 
 
-def extract_pre_system(residual: STPoly) -> list[SystemEq]:
-    """Normalized coefficient polynomials tagged with (sigma, tau) origin and
-    the cleared r-power; tau-degree-0 block first, ascending sigma power."""
-    terms = residual.terms
+def extract_pre_system(residual: tuple[MPoly, int]) -> list[SystemEq]:
+    """Normalized coefficient polynomials of ``pre_ode_residual``'s pair,
+    tagged with (sigma, tau) origin and the cleared r-power; tau-degree-0
+    block first, ascending sigma power."""
+    poly, r_power = residual
+    terms = poly.split((SIGMA, TAU))
     return [
-        SystemEq(power=i, poly=terms[(i, j)].normalize(), tau_degree=j, r_power=residual.r_power)
+        SystemEq(power=i, poly=terms[(i, j)].normalize(), tau_degree=j, r_power=r_power)
         for i, j in sorted(terms, key=lambda k: (k[1], k[0]))
     ]
 

@@ -2,22 +2,22 @@
 
 The method is one rule table: phi is a symbol of the polynomial kernel and
 d/dxi is the derivation ``MPoly.derive(TANH_RULES)``, under which the
-parameters are constants.  A PhiPoly is a view of one MPoly in phi whose
-coefficients in phi are the polynomials of the algebraic system.
+parameters are constants.  The ansatz and the ODE residual are plain
+MPolys in phi; the coefficients in phi are the polynomials of the algebraic
+system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .errors import BalanceError, PoleError
-from .poly import Coeffable, MPoly
-from .symbols import K, PHI, Sym, a
+from .poly import MPoly
+from .symbols import K, PHI, a
 
 _PHI = MPoly.var(PHI)
 TANH_RULES = {PHI: MPoly.var(K) + _PHI**2}
@@ -97,95 +97,22 @@ def balance_M(terms: Sequence[BalanceTerm]) -> int:
     return min(candidates)
 
 
-class PhiPoly:
-    """Polynomial in the auxiliary function, held as one MPoly in ``phi``;
-    coeffs[j] multiplies phi^j."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, coeffs: Sequence[Coeffable] = ()):
-        self.poly = MPoly.zero()
-        for j, c in enumerate(coeffs):
-            self.poly = self.poly + _PHI**j * c
-
-    @classmethod
-    def _of(cls, poly: MPoly) -> "PhiPoly":
-        self = object.__new__(cls)
-        self.poly = poly
-        return self
-
-    @classmethod
-    def zero(cls) -> "PhiPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, c: Coeffable) -> "PhiPoly":
-        return cls([c])
-
-    @classmethod
-    def phi(cls, power: int = 1) -> "PhiPoly":
-        return cls._of(_PHI**power)
-
-    @property
-    def coeffs(self) -> tuple[MPoly, ...]:
-        parts = self.poly.split((PHI,))
-        return tuple(parts.get((j,), MPoly.zero()) for j in range(self.degree() + 1))
-
-    def degree(self) -> int:
-        return self.poly.max_exponent(PHI) if self.poly else -1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhiPoly) and self.poly == other.poly
-
-    def __hash__(self) -> int:
-        return hash(self.poly)
-
-    def __add__(self, other: "PhiPoly") -> "PhiPoly":
-        return PhiPoly._of(self.poly + other.poly)
-
-    def __sub__(self, other: "PhiPoly") -> "PhiPoly":
-        return PhiPoly._of(self.poly - other.poly)
-
-    def __mul__(self, other: "PhiPoly") -> "PhiPoly":
-        return PhiPoly._of(self.poly * other.poly)
-
-    def diff(self) -> "PhiPoly":
-        """d/dxi under the rule phi' = k + phi^2."""
-        return PhiPoly._of(self.poly.derive(TANH_RULES))
-
-    def substitute(self, bind: Mapping[Sym, Coeffable]) -> "PhiPoly":
-        return PhiPoly._of(self.poly.substitute(bind))
-
-    def eval_numeric(self, phi_value: float, point: Mapping[Sym, Fraction]) -> float:
-        return sum(float(c.eval_rat(point)) * phi_value**j for j, c in enumerate(self.coeffs))
-
-    def __str__(self) -> str:
-        return str(self.poly)
-
-    __repr__ = __str__
-
-
-def phi_diff(p: PhiPoly) -> PhiPoly:
-    return p.diff()
-
-
-def build_ansatz(m: int) -> PhiPoly:
+def build_ansatz(m: int) -> MPoly:
     """a0 + a1*phi + ... + aM*phi^M with fresh coefficient symbols."""
     if m < 1:
         raise ValueError("ansatz order must be >= 1")
-    return PhiPoly([MPoly.var(a(j)) for j in range(m + 1)])
+    return sum((MPoly.var(a(j)) * _PHI**j for j in range(m + 1)), MPoly.zero())
 
 
-def ode_residual(spec: EquationSpec, v: PhiPoly) -> PhiPoly:
-    return PhiPoly._of(_shared_residual(spec, v.poly, TANH_RULES))
+def ode_residual(spec: EquationSpec, v: MPoly) -> MPoly:
+    return _shared_residual(spec, v, TANH_RULES)
 
 
-def extract_system(residual: PhiPoly) -> list[SystemEq]:
-    """Nonzero coefficient polynomials, normalized, ascending phi power."""
+def extract_system(residual: MPoly) -> list[SystemEq]:
+    """Nonzero coefficient polynomials in phi, normalized, ascending phi power."""
     return [
         SystemEq(power=j, poly=c.normalize())
-        for j, c in enumerate(residual.coeffs)
-        if not c.is_zero()
+        for (j,), c in sorted(residual.split((PHI,)).items())
     ]
 
 

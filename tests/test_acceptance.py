@@ -143,29 +143,42 @@ def test_criterion_08_auxiliary_catalogs():
 def test_criterion_09_algebraic_property_suites(tanh_system, pre_system):
     rng = random.Random(99)
 
-    # Leibniz law for phi_diff: exact on 100 random pairs
+    # Leibniz law for d/dxi = derive(TANH_RULES): exact on 100 random pairs
+    phi = MPoly.var(Sym("phi"))
+
     def rand_phi():
-        return tanh.PhiPoly(
-            [MPoly.const(F(rng.randint(-5, 5))) + MPoly.var(rng.choice([a(0), a(1), Sym("k")]))
-             for _ in range(rng.randint(1, 3))]
+        return sum(
+            (
+                (MPoly.const(F(rng.randint(-5, 5))) + MPoly.var(rng.choice([a(0), a(1), Sym("k")])))
+                * phi**j
+                for j in range(rng.randint(1, 3))
+            ),
+            MPoly.zero(),
         )
 
     for _ in range(100):
         p, q = rand_phi(), rand_phi()
-        assert tanh.phi_diff(p * q) == tanh.phi_diff(p) * q + p * tanh.phi_diff(q)
+        d = tanh.TANH_RULES
+        assert (p * q).derive(d) == p.derive(d) * q + p * q.derive(d)
 
-    # Leibniz law for st_diff: exact at both sign specializations
+    # tau elimination commutes with derive(PRE_RULES) at e = +-1: with the
+    # cleared r-powers aligned, eliminating before or after d/dxi agrees
+    sigma, tau, r = (MPoly.var(Sym(n)) for n in ("sigma", "tau", "r"))
+
     def rand_st():
-        terms = {}
+        p = MPoly.zero()
         for _ in range(rng.randint(1, 3)):
-            key = (rng.randint(0, 2), rng.randint(0, 1))
             coeff = MPoly.const(F(rng.randint(-4, 4))) + MPoly.var(rng.choice([a(1), b(1), MU, R]))
-            terms[key] = terms.get(key, MPoly.zero()) + coeff
-        return pre.STPoly(terms)
+            p = p + coeff * sigma ** rng.randint(0, 2) * tau ** rng.randint(0, 3)
+        return p
 
     for _ in range(100):
-        p, q = rand_st(), rand_st()
-        defect = pre.st_diff(p * q) - (pre.st_diff(p) * q + p * pre.st_diff(q))
+        p = rand_st()
+        after, s_after = pre.eliminate_tau(p.derive(pre.PRE_RULES))
+        reduced, s_p = pre.eliminate_tau(p)
+        before, s_before = pre.eliminate_tau(reduced.derive(pre.PRE_RULES))
+        top = max(s_after, s_p + s_before)
+        defect = after * r ** (top - s_after) - before * r ** (top - s_p - s_before)
         assert defect.substitute({E: 1}).is_zero()
         assert defect.substitute({E: -1}).is_zero()
 

@@ -8,10 +8,9 @@ from fkdv.errors import PoleError
 from fkdv.fixtures import canonical_form, compare_systems, load_fixture
 from fkdv.poly import MPoly, parse_poly
 from fkdv.pre import (
+    PRE_RULES,
     ST_CATALOG,
-    PreAnsatzSpec,
     STClosedForm,
-    STPoly,
     build_pre_ansatz,
     eliminate_tau,
     first_integral_defect,
@@ -20,11 +19,9 @@ from fkdv.pre import (
     pre_ode_residual,
     split_r,
     st_closed_form_eval,
-    st_diff,
     st_system_defect,
-    tau2_reduce,
 )
-from fkdv.symbols import E, LAM, MU, R, RHO, a, b
+from fkdv.symbols import E, LAM, MU, R, RHO, SIGMA, TAU, a, b
 
 
 def P(text):
@@ -33,15 +30,12 @@ def P(text):
 
 # ---------------------------------------------------------------- reduction
 
+S, T = P("sigma"), P("tau")
+
 
 def test_tau_squared_reduces_to_first_integral():
-    got = tau2_reduce({(0, 2): 1})
-    expected = STPoly(
-        {(0, 0): P("-e*r^2"), (1, 0): P("2*e*mu*r"), (2, 0): P("-e*(mu^2+rho)")},
-        r_power=1,
-    )
-    assert got == expected
-    assert got.r_power == 1
+    got = eliminate_tau(T**2)
+    assert got == (P("-e*r^2 + 2*e*mu*r*sigma - e*(mu^2+rho)*sigma^2"), 1)
 
 
 def test_eliminate_tau_clears_one_r_per_pair_of_tau_powers():
@@ -54,66 +48,82 @@ def test_eliminate_tau_clears_one_r_per_pair_of_tau_powers():
 
 
 def test_tau_first_power_unchanged():
-    assert tau2_reduce({(0, 1): 1}) == STPoly.tau()
+    assert eliminate_tau(T) == (T, 0)
 
 
 def test_tau_squared_specialized_kills_quadratic_term():
-    got = tau2_reduce({(0, 2): 1}).substitute({E: 1, MU: 1, RHO: -1})
-    assert got == STPoly({(0, 0): P("-r"), (1, 0): MPoly.const(2)})
+    got, s = eliminate_tau(T**2)
+    assert s == 1
+    assert got.substitute({E: 1, MU: 1, RHO: -1}) == P("-r^2 + 2*r*sigma")
+
+
+def _d(value):
+    """d/dxi of a (polynomial, r-power) pair, then tau elimination."""
+    poly, s = eliminate_tau(value[0].derive(PRE_RULES))
+    return poly, value[1] + s
+
+
+def _mul(x, y):
+    poly, s = eliminate_tau(x[0] * y[0])
+    return poly, x[1] + y[1] + s
+
+
+def _sub(x, y):
+    # align the r-powers: poly / r**s is the true value
+    s = max(x[1], y[1])
+    r = P("r")
+    return x[0] * r ** (s - x[1]) - y[0] * r ** (s - y[1]), s
+
+
+def _add(x, y):
+    return _sub(x, (-y[0], y[1]))
 
 
 def test_tau_degree_invariant_under_operations():
     rng = random.Random(9)
-    pool = [STPoly.sigma(), STPoly.tau(), STPoly.const(P("mu")), STPoly({(1, 1): 1})]
-    value = STPoly.const(1)
+    pool = [(S, 0), (T, 0), (P("mu"), 0), (S * T, 0)]
+    value = (MPoly.const(1), 0)
     for _ in range(30):
         other = rng.choice(pool)
-        value = rng.choice([value + other, value * other, st_diff(value)])
-        assert all(j <= 1 for _, j in value.terms)
+        value = rng.choice([_add(value, other), _mul(value, other), _d(value)])
+        assert value[0].max_exponent(TAU) <= 1
 
 
-# ---------------------------------------------------------------- st_diff
+# ---------------------------------------------------------------- d/dxi
 
 
 def test_st_diff_sigma():
-    assert st_diff(STPoly.sigma()) == STPoly({(1, 1): P("e")})
+    assert S.derive(PRE_RULES) == P("e*sigma*tau")
 
 
 def test_st_diff_constant():
-    assert st_diff(STPoly.const(5)).is_zero()
+    assert MPoly.const(5).derive(PRE_RULES).is_zero()
 
 
 def test_st_diff_tau():
     # tau' = e*tau^2 - mu*sigma + r, then the first integral removes tau^2
-    expected = STPoly(
-        {
-            (0, 0): P("-e^2*r^2 + r^2"),
-            (1, 0): P("2*e^2*mu*r - mu*r"),
-            (2, 0): P("-e^2*(mu^2+rho)"),
-        },
-        r_power=1,
-    )
-    assert st_diff(STPoly.tau()) == expected
+    expected = P("-e^2*r^2 + r^2 + (2*e^2*mu*r - mu*r)*sigma - e^2*(mu^2+rho)*sigma^2")
+    assert _d((T, 0)) == (expected, 1)
 
 
-def _random_stpoly(rng: random.Random) -> STPoly:
-    terms = {}
+def _random_stpoly(rng: random.Random) -> MPoly:
+    p = MPoly.zero()
     for _ in range(rng.randint(1, 3)):
-        key = (rng.randint(0, 2), rng.randint(0, 1))
         coeff = MPoly.const(F(rng.randint(-4, 4)))
         if rng.random() < 0.5:
             coeff = coeff + MPoly.var(rng.choice([a(1), b(1), MU, R]))
-        terms[key] = terms.get(key, MPoly.zero()) + coeff
-    return STPoly(terms)
+        p = p + coeff * S ** rng.randint(0, 2) * T ** rng.randint(0, 1)
+    return p
 
 
 def test_st_diff_is_a_derivation_at_sign_specializations():
-    # the reduction encodes e = +-1; the symbolic Leibniz defect is a
-    # multiple of e^2 - 1, so exact equality is asserted at both signs
+    # d/dxi followed by tau elimination encodes e = +-1; the symbolic
+    # Leibniz defect is a multiple of e^2 - 1, so exact equality is
+    # asserted at both signs
     rng = random.Random(12)
     for _ in range(100):
-        p, q = _random_stpoly(rng), _random_stpoly(rng)
-        defect = st_diff(p * q) - (st_diff(p) * q + p * st_diff(q))
+        p, q = (_random_stpoly(rng), 0), (_random_stpoly(rng), 0)
+        defect, _ = _sub(_d(_mul(p, q)), _add(_mul(_d(p), q), _mul(p, _d(q))))
         for e_val in (1, -1):
             assert defect.substitute({E: e_val}).is_zero()
 
@@ -122,25 +132,24 @@ def test_st_diff_is_a_derivation_at_sign_specializations():
 
 
 def test_ansatz_depth_one():
-    v = build_pre_ansatz(1)
-    assert v == STPoly(
-        {(0, 0): MPoly.var(a(0)), (1, 0): MPoly.var(a(1)), (0, 1): MPoly.var(b(1))}
-    )
+    assert build_pre_ansatz(1) == P("a0 + a1*sigma + b1*tau")
 
 
 def test_ansatz_depth_two_unrolls():
-    v = build_pre_ansatz(PreAnsatzSpec(2))
-    assert sorted(v.terms) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+    v = build_pre_ansatz(2)
+    assert sorted(v.split((SIGMA, TAU))) == [
+        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0)
+    ]
 
 
 def test_ansatz_collapses_to_constant():
     v = build_pre_ansatz(1).substitute({a(1): 0, b(1): 0})
-    assert v == STPoly.const(MPoly.var(a(0)))
+    assert v == MPoly.var(a(0))
 
 
 def test_ansatz_depth_zero_rejected():
     with pytest.raises(ValueError):
-        PreAnsatzSpec(0)
+        build_pre_ansatz(0)
 
 
 # ---------------------------------------------------------------- degrees
@@ -159,18 +168,22 @@ def test_pairwise_balances_solve_to_two():
 
 
 def test_residual_of_constant_is_zero():
-    assert pre_ode_residual(ito(), STPoly.const(MPoly.var(a(0)))).is_zero()
+    assert pre_ode_residual(ito(), MPoly.var(a(0))) == (MPoly.zero(), 0)
+
+
+def _sigma_degree(poly, tau_degree):
+    return max(i for i, j in poly.split((SIGMA, TAU)) if j == tau_degree)
 
 
 def test_residual_top_degrees(pre_system):
-    res = pre_ode_residual(ito(), build_pre_ansatz(1))
-    assert res.sigma_degree(0) == 6
-    assert res.sigma_degree(1) == 5
+    res, _ = pre_ode_residual(ito(), build_pre_ansatz(1))
+    assert _sigma_degree(res, 0) == 6
+    assert _sigma_degree(res, 1) == 5
     assert len(pre_system) == 13
 
 
 def test_residual_vanishes_at_specialized_solution():
-    res = pre_ode_residual(ito(), build_pre_ansatz(1))
+    res, _ = pre_ode_residual(ito(), build_pre_ansatz(1))
     bound = res.substitute(
         {
             a(0): F(5, 2), a(1): F(15), b(1): F(0),

@@ -9,16 +9,16 @@ from fkdv.errors import BalanceError
 from fkdv.fixtures import compare_systems, load_fixture
 from fkdv.poly import MPoly, parse_poly
 from fkdv.symbols import LAM, Sym, a
+from fkdv.closedform import eval_float
 from fkdv.tanh import (
     PHI_CATALOG,
+    TANH_RULES,
     BalanceTerm,
-    PhiPoly,
     balance_M,
     balance_terms_for,
     build_ansatz,
     ode_residual,
     phi_defect,
-    phi_diff,
 )
 
 K = Sym("k")
@@ -57,58 +57,58 @@ def test_omega_zero_rejected():
         EquationSpec(F(2), F(6), F(3), F(0))
 
 
-# ---------------------------------------------------------------- phi_diff
+# ---------------------------------------------------------------- d/dxi
+
+PHI = MPoly.var(Sym("phi"))
 
 
 def test_phi_diff_of_phi():
-    assert phi_diff(PhiPoly.phi()) == PhiPoly([MPoly.var(K), MPoly.zero(), MPoly.const(1)])
+    assert PHI.derive(TANH_RULES) == MPoly.var(K) + PHI**2
 
 
 def test_phi_diff_of_constant():
-    assert phi_diff(PhiPoly.const(1)) == PhiPoly.zero()
+    assert MPoly.const(1).derive(TANH_RULES).is_zero()
 
 
 def test_phi_diff_of_phi_squared():
     # chain rule under the rewrite: 2k*phi + 2*phi^3
-    expected = PhiPoly([MPoly.zero(), MPoly.var(K) * 2, MPoly.zero(), MPoly.const(2)])
-    assert phi_diff(PhiPoly.phi(2)) == expected
+    assert (PHI**2).derive(TANH_RULES) == MPoly.var(K) * PHI * 2 + PHI**3 * 2
 
 
-def _random_phipoly(rng: random.Random, numeric=False) -> PhiPoly:
-    coeffs = []
-    for _ in range(rng.randint(1, 4)):
+def _random_phipoly(rng: random.Random, numeric=False) -> MPoly:
+    p = MPoly.zero()
+    for j in range(rng.randint(1, 4)):
         if numeric:
-            coeffs.append(MPoly.const(F(rng.randint(-6, 6), rng.randint(1, 3))))
+            c = MPoly.const(F(rng.randint(-6, 6), rng.randint(1, 3)))
         else:
             c = MPoly.const(F(rng.randint(-5, 5)))
             if rng.random() < 0.5:
                 c = c + MPoly.var(rng.choice([a(0), a(1), K]))
-            coeffs.append(c)
-    return PhiPoly(coeffs)
+        p = p + c * PHI**j
+    return p
 
 
 def test_phi_diff_is_a_derivation():
     rng = random.Random(3)
     for _ in range(100):
         p, q = _random_phipoly(rng), _random_phipoly(rng)
-        assert phi_diff(p * q) == phi_diff(p) * q + p * phi_diff(q)
+        assert (p * q).derive(TANH_RULES) == p.derive(TANH_RULES) * q + p * q.derive(TANH_RULES)
 
 
 def test_phi_diff_matches_finite_differences():
     # instantiate k = 1 and phi(xi) = tan(xi), a solution of the rewrite rule
     rng = random.Random(4)
-    bind = {K: F(1)}
     for _ in range(25):
         p = _random_phipoly(rng, numeric=True)
-        dp = phi_diff(p)
+        dp = p.derive(TANH_RULES).substitute({K: 1})
         xi = rng.uniform(0.1, 1.0)
         h = 1e-5
 
         def val(z):
-            return p.eval_numeric(math.tan(z), bind)
+            return eval_float(p, {Sym("phi"): math.tan(z)})
 
         fd = (val(xi + h) - val(xi - h)) / (2 * h)
-        exact = dp.eval_numeric(math.tan(xi), bind)
+        exact = eval_float(dp, {Sym("phi"): math.tan(xi)})
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact), abs(fd))
 
 
@@ -116,24 +116,24 @@ def test_phi_diff_matches_finite_differences():
 
 
 def test_ansatz_order_two():
-    assert build_ansatz(2) == PhiPoly([MPoly.var(a(0)), MPoly.var(a(1)), MPoly.var(a(2))])
+    assert build_ansatz(2) == MPoly.var(a(0)) + MPoly.var(a(1)) * PHI + MPoly.var(a(2)) * PHI**2
 
 
 def test_ansatz_order_one_and_three():
-    assert build_ansatz(1).degree() == 1
-    assert build_ansatz(3).coeffs[3] == MPoly.var(a(3))
+    assert build_ansatz(1).max_exponent(Sym("phi")) == 1
+    assert build_ansatz(3).coefficient_of(Sym("phi"), 3) == MPoly.var(a(3))
 
 
 # ---------------------------------------------------------------- residual
 
 
 def test_residual_of_constant_is_zero():
-    assert ode_residual(ito(), PhiPoly.const(MPoly.var(a(0)))) == PhiPoly.zero()
+    assert ode_residual(ito(), MPoly.var(a(0))).is_zero()
 
 
 def test_residual_degree_is_M_plus_five(tanh_system):
     res = ode_residual(ito(), build_ansatz(2))
-    assert res.degree() == 7
+    assert res.max_exponent(Sym("phi")) == 7
     assert len(tanh_system) == 8
 
 
@@ -142,7 +142,7 @@ def test_residual_vanishes_at_specialized_solution():
     bound = res.substitute(
         {a(0): F(-5), a(1): F(0), a(2): F(-30), K: F(1, 4), LAM: F(-6)}
     )
-    assert bound == PhiPoly.zero()
+    assert bound.is_zero()
 
 
 def test_extracted_system_contains_printed_equations(tanh_system):
