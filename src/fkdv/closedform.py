@@ -1,13 +1,14 @@
-"""The catalog of ten closed-form traveling-wave solutions of the Ito equation
-and their PDE-residual checks, on the one polynomial kernel.
+"""The catalog of ten closed-form traveling-wave solutions of the Ito equation,
+the closed forms of the two auxiliary equations, and their checks, on the
+one polynomial kernel.
 
 With lam = -6*w^4 the wave number (-lam/6)^(1/4) is the symbol ``w`` and
 sqrt(-lam/6) = w^2, so every template is a polynomial in ``w`` and at most
 three function symbols (see :mod:`fkdv.symbols`).  Each function is a symbol
 with a derivative rule that stays inside the polynomial ring, e.g.
 tan' = (w/2)*(1 + tan^2) and sec' = (w/2)*sec*tan at the angle w*xi/2, and
-y' = +-csc'*y^2 for y = 1/(1 -+ csc(w*xi)); d/dxi is ``MPoly.derive`` over
-the record's rule table, and the PDE terms come from
+y' = -den'*y^2 for a reciprocal y = 1/den; d/dxi is ``MPoly.derive`` over
+that one rule table, and the PDE terms come from
 :func:`fkdv.equation.ode_terms`.
 
 Two checks use the five PDE terms at lam = -6*w^4
@@ -17,6 +18,11 @@ reciprocal y and reduces each squared function by its Pythagorean relation
 :func:`sample_report` evaluates them in binary64 at random points, with a
 magnitude guard on every symbol value, monomial and term: anything past 1e6
 counts as a pole and the sample is rejected.
+
+The closed forms of phi' = k + phi^2 (``PHI_FORMS``) and of the projective
+pair (``ST_CASES``) are polynomials in the same symbols;
+:func:`phi_residual` and :func:`st_residuals` reduce their identities the
+same way, to the zero polynomial.
 """
 
 from __future__ import annotations
@@ -25,21 +31,24 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .equation import EquationSpec, ito, ode_terms
 from .errors import PoleError
 from .poly import MPoly
+from .pre import PRE_RULES, R_TAU2
 from .symbols import (
-    COT, COTH, COTW, CSC, CSCH, CSCW, K, LAM, MU, R, SEC, SECH, TAN, TANH, W, YM, YP,
-    Sym, a, b,
+    COT, COTH, COTW, CSC, CSCH, CSCW, E, K, LAM, MU, PHI, R, RHO, SEC, SECH, SIGMA, TAN,
+    TANH, TAU, W, XINV, YCSC, YCSCH, YM, YP, YSEC, YSECH, Sym, a, b,
 )
+from .tanh import TANH_RULES
 
 MAGNITUDE_GUARD = 1e6
 
 _v = MPoly.var
 _W = _v(W)
 _HALF_W = _W * Fraction(1, 2)
+_QUARTER_W2 = _W**2 * Fraction(1, 4)
 _DCSCW = -_W * _v(CSCW) * _v(COTW)  # csc(w*xi)'
 
 
@@ -51,34 +60,51 @@ def _cot(u: float) -> float:
     return math.cos(u) / math.sin(u)
 
 
-# symbol -> (derivative rule, angle as a multiple of w*xi, float value at the
-# angle); the half-angle pairs share the angle w*xi/2
-_FUNCTIONS: dict[Sym, tuple[MPoly, float, Callable[[float], float]]] = {
-    TAN: (_HALF_W * (1 + _v(TAN) ** 2), 0.5, math.tan),
-    SEC: (_HALF_W * _v(SEC) * _v(TAN), 0.5, lambda u: 1.0 / math.cos(u)),
-    COT: (-_HALF_W * (1 + _v(COT) ** 2), 0.5, _cot),
-    CSC: (-_HALF_W * _v(CSC) * _v(COT), 0.5, _csc),
-    TANH: (_HALF_W * (1 - _v(TANH) ** 2), 0.5, math.tanh),
-    SECH: (-_HALF_W * _v(SECH) * _v(TANH), 0.5, lambda u: 1.0 / math.cosh(u)),
-    COTH: (_HALF_W * (1 - _v(COTH) ** 2), 0.5, lambda u: math.cosh(u) / math.sinh(u)),
-    CSCH: (-_HALF_W * _v(CSCH) * _v(COTH), 0.5, lambda u: 1.0 / math.sinh(u)),
-    CSCW: (_DCSCW, 1.0, _csc),
-    COTW: (-_W * _v(CSCW) ** 2, 1.0, _cot),
-    YM: (_DCSCW * _v(YM) ** 2, 1.0, lambda u: 1.0 / (1.0 - _csc(u))),
-    YP: (-_DCSCW * _v(YP) ** 2, 1.0, lambda u: 1.0 / (1.0 + _csc(u))),
+def _at(angle: float, f: Callable[[float], float]) -> Callable[[float, float], float]:
+    return lambda w, xi: f(angle * w * xi)
+
+
+# symbol -> (derivative rule, float value at (w, xi)); the half-angle pairs
+# share the angle w*xi/2
+_FUNCTIONS: dict[Sym, tuple[MPoly, Callable[[float, float], float]]] = {
+    TAN: (_HALF_W * (1 + _v(TAN) ** 2), _at(0.5, math.tan)),
+    SEC: (_HALF_W * _v(SEC) * _v(TAN), _at(0.5, lambda u: 1.0 / math.cos(u))),
+    COT: (-_HALF_W * (1 + _v(COT) ** 2), _at(0.5, _cot)),
+    CSC: (-_HALF_W * _v(CSC) * _v(COT), _at(0.5, _csc)),
+    TANH: (_HALF_W * (1 - _v(TANH) ** 2), _at(0.5, math.tanh)),
+    SECH: (-_HALF_W * _v(SECH) * _v(TANH), _at(0.5, lambda u: 1.0 / math.cosh(u))),
+    COTH: (_HALF_W * (1 - _v(COTH) ** 2), _at(0.5, lambda u: math.cosh(u) / math.sinh(u))),
+    CSCH: (-_HALF_W * _v(CSCH) * _v(COTH), _at(0.5, lambda u: 1.0 / math.sinh(u))),
+    CSCW: (_DCSCW, _at(1.0, _csc)),
+    COTW: (-_W * _v(CSCW) ** 2, _at(1.0, _cot)),
+    XINV: (-_v(XINV) ** 2, lambda w, xi: 1.0 / xi),
 }
 
-# the squared relations: s^2 = value on the function's Pythagorean curve
+# reciprocal symbols y = 1 / denominator, so y' = -denominator' * y^2; the
+# float value of y is 1 / the denominator's
+DENOMINATORS: dict[Sym, MPoly] = {
+    YM: 1 - _v(CSCW),
+    YP: 1 + _v(CSCW),
+    YSEC: 1 + _v(MU) * _v(SEC),
+    YCSC: 1 + _v(MU) * _v(CSC),
+    YSECH: 1 + _v(MU) * _v(SECH),
+    YCSCH: 1 + _v(MU) * _v(CSCH),
+}
+
+# the one rule table: each function symbol's derivative in xi
+RULES: dict[Sym, MPoly] = {s: rule for s, (rule, _) in _FUNCTIONS.items()}
+RULES.update({y: -den.derive(RULES) * _v(y) ** 2 for y, den in DENOMINATORS.items()})
+
+# the squared relations: s^2 = value on the function's Pythagorean curve, and
+# e^2 = 1 for the sign of the projective method
 SQUARES: dict[Sym, MPoly] = {
     SEC: 1 + _v(TAN) ** 2,
     CSC: 1 + _v(COT) ** 2,
     SECH: 1 - _v(TANH) ** 2,
     CSCH: _v(COTH) ** 2 - 1,
     CSCW: 1 + _v(COTW) ** 2,
+    E: MPoly.const(1),
 }
-
-# reciprocal symbols y = 1 / denominator
-DENOMINATORS: dict[Sym, MPoly] = {YM: 1 - _v(CSCW), YP: 1 + _v(CSCW)}
 
 
 # -- the ten-solution catalog -------------------------------------------------
@@ -91,8 +117,7 @@ class SolutionRecord:
     """One closed-form solution template, parameterized by the wave speed.
 
     ``template`` is u(x, t) as a polynomial in ``w`` and the function
-    symbols; ``rules`` sends each of those symbols to its derivative in xi
-    and ``squares`` holds the squared relations among them.
+    symbols; ``rules`` sends each of those symbols to its derivative in xi.
 
     ``params`` records the generating parameter tuple as coeff * q**power
     with q = sqrt(-lam/6); at lam = -6*m^4 every entry is the exact rational
@@ -112,24 +137,14 @@ class SolutionRecord:
     singular_at_origin: bool
     aux_form: str | None = None
     rules: dict[Sym, MPoly] = field(init=False, repr=False)
-    squares: dict[Sym, MPoly] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rules = {s: _FUNCTIONS[s][0] for s in _closure(self.template)}
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "squares", {s: SQUARES[s] for s in rules if s in SQUARES})
+        object.__setattr__(self, "rules", {s: RULES[s] for s in _closure(self.template)})
 
     def values(self, w: float, xi: float) -> dict[Sym, float]:
-        """Float value of each function symbol at (w, xi), guarded; raises
-        PoleError at or near a pole."""
-        out = {}
-        try:
-            for s in self.rules:
-                _, angle, f = _FUNCTIONS[s]
-                out[s] = _guard(f(angle * w * xi))
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise PoleError(str(exc)) from exc
-        return out
+        """Float value of w and of each function symbol at (w, xi),
+        guarded; raises PoleError at or near a pole."""
+        return function_values(self.rules, w, xi)
 
     def specialize(self, m: int) -> dict[Sym, Fraction]:
         """Exact parameter values at lam = -6*m^4 (where q = m*m)."""
@@ -141,17 +156,35 @@ class SolutionRecord:
         return out
 
 
-def _closure(p: MPoly) -> list[Sym]:
-    """The function symbols of ``p`` and of their rules, transitively, in
-    symbol order."""
+def _closure(*polys: MPoly) -> list[Sym]:
+    """The function symbols of ``polys`` and of their rules, transitively,
+    in symbol order."""
     found: set[Sym] = set()
-    todo = [s for s in p.symbols() if s in _FUNCTIONS]
+    todo = [s for p in polys for s in p.symbols() if s in RULES]
     while todo:
         s = todo.pop()
         if s not in found:
             found.add(s)
-            todo += [t for t in _FUNCTIONS[s][0].symbols() if t in _FUNCTIONS]
+            todo += [t for t in RULES[s].symbols() if t in RULES]
     return sorted(found, key=lambda s: s.key)
+
+
+def function_values(
+    syms: Iterable[Sym], w: float, xi: float, params: Mapping[Sym, float] | None = None
+) -> dict[Sym, float]:
+    """Float values of w, ``params`` and each of ``syms`` (in symbol order,
+    so a reciprocal follows its denominator) at (w, xi), guarded; raises
+    PoleError at or near a pole."""
+    point = {W: _guard(w), **(params or {})}
+    try:
+        for s in syms:
+            if s in DENOMINATORS:
+                point[s] = _guard(1.0 / eval_float(DENOMINATORS[s], point))
+            else:
+                point[s] = _guard(_FUNCTIONS[s][1](w, xi))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise PoleError(str(exc)) from exc
+    return point
 
 
 def _catalog() -> tuple[SolutionRecord, ...]:
@@ -207,27 +240,86 @@ def get_solution(sid: str) -> SolutionRecord:
         raise KeyError(f"unknown solution id {sid!r} (u1..u10)") from None
 
 
+# -- the closed forms of the auxiliary equations ------------------------------
+#
+# Each is a polynomial in the same symbols at the angle w*xi/2, so
+# sqrt(|k|) = w/2 for a phi form and r = (w/2)^2 for a sigma-tau case.
+
+# phi' = k + phi^2: name -> (phi, k)
+PHI_FORMS: dict[str, tuple[MPoly, MPoly]] = {
+    "tan": (_HALF_W * _v(TAN), _QUARTER_W2),
+    "cot": (-_HALF_W * _v(COT), _QUARTER_W2),
+    "tanh": (-_HALF_W * _v(TANH), -_QUARTER_W2),
+    "coth": (-_HALF_W * _v(COTH), -_QUARTER_W2),
+    "reciprocal": (-_v(XINV), MPoly.zero()),
+}
+
+
+def _st_case(f: Sym, tau: MPoly, y: Sym, e: int, rho: int):
+    # sigma = r*f/(1 + mu*f), tau = (w/2)*tau/(1 + mu*f), mu free
+    fixed = {E: MPoly.const(e), RHO: MPoly.const(rho), R: _QUARTER_W2}
+    return _QUARTER_W2 * _v(f) * _v(y), _HALF_W * tau * _v(y), fixed
+
+
+# sigma' = e*sigma*tau, tau' = e*tau^2 - mu*sigma + r: name -> (sigma, tau,
+# the parameters the case fixes).  Case I is sigma = C/xi, tau = -1/(e*xi)
+# at mu = r = 0 for any constant C (C = 1 here) and either sign e = +-1.
+ST_CASES: dict[str, tuple[MPoly, MPoly, dict[Sym, MPoly]]] = {
+    "I": (_v(XINV), -_v(E) * _v(XINV), {MU: MPoly.zero(), R: MPoly.zero()}),
+    "II-sec": _st_case(SEC, _v(TAN), YSEC, 1, -1),
+    "II-csc": _st_case(CSC, -_v(COT), YCSC, 1, -1),
+    "III": _st_case(SECH, _v(TANH), YSECH, -1, -1),
+    "IV": _st_case(CSCH, _v(COTH), YCSCH, -1, 1),
+}
+
+
+def _rule_residuals(form: dict[Sym, MPoly], fixed: Mapping[Sym, MPoly], rules) -> list[MPoly]:
+    # d/dxi of each auxiliary function minus its rule at the closed form
+    at = {**form, **fixed}
+    d = {s: RULES[s] for s in _closure(*form.values())}
+    return [reduced(form[s].derive(d) - rules[s].substitute(at)) for s in rules]
+
+
+def phi_residual(phi: MPoly, k: MPoly) -> MPoly:
+    """phi' - (k + phi^2), reduced: 0 iff ``phi`` solves the tanh rule."""
+    return _rule_residuals({PHI: phi}, {K: k}, TANH_RULES)[0]
+
+
+def st_residuals(sigma: MPoly, tau: MPoly, fixed: Mapping[Sym, MPoly]) -> list[MPoly]:
+    """Both projective rules at (sigma, tau) and, for r != 0, the first
+    integral r*tau^2 - R_TAU2, reduced: all 0 iff the pair solves them."""
+    out = _rule_residuals({SIGMA: sigma, TAU: tau}, fixed, PRE_RULES)
+    if fixed[R]:
+        at = {SIGMA: sigma, TAU: tau, **fixed}
+        out.append(reduced((_v(R) * _v(TAU) ** 2 - R_TAU2).substitute(at)))
+    return out
+
+
 def rebuild_from_branch(rec: SolutionRecord, m: int, xi: float) -> float:
     """Numeric u(xi) rebuilt from the generating branch: the parameter tuple
-    specialized at lam = -6*m^4 fed through the record's auxiliary form.
+    specialized at lam = -6*m^4 (and e = 1, rho = -1) fed through the
+    record's auxiliary form.
 
-    Restricted to grid wave speeds so the form parameters stay rational.
+    The form's own w follows from the tuple: k = +-m^2/4 gives w = m, and
+    r = m^2 gives w = 2m.  Every parameter the form fixes must equal the
+    tuple's exactly; the rebuilt polynomial is then evaluated in binary64.
     Raises ValueError for the records without a cataloged form.
     """
-    from .pre import STClosedForm, st_closed_form_eval
-    from .tanh import PHI_CATALOG
-
     if rec.aux_form is None:
         raise ValueError(f"{rec.id} has no cataloged auxiliary form")
-    asg = rec.specialize(m)
+    asg = {**rec.specialize(m), E: 1, RHO: -1}
     if rec.method == "tanh":
-        k = asg[K]
-        form = next(f for f in PHI_CATALOG if f.name == rec.aux_form)
-        phi = form.value(float(k), xi)
-        return float(asg[a(0)]) + float(asg[a(1)]) * phi + float(asg[a(2)]) * phi**2
-    form = STClosedForm(rec.aux_form, e=1, rho=-1, mu=asg[MU], r=asg[R])
-    sigma, tau = st_closed_form_eval(form, xi)
-    return float(asg[a(0)]) + float(asg[a(1)]) * sigma + float(asg[b(1)]) * tau
+        phi, k = PHI_FORMS[rec.aux_form]
+        w, fixed = m, {K: k}
+        u = phi**2 * asg[a(2)] + phi * asg[a(1)] + asg[a(0)]
+    else:
+        sigma, tau, fixed = ST_CASES[rec.aux_form]
+        w = 2 * m
+        u = sigma * asg[a(1)] + tau * asg[b(1)] + asg[a(0)]
+    if any(v.substitute({W: w}) != asg[s] for s, v in fixed.items()):
+        raise ValueError(f"{rec.id}: the parameter tuple does not fit the {rec.aux_form} form")
+    params = {s: float(v) for s, v in asg.items()}
+    return eval_float(u, function_values(_closure(u), w, xi, params))
 
 
 # -- exact residual -----------------------------------------------------------
@@ -253,14 +345,19 @@ def clear_reciprocal(p: MPoly, y: Sym) -> MPoly:
     )
 
 
+def reduced(p: MPoly) -> MPoly:
+    """``p`` with its reciprocals cleared and its squares reduced: the zero
+    polynomial iff ``p`` vanishes identically where it is defined."""
+    for y in DENOMINATORS:
+        if y in p.symbols():
+            p = clear_reciprocal(p, y)
+    return reduce_squares(p, {s: rel for s, rel in SQUARES.items() if s in p.symbols()})
+
+
 def exact_residual(rec: SolutionRecord, spec: EquationSpec | None = None) -> MPoly:
-    """The PDE residual of ``rec`` with its reciprocals cleared and its
-    squares reduced: zero iff the template solves the equation for every
-    lam < 0."""
-    p = sum((term for _, term in residual_terms_for(rec, spec)), MPoly.zero())
-    for y in DENOMINATORS.keys() & rec.rules.keys():
-        p = clear_reciprocal(p, y)
-    return reduce_squares(p, rec.squares)
+    """The PDE residual of ``rec``, reduced: zero iff the template solves
+    the equation for every lam < 0."""
+    return reduced(sum((term for _, term in residual_terms_for(rec, spec)), MPoly.zero()))
 
 
 # -- residual sampling --------------------------------------------------------
@@ -307,29 +404,22 @@ class VerificationReport:
         }
 
 
-def _guard(v: float) -> float:
-    if not math.isfinite(v) or abs(v) > MAGNITUDE_GUARD:
+def _guard(v: float, bound: float = MAGNITUDE_GUARD) -> float:
+    if not math.isfinite(v) or abs(v) > bound:
         raise PoleError("magnitude guard tripped")
     return v
 
 
-def eval_float(p: MPoly, point: Mapping[Sym, float]) -> float:
+def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
     """binary64 value of ``p``; raises PoleError when a monomial, a term or
-    the sum leaves the magnitude guard."""
+    the sum leaves the magnitude ``bound``."""
     total = []
     for m, c in p.terms.items():
         v = 1.0
         for s, e in m.exps:
             v *= point[s] ** e
-        total.append(_guard(float(c) * _guard(v)))
-    return _guard(math.fsum(total))
-
-
-def _point(rec: SolutionRecord, lam: float, x: float, t: float) -> dict[Sym, float]:
-    w = (-lam / 6.0) ** 0.25
-    point = rec.values(w, x + lam * t)
-    point[W] = _guard(w)
-    return point
+        total.append(_guard(float(c) * _guard(v, bound), bound))
+    return _guard(math.fsum(total), bound)
 
 
 _TERMS_CACHE: dict[tuple[MPoly, EquationSpec], list[tuple[str, MPoly]]] = {}
@@ -373,6 +463,7 @@ def sample_report(
         raise ValueError("verification requires lam < 0 (real-valued templates)")
     rec = get_solution(sid)
     terms = residual_terms_for(rec, spec)
+    w = (-lam / 6.0) ** 0.25
     rng = random.Random(f"{plan.seed}:{rec.id}:{lam!r}")
     samples: list[SamplePoint] = []
     rejected = 0
@@ -384,7 +475,7 @@ def sample_report(
             continue
         x, t = drawn
         try:
-            point = _point(rec, lam, x, t)
+            point = rec.values(w, x + lam * t)
             values = [eval_float(term, point) for _, term in terms]
         except PoleError:
             rejected += 1
@@ -411,6 +502,7 @@ def pointwise_compare(
     if lam >= 0:
         raise ValueError("comparison requires lam < 0")
     r1, r2 = get_solution(sid1), get_solution(sid2)
+    w = (-lam / 6.0) ** 0.25
     rng = random.Random(f"{plan.seed}:{r1.id}:{r2.id}:{lam!r}")
     singular = r1.singular_at_origin or r2.singular_at_origin
     probe = r1 if r1.singular_at_origin else r2
@@ -424,8 +516,8 @@ def pointwise_compare(
             continue
         x, t = drawn
         try:
-            v1 = eval_float(r1.template, _point(r1, lam, x, t))
-            v2 = eval_float(r2.template, _point(r2, lam, x, t))
+            v1 = eval_float(r1.template, r1.values(w, x + lam * t))
+            v2 = eval_float(r2.template, r2.values(w, x + lam * t))
         except PoleError:
             continue
         worst = max(worst, abs(v1 - v2) / max(1.0, abs(v1), abs(v2)))

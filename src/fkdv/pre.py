@@ -22,13 +22,8 @@ is the convention the reference system transcription follows.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
-from .errors import PoleError
 from .poly import Coef, Mono, MPoly
 from .symbols import E, MU, R, RHO, SIGMA, TAU, a, b
 
@@ -41,7 +36,7 @@ _TAU = MPoly.var(TAU)
 PRE_RULES = {SIGMA: _E * _SIGMA * _TAU, TAU: _E * _TAU**2 - _MU * _SIGMA + _R}
 
 # r * tau^2 by the first integral
-_R_TAU2 = -(_E * (_R**2 - _MU * _R * _SIGMA * 2 + (_MU**2 + MPoly.var(RHO)) * _SIGMA**2))
+R_TAU2 = -(_E * (_R**2 - _MU * _R * _SIGMA * 2 + (_MU**2 + MPoly.var(RHO)) * _SIGMA**2))
 
 
 def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
@@ -60,7 +55,7 @@ def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
         parts[q][Mono([(t, e - 2 * q if t is TAU else e) for t, e in m.exps])] = c
     acc = MPoly._raw(parts[s])
     for q in range(s - 1, -1, -1):
-        acc = acc * _R_TAU2 + MPoly._raw(parts[q]) * _R ** (s - q)
+        acc = acc * R_TAU2 + MPoly._raw(parts[q]) * _R ** (s - q)
     return acc, s
 
 
@@ -135,126 +130,3 @@ def extract_pre_system(residual: tuple[MPoly, int]) -> list[SystemEq]:
         SystemEq(power=i, poly=terms[(i, j)].normalize(), tau_degree=j, r_power=r_power)
         for i, j in sorted(terms, key=lambda k: (k[1], k[0]))
     ]
-
-
-@dataclass(frozen=True)
-class STClosedForm:
-    """One printed closed-form solution of the sigma-tau system.
-
-    Case I needs r = mu = 0 (and is excluded from the first integral, which
-    divides by r); Cases II-IV need r > 0 and carry fixed signs:
-    II has (e, rho) = (1, -1), III has (-1, -1), IV has (-1, 1).
-    """
-
-    case_id: str  # I | II-sec | II-csc | III | IV
-    e: int
-    rho: int
-    mu: Fraction = Fraction(0)
-    r: Fraction = Fraction(0)
-    C: Fraction | None = None
-
-    _SIGNS = {"II-sec": (1, -1), "II-csc": (1, -1), "III": (-1, -1), "IV": (-1, 1)}
-
-    def __post_init__(self):
-        if self.e not in (-1, 1) or self.rho not in (-1, 1):
-            raise ValueError("e and rho must be +1 or -1")
-        if self.case_id == "I":
-            if self.r != 0 or self.mu != 0:
-                raise ValueError("Case I requires r = mu = 0")
-            if self.C is None:
-                raise ValueError("Case I requires the constant C")
-        elif self.case_id in self._SIGNS:
-            if self.r <= 0:
-                raise ValueError(f"Case {self.case_id} requires r > 0")
-            if (self.e, self.rho) != self._SIGNS[self.case_id]:
-                raise ValueError(
-                    f"Case {self.case_id} carries (e, rho) = {self._SIGNS[self.case_id]}"
-                )
-        else:
-            raise ValueError(f"unknown case {self.case_id!r}")
-
-    def uses_first_integral(self) -> bool:
-        return self.case_id != "I"
-
-    def singular_at_origin(self) -> bool:
-        return self.case_id in ("I", "II-csc", "IV")
-
-
-_POLE_EPS = 1e-6
-
-
-def _guard(denom: float) -> float:
-    if abs(denom) < _POLE_EPS:
-        raise PoleError("sample too close to a pole")
-    return denom
-
-
-def st_closed_form_eval(form: STClosedForm, xi: float) -> tuple[float, float]:
-    """Numeric (sigma, tau) of the selected closed form at xi.
-
-    Raises PoleError when any denominator is within 1e-6 of zero so the
-    caller can pick another sample point.
-    """
-    mu = float(form.mu)
-    if form.case_id == "I":
-        x = _guard(xi)
-        return float(form.C) / x, -1.0 / (form.e * x)
-    sr = math.sqrt(float(form.r))
-    th = sr * xi
-    if form.case_id == "II-sec":
-        sec = 1.0 / _guard(math.cos(th))
-        den = _guard(1.0 + mu * sec)
-        return float(form.r) * sec / den, sr * math.tan(th) / den
-    if form.case_id == "II-csc":
-        csc = 1.0 / _guard(math.sin(th))
-        den = _guard(1.0 + mu * csc)
-        return float(form.r) * csc / den, -sr * (math.cos(th) * csc) / den
-    if form.case_id == "III":
-        sech = 1.0 / math.cosh(th)
-        den = _guard(1.0 + mu * sech)
-        return float(form.r) * sech / den, sr * math.tanh(th) / den
-    # Case IV
-    csch = 1.0 / _guard(math.sinh(th))
-    den = _guard(1.0 + mu * csch)
-    return float(form.r) * csch / den, sr * (math.cosh(th) * csch) / den
-
-
-def st_system_defect(form: STClosedForm, xi: float, h: float = 1e-3) -> tuple[float, float]:
-    """Relative defect of sigma' = e*sigma*tau and tau' = e*tau^2 - mu*sigma + r
-    at xi, with derivatives from a fourth-order central stencil."""
-
-    def stencil(idx: int) -> float:
-        vals = [st_closed_form_eval(form, xi + s * h)[idx] for s in (-2, -1, 1, 2)]
-        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-
-    sg, tu = st_closed_form_eval(form, xi)
-    ds, dt = stencil(0), stencil(1)
-    rhs_s = form.e * sg * tu
-    rhs_t = form.e * tu * tu - float(form.mu) * sg + float(form.r)
-    scale_s = max(1.0, abs(ds), abs(rhs_s))
-    scale_t = max(1.0, abs(dt), abs(rhs_t))
-    return abs(ds - rhs_s) / scale_s, abs(dt - rhs_t) / scale_t
-
-
-def first_integral_defect(form: STClosedForm, xi: float) -> float:
-    """Absolute defect of the first integral at xi (Cases II-IV only)."""
-    if not form.uses_first_integral():
-        raise ValueError("Case I does not use the first integral (r = 0)")
-    sg, tu = st_closed_form_eval(form, xi)
-    mu, r = float(form.mu), float(form.r)
-    rho = float(form.rho)
-    return abs(tu * tu + form.e * (r - 2 * mu * sg + ((mu * mu + rho) / r) * sg * sg))
-
-
-ST_CATALOG = (
-    STClosedForm("I", e=1, rho=-1, C=Fraction(3)),
-    STClosedForm("I", e=-1, rho=-1, C=Fraction(-2)),
-    STClosedForm("II-sec", e=1, rho=-1, mu=Fraction(1, 2), r=Fraction(1)),
-    STClosedForm("II-sec", e=1, rho=-1, mu=Fraction(-1), r=Fraction(4)),
-    STClosedForm("II-csc", e=1, rho=-1, mu=Fraction(-1), r=Fraction(1)),
-    STClosedForm("II-csc", e=1, rho=-1, mu=Fraction(1), r=Fraction(9, 4)),
-    STClosedForm("III", e=-1, rho=-1, mu=Fraction(1, 2), r=Fraction(1)),
-    STClosedForm("III", e=-1, rho=-1, mu=Fraction(0), r=Fraction(4)),
-    STClosedForm("IV", e=-1, rho=1, mu=Fraction(1), r=Fraction(1)),
-    STClosedForm("IV", e=-1, rho=1, mu=Fraction(-1, 2), r=Fraction(9, 4)),
-)

@@ -126,53 +126,28 @@ def check_exact_substitution(tanh_system, pre_system, m: int) -> tuple[bool, str
     return True, "ok"
 
 
-def _valid_points(defect_fn, lo: float, hi: float, needed: int = 20, steps: int = 400):
-    """Evaluate a defect over a grid, skipping poles, until enough points."""
-    from .errors import PoleError
-
-    vals = []
-    for i in range(steps):
-        xi = lo + (hi - lo) * i / (steps - 1)
-        try:
-            vals.append(defect_fn(xi))
-        except (PoleError, ValueError, OverflowError, ZeroDivisionError):
-            continue
-        if len(vals) >= needed:
-            break
-    return vals
+def check_phi_catalog() -> tuple[bool, str]:
+    """phi' - (k + phi^2) reduces to 0 for every closed form of the tanh
+    method."""
+    forms = closedform.PHI_FORMS
+    bad = [name for name, form in forms.items() if closedform.phi_residual(*form)]
+    if bad:
+        return False, f"nonzero residual: {', '.join(bad)}"
+    return True, f"phi' - (k + phi^2) reduces to 0 for all {len(forms)} forms"
 
 
-def check_phi_catalog(tol: float = 1e-6) -> tuple[bool, str, float]:
-    worst = 0.0
-    for form in tanh.PHI_CATALOG:
-        k = {1: 1.0, -1: -1.0, 0: 0.0}[form.k_sign]
-        vals = _valid_points(lambda xi: tanh.phi_defect(form, k, xi), 0.12, 1.35)
-        if len(vals) < 20:
-            return False, f"{form.name}: not enough valid samples", worst
-        worst = max(worst, max(vals))
-    return worst <= tol, f"max defect {worst:.3e}", worst
-
-
-def check_st_catalog(tol_ode: float = 1e-6, tol_integral: float = 1e-8):
-    worst_ode = 0.0
-    worst_int = 0.0
-    for form in pre.ST_CATALOG:
-        span = 1.0 / max(1.0, float(form.r)) ** 0.5
-        vals = _valid_points(
-            lambda xi: max(pre.st_system_defect(form, xi)), 0.15 * span, 1.3 * span
-        )
-        if len(vals) < 20:
-            return False, f"{form.case_id}: not enough valid samples", worst_ode, worst_int
-        worst_ode = max(worst_ode, max(vals))
-        if form.uses_first_integral():
-            ivals = _valid_points(
-                lambda xi: pre.first_integral_defect(form, xi), 0.15 * span, 1.3 * span
-            )
-            if len(ivals) < 20:
-                return False, f"{form.case_id}: not enough integral samples", worst_ode, worst_int
-            worst_int = max(worst_int, max(ivals))
-    ok = worst_ode <= tol_ode and worst_int <= tol_integral
-    return ok, f"ode defect {worst_ode:.3e}, integral defect {worst_int:.3e}", worst_ode, worst_int
+def check_st_catalog() -> tuple[bool, str]:
+    """Both rules of the projective method, and for r != 0 its first
+    integral, reduce to 0 for every sigma-tau case."""
+    cases = closedform.ST_CASES
+    bad = [name for name, case in cases.items() if any(closedform.st_residuals(*case))]
+    if bad:
+        return False, f"nonzero residual: {', '.join(bad)}"
+    with_r = sum(1 for *_, fixed in cases.values() if fixed[R])
+    return True, (
+        f"both rules reduce to 0 for all {len(cases)} cases, "
+        f"the first integral for the {with_r} with r != 0"
+    )
 
 
 IDENTITY_PAIRS = (("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4"))
@@ -314,10 +289,8 @@ def run_reproduce(
         stage(f"substitute@{lam}", ok, msg)
 
     # auxiliary-equation catalogs
-    ok, msg, _ = check_phi_catalog()
-    stage("phi-catalog", ok, msg)
-    ok, msg, *_ = check_st_catalog()
-    stage("sigma-tau-catalog", ok, msg)
+    stage("phi-catalog", *check_phi_catalog())
+    stage("sigma-tau-catalog", *check_st_catalog())
 
     # exact PDE residuals, for every lam < 0 at once
     nonzero = [rec.id for rec in closedform.catalog() if closedform.exact_residual(rec)]

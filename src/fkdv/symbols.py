@@ -7,9 +7,11 @@ auxiliary functions ``phi, sigma, tau`` of the two ansatz methods, and the
 symbols of the closed-form catalog: ``w`` = (-lam/6)^(1/4), the trig and
 hyperbolic functions ``tan, sec, cot, csc, tanh, sech, coth, csch`` at the
 angle w*xi/2, ``cscw, cotw`` = csc(w*xi), cot(w*xi), and the reciprocals
-``ym, yp`` = 1/(1 -+ csc(w*xi)).  The total order used everywhere (canonical
-monomial order, solver tie-breaking) is exactly that listing: a-family by
-index, then b-family by index, then the tail.
+``ym, yp`` = 1/(1 -+ csc(w*xi)); then, for the closed forms of the
+auxiliary equations, ``xinv`` = 1/xi and the reciprocals ``ysec, ycsc,
+ysech, ycsch`` = 1/(1 + mu*sec), ... at the angle w*xi/2.  The total order
+used everywhere (canonical monomial order, solver tie-breaking) is exactly
+that listing: a-family by index, then b-family by index, then the tail.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ _TAIL = (
     "phi", "sigma", "tau",
     "w", "tan", "sec", "cot", "csc", "tanh", "sech", "coth", "csch",
     "cscw", "cotw", "ym", "yp",
+    "xinv", "ysec", "ycsc", "ysech", "ycsch",
 )
 _TAIL_RANK = {name: i for i, name in enumerate(_TAIL)}
 
@@ -139,3 +142,8 @@ CSCW = Sym("cscw")
 COTW = Sym("cotw")
 YM = Sym("ym")
 YP = Sym("yp")
+XINV = Sym("xinv")
+YSEC = Sym("ysec")
+YCSC = Sym("ycsc")
+YSECH = Sym("ysech")
+YCSCH = Sym("ycsch")

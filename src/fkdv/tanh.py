@@ -9,13 +9,12 @@ system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
-from .errors import BalanceError, PoleError
+from .errors import BalanceError
 from .poly import MPoly
 from .symbols import K, PHI, a
 
@@ -126,56 +125,3 @@ def balance_terms_for(spec: EquationSpec) -> list[BalanceTerm]:
     if spec.gamma != 0:
         terms.append(BalanceTerm.power_derivative(1, 3))
     return terms
-
-
-@dataclass(frozen=True)
-class PhiForm:
-    """One closed-form solution of phi' = k + phi^2."""
-
-    name: str
-    k_sign: int  # +1, -1 or 0
-
-    def value(self, k: float, xi: float) -> float:
-        if self.k_sign > 0:
-            if k <= 0:
-                raise ValueError(f"{self.name} form needs k > 0")
-            s = math.sqrt(k)
-            if self.name == "tan":
-                v = s * math.tan(s * xi)
-            else:
-                v = -s / math.tan(s * xi) if math.tan(s * xi) != 0 else math.inf
-        elif self.k_sign < 0:
-            if k >= 0:
-                raise ValueError(f"{self.name} form needs k < 0")
-            s = math.sqrt(-k)
-            if self.name == "tanh":
-                v = -s * math.tanh(s * xi)
-            else:
-                v = -s / math.tanh(s * xi) if math.tanh(s * xi) != 0 else math.inf
-        else:
-            if k != 0:
-                raise ValueError("reciprocal form needs k = 0")
-            if xi == 0:
-                raise PoleError("pole at xi = 0")
-            v = -1.0 / xi
-        if not math.isfinite(v) or abs(v) > 1e6:
-            raise PoleError(f"{self.name} form near a pole at xi = {xi}")
-        return v
-
-
-PHI_CATALOG = (
-    PhiForm("tan", 1),
-    PhiForm("cot", 1),
-    PhiForm("tanh", -1),
-    PhiForm("coth", -1),
-    PhiForm("reciprocal", 0),
-)
-
-
-def phi_defect(form: PhiForm, k: float, xi: float, h: float = 1e-3) -> float:
-    """Relative defect of phi' = k + phi^2 at xi, derivative from a
-    fourth-order central stencil."""
-    vals = [form.value(k, xi + s * h) for s in (-2, -1, 1, 2)]
-    dphi = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-    rhs = k + form.value(k, xi) ** 2
-    return abs(dphi - rhs) / max(1.0, abs(dphi), abs(rhs))

@@ -129,15 +129,22 @@ def test_criterion_07_cross_method_identities():
 
 
 def test_criterion_08_auxiliary_catalogs():
-    ok_phi, detail_phi, worst_phi = check_phi_catalog(tol=1e-6)
+    ok_phi, detail_phi = check_phi_catalog()
     assert ok_phi, detail_phi
-    ok_st, detail_st, worst_ode, worst_int = check_st_catalog(
-        tol_ode=1e-6, tol_integral=1e-8
-    )
+    ok_st, detail_st = check_st_catalog()
     assert ok_st, detail_st
-    _ok(8, f"phi forms satisfy their Riccati equation (defect {worst_phi:.2e} "
-           f"<= 1e-6); sigma-tau forms satisfy the system ({worst_ode:.2e} "
-           f"<= 1e-6) and first integral ({worst_int:.2e} <= 1e-8)")
+    # the residuals themselves are the zero polynomial, not small numbers
+    for phi, k in closedform.PHI_FORMS.values():
+        assert closedform.phi_residual(phi, k) == MPoly.zero()
+    identities = 0
+    for case in closedform.ST_CASES.values():
+        residuals = closedform.st_residuals(*case)
+        assert residuals == [MPoly.zero()] * len(residuals)
+        identities += len(residuals)
+    assert identities == 14  # two rules for all five cases, first integral for four
+    _ok(8, f"phi' - (k + phi^2) reduces to 0 for all {len(closedform.PHI_FORMS)} phi forms; "
+           f"both sigma-tau rules and the first integral reduce to 0 for all "
+           f"{len(closedform.ST_CASES)} cases ({identities} exact identities)")
 
 
 def test_criterion_09_algebraic_property_suites(tanh_system, pre_system):

@@ -303,7 +303,7 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
 # contract: an intended output change (for example the disjoint case splits
 # of ROADMAP item 5) updates the pin here and records the new digest in
 # CHANGES.md.
-REPRODUCE_SEED_7_JSON = "e6517adb5b72660994240ac32ddf9692824f6bc4ca3883d5bdee43a62fb9b59f"
+REPRODUCE_SEED_7_JSON = "b6cee2e2b80301010647c1279f29919c98f6bdba83fde9e202b742baf23ba9d0"
 DERIVE_FIXTURE_DIGESTS = {
     ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
     ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",

@@ -63,7 +63,6 @@ def test_rule_tables_close_over_their_symbols():
         for rule in rec.rules.values():
             assert rule.symbols() - {W} <= rec.rules.keys()
         assert 1 <= len(rec.rules) <= 3
-        assert rec.squares == {s: SQUARES[s] for s in rec.rules if s in SQUARES}
 
 
 @pytest.mark.parametrize("sym", FUNCTION_SYMBOLS, ids=lambda s: s.name)
@@ -216,7 +215,7 @@ def _reduced_residual(rec, rules):
     p = _at_lambda(ode_residual(ito(), rec.template, rules))
     for y in rec.rules.keys() & {YM, YP}:
         p = clear_reciprocal(p, y)
-    return reduce_squares(p, rec.squares)
+    return reduce_squares(p, SQUARES)
 
 
 @pytest.mark.parametrize("sid", ["u5", "u6", "u7", "u8", "u9", "u10"])
@@ -253,7 +252,7 @@ def test_reduce_squares_leaves_degree_at_most_one():
 @pytest.mark.parametrize("pair", [("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")])
 def test_cross_method_identities_are_exact(pair):
     r1, r2 = get_solution(pair[0]), get_solution(pair[1])
-    assert reduce_squares(r1.template - r2.template, r1.squares).is_zero()
+    assert reduce_squares(r1.template - r2.template, SQUARES).is_zero()
     # and the two rule tables agree on the shared symbol
     shared = r1.rules.keys() & r2.rules.keys()
     assert shared and all(r1.rules[s] == r2.rules[s] for s in shared)

@@ -7,21 +7,27 @@ from fkdv.equation import ito
 from fkdv.errors import PoleError
 from fkdv.fixtures import canonical_form, compare_systems, load_fixture
 from fkdv.poly import MPoly, parse_poly
+from fkdv.closedform import (
+    RULES,
+    ST_CASES,
+    eval_float,
+    function_values,
+    reduced,
+    st_residuals,
+)
 from fkdv.pre import (
     PRE_RULES,
-    ST_CATALOG,
-    STClosedForm,
+    R_TAU2,
     build_pre_ansatz,
     eliminate_tau,
-    first_integral_defect,
     linear_balance,
     pre_degree_candidates,
     pre_ode_residual,
     split_r,
-    st_closed_form_eval,
-    st_system_defect,
 )
-from fkdv.symbols import E, LAM, MU, R, RHO, SIGMA, TAU, a, b
+from fkdv.symbols import (
+    E, LAM, MU, R, RHO, SEC, SECH, SIGMA, TAN, TANH, TAU, XINV, YSEC, YSECH, a, b,
+)
 
 
 def P(text):
@@ -211,74 +217,125 @@ def test_split_r():
 # ---------------------------------------------------------------- closed forms
 
 
+def _values(syms, w, xi, params):
+    return function_values(sorted(syms, key=lambda s: s.key), w, xi, params)
+
+
 def test_case_ii_sec_at_origin():
-    form = STClosedForm("II-sec", e=1, rho=-1, mu=F(0), r=F(1))
-    assert st_closed_form_eval(form, 0.0) == (1.0, 0.0)
+    sigma, tau, _ = ST_CASES["II-sec"]
+    point = _values([SEC, TAN, YSEC], 2.0, 0.0, {MU: 0.0})  # r = (w/2)^2 = 1
+    assert (eval_float(sigma, point), eval_float(tau, point)) == (1.0, 0.0)
 
 
 def test_case_i_printed_values():
-    form = STClosedForm("I", e=1, rho=-1, C=F(3))
-    sigma, tau = st_closed_form_eval(form, 2.0)
-    assert sigma == pytest.approx(1.5) and tau == pytest.approx(-0.5)
+    # sigma = C/xi, tau = -1/(e*xi), with C = 1
+    sigma, tau, _ = ST_CASES["I"]
+    for e in (1.0, -1.0):
+        point = _values([XINV], 0.0, 2.0, {E: e})
+        assert eval_float(sigma, point) == pytest.approx(0.5)
+        assert eval_float(tau, point) == pytest.approx(-0.5 * e)
 
 
 def test_case_iii_at_origin():
-    form = STClosedForm("III", e=-1, rho=-1, mu=F(0), r=F(1))
-    assert st_closed_form_eval(form, 0.0) == (1.0, 0.0)
+    sigma, tau, _ = ST_CASES["III"]
+    point = _values([SECH, TANH, YSECH], 2.0, 0.0, {MU: 0.0})
+    assert (eval_float(sigma, point), eval_float(tau, point)) == (1.0, 0.0)
 
 
 def test_pole_proximity_rejected():
-    form = STClosedForm("I", e=1, rho=-1, C=F(1))
     with pytest.raises(PoleError):
-        st_closed_form_eval(form, 1e-9)
+        _values([XINV], 0.0, 1e-9, {})
 
 
 def test_case_validation():
-    with pytest.raises(ValueError):
-        STClosedForm("I", e=1, rho=-1, r=F(1), C=F(1))  # Case I needs r = 0
-    with pytest.raises(ValueError):
-        STClosedForm("II-sec", e=-1, rho=-1, r=F(1))  # wrong sign pair
-    with pytest.raises(ValueError):
-        STClosedForm("IV", e=-1, rho=1, r=F(-2))  # needs r > 0
+    # every case fixes its signs and r; another choice breaks an identity
+    sigma, tau, fixed = ST_CASES["I"]
+    assert any(st_residuals(sigma, tau, {**fixed, R: MPoly.const(1)}))  # Case I needs r = 0
+    sigma, tau, fixed = ST_CASES["II-sec"]
+    assert any(st_residuals(sigma, tau, {**fixed, E: MPoly.const(-1)}))  # wrong sign pair
+    assert any(st_residuals(sigma, tau, {**fixed, RHO: MPoly.const(1)}))
+    sigma, tau, fixed = ST_CASES["IV"]
+    assert any(st_residuals(sigma, tau, {**fixed, R: -fixed[R]}))  # needs r > 0
 
 
-def _valid_samples(fn, span, needed=20):
-    out = []
+# (case, e, mu, r) samples: the exact identities hold for every mu and, in
+# Case I, both signs of e; each sample also evaluates the unreduced
+# identities in binary64 at its mu and w = 2*sqrt(r), so a reduction that
+# wrongly returned 0 would show here
+ST_SAMPLES = [
+    ("I", 1, F(0), F(0)),
+    ("I", -1, F(0), F(0)),
+    ("II-sec", 1, F(1, 2), F(1)),
+    ("II-sec", 1, F(-1), F(4)),
+    ("II-csc", 1, F(-1), F(1)),
+    ("II-csc", 1, F(1), F(9, 4)),
+    ("III", -1, F(1, 2), F(1)),
+    ("III", -1, F(0), F(4)),
+    ("IV", -1, F(1), F(1)),
+    ("IV", -1, F(-1, 2), F(9, 4)),
+]
+
+
+def _sample_id(sample):
+    case, _, mu, r = sample
+    return f"{case}/mu={mu}/r={r}"
+
+
+def _sides(case, e):
+    """(lhs, rhs) of sigma', tau' and r*tau^2 at the case's closed form."""
+    sigma, tau, fixed = ST_CASES[case]
+    at = {SIGMA: sigma, TAU: tau, E: MPoly.const(e), **fixed}
+    pairs = [
+        (sigma.derive(RULES), PRE_RULES[SIGMA].substitute(at)),
+        (tau.derive(RULES), PRE_RULES[TAU].substitute(at)),
+        ((P("r") * T**2).substitute(at), R_TAU2.substitute(at)),
+    ]
+    return [(lhs.substitute({E: e}), rhs.substitute({E: e})) for lhs, rhs in pairs]
+
+
+def _worst_defect(pairs, mu, r):
+    w = 2 * float(r) ** 0.5
+    span = 1.0 / max(1.0, float(r)) ** 0.5
+    syms = {s for pair in pairs for p in pair for s in p.symbols()} & RULES.keys()
+    worst, used = 0.0, 0
     for i in range(200):
         xi = 0.15 * span + (1.3 - 0.15) * span * i / 199.0
         for signed in (xi, -xi):
             try:
-                out.append(fn(signed))
-            except (PoleError, ValueError, ZeroDivisionError, OverflowError):
+                point = _values(syms, w, signed, {MU: float(mu)})
+                vals = [(eval_float(lhs, point), eval_float(rhs, point)) for lhs, rhs in pairs]
+            except PoleError:
                 continue
-            if len(out) >= needed:
-                return out
-    return out
+            worst = max([worst] + [abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in vals])
+            used += 1
+        if used >= 20:
+            break
+    assert used >= 20
+    return worst
+
+
+@pytest.mark.parametrize("sample", ST_SAMPLES, ids=_sample_id)
+def test_closed_forms_satisfy_the_system(sample):
+    case, e, mu, r = sample
+    sigma, tau, fixed = ST_CASES[case]
+    assert not any(st_residuals(sigma, tau, fixed)[:2])
+    assert _worst_defect(_sides(case, e)[:2], mu, r) <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "form", ST_CATALOG, ids=lambda f: f"{f.case_id}/mu={f.mu}/r={f.r}"
+    "sample", [s for s in ST_SAMPLES if s[0] != "I"], ids=_sample_id
 )
-def test_closed_forms_satisfy_the_system(form):
-    span = 1.0 / max(1.0, float(form.r)) ** 0.5
-    defects = _valid_samples(lambda xi: max(st_system_defect(form, xi)), span)
-    assert len(defects) >= 20
-    assert max(defects) <= 1e-6
-
-
-@pytest.mark.parametrize(
-    "form",
-    [f for f in ST_CATALOG if f.uses_first_integral()],
-    ids=lambda f: f"{f.case_id}/mu={f.mu}/r={f.r}",
-)
-def test_first_integral_is_constant(form):
-    span = 1.0 / max(1.0, float(form.r)) ** 0.5
-    defects = _valid_samples(lambda xi: first_integral_defect(form, xi), span)
-    assert len(defects) >= 20
-    assert max(defects) <= 1e-8
+def test_first_integral_is_constant(sample):
+    case, e, mu, r = sample
+    sigma, tau, fixed = ST_CASES[case]
+    assert st_residuals(sigma, tau, fixed)[2].is_zero()
+    assert _worst_defect(_sides(case, e)[2:], mu, r) <= 1e-12
 
 
 def test_case_i_excluded_from_first_integral():
-    form = STClosedForm("I", e=1, rho=-1, C=F(2))
-    with pytest.raises(ValueError):
-        first_integral_defect(form, 0.7)
+    # at r = 0 the first integral degenerates to e*rho*sigma^2 = 0, which
+    # Case I does not satisfy, so the check leaves it out
+    sigma, tau, fixed = ST_CASES["I"]
+    assert len(st_residuals(sigma, tau, fixed)) == 2
+    at = {SIGMA: sigma, TAU: tau, **fixed}
+    assert not reduced((P("r") * T**2 - R_TAU2).substitute(at)).is_zero()
