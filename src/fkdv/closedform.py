@@ -16,8 +16,10 @@ Two checks use the five PDE terms at lam = -6*w^4
 reciprocal y and reduces each squared function by its Pythagorean relation
 (sec^2 = 1 + tan^2, ...); a correct template leaves the zero polynomial.
 :func:`sample_report` evaluates them in binary64 at random points, with a
-magnitude guard on every symbol value, monomial and term: anything past 1e6
-counts as a pole and the sample is rejected.
+magnitude guard on every symbol value, monomial, term and sum: a symbol
+value past 1e6 counts as a pole and the sample is rejected, and so does a
+monomial, term or sum past 1e6 * max(1, w)^d, where d is the term's degree
+in w (the PDE terms grow like powers of w).
 
 The closed forms of phi' = k + phi^2 (``PHI_FORMS``) and of the projective
 pair (``ST_CASES``) are polynomials in the same symbols;
@@ -463,7 +465,9 @@ def sample_report(
         raise ValueError("verification requires lam < 0 (real-valued templates)")
     rec = get_solution(sid)
     terms = residual_terms_for(rec, spec)
+    # the terms grow like powers of w, so their guard scales with w
     w = (-lam / 6.0) ** 0.25
+    bounds = [MAGNITUDE_GUARD * max(1.0, w) ** term.max_exponent(W) for _, term in terms]
     rng = random.Random(f"{plan.seed}:{rec.id}:{lam!r}")
     samples: list[SamplePoint] = []
     rejected = 0
@@ -476,7 +480,7 @@ def sample_report(
         x, t = drawn
         try:
             point = rec.values(w, x + lam * t)
-            values = [eval_float(term, point) for _, term in terms]
+            values = [eval_float(term, point, bound) for (_, term), bound in zip(terms, bounds)]
         except PoleError:
             rejected += 1
             continue

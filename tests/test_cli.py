@@ -244,6 +244,17 @@ def test_verify_inconclusive_exits_4(capsys):
     assert "inconclusive" in out
 
 
+@pytest.mark.parametrize("lam", ["-600", "-6e4"])
+def test_verify_all_passes_at_large_wave_speeds(capsys, tmp_path, lam):
+    # the PDE terms grow like powers of w = (-lam/6)^(1/4); the sampling
+    # guard grows with them, so samples of correct solutions are kept
+    out_json = tmp_path / "reports.json"
+    code, _, _ = run(["verify", "--all", f"--lambda={lam}", "--json", str(out_json)], capsys)
+    assert code == 0
+    reports = json.loads(out_json.read_text())["reports"]
+    assert [rep["verdict"] for rep in reports] == ["pass"] * 10
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_nonpositive_samples_is_usage_error(capsys, samples):
     with pytest.raises(SystemExit) as exc:

@@ -171,6 +171,15 @@ def test_eval_magnitude_guard():
     assert eval_float(_W * 600000 - 600000, {W: 1.0}) == 0.0
 
 
+def test_eval_bound_scales_but_the_pole_guard_stays_absolute():
+    # sample_report raises the term bound with w; symbol values keep 1e6
+    assert eval_float(_W * 10**7, {W: 1.0}, 1e8) == 1e7
+    with pytest.raises(PoleError):
+        eval_float(_W * 10**9, {W: 1.0}, 1e8)
+    with pytest.raises(PoleError):
+        get_solution("u1").values(10.0, 2 * math.atan(2 * MAGNITUDE_GUARD) / 10.0)
+
+
 # ---------------------------------------------------------------- residual
 
 
