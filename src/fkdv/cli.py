@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, closedform, fixtures, pre, tanh
+from . import __version__, closedform, fixtures, tanh
 from .equation import EquationSpec, ito
 from .errors import BalanceError, FkdvError, InternalInvariantError
 from .reproduce import (
@@ -116,17 +116,10 @@ def cmd_balance(args) -> int:
 def cmd_derive(args) -> int:
     spec = _spec_from_args(args)
     if args.method == "tanh":
-        order = args.order if args.order is not None else tanh.balance_M(
-            tanh.balance_terms_for(spec)
-        )
-        system = tanh.extract_system(tanh.ode_residual(spec, tanh.build_ansatz(order)))
-        label = "phi"
+        order, system = derive_tanh_system(spec, args.order)
     else:
-        order = args.order if args.order is not None else 1
-        system = pre.extract_pre_system(
-            pre.pre_ode_residual(spec, pre.build_pre_ansatz(order))
-        )
-        label = "sigma/tau"
+        order = 1 if args.order is None else args.order
+        system = derive_pre_system(order, spec)
     _say(args, f"{args.method} system at order {order}: {len(system)} equations")
     for eq in system:
         tag = f"phi^{eq.power}" if eq.tau_degree is None else (

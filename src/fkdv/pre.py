@@ -26,6 +26,7 @@ from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .poly import Coef, Mono, MPoly
 from .symbols import E, MU, R, RHO, SIGMA, TAU, a, b
+from .tanh import linear_balance
 
 _E = MPoly.var(E)
 _MU = MPoly.var(MU)
@@ -67,17 +68,6 @@ def build_pre_ansatz(m: int) -> MPoly:
     for j in range(1, m + 1):
         v = v + _SIGMA ** (j - 1) * (_SIGMA * MPoly.var(a(j)) + _TAU * MPoly.var(b(j)))
     return v
-
-
-def linear_balance(order1: tuple[int, int], order2: tuple[int, int]) -> int | None:
-    """Positive integer m with s1*m+i1 == s2*m+i2, if any."""
-    (s1, i1), (s2, i2) = order1, order2
-    if s1 == s2:
-        return None
-    num, den = i2 - i1, s1 - s2
-    if num % den or num // den < 1:
-        return None
-    return num // den
 
 
 def pre_degree_candidates() -> frozenset[int]:

@@ -18,16 +18,18 @@ TANH_UNKNOWNS = (a(0), a(1), a(2), K)
 PRE_UNKNOWNS = (a(0), a(1), b(1), MU, R)
 
 
-def derive_tanh_system():
-    spec = ito()
-    order = tanh.balance_M(tanh.balance_terms_for(spec))
-    residual = tanh.ode_residual(spec, tanh.build_ansatz(order))
-    return order, tanh.extract_system(residual)
+def derive_tanh_system(spec: EquationSpec | None = None, order: int | None = None):
+    """(order, system) of the tanh method; the order defaults to the
+    balanced M and the equation to Ito."""
+    spec = spec or ito()
+    if order is None:
+        order = tanh.balance_M(tanh.balance_terms_for(spec))
+    return order, tanh.extract_system(tanh.ode_residual(spec, tanh.build_ansatz(order)))
 
 
-def derive_pre_system(m: int = 1):
-    residual = pre.pre_ode_residual(ito(), pre.build_pre_ansatz(m))
-    return pre.extract_pre_system(residual)
+def derive_pre_system(order: int = 1, spec: EquationSpec | None = None):
+    """The projective system at ansatz depth ``order`` (Ito by default)."""
+    return pre.extract_pre_system(pre.pre_ode_residual(spec or ito(), pre.build_pre_ansatz(order)))
 
 
 def expected_tanh_branches(m: int) -> list[dict]:

@@ -60,6 +60,17 @@ class BalanceTerm:
         return f"{head}+{self.intercept}"
 
 
+def linear_balance(order1: tuple[int, int], order2: tuple[int, int]) -> int | None:
+    """Positive integer m with s1*m+i1 == s2*m+i2, if any."""
+    (s1, i1), (s2, i2) = order1, order2
+    if s1 == s2:
+        return None
+    num, den = i2 - i1, s1 - s2
+    if num % den or num // den < 1:
+        return None
+    return num // den
+
+
 def balance_M(terms: Sequence[BalanceTerm]) -> int:
     """Smallest positive integer M at which the two dominant orders agree.
 
@@ -71,21 +82,13 @@ def balance_M(terms: Sequence[BalanceTerm]) -> int:
     exprs = sorted({(t.slope, t.intercept) for t in terms}, reverse=True)
     if len(exprs) < 2:
         raise BalanceError("need at least two distinct order expressions")
-    candidates: list[int] = []
-    for i in range(len(exprs)):
-        for j in range(i + 1, len(exprs)):
-            (s1, i1), (s2, i2) = exprs[i], exprs[j]
-            if s1 == s2:
-                continue
-            num, den = i2 - i1, s1 - s2
-            if num % den != 0:
-                continue
-            m = num // den
-            if m < 1:
-                continue
-            top = s1 * m + i1
-            if all(s * m + c <= top for s, c in exprs):
-                candidates.append(m)
+    candidates = [
+        m
+        for i, (s1, i1) in enumerate(exprs)
+        for other in exprs[i + 1 :]
+        if (m := linear_balance((s1, i1), other)) is not None
+        and all(s * m + c <= s1 * m + i1 for s, c in exprs)
+    ]
     if not candidates:
         (s1, i1), (s2, i2) = exprs[0], exprs[1]
         o1 = BalanceTerm(s1, i1, "").order_str()
