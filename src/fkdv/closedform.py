@@ -51,7 +51,6 @@ _v = MPoly.var
 _W = _v(W)
 _HALF_W = _W * Fraction(1, 2)
 _QUARTER_W2 = _W**2 * Fraction(1, 4)
-_DCSCW = -_W * _v(CSCW) * _v(COTW)  # csc(w*xi)'
 
 
 def _csc(u: float) -> float:
@@ -77,7 +76,7 @@ _FUNCTIONS: dict[Sym, tuple[MPoly, Callable[[float, float], float]]] = {
     SECH: (-_HALF_W * _v(SECH) * _v(TANH), _at(0.5, lambda u: 1.0 / math.cosh(u))),
     COTH: (_HALF_W * (1 - _v(COTH) ** 2), _at(0.5, lambda u: math.cosh(u) / math.sinh(u))),
     CSCH: (-_HALF_W * _v(CSCH) * _v(COTH), _at(0.5, lambda u: 1.0 / math.sinh(u))),
-    CSCW: (_DCSCW, _at(1.0, _csc)),
+    CSCW: (-_W * _v(CSCW) * _v(COTW), _at(1.0, _csc)),
     COTW: (-_W * _v(CSCW) ** 2, _at(1.0, _cot)),
     XINV: (-_v(XINV) ** 2, lambda w, xi: 1.0 / xi),
 }
@@ -275,7 +274,9 @@ ST_CASES: dict[str, tuple[MPoly, MPoly, dict[Sym, MPoly]]] = {
 }
 
 
-def _rule_residuals(form: dict[Sym, MPoly], fixed: Mapping[Sym, MPoly], rules) -> list[MPoly]:
+def _rule_residuals(
+    form: dict[Sym, MPoly], fixed: Mapping[Sym, MPoly], rules: Mapping[Sym, MPoly]
+) -> list[MPoly]:
     # d/dxi of each auxiliary function minus its rule at the closed form
     at = {**form, **fixed}
     d = {s: RULES[s] for s in _closure(*form.values())}
