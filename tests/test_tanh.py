@@ -4,12 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from fkdv.closedform import PHI_FORMS, eval_float, phi_residual
 from fkdv.equation import EquationSpec, ito
 from fkdv.errors import BalanceError
 from fkdv.fixtures import compare_systems, load_fixture
 from fkdv.poly import MPoly, parse_poly
 from fkdv.symbols import LAM, Sym, a
-from fkdv.closedform import PHI_FORMS, eval_float, phi_residual
 from fkdv.tanh import (
     TANH_RULES,
     BalanceTerm,
