@@ -20,19 +20,18 @@ from pathlib import Path
 from . import __version__, closedform, fixtures, tanh
 from .equation import EquationSpec, ito
 from .errors import BalanceError, FkdvError, InternalInvariantError
+from .pre import PAPER_SIGNS
 from .reproduce import (
-    PRE_UNKNOWNS,
-    TANH_UNKNOWNS,
     branch_json,
-    derive_pre_system,
-    derive_tanh_system,
+    derive,
     manifest,
     run_reproduce,
-    solve_pre,
-    solve_tanh,
+    solve_system,
     system_json,
     system_latex,
+    unknowns,
 )
+from .symbols import E, LAM, RHO
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -67,37 +66,25 @@ def _spec_from_args(args) -> EquationSpec:
 
 def _manifest(args, command: str, method: str | None, lambdas: list[str], seed=None):
     spec = _spec_from_args(args) if hasattr(args, "preset") else ito()
-    return manifest(
-        command, spec, method, lambdas, seed, getattr(args, "timestamp", None), __version__
-    )
+    return manifest(command, spec, method, lambdas, seed, getattr(args, "timestamp", None))
 
 
-def _emit_json(args, doc: dict) -> None:
-    if not getattr(args, "json", None):
+def _emit(args, flag: str, content) -> None:
+    """Write ``content`` where the ``--json`` or ``--latex`` flag points
+    ('-' is stdout, a relative path lands under ``--out-dir``); for --json
+    it is a document, written as indented JSON."""
+    target = getattr(args, flag, None)
+    if not target:
         return
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.json == "-":
+    text = json.dumps(content, indent=2) + "\n" if flag == "json" else content
+    if target == "-":
         sys.stdout.write(text)
-    else:
-        _out_path(args, args.json).write_text(text)
-
-
-def _out_path(args, name: str) -> Path:
-    path = Path(name)
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir and not path.is_absolute():
-        path = Path(out_dir) / path
+        return
+    path = Path(target)
+    if args.out_dir and not path.is_absolute():
+        path = Path(args.out_dir) / path
         path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _emit_latex(args, text: str) -> None:
-    if not getattr(args, "latex", None):
-        return
-    if args.latex == "-":
-        sys.stdout.write(text)
-    else:
-        _out_path(args, args.latex).write_text(text)
+    path.write_text(text)
 
 
 def cmd_balance(args) -> int:
@@ -109,17 +96,13 @@ def cmd_balance(args) -> int:
     _say(args, f"balanced ansatz order M = {m}")
     doc = {"schema": 1, "manifest": _manifest(args, "balance", None, []), "M": m,
            "orders": [{"term": t.label, "order": t.order_str()} for t in terms]}
-    _emit_json(args, doc)
+    _emit(args, "json", doc)
     return EXIT_OK
 
 
 def cmd_derive(args) -> int:
     spec = _spec_from_args(args)
-    if args.method == "tanh":
-        order, system = derive_tanh_system(spec, args.order)
-    else:
-        order = 1 if args.order is None else args.order
-        system = derive_pre_system(order, spec)
+    order, system = derive(args.method, spec, args.order)
     _say(args, f"{args.method} system at order {order}: {len(system)} equations")
     for eq in system:
         tag = f"phi^{eq.power}" if eq.tau_degree is None else (
@@ -132,40 +115,36 @@ def cmd_derive(args) -> int:
         "order": order,
         "systems": system_json(system),
     }
-    _emit_latex(args, system_latex(system) + "\n")
+    _emit(args, "latex", system_latex(system) + "\n")
 
+    diffs = []
     if args.check_fixture:
-        if spec != ito() or order != (2 if args.method == "tanh" else 1):
+        fixture = fixtures.load_fixture(args.method)
+        if spec != ito() or order != fixture.ansatz_order:
             print("no transcription exists for this equation/order", file=sys.stderr)
             return EXIT_USAGE
-        diffs = fixtures.compare_systems(system, fixtures.load_fixture(args.method))
+        diffs = fixtures.compare_systems(system, fixture)
         doc["fixture"] = {
             "checked": True,
             "ok": not diffs,
             "diffs": [d.describe() for d in diffs],
         }
-        _emit_json(args, doc)
-        if diffs:
-            print("fixture mismatch:", file=sys.stderr)
-            for d in diffs:
-                print("  " + d.describe(), file=sys.stderr)
-            return EXIT_FIXTURE
+    _emit(args, "json", doc)
+    if diffs:
+        print("fixture mismatch:", file=sys.stderr)
+        for d in diffs:
+            print("  " + d.describe(), file=sys.stderr)
+        return EXIT_FIXTURE
+    if args.check_fixture:
         _say(args, "fixture check: derived system matches the transcription")
-        return EXIT_OK
-    _emit_json(args, doc)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
     lam = args.lam
-    if args.method == "tanh":
-        _, system = derive_tanh_system()
-        branches = solve_tanh(system, lam, args.budget)
-        unknowns = TANH_UNKNOWNS
-    else:
-        system = derive_pre_system(1)
-        branches = solve_pre(system, lam, e=args.e, rho=args.rho, budget=args.budget)
-        unknowns = PRE_UNKNOWNS
+    _, system = derive(args.method)
+    presets = {LAM: lam} if args.method == "tanh" else {LAM: lam, E: args.e, RHO: args.rho}
+    branches = solve_system(system, presets, args.budget)
     counts: dict[str, int] = {}
     for br in branches:
         counts[br.status] = counts.get(br.status, 0) + 1
@@ -187,12 +166,12 @@ def cmd_solve(args) -> int:
         "manifest": _manifest(
             args, "solve", args.method, [str(lam)], seed=None
         ),
-        "unknowns": [s.name for s in unknowns],
+        "unknowns": [s.name for s in unknowns(system, presets)],
         "branches": [branch_json(br) for br in branches],
     }
     if args.method == "pre":
         doc["signs"] = {"e": args.e, "rho": args.rho}
-    _emit_json(args, doc)
+    _emit(args, "json", doc)
     return EXIT_OK
 
 
@@ -251,7 +230,7 @@ def cmd_verify(args) -> int:
             note = "pointwise equal" if d <= 1e-10 else "pointwise DIFFERENT"
             _say(args, f"  {ids[0]} vs {ids[1]} at lambda={lam:g}: {note} (max diff {d:.3e})")
         doc["comparisons"] = comparisons
-    _emit_json(args, doc)
+    _emit(args, "json", doc)
     return worst_exit
 
 
@@ -260,15 +239,14 @@ def cmd_reproduce(args) -> int:
         grid_depth=args.lambda_grid_depth,
         seed=args.seed,
         timestamp=args.timestamp,
-        tool_version=__version__,
         budget=args.budget,
     )
     for s in result.doc["stages"]:
         mark = "ok " if s["ok"] else "FAIL"
         _say(args, f"  [{mark}] {s['stage']}: {s['detail']}")
     _say(args, "reproduction " + ("succeeded" if result.exit_code == 0 else "FAILED"))
-    _emit_json(args, result.doc)
-    _emit_latex(args, result.latex)
+    _emit(args, "json", result.doc)
+    _emit(args, "latex", result.latex)
     return result.exit_code
 
 
@@ -345,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["tanh", "pre"], required=True)
     p.add_argument("--lambda", dest="lam", type=_rational, required=True,
                    help="rational wave speed")
-    p.add_argument("--e", type=int, choices=[-1, 1], default=1)
-    p.add_argument("--rho", type=int, choices=[-1, 1], default=-1)
+    p.add_argument("--e", type=int, choices=[-1, 1], default=PAPER_SIGNS[E])
+    p.add_argument("--rho", type=int, choices=[-1, 1], default=PAPER_SIGNS[RHO])
     p.add_argument("--budget", type=int, default=10000)
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)

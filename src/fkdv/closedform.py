@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .equation import EquationSpec, ito, ode_terms
+from .equation import ito, ode_terms
 from .errors import PoleError
 from .poly import MPoly
-from .pre import PRE_RULES, R_TAU2
+from .pre import PAPER_SIGNS, PRE_RULES, R_TAU2
 from .symbols import (
     COT, COTH, COTW, CSC, CSCH, CSCW, E, K, LAM, MU, PHI, R, RHO, SEC, SECH, SIGMA, TAN,
     TANH, TAU, W, XINV, YCSC, YCSCH, YM, YP, YSEC, YSECH, Sym, a, b,
@@ -300,7 +300,7 @@ def st_residuals(sigma: MPoly, tau: MPoly, fixed: Mapping[Sym, MPoly]) -> list[M
 
 def rebuild_from_branch(rec: SolutionRecord, m: int, xi: float) -> float:
     """Numeric u(xi) rebuilt from the generating branch: the parameter tuple
-    specialized at lam = -6*m^4 (and e = 1, rho = -1) fed through the
+    specialized at lam = -6*m^4 (and the paper's signs) fed through the
     record's auxiliary form.
 
     The form's own w follows from the tuple: k = +-m^2/4 gives w = m, and
@@ -310,7 +310,7 @@ def rebuild_from_branch(rec: SolutionRecord, m: int, xi: float) -> float:
     """
     if rec.aux_form is None:
         raise ValueError(f"{rec.id} has no cataloged auxiliary form")
-    asg = {**rec.specialize(m), E: 1, RHO: -1}
+    asg = {**rec.specialize(m), **PAPER_SIGNS}
     if rec.method == "tanh":
         phi, k = PHI_FORMS[rec.aux_form]
         w, fixed = m, {K: k}
@@ -357,24 +357,30 @@ def reduced(p: MPoly) -> MPoly:
     return reduce_squares(p, {s: rel for s, rel in SQUARES.items() if s in p.symbols()})
 
 
-def exact_residual(rec: SolutionRecord, spec: EquationSpec | None = None) -> MPoly:
+def exact_residual(rec: SolutionRecord) -> MPoly:
     """The PDE residual of ``rec``, reduced: zero iff the template solves
-    the equation for every lam < 0."""
-    return reduced(sum((term for _, term in residual_terms_for(rec, spec)), MPoly.zero()))
+    the Ito equation for every lam < 0."""
+    return reduced(sum((term for _, term in residual_terms_for(rec)), MPoly.zero()))
 
 
 # -- residual sampling --------------------------------------------------------
+
+
+# the sampling domain: xi = x + lam*t within +-XI_BAND/w and t in T_RANGE; a
+# form singular at the origin skips |xi| < XI_EXCLUSION/max(1, w).  At most
+# OVERSAMPLE draws per requested sample; a report passes when every sample's
+# relative residual is within TOLERANCE.
+XI_BAND = 1.2
+XI_EXCLUSION = 0.05
+T_RANGE = (-0.3, 0.3)
+OVERSAMPLE = 50
+TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class SamplePlan:
     count: int = 20
     seed: int = 0
-    xi_band: float = 1.2
-    xi_exclusion: float = 0.05
-    t_range: tuple[float, float] = (-0.3, 0.3)
-    oversample: int = 50
-    tolerance: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -393,7 +399,6 @@ class VerificationReport:
     max_relative_residual: float | None
     rejected_samples: int
     verdict: str  # pass | fail | inconclusive
-    tolerance: float
 
     def as_json(self) -> dict:
         return {
@@ -402,7 +407,7 @@ class VerificationReport:
             "accepted_samples": len(self.samples),
             "rejected_samples": self.rejected_samples,
             "max_relative_residual": self.max_relative_residual,
-            "tolerance": self.tolerance,
+            "tolerance": TOLERANCE,
             "verdict": self.verdict,
         }
 
@@ -425,37 +430,32 @@ def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GU
     return _guard(math.fsum(total), bound)
 
 
-_TERMS_CACHE: dict[tuple[MPoly, EquationSpec], list[tuple[str, MPoly]]] = {}
+_TERMS_CACHE: dict[MPoly, list[tuple[str, MPoly]]] = {}
 
 
-def residual_terms_for(rec: SolutionRecord, spec: EquationSpec | None = None):
-    """The five named PDE terms of ``rec`` at lam = -6*w^4."""
-    spec = replace(spec or ito(), lam=None)
-    key = (rec.template, spec)
-    if key not in _TERMS_CACHE:
+def residual_terms_for(rec: SolutionRecord):
+    """The five named PDE terms of ``rec`` in the Ito equation at
+    lam = -6*w^4."""
+    if rec.template not in _TERMS_CACHE:
         lam = {LAM: _W**4 * -6}
-        terms = ode_terms(spec, rec.template, rec.rules)
-        _TERMS_CACHE[key] = [(name, term.substitute(lam)) for name, term in terms]
-    return _TERMS_CACHE[key]
+        terms = ode_terms(ito(), rec.template, rec.rules)
+        _TERMS_CACHE[rec.template] = [(name, term.substitute(lam)) for name, term in terms]
+    return _TERMS_CACHE[rec.template]
 
 
-def _draw(rec: SolutionRecord, lam: float, plan: SamplePlan, rng: random.Random):
+def _draw(rec: SolutionRecord, lam: float, rng: random.Random):
     """One candidate (x, t) in the sampling domain, or None if the draw fell
-    in the origin-exclusion zone of a singular form."""
-    scale4 = (-lam / 6.0) ** 0.25
-    xi = rng.uniform(-plan.xi_band, plan.xi_band) / scale4
-    if rec.singular_at_origin and abs(xi) < plan.xi_exclusion:
+    in the origin-exclusion zone of a singular form.  The band and the zone
+    both shrink with w, so the zone never covers the band."""
+    w = (-lam / 6.0) ** 0.25
+    xi = rng.uniform(-XI_BAND, XI_BAND) / w
+    if rec.singular_at_origin and abs(xi) * max(1.0, w) < XI_EXCLUSION:
         return None
-    t = rng.uniform(*plan.t_range)
+    t = rng.uniform(*T_RANGE)
     return xi - lam * t, t
 
 
-def sample_report(
-    sid: str,
-    lam: float,
-    plan: SamplePlan = SamplePlan(),
-    spec: EquationSpec | None = None,
-) -> VerificationReport:
+def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> VerificationReport:
     """Sample the PDE residual of a catalog solution at random valid points.
 
     Requires at least ``plan.count`` accepted samples within a fixed
@@ -465,17 +465,17 @@ def sample_report(
     if lam >= 0:
         raise ValueError("verification requires lam < 0 (real-valued templates)")
     rec = get_solution(sid)
-    terms = residual_terms_for(rec, spec)
+    terms = residual_terms_for(rec)
     # the terms grow like powers of w, so their guard scales with w
     w = (-lam / 6.0) ** 0.25
     bounds = [MAGNITUDE_GUARD * max(1.0, w) ** term.max_exponent(W) for _, term in terms]
     rng = random.Random(f"{plan.seed}:{rec.id}:{lam!r}")
     samples: list[SamplePoint] = []
     rejected = 0
-    for _ in range(plan.count * plan.oversample):
+    for _ in range(plan.count * OVERSAMPLE):
         if len(samples) >= plan.count:
             break
-        drawn = _draw(rec, lam, plan, rng)
+        drawn = _draw(rec, lam, rng)
         if drawn is None:
             continue
         x, t = drawn
@@ -488,14 +488,10 @@ def sample_report(
         scale = 1.0 + max(abs(v) for v in values)
         samples.append(SamplePoint(x, t, math.fsum(values), scale))
     if len(samples) < plan.count:
-        return VerificationReport(
-            rec.id, lam, tuple(samples), None, rejected, "inconclusive", plan.tolerance
-        )
+        return VerificationReport(rec.id, lam, tuple(samples), None, rejected, "inconclusive")
     max_rel = max(abs(s.residual) / s.scale for s in samples)
-    verdict = "pass" if max_rel <= plan.tolerance else "fail"
-    return VerificationReport(
-        rec.id, lam, tuple(samples), max_rel, rejected, verdict, plan.tolerance
-    )
+    verdict = "pass" if max_rel <= TOLERANCE else "fail"
+    return VerificationReport(rec.id, lam, tuple(samples), max_rel, rejected, verdict)
 
 
 def pointwise_compare(
@@ -513,10 +509,10 @@ def pointwise_compare(
     probe = r1 if r1.singular_at_origin else r2
     worst = 0.0
     used = 0
-    for _ in range(plan.count * plan.oversample):
+    for _ in range(plan.count * OVERSAMPLE):
         if used >= plan.count:
             break
-        drawn = _draw(probe if singular else r1, lam, plan, rng)
+        drawn = _draw(probe if singular else r1, lam, rng)
         if drawn is None:
             continue
         x, t = drawn

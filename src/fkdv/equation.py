@@ -25,7 +25,6 @@ class EquationSpec:
     beta: Fraction
     gamma: Fraction
     omega: Fraction
-    lam: Fraction | None = None  # None keeps the wave speed symbolic
 
     def __post_init__(self):
         for field in ("alpha", "beta", "gamma", "omega"):
@@ -34,17 +33,12 @@ class EquationSpec:
                 object.__setattr__(self, field, Fraction(v))
             elif not isinstance(v, Fraction):
                 raise TypeError(f"{field} must be rational")
-        if self.lam is not None and isinstance(self.lam, int):
-            object.__setattr__(self, "lam", Fraction(self.lam))
         if self.omega == 0:
             raise ValueError("omega must be nonzero: the family is fifth order")
 
-    def lam_poly(self) -> MPoly:
-        return MPoly.var(LAM) if self.lam is None else MPoly.const(self.lam)
 
-
-def ito(lam: Fraction | None = None) -> EquationSpec:
-    return EquationSpec(Fraction(2), Fraction(6), Fraction(3), Fraction(1), lam)
+def ito() -> EquationSpec:
+    return EquationSpec(Fraction(2), Fraction(6), Fraction(3), Fraction(1))
 
 
 def ode_terms(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> list[tuple[str, MPoly]]:
@@ -56,7 +50,7 @@ def ode_terms(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> list[
     v3 = v2.derive(rules)
     v5 = v3.derive(rules).derive(rules)
     return [
-        ("u_t", v1 * spec.lam_poly()),
+        ("u_t", v1 * MPoly.var(LAM)),
         ("omega*u_xxxxx", v5 * spec.omega),
         ("alpha*u^2*u_x", v * v * v1 * spec.alpha),
         ("beta*u_x*u_xx", v1 * v2 * spec.beta),

@@ -126,14 +126,8 @@ class Mono:
     def __lt__(self, other: "Mono") -> bool:
         return self._cmp(other) < 0
 
-    def __le__(self, other: "Mono") -> bool:
-        return self._cmp(other) <= 0
-
     def __gt__(self, other: "Mono") -> bool:
         return self._cmp(other) > 0
-
-    def __ge__(self, other: "Mono") -> bool:
-        return self._cmp(other) >= 0
 
     def __str__(self) -> str:
         if not self.exps:

@@ -36,6 +36,9 @@ _TAU = MPoly.var(TAU)
 
 PRE_RULES = {SIGMA: _E * _SIGMA * _TAU, TAU: _E * _TAU**2 - _MU * _SIGMA + _R}
 
+# the paper's signs; reproduce, the catalog checks and `solve`'s defaults use them
+PAPER_SIGNS = {E: 1, RHO: -1}
+
 # r * tau^2 by the first integral
 R_TAU2 = -(_E * (_R**2 - _MU * _R * _SIGMA * 2 + (_MU**2 + MPoly.var(RHO)) * _SIGMA**2))
 

@@ -8,28 +8,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import closedform, fixtures, pre, tanh
+from . import __version__, closedform, fixtures, pre, tanh
 from .equation import EquationSpec, ito
 from .solver import Assignment, SolveConfig, solve, verify_assignment
 from .solver import rational_lambda_grid
-from .symbols import E, LAM, MU, R, RHO, K, a, b
-
-TANH_UNKNOWNS = (a(0), a(1), a(2), K)
-PRE_UNKNOWNS = (a(0), a(1), b(1), MU, R)
+from .symbols import LAM, MU, R, K, Sym, a, b
 
 
-def derive_tanh_system(spec: EquationSpec | None = None, order: int | None = None):
-    """(order, system) of the tanh method; the order defaults to the
-    balanced M and the equation to Ito."""
+def derive(method: str, spec: EquationSpec | None = None, order: int | None = None):
+    """(order, system) of ``method`` ("tanh" or "pre") for ``spec`` (Ito by
+    default); the order defaults to the balanced M for tanh and to depth 1
+    for the projective method."""
     spec = spec or ito()
+    if method == "tanh":
+        if order is None:
+            order = tanh.balance_M(tanh.balance_terms_for(spec))
+        return order, tanh.extract_system(tanh.ode_residual(spec, tanh.build_ansatz(order)))
     if order is None:
-        order = tanh.balance_M(tanh.balance_terms_for(spec))
-    return order, tanh.extract_system(tanh.ode_residual(spec, tanh.build_ansatz(order)))
+        order = 1
+    return order, pre.extract_pre_system(pre.pre_ode_residual(spec, pre.build_pre_ansatz(order)))
 
 
-def derive_pre_system(order: int = 1, spec: EquationSpec | None = None):
-    """The projective system at ansatz depth ``order`` (Ito by default)."""
-    return pre.extract_pre_system(pre.pre_ode_residual(spec or ito(), pre.build_pre_ansatz(order)))
+def unknowns(system, presets) -> tuple[Sym, ...]:
+    """The symbols of ``system`` that ``presets`` leaves open, in symbol
+    order."""
+    return tuple(sorted(set().union(*(eq.poly.symbols() for eq in system)) - set(presets)))
+
+
+def solve_system(system, presets, budget: int = 10000):
+    """Branch-solve ``system`` for every symbol ``presets`` does not bind."""
+    cfg = SolveConfig(
+        unknowns=unknowns(system, presets), presets=Assignment(presets), branch_budget=budget
+    )
+    return solve([eq.poly for eq in system], cfg)
 
 
 def expected_tanh_branches(m: int) -> list[dict]:
@@ -49,22 +60,6 @@ def expected_pre_branches(m: int) -> list[dict]:
         {a(0): -h, a(1): Fraction(-15), b(1): Fraction(0), MU: Fraction(1), R: -q},
         {a(0): -h, a(1): Fraction(15), b(1): Fraction(0), MU: Fraction(-1), R: -q},
     ]
-
-
-def solve_tanh(system, lam: Fraction, budget: int = 10000):
-    cfg = SolveConfig(
-        unknowns=TANH_UNKNOWNS, presets=Assignment({LAM: lam}), branch_budget=budget
-    )
-    return solve([eq.poly for eq in system], cfg)
-
-
-def solve_pre(system, lam: Fraction, e: int = 1, rho: int = -1, budget: int = 10000):
-    cfg = SolveConfig(
-        unknowns=PRE_UNKNOWNS,
-        presets=Assignment({LAM: lam, E: e, RHO: rho}),
-        branch_budget=budget,
-    )
-    return solve([eq.poly for eq in system], cfg)
 
 
 def solved_tuples(branches) -> set[tuple]:
@@ -117,8 +112,7 @@ def check_exact_substitution(tanh_system, pre_system, m: int) -> tuple[bool, str
     for rec in closedform.catalog():
         asg = rec.specialize(m)
         if rec.method == "pre":
-            asg[E] = Fraction(1)
-            asg[RHO] = Fraction(-1)
+            asg.update(pre.PAPER_SIGNS)
             system = pre_polys
         else:
             system = tanh_polys
@@ -204,7 +198,7 @@ def system_latex(system) -> str:
 
 
 def manifest(command: str, spec: EquationSpec, method: str | None, lambdas: list[str],
-             seed: int | None, timestamp: str | None, tool_version: str) -> dict:
+             seed: int | None, timestamp: str | None) -> dict:
     """The run manifest every JSON document embeds."""
     return {
         "command": command,
@@ -217,7 +211,7 @@ def manifest(command: str, spec: EquationSpec, method: str | None, lambdas: list
         "method": method,
         "lambda_values": lambdas,
         "seed": seed,
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "timestamp": timestamp,
     }
 
@@ -226,7 +220,6 @@ def run_reproduce(
     grid_depth: int = 3,
     seed: int = 7,
     timestamp: str | None = None,
-    tool_version: str = "0.1.0",
     budget: int = 10000,
 ) -> ReproduceResult:
     stages: list[dict] = []
@@ -239,42 +232,32 @@ def run_reproduce(
             exit_code = fail_code
         return ok
 
-    # balance
-    order = tanh.balance_M(tanh.balance_terms_for(ito()))
+    # balance, derive and compare both systems with their transcriptions
+    order, tanh_system = derive("tanh")
     stage("balance", order == 2, f"M = {order}")
-
-    # derive + fixture comparisons
-    _, tanh_system = derive_tanh_system()
-    diffs = fixtures.compare_systems(tanh_system, fixtures.load_fixture("tanh"))
-    stage(
-        "derive-tanh",
-        not diffs and len(tanh_system) == 8,
-        f"{len(tanh_system)} equations; "
-        + ("matches transcription" if not diffs else diffs[0].describe()),
-        fail_code=3,
-    )
-    pre_system = derive_pre_system(1)
-    diffs = fixtures.compare_systems(pre_system, fixtures.load_fixture("pre"))
-    stage(
-        "derive-pre",
-        not diffs and len(pre_system) == 13,
-        f"{len(pre_system)} equations; "
-        + ("matches transcription" if not diffs else diffs[0].describe()),
-        fail_code=3,
-    )
+    _, pre_system = derive("pre")
+    for method, system, count in (("tanh", tanh_system, 8), ("pre", pre_system, 13)):
+        diffs = fixtures.compare_systems(system, fixtures.load_fixture(method))
+        stage(
+            f"derive-{method}",
+            not diffs and len(system) == count,
+            f"{len(system)} equations; "
+            + ("matches transcription" if not diffs else diffs[0].describe()),
+            fail_code=3,
+        )
 
     # solve over the rational wave-speed grid
     grid = rational_lambda_grid(grid_depth)
     solves = []
     for m, lam in enumerate(grid, start=1):
-        tb = solve_tanh(tanh_system, lam, budget)
+        tb = solve_system(tanh_system, {LAM: lam}, budget)
         ok_t, msg_t = check_solver_run(
             tb,
             expected_tanh_branches(m),
             free_expect={a(1): Fraction(0), a(2): Fraction(0)},
             contradiction_binding={a(2): Fraction(-6)},
         )
-        pb = solve_pre(pre_system, lam, budget=budget)
+        pb = solve_system(pre_system, {LAM: lam, **pre.PAPER_SIGNS}, budget)
         ok_p, msg_p = check_solver_run(pb, expected_pre_branches(m), None, None)
         stage(f"solve@{lam}", ok_t and ok_p, f"tanh: {msg_t}; pre: {msg_p}")
         solves.append(
@@ -332,7 +315,7 @@ def run_reproduce(
     lambdas = [str(v) for v in grid] + ["-6.0", "-2.5"]
     doc = {
         "schema": 1,
-        "manifest": manifest("reproduce", ito(), "tanh+pre", lambdas, seed, timestamp, tool_version),
+        "manifest": manifest("reproduce", ito(), "tanh+pre", lambdas, seed, timestamp),
         "stages": stages,
         "systems": {"tanh": system_json(tanh_system), "pre": system_json(pre_system)},
         "solves": solves,

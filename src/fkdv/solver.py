@@ -51,14 +51,6 @@ class Assignment:
                 m[s] = Fraction(v)
         self._map = m
 
-    def bind(self, s: Sym, v: Fraction | int) -> "Assignment":
-        if s in self._map:
-            raise ValueError(f"{s} bound twice")
-        out = Assignment()
-        out._map = dict(self._map)
-        out._map[s] = Fraction(v)
-        return out
-
     def merged(self, other: "Assignment") -> "Assignment":
         out = Assignment()
         out._map = dict(self._map)

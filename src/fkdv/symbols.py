@@ -85,15 +85,6 @@ class Sym:
     def __lt__(self, other: "Sym") -> bool:
         return self.key < other.key
 
-    def __le__(self, other: "Sym") -> bool:
-        return self.key <= other.key
-
-    def __gt__(self, other: "Sym") -> bool:
-        return self.key > other.key
-
-    def __ge__(self, other: "Sym") -> bool:
-        return self.key >= other.key
-
     # identity equality/hash from object is correct for interned instances
 
     def latex(self) -> str:

@@ -1,14 +1,15 @@
 import pytest
 
-from fkdv.reproduce import derive_pre_system, derive_tanh_system
+from fkdv.reproduce import derive
 
 
 @pytest.fixture(scope="session")
 def tanh_system():
-    _, system = derive_tanh_system()
+    _, system = derive("tanh")
     return system
 
 
 @pytest.fixture(scope="session")
 def pre_system():
-    return derive_pre_system(1)
+    _, system = derive("pre")
+    return system

@@ -15,8 +15,7 @@ from fkdv.reproduce import (
     check_st_catalog,
     expected_pre_branches,
     expected_tanh_branches,
-    solve_pre,
-    solve_tanh,
+    solve_system,
 )
 from fkdv.solver import rational_lambda_grid, verify_assignment
 from fkdv.symbols import E, LAM, MU, R, RHO, Sym, a, b
@@ -77,7 +76,7 @@ def test_criterion_04_exact_substitution(tanh_system, pre_system):
 
 def test_criterion_05_solver_reproduction(tanh_system, pre_system):
     t0 = time.time()
-    tanh_branches = solve_tanh(tanh_system, F(-6))
+    tanh_branches = solve_system(tanh_system, {LAM: F(-6)})
     tanh_elapsed = time.time() - t0
     got = _solved_set(tanh_branches)
     for exp in expected_tanh_branches(1):
@@ -94,7 +93,7 @@ def test_criterion_05_solver_reproduction(tanh_system, pre_system):
     )
 
     t0 = time.time()
-    pre_branches = solve_pre(pre_system, F(-6), e=1, rho=-1)
+    pre_branches = solve_system(pre_system, {LAM: F(-6), E: 1, RHO: -1})
     pre_elapsed = time.time() - t0
     got = _solved_set(pre_branches)
     for exp in expected_pre_branches(1):
@@ -208,14 +207,14 @@ def test_criterion_09_algebraic_property_suites(tanh_system, pre_system):
     from fkdv.solver import Assignment
 
     tanh_polys = [eq.poly for eq in tanh_system]
-    for br in solve_tanh(tanh_system, F(-6)):
+    for br in solve_system(tanh_system, {LAM: F(-6)}):
         if br.status == "solved":
             ok, _ = verify_assignment(
                 tanh_polys, br.assignment.merged(Assignment({LAM: F(-6)}))
             )
             assert ok
     pre_polys = [eq.poly for eq in pre_system]
-    for br in solve_pre(pre_system, F(-6)):
+    for br in solve_system(pre_system, {LAM: F(-6), E: 1, RHO: -1}):
         if br.status == "solved":
             ok, _ = verify_assignment(
                 pre_polys,

@@ -98,12 +98,22 @@ def test_derive_fixture_mismatch_exits_3(capsys, monkeypatch):
 
 
 def test_derive_fixture_out_of_scope(capsys):
-    code, _, err = run(
-        ["derive", "--method", "pre", "--preset", "ito", "--order", "2", "--check-fixture"],
-        capsys,
-    )
+    # the transcriptions are of Ito at tanh order 2 and projective depth 1
+    for argv in (
+        ["--method", "pre", "--preset", "ito", "--order", "2"],
+        ["--method", "tanh", "--preset", "ito", "--order", "3"],
+        ["--method", "tanh", "--alpha", "45", "--beta", "15", "--gamma", "15", "--omega", "1"],
+        ["--method", "pre", "--alpha", "30", "--beta", "20", "--gamma", "10", "--omega", "1"],
+    ):
+        code, _, err = run(["derive", *argv, "--check-fixture"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "no transcription" in err
+
+
+def test_derive_order_zero_is_usage_error(capsys):
+    code, _, err = run(["derive", "--method", "tanh", "--preset", "ito", "--order", "0"], capsys)
     assert code == cli.EXIT_USAGE
-    assert "no transcription" in err
+    assert "order must be >= 1" in err
 
 
 def test_derive_latex_output(capsys, tmp_path):
@@ -125,6 +135,7 @@ def test_solve_tanh_contains_paper_branch(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out_json.read_text())
+    assert doc["unknowns"] == ["a0", "a1", "a2", "k"]
     bindings = [br["bindings"] for br in doc["branches"] if br["status"] == "solved"]
     assert {"a0": "-5", "a1": "0", "a2": "-30", "k": "1/4"} in bindings
     assert any(br["status"] == "contradiction" for br in doc["branches"])
@@ -141,6 +152,7 @@ def test_solve_pre_contains_paper_branch(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out_json.read_text())
+    assert doc["unknowns"] == ["a0", "a1", "b1", "mu", "r"]
     bindings = [br["bindings"] for br in doc["branches"] if br["status"] == "solved"]
     assert {"a0": "5/2", "a1": "15", "b1": "0", "mu": "-1", "r": "1"} in bindings
 
@@ -239,12 +251,13 @@ def test_verify_non_finite_or_non_numeric_lambda_rejected(capsys, lam):
 
 
 def test_verify_inconclusive_exits_4(capsys):
-    code, out, _ = run(["verify", "u2", "--lambda=-1e9"], capsys)
+    # x + lam*t rounds every drawn xi to 0, the pole of u2
+    code, out, _ = run(["verify", "u2", "--lambda=-6e16"], capsys)
     assert code == cli.EXIT_INCONCLUSIVE
     assert "inconclusive" in out
 
 
-@pytest.mark.parametrize("lam", ["-600", "-6e4"])
+@pytest.mark.parametrize("lam", ["-600", "-6e4", "-6e6", "-6e12"])
 def test_verify_all_passes_at_large_wave_speeds(capsys, tmp_path, lam):
     # the PDE terms grow like powers of w = (-lam/6)^(1/4); the sampling
     # guard grows with them, so samples of correct solutions are kept

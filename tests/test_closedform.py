@@ -318,10 +318,15 @@ def test_sample_report_requires_negative_lambda():
 
 
 def test_sample_report_inconclusive_when_domain_vanishes():
-    # the band shrinks inside the origin-exclusion zone for singular forms
+    # the origin-exclusion zone 0.05/max(1, w) shrinks with the band 1.2/w,
+    # so the singular u2 keeps its samples at lam = -1e9
     rep = sample_report("u2", -1.0e9, SamplePlan(seed=1))
+    assert rep.verdict == "pass"
+    # at lam = -6e16, x + lam*t rounds every drawn xi to 0, the pole of u2
+    rep = sample_report("u2", -6.0e16, SamplePlan(seed=1))
     assert rep.verdict == "inconclusive"
     assert rep.max_relative_residual is None
+    assert rep.rejected_samples == 962
 
 
 @pytest.mark.parametrize("pair", [("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")])

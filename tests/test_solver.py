@@ -12,11 +12,11 @@ from fkdv.closedform import catalog
 from fkdv.errors import UnboundSymbolError
 from fkdv.poly import MPoly, Mono, parse_poly
 from fkdv.reproduce import (
-    derive_pre_system,
+    derive,
     expected_pre_branches,
     expected_tanh_branches,
-    solve_pre,
-    solve_tanh,
+    solve_system,
+    unknowns,
 )
 from fkdv.solver import (
     Assignment,
@@ -44,12 +44,12 @@ def _as_key(d):
 
 @pytest.fixture(scope="module")
 def tanh_branches(tanh_system):
-    return solve_tanh(tanh_system, F(-6))
+    return solve_system(tanh_system, {LAM: F(-6)})
 
 
 @pytest.fixture(scope="module")
 def pre_branches(pre_system):
-    return solve_pre(pre_system, F(-6))
+    return solve_system(pre_system, {LAM: F(-6), E: 1, RHO: -1})
 
 
 # ---------------------------------------------------------------- solve
@@ -104,15 +104,15 @@ def test_no_silent_loss(tanh_branches, pre_branches):
 
 
 def test_determinism(tanh_system):
-    first = solve_tanh(tanh_system, F(-6))
-    second = solve_tanh(tanh_system, F(-6))
+    first = solve_system(tanh_system, {LAM: F(-6)})
+    second = solve_system(tanh_system, {LAM: F(-6)})
     assert [br.sort_key() for br in first] == [br.sort_key() for br in second]
 
 
 def test_solver_runtime_bound(tanh_system, pre_system):
     t0 = time.time()
-    solve_tanh(tanh_system, F(-6))
-    solve_pre(pre_system, F(-6))
+    solve_system(tanh_system, {LAM: F(-6)})
+    solve_system(pre_system, {LAM: F(-6), E: 1, RHO: -1})
     assert time.time() - t0 < 10.0
 
 
@@ -140,6 +140,23 @@ def test_symbols_outside_unknowns_rejected(tanh_system):
 def test_presets_and_unknowns_must_be_disjoint():
     with pytest.raises(ValueError):
         SolveConfig(unknowns=(a(0),), presets=Assignment({a(0): F(1)}))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_tanh_unknowns_are_the_coefficients_and_k(order):
+    _, system = derive("tanh", order=order)
+    assert unknowns(system, {LAM}) == tuple(a(j) for j in range(order + 1)) + (K,)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_pre_unknowns_are_the_coefficients_mu_and_r(depth):
+    _, system = derive("pre", order=depth)
+    expected = (
+        tuple(a(j) for j in range(depth + 1))
+        + tuple(b(j) for j in range(1, depth + 1))
+        + (MU, R)
+    )
+    assert unknowns(system, {LAM, E, RHO}) == expected
 
 
 def test_solver_soundness(tanh_system, tanh_branches, pre_system, pre_branches):
@@ -236,10 +253,10 @@ def test_lambda_grid_consistency(tanh_system, pre_system):
 
 def test_scaled_branches_found_on_grid(tanh_system, pre_system):
     for m, lam in enumerate(rational_lambda_grid(3), start=1):
-        got_t = _solved_set(solve_tanh(tanh_system, lam))
+        got_t = _solved_set(solve_system(tanh_system, {LAM: lam}))
         for exp in expected_tanh_branches(m):
             assert _as_key(exp) in got_t
-        got_p = _solved_set(solve_pre(pre_system, lam))
+        got_p = _solved_set(solve_system(pre_system, {LAM: lam, E: 1, RHO: -1}))
         for exp in expected_pre_branches(m):
             assert _as_key(exp) in got_p
 
@@ -266,7 +283,7 @@ PINNED_LEAVES = {
 
 @cache
 def _pre_polys(depth):
-    return tuple(eq.poly for eq in derive_pre_system(depth))
+    return tuple(eq.poly for eq in derive("pre", order=depth)[1])
 
 
 def _pre_solve(depth, lam, budget=10000):
