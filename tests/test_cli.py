@@ -358,6 +358,28 @@ def test_derive_fixture_output_matches_pinned_digest(method, fmt, capsys, tmp_pa
     assert _sha256(out) == DERIVE_FIXTURE_DIGESTS[method, fmt]
 
 
+# sha256 of `derive --json` past the paper orders, where the products are
+# largest: a change to the polynomial kernel must keep these bytes too.
+LAX_FLAGS = ["--alpha", "30", "--beta", "20", "--gamma", "10", "--omega", "1"]
+DERIVE_DEEP_DIGESTS = {
+    ("ito", "tanh", 5): "6ff251785c2f40e8ab01371939e38f5ba819d115159a7c470e7ac247ebdaf29b",
+    ("ito", "pre", 4): "45bb4968ec4f5e1d996f24daac753171b552bfb03f88c3653682a582c24ad313",
+    ("lax", "pre", 3): "258b9fd9cc1c6bd73431eab88dc7a2c5e7a3e66fdfdb9d3b6aeaa6f7ce014ee8",
+}
+
+
+@pytest.mark.parametrize(("family", "method", "order"), list(DERIVE_DEEP_DIGESTS))
+def test_derive_beyond_paper_order_matches_pinned_digest(family, method, order, capsys, tmp_path):
+    flags = ["--preset", "ito"] if family == "ito" else LAX_FLAGS
+    out = tmp_path / "d.json"
+    code, _, _ = run(
+        ["derive", "--method", method, *flags, "--order", str(order), "--json", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert _sha256(out) == DERIVE_DEEP_DIGESTS[family, method, order]
+
+
 def test_out_dir_redirects_relative_paths(capsys, tmp_path):
     code, _, _ = run(
         ["solve", "--method", "tanh", "--lambda", "-6",
