@@ -31,7 +31,7 @@ from .reproduce import (
     system_latex,
     unknowns,
 )
-from .symbols import E, LAM, RHO
+from .symbols import E, LAM, MAX_ORDER, RHO
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["tanh", "pre"], required=True)
     _add_spec_flags(p)
     p.add_argument("--order", "--m", "--M", dest="order", type=int,
-                   help="ansatz order (default: balanced M for tanh, 1 for pre)")
+                   help=f"ansatz order, at most {MAX_ORDER} "
+                   "(default: balanced M for tanh, 1 for pre)")
     p.add_argument("--check-fixture", action="store_true",
                    help="compare against the shipped transcription")
     p.add_argument("--latex", metavar="PATH", help="write LaTeX ('-' = stdout)")

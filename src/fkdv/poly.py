@@ -17,124 +17,124 @@ nonzero coefficients, so equal values always have equal term maps.
 
 The canonical term order is graded lexicographic with the fixed symbol order
 from :mod:`fkdv.symbols`: higher total degree first, ties broken by the
-exponent of the earliest symbol.
+exponent of the earliest symbol.  A monomial is packed into one int (see
+:class:`Mono`) whose int order is exactly that order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .symbols import Sym
+from .symbols import ALPHABET, DEGREE_SHIFT, FIELD_BITS, MAX_DEGREE, Sym
 
 Rat = Fraction
 
 Coef = Union[int, Fraction]  # int when integral, see the module docstring
 Coeffable = Union["MPoly", Fraction, int]
 
+_FIELD = (1 << FIELD_BITS) - 1  # one exponent field
+_DEG1 = 1 << DEGREE_SHIFT  # one unit of total degree
+_EXPS = _DEG1 - 1  # every exponent field
+_DEG_LIMIT = (MAX_DEGREE + 1) << DEGREE_SHIFT
+_BY_FIELD = ALPHABET[::-1]  # field number (offset // FIELD_BITS) -> symbol
+_code = attrgetter("code")
+
+
+def _checked(code: int) -> int:
+    if code >= _DEG_LIMIT:
+        raise ValueError(f"total degree {code >> DEGREE_SHIFT} exceeds {MAX_DEGREE}")
+    return code
+
+
+def _decode(fields: int) -> list[tuple[Sym, int]]:
+    """The nonzero exponent fields of ``fields`` as (symbol, exponent), in
+    symbol order."""
+    out = []
+    while fields:
+        shift = (fields.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+        e = fields >> shift
+        out.append((_BY_FIELD[shift // FIELD_BITS], e))
+        fields -= e << shift
+    return out
+
 
 class Mono:
-    """A product of symbols with positive integer exponents; unit is empty."""
+    """A product of symbols with positive integer exponents; unit is empty.
 
-    __slots__ = ("exps", "degree", "_hash")
+    ``code`` packs it into one int: the total degree times ``2**DEGREE_SHIFT``
+    plus each exponent shifted to its symbol's field (``Sym.shift``).  So the
+    int order of codes is the graded-lex order, a product is the sum of the
+    codes, and removing exponents is a subtraction.  A total degree above
+    ``MAX_DEGREE`` raises ValueError, so no field overflows into the next.
+    """
+
+    __slots__ = ("code", "_exps")
 
     def __init__(self, exps: Mapping[Sym, int] | Iterable[tuple[Sym, int]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
-        cleaned = [(s, e) for s, e in items if e != 0]
-        for s, e in cleaned:
+        code = 0
+        for s, e in items:
             if e < 0:
                 raise ValueError(f"negative exponent on {s}")
-        cleaned.sort(key=lambda se: se[0].key)
-        self.exps = tuple(cleaned)
-        self.degree = sum(e for _, e in cleaned)
-        self._hash = hash(self.exps)
+            code += e * ((1 << s.shift) + _DEG1)
+        self.code = _checked(code)
+
+    @property
+    def exps(self) -> tuple[tuple[Sym, int], ...]:
+        """(symbol, exponent) pairs in symbol order, decoded once."""
+        try:
+            return self._exps
+        except AttributeError:
+            self._exps = tuple(_decode(self.code & _EXPS))
+            return self._exps
+
+    @property
+    def degree(self) -> int:
+        return self.code >> DEGREE_SHIFT
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.code)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mono) and self.exps == other.exps
+        return isinstance(other, Mono) and self.code == other.code
 
     def __mul__(self, other: "Mono") -> "Mono":
-        # linear merge of the two sorted exponent tuples
-        a, b = self.exps, other.exps
-        out: list[tuple[Sym, int]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (sa, ea), (sb, eb) = a[i], b[j]
-            if sa is sb:
-                out.append((sa, ea + eb))
-                i, j = i + 1, j + 1
-            elif sa.key < sb.key:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        return Mono._raw((*out, *a[i:], *b[j:]), self.degree + other.degree)
-
-    @classmethod
-    def _raw(cls, exps: tuple[tuple[Sym, int], ...], degree: int) -> "Mono":
-        # internal: trusts sorted, positive exponents and their sum
-        m = object.__new__(cls)
-        m.exps = exps
-        m.degree = degree
-        m._hash = hash(exps)
-        return m
+        return _mono(_checked(self.code + other.code))
 
     def __pow__(self, n: int) -> "Mono":
         if n < 0:
             raise ValueError("negative power")
-        return Mono([(s, e * n) for s, e in self.exps])
+        return _mono(_checked(self.code * n))
 
     def exponent(self, s: Sym) -> int:
-        for t, e in self.exps:
-            if t is s:
-                return e
-        return 0
+        return (self.code >> s.shift) & _FIELD
 
     def symbols(self) -> set[Sym]:
         return {s for s, _ in self.exps}
 
     def is_unit(self) -> bool:
-        return not self.exps
-
-    def _cmp(self, other: "Mono") -> int:
-        if self.degree != other.degree:
-            return -1 if self.degree < other.degree else 1
-        i = j = 0
-        a, b = self.exps, other.exps
-        while i < len(a) and j < len(b):
-            sa, ea = a[i]
-            sb, eb = b[j]
-            if sa is sb:
-                if ea != eb:
-                    return 1 if ea > eb else -1
-                i += 1
-                j += 1
-            elif sa < sb:
-                return 1  # earlier symbol with positive exponent wins
-            else:
-                return -1
-        if i < len(a):
-            return 1
-        if j < len(b):
-            return -1
-        return 0
+        return not self.code
 
     def __lt__(self, other: "Mono") -> bool:
-        return self._cmp(other) < 0
-
-    def __gt__(self, other: "Mono") -> bool:
-        return self._cmp(other) > 0
+        # also serves `>`, reflected
+        return self.code < other.code
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self.code:
             return "1"
         return "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in self.exps)
 
     __repr__ = __str__
+
+
+def _mono(code: int) -> Mono:
+    # internal: trusts a code of degree <= MAX_DEGREE
+    m = object.__new__(Mono)
+    m.code = code
+    return m
 
 
 _UNIT = Mono()
@@ -150,11 +150,25 @@ def _as_rat(v) -> Coef:
     raise TypeError(f"expected rational, got {type(v).__name__}")
 
 
+def _accumulate(acc: dict[int, Coef], left: Iterable, right: list[tuple[int, Coef]]) -> None:
+    """acc += left * right over (code, coefficient) pairs."""
+    get = acc.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+
+
+def _pairs(p: "MPoly") -> list[tuple[int, Coef]]:
+    return [(m.code, c) for m, c in p.terms.items()]
+
+
 class MPoly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
-    # _syms caches symbols(); _normal marks a result of normalize()
-    __slots__ = ("terms", "_hash", "_ascii", "_syms", "_normal")
+    # _syms caches symbols() and _pivots linear_pivots(); _normal marks a
+    # result of normalize()
+    __slots__ = ("terms", "_hash", "_ascii", "_syms", "_pivots", "_normal")
 
     def __init__(self, terms: Mapping[Mono, Coef] | None = None):
         self.terms: dict[Mono, Coef] = {}
@@ -166,6 +180,7 @@ class MPoly:
         self._hash = None
         self._ascii = None
         self._syms = None
+        self._pivots = None
         self._normal = False
 
     @classmethod
@@ -176,8 +191,17 @@ class MPoly:
         self._hash = None
         self._ascii = None
         self._syms = None
+        self._pivots = None
         self._normal = False
         return self
+
+    @classmethod
+    def _from_codes(cls, acc: dict[int, Coef], keep: Mapping[int, Mono]) -> "MPoly":
+        # internal: the nonzero terms of a code-keyed sum, reusing the
+        # monomials in ``keep``.  The largest code is checked: in a product
+        # it is a term of top degree, which never cancels
+        _checked(max(acc, default=0))
+        return cls._raw({keep.get(k) or _mono(k): c for k, c in acc.items() if c != 0})
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -190,7 +214,7 @@ class MPoly:
 
     @classmethod
     def var(cls, s: Sym) -> "MPoly":
-        return cls._raw({Mono([(s, 1)]): 1})
+        return cls._raw({_mono(_DEG1 + (1 << s.shift)): 1})
 
     @classmethod
     def monomial(cls, m: Mono, c=1) -> "MPoly":
@@ -244,22 +268,16 @@ class MPoly:
             if other == 0:
                 return MPoly.zero()
             return MPoly._raw({m: c * other for m, c in self.terms.items()})
-        out: dict[Mono, Coef] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = out.get(m, 0) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MPoly._raw(out)
+        acc: dict[int, Coef] = {}
+        _accumulate(acc, _pairs(self), _pairs(other))
+        return MPoly._from_codes(acc, {})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")
+        _checked(self.degree() * n << DEGREE_SHIFT)
         result = MPoly.const(1)
         for _ in range(n):
             result = result * self
@@ -267,25 +285,49 @@ class MPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=-1)
+        if not self.terms:
+            return -1
+        return max(self.terms, key=_code).code >> DEGREE_SHIFT
 
     def symbols(self) -> frozenset[Sym]:
         """The symbols that occur; computed once."""
         if self._syms is None:
-            self._syms = frozenset(s for m in self.terms for s, _ in m.exps)
+            fields = 0
+            for m in self.terms:
+                fields |= m.code
+            # a field of the OR is nonzero where some exponent is
+            self._syms = frozenset(s for s, _ in _decode(fields & _EXPS))
         return self._syms
+
+    def linear_pivots(self) -> dict[Sym, Coef]:
+        """{x: c} for each symbol x that occurs only in one term c*x, that
+        is, linearly with a constant coefficient; computed once."""
+        if self._pivots is None:
+            candidates: dict[int, Coef] = {}
+            others = 0
+            for m, c in self.terms.items():
+                if m.code >> DEGREE_SHIFT == 1:
+                    candidates[m.code & _EXPS] = c
+                else:
+                    others |= m.code
+            self._pivots = {
+                _BY_FIELD[(bit.bit_length() - 1) // FIELD_BITS]: c
+                for bit, c in candidates.items()
+                if not others & bit * _FIELD
+            }
+        return self._pivots
 
     def leading(self) -> tuple[Mono, Coef]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms)
+        m = max(self.terms, key=_code)
         return m, self.terms[m]
 
     def sorted_terms(self) -> list[tuple[Mono, Coef]]:
-        return sorted(self.terms.items(), key=lambda mc: mc[0], reverse=True)
+        return sorted(self.terms.items(), key=lambda mc: mc[0].code, reverse=True)
 
     def is_constant(self) -> bool:
-        return all(m.is_unit() for m in self.terms)
+        return all(not m.code for m in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.terms:
@@ -296,27 +338,31 @@ class MPoly:
 
     def coefficient_of(self, s: Sym, power: int) -> "MPoly":
         """Polynomial coefficient of s**power (s removed from the monomials)."""
-        out: dict[Mono, Coef] = {}
-        for m, c in self.terms.items():
-            if m.exponent(s) == power:
-                rest = Mono([(t, e) for t, e in m.exps if t is not s])
-                out[rest] = out.get(rest, 0) + c
-        return MPoly(out)
+        drop = power * ((1 << s.shift) + _DEG1)
+        return MPoly({_mono(m.code - drop): c for m, c in self.terms.items() if m.exponent(s) == power})
 
     def split(self, syms: Sequence[Sym]) -> dict[tuple[int, ...], "MPoly"]:
         """Coefficients by the exponents of ``syms``: self is the sum over
         the keys of coefficient * prod(s**e for s, e in zip(syms, key))."""
-        parts: dict[tuple[int, ...], dict[Mono, Coef]] = {}
+        mask = 0
+        for s in syms:
+            mask |= _FIELD << s.shift
+        # group the terms by their fields of syms, then take off each group's
+        # fields and their degree
+        groups: dict[int, dict[int, Coef]] = {}
         for m, c in self.terms.items():
-            key = tuple(m.exponent(s) for s in syms)
-            # dropping symbols keeps the exponents sorted and positive
-            exps = tuple((t, e) for t, e in m.exps if t not in syms)
-            rest = Mono._raw(exps, m.degree - sum(key))
-            parts.setdefault(key, {})[rest] = c
-        return {key: MPoly._raw(terms) for key, terms in parts.items()}
+            picked = m.code & mask
+            groups.setdefault(picked, {})[m.code - picked] = c
+        parts = {}
+        for picked, terms in groups.items():
+            key = tuple((picked >> s.shift) & _FIELD for s in syms)
+            drop = sum(key) * _DEG1
+            parts[key] = MPoly._raw({_mono(k - drop): c for k, c in terms.items()})
+        return parts
 
     def max_exponent(self, s: Sym) -> int:
-        return max((m.exponent(s) for m in self.terms), default=0)
+        shift = s.shift
+        return max(((m.code >> shift) & _FIELD for m in self.terms), default=0)
 
     def _content(self) -> tuple[int, int]:
         # (gcd of the numerators, lcm of the denominators) is the content in
@@ -363,65 +409,55 @@ class MPoly:
         }
         if not bind:
             return self
-        # a binding to 0 drops every term it touches, so the terms are filtered
-        zero = not any(bind.values())
-        out: dict[Mono, Coef] = {}
+        touched = 0
+        for s in bind:
+            touched |= _FIELD << s.shift
+        if not any(bind.values()):
+            # a binding to 0 drops every term it touches and keeps the rest
+            return MPoly._raw({m: c for m, c in self.terms.items() if not m.code & touched})
+        acc: dict[int, Coef] = {}
+        get = acc.get
+        keep: dict[int, Mono] = {}  # the monomials no binding touches
         for m, c in self.terms.items():
-            for s, _ in m.exps:
-                if s in bind:
-                    break
+            k = m.code
+            if not k & touched:
+                keep[k] = m
             else:
-                # no binding touches the term: keep its monomial
-                out[m] = out.get(m, 0) + c
-                continue
-            if zero:
-                continue
-            # dropping the bound symbols leaves the exponents sorted and
-            # positive, so the residual monomial is built directly
-            residual: list[tuple[Sym, int]] = []
-            degree = m.degree
-            factors: list[MPoly] = []
-            for s, e in m.exps:
-                if s not in bind:
-                    residual.append((s, e))
+                factors: list[MPoly] = []
+                for s, v in bind.items():
+                    e = (k >> s.shift) & _FIELD
+                    if not e:
+                        continue
+                    k -= e * ((1 << s.shift) + _DEG1)
+                    if isinstance(v, MPoly):
+                        factors.append(v**e)
+                    else:
+                        c = c * v**e
+                if not c:
                     continue
-                degree -= e
-                v = bind[s]
-                if isinstance(v, MPoly):
-                    factors.append(v**e)
-                else:
-                    c = c * v**e
-            if not c:
-                continue
-            rm = Mono._raw(tuple(residual), degree)
-            if not factors:
-                out[rm] = out.get(rm, 0) + c
-                continue
-            term = MPoly.monomial(rm, c)
-            for f in factors:
-                term = term * f
-            for tm, tc in term.terms.items():
-                out[tm] = out.get(tm, 0) + tc
-        if zero:
-            return MPoly._raw(out)
-        return MPoly._raw({m: c for m, c in out.items() if c != 0})
+                if factors:
+                    term = MPoly._raw({_mono(k): c})
+                    for f in factors:
+                        term = term * f
+                    _accumulate(acc, [(0, 1)], _pairs(term))
+                    continue
+            acc[k] = get(k, 0) + c
+        return MPoly._from_codes(acc, keep)
 
     def derive(self, rules: Mapping[Sym, "MPoly"]) -> "MPoly":
         """The derivation sending each symbol in ``rules`` to its rule and
         every other symbol to 0: the sum over s of (d/ds self) * rules[s]."""
-        out = MPoly.zero()
+        acc: dict[int, Coef] = {}
         for s, rule in rules.items():
-            partial: dict[Mono, Coef] = {}
+            shift = s.shift
+            step = (1 << shift) + _DEG1
+            partial = []
             for m, c in self.terms.items():
-                for i, (t, e) in enumerate(m.exps):
-                    if t is s:
-                        # lowering one exponent keeps the tuple sorted
-                        lowered = ((s, e - 1),) if e > 1 else ()
-                        exps = m.exps[:i] + lowered + m.exps[i + 1 :]
-                        partial[Mono._raw(exps, m.degree - 1)] = c * e
-                        break
-            out = out + MPoly._raw(partial) * rule
-        return out
+                e = (m.code >> shift) & _FIELD
+                if e:
+                    partial.append((m.code - step, c * e))
+            _accumulate(acc, partial, _pairs(rule))
+        return MPoly._from_codes(acc, {})
 
     def eval_rat(self, point: Mapping[Sym, Coeffable]) -> Fraction:
         """Exact evaluation; every symbol must be bound to a rational."""
@@ -439,10 +475,12 @@ class MPoly:
     def as_univariate(self, x: Sym) -> Optional[list[Coef]]:
         """Dense coefficient list in ``x`` (ascending), or None if any other
         symbol occurs.  Constants give a single-entry list."""
+        shift = x.shift
+        step = (1 << shift) + _DEG1
         coeffs: dict[int, Coef] = {}
         for m, c in self.terms.items():
-            e = m.exponent(x)
-            if any(s is not x for s, _ in m.exps):
+            e = (m.code >> shift) & _FIELD
+            if m.code != e * step:
                 return None
             coeffs[e] = coeffs.get(e, 0) + c
         n = max(coeffs, default=0)
@@ -452,28 +490,24 @@ class MPoly:
         """Componentwise-minimum monomial dividing every term."""
         if not self.terms or _UNIT in self.terms:
             return _UNIT
-        common: dict[Sym, int] | None = None
-        for m in self.terms:
-            exps = dict(m.exps)
-            if common is None:
-                common = exps
-            else:
-                common = {s: min(e, exps[s]) for s, e in common.items() if s in exps}
-            if not common:
-                return _UNIT
-        return Mono(common or {})
+        first, *rest = self.terms
+        g = 0
+        for s, e in first.exps:
+            for m in rest:
+                e = min(e, (m.code >> s.shift) & _FIELD)
+                if not e:
+                    break
+            g += e * ((1 << s.shift) + _DEG1)
+        return _mono(g)
 
     def divide_mono(self, g: Mono) -> "MPoly":
         """Exact division by a monomial dividing every term."""
         out: dict[Mono, Coef] = {}
-        shift = dict(g.exps)
         for m, c in self.terms.items():
-            exps = dict(m.exps)
-            for s, e in shift.items():
-                if exps.get(s, 0) < e:
+            for s, e in g.exps:
+                if (m.code >> s.shift) & _FIELD < e:
                     raise ValueError(f"{g} does not divide {m}")
-                exps[s] -= e
-            out[Mono(exps)] = c
+            out[_mono(m.code - g.code)] = c
         return MPoly._raw(out)
 
     def ascii(self) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
-from .poly import Coef, Mono, MPoly
+from .poly import MPoly
 from .symbols import E, MU, R, RHO, SIGMA, TAU, a, b
 from .tanh import linear_balance
 
@@ -53,13 +53,13 @@ def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
     s = p.max_exponent(TAU) // 2
     if s == 0:
         return p, 0
-    parts: list[dict[Mono, Coef]] = [{} for _ in range(s + 1)]
-    for m, c in p.terms.items():
-        q = m.exponent(TAU) // 2
-        parts[q][Mono([(t, e - 2 * q if t is TAU else e) for t, e in m.exps])] = c
-    acc = MPoly._raw(parts[s])
+    by_tau = p.split((TAU,))
+    zero = MPoly.zero()
+    # P_q = C_2q + C_(2q+1) * tau with C_j the coefficient of tau^j
+    parts = [by_tau.get((2 * q,), zero) + by_tau.get((2 * q + 1,), zero) * _TAU for q in range(s + 1)]
+    acc = parts[s]
     for q in range(s - 1, -1, -1):
-        acc = acc * R_TAU2 + MPoly._raw(parts[q]) * _R ** (s - q)
+        acc = acc * R_TAU2 + parts[q] * _R ** (s - q)
     return acc, s
 
 

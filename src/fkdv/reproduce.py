@@ -12,20 +12,20 @@ from . import __version__, closedform, fixtures, pre, tanh
 from .equation import EquationSpec, ito
 from .solver import Assignment, SolveConfig, solve, verify_assignment
 from .solver import rational_lambda_grid
-from .symbols import LAM, MU, R, K, Sym, a, b
+from .symbols import LAM, MAX_ORDER, MU, R, K, Sym, a, b
 
 
 def derive(method: str, spec: EquationSpec | None = None, order: int | None = None):
     """(order, system) of ``method`` ("tanh" or "pre") for ``spec`` (Ito by
     default); the order defaults to the balanced M for tanh and to depth 1
-    for the projective method."""
+    for the projective method.  An order above MAX_ORDER raises ValueError."""
     spec = spec or ito()
-    if method == "tanh":
-        if order is None:
-            order = tanh.balance_M(tanh.balance_terms_for(spec))
-        return order, tanh.extract_system(tanh.ode_residual(spec, tanh.build_ansatz(order)))
     if order is None:
-        order = 1
+        order = tanh.balance_M(tanh.balance_terms_for(spec)) if method == "tanh" else 1
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} is above the maximum order {MAX_ORDER}")
+    if method == "tanh":
+        return order, tanh.extract_system(tanh.ode_residual(spec, tanh.build_ansatz(order)))
     return order, pre.extract_pre_system(pre.pre_ode_residual(spec, pre.build_pre_ansatz(order)))
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
-from .poly import Coef, Mono, MPoly, rational_roots
+from .poly import Mono, MPoly, rational_roots
 from .symbols import Sym
 
 SOLVED = "solved"
@@ -150,23 +150,6 @@ class _Node:
         self.bindings: dict[Sym, Fraction] = bindings
         self.elims: list[tuple[Sym, MPoly]] = elims  # x -> expr, insertion order
         self.polys: list[MPoly] = polys
-
-
-def linear_pivots(p: MPoly) -> dict[Sym, Coef]:
-    """{x: c} for each symbol x that occurs in p only in one term c*x, that
-    is, linearly with a constant coefficient.  One pass over the terms finds
-    the candidates; the terms of another shape then rule them out."""
-    pivots: dict[Sym, Coef] = {}
-    other: list[Mono] = []
-    for m, c in p.terms.items():
-        if len(m.exps) == 1 and m.exps[0][1] == 1:
-            pivots[m.exps[0][0]] = c
-        else:
-            other.append(m)
-    for m in other if pivots else ():
-        for s, _ in m.exps:
-            pivots.pop(s, None)
-    return pivots
 
 
 def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
@@ -354,7 +337,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         # move 2: linear elimination with a constant coefficient
         best = None
         for p in polys:
-            for x, c in linear_pivots(p).items():
+            for x, c in p.linear_pivots().items():
                 if x not in live:
                     continue
                 key = (len(p.terms), p.degree(), x.key, _Text(p))

@@ -12,11 +12,14 @@ auxiliary equations, ``xinv`` = 1/xi and the reciprocals ``ysec, ycsc,
 ysech, ycsch`` = 1/(1 + mu*sec), ... at the angle w*xi/2.  The total order
 used everywhere (canonical monomial order, solver tie-breaking) is exactly
 that listing: a-family by index, then b-family by index, then the tail.
+
+The indices run to ``MAX_ORDER``, the highest ansatz order.  In that order
+each symbol owns a ``FIELD_BITS``-wide exponent field of the packed monomial
+code of :mod:`fkdv.poly`, at bit offset ``Sym.shift``, a0 most significant;
+the total degree sits above them at ``DEGREE_SHIFT``, capped at ``MAX_DEGREE``.
 """
 
 from __future__ import annotations
-
-import re
 
 _TAIL = (
     "k", "lam", "mu", "r", "e", "rho", "alpha", "beta", "gamma", "omega",
@@ -25,9 +28,18 @@ _TAIL = (
     "cscw", "cotw", "ym", "yp",
     "xinv", "ysec", "ycsc", "ysech", "ycsch",
 )
-_TAIL_RANK = {name: i for i, name in enumerate(_TAIL)}
 
-_NAME_RE = re.compile(r"^(?:a(?:0|[1-9]\d*)|b[1-9]\d*|%s)$" % "|".join(_TAIL))
+MAX_ORDER = 16
+FIELD_BITS = 8
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+_NAMES = (
+    *(f"a{j}" for j in range(MAX_ORDER + 1)),
+    *(f"b{j}" for j in range(1, MAX_ORDER + 1)),
+    *_TAIL,
+)
+_RANK = {name: i for i, name in enumerate(_NAMES)}
+DEGREE_SHIFT = FIELD_BITS * len(_NAMES)
 
 LATEX = {
     "lam": r"\lambda",
@@ -56,9 +68,10 @@ LATEX = {
 
 
 class Sym:
-    """An interned symbol; equal names are the same object."""
+    """An interned symbol; equal names are the same object.  ``key`` is its
+    rank in the symbol order and ``shift`` the offset of its exponent field."""
 
-    __slots__ = ("name", "key")
+    __slots__ = ("name", "key", "shift")
     _registry: dict[str, "Sym"] = {}
 
     def __new__(cls, name: str) -> "Sym":
@@ -66,16 +79,12 @@ class Sym:
             return cls._registry[name]
         except KeyError:
             pass
-        if not _NAME_RE.match(name):
+        if name not in _RANK:
             raise ValueError(f"{name!r} is not in the symbol alphabet")
         self = object.__new__(cls)
         self.name = name
-        if name in _TAIL_RANK:
-            self.key = (2, _TAIL_RANK[name])
-        elif name[0] == "a":
-            self.key = (0, int(name[1:]))
-        else:
-            self.key = (1, int(name[1:]))
+        self.key = _RANK[name]
+        self.shift = DEGREE_SHIFT - FIELD_BITS * (self.key + 1)
         cls._registry[name] = self
         return self
 
@@ -93,6 +102,10 @@ class Sym:
         if self.name[0] in "ab" and self.name[1:].isdigit():
             return f"{self.name[0]}_{{{self.name[1:]}}}"
         return self.name
+
+
+# every symbol in symbol order
+ALPHABET = tuple(Sym(name) for name in _NAMES)
 
 
 def sym(name: str) -> Sym:

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from fkdv import cli, fixtures
+from fkdv.symbols import MAX_ORDER
 
 
 def run(argv, capsys):
@@ -114,6 +115,20 @@ def test_derive_order_zero_is_usage_error(capsys):
     code, _, err = run(["derive", "--method", "tanh", "--preset", "ito", "--order", "0"], capsys)
     assert code == cli.EXIT_USAGE
     assert "order must be >= 1" in err
+
+
+@pytest.mark.parametrize(("method", "order"), [("tanh", 17), ("tanh", 5000), ("pre", 17)])
+def test_derive_order_above_cap_is_usage_error(method, order, capsys):
+    # the ansatz symbols a_j, b_j stop at MAX_ORDER, so a larger order ends
+    # at once instead of expanding without bound
+    start = time.perf_counter()
+    code, out, err = run(
+        ["derive", "--method", method, "--preset", "ito", "--order", str(order)], capsys
+    )
+    assert time.perf_counter() - start < 2
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: order {order} is above the maximum order {MAX_ORDER}\n"
 
 
 def test_derive_latex_output(capsys, tmp_path):

@@ -36,7 +36,7 @@ def test_symbols_interned_and_ordered():
     assert order == sorted(order, key=lambda s: s.key)
 
 
-@pytest.mark.parametrize("bad", ["c1", "b0", "a-1", "lambda", "a01", "x"])
+@pytest.mark.parametrize("bad", ["c1", "b0", "a-1", "lambda", "a01", "x", "a17", "b17"])
 def test_symbols_closed_alphabet(bad):
     with pytest.raises(ValueError):
         Sym(bad)
@@ -531,3 +531,198 @@ def test_derive_and_split_build_canonical_monomials(p, s):
         for m in q.terms:
             rebuilt = Mono(dict(m.exps))
             assert m.exps == rebuilt.exps and m.degree == rebuilt.degree
+
+
+# ---------------------------------------------------------------- packed monomials
+#
+# The reference below keeps a monomial as a {symbol: exponent} dict and a
+# polynomial as a {sorted exponent tuple: coefficient} dict, with no packing.
+
+# the fields at both ends of the packed code and either side of a family edge
+_WIDE_SYMS = [a(0), a(1), a(16), b(1), b(16), Sym("k"), Sym("tau"), Sym("ycsch")]
+_MAX_DEGREE = 255
+
+
+def _ref_key(exps: dict) -> tuple:
+    return tuple(sorted(((s, e) for s, e in exps.items() if e), key=lambda se: se[0].key))
+
+
+def _ref_cmp(a: tuple, b: tuple) -> int:
+    """The graded-lex rule on sorted (symbol, exponent) tuples: higher total
+    degree first, then the exponent of the earliest symbol."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (sa, ea), (sb, eb) = a[i], b[j]
+        if sa is sb:
+            if ea != eb:
+                return 1 if ea > eb else -1
+            i, j = i + 1, j + 1
+        elif sa.key < sb.key:
+            return 1  # earlier symbol with positive exponent wins
+        else:
+            return -1
+    return 1 if i < len(a) else -1 if j < len(b) else 0
+
+
+def _ref_of(p: MPoly) -> dict:
+    return {m.exps: c for m, c in p.terms.items()}
+
+
+def _ref_poly(ref: dict) -> MPoly:
+    return MPoly({Mono(dict(k)): c for k, c in ref.items()})
+
+
+def _ref_add(acc: dict, key: tuple, c) -> None:
+    acc[key] = acc.get(key, 0) + c
+    if acc[key] == 0:
+        del acc[key]
+
+
+def _ref_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            exps = dict(k1)
+            for s, e in k2:
+                exps[s] = exps.get(s, 0) + e
+            _ref_add(out, _ref_key(exps), c1 * c2)
+    return out
+
+
+@st.composite
+def wide_monos(draw, max_degree=60):
+    syms = draw(st.lists(st.sampled_from(_WIDE_SYMS), max_size=4, unique=True))
+    exps = {}
+    for s in syms:
+        e = draw(st.integers(1, max_degree))
+        if sum(exps.values()) + e <= max_degree:
+            exps[s] = e
+    return exps
+
+
+@st.composite
+def wide_refs(draw, max_degree=60):
+    ref = {}
+    for _ in range(draw(st.integers(0, 5))):
+        _ref_add(ref, _ref_key(draw(wide_monos(max_degree))), F(draw(st.integers(-9, 9)), draw(st.integers(1, 4))))
+    return ref
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wide_monos(_MAX_DEGREE), wide_monos(_MAX_DEGREE))
+def test_packed_order_and_decoding_match_the_reference(x, y):
+    mx, my = Mono(x), Mono(y)
+    assert mx.exps == _ref_key(x) and mx.degree == sum(x.values())
+    assert all(mx.exponent(s) == x.get(s, 0) for s in _WIDE_SYMS)
+    cmp = _ref_cmp(_ref_key(x), _ref_key(y))
+    assert (mx < my, mx > my, mx == my) == (cmp < 0, cmp > 0, cmp == 0)
+    assert (hash(mx) == hash(my)) or cmp != 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wide_monos(), wide_monos())
+def test_packed_product_matches_the_reference(x, y):
+    sums = {s: x.get(s, 0) + y.get(s, 0) for s in {*x, *y}}
+    assert (Mono(x) * Mono(y)).exps == _ref_key(sums)
+    assert (Mono(x) ** 3).exps == _ref_key({s: 3 * e for s, e in x.items()})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_refs(), wide_refs())
+def test_packed_mul_matches_the_reference(p, q):
+    assert _ref_of(_ref_poly(p) * _ref_poly(q)) == _ref_mul(p, q)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_refs(), st.lists(st.sampled_from(_WIDE_SYMS), min_size=1, max_size=3, unique=True))
+def test_packed_split_matches_the_reference(p, syms):
+    expected: dict = {}
+    for k, c in p.items():
+        exps = dict(k)
+        key = tuple(exps.pop(s, 0) for s in syms)
+        expected.setdefault(key, {})[_ref_key(exps)] = c
+    got = _ref_poly(p).split(syms)
+    assert {key: _ref_of(part) for key, part in got.items()} == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_refs(), wide_refs(30), wide_refs(30), st.sampled_from(_WIDE_SYMS), st.sampled_from(_WIDE_SYMS))
+def test_packed_derive_matches_the_reference(p, r1, r2, s1, s2):
+    rules = {s1: r1, s2: r2}
+    expected: dict = {}
+    for s, rule in rules.items():
+        partial = {}
+        for k, c in p.items():
+            exps = dict(k)
+            e = exps.get(s, 0)
+            if e:
+                exps[s] = e - 1
+                _ref_add(partial, _ref_key(exps), c * e)
+        for key, c in _ref_mul(partial, rule).items():
+            _ref_add(expected, key, c)
+    got = _ref_poly(p).derive({s: _ref_poly(rule) for s, rule in rules.items()})
+    assert _ref_of(got) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_refs(), st.dictionaries(st.sampled_from(_WIDE_SYMS), _RATS | wide_refs(3), max_size=3))
+def test_packed_substitute_matches_the_reference(p, bind):
+    expected: dict = {}
+    for k, c in p.items():
+        term = {_ref_key({s: e for s, e in k if s not in bind}): c}
+        for s, e in k:
+            if s in bind:
+                v = bind[s] if isinstance(bind[s], dict) else ({(): bind[s]} if bind[s] else {})
+                for _ in range(e):
+                    term = _ref_mul(term, v)
+        for key, tc in term.items():
+            _ref_add(expected, key, tc)
+    values = {s: _ref_poly(v) if isinstance(v, dict) else v for s, v in bind.items()}
+    assert _ref_of(_ref_poly(p).substitute(values)) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_refs(), wide_monos(30))
+def test_packed_gcd_and_division_match_the_reference(p, g):
+    # every term times g has g as a common factor
+    scaled = _ref_mul(p, {_ref_key(g): 1})
+    poly = _ref_poly(scaled)
+    common = None
+    for k in scaled:
+        exps = dict(k)
+        common = exps if common is None else {s: min(e, exps.get(s, 0)) for s, e in common.items()}
+    assert poly.monomial_gcd().exps == _ref_key(common or {})
+    assert _ref_of(poly.divide_mono(Mono(g))) == p
+    if p and g:
+        with pytest.raises(ValueError):
+            _ref_poly(p).divide_mono(Mono(g) * Mono({Sym("lam"): 1}))
+
+
+def test_packed_degree_boundary():
+    top = Mono({a(0): _MAX_DEGREE})
+    assert top.exponent(a(0)) == _MAX_DEGREE and top.degree == _MAX_DEGREE
+    assert top.exps == ((a(0), _MAX_DEGREE),)
+    assert MPoly.var(Sym("ycsch")) ** _MAX_DEGREE == MPoly.monomial(Mono({Sym("ycsch"): _MAX_DEGREE}))
+
+
+@pytest.mark.parametrize(
+    "overflow",
+    [
+        lambda: Mono({a(0): _MAX_DEGREE + 1}),
+        lambda: Mono({a(16): 200, Sym("ycsch"): 56}),
+        lambda: Mono({a(0): 200}) * Mono({b(16): 56}),
+        lambda: Mono({Sym("k"): 2}) ** 128,
+        lambda: MPoly.var(a(0)) ** 200 * (MPoly.var(Sym("k")) ** 55 + MPoly.var(b(1)) ** 56),
+        lambda: MPoly.var(a(0)) ** (_MAX_DEGREE + 1),
+        lambda: (MPoly.var(a(0)) + MPoly.var(b(1))) ** 256,
+        lambda: parse_poly("tau^256"),
+    ],
+    ids=["Mono", "Mono-two-fields", "Mono.__mul__", "Mono.__pow__", "MPoly.__mul__",
+         "MPoly.__pow__", "MPoly.__pow__-sum", "parse"],
+)
+def test_packed_degree_above_cap_raises(overflow):
+    with pytest.raises(ValueError, match="exceeds 255"):
+        overflow()

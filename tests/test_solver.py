@@ -383,8 +383,8 @@ def test_move_1_leaves_account_for_every_factor(case):
 def test_non_unit_integer_pivot_eliminates_exactly():
     # no univariate equation, so move 2 eliminates a0 with the pivot 3
     system = [parse_poly("3*a0 + 2*a1 - 1"), parse_poly("a0*a1 + a1")]
-    assert solver.linear_pivots(system[0]) == {a(0): 3, a(1): 2}
-    assert solver.linear_pivots(system[1]) == {}
+    assert system[0].linear_pivots() == {a(0): 3, a(1): 2}
+    assert system[1].linear_pivots() == {}
     leaves = solve(system, SolveConfig(unknowns=(a(0), a(1))))
     assert [br.status for br in leaves] == ["solved", "solved"]
     assert {tuple(br.assignment.items()) for br in leaves} == {
@@ -428,7 +428,7 @@ def _small_polys(draw):
 @given(_small_polys())
 def test_linear_pivots_match_old_predicate(p):
     for q in (p, p.normalize()):
-        pivots = solver.linear_pivots(q)
+        pivots = q.linear_pivots()
         assert set(pivots) == _old_linear_symbols(q)
         for x, c in pivots.items():
             assert c == q.coefficient_of(x, 1).constant_value()
