@@ -24,8 +24,9 @@ exponent of the earliest symbol.  A monomial is packed into one int (see
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, or_
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .symbols import ALPHABET, DEGREE_SHIFT, FIELD_BITS, MAX_DEGREE, Sym
@@ -69,9 +70,10 @@ class Mono:
     int order of codes is the graded-lex order, a product is the sum of the
     codes, and removing exponents is a subtraction.  A total degree above
     ``MAX_DEGREE`` raises ValueError, so no field overflows into the next.
+    ``exps``, the (symbol, exponent) pairs, is decoded from the code once.
     """
 
-    __slots__ = ("code", "_exps")
+    __slots__ = ("code", "exps")
 
     def __init__(self, exps: Mapping[Sym, int] | Iterable[tuple[Sym, int]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -82,14 +84,12 @@ class Mono:
             code += e * ((1 << s.shift) + _DEG1)
         self.code = _checked(code)
 
-    @property
-    def exps(self) -> tuple[tuple[Sym, int], ...]:
-        """(symbol, exponent) pairs in symbol order, decoded once."""
-        try:
-            return self._exps
-        except AttributeError:
-            self._exps = tuple(_decode(self.code & _EXPS))
-            return self._exps
+    def __getattr__(self, name: str):
+        # runs only while the ``exps`` slot is unset; later reads hit the slot
+        if name != "exps":
+            raise AttributeError(name)
+        self.exps = tuple(_decode(self.code & _EXPS))
+        return self.exps
 
     @property
     def degree(self) -> int:
@@ -292,11 +292,9 @@ class MPoly:
     def symbols(self) -> frozenset[Sym]:
         """The symbols that occur; computed once."""
         if self._syms is None:
-            fields = 0
-            for m in self.terms:
-                fields |= m.code
-            # a field of the OR is nonzero where some exponent is
-            self._syms = frozenset(s for s, _ in _decode(fields & _EXPS))
+            # a field of the OR of the codes is nonzero where some exponent is
+            fields = reduce(or_, map(_code, self.terms), 0) & _EXPS
+            self._syms = frozenset(s for s, _ in _decode(fields))
         return self._syms
 
     def linear_pivots(self) -> dict[Sym, Coef]:
@@ -339,14 +337,13 @@ class MPoly:
     def coefficient_of(self, s: Sym, power: int) -> "MPoly":
         """Polynomial coefficient of s**power (s removed from the monomials)."""
         drop = power * ((1 << s.shift) + _DEG1)
-        return MPoly({_mono(m.code - drop): c for m, c in self.terms.items() if m.exponent(s) == power})
+        out = {_mono(m.code - drop): c for m, c in self.terms.items() if m.exponent(s) == power}
+        return MPoly(out)
 
     def split(self, syms: Sequence[Sym]) -> dict[tuple[int, ...], "MPoly"]:
         """Coefficients by the exponents of ``syms``: self is the sum over
         the keys of coefficient * prod(s**e for s, e in zip(syms, key))."""
-        mask = 0
-        for s in syms:
-            mask |= _FIELD << s.shift
+        mask = sum(_FIELD << s.shift for s in syms)
         # group the terms by their fields of syms, then take off each group's
         # fields and their degree
         groups: dict[int, dict[int, Coef]] = {}
@@ -409,9 +406,8 @@ class MPoly:
         }
         if not bind:
             return self
-        touched = 0
-        for s in bind:
-            touched |= _FIELD << s.shift
+        bound = [(s.shift, (1 << s.shift) + _DEG1, v) for s, v in bind.items()]
+        touched = sum(_FIELD << shift for shift, _, _ in bound)
         if not any(bind.values()):
             # a binding to 0 drops every term it touches and keeps the rest
             return MPoly._raw({m: c for m, c in self.terms.items() if not m.code & touched})
@@ -422,26 +418,27 @@ class MPoly:
             k = m.code
             if not k & touched:
                 keep[k] = m
+                acc[k] = get(k, 0) + c
+                continue
+            factors: list[MPoly] = []
+            for shift, step, v in bound:
+                e = (k >> shift) & _FIELD
+                if not e:
+                    continue
+                k -= e * step
+                if isinstance(v, MPoly):
+                    factors.append(v**e)
+                else:
+                    c = c * v**e
+            if not c:
+                continue
+            if factors:
+                term = MPoly._raw({_mono(k): c})
+                for f in factors:
+                    term = term * f
+                _accumulate(acc, [(0, 1)], _pairs(term))
             else:
-                factors: list[MPoly] = []
-                for s, v in bind.items():
-                    e = (k >> s.shift) & _FIELD
-                    if not e:
-                        continue
-                    k -= e * ((1 << s.shift) + _DEG1)
-                    if isinstance(v, MPoly):
-                        factors.append(v**e)
-                    else:
-                        c = c * v**e
-                if not c:
-                    continue
-                if factors:
-                    term = MPoly._raw({_mono(k): c})
-                    for f in factors:
-                        term = term * f
-                    _accumulate(acc, [(0, 1)], _pairs(term))
-                    continue
-            acc[k] = get(k, 0) + c
+                acc[k] = get(k, 0) + c
         return MPoly._from_codes(acc, keep)
 
     def derive(self, rules: Mapping[Sym, "MPoly"]) -> "MPoly":

@@ -53,10 +53,10 @@ def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
     s = p.max_exponent(TAU) // 2
     if s == 0:
         return p, 0
-    by_tau = p.split((TAU,))
+    c = p.split((TAU,))
     zero = MPoly.zero()
-    # P_q = C_2q + C_(2q+1) * tau with C_j the coefficient of tau^j
-    parts = [by_tau.get((2 * q,), zero) + by_tau.get((2 * q + 1,), zero) * _TAU for q in range(s + 1)]
+    # P_q = C_2q + C_(2q+1) * tau, with C_j = c[(j,)] the coefficient of tau^j
+    parts = [c.get((2 * q,), zero) + c.get((2 * q + 1,), zero) * _TAU for q in range(s + 1)]
     acc = parts[s]
     for q in range(s - 1, -1, -1):
         acc = acc * R_TAU2 + parts[q] * _R ** (s - q)
