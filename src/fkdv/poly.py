@@ -73,7 +73,7 @@ class Mono:
     ``exps``, the (symbol, exponent) pairs, is decoded from the code once.
     """
 
-    __slots__ = ("code", "exps")
+    __slots__ = ("code", "_exps")
 
     def __init__(self, exps: Mapping[Sym, int] | Iterable[tuple[Sym, int]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -84,12 +84,14 @@ class Mono:
             code += e * ((1 << s.shift) + _DEG1)
         self.code = _checked(code)
 
-    def __getattr__(self, name: str):
-        # runs only while the ``exps`` slot is unset; later reads hit the slot
-        if name != "exps":
-            raise AttributeError(name)
-        self.exps = tuple(_decode(self.code & _EXPS))
-        return self.exps
+    @property
+    def exps(self) -> tuple[tuple[Sym, int], ...]:
+        # a property, not __getattr__, which would slow every attribute read
+        try:
+            return self._exps
+        except AttributeError:
+            self._exps = tuple(_decode(self.code & _EXPS))
+            return self._exps
 
     @property
     def degree(self) -> int:
@@ -285,9 +287,7 @@ class MPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self.terms, key=_code).code >> DEGREE_SHIFT
+        return max(map(_code, self.terms), default=-_DEG1) >> DEGREE_SHIFT
 
     def symbols(self) -> frozenset[Sym]:
         """The symbols that occur; computed once."""
@@ -358,8 +358,7 @@ class MPoly:
         return parts
 
     def max_exponent(self, s: Sym) -> int:
-        shift = s.shift
-        return max(((m.code >> shift) & _FIELD for m in self.terms), default=0)
+        return max(((m.code >> s.shift) & _FIELD for m in self.terms), default=0)
 
     def _content(self) -> tuple[int, int]:
         # (gcd of the numerators, lcm of the denominators) is the content in
@@ -406,11 +405,13 @@ class MPoly:
         }
         if not bind:
             return self
-        bound = [(s.shift, (1 << s.shift) + _DEG1, v) for s, v in bind.items()]
-        touched = sum(_FIELD << shift for shift, _, _ in bound)
+        touched = 0
+        for s in bind:
+            touched |= _FIELD << s.shift
         if not any(bind.values()):
             # a binding to 0 drops every term it touches and keeps the rest
             return MPoly._raw({m: c for m, c in self.terms.items() if not m.code & touched})
+        bound = [(s.shift, (1 << s.shift) + _DEG1, v) for s, v in bind.items()]
         acc: dict[int, Coef] = {}
         get = acc.get
         keep: dict[int, Mono] = {}  # the monomials no binding touches
