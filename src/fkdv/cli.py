@@ -31,6 +31,7 @@ from .reproduce import (
     system_latex,
     unknowns,
 )
+from .solver import MAX_GRID_DEPTH
 from .symbols import E, LAM, MAX_ORDER, RHO
 
 EXIT_OK = 0
@@ -342,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="run the full end-to-end reproduction")
-    p.add_argument("--lambda-grid-depth", type=int, default=3)
+    p.add_argument("--lambda-grid-depth", type=int, default=3,
+                   help="solve at lambda = -6*m^4 for m = 1..N, "
+                   f"N at most {MAX_GRID_DEPTH} (default: 3)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--latex", metavar="PATH", help="write the LaTeX appendix")

@@ -280,9 +280,14 @@ class MPoly:
         if n < 0:
             raise ValueError("negative power")
         _checked(self.degree() * n << DEGREE_SHIFT)
-        result = MPoly.const(1)
-        for _ in range(n):
-            result = result * self
+        if not n:
+            return MPoly.const(1)
+        # left-to-right binary powering: square per bit, times self per 1 bit
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def degree(self) -> int:
@@ -458,17 +463,44 @@ class MPoly:
         return MPoly._from_codes(acc, {})
 
     def eval_rat(self, point: Mapping[Sym, Coeffable]) -> Fraction:
-        """Exact evaluation; every symbol must be bound to a rational."""
-        point = {s: _as_rat(v) for s, v in point.items()}
-        total: Coef = 0
+        """Exact evaluation; every symbol must be bound to a rational.
+
+        The sum runs over ints.  With D the common denominator of the bound
+        values, each value is N/D, and a term of degree k is scaled by
+        D**(d - k), d the total degree; L clears the coefficients'
+        denominators, so the value is the int sum over L * D**d.  A term
+        with a symbol bound to 0 is skipped, and each power of each N is
+        computed once per call, when a term first needs it."""
+        try:
+            values = {s: _as_rat(point[s]) for s in self.symbols()}
+        except KeyError:
+            missing = min((s for s in self.symbols() if s not in point), key=attrgetter("key"))
+            raise KeyError(f"unbound symbol {missing}") from None
+        den = lcm(*[v.denominator for v in values.values()])
+        powers: dict[Sym, list[int]] = {}  # powers[s][e] = N**e, filled on demand
+        zero = 0  # the fields of the symbols bound to 0
+        for s, v in values.items():
+            n = v.numerator * (den // v.denominator)
+            powers[s] = [1, n]
+            if not n:
+                zero |= _FIELD << s.shift
+        d = max(self.degree(), 0)
+        scale = [1]  # scale[j] = D**j
+        for _ in range(d):
+            scale.append(scale[-1] * den)
+        clear = lcm(*[c.denominator for c in self.terms.values()])
+        total = 0
         for m, c in self.terms.items():
-            v = c
+            if m.code & zero:
+                continue
+            v = c if clear == 1 else c.numerator * (clear // c.denominator)
             for s, e in m.exps:
-                if s not in point:
-                    raise KeyError(f"unbound symbol {s}")
-                v *= point[s] ** e
-            total += v
-        return Fraction(total)
+                row = powers[s]
+                while len(row) <= e:
+                    row.append(row[-1] * row[1])
+                v *= row[e]
+            total += v * scale[d - (m.code >> DEGREE_SHIFT)]
+        return Fraction(total, clear * scale[d])
 
     def as_univariate(self, x: Sym) -> Optional[list[Coef]]:
         """Dense coefficient list in ``x`` (ascending), or None if any other

@@ -232,6 +232,9 @@ def run_reproduce(
             exit_code = fail_code
         return ok
 
+    # checked first, so a depth out of range fails before any work
+    grid = rational_lambda_grid(grid_depth)
+
     # balance, derive and compare both systems with their transcriptions
     order, tanh_system = derive("tanh")
     stage("balance", order == 2, f"M = {order}")
@@ -247,7 +250,6 @@ def run_reproduce(
         )
 
     # solve over the rational wave-speed grid
-    grid = rational_lambda_grid(grid_depth)
     solves = []
     for m, lam in enumerate(grid, start=1):
         tb = solve_system(tanh_system, {LAM: lam}, budget)

@@ -19,6 +19,13 @@ dropped silently.  A node equal to one already explored replays that
 subtree's leaves when the budget allows it to finish again.  Output order is
 canonical regardless of exploration order, and every solved point is
 re-verified against the original system, once, before it is returned.
+
+Within one solve the polynomials of the tree are hash-consed: interned by
+value, so equal ones reached along different paths are one object, whose
+hash, text, symbols and pivots are computed once.  Each substitution of a
+polynomial under one binding, each normalize() result and each move-1 root
+set (keyed by its coefficient list) is likewise computed once per solve.
+The caches are dropped when solve returns.
 """
 
 from __future__ import annotations
@@ -135,11 +142,20 @@ def verify_assignment(
     return True, None
 
 
+# the grid's cost grows faster than its depth, as the numbers grow with m;
+# `fkdv reproduce` at this depth takes about 0.3 s (Python 3.11, one core)
+MAX_GRID_DEPTH = 16
+
+
 def rational_lambda_grid(depth: int) -> list[Fraction]:
     """Wave speeds -6*m^4 for m = 1..depth, where sqrt(-lam/6) = m^2 and its
-    square root m are both rational."""
+    square root m are both rational.  depth runs from 1 to MAX_GRID_DEPTH."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth > MAX_GRID_DEPTH:
+        raise ValueError(
+            f"lambda grid depth {depth} is above the maximum depth {MAX_GRID_DEPTH}"
+        )
     return [Fraction(-6) * m**4 for m in range(1, depth + 1)]
 
 
@@ -212,20 +228,60 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     if outside:
         raise ValueError(f"system symbols outside unknowns and presets: {outside}")
 
-    preset_map = cfg.presets.as_dict()
-    start = [p.substitute(preset_map) for p in system]
     budget = [cfg.branch_budget]
     leaves: list[Branch] = []
     # node state -> (first leaf, end leaf, nodes used) of a finished subtree
     memo: dict[tuple, tuple[int, int, int]] = {}
     verified: set[frozenset] = set()
+    # the hash-consing caches of the module docstring: interned maps each
+    # polynomial value to its one object, images (symbol, value) to
+    # {p: p under that binding}, normal p to p.normalize(), and root_sets a
+    # coefficient list to its sorted rational roots
+    interned: dict[MPoly, MPoly] = {}
+    images: dict[tuple, dict[MPoly, MPoly]] = {}
+    normal: dict[MPoly, MPoly] = {}
+    root_sets: dict[tuple, list[Fraction]] = {}
+
+    def intern(p: MPoly) -> MPoly:
+        return interned.setdefault(p, p)
+
+    def substituter(s: Sym, v: Fraction | MPoly):
+        """p -> p with s bound to v, computed once per solve."""
+        cache = images.setdefault((s, v), {})
+        bind = {s: v}
+
+        def image(p: MPoly) -> MPoly:
+            q = cache.get(p)
+            if q is None:
+                q = cache[p] = intern(p.substitute(bind))
+            return q
+
+        return image
+
+    def normalized(p: MPoly) -> MPoly:
+        q = normal.get(p)
+        if q is None:
+            q = normal[p] = intern(p.normalize())
+        return q
+
+    def sorted_roots(coeffs: list[int]) -> list[Fraction]:
+        key = tuple(coeffs)
+        roots = root_sets.get(key)
+        if roots is None:
+            roots = root_sets[key] = sorted(rational_roots(coeffs))
+        return roots
+
+    preset_map = cfg.presets.as_dict()
+    start = [intern(p.substitute(preset_map)) for p in system]
 
     def finish(node: _Node, status: str, witness: MPoly | None = None) -> None:
         # resolve recorded eliminations that have become constant
         resolved = dict(node.bindings)
         pending: list[tuple[Sym, MPoly]] = []
         for x, expr in reversed(node.elims):
-            expr = expr.substitute(resolved)
+            # one binding at a time, so each step is a cached substitution
+            for y in sorted(expr.symbols() & resolved.keys()):
+                expr = substituter(y, resolved[y])(expr)
             if expr.is_constant():
                 resolved[x] = expr.constant_value()
             else:
@@ -264,11 +320,11 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         )
 
     def substituted(node: _Node, s: Sym, v: Fraction) -> _Node:
-        bind = {s: v}
+        image = substituter(s, v)
         return _Node(
             {**node.bindings, s: v},
-            [(x, expr.substitute(bind)) for x, expr in node.elims],
-            [p.substitute(bind) for p in node.polys],
+            [(x, image(expr)) for x, expr in node.elims],
+            [image(p) for p in node.polys],
         )
 
     def explore(node: _Node) -> None:
@@ -281,7 +337,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
                 node.polys = [q for q in node.polys if not q.is_zero()]
                 finish(node, CONTRADICTION, witness=p)
                 return
-            polys.append(p.normalize())
+            polys.append(normalized(p))
         # deterministic working order, and deduplicate repeated equations
         polys = sorted(set(polys), key=_poly_key)
         node.polys = polys
@@ -325,7 +381,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             )
             x = next(iter(p.symbols()))
             coeffs = p.as_univariate(x)
-            roots = sorted(rational_roots(coeffs))
+            roots = sorted_roots(coeffs)
             for root in roots:
                 explore(substituted(node, x, root))
                 coeffs = _deflate(coeffs, root)
@@ -346,11 +402,11 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         if best is not None:
             _, p, x, c = best
             # the pivot is usually an int: divide as a Fraction to stay exact
-            expr = p.coefficient_of(x, 0) * (Fraction(-1) / c)
-            bind = {x: expr}
-            node.elims = [(y, q.substitute(bind)) for y, q in node.elims]
+            expr = intern(p.coefficient_of(x, 0) * (Fraction(-1) / c))
+            image = substituter(x, expr)
+            node.elims = [(y, image(q)) for y, q in node.elims]
             node.elims.append((x, expr))
-            node.polys = [q.substitute(bind) for q in polys]
+            node.polys = [image(q) for q in polys]
             explore(node)
             return
 
@@ -361,14 +417,17 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             rest = [q for q in polys if q is not p]
             for s in sorted(g.symbols(), key=lambda t: t.key):
                 explore(substituted(_Node(node.bindings, node.elims, rest + [p]), s, Fraction(0)))
-            explore(_Node(node.bindings, list(node.elims), rest + [p.divide_mono(g)]))
+            explore(_Node(node.bindings, list(node.elims), rest + [intern(p.divide_mono(g))]))
             return
 
         finish(node, STUCK, witness=polys[0])
 
-    explore(_Node({}, [], start))
-    # explore and expand refer to each other, so this frame outlives the
-    # call until the cycle collector runs; drop the memo now
-    memo.clear()
+    try:
+        explore(_Node({}, [], start))
+    finally:
+        # explore and expand refer to each other, so this frame outlives the
+        # call until the cycle collector runs; drop the caches now
+        for cache in (memo, interned, images, normal, root_sets):
+            cache.clear()
     leaves.sort(key=Branch.sort_key)
     return leaves

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from fkdv import cli, fixtures
+from fkdv.solver import MAX_GRID_DEPTH
 from fkdv.symbols import MAX_ORDER
 
 
@@ -323,6 +324,27 @@ def test_reproduce_latex_appendix(capsys, tmp_path):
     assert code == 0
     body = tex.read_text()
     assert "Solution catalog" in body and "u10" in body
+
+
+def test_reproduce_at_the_grid_depth_cap(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        ["reproduce", "--lambda-grid-depth", str(MAX_GRID_DEPTH), "--json", str(out)], capsys
+    )
+    assert code == 0
+    solves = json.loads(out.read_text())["solves"]
+    assert [s["lambda"] for s in solves] == [str(-6 * m**4) for m in range(1, MAX_GRID_DEPTH + 1)]
+
+
+@pytest.mark.parametrize("depth", [MAX_GRID_DEPTH + 1, 10**12])
+def test_reproduce_grid_depth_above_cap_is_usage_error(depth, capsys):
+    # the check comes before any derivation, so the run ends at once
+    start = time.perf_counter()
+    code, out, err = run(["reproduce", "--lambda-grid-depth", str(depth)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: lambda grid depth {depth} is above the maximum depth {MAX_GRID_DEPTH}\n"
 
 
 def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):

@@ -411,6 +411,30 @@ def test_ascii_parse_round_trip(p):
 _RATS = st.sampled_from([0, 1, -1]) | st.builds(F, st.integers(-30, 30), st.integers(1, 6))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(), st.integers(0, 12))
+def test_power_is_repeated_multiplication(p, n):
+    product = MPoly.const(1)
+    for _ in range(n):
+        product = product * p
+    assert p**n == product
+
+
+def test_power_of_a_large_constant_is_fast():
+    # binary powering takes 17 squarings here, not 100000 products
+    start = time.perf_counter()
+    assert parse_poly("3^100000") == MPoly.const(3**100000)
+    assert time.perf_counter() - start < 0.5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(), st.fixed_dictionaries({s: _RATS for s in _SYMS}))
+def test_eval_rat_matches_full_substitution(p, point):
+    got = p.eval_rat(point)
+    assert type(got) is F
+    assert got == p.substitute(point).constant_value()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(polys(), polys(), st.sampled_from(_SYMS), _RATS, st.booleans())
 def test_rational_substitute_matches_constant_polynomial(base, q, s, c, cancel):

@@ -325,6 +325,33 @@ def test_each_solved_point_verified_once(monkeypatch):
     assert len(calls) == len(solved) and set(calls.values()) == {1}
 
 
+def test_each_substitution_and_root_set_computed_once(monkeypatch):
+    # move 3 reaches equal nodes along several paths; the per-solve caches
+    # must leave one substitution per (polynomial, binding) and one root
+    # search per coefficient list, and the same leaves
+    _pre_polys(3)
+    substitutions, root_searches = Counter(), Counter()
+    substitute, rational_roots = MPoly.substitute, solver.rational_roots
+
+    def counting_substitute(p, bind):
+        substitutions[p.ascii(), tuple(sorted((s.name, str(v)) for s, v in bind.items()))] += 1
+        return substitute(p, bind)
+
+    def counting_rational_roots(coeffs):
+        root_searches[tuple(coeffs)] += 1
+        return rational_roots(coeffs)
+
+    monkeypatch.setattr(MPoly, "substitute", counting_substitute)
+    monkeypatch.setattr(solver, "rational_roots", counting_rational_roots)
+    leaves = _pre_solve(3, -6)
+    assert len(substitutions) > 1000 and set(substitutions.values()) == {1}
+    assert len(root_searches) > 10 and set(root_searches.values()) == {1}
+    text = repr([(br.sort_key(), [s.name for s in br.free_symbols]) for br in leaves])
+    count, digest = PINNED_LEAVES[3, -6, 10000]
+    assert len(leaves) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------- move 1
 
 
