@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping
 
 from .equation import ito, ode_terms
 from .errors import PoleError
-from .poly import MPoly
+from .poly import MPoly, exps_of
 from .pre import PAPER_SIGNS, PRE_RULES, R_TAU2
 from .symbols import (
     COT, COTH, COTW, CSC, CSCH, CSCW, E, K, LAM, MU, PHI, R, RHO, SEC, SECH, SIGMA, TAN,
@@ -422,9 +422,9 @@ def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GU
     """binary64 value of ``p``; raises PoleError when a monomial, a term or
     the sum leaves the magnitude ``bound``."""
     total = []
-    for m, c in p.terms.items():
+    for k, c in p.terms.items():
         v = 1.0
-        for s, e in m.exps:
+        for s, e in exps_of(k):
             v *= point[s] ** e
         total.append(_guard(float(c) * _guard(v, bound), bound))
     return _guard(math.fsum(total), bound)

@@ -72,7 +72,7 @@ def load_fixture(method: str) -> Fixture:
 
 def _only_in(p: MPoly, q: MPoly) -> list[str]:
     """The terms of p that q lacks or carries with another coefficient."""
-    return [MPoly.monomial(m, c).ascii() for m, c in p.sorted_terms() if q.terms.get(m) != c]
+    return [MPoly.monomial(m, c).ascii() for m, c in p.sorted_terms() if q.terms.get(m.code) != c]
 
 
 @dataclass(frozen=True)

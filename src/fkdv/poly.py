@@ -12,21 +12,22 @@ is ``Fraction`` division.  Values handed out of the kernel
 (``constant_value``, ``eval_rat``, ``content``, ``rational_roots``) are
 ``Fraction``.
 
-Monomials map symbols to positive exponents; polynomials map monomials to
-nonzero coefficients, so equal values always have equal term maps.
+A monomial is packed into one int code (see :class:`Mono`); a polynomial's
+``terms`` maps codes to nonzero coefficients, so equal values have equal term
+maps and the kernel hashes only ints.  A ``Mono`` object is built only to
+construct a polynomial, to hand a monomial to a caller and to render it.
 
 The canonical term order is graded lexicographic with the fixed symbol order
 from :mod:`fkdv.symbols`: higher total degree first, ties broken by the
-exponent of the earliest symbol.  A monomial is packed into one int (see
-:class:`Mono`) whose int order is exactly that order.
+exponent of the earliest symbol.  The int order of the codes is that order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import attrgetter, or_
+from operator import attrgetter, mul, or_
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .symbols import ALPHABET, DEGREE_SHIFT, FIELD_BITS, MAX_DEGREE, Sym
@@ -41,7 +42,6 @@ _DEG1 = 1 << DEGREE_SHIFT  # one unit of total degree
 _EXPS = _DEG1 - 1  # every exponent field
 _DEG_LIMIT = (MAX_DEGREE + 1) << DEGREE_SHIFT
 _BY_FIELD = ALPHABET[::-1]  # field number (offset // FIELD_BITS) -> symbol
-_code = attrgetter("code")
 
 
 def _checked(code: int) -> int:
@@ -62,6 +62,14 @@ def _decode(fields: int) -> list[tuple[Sym, int]]:
     return out
 
 
+@lru_cache(maxsize=1 << 12)
+def exps_of(code: int) -> tuple[tuple[Sym, int], ...]:
+    """The (symbol, exponent) pairs of a monomial code, in symbol order.
+    Memoized for evaluation, which decodes the same codes at every point;
+    rendering decodes through ``Mono.exps``, so its codes do not fill it."""
+    return tuple(_decode(code & _EXPS))
+
+
 class Mono:
     """A product of symbols with positive integer exponents; unit is empty.
 
@@ -70,10 +78,10 @@ class Mono:
     int order of codes is the graded-lex order, a product is the sum of the
     codes, and removing exponents is a subtraction.  A total degree above
     ``MAX_DEGREE`` raises ValueError, so no field overflows into the next.
-    ``exps``, the (symbol, exponent) pairs, is decoded from the code once.
+    ``exps``, the (symbol, exponent) pairs, is decoded from the code.
     """
 
-    __slots__ = ("code", "_exps")
+    __slots__ = ("code",)
 
     def __init__(self, exps: Mapping[Sym, int] | Iterable[tuple[Sym, int]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -86,12 +94,7 @@ class Mono:
 
     @property
     def exps(self) -> tuple[tuple[Sym, int], ...]:
-        # a property, not __getattr__, which would slow every attribute read
-        try:
-            return self._exps
-        except AttributeError:
-            self._exps = tuple(_decode(self.code & _EXPS))
-            return self._exps
+        return tuple(_decode(self.code & _EXPS))
 
     @property
     def degree(self) -> int:
@@ -161,10 +164,6 @@ def _accumulate(acc: dict[int, Coef], left: Iterable, right: list[tuple[int, Coe
             acc[k] = get(k, 0) + c1 * c2
 
 
-def _pairs(p: "MPoly") -> list[tuple[int, Coef]]:
-    return [(m.code, c) for m, c in p.terms.items()]
-
-
 class MPoly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
@@ -173,12 +172,12 @@ class MPoly:
     __slots__ = ("terms", "_hash", "_ascii", "_syms", "_pivots", "_normal")
 
     def __init__(self, terms: Mapping[Mono, Coef] | None = None):
-        self.terms: dict[Mono, Coef] = {}
+        self.terms: dict[int, Coef] = {}
         if terms:
             for m, c in terms.items():
                 c = _as_rat(c)
                 if c != 0:
-                    self.terms[m] = c
+                    self.terms[m.code] = c
         self._hash = None
         self._ascii = None
         self._syms = None
@@ -186,7 +185,7 @@ class MPoly:
         self._normal = False
 
     @classmethod
-    def _raw(cls, terms: dict[Mono, Coef]) -> "MPoly":
+    def _raw(cls, terms: dict[int, Coef]) -> "MPoly":
         # internal: takes ownership, trusts no zero coefficients
         self = object.__new__(cls)
         self.terms = terms
@@ -198,12 +197,12 @@ class MPoly:
         return self
 
     @classmethod
-    def _from_codes(cls, acc: dict[int, Coef], keep: Mapping[int, Mono]) -> "MPoly":
-        # internal: the nonzero terms of a code-keyed sum, reusing the
-        # monomials in ``keep``.  The largest code is checked: in a product
-        # it is a term of top degree, which never cancels
+    def _from_codes(cls, acc: dict[int, Coef]) -> "MPoly":
+        # internal: the nonzero terms of a code-keyed sum.  The largest code
+        # is checked: in a product it is a term of top degree, which never
+        # cancels
         _checked(max(acc, default=0))
-        return cls._raw({keep.get(k) or _mono(k): c for k, c in acc.items() if c != 0})
+        return cls._raw({k: c for k, c in acc.items() if c != 0})
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -212,16 +211,16 @@ class MPoly:
     @classmethod
     def const(cls, c) -> "MPoly":
         c = _as_rat(c)
-        return cls._raw({} if c == 0 else {_UNIT: c})
+        return cls._raw({} if c == 0 else {0: c})
 
     @classmethod
     def var(cls, s: Sym) -> "MPoly":
-        return cls._raw({_mono(_DEG1 + (1 << s.shift)): 1})
+        return cls._raw({_DEG1 + (1 << s.shift): 1})
 
     @classmethod
     def monomial(cls, m: Mono, c=1) -> "MPoly":
         c = _as_rat(c)
-        return cls._raw({} if c == 0 else {m: c})
+        return cls._raw({} if c == 0 else {m.code: c})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -243,18 +242,18 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
             if s == 0:
-                out.pop(m, None)
+                out.pop(k, None)
             else:
-                out[m] = s
+                out[k] = s
         return MPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._raw({m: -c for m, c in self.terms.items()})
+        return MPoly._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: Coeffable) -> "MPoly":
         if isinstance(other, (int, Fraction)):
@@ -269,10 +268,10 @@ class MPoly:
             other = _as_rat(other)
             if other == 0:
                 return MPoly.zero()
-            return MPoly._raw({m: c * other for m, c in self.terms.items()})
+            return MPoly._raw({k: c * other for k, c in self.terms.items()})
         acc: dict[int, Coef] = {}
-        _accumulate(acc, _pairs(self), _pairs(other))
-        return MPoly._from_codes(acc, {})
+        _accumulate(acc, self.terms.items(), list(other.terms.items()))
+        return MPoly._from_codes(acc)
 
     __rmul__ = __mul__
 
@@ -292,13 +291,13 @@ class MPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(map(_code, self.terms), default=-_DEG1) >> DEGREE_SHIFT
+        return max(self.terms, default=-_DEG1) >> DEGREE_SHIFT
 
     def symbols(self) -> frozenset[Sym]:
         """The symbols that occur; computed once."""
         if self._syms is None:
             # a field of the OR of the codes is nonzero where some exponent is
-            fields = reduce(or_, map(_code, self.terms), 0) & _EXPS
+            fields = reduce(or_, self.terms, 0) & _EXPS
             self._syms = frozenset(s for s, _ in _decode(fields))
         return self._syms
 
@@ -308,11 +307,11 @@ class MPoly:
         if self._pivots is None:
             candidates: dict[int, Coef] = {}
             others = 0
-            for m, c in self.terms.items():
-                if m.code >> DEGREE_SHIFT == 1:
-                    candidates[m.code & _EXPS] = c
+            for k, c in self.terms.items():
+                if k >> DEGREE_SHIFT == 1:
+                    candidates[k & _EXPS] = c
                 else:
-                    others |= m.code
+                    others |= k
             self._pivots = {
                 _BY_FIELD[(bit.bit_length() - 1) // FIELD_BITS]: c
                 for bit, c in candidates.items()
@@ -323,27 +322,27 @@ class MPoly:
     def leading(self) -> tuple[Mono, Coef]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_code)
-        return m, self.terms[m]
+        k = max(self.terms)
+        return _mono(k), self.terms[k]
 
     def sorted_terms(self) -> list[tuple[Mono, Coef]]:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].code, reverse=True)
+        return [(_mono(k), c) for k, c in sorted(self.terms.items(), reverse=True)]
 
     def is_constant(self) -> bool:
-        return all(not m.code for m in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return Fraction(self.terms[_UNIT])
+        return Fraction(self.terms[0])
 
     def coefficient_of(self, s: Sym, power: int) -> "MPoly":
         """Polynomial coefficient of s**power (s removed from the monomials)."""
         drop = power * ((1 << s.shift) + _DEG1)
-        out = {_mono(m.code - drop): c for m, c in self.terms.items() if m.exponent(s) == power}
-        return MPoly(out)
+        out = {k - drop: c for k, c in self.terms.items() if (k >> s.shift) & _FIELD == power}
+        return MPoly._raw(out)
 
     def split(self, syms: Sequence[Sym]) -> dict[tuple[int, ...], "MPoly"]:
         """Coefficients by the exponents of ``syms``: self is the sum over
@@ -352,18 +351,18 @@ class MPoly:
         # group the terms by their fields of syms, then take off each group's
         # fields and their degree
         groups: dict[int, dict[int, Coef]] = {}
-        for m, c in self.terms.items():
-            picked = m.code & mask
-            groups.setdefault(picked, {})[m.code - picked] = c
+        for k, c in self.terms.items():
+            picked = k & mask
+            groups.setdefault(picked, {})[k - picked] = c
         parts = {}
         for picked, terms in groups.items():
             key = tuple((picked >> s.shift) & _FIELD for s in syms)
             drop = sum(key) * _DEG1
-            parts[key] = MPoly._raw({_mono(k - drop): c for k, c in terms.items()})
+            parts[key] = MPoly._raw({k - drop: c for k, c in terms.items()})
         return parts
 
     def max_exponent(self, s: Sym) -> int:
-        return max(((m.code >> s.shift) & _FIELD for m in self.terms), default=0)
+        return max(((k >> s.shift) & _FIELD for k in self.terms), default=0)
 
     def _content(self) -> tuple[int, int]:
         # (gcd of the numerators, lcm of the denominators) is the content in
@@ -387,14 +386,14 @@ class MPoly:
         if self._normal or not self.terms:
             return self
         num, den = self._content()
-        if self.leading()[1] < 0:
+        if self.terms[max(self.terms)] < 0:
             num = -num
         if num == den == 1 and all(type(c) is int for c in self.terms.values()):
             out = self
         else:
             # c * den / num is an integer: num divides every numerator
             out = MPoly._raw(
-                {m: c.numerator * (den // c.denominator) // num for m, c in self.terms.items()}
+                {k: c.numerator * (den // c.denominator) // num for k, c in self.terms.items()}
             )
             out._syms = self._syms  # same monomials
         out._normal = True
@@ -415,15 +414,12 @@ class MPoly:
             touched |= _FIELD << s.shift
         if not any(bind.values()):
             # a binding to 0 drops every term it touches and keeps the rest
-            return MPoly._raw({m: c for m, c in self.terms.items() if not m.code & touched})
+            return MPoly._raw({k: c for k, c in self.terms.items() if not k & touched})
         bound = [(s.shift, (1 << s.shift) + _DEG1, v) for s, v in bind.items()]
         acc: dict[int, Coef] = {}
         get = acc.get
-        keep: dict[int, Mono] = {}  # the monomials no binding touches
-        for m, c in self.terms.items():
-            k = m.code
+        for k, c in self.terms.items():
             if not k & touched:
-                keep[k] = m
                 acc[k] = get(k, 0) + c
                 continue
             factors: list[MPoly] = []
@@ -439,13 +435,10 @@ class MPoly:
             if not c:
                 continue
             if factors:
-                term = MPoly._raw({_mono(k): c})
-                for f in factors:
-                    term = term * f
-                _accumulate(acc, [(0, 1)], _pairs(term))
+                _accumulate(acc, [(k, c)], list(reduce(mul, factors).terms.items()))
             else:
                 acc[k] = get(k, 0) + c
-        return MPoly._from_codes(acc, keep)
+        return MPoly._from_codes(acc)
 
     def derive(self, rules: Mapping[Sym, "MPoly"]) -> "MPoly":
         """The derivation sending each symbol in ``rules`` to its rule and
@@ -455,12 +448,12 @@ class MPoly:
             shift = s.shift
             step = (1 << shift) + _DEG1
             partial = []
-            for m, c in self.terms.items():
-                e = (m.code >> shift) & _FIELD
+            for k, c in self.terms.items():
+                e = (k >> shift) & _FIELD
                 if e:
-                    partial.append((m.code - step, c * e))
-            _accumulate(acc, partial, _pairs(rule))
-        return MPoly._from_codes(acc, {})
+                    partial.append((k - step, c * e))
+            _accumulate(acc, partial, list(rule.terms.items()))
+        return MPoly._from_codes(acc)
 
     def eval_rat(self, point: Mapping[Sym, Coeffable]) -> Fraction:
         """Exact evaluation; every symbol must be bound to a rational.
@@ -490,16 +483,16 @@ class MPoly:
             scale.append(scale[-1] * den)
         clear = lcm(*[c.denominator for c in self.terms.values()])
         total = 0
-        for m, c in self.terms.items():
-            if m.code & zero:
+        for k, c in self.terms.items():
+            if k & zero:
                 continue
             v = c if clear == 1 else c.numerator * (clear // c.denominator)
-            for s, e in m.exps:
+            for s, e in exps_of(k):
                 row = powers[s]
                 while len(row) <= e:
                     row.append(row[-1] * row[1])
                 v *= row[e]
-            total += v * scale[d - (m.code >> DEGREE_SHIFT)]
+            total += v * scale[d - (k >> DEGREE_SHIFT)]
         return Fraction(total, clear * scale[d])
 
     def as_univariate(self, x: Sym) -> Optional[list[Coef]]:
@@ -508,9 +501,9 @@ class MPoly:
         shift = x.shift
         step = (1 << shift) + _DEG1
         coeffs: dict[int, Coef] = {}
-        for m, c in self.terms.items():
-            e = (m.code >> shift) & _FIELD
-            if m.code != e * step:
+        for k, c in self.terms.items():
+            e = (k >> shift) & _FIELD
+            if k != e * step:
                 return None
             coeffs[e] = coeffs.get(e, 0) + c
         n = max(coeffs, default=0)
@@ -518,13 +511,13 @@ class MPoly:
 
     def monomial_gcd(self) -> Mono:
         """Componentwise-minimum monomial dividing every term."""
-        if not self.terms or _UNIT in self.terms:
+        if not self.terms or 0 in self.terms:
             return _UNIT
         first, *rest = self.terms
         g = 0
-        for s, e in first.exps:
-            for m in rest:
-                e = min(e, (m.code >> s.shift) & _FIELD)
+        for s, e in exps_of(first):
+            for k in rest:
+                e = min(e, (k >> s.shift) & _FIELD)
                 if not e:
                     break
             g += e * ((1 << s.shift) + _DEG1)
@@ -532,12 +525,13 @@ class MPoly:
 
     def divide_mono(self, g: Mono) -> "MPoly":
         """Exact division by a monomial dividing every term."""
-        out: dict[Mono, Coef] = {}
-        for m, c in self.terms.items():
-            for s, e in g.exps:
-                if (m.code >> s.shift) & _FIELD < e:
-                    raise ValueError(f"{g} does not divide {m}")
-            out[_mono(m.code - g.code)] = c
+        fields = [(s.shift, e) for s, e in g.exps]
+        out: dict[int, Coef] = {}
+        for k, c in self.terms.items():
+            for shift, e in fields:
+                if (k >> shift) & _FIELD < e:
+                    raise ValueError(f"{g} does not divide {_mono(k)}")
+            out[k - g.code] = c
         return MPoly._raw(out)
 
     def ascii(self) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
-from .poly import MPoly
+from .poly import Mono, MPoly
 from .symbols import E, MU, R, RHO, SIGMA, TAU, a, b
 from .tanh import linear_balance
 
@@ -106,11 +106,11 @@ def split_r(p: MPoly) -> tuple[int, MPoly]:
     """
     if p.is_zero():
         return 0, p
-    s = min(m.exponent(R) for m in p.terms)
+    # the gcd of the terms has the least power of r among them
+    s = p.monomial_gcd().exponent(R)
     if s == 0:
         return 0, p
-    mono_r = next(iter(MPoly.var(R).terms))
-    return s, p.divide_mono(mono_r**s)
+    return s, p.divide_mono(Mono({R: s}))
 
 
 def extract_pre_system(residual: tuple[MPoly, int]) -> list[SystemEq]:

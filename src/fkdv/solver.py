@@ -348,7 +348,9 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         # budget minus k, so an entry budget above the nodes it used keeps
         # every leaf the same.  A subtree that did run out is never replayed,
         # as the budget stays spent.
-        key = (frozenset(node.bindings.items()), tuple(node.elims), tuple(polys))
+        # (numerator, denominator) hash as ints, unlike Fraction.__hash__
+        binds = frozenset((s, v.numerator, v.denominator) for s, v in node.bindings.items())
+        key = (binds, tuple(node.elims), tuple(polys))
         seen = memo.get(key)
         if seen is not None and budget[0] >= seen[2]:
             first, end, used = seen
@@ -429,5 +431,8 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         # call until the cycle collector runs; drop the caches now
         for cache in (memo, interned, images, normal, root_sets):
             cache.clear()
-    leaves.sort(key=Branch.sort_key)
+    # replays append the same Branch objects again: key each object once
+    distinct = {id(br): br for br in leaves}
+    keys = {i: br.sort_key() for i, br in distinct.items()}
+    leaves.sort(key=lambda br: keys[id(br)])
     return leaves

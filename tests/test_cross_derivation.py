@@ -17,7 +17,7 @@ from fkdv.poly import MPoly
 
 def _mpoly_to_sympy(p: MPoly, table):
     total = sp.Integer(0)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.sorted_terms():
         term = sp.Rational(coeff.numerator, coeff.denominator)
         for s, e in mono.exps:
             term *= table[s.name] ** e

@@ -12,6 +12,7 @@ from fkdv.poly import (
     _derivative,
     _horner,
     _pseudo_divmod,
+    exps_of,
     parse_poly,
     rational_roots,
 )
@@ -83,10 +84,10 @@ def test_split_recombines():
 
 def test_leading_term_graded_lex():
     m, c = P("4*a2^3+144*a2^2+720*a2").leading()
-    assert c == 4 and m == next(iter(P("a2^3").terms))
+    assert c == 4 and m.code == next(iter(P("a2^3").terms))
     # at equal degree the earlier symbol dominates
     m, _ = P("a0*k + a1^2").leading()
-    assert m == next(iter(P("a0*k").terms))
+    assert m.code == next(iter(P("a0*k").terms))
 
 
 # ---------------------------------------------------------------- normalize
@@ -472,14 +473,14 @@ def test_partial_and_zero_bindings_match_constant_polynomials(p, bind):
         got = p.substitute(rats)
         assert got == p.substitute({s: MPoly.const(v) for s, v in rats.items()})
         assert all(v != 0 for v in got.terms.values())
-    # binding to 0 keeps the untouched terms, monomial objects included
-    for m, c in p.substitute(zero).terms.items():
-        assert not m.symbols() & zero.keys() and p.terms[m] == c
-        assert any(k is m for k in p.terms)
+    # binding to 0 keeps the untouched terms, codes and coefficients
+    for k, c in p.substitute(zero).terms.items():
+        assert not {s for s, _ in exps_of(k)} & zero.keys()
+        assert k in p.terms and p.terms[k] == c
 
 
 def _rebuilt_symbols(p):
-    return {s for m in p.terms for s, _ in m.exps}
+    return {s for k in p.terms for s, _ in exps_of(k)}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -499,7 +500,7 @@ def test_ascii_stable_and_parses_after_arithmetic(p, q, bind):
     assert p.ascii() == first == str(p)
     for r in (p + q, p * q, p.substitute(bind), (p * q).substitute(bind)):
         text = r.ascii()
-        assert text == r.ascii() == MPoly(dict(r.terms)).ascii()
+        assert text == r.ascii() == MPoly(dict(r.sorted_terms())).ascii()
         assert parse_poly(text) == r
     assert p.ascii() == first
 
@@ -517,7 +518,7 @@ def test_float_coefficients_rejected():
 def test_integral_coefficients_are_ints_and_boundaries_fractions():
     p = MPoly.var(A0) * F(6, 2) + MPoly.const(F(4, 2)) + P("1/2*k")
     assert {type(c) for c in p.terms.values()} == {int, F}
-    assert type(MPoly.var(A0).terms[Mono({A0: 1})]) is int
+    assert type(MPoly.var(A0).terms[Mono({A0: 1}).code]) is int
     assert type(MPoly.const(F(8, 4)).constant_value()) is F
     assert type(MPoly.zero().constant_value()) is F
     assert type(P("2*a0 + 4").content()) is F
@@ -549,12 +550,12 @@ def test_normalize_gives_coprime_int_coefficients(p, scale):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(polys(), st.sampled_from(_SYMS))
 def test_derive_and_split_build_canonical_monomials(p, s):
-    # derive and split assemble residual monomials without Mono.__init__
+    # derive and split assemble residual codes by subtraction: each must be
+    # the code Mono builds from its decoded exponents
     parts = p.split((s, Sym("mu"))).values()
     for q in (p.derive({s: MPoly.const(1)}), p.derive({s: p}), *parts):
-        for m in q.terms:
-            rebuilt = Mono(dict(m.exps))
-            assert m.exps == rebuilt.exps and m.degree == rebuilt.degree
+        for k in q.terms:
+            assert Mono(exps_of(k)).code == k
 
 
 # ---------------------------------------------------------------- packed monomials
@@ -592,9 +593,12 @@ def _ref_cmp(a: tuple, b: tuple) -> int:
 
 
 def _ref_of(p: MPoly) -> dict:
-    # the decoded exponents, after checking that the degree field agrees
-    assert all(m == Mono(dict(m.exps)) for m in p.terms)
-    return {m.exps: c for m, c in p.terms.items()}
+    # the decoded exponents, after checking that each key is a plain int
+    # whose degree field agrees with its fields (Mono raises above the
+    # degree cap) and that no coefficient is zero
+    for k, c in p.terms.items():
+        assert type(k) is int and Mono(exps_of(k)).code == k and c != 0
+    return {exps_of(k): c for k, c in p.terms.items()}
 
 
 def _ref_poly(ref: dict) -> MPoly:
@@ -616,6 +620,26 @@ def _ref_mul(p: dict, q: dict) -> dict:
                 exps[s] = exps.get(s, 0) + e
             _ref_add(out, _ref_key(exps), c1 * c2)
     return out
+
+
+def _ref_partial(p: dict, s) -> dict:
+    out: dict = {}
+    for k, c in p.items():
+        exps = dict(k)
+        e = exps.get(s, 0)
+        if e:
+            exps[s] = e - 1
+            _ref_add(out, _ref_key(exps), c * e)
+    return out
+
+
+def _ref_gcd(p: dict) -> dict:
+    """The componentwise minimum of the exponents over the terms of p."""
+    common = None
+    for k in p:
+        exps = dict(k)
+        common = exps if common is None else {s: min(e, exps.get(s, 0)) for s, e in common.items()}
+    return common or {}
 
 
 @st.composite
@@ -681,17 +705,104 @@ def test_packed_derive_matches_the_reference(p, r1, r2, s1, s2):
     rules = {s1: r1, s2: r2}
     expected: dict = {}
     for s, rule in rules.items():
-        partial = {}
-        for k, c in p.items():
-            exps = dict(k)
-            e = exps.get(s, 0)
-            if e:
-                exps[s] = e - 1
-                _ref_add(partial, _ref_key(exps), c * e)
-        for key, c in _ref_mul(partial, rule).items():
+        for key, c in _ref_mul(_ref_partial(p, s), rule).items():
             _ref_add(expected, key, c)
     got = _ref_poly(p).derive({s: _ref_poly(rule) for s, rule in rules.items()})
     assert _ref_of(got) == expected
+
+
+def _ref_apply(op: str, p: dict, q: dict, s, v) -> dict:
+    """The reference result of kernel operation ``op`` (see _kernel_apply)."""
+    if op in ("add", "sub"):
+        out = dict(p)
+        for k, c in q.items():
+            _ref_add(out, k, c if op == "add" else -c)
+        return out
+    if op == "undo":
+        return p
+    if op == "scale":
+        return {k: c * v for k, c in p.items() if v}
+    if op in ("mul", "square"):
+        return _ref_mul(p, q if op == "mul" else p)
+    if op == "conjugate":
+        diff = _ref_mul(q, q)
+        _ref_add(diff, _ref_key({s: 2}), -1)
+        return _ref_mul(p, diff)
+    if op == "substitute":
+        out = {}
+        for k, c in p.items():
+            exps = dict(k)
+            _ref_add(out, _ref_key({**exps, s: 0}), c * v ** exps.get(s, 0))
+        return out
+    if op == "derive":
+        return _ref_mul(_ref_partial(p, s), q)
+    if op == "coefficient_of":
+        top = max((dict(k).get(s, 0) for k in p), default=0)
+        return {_ref_key({**dict(k), s: 0}): c for k, c in p.items() if dict(k).get(s, 0) == top}
+    if op == "divide_gcd":
+        common = _ref_gcd(p)
+        return {
+            _ref_key({t: e - common.get(t, 0) for t, e in dict(k).items()}): c for k, c in p.items()
+        }
+    raise AssertionError(op)
+
+
+def _kernel_apply(op: str, poly: MPoly, other: MPoly, s, v) -> MPoly:
+    if op == "add":
+        return poly + other
+    if op == "sub":
+        return poly - other
+    if op == "undo":
+        # other's terms cancel in the sum
+        return (poly + other) - other
+    if op == "scale":
+        return poly * v
+    if op == "mul":
+        return poly * other
+    if op == "square":
+        return poly**2
+    if op == "conjugate":
+        # the cross terms cancel in the product
+        return poly * ((other - MPoly.var(s)) * (other + MPoly.var(s)))
+    if op == "substitute":
+        return poly.substitute({s: v})
+    if op == "derive":
+        return poly.derive({s: other})
+    if op == "coefficient_of":
+        return poly.coefficient_of(s, poly.max_exponent(s))
+    if op == "divide_gcd":
+        return poly.divide_mono(poly.monomial_gcd())
+    raise AssertionError(op)
+
+
+_KERNEL_OPS = ("add", "sub", "undo", "scale", "mul", "square", "conjugate", "substitute",
+               "derive", "coefficient_of", "divide_gcd", "normalize")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    wide_refs(20),
+    wide_refs(20),
+    st.lists(
+        st.tuples(st.sampled_from(_KERNEL_OPS), st.sampled_from(_WIDE_SYMS), _RATS), max_size=3
+    ),
+)
+def test_kernel_keeps_int_codes_and_matches_the_reference(p, q, ops):
+    # after each operation _ref_of checks the keys and coefficients and
+    # decodes them; at most three operations on degree 20 stay within the
+    # degree cap (the largest, two squarings after a conjugate, reach 240)
+    poly, other, ref = _ref_poly(p), _ref_poly(q), p
+    for op, s, v in ops:
+        if op == "normalize":
+            # normalize scales every term by one factor: read it off a term
+            poly = poly.normalize()
+            if ref:
+                k0 = next(iter(ref))
+                factor = F(_ref_of(poly)[k0], ref[k0])
+                ref = {k: c * factor for k, c in ref.items()}
+        else:
+            poly, ref = _kernel_apply(op, poly, other, s, v), _ref_apply(op, ref, q, s, v)
+        assert _ref_of(poly) == ref
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -717,11 +828,7 @@ def test_packed_gcd_and_division_match_the_reference(p, g):
     # every term times g has g as a common factor
     scaled = _ref_mul(p, {_ref_key(g): 1})
     poly = _ref_poly(scaled)
-    common = None
-    for k in scaled:
-        exps = dict(k)
-        common = exps if common is None else {s: min(e, exps.get(s, 0)) for s, e in common.items()}
-    assert poly.monomial_gcd().exps == _ref_key(common or {})
+    assert poly.monomial_gcd().exps == _ref_key(_ref_gcd(scaled))
     assert _ref_of(poly.divide_mono(Mono(g))) == p
     if p and g:
         with pytest.raises(ValueError):
