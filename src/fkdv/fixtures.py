@@ -72,7 +72,8 @@ def load_fixture(method: str) -> Fixture:
 
 def _only_in(p: MPoly, q: MPoly) -> list[str]:
     """The terms of p that q lacks or carries with another coefficient."""
-    return [MPoly.monomial(m, c).ascii() for m, c in p.sorted_terms() if q.terms.get(m.code) != c]
+    return [MPoly({k: c}).ascii() for k, c in sorted(p.terms.items(), reverse=True)
+            if q.terms.get(k) != c]
 
 
 @dataclass(frozen=True)

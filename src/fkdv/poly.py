@@ -12,10 +12,9 @@ is ``Fraction`` division.  Values handed out of the kernel
 (``constant_value``, ``eval_rat``, ``content``, ``rational_roots``) are
 ``Fraction``.
 
-A monomial is packed into one int code (see :class:`Mono`); a polynomial's
-``terms`` maps codes to nonzero coefficients, so equal values have equal term
-maps and the kernel hashes only ints.  A ``Mono`` object is built only to
-construct a polynomial, to hand a monomial to a caller and to render it.
+A monomial is one int code, built by :func:`monomial` and decoded by
+:func:`exps_of`; a polynomial's ``terms`` maps codes to nonzero coefficients,
+so equal values have equal term maps and the kernel hashes only ints.
 
 The canonical term order is graded lexicographic with the fixed symbol order
 from :mod:`fkdv.symbols`: higher total degree first, ties broken by the
@@ -65,84 +64,27 @@ def _decode(fields: int) -> list[tuple[Sym, int]]:
 @lru_cache(maxsize=1 << 12)
 def exps_of(code: int) -> tuple[tuple[Sym, int], ...]:
     """The (symbol, exponent) pairs of a monomial code, in symbol order.
-    Memoized for evaluation, which decodes the same codes at every point;
-    rendering decodes through ``Mono.exps``, so its codes do not fill it."""
+    Memoized for evaluation, which decodes the same codes at every point."""
     return tuple(_decode(code & _EXPS))
 
 
-class Mono:
-    """A product of symbols with positive integer exponents; unit is empty.
+def monomial(exps: Mapping[Sym, int] | Iterable[tuple[Sym, int]] = ()) -> int:
+    """The code of the product of s**e over ``exps``; 0 is the unit.
 
-    ``code`` packs it into one int: the total degree times ``2**DEGREE_SHIFT``
-    plus each exponent shifted to its symbol's field (``Sym.shift``).  So the
-    int order of codes is the graded-lex order, a product is the sum of the
-    codes, and removing exponents is a subtraction.  A total degree above
-    ``MAX_DEGREE`` raises ValueError, so no field overflows into the next.
-    ``exps``, the (symbol, exponent) pairs, is decoded from the code.
+    The code is the total degree times ``2**DEGREE_SHIFT`` plus each
+    exponent shifted to its symbol's field (``Sym.shift``).  So the int
+    order of codes is the graded-lex order, a product is the sum of the
+    codes, and removing exponents is a subtraction.  A negative exponent or
+    a total degree above ``MAX_DEGREE`` raises ValueError, so no field
+    overflows into the next.
     """
-
-    __slots__ = ("code",)
-
-    def __init__(self, exps: Mapping[Sym, int] | Iterable[tuple[Sym, int]] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
-        code = 0
-        for s, e in items:
-            if e < 0:
-                raise ValueError(f"negative exponent on {s}")
-            code += e * ((1 << s.shift) + _DEG1)
-        self.code = _checked(code)
-
-    @property
-    def exps(self) -> tuple[tuple[Sym, int], ...]:
-        return tuple(_decode(self.code & _EXPS))
-
-    @property
-    def degree(self) -> int:
-        return self.code >> DEGREE_SHIFT
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mono) and self.code == other.code
-
-    def __mul__(self, other: "Mono") -> "Mono":
-        return _mono(_checked(self.code + other.code))
-
-    def __pow__(self, n: int) -> "Mono":
-        if n < 0:
-            raise ValueError("negative power")
-        return _mono(_checked(self.code * n))
-
-    def exponent(self, s: Sym) -> int:
-        return (self.code >> s.shift) & _FIELD
-
-    def symbols(self) -> set[Sym]:
-        return {s for s, _ in self.exps}
-
-    def is_unit(self) -> bool:
-        return not self.code
-
-    def __lt__(self, other: "Mono") -> bool:
-        # also serves `>`, reflected
-        return self.code < other.code
-
-    def __str__(self) -> str:
-        if not self.code:
-            return "1"
-        return "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in self.exps)
-
-    __repr__ = __str__
-
-
-def _mono(code: int) -> Mono:
-    # internal: trusts a code of degree <= MAX_DEGREE
-    m = object.__new__(Mono)
-    m.code = code
-    return m
-
-
-_UNIT = Mono()
+    items = exps.items() if isinstance(exps, Mapping) else exps
+    code = 0
+    for s, e in items:
+        if e < 0:
+            raise ValueError(f"negative exponent on {s}")
+        code += e * ((1 << s.shift) + _DEG1)
+    return _checked(code)
 
 
 def _as_rat(v) -> Coef:
@@ -171,13 +113,14 @@ class MPoly:
     # result of normalize()
     __slots__ = ("terms", "_hash", "_ascii", "_syms", "_pivots", "_normal")
 
-    def __init__(self, terms: Mapping[Mono, Coef] | None = None):
+    def __init__(self, terms: Mapping[int, Coef] | None = None):
+        # keys are codes from monomial()
         self.terms: dict[int, Coef] = {}
         if terms:
-            for m, c in terms.items():
+            for k, c in terms.items():
                 c = _as_rat(c)
                 if c != 0:
-                    self.terms[m.code] = c
+                    self.terms[k] = c
         self._hash = None
         self._ascii = None
         self._syms = None
@@ -216,11 +159,6 @@ class MPoly:
     @classmethod
     def var(cls, s: Sym) -> "MPoly":
         return cls._raw({_DEG1 + (1 << s.shift): 1})
-
-    @classmethod
-    def monomial(cls, m: Mono, c=1) -> "MPoly":
-        c = _as_rat(c)
-        return cls._raw({} if c == 0 else {m.code: c})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -318,15 +256,6 @@ class MPoly:
                 if not others & bit * _FIELD
             }
         return self._pivots
-
-    def leading(self) -> tuple[Mono, Coef]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        k = max(self.terms)
-        return _mono(k), self.terms[k]
-
-    def sorted_terms(self) -> list[tuple[Mono, Coef]]:
-        return [(_mono(k), c) for k, c in sorted(self.terms.items(), reverse=True)]
 
     def is_constant(self) -> bool:
         return not any(self.terms)
@@ -509,10 +438,11 @@ class MPoly:
         n = max(coeffs, default=0)
         return [coeffs.get(i, 0) for i in range(n + 1)]
 
-    def monomial_gcd(self) -> Mono:
-        """Componentwise-minimum monomial dividing every term."""
+    def monomial_gcd(self) -> int:
+        """The code of the componentwise-minimum monomial dividing every
+        term; 0 (the unit) for the zero polynomial."""
         if not self.terms or 0 in self.terms:
-            return _UNIT
+            return 0
         first, *rest = self.terms
         g = 0
         for s, e in exps_of(first):
@@ -521,44 +451,26 @@ class MPoly:
                 if not e:
                     break
             g += e * ((1 << s.shift) + _DEG1)
-        return _mono(g)
+        return g
 
-    def divide_mono(self, g: Mono) -> "MPoly":
-        """Exact division by a monomial dividing every term."""
-        fields = [(s.shift, e) for s, e in g.exps]
+    def divide_mono(self, g: int) -> "MPoly":
+        """Exact division by the monomial of code ``g``, which must divide
+        every term."""
+        fields = [(s.shift, e) for s, e in exps_of(g)]
         out: dict[int, Coef] = {}
         for k, c in self.terms.items():
             for shift, e in fields:
                 if (k >> shift) & _FIELD < e:
-                    raise ValueError(f"{g} does not divide {_mono(k)}")
-            out[k - g.code] = c
+                    raise ValueError(f"{_ascii_mono(g)} does not divide {_ascii_mono(k)}")
+            out[k - g] = c
         return MPoly._raw(out)
 
     def ascii(self) -> str:
         """Canonical ASCII form: graded-lex descending, ``^`` powers,
         ``*`` products.  Bit-stable for equal polynomials; computed once."""
         if self._ascii is None:
-            self._ascii = self._render_ascii()
+            self._ascii = self._render(str, _ascii_mono, "*")
         return self._ascii
-
-    def _render_ascii(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            neg = c < 0
-            mag = -c if neg else c
-            if m.is_unit():
-                body = str(mag)
-            elif mag == 1:
-                body = str(m)
-            else:
-                body = f"{mag}*{m}"
-            if i == 0:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f" - {body}" if neg else f" + {body}")
-        return "".join(parts)
 
     __str__ = ascii
 
@@ -566,30 +478,40 @@ class MPoly:
         return f"MPoly({self.ascii()})"
 
     def latex(self) -> str:
+        return self._render(_latex_coef, _latex_mono, " ")
+
+    def _render(self, coef, mono, times: str) -> str:
+        # the terms in graded-lex descending order, each as its sign and
+        # coef(|c|) times mono(code); a unit factor is left out
         if not self.terms:
             return "0"
-        parts: list[str] = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            neg = c < 0
-            mag = -c if neg else c
-            if mag.denominator == 1:
-                coef = str(mag.numerator)
-            else:
-                coef = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            mono = " ".join(
-                s.latex() if e == 1 else f"{s.latex()}^{{{e}}}" for s, e in m.exps
-            )
-            if m.is_unit():
-                body = coef
+        parts = []
+        for k, c in sorted(self.terms.items(), reverse=True):
+            mag = -c if c < 0 else c
+            if not k:
+                body = coef(mag)
             elif mag == 1:
-                body = mono
+                body = mono(k)
             else:
-                body = f"{coef} {mono}"
-            if i == 0:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f" - {body}" if neg else f" + {body}")
-        return "".join(parts)
+                body = f"{coef(mag)}{times}{mono(k)}"
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _ascii_mono(k: int) -> str:
+    text = "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in _decode(k & _EXPS))
+    return text or "1"
+
+
+def _latex_mono(k: int) -> str:
+    return " ".join(s.latex() if e == 1 else f"{s.latex()}^{{{e}}}" for s, e in _decode(k & _EXPS))
+
+
+def _latex_coef(c: Coef) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
 
 
 def _primitive(cs: Sequence[Fraction | int]) -> list[int]:

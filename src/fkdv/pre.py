@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
-from .poly import Mono, MPoly
+from .poly import MPoly, exps_of, monomial
 from .symbols import E, MU, R, RHO, SIGMA, TAU, a, b
 from .tanh import linear_balance
 
@@ -107,10 +107,10 @@ def split_r(p: MPoly) -> tuple[int, MPoly]:
     if p.is_zero():
         return 0, p
     # the gcd of the terms has the least power of r among them
-    s = p.monomial_gcd().exponent(R)
+    s = dict(exps_of(p.monomial_gcd())).get(R, 0)
     if s == 0:
         return 0, p
-    return s, p.divide_mono(Mono({R: s}))
+    return s, p.divide_mono(monomial({R: s}))
 
 
 def extract_pre_system(residual: tuple[MPoly, int]) -> list[SystemEq]:

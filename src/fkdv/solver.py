@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
-from .poly import Mono, MPoly, rational_roots
+from .poly import MPoly, exps_of, monomial, rational_roots
 from .symbols import Sym
 
 SOLVED = "solved"
@@ -206,12 +206,13 @@ def _poly_key(p: MPoly):
     return (p.degree(), len(p.terms), _Text(p))
 
 
-def _common_factor(polys: list[MPoly]) -> tuple[MPoly, Mono] | None:
-    """The first equation with a non-unit monomial gcd, and that gcd.  On a
-    list sorted by _poly_key and deduplicated it has the least key."""
+def _common_factor(polys: list[MPoly]) -> tuple[MPoly, int] | None:
+    """The first equation with a non-unit monomial gcd, and that gcd's
+    code.  On a list sorted by _poly_key and deduplicated it has the least
+    key."""
     for p in polys:
         g = p.monomial_gcd()
-        if not g.is_unit():
+        if g:
             return p, g
     return None
 
@@ -388,7 +389,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
                 explore(substituted(node, x, root))
                 coeffs = _deflate(coeffs, root)
             if len(coeffs) > 1:
-                rest = MPoly({Mono([(x, i)]): c for i, c in enumerate(coeffs)}) if roots else p
+                rest = MPoly({monomial([(x, i)]): c for i, c in enumerate(coeffs)}) if roots else p
                 finish(node, STUCK, witness=rest.normalize())
             return
 
@@ -417,7 +418,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         if split is not None:
             p, g = split
             rest = [q for q in polys if q is not p]
-            for s in sorted(g.symbols(), key=lambda t: t.key):
+            for s, _ in exps_of(g):
                 explore(substituted(_Node(node.bindings, node.elims, rest + [p]), s, Fraction(0)))
             explore(_Node(node.bindings, list(node.elims), rest + [intern(p.divide_mono(g))]))
             return

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from fkdv import cli, closedform, pre, tanh
 from fkdv.equation import ito
 from fkdv.fixtures import compare_systems, load_fixture
-from fkdv.poly import MPoly, Mono, rational_roots
+from fkdv.poly import MPoly, monomial, rational_roots
 from fkdv.reproduce import (
     check_phi_catalog,
     check_st_catalog,
@@ -194,7 +194,7 @@ def test_criterion_09_algebraic_property_suites(tanh_system, pre_system):
     def rand_poly():
         terms = {}
         for _ in range(rng.randint(0, 4)):
-            mono = Mono({s: rng.randint(1, 3) for s in rng.sample(syms, rng.randint(0, 2))})
+            mono = monomial({s: rng.randint(1, 3) for s in rng.sample(syms, rng.randint(0, 2))})
             terms[mono] = terms.get(mono, 0) + F(rng.randint(-9, 9), rng.randint(1, 4))
         return MPoly(terms)
 

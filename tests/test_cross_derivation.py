@@ -12,14 +12,14 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from fkdv.fixtures import canonical_form
-from fkdv.poly import MPoly
+from fkdv.poly import MPoly, exps_of
 
 
 def _mpoly_to_sympy(p: MPoly, table):
     total = sp.Integer(0)
-    for mono, coeff in p.sorted_terms():
+    for code, coeff in p.terms.items():
         term = sp.Rational(coeff.numerator, coeff.denominator)
-        for s, e in mono.exps:
+        for s, e in exps_of(code):
             term *= table[s.name] ** e
         total += term
     return sp.expand(total)
