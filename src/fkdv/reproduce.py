@@ -12,7 +12,7 @@ from . import __version__, closedform, fixtures, pre, tanh
 from .equation import EquationSpec, ito
 from .solver import Assignment, SolveConfig, solve, verify_assignment
 from .solver import rational_lambda_grid
-from .symbols import LAM, MAX_ORDER, MU, R, K, Sym, a, b
+from .symbols import LAM, MAX_ORDER, R, Sym, a
 
 
 def derive(method: str, spec: EquationSpec | None = None, order: int | None = None):
@@ -43,23 +43,15 @@ def solve_system(system, presets, budget: int = 10000):
     return solve([eq.poly for eq in system], cfg)
 
 
-def expected_tanh_branches(m: int) -> list[dict]:
-    q = Fraction(m * m)
-    return [
-        {a(0): -5 * q, a(1): Fraction(0), a(2): Fraction(-30), K: q / 4},
-        {a(0): 5 * q, a(1): Fraction(0), a(2): Fraction(-30), K: -q / 4},
-    ]
-
-
-def expected_pre_branches(m: int) -> list[dict]:
-    q = Fraction(m * m)
-    h = Fraction(5, 2) * q
-    return [
-        {a(0): h, a(1): Fraction(15), b(1): Fraction(0), MU: Fraction(-1), R: q},
-        {a(0): h, a(1): Fraction(-15), b(1): Fraction(0), MU: Fraction(1), R: q},
-        {a(0): -h, a(1): Fraction(-15), b(1): Fraction(0), MU: Fraction(1), R: -q},
-        {a(0): -h, a(1): Fraction(15), b(1): Fraction(0), MU: Fraction(-1), R: -q},
-    ]
+def paper_branches(method: str, m: int) -> list[dict]:
+    """The generating parameter tuples of ``method``'s catalog records at
+    lam = -6*m^4, without lam, each once, in catalog order."""
+    out: list[dict] = []
+    for rec in closedform.catalog():
+        tup = {s: v for s, v in rec.specialize(m).items() if s is not LAM}
+        if rec.method == method and tup not in out:
+            out.append(tup)
+    return out
 
 
 def solved_tuples(branches) -> set[tuple]:
@@ -255,12 +247,12 @@ def run_reproduce(
         tb = solve_system(tanh_system, {LAM: lam}, budget)
         ok_t, msg_t = check_solver_run(
             tb,
-            expected_tanh_branches(m),
+            paper_branches("tanh", m),
             free_expect={a(1): Fraction(0), a(2): Fraction(0)},
             contradiction_binding={a(2): Fraction(-6)},
         )
         pb = solve_system(pre_system, {LAM: lam, **pre.PAPER_SIGNS}, budget)
-        ok_p, msg_p = check_solver_run(pb, expected_pre_branches(m), None, None)
+        ok_p, msg_p = check_solver_run(pb, paper_branches("pre", m), None, None)
         stage(f"solve@{lam}", ok_t and ok_p, f"tanh: {msg_t}; pre: {msg_p}")
         solves.append(
             {

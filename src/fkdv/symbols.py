@@ -2,9 +2,9 @@
 
 The symbol alphabet is closed: the two indexed families ``a0, a1, ...`` and
 ``b1, b2, ...`` (ansatz coefficients), followed by the fixed tail
-``k, lam, mu, r, e, rho, alpha, beta, gamma, omega`` of parameters, the
-auxiliary functions ``phi, sigma, tau`` of the two ansatz methods, and the
-symbols of the closed-form catalog: ``w`` = (-lam/6)^(1/4), the trig and
+``k, lam, mu, r, e, rho`` of parameters, the auxiliary functions ``phi,
+sigma, tau`` of the two ansatz methods, and the symbols of the closed-form
+catalog: ``w`` = (-lam/6)^(1/4), the trig and
 hyperbolic functions ``tan, sec, cot, csc, tanh, sech, coth, csch`` at the
 angle w*xi/2, ``cscw, cotw`` = csc(w*xi), cot(w*xi), and the reciprocals
 ``ym, yp`` = 1/(1 -+ csc(w*xi)); then, for the closed forms of the
@@ -22,7 +22,7 @@ the total degree sits above them at ``DEGREE_SHIFT``, capped at ``MAX_DEGREE``.
 from __future__ import annotations
 
 _TAIL = (
-    "k", "lam", "mu", "r", "e", "rho", "alpha", "beta", "gamma", "omega",
+    "k", "lam", "mu", "r", "e", "rho",
     "phi", "sigma", "tau",
     "w", "tan", "sec", "cot", "csc", "tanh", "sech", "coth", "csch",
     "cscw", "cotw", "ym", "yp",
@@ -45,10 +45,6 @@ LATEX = {
     "lam": r"\lambda",
     "mu": r"\mu",
     "rho": r"\rho",
-    "alpha": r"\alpha",
-    "beta": r"\beta",
-    "gamma": r"\gamma",
-    "omega": r"\omega",
     "phi": r"\varphi",
     "sigma": r"\sigma",
     "tau": r"\tau",
@@ -126,10 +122,6 @@ MU = Sym("mu")
 R = Sym("r")
 E = Sym("e")
 RHO = Sym("rho")
-ALPHA = Sym("alpha")
-BETA = Sym("beta")
-GAMMA = Sym("gamma")
-OMEGA = Sym("omega")
 PHI = Sym("phi")
 SIGMA = Sym("sigma")
 TAU = Sym("tau")

@@ -13,8 +13,7 @@ from fkdv.poly import MPoly, monomial, rational_roots
 from fkdv.reproduce import (
     check_phi_catalog,
     check_st_catalog,
-    expected_pre_branches,
-    expected_tanh_branches,
+    paper_branches,
     solve_system,
 )
 from fkdv.solver import rational_lambda_grid, verify_assignment
@@ -79,7 +78,7 @@ def test_criterion_05_solver_reproduction(tanh_system, pre_system):
     tanh_branches = solve_system(tanh_system, {LAM: F(-6)})
     tanh_elapsed = time.time() - t0
     got = _solved_set(tanh_branches)
-    for exp in expected_tanh_branches(1):
+    for exp in paper_branches("tanh", 1):
         assert tuple(sorted((s.name, v) for s, v in exp.items())) in got
     assert any(
         br.status == "solved_with_free_symbols"
@@ -96,7 +95,7 @@ def test_criterion_05_solver_reproduction(tanh_system, pre_system):
     pre_branches = solve_system(pre_system, {LAM: F(-6), E: 1, RHO: -1})
     pre_elapsed = time.time() - t0
     got = _solved_set(pre_branches)
-    for exp in expected_pre_branches(1):
+    for exp in paper_branches("pre", 1):
         assert tuple(sorted((s.name, v) for s, v in exp.items())) in got
     assert tanh_elapsed < 10.0 and pre_elapsed < 10.0
     _ok(5, f"solver reproduces all required branches at lambda = -6 "

@@ -13,8 +13,7 @@ from fkdv.errors import UnboundSymbolError
 from fkdv.poly import MPoly, monomial, parse_poly
 from fkdv.reproduce import (
     derive,
-    expected_pre_branches,
-    expected_tanh_branches,
+    paper_branches,
     solve_system,
     unknowns,
 )
@@ -57,8 +56,24 @@ def pre_branches(pre_system):
 
 def test_tanh_solved_branches(tanh_branches):
     got = _solved_set(tanh_branches)
-    for exp in expected_tanh_branches(1):
+    for exp in paper_branches("tanh", 1):
         assert _as_key(exp) in got
+
+
+def test_paper_branches_are_the_six_generating_tuples():
+    # at lam = -6*m^4 with q = m^2, here m = 2
+    q = F(4)
+    assert paper_branches("tanh", 2) == [
+        {a(0): -5 * q, a(1): 0, a(2): -30, K: q / 4},
+        {a(0): 5 * q, a(1): 0, a(2): -30, K: -q / 4},
+    ]
+    h = F(5, 2) * q
+    assert paper_branches("pre", 2) == [
+        {a(0): h, a(1): 15, b(1): 0, MU: -1, R: q},
+        {a(0): h, a(1): -15, b(1): 0, MU: 1, R: q},
+        {a(0): -h, a(1): -15, b(1): 0, MU: 1, R: -q},
+        {a(0): -h, a(1): 15, b(1): 0, MU: -1, R: -q},
+    ]
 
 
 def test_tanh_contradiction_through_a2_minus_6(tanh_branches):
@@ -87,7 +102,7 @@ def test_tanh_free_constant_branch(tanh_branches):
 
 def test_pre_solved_branches(pre_branches):
     got = _solved_set(pre_branches)
-    for exp in expected_pre_branches(1):
+    for exp in paper_branches("pre", 1):
         assert _as_key(exp) in got
 
 
@@ -254,10 +269,10 @@ def test_lambda_grid_consistency(tanh_system, pre_system):
 def test_scaled_branches_found_on_grid(tanh_system, pre_system):
     for m, lam in enumerate(rational_lambda_grid(3), start=1):
         got_t = _solved_set(solve_system(tanh_system, {LAM: lam}))
-        for exp in expected_tanh_branches(m):
+        for exp in paper_branches("tanh", m):
             assert _as_key(exp) in got_t
         got_p = _solved_set(solve_system(pre_system, {LAM: lam, E: 1, RHO: -1}))
-        for exp in expected_pre_branches(m):
+        for exp in paper_branches("pre", m):
             assert _as_key(exp) in got_p
 
 
