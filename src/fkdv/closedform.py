@@ -366,8 +366,9 @@ def exact_residual(rec: SolutionRecord) -> MPoly:
 # -- residual sampling --------------------------------------------------------
 
 
-# the sampling domain: xi = x + lam*t within +-XI_BAND/w and t in T_RANGE; a
-# form singular at the origin skips |xi| < XI_EXCLUSION/max(1, w).  At most
+# the sampling domain: xi = x + lam*t within +-XI_BAND/w and t in T_RANGE,
+# evaluated at the drawn xi (x = xi - lam*t would lose its digits at large
+# |lam|); a form singular at the origin skips |xi| < XI_EXCLUSION/max(1, w).  At most
 # OVERSAMPLE draws per requested sample; a report passes when every sample's
 # relative residual is within TOLERANCE.
 XI_BAND = 1.2
@@ -385,7 +386,7 @@ class SamplePlan:
 
 @dataclass(frozen=True)
 class SamplePoint:
-    x: float
+    xi: float
     t: float
     residual: float
     scale: float
@@ -444,7 +445,7 @@ def residual_terms_for(rec: SolutionRecord):
 
 
 def _draw(rec: SolutionRecord, lam: float, rng: random.Random):
-    """One candidate (x, t) in the sampling domain, or None if the draw fell
+    """One candidate (xi, t) in the sampling domain, or None if the draw fell
     in the origin-exclusion zone of a singular form.  The band and the zone
     both shrink with w, so the zone never covers the band."""
     w = (-lam / 6.0) ** 0.25
@@ -452,7 +453,7 @@ def _draw(rec: SolutionRecord, lam: float, rng: random.Random):
     if rec.singular_at_origin and abs(xi) * max(1.0, w) < XI_EXCLUSION:
         return None
     t = rng.uniform(*T_RANGE)
-    return xi - lam * t, t
+    return xi, t
 
 
 def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> VerificationReport:
@@ -478,15 +479,15 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
         drawn = _draw(rec, lam, rng)
         if drawn is None:
             continue
-        x, t = drawn
+        xi, t = drawn
         try:
-            point = rec.values(w, x + lam * t)
+            point = rec.values(w, xi)
             values = [eval_float(term, point, bound) for (_, term), bound in zip(terms, bounds)]
         except PoleError:
             rejected += 1
             continue
         scale = 1.0 + max(abs(v) for v in values)
-        samples.append(SamplePoint(x, t, math.fsum(values), scale))
+        samples.append(SamplePoint(xi, t, math.fsum(values), scale))
     if len(samples) < plan.count:
         return VerificationReport(rec.id, lam, tuple(samples), None, rejected, "inconclusive")
     max_rel = max(abs(s.residual) / s.scale for s in samples)
@@ -515,10 +516,10 @@ def pointwise_compare(
         drawn = _draw(probe if singular else r1, lam, rng)
         if drawn is None:
             continue
-        x, t = drawn
+        xi = drawn[0]
         try:
-            v1 = eval_float(r1.template, r1.values(w, x + lam * t))
-            v2 = eval_float(r2.template, r2.values(w, x + lam * t))
+            v1 = eval_float(r1.template, r1.values(w, xi))
+            v2 = eval_float(r2.template, r2.values(w, xi))
         except PoleError:
             continue
         worst = max(worst, abs(v1 - v2) / max(1.0, abs(v1), abs(v2)))

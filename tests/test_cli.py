@@ -267,16 +267,18 @@ def test_verify_non_finite_or_non_numeric_lambda_rejected(capsys, lam):
 
 
 def test_verify_inconclusive_exits_4(capsys):
-    # x + lam*t rounds every drawn xi to 0, the pole of u2
-    code, out, _ = run(["verify", "u2", "--lambda=-6e16"], capsys)
+    # w = (-lam/6)^(1/4) = 1e7 is past the 1e6 guard on every symbol value,
+    # so every sample is rejected
+    code, out, _ = run(["verify", "u2", "--lambda=-6e28"], capsys)
     assert code == cli.EXIT_INCONCLUSIVE
     assert "inconclusive" in out
 
 
-@pytest.mark.parametrize("lam", ["-600", "-6e4", "-6e6", "-6e12"])
+@pytest.mark.parametrize("lam", ["-600", "-6e4", "-6e6", "-6e12", "-6e14", "-6e16"])
 def test_verify_all_passes_at_large_wave_speeds(capsys, tmp_path, lam):
     # the PDE terms grow like powers of w = (-lam/6)^(1/4); the sampling
-    # guard grows with them, so samples of correct solutions are kept
+    # guard grows with them, so samples of correct solutions are kept.  The
+    # terms are evaluated at the drawn xi, whose digits survive any lam
     out_json = tmp_path / "reports.json"
     code, _, _ = run(["verify", "--all", f"--lambda={lam}", "--json", str(out_json)], capsys)
     assert code == 0
@@ -364,7 +366,7 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
 # contract: an intended output change (for example the disjoint case splits
 # of ROADMAP item 5) updates the pin here and records the new digest in
 # CHANGES.md.
-REPRODUCE_SEED_7_JSON = "b6cee2e2b80301010647c1279f29919c98f6bdba83fde9e202b742baf23ba9d0"
+REPRODUCE_SEED_7_JSON = "a319834ecc7cf5b841c4964d384fbdd635ff7899f8ba474c5810eb54d12a45b1"
 DERIVE_FIXTURE_DIGESTS = {
     ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
     ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",

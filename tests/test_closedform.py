@@ -322,11 +322,18 @@ def test_sample_report_inconclusive_when_domain_vanishes():
     # so the singular u2 keeps its samples at lam = -1e9
     rep = sample_report("u2", -1.0e9, SamplePlan(seed=1))
     assert rep.verdict == "pass"
-    # at lam = -6e16, x + lam*t rounds every drawn xi to 0, the pole of u2
+    # sampled at the drawn xi, not at x + lam*t, which rounds xi to 0 (the
+    # pole of u2) at this speed
     rep = sample_report("u2", -6.0e16, SamplePlan(seed=1))
+    assert rep.verdict == "pass"
+    # every kept xi lies outside the exclusion zone 0.05/w, w = 1e4
+    assert all(abs(s.xi) * 1e4 >= 0.05 for s in rep.samples)
+    # at lam = -6e28, w = 1e7 trips the 1e6 guard on symbol values: no
+    # sample is left
+    rep = sample_report("u2", -6.0e28, SamplePlan(seed=1))
     assert rep.verdict == "inconclusive"
     assert rep.max_relative_residual is None
-    assert rep.rejected_samples == 962
+    assert rep.rejected_samples == 951
 
 
 @pytest.mark.parametrize("pair", [("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")])
