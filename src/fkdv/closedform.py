@@ -367,10 +367,10 @@ def exact_residual(rec: SolutionRecord) -> MPoly:
 
 
 # the sampling domain: xi = x + lam*t within +-XI_BAND/w and t in T_RANGE,
-# evaluated at the drawn xi (x = xi - lam*t would lose its digits at large
-# |lam|); a form singular at the origin skips |xi| < XI_EXCLUSION/max(1, w).  At most
-# OVERSAMPLE draws per requested sample; a report passes when every sample's
-# relative residual is within TOLERANCE.
+# evaluated at the drawn xi (x + lam*t in binary64 loses its digits at large
+# |lam|); a form singular at the origin skips |xi| < XI_EXCLUSION/max(1, w).
+# At most OVERSAMPLE draws per requested sample; a report passes when every
+# sample's relative residual is within TOLERANCE.
 XI_BAND = 1.2
 XI_EXCLUSION = 0.05
 T_RANGE = (-0.3, 0.3)

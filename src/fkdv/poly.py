@@ -496,6 +496,7 @@ class MPoly:
                 body = f"{coef(mag)}{times}{mono(k)}"
             parts.append(f" - {body}" if c < 0 else f" + {body}")
         text = "".join(parts)
+        # the first term's sign takes no spaces, and a plus sign none at all
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
