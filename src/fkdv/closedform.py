@@ -15,11 +15,15 @@ Two checks use the five PDE terms at lam = -6*w^4
 (:func:`residual_terms_for`).  :func:`exact_residual` sums them, clears the
 reciprocal y and reduces each squared function by its Pythagorean relation
 (sec^2 = 1 + tan^2, ...); a correct template leaves the zero polynomial.
-:func:`sample_report` evaluates them in binary64 at random points, with a
-magnitude guard on every symbol value, monomial, term and sum: a symbol
-value past 1e6 counts as a pole and the sample is rejected, and so does a
-monomial, term or sum past 1e6 * max(1, w)^d, where d is the term's degree
-in w (the PDE terms grow like powers of w).
+:func:`sample_report` evaluates them in binary64 at random points, and
+:func:`pointwise_compare` evaluates two templates at shared points; both
+draw through one sampler and keep one guard rule.  A polynomial of degree
+d in w is bounded by 1e6 * max(1, w)^d on every monomial, term and sum
+(:func:`guard_bound`, inf when the power overflows), since the PDE terms
+and the templates grow like powers of w; a float overflow counts as a
+tripped bound.  w is an input and only has to be finite, while every
+function value keeps the absolute 1e6 pole guard.  A sample that trips a
+guard counts as a pole and is rejected.
 
 The closed forms of phi' = k + phi^2 (``PHI_FORMS``) and of the projective
 pair (``ST_CASES``) are polynomials in the same symbols;
@@ -110,8 +114,6 @@ SQUARES: dict[Sym, MPoly] = {
 
 # -- the ten-solution catalog -------------------------------------------------
 
-WaveParams = tuple[tuple[Sym, Fraction, int], ...]  # (sym, coeff, power of q)
-
 
 @dataclass(frozen=True, eq=False)
 class SolutionRecord:
@@ -120,21 +122,21 @@ class SolutionRecord:
     ``template`` is u(x, t) as a polynomial in ``w`` and the function
     symbols; ``rules`` sends each of those symbols to its derivative in xi.
 
-    ``params`` records the generating parameter tuple as coeff * q**power
-    with q = sqrt(-lam/6); at lam = -6*m^4 every entry is the exact rational
-    coeff * m**(2*power).  ``aux_form`` names the auxiliary-function shape
-    that rebuilds the template from the parameters (a phi form for the tanh
-    method, a sigma-tau case for the projective method); it is None for the
-    two negative-r records, whose printed hyperbolic shapes do not match any
-    cataloged sign combination and are validated through their templates and
-    the cross-method identities instead.
+    ``params`` records the generating parameter tuple as polynomials in
+    ``w`` (e.g. a0 = -5*w^2, k = w^2/4); at lam = -6*m^4, w = m and every
+    entry is an exact rational.  ``aux_form`` names the auxiliary-function
+    shape that rebuilds the template from the parameters (a phi form for
+    the tanh method, a sigma-tau case for the projective method); it is
+    None for the two negative-r records, whose printed hyperbolic shapes do
+    not match any cataloged sign combination and are validated through
+    their templates and the cross-method identities instead.
     """
 
     id: str
     method: str  # tanh | pre
     anchor: str  # source branch letter a-d / roman i-Vi
     template: MPoly
-    params: WaveParams
+    params: dict[Sym, MPoly]
     singular_at_origin: bool
     aux_form: str | None = None
     rules: dict[Sym, MPoly] = field(init=False, repr=False)
@@ -148,11 +150,10 @@ class SolutionRecord:
         return function_values(self.rules, w, xi)
 
     def specialize(self, m: int) -> dict[Sym, Fraction]:
-        """Exact parameter values at lam = -6*m^4 (where q = m*m)."""
+        """Exact parameter values at lam = -6*m^4 (where w = m)."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        q = Fraction(m * m)
-        out = {s: c * q**p for s, c, p in self.params}
+        out = {s: p.eval_rat({W: m}) for s, p in self.params.items()}
         out[LAM] = Fraction(-6) * m**4
         return out
 
@@ -174,9 +175,10 @@ def function_values(
     syms: Iterable[Sym], w: float, xi: float, params: Mapping[Sym, float] | None = None
 ) -> dict[Sym, float]:
     """Float values of w, ``params`` and each of ``syms`` (in symbol order,
-    so a reciprocal follows its denominator) at (w, xi), guarded; raises
-    PoleError at or near a pole."""
-    point = {W: _guard(w), **(params or {})}
+    so a reciprocal follows its denominator) at (w, xi).  w is an input and
+    only has to be finite; each function value is guarded, and PoleError is
+    raised at or near a pole."""
+    point = {W: _guard(w, math.inf), **(params or {})}
     try:
         for s in syms:
             if s in DENOMINATORS:
@@ -200,17 +202,13 @@ def _catalog() -> tuple[SolutionRecord, ...]:
     def pre_square(outer: Fraction, inner: int, f: Sym) -> MPoly:
         return q * (1 + _v(f) ** 2 * inner) * outer
 
-    F = Fraction
-
-    def P(*entries) -> WaveParams:
-        return tuple((s, F(c), p) for s, c, p in entries)
-
-    tanh_neg = P((a(0), -5, 1), (a(1), 0, 0), (a(2), -30, 0), (K, F(1, 4), 1))
-    tanh_pos = P((a(0), 5, 1), (a(1), 0, 0), (a(2), -30, 0), (K, F(-1, 4), 1))
-    pre_i = P((a(0), F(5, 2), 1), (a(1), 15, 0), (b(1), 0, 0), (MU, -1, 0), (R, 1, 1))
-    pre_ii = P((a(0), F(5, 2), 1), (a(1), -15, 0), (b(1), 0, 0), (MU, 1, 0), (R, 1, 1))
-    pre_v = P((a(0), F(-5, 2), 1), (a(1), -15, 0), (b(1), 0, 0), (MU, 1, 0), (R, -1, 1))
-    pre_vi = P((a(0), F(-5, 2), 1), (a(1), 15, 0), (b(1), 0, 0), (MU, -1, 0), (R, -1, 1))
+    F, c = Fraction, MPoly.const
+    tanh_neg = {a(0): q * -5, a(1): c(0), a(2): c(-30), K: _QUARTER_W2}
+    tanh_pos = {a(0): q * 5, a(1): c(0), a(2): c(-30), K: -_QUARTER_W2}
+    pre_i = {a(0): q * F(5, 2), a(1): c(15), b(1): c(0), MU: c(-1), R: q}
+    pre_ii = {a(0): q * F(5, 2), a(1): c(-15), b(1): c(0), MU: c(1), R: q}
+    pre_v = {a(0): q * F(-5, 2), a(1): c(-15), b(1): c(0), MU: c(1), R: -q}
+    pre_vi = {a(0): q * F(-5, 2), a(1): c(15), b(1): c(0), MU: c(-1), R: -q}
 
     return (
         SolutionRecord("u1", "tanh", "a", tanh_like(F(-5, 2), 1, TAN), tanh_neg, False, "tan"),
@@ -419,15 +417,27 @@ def _guard(v: float, bound: float = MAGNITUDE_GUARD) -> float:
     return v
 
 
+def guard_bound(p: MPoly, w: float) -> float:
+    """The magnitude bound of ``p`` at ``w``: MAGNITUDE_GUARD * max(1, w)^d,
+    d the degree of ``p`` in w, or inf when that power overflows."""
+    try:
+        return MAGNITUDE_GUARD * max(1.0, w) ** p.max_exponent(W)
+    except OverflowError:
+        return math.inf
+
+
 def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
     """binary64 value of ``p``; raises PoleError when a monomial, a term or
-    the sum leaves the magnitude ``bound``."""
+    the sum leaves the magnitude ``bound`` or overflows."""
     total = []
-    for k, c in p.terms.items():
-        v = 1.0
-        for s, e in exps_of(k):
-            v *= point[s] ** e
-        total.append(_guard(float(c) * _guard(v, bound), bound))
+    try:
+        for k, c in p.terms.items():
+            v = 1.0
+            for s, e in exps_of(k):
+                v *= point[s] ** e
+            total.append(_guard(float(c) * _guard(v, bound), bound))
+    except OverflowError as exc:
+        raise PoleError(str(exc)) from exc
     return _guard(math.fsum(total), bound)
 
 
@@ -444,16 +454,29 @@ def residual_terms_for(rec: SolutionRecord):
     return _TERMS_CACHE[rec.template]
 
 
-def _draw(rec: SolutionRecord, lam: float, rng: random.Random):
-    """One candidate (xi, t) in the sampling domain, or None if the draw fell
-    in the origin-exclusion zone of a singular form.  The band and the zone
-    both shrink with w, so the zone never covers the band."""
-    w = (-lam / 6.0) ** 0.25
-    xi = rng.uniform(-XI_BAND, XI_BAND) / w
-    if rec.singular_at_origin and abs(xi) * max(1.0, w) < XI_EXCLUSION:
-        return None
-    t = rng.uniform(*T_RANGE)
-    return xi, t
+def _sample(key: str, w: float, singular: bool, count: int, evaluate: Callable):
+    """Draw (xi, t) in the sampling domain with the seed ``key`` until
+    ``count`` draws are accepted or the OVERSAMPLE budget is spent.
+
+    A singular form skips the origin-exclusion zone (t is then not drawn);
+    the band and the zone both shrink with w, so the zone never covers the
+    band.  A draw is accepted with ``evaluate(xi)`` unless that raises
+    PoleError or overflows.  Returns ([(xi, t, value)], rejected)."""
+    rng = random.Random(key)
+    accepted = []
+    rejected = 0
+    for _ in range(count * OVERSAMPLE):
+        if len(accepted) >= count:
+            break
+        xi = rng.uniform(-XI_BAND, XI_BAND) / w
+        if singular and abs(xi) * max(1.0, w) < XI_EXCLUSION:
+            continue
+        t = rng.uniform(*T_RANGE)
+        try:
+            accepted.append((xi, t, evaluate(xi)))
+        except (PoleError, OverflowError):
+            rejected += 1
+    return accepted, rejected
 
 
 def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> VerificationReport:
@@ -467,32 +490,23 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
         raise ValueError("verification requires lam < 0 (real-valued templates)")
     rec = get_solution(sid)
     terms = residual_terms_for(rec)
-    # the terms grow like powers of w, so their guard scales with w
     w = (-lam / 6.0) ** 0.25
-    bounds = [MAGNITUDE_GUARD * max(1.0, w) ** term.max_exponent(W) for _, term in terms]
-    rng = random.Random(f"{plan.seed}:{rec.id}:{lam!r}")
-    samples: list[SamplePoint] = []
-    rejected = 0
-    for _ in range(plan.count * OVERSAMPLE):
-        if len(samples) >= plan.count:
-            break
-        drawn = _draw(rec, lam, rng)
-        if drawn is None:
-            continue
-        xi, t = drawn
-        try:
-            point = rec.values(w, xi)
-            values = [eval_float(term, point, bound) for (_, term), bound in zip(terms, bounds)]
-        except PoleError:
-            rejected += 1
-            continue
-        scale = 1.0 + max(abs(v) for v in values)
-        samples.append(SamplePoint(xi, t, math.fsum(values), scale))
+    bounds = [(term, guard_bound(term, w)) for _, term in terms]
+
+    def evaluate(xi: float) -> tuple[float, float]:
+        point = rec.values(w, xi)
+        values = [eval_float(term, point, bound) for term, bound in bounds]
+        return math.fsum(values), 1.0 + max(abs(v) for v in values)
+
+    drawn, rejected = _sample(
+        f"{plan.seed}:{rec.id}:{lam!r}", w, rec.singular_at_origin, plan.count, evaluate
+    )
+    samples = tuple(SamplePoint(xi, t, *value) for xi, t, value in drawn)
     if len(samples) < plan.count:
-        return VerificationReport(rec.id, lam, tuple(samples), None, rejected, "inconclusive")
+        return VerificationReport(rec.id, lam, samples, None, rejected, "inconclusive")
     max_rel = max(abs(s.residual) / s.scale for s in samples)
     verdict = "pass" if max_rel <= TOLERANCE else "fail"
-    return VerificationReport(rec.id, lam, tuple(samples), max_rel, rejected, verdict)
+    return VerificationReport(rec.id, lam, samples, max_rel, rejected, verdict)
 
 
 def pointwise_compare(
@@ -505,36 +519,18 @@ def pointwise_compare(
         raise ValueError("comparison requires lam < 0")
     r1, r2 = get_solution(sid1), get_solution(sid2)
     w = (-lam / 6.0) ** 0.25
-    rng = random.Random(f"{plan.seed}:{r1.id}:{r2.id}:{lam!r}")
-    singular = r1.singular_at_origin or r2.singular_at_origin
-    probe = r1 if r1.singular_at_origin else r2
-    worst = 0.0
-    used = 0
-    for _ in range(plan.count * OVERSAMPLE):
-        if used >= plan.count:
-            break
-        drawn = _draw(probe if singular else r1, lam, rng)
-        if drawn is None:
-            continue
-        xi = drawn[0]
-        try:
-            v1 = eval_float(r1.template, r1.values(w, xi))
-            v2 = eval_float(r2.template, r2.values(w, xi))
-        except PoleError:
-            continue
-        worst = max(worst, abs(v1 - v2) / max(1.0, abs(v1), abs(v2)))
-        used += 1
-    return worst, used
+    b1, b2 = guard_bound(r1.template, w), guard_bound(r2.template, w)
 
+    def evaluate(xi: float) -> float:
+        v1 = eval_float(r1.template, r1.values(w, xi), b1)
+        v2 = eval_float(r2.template, r2.values(w, xi), b2)
+        return abs(v1 - v2) / max(1.0, abs(v1), abs(v2))
 
-# -- rendering ----------------------------------------------------------------
-
-
-def param_latex(params: WaveParams) -> str:
-    parts = []
-    for s, c, p in params:
-        val = MPoly.const(c).latex()
-        if p != 0:
-            val = {"1": "", "-1": "-"}.get(val, val) + r"\sqrt{-\lambda/6}"
-        parts.append(f"{s.latex()} = {val}")
-    return ",\\; ".join(parts)
+    drawn, _ = _sample(
+        f"{plan.seed}:{r1.id}:{r2.id}:{lam!r}",
+        w,
+        r1.singular_at_origin or r2.singular_at_origin,
+        plan.count,
+        evaluate,
+    )
+    return max((d for _, _, d in drawn), default=0.0), len(drawn)

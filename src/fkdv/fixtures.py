@@ -25,7 +25,6 @@ class FixtureEq:
     label: int
     key: tuple[int, int | None]  # (power, tau_degree)
     poly: MPoly
-    expr: str
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,7 @@ def load_fixture(method: str) -> Fixture:
             if method == "tanh"
             else (entry["sigma_power"], entry["tau_degree"])
         )
-        eqs.append(
-            FixtureEq(
-                label=entry["label"],
-                key=key,
-                poly=parse_poly(entry["expr"]),
-                expr=entry["expr"],
-            )
-        )
+        eqs.append(FixtureEq(label=entry["label"], key=key, poly=parse_poly(entry["expr"])))
     return Fixture(method=method, ansatz_order=doc["ansatz_order"], equations=tuple(eqs))
 
 

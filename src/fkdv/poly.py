@@ -716,8 +716,8 @@ class _Parser:
             if self.peek() == "/":
                 self.take()
                 den = self.take()
-                if not den.isdigit():
-                    raise ValueError(f"expected integer denominator, got {den!r}")
+                if not den.isdigit() or int(den) == 0:
+                    raise ValueError(f"expected nonzero integer denominator, got {den!r}")
                 return MPoly.const(Fraction(num, int(den)))
             return MPoly.const(num)
         return MPoly.var(Sym(tok))

@@ -26,7 +26,6 @@ from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .poly import MPoly, exps_of, monomial
 from .symbols import E, MU, R, RHO, SIGMA, TAU, a, b
-from .tanh import linear_balance
 
 _E = MPoly.var(E)
 _MU = MPoly.var(MU)
@@ -71,24 +70,6 @@ def build_pre_ansatz(m: int) -> MPoly:
     for j in range(1, m + 1):
         v = v + _SIGMA ** (j - 1) * (_SIGMA * MPoly.var(a(j)) + _TAU * MPoly.var(b(j)))
     return v
-
-
-def pre_degree_candidates() -> frozenset[int]:
-    """Ansatz depths the method explores: {1, 2}.
-
-    The residual's top sigma-degrees are m+5, 2m+3 and 3m+1; every pairwise
-    coincidence lands on m = 2.  Depth m = 1 stays viable anyway because its
-    leading coefficients factor through mu^2 + rho and can vanish, which is
-    exactly how its solution branches arise.
-    """
-    tops = [(1, 5), (2, 3), (3, 1)]
-    balanced = {
-        m
-        for i in range(len(tops))
-        for j in range(i + 1, len(tops))
-        if (m := linear_balance(tops[i], tops[j])) is not None
-    }
-    return frozenset({1} | balanced)
 
 
 def pre_ode_residual(spec: EquationSpec, v: MPoly) -> tuple[MPoly, int]:

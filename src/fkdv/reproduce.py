@@ -332,6 +332,7 @@ def render_latex(tanh_system, pre_system) -> str:
     ]
     for rec in closedform.catalog():
         lines.append(rf"\subsection*{{{rec.id} (branch {rec.anchor}, {rec.method})}}")
-        lines.append(rf"\[ {closedform.param_latex(rec.params)} \]")
+        params = ",\\; ".join(f"{s.latex()} = {v.latex()}" for s, v in rec.params.items())
+        lines.append(rf"\[ {params} \]")
         lines.append(rf"\[ u(x,t) = {rec.template.latex()} \]")
     return "\n".join(lines) + "\n"

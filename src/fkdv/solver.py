@@ -50,13 +50,7 @@ class Assignment:
     __slots__ = ("_map",)
 
     def __init__(self, bindings: Mapping[Sym, Fraction | int] | None = None):
-        m: dict[Sym, Fraction] = {}
-        if bindings:
-            for s, v in bindings.items():
-                if s in m:
-                    raise ValueError(f"{s} bound twice")
-                m[s] = Fraction(v)
-        self._map = m
+        self._map = {s: Fraction(v) for s, v in (bindings or {}).items()}
 
     def merged(self, other: "Assignment") -> "Assignment":
         out = Assignment()

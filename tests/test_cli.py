@@ -267,14 +267,26 @@ def test_verify_non_finite_or_non_numeric_lambda_rejected(capsys, lam):
 
 
 def test_verify_inconclusive_exits_4(capsys):
-    # w = (-lam/6)^(1/4) = 1e7 is past the 1e6 guard on every symbol value,
-    # so every sample is rejected
+    # w = (-lam/6)^(1/4) = 1e7 is an input, not a guarded symbol value, so
+    # lam = -6e28 still verifies; at -1e200 the guard bound w^7 overflows a
+    # float, and every sample is rejected instead of raising
     code, out, _ = run(["verify", "u2", "--lambda=-6e28"], capsys)
+    assert code == cli.EXIT_OK
+    assert "pass" in out
+    code, out, err = run(["verify", "--all", "--lambda=-1e200"], capsys)
     assert code == cli.EXIT_INCONCLUSIVE
-    assert "inconclusive" in out
+    assert out.count("verdict=inconclusive") == 10 and err == ""
 
 
-@pytest.mark.parametrize("lam", ["-600", "-6e4", "-6e6", "-6e12", "-6e14", "-6e16"])
+def test_verify_compare_different_at_large_wave_speed(capsys):
+    # the template guard scales with w like the PDE-term guard, so the
+    # comparison keeps its samples and tells u7 and u2 apart
+    code, out, _ = run(["verify", "u7", "u2", "--compare", "--lambda=-6e12"], capsys)
+    assert code == 0
+    assert "pointwise DIFFERENT" in out
+
+
+@pytest.mark.parametrize("lam", ["-600", "-6e4", "-6e6", "-6e12", "-6e14", "-6e16", "-7e24"])
 def test_verify_all_passes_at_large_wave_speeds(capsys, tmp_path, lam):
     # the PDE terms grow like powers of w = (-lam/6)^(1/4); the sampling
     # guard grows with them, so samples of correct solutions are kept.  The

@@ -14,6 +14,7 @@ from fkdv.closedform import (
     eval_float,
     exact_residual,
     get_solution,
+    guard_bound,
     pointwise_compare,
     rebuild_from_branch,
     reduce_squares,
@@ -23,7 +24,7 @@ from fkdv.closedform import (
 from fkdv.equation import ito, ode_residual
 from fkdv.errors import PoleError
 from fkdv.poly import MPoly
-from fkdv.symbols import COTW, CSCW, LAM, TAN, W, YM, YP, Sym, a
+from fkdv.symbols import COTW, CSCW, LAM, MU, TAN, W, YM, YP, Sym, a
 
 _W = MPoly.var(W)
 FUNCTION_SYMBOLS = sorted({s for rec in catalog() for s in rec.rules}, key=lambda s: s.key)
@@ -178,6 +179,21 @@ def test_eval_bound_scales_but_the_pole_guard_stays_absolute():
         eval_float(_W * 10**9, {W: 1.0}, 1e8)
     with pytest.raises(PoleError):
         get_solution("u1").values(10.0, 2 * math.atan(2 * MAGNITUDE_GUARD) / 10.0)
+    # w itself is only checked for finiteness
+    assert get_solution("u1").values(1e7, 0.1 / 1e7)[W] == 1e7
+    with pytest.raises(PoleError):
+        get_solution("u1").values(math.inf, 0.0)
+
+
+def test_guard_bound_follows_the_degree_in_w():
+    assert guard_bound(_W**3 + 1, 10.0) == MAGNITUDE_GUARD * 1e3
+    assert guard_bound(_W**3 + 1, 0.5) == MAGNITUDE_GUARD
+    assert guard_bound(MPoly.const(7), 1e9) == MAGNITUDE_GUARD
+    # a power past the float range makes the bound inf, and an evaluation
+    # that overflows a float is a pole
+    assert guard_bound(_W**7, 1e50) == math.inf
+    with pytest.raises(PoleError):
+        eval_float(_W**7, {W: 1e50}, math.inf)
 
 
 # ---------------------------------------------------------------- residual
@@ -279,16 +295,14 @@ def test_catalog_has_ten_records():
 def test_u5_anchor_and_params():
     rec = get_solution("u5")
     assert rec.anchor == "i" and rec.method == "pre"
-    params = {s.name: (c, p) for s, c, p in rec.params}
-    assert params["a1"] == (F(15), 0)
-    assert params["mu"] == (F(-1), 0)
+    assert rec.params[a(1)] == MPoly.const(15)
+    assert rec.params[MU] == MPoly.const(-1)
 
 
 def test_u3_method_and_anchor():
     rec = get_solution("u3")
     assert rec.method == "tanh" and rec.anchor == "c"
-    params = {s.name: (c, p) for s, c, p in rec.params}
-    assert params["a0"] == (F(5), 1)  # 5 * sqrt(-lam/6)
+    assert rec.params[a(0)] == _W**2 * 5  # 5 * sqrt(-lam/6)
 
 
 def test_specialize_is_exact():
@@ -328,12 +342,15 @@ def test_sample_report_inconclusive_when_domain_vanishes():
     assert rep.verdict == "pass"
     # every kept xi lies outside the exclusion zone 0.05/w, w = 1e4
     assert all(abs(s.xi) * 1e4 >= 0.05 for s in rep.samples)
-    # at lam = -6e28, w = 1e7 trips the 1e6 guard on symbol values: no
-    # sample is left
+    # at lam = -6e28, w = 1e7 is an input, not a guarded symbol value
     rep = sample_report("u2", -6.0e28, SamplePlan(seed=1))
+    assert rep.verdict == "pass"
+    # at lam = -1e200 the guard bound max(1, w)^7 overflows to inf and every
+    # evaluation overflows: each draw outside the exclusion zone is rejected
+    rep = sample_report("u2", -1.0e200, SamplePlan(seed=1))
     assert rep.verdict == "inconclusive"
     assert rep.max_relative_residual is None
-    assert rep.rejected_samples == 951
+    assert rep.rejected_samples == 960
 
 
 @pytest.mark.parametrize("pair", [("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")])
@@ -341,6 +358,16 @@ def test_cross_method_identities(pair):
     diff, used = pointwise_compare(pair[0], pair[1], -6.0, SamplePlan(seed=7))
     assert used >= 20
     assert diff <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [-6e8, -6e12, -6e24])
+def test_pointwise_compare_guard_scales_with_w(lam):
+    # the templates grow like w^2, so their guard does too: samples are kept
+    # at large wave speeds and two different solutions stay apart
+    diff, used = pointwise_compare("u7", "u2", lam, SamplePlan(seed=1))
+    assert used == 20 and diff > 0.5
+    diff, used = pointwise_compare("u7", "u1", lam, SamplePlan(seed=1))
+    assert used == 20 and diff <= 1e-10
 
 
 def test_latex_render_smoke():

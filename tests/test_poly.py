@@ -420,6 +420,12 @@ def test_power_is_repeated_multiplication(p, n):
     assert p**n == product
 
 
+@pytest.mark.parametrize("text", ["1/0", "2.5", "a0^b1", "(a0", "a0 a1", "x", "1/a0", ""])
+def test_parse_rejects_malformed_text_with_value_error(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
 def test_power_of_a_large_constant_is_fast():
     # binary powering takes 17 squarings here, not 100000 products
     start = time.perf_counter()

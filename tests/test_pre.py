@@ -20,14 +20,13 @@ from fkdv.pre import (
     R_TAU2,
     build_pre_ansatz,
     eliminate_tau,
-    linear_balance,
-    pre_degree_candidates,
     pre_ode_residual,
     split_r,
 )
 from fkdv.symbols import (
     E, LAM, MU, R, RHO, SEC, SECH, SIGMA, TAN, TANH, TAU, XINV, YSEC, YSECH, a, b,
 )
+from fkdv.tanh import linear_balance
 
 
 def P(text):
@@ -159,10 +158,6 @@ def test_ansatz_depth_zero_rejected():
 
 
 # ---------------------------------------------------------------- degrees
-
-
-def test_degree_candidates():
-    assert pre_degree_candidates() == frozenset({1, 2})
 
 
 def test_pairwise_balances_solve_to_two():
