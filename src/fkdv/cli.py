@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, closedform, fixtures, tanh
-from .equation import EquationSpec, ito
+from .equation import EquationSpec, equation_tag, ito
 from .errors import BalanceError, FkdvError, InternalInvariantError
 from .pre import PAPER_SIGNS
 from .reproduce import (
@@ -31,7 +31,6 @@ from .reproduce import (
     system_latex,
     unknowns,
 )
-from .solver import MAX_GRID_DEPTH
 from .symbols import E, LAM, MAX_ORDER, RHO
 
 EXIT_OK = 0
@@ -106,10 +105,7 @@ def cmd_derive(args) -> int:
     order, system = derive(args.method, spec, args.order)
     _say(args, f"{args.method} system at order {order}: {len(system)} equations")
     for eq in system:
-        tag = f"phi^{eq.power}" if eq.tau_degree is None else (
-            f"sigma^{eq.power}*tau^{eq.tau_degree}"
-        )
-        _say(args, f"  [{tag}] {eq.poly.ascii()} = 0")
+        _say(args, f"  [{equation_tag(eq.power, eq.tau_degree)}] {eq.poly.ascii()} = 0")
     doc = {
         "schema": 1,
         "manifest": _manifest(args, "derive", args.method, []),
@@ -145,7 +141,7 @@ def cmd_solve(args) -> int:
     lam = args.lam
     _, system = derive(args.method)
     presets = {LAM: lam} if args.method == "tanh" else {LAM: lam, E: args.e, RHO: args.rho}
-    branches = solve_system(system, presets, args.budget)
+    branches = solve_system(system, presets)
     counts: dict[str, int] = {}
     for br in branches:
         counts[br.status] = counts.get(br.status, 0) + 1
@@ -186,6 +182,9 @@ def cmd_verify(args) -> int:
     if bad:
         print(f"unknown solution ids: {', '.join(bad)} (u1..u10)", file=sys.stderr)
         return EXIT_USAGE
+    if args.compare and len(ids) != 2:
+        print("--compare needs exactly two solution ids", file=sys.stderr)
+        return EXIT_USAGE
     lambdas = []
     for text in args.lam or ["-6"]:
         try:
@@ -219,9 +218,6 @@ def cmd_verify(args) -> int:
         "reports": reports,
     }
     if args.compare:
-        if len(ids) != 2:
-            print("--compare needs exactly two solution ids", file=sys.stderr)
-            return EXIT_USAGE
         comparisons = []
         for lam in lambdas:
             d, n = closedform.pointwise_compare(ids[0], ids[1], lam, plan)
@@ -236,12 +232,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    result = run_reproduce(
-        grid_depth=args.lambda_grid_depth,
-        seed=args.seed,
-        timestamp=args.timestamp,
-        budget=args.budget,
-    )
+    result = run_reproduce(seed=args.seed, timestamp=args.timestamp)
     for s in result.doc["stages"]:
         mark = "ok " if s["ok"] else "FAIL"
         _say(args, f"  [{mark}] {s['stage']}: {s['detail']}")
@@ -312,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="expand the residual and extract the system")
     p.add_argument("--method", choices=["tanh", "pre"], required=True)
     _add_spec_flags(p)
-    p.add_argument("--order", "--m", "--M", dest="order", type=int,
+    p.add_argument("--order", type=int,
                    help=f"ansatz order, at most {MAX_ORDER} "
                    "(default: balanced M for tanh, 1 for pre)")
     p.add_argument("--check-fixture", action="store_true",
@@ -327,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational wave speed")
     p.add_argument("--e", type=int, choices=[-1, 1], default=PAPER_SIGNS[E])
     p.add_argument("--rho", type=int, choices=[-1, 1], default=PAPER_SIGNS[RHO])
-    p.add_argument("--budget", type=int, default=10000)
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -343,11 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="run the full end-to-end reproduction")
-    p.add_argument("--lambda-grid-depth", type=int, default=3,
-                   help="solve at lambda = -6*m^4 for m = 1..N, "
-                   f"N at most {MAX_GRID_DEPTH} (default: 3)")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--latex", metavar="PATH", help="write the LaTeX appendix")
     _add_output_flags(p)
     p.set_defaults(func=cmd_reproduce)

@@ -72,3 +72,9 @@ class SystemEq:
     poly: MPoly
     tau_degree: int | None = None
     r_power: int | None = None
+
+
+def equation_tag(power: int, tau_degree: int | None) -> str:
+    """The text tag of an equation's origin: phi^p for the tanh method,
+    sigma^p*tau^t for the projective one."""
+    return f"phi^{power}" if tau_degree is None else f"sigma^{power}*tau^{tau_degree}"

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .equation import SystemEq
+from .equation import SystemEq, equation_tag
 from .errors import InternalInvariantError
 from .poly import MPoly, parse_poly
 from .pre import split_r
@@ -76,11 +76,7 @@ class FixtureDiff:
     expected: MPoly | None
 
     def describe(self) -> str:
-        where = (
-            f"phi^{self.key[0]}"
-            if self.key[1] is None
-            else f"sigma^{self.key[0]}*tau^{self.key[1]}"
-        )
+        where = equation_tag(*self.key)
         if self.generated is None:
             return f"{where}: missing from generated system (expected eq. {self.label})"
         if self.expected is None:
@@ -94,11 +90,7 @@ class FixtureDiff:
 
 def compare_systems(system: list[SystemEq], fixture: Fixture) -> list[FixtureDiff]:
     """Key-by-key comparison in canonical form; empty list means equal."""
-    gen = {
-        ((eq.power, eq.tau_degree) if fixture.method == "pre" else (eq.power, None)):
-        canonical_form(eq.poly)
-        for eq in system
-    }
+    gen = {(eq.power, eq.tau_degree): canonical_form(eq.poly) for eq in system}
     exp = {fe.key: (fe.label, canonical_form(fe.poly)) for fe in fixture.equations}
     diffs: list[FixtureDiff] = []
     for key in sorted(set(gen) | set(exp), key=lambda k: (k[1] or 0, k[0])):

@@ -14,6 +14,12 @@ first available move:
 3. split on a common monomial factor: each variable in the factor to zero,
    plus the cofactor branch.
 
+Every symbol in a node's equations and recorded eliminations is still
+open, neither bound nor eliminated: the presets are substituted at the root, and
+each binding and each elimination into every equation and every recorded
+elimination.  So the moves take any symbol they find, and an elimination
+is resolved exactly when its expression is constant.
+
 Every discarded case surfaces as a contradiction or stuck leaf; nothing is
 dropped silently.  A node equal to one already explored replays that
 subtree's leaves when the budget allows it to finish again.  Output order is
@@ -136,23 +142,6 @@ def verify_assignment(
     return True, None
 
 
-# the grid's cost grows faster than its depth, as the numbers grow with m;
-# `fkdv reproduce` at this depth takes about 0.3 s (Python 3.11, one core)
-MAX_GRID_DEPTH = 16
-
-
-def rational_lambda_grid(depth: int) -> list[Fraction]:
-    """Wave speeds -6*m^4 for m = 1..depth, where sqrt(-lam/6) = m^2 and its
-    square root m are both rational.  depth runs from 1 to MAX_GRID_DEPTH."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > MAX_GRID_DEPTH:
-        raise ValueError(
-            f"lambda grid depth {depth} is above the maximum depth {MAX_GRID_DEPTH}"
-        )
-    return [Fraction(-6) * m**4 for m in range(1, depth + 1)]
-
-
 class _Node:
     __slots__ = ("bindings", "elims", "polys")
 
@@ -270,13 +259,10 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     start = [intern(p.substitute(preset_map)) for p in system]
 
     def finish(node: _Node, status: str, witness: MPoly | None = None) -> None:
-        # resolve recorded eliminations that have become constant
+        # eliminations hold only open symbols (module docstring)
         resolved = dict(node.bindings)
         pending: list[tuple[Sym, MPoly]] = []
         for x, expr in reversed(node.elims):
-            # one binding at a time, so each step is a cached substitution
-            for y in sorted(expr.symbols() & resolved.keys()):
-                expr = substituter(y, resolved[y])(expr)
             if expr.is_constant():
                 resolved[x] = expr.constant_value()
             else:
@@ -285,15 +271,14 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         if status != CONTRADICTION:
             # a solved or stuck leaf reports what it still depends on
             remaining += [MPoly.var(x) - expr for x, expr in pending]
-        if status in (SOLVED, FREE):
-            free = tuple(
-                s for s in cfg.unknowns if s not in resolved
-            )
-            if status == SOLVED and (free or pending):
+        free: tuple[Sym, ...] = ()
+        if status == SOLVED:
+            # a pending symbol is unresolved, so it is among the free ones
+            free = tuple(s for s in cfg.unknowns if s not in resolved)
+            if free:
                 status = FREE
-            # each distinct solved point is verified once per solve()
-            point = frozenset(resolved.items())
-            if status == SOLVED and point not in verified:
+            elif (point := frozenset(resolved.items())) not in verified:
+                # each distinct solved point is verified once per solve()
                 ok, bad = verify_assignment(
                     system, Assignment(resolved).merged(cfg.presets)
                 )
@@ -302,8 +287,6 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
                         f"solved branch fails re-verification on {bad}"
                     )
                 verified.add(point)
-        else:
-            free = ()
         leaves.append(
             Branch(
                 assignment=Assignment(resolved),
@@ -364,13 +347,8 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             finish(node, STUCK, witness=polys[0])
             return
 
-        unbound = [s for s in cfg.unknowns if s not in node.bindings]
-        live = set(unbound) - {x for x, _ in node.elims}
-
         # move 1: univariate root branching
-        univariate = [
-            p for p in polys if len(syms := p.symbols()) == 1 and next(iter(syms)) in live
-        ]
+        univariate = [p for p in polys if len(p.symbols()) == 1]
         if univariate:
             p = min(
                 univariate,
@@ -391,8 +369,6 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         best = None
         for p in polys:
             for x, c in p.linear_pivots().items():
-                if x not in live:
-                    continue
                 key = (len(p.terms), p.degree(), x.key, _Text(p))
                 if best is None or key < best[0]:
                     best = (key, p, x, c)

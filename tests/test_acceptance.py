@@ -11,12 +11,13 @@ from fkdv.equation import ito
 from fkdv.fixtures import compare_systems, load_fixture
 from fkdv.poly import MPoly, monomial, rational_roots
 from fkdv.reproduce import (
+    GRID,
     check_phi_catalog,
     check_st_catalog,
     paper_branches,
     solve_system,
 )
-from fkdv.solver import rational_lambda_grid, verify_assignment
+from fkdv.solver import verify_assignment
 from fkdv.symbols import E, LAM, MU, R, RHO, Sym, a, b
 
 
@@ -57,7 +58,7 @@ def test_criterion_04_exact_substitution(tanh_system, pre_system):
     tanh_polys = [eq.poly for eq in tanh_system]
     pre_polys = [eq.poly for eq in pre_system]
     checked = 0
-    for m, lam in enumerate(rational_lambda_grid(3), start=1):
+    for m, lam in enumerate(GRID, start=1):
         for rec in closedform.catalog():
             asg = rec.specialize(m)
             assert asg[LAM] == lam

@@ -1,14 +1,15 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from fkdv import cli, fixtures
-from fkdv.solver import MAX_GRID_DEPTH
 from fkdv.symbols import MAX_ORDER
 
 
@@ -253,6 +254,13 @@ def test_verify_compare_needs_two_ids(capsys):
     assert code == cli.EXIT_USAGE
 
 
+def test_verify_compare_checks_its_ids_before_sampling(capsys):
+    code, out, err = run(["verify", "--all", "--compare"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "--compare needs exactly two solution ids\n"
+
+
 def test_verify_nonnegative_lambda_rejected(capsys):
     code, _, _ = run(["verify", "u3", "--lambda", "2"], capsys)
     assert code == cli.EXIT_USAGE
@@ -332,38 +340,15 @@ def test_reproduce_seed_7_twice_is_byte_identical(capsys, tmp_path):
 
 def test_reproduce_latex_appendix(capsys, tmp_path):
     tex = tmp_path / "appendix.tex"
-    code, _, _ = run(
-        ["reproduce", "--lambda-grid-depth", "1", "--latex", str(tex)], capsys
-    )
+    code, _, _ = run(["reproduce", "--latex", str(tex)], capsys)
     assert code == 0
     body = tex.read_text()
     assert "Solution catalog" in body and "u10" in body
 
 
-def test_reproduce_at_the_grid_depth_cap(capsys, tmp_path):
-    out = tmp_path / "report.json"
-    code, _, _ = run(
-        ["reproduce", "--lambda-grid-depth", str(MAX_GRID_DEPTH), "--json", str(out)], capsys
-    )
-    assert code == 0
-    solves = json.loads(out.read_text())["solves"]
-    assert [s["lambda"] for s in solves] == [str(-6 * m**4) for m in range(1, MAX_GRID_DEPTH + 1)]
-
-
-@pytest.mark.parametrize("depth", [MAX_GRID_DEPTH + 1, 10**12])
-def test_reproduce_grid_depth_above_cap_is_usage_error(depth, capsys):
-    # the check comes before any derivation, so the run ends at once
-    start = time.perf_counter()
-    code, out, err = run(["reproduce", "--lambda-grid-depth", str(depth)], capsys)
-    assert time.perf_counter() - start < 1
-    assert code == cli.EXIT_USAGE
-    assert out == ""
-    assert err == f"error: lambda grid depth {depth} is above the maximum depth {MAX_GRID_DEPTH}\n"
-
-
 def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
     appendix = tmp_path / "appendix.tex"
-    run(["reproduce", "--lambda-grid-depth", "1", "--latex", str(appendix)], capsys)
+    run(["reproduce", "--latex", str(appendix)], capsys)
     for method in ("tanh", "pre"):
         block = tmp_path / f"{method}.tex"
         code, _, _ = run(
@@ -439,6 +424,44 @@ def test_out_dir_redirects_relative_paths(capsys, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "runs" / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--lambda-grid-depth", "3"],
+        ["reproduce", "--budget", "5"],
+        ["solve", "--method", "tanh", "--lambda", "-6", "--budget", "5"],
+        ["derive", "--method", "tanh", "--M", "2"],
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert out == "" and "unrecognized arguments" in err
+
+
+def _readme_commands():
+    """The `fkdv ...` lines of README's "Command line" block, without their
+    trailing comments."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("fkdv ")
+    ]
+
+
+def test_readme_command_examples_run(capsys, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 # ---------------------------------------------------------------- script

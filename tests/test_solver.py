@@ -5,13 +5,14 @@ from fractions import Fraction as F
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fkdv import solver
 from fkdv.closedform import catalog
 from fkdv.errors import UnboundSymbolError
 from fkdv.poly import MPoly, monomial, parse_poly
 from fkdv.reproduce import (
+    GRID,
     derive,
     paper_branches,
     solve_system,
@@ -20,7 +21,6 @@ from fkdv.reproduce import (
 from fkdv.solver import (
     Assignment,
     SolveConfig,
-    rational_lambda_grid,
     solve,
     verify_assignment,
 )
@@ -241,19 +241,11 @@ def test_verify_assignment_names_the_first_polynomial_s_least_unbound_symbol():
 # ---------------------------------------------------------------- grid
 
 
-def test_lambda_grid_values():
-    assert rational_lambda_grid(1) == [F(-6)]
-    assert rational_lambda_grid(2) == [F(-6), F(-96)]
-    assert rational_lambda_grid(3) == [F(-6), F(-96), F(-486)]
-    with pytest.raises(ValueError):
-        rational_lambda_grid(0)
-
-
 def test_lambda_grid_consistency(tanh_system, pre_system):
     # every catalog parameter tuple annihilates its system at each grid point
     tanh_polys = [eq.poly for eq in tanh_system]
     pre_polys = [eq.poly for eq in pre_system]
-    for m, lam in enumerate(rational_lambda_grid(3), start=1):
+    for m, lam in enumerate(GRID, start=1):
         for rec in catalog():
             asg = rec.specialize(m)
             assert asg[LAM] == lam
@@ -267,7 +259,7 @@ def test_lambda_grid_consistency(tanh_system, pre_system):
 
 
 def test_scaled_branches_found_on_grid(tanh_system, pre_system):
-    for m, lam in enumerate(rational_lambda_grid(3), start=1):
+    for m, lam in enumerate(GRID, start=1):
         got_t = _solved_set(solve_system(tanh_system, {LAM: lam}))
         for exp in paper_branches("tanh", m):
             assert _as_key(exp) in got_t
@@ -510,3 +502,16 @@ def test_move_3_takes_the_least_candidate(system):
         return
     p, g = min(candidates, key=lambda pg: solver._poly_key(pg[0]))
     assert got[0] is p and got[1] == g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_systems())
+def test_no_bound_symbol_remains_in_a_leaf(system):
+    # the invariant the moves and finish rely on: each binding and each
+    # elimination reaches every equation and every recorded elimination
+    assume(system)
+    cfg = SolveConfig(unknowns=(a(0), a(1), b(1), MU), branch_budget=200)
+    for br in solve(system, cfg):
+        bound = set(br.assignment.as_dict())
+        for p in br.remaining:
+            assert not p.symbols() & bound, (br.assignment, p)
