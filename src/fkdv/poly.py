@@ -500,7 +500,10 @@ class MPoly:
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
+@lru_cache(maxsize=1 << 12)
 def _ascii_mono(k: int) -> str:
+    """The text of a monomial code; memoized like exps_of, as equal terms
+    recur across the polynomials a solve renders."""
     text = "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in _decode(k & _EXPS))
     return text or "1"
 

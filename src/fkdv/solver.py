@@ -26,19 +26,25 @@ subtree's leaves when the budget allows it to finish again.  Output order is
 canonical regardless of exploration order, and every solved point is
 re-verified against the original system, once, before it is returned.
 
-Within one solve the polynomials of the tree are hash-consed: interned by
-value, so equal ones reached along different paths are one object, whose
-hash, text, symbols and pivots are computed once.  Each substitution of a
-polynomial under one binding, each normalize() result and each move-1 root
-set (keyed by its coefficient list) is likewise computed once per solve.
-The caches are dropped when solve returns.
+Within one solve the tree runs on small int handles.  Each polynomial is
+interned by value and gets a handle, so equal ones reached along different
+paths share one.  A node's equations and eliminations are handles, and its
+memo key is a tuple of ints, symbols and the bindings as (symbol,
+numerator, denominator), all hashed in C.  What the moves read off a
+polynomial is a fact of its handle, computed once per solve when a move
+first needs it: zero, constant or normal form, the working-order key, the
+univariate coefficients with move 1's roots and leftover factor, the best
+linear pivot, the monomial gcd and its cofactor.  Each substitution of a
+handle under one binding is likewise computed once, so a node's images are
+one dict lookup per handle, and each move-1 root set once per coefficient
+list.  The tables are dropped when solve returns or raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
 from .poly import MPoly, exps_of, monomial, rational_roots
@@ -58,9 +64,15 @@ class Assignment:
     def __init__(self, bindings: Mapping[Sym, Fraction | int] | None = None):
         self._map = {s: Fraction(v) for s, v in (bindings or {}).items()}
 
+    @classmethod
+    def _trusted(cls, values: dict[Sym, Fraction]) -> "Assignment":
+        # internal: takes ownership of a map whose values are all Fractions
+        out = object.__new__(cls)
+        out._map = values
+        return out
+
     def merged(self, other: "Assignment") -> "Assignment":
-        out = Assignment()
-        out._map = dict(self._map)
+        out = Assignment._trusted(dict(self._map))
         for s, v in other._map.items():
             if s in out._map:
                 raise ValueError(f"{s} bound twice")
@@ -100,9 +112,10 @@ class Branch:
     free_symbols: tuple[Sym, ...] = ()
     witness: MPoly | None = None
 
-    def sort_key(self):
+    def sort_key(self, text: Callable[[Fraction], str] = str):
+        """The canonical output order; ``text`` renders a bound value."""
         rank = (SOLVED, FREE, CONTRADICTION, STUCK).index(self.status)
-        binds = tuple((s.name, str(v)) for s, v in self.assignment.items())
+        binds = tuple((s.name, text(v)) for s, v in self.assignment.items())
         wit = self.witness.ascii() if self.witness is not None else ""
         rem = tuple(p.ascii() for p in self.remaining)
         return (rank, binds, wit, rem)
@@ -143,12 +156,22 @@ def verify_assignment(
 
 
 class _Node:
-    __slots__ = ("bindings", "elims", "polys")
+    # bkey holds the bindings as (symbol, numerator, denominator); esyms and
+    # eexprs the eliminations x -> expr in insertion order; eexprs and polys
+    # are handles
+    __slots__ = ("bindings", "bkey", "esyms", "eexprs", "polys")
 
-    def __init__(self, bindings, elims, polys):
+    def __init__(self, bindings, bkey, esyms, eexprs, polys):
         self.bindings: dict[Sym, Fraction] = bindings
-        self.elims: list[tuple[Sym, MPoly]] = elims  # x -> expr, insertion order
-        self.polys: list[MPoly] = polys
+        self.bkey: frozenset[tuple[Sym, int, int]] = bkey
+        self.esyms: tuple[Sym, ...] = esyms
+        self.eexprs: tuple[int, ...] = eexprs
+        self.polys: list[int] = polys
+
+
+_ZERO = Fraction(0)
+# normal-form facts of the zero and of a nonzero constant polynomial
+_VANISHED, _CONSTANT = -1, -2
 
 
 def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
@@ -189,12 +212,12 @@ def _poly_key(p: MPoly):
     return (p.degree(), len(p.terms), _Text(p))
 
 
-def _common_factor(polys: list[MPoly]) -> tuple[MPoly, int] | None:
+def _common_factor(polys: Sequence, gcd=MPoly.monomial_gcd) -> tuple | None:
     """The first equation with a non-unit monomial gcd, and that gcd's
-    code.  On a list sorted by _poly_key and deduplicated it has the least
-    key."""
+    code, ``gcd`` giving the code of one equation.  On a list sorted by
+    _poly_key and deduplicated it has the least key."""
     for p in polys:
-        g = p.monomial_gcd()
+        g = gcd(p)
         if g:
             return p, g
     return None
@@ -217,43 +240,105 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     # node state -> (first leaf, end leaf, nodes used) of a finished subtree
     memo: dict[tuple, tuple[int, int, int]] = {}
     verified: set[frozenset] = set()
-    # the hash-consing caches of the module docstring: interned maps each
-    # polynomial value to its one object, images (symbol, value) to
-    # {p: p under that binding}, normal p to p.normalize(), and root_sets a
-    # coefficient list to its sorted rational roots
-    interned: dict[MPoly, MPoly] = {}
-    images: dict[tuple, dict[MPoly, MPoly]] = {}
-    normal: dict[MPoly, MPoly] = {}
+    # the handle tables of the module docstring: poly maps a handle to its
+    # polynomial and handle_of a polynomial value to its handle; images maps
+    # a binding, (symbol, numerator, denominator) or (symbol, handle), to
+    # {handle: handle of its image}; root_sets maps a coefficient list to
+    # its sorted rational roots
+    poly: list[MPoly] = []
+    handle_of: dict[MPoly, int] = {}
+    images: dict[tuple, dict[int, int]] = {}
     root_sets: dict[tuple, list[Fraction]] = {}
+    # the facts, each keyed by handle: normal is _VANISHED, _CONSTANT or the
+    # handle of normalize(); order the working-order key _poly_key; pivot
+    # move 2's (key, handle, symbol, coefficient) or None; univariate move
+    # 1's (key, handle, symbol, coefficients) or None; branching move 1's
+    # (roots, factor left or None); common the monomial gcd code and
+    # cofactor the handle of the equation divided by it
+    normal: dict[int, int] = {}
+    order: dict[int, tuple] = {}
+    pivot: dict[int, tuple | None] = {}
+    univariate: dict[int, tuple | None] = {}
+    branching: dict[int, tuple[list[Fraction], MPoly | None]] = {}
+    common: dict[int, int] = {}
+    cofactor: dict[int, int] = {}
 
-    def intern(p: MPoly) -> MPoly:
-        return interned.setdefault(p, p)
+    def intern(p: MPoly) -> int:
+        h = handle_of.get(p)
+        if h is None:
+            h = handle_of[p] = len(poly)
+            poly.append(p)
+        return h
 
-    def substituter(s: Sym, v: Fraction | MPoly):
-        """p -> p with s bound to v, computed once per solve."""
-        cache = images.setdefault((s, v), {})
-        bind = {s: v}
+    def mapped(key: tuple, s: Sym, v: Fraction | MPoly, hs: list[int]) -> list[int]:
+        """The handles of hs with s bound to v; key names the binding."""
+        cache = images.get(key)
+        if cache is None:
+            cache = images[key] = {}
+        out = list(map(cache.get, hs))
+        if None in out:
+            bind = {s: v}
+            for i, q in enumerate(out):
+                if q is None:
+                    h = hs[i]
+                    out[i] = cache[h] = intern(poly[h].substitute(bind))
+        return out
 
-        def image(p: MPoly) -> MPoly:
-            q = cache.get(p)
-            if q is None:
-                q = cache[p] = intern(p.substitute(bind))
-            return q
+    def normal_fact(h: int) -> int:
+        p = poly[h]
+        if p.is_zero():
+            n = _VANISHED
+        elif p.is_constant():
+            n = _CONSTANT
+        else:
+            n = intern(p.normalize())
+            normal.setdefault(n, n)
+            if n not in order:
+                order[n] = _poly_key(poly[n])
+        normal[h] = n
+        return n
 
-        return image
+    def pivot_fact(h: int) -> tuple | None:
+        p = poly[h]
+        pivots = p.linear_pivots()
+        if not pivots:
+            return None
+        x = min(pivots, key=lambda s: s.key)
+        return (len(p.terms), p.degree(), x.key, _Text(p)), h, x, pivots[x]
 
-    def normalized(p: MPoly) -> MPoly:
-        q = normal.get(p)
-        if q is None:
-            q = normal[p] = intern(p.normalize())
-        return q
+    def univariate_fact(h: int) -> tuple | None:
+        p = poly[h]
+        if len(p.symbols()) != 1:
+            return None
+        (x,) = p.symbols()
+        return (p.degree(), len(p.terms), x.key), h, x, p.as_univariate(x)
 
-    def sorted_roots(coeffs: list[int]) -> list[Fraction]:
+    def branching_fact(h: int) -> tuple[list[Fraction], MPoly | None]:
+        _, _, x, coeffs = univariate[h]
         key = tuple(coeffs)
         roots = root_sets.get(key)
         if roots is None:
             roots = root_sets[key] = sorted(rational_roots(coeffs))
-        return roots
+        if not roots:
+            # an equation of the working list is already normal
+            return roots, poly[h]
+        for root in roots:
+            coeffs = _deflate(coeffs, root)
+        if len(coeffs) == 1:
+            return roots, None
+        return roots, MPoly({monomial([(x, i)]): c for i, c in enumerate(coeffs)}).normalize()
+
+    def facts(table: dict, fact, hs: list[int]) -> list:
+        """The non-None facts of hs, each computed once per solve."""
+        for h in hs:
+            if h not in table:
+                table[h] = fact(h)
+        return [f for f in map(table.__getitem__, hs) if f is not None]
+
+    def monomial_gcd(h: int) -> int:
+        if h not in common:
+            common[h] = poly[h].monomial_gcd()
+        return common[h]
 
     preset_map = cfg.presets.as_dict()
     start = [intern(p.substitute(preset_map)) for p in system]
@@ -262,16 +347,18 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         # eliminations hold only open symbols (module docstring)
         resolved = dict(node.bindings)
         pending: list[tuple[Sym, MPoly]] = []
-        for x, expr in reversed(node.elims):
+        for x, e in zip(reversed(node.esyms), reversed(node.eexprs)):
+            expr = poly[e]
             if expr.is_constant():
                 resolved[x] = expr.constant_value()
             else:
                 pending.append((x, expr))
-        remaining = list(node.polys)
+        remaining = [poly[h] for h in node.polys]
         if status != CONTRADICTION:
             # a solved or stuck leaf reports what it still depends on
             remaining += [MPoly.var(x) - expr for x, expr in pending]
         free: tuple[Sym, ...] = ()
+        assignment = Assignment._trusted(resolved)
         if status == SOLVED:
             # a pending symbol is unresolved, so it is among the free ones
             free = tuple(s for s in cfg.unknowns if s not in resolved)
@@ -279,9 +366,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
                 status = FREE
             elif (point := frozenset(resolved.items())) not in verified:
                 # each distinct solved point is verified once per solve()
-                ok, bad = verify_assignment(
-                    system, Assignment(resolved).merged(cfg.presets)
-                )
+                ok, bad = verify_assignment(system, assignment.merged(cfg.presets))
                 if not ok:
                     raise InternalInvariantError(
                         f"solved branch fails re-verification on {bad}"
@@ -289,7 +374,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
                 verified.add(point)
         leaves.append(
             Branch(
-                assignment=Assignment(resolved),
+                assignment=assignment,
                 remaining=tuple(remaining),
                 status=status,
                 free_symbols=free,
@@ -297,27 +382,34 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             )
         )
 
-    def substituted(node: _Node, s: Sym, v: Fraction) -> _Node:
-        image = substituter(s, v)
+    def substituted(node: _Node, s: Sym, v: Fraction, polys: list[int]) -> _Node:
+        key = (s, v.numerator, v.denominator)
+        out = mapped(key, s, v, [*node.eexprs, *polys])
+        k = len(node.eexprs)
         return _Node(
             {**node.bindings, s: v},
-            [(x, image(expr)) for x, expr in node.elims],
-            [image(p) for p in node.polys],
+            node.bkey.union((key,)),
+            node.esyms,
+            tuple(out[:k]),
+            out[k:],
         )
 
     def explore(node: _Node) -> None:
         budget[0] -= 1
-        polys: list[MPoly] = []
-        for p in node.polys:
-            if p.is_zero():
+        hs = set()
+        for h in node.polys:
+            n = normal.get(h)
+            if n is None:
+                n = normal_fact(h)
+            if n == _VANISHED:
                 continue
-            if p.is_constant():
-                node.polys = [q for q in node.polys if not q.is_zero()]
-                finish(node, CONTRADICTION, witness=p)
+            if n == _CONSTANT:
+                node.polys = [q for q in node.polys if poly[q]]
+                finish(node, CONTRADICTION, witness=poly[h])
                 return
-            polys.append(normalized(p))
+            hs.add(n)
         # deterministic working order, and deduplicate repeated equations
-        polys = sorted(set(polys), key=_poly_key)
+        polys = sorted(hs, key=order.__getitem__)
         node.polys = polys
 
         # The redundant splits of move 3 reach equal nodes along several
@@ -326,9 +418,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         # budget minus k, so an entry budget above the nodes it used keeps
         # every leaf the same.  A subtree that did run out is never replayed,
         # as the budget stays spent.
-        # (numerator, denominator) hash as ints, unlike Fraction.__hash__
-        binds = frozenset((s, v.numerator, v.denominator) for s, v in node.bindings.items())
-        key = (binds, tuple(node.elims), tuple(polys))
+        key = (node.bkey, node.esyms, node.eexprs, tuple(polys))
         seen = memo.get(key)
         if seen is not None and budget[0] >= seen[2]:
             first, end, used = seen
@@ -339,71 +429,74 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         expand(node, polys)
         memo[key] = (first, len(leaves), entry - budget[0])
 
-    def expand(node: _Node, polys: list[MPoly]) -> None:
+    def expand(node: _Node, polys: list[int]) -> None:
         if not polys:
             finish(node, SOLVED)
             return
         if budget[0] <= 0:
-            finish(node, STUCK, witness=polys[0])
+            finish(node, STUCK, witness=poly[polys[0]])
             return
 
         # move 1: univariate root branching
-        univariate = [p for p in polys if len(p.symbols()) == 1]
-        if univariate:
-            p = min(
-                univariate,
-                key=lambda q: (q.degree(), len(q.terms), next(iter(q.symbols())).key),
-            )
-            x = next(iter(p.symbols()))
-            coeffs = p.as_univariate(x)
-            roots = sorted_roots(coeffs)
+        found = facts(univariate, univariate_fact, polys)
+        if found:
+            _, h, x, _ = min(found, key=lambda f: f[0])
+            if h not in branching:
+                branching[h] = branching_fact(h)
+            roots, left = branching[h]
             for root in roots:
-                explore(substituted(node, x, root))
-                coeffs = _deflate(coeffs, root)
-            if len(coeffs) > 1:
-                rest = MPoly({monomial([(x, i)]): c for i, c in enumerate(coeffs)}) if roots else p
-                finish(node, STUCK, witness=rest.normalize())
+                explore(substituted(node, x, root, polys))
+            if left is not None:
+                finish(node, STUCK, witness=left)
             return
 
         # move 2: linear elimination with a constant coefficient
-        best = None
-        for p in polys:
-            for x, c in p.linear_pivots().items():
-                key = (len(p.terms), p.degree(), x.key, _Text(p))
-                if best is None or key < best[0]:
-                    best = (key, p, x, c)
-        if best is not None:
-            _, p, x, c = best
+        found = facts(pivot, pivot_fact, polys)
+        if found:
+            _, h, x, c = min(found, key=lambda f: f[0])
             # the pivot is usually an int: divide as a Fraction to stay exact
-            expr = intern(p.coefficient_of(x, 0) * (Fraction(-1) / c))
-            image = substituter(x, expr)
-            node.elims = [(y, image(q)) for y, q in node.elims]
-            node.elims.append((x, expr))
-            node.polys = [image(q) for q in polys]
+            e = intern(poly[h].coefficient_of(x, 0) * (Fraction(-1) / c))
+            out = mapped((x, e), x, poly[e], [*node.eexprs, *polys])
+            k = len(node.eexprs)
+            node.esyms += (x,)
+            node.eexprs = (*out[:k], e)
+            node.polys = out[k:]
             explore(node)
             return
 
         # move 3: common monomial case split
-        split = _common_factor(polys)
+        split = _common_factor(polys, monomial_gcd)
         if split is not None:
-            p, g = split
-            rest = [q for q in polys if q is not p]
+            h, g = split
+            rest = [q for q in polys if q != h]
             for s, _ in exps_of(g):
-                explore(substituted(_Node(node.bindings, node.elims, rest + [p]), s, Fraction(0)))
-            explore(_Node(node.bindings, list(node.elims), rest + [intern(p.divide_mono(g))]))
+                explore(substituted(node, s, _ZERO, rest + [h]))
+            if h not in cofactor:
+                cofactor[h] = intern(poly[h].divide_mono(g))
+            explore(_Node(node.bindings, node.bkey, node.esyms, node.eexprs, rest + [cofactor[h]]))
             return
 
-        finish(node, STUCK, witness=polys[0])
+        finish(node, STUCK, witness=poly[polys[0]])
 
     try:
-        explore(_Node({}, [], start))
+        explore(_Node({}, frozenset(), (), (), start))
     finally:
         # explore and expand refer to each other, so this frame outlives the
-        # call until the cycle collector runs; drop the caches now
-        for cache in (memo, interned, images, normal, root_sets):
-            cache.clear()
-    # replays append the same Branch objects again: key each object once
+        # call until the cycle collector runs; drop the tables now
+        for table in (memo, poly, handle_of, images, root_sets, normal, order,
+                      pivot, univariate, branching, common, cofactor):
+            table.clear()
+    # replays append the same Branch objects again: key each object once,
+    # and render each bound value once
+    texts: dict[int, str] = {}
+
+    def text(v: Fraction) -> str:
+        t = texts.get(id(v))
+        if t is None:
+            t = texts[id(v)] = str(v)
+        return t
+
     distinct = {id(br): br for br in leaves}
-    keys = {i: br.sort_key() for i, br in distinct.items()}
+    keys = {i: br.sort_key(text) for i, br in distinct.items()}
     leaves.sort(key=lambda br: keys[id(br)])
     return leaves

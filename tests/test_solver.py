@@ -1,5 +1,6 @@
 import hashlib
 import time
+import traceback
 from collections import Counter
 from fractions import Fraction as F
 from functools import cache
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fkdv import solver
 from fkdv.closedform import catalog
-from fkdv.errors import UnboundSymbolError
+from fkdv.errors import InternalInvariantError, UnboundSymbolError
 from fkdv.poly import MPoly, monomial, parse_poly
 from fkdv.reproduce import (
     GRID,
@@ -285,6 +286,7 @@ PINNED_LEAVES = {
     (2, -6, 250): (129, "e4e296ae23a1e39973248c7517c45b07253e2d68d33947932fad2bfd44c51227"),
     (2, -6, 400): (217, "061786ab878a24f24f73ea24cc67ee1011e81252cb716fb0b5c576809b2540c7"),
     (3, -6, 1300): (714, "d8ad9a3f84bcab7b3e5f5fef6c4ce1acbdadf1e53001132e508fca6ee38a109e"),
+    (4, -6, 100000): (6245, "e045856ad00a355f96a588ae34783c0b8f3dffbc38c150b53d93d90c1c4ab3a1"),
 }
 
 
@@ -307,13 +309,16 @@ def _pre_solve(depth, lam, budget=10000):
     return solve(_pre_polys(depth), cfg)
 
 
+def _digest(leaves):
+    """(leaf count, digest) in the form of PINNED_LEAVES."""
+    text = repr([(br.sort_key(), [s.name for s in br.free_symbols]) for br in leaves])
+    return len(leaves), hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(("depth", "lam", "budget"), list(PINNED_LEAVES))
 def test_leaf_list_matches_pinned_digest(depth, lam, budget):
     leaves = _pre_solve(depth, lam, budget)
-    text = repr([(br.sort_key(), [s.name for s in br.free_symbols]) for br in leaves])
-    count, digest = PINNED_LEAVES[depth, lam, budget]
-    assert len(leaves) == count
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _digest(leaves) == PINNED_LEAVES[depth, lam, budget]
     if budget < 10000:
         assert any(br.status == "stuck" for br in leaves)
 
@@ -353,10 +358,45 @@ def test_each_substitution_and_root_set_computed_once(monkeypatch):
     leaves = _pre_solve(3, -6)
     assert len(substitutions) > 1000 and set(substitutions.values()) == {1}
     assert len(root_searches) > 10 and set(root_searches.values()) == {1}
-    text = repr([(br.sort_key(), [s.name for s in br.free_symbols]) for br in leaves])
-    count, digest = PINNED_LEAVES[3, -6, 10000]
-    assert len(leaves) == count
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _digest(leaves) == PINNED_LEAVES[3, -6, 10000]
+
+
+def test_each_polynomial_fact_computed_once(monkeypatch):
+    # the facts the moves read off a polynomial are kept per handle, so each
+    # is computed once per distinct polynomial however many nodes meet it
+    _pre_polys(3)
+    names = ("normalize", "monomial_gcd", "as_univariate", "linear_pivots")
+    calls = Counter()
+
+    def counting(name):
+        method = getattr(MPoly, name)
+
+        def wrapper(p, *args):
+            calls[name, p.ascii()] += 1
+            return method(p, *args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(MPoly, name, counting(name))
+    leaves = _pre_solve(3, -6)
+    assert {name for name, _ in calls} == set(names)
+    assert set(calls.values()) == {1}
+    assert _digest(leaves) == PINNED_LEAVES[3, -6, 10000]
+
+
+def test_interrupted_solve_leaves_no_state(monkeypatch):
+    # a solve that raises half-way must clear its per-solve tables, so the
+    # next solve starts afresh and gives its pinned leaves
+    monkeypatch.setattr(solver, "verify_assignment", lambda system, asg: (False, system[0]))
+    with pytest.raises(InternalInvariantError) as raised:
+        _pre_solve(2, -6)
+    frame = next(f for f, _ in traceback.walk_tb(raised.tb) if f.f_code is solve.__code__)
+    tables = ("memo", "poly", "handle_of", "images", "root_sets", "normal", "order",
+              "pivot", "univariate", "branching", "common", "cofactor")
+    assert not [name for name in tables if frame.f_locals[name]]
+    monkeypatch.undo()
+    assert _digest(_pre_solve(2, -6)) == PINNED_LEAVES[2, -6, 10000]
 
 
 # ---------------------------------------------------------------- move 1
