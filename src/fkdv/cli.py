@@ -44,6 +44,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `| head`
 # rational flags are capped so every number printed stays far below the
 # interpreter's 4300-digit limit on int-to-str conversion
 MAX_DIGITS = 1000
+# verify keeps every accepted sample, and its time grows linearly with them
+MAX_SAMPLES = 10_000
 
 
 def _say(args, text: str) -> None:
@@ -194,6 +196,11 @@ def cmd_verify(args) -> int:
         if not -math.inf < lam < 0:
             print(f"verification requires a finite lambda < 0, got {text!r}", file=sys.stderr)
             return EXIT_USAGE
+        try:
+            closedform.wave_number(lam)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_USAGE
         lambdas.append(lam)
     plan = closedform.SamplePlan(seed=args.seed, count=args.samples)
     reports = []
@@ -242,13 +249,15 @@ def cmd_reproduce(args) -> int:
     return result.exit_code
 
 
-def _positive_int(text: str) -> int:
+def _sample_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if not 1 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer of at most {MAX_SAMPLES}, got {text!r}"
+        )
     return value
 
 
@@ -326,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--lambda", dest="lam", action="append", help="negative wave speed (repeatable)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=20)
+    p.add_argument("--samples", type=_sample_count, default=20,
+                   help=f"accepted samples per id and lambda, at most {MAX_SAMPLES} "
+                   "(default 20)")
     p.add_argument("--compare", action="store_true",
                    help="also compare two ids pointwise")
     _add_output_flags(p)

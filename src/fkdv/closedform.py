@@ -85,6 +85,8 @@ _FUNCTIONS: dict[Sym, tuple[MPoly, Callable[[float, float], float]]] = {
     XINV: (-_v(XINV) ** 2, lambda w, xi: 1.0 / xi),
 }
 
+_POLES_AT_ORIGIN = frozenset({COT, CSC, COTH, CSCH, CSCW, COTW, XINV})
+
 # reciprocal symbols y = 1 / denominator, so y' = -denominator' * y^2; the
 # float value of y is 1 / the denominator's
 DENOMINATORS: dict[Sym, MPoly] = {
@@ -137,12 +139,16 @@ class SolutionRecord:
     anchor: str  # source branch letter a-d / roman i-Vi
     template: MPoly
     params: dict[Sym, MPoly]
-    singular_at_origin: bool
     aux_form: str | None = None
     rules: dict[Sym, MPoly] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", {s: RULES[s] for s in _closure(self.template)})
+
+    @property
+    def singular_at_origin(self) -> bool:
+        """True iff one of the template's functions has a pole at xi = 0."""
+        return not _POLES_AT_ORIGIN.isdisjoint(self.rules)
 
     def values(self, w: float, xi: float) -> dict[Sym, float]:
         """Float value of w and of each function symbol at (w, xi),
@@ -211,16 +217,16 @@ def _catalog() -> tuple[SolutionRecord, ...]:
     pre_vi = {a(0): q * F(-5, 2), a(1): c(15), b(1): c(0), MU: c(-1), R: -q}
 
     return (
-        SolutionRecord("u1", "tanh", "a", tanh_like(F(-5, 2), 1, TAN), tanh_neg, False, "tan"),
-        SolutionRecord("u2", "tanh", "b", tanh_like(F(-5, 2), 1, COT), tanh_neg, True, "cot"),
-        SolutionRecord("u3", "tanh", "c", tanh_like(F(5, 2), -1, TANH), tanh_pos, False, "tanh"),
-        SolutionRecord("u4", "tanh", "d", tanh_like(F(5, 2), -1, COTH), tanh_pos, True, "coth"),
-        SolutionRecord("u5", "pre", "i", pre_ratio(5, YM), pre_i, True, "II-csc"),
-        SolutionRecord("u6", "pre", "ii", pre_ratio(-5, YP), pre_ii, True, "II-csc"),
-        SolutionRecord("u7", "pre", "iii", pre_square(F(5, 2), -3, SEC), pre_ii, False, "II-sec"),
-        SolutionRecord("u8", "pre", "iv", pre_square(F(5, 2), -3, CSC), pre_i, True, "II-sec"),
-        SolutionRecord("u9", "pre", "V", pre_square(F(-5, 2), -3, SECH), pre_v, False, None),
-        SolutionRecord("u10", "pre", "Vi", pre_square(F(-5, 2), 3, CSCH), pre_vi, True, None),
+        SolutionRecord("u1", "tanh", "a", tanh_like(F(-5, 2), 1, TAN), tanh_neg, "tan"),
+        SolutionRecord("u2", "tanh", "b", tanh_like(F(-5, 2), 1, COT), tanh_neg, "cot"),
+        SolutionRecord("u3", "tanh", "c", tanh_like(F(5, 2), -1, TANH), tanh_pos, "tanh"),
+        SolutionRecord("u4", "tanh", "d", tanh_like(F(5, 2), -1, COTH), tanh_pos, "coth"),
+        SolutionRecord("u5", "pre", "i", pre_ratio(5, YM), pre_i, "II-csc"),
+        SolutionRecord("u6", "pre", "ii", pre_ratio(-5, YP), pre_ii, "II-csc"),
+        SolutionRecord("u7", "pre", "iii", pre_square(F(5, 2), -3, SEC), pre_ii, "II-sec"),
+        SolutionRecord("u8", "pre", "iv", pre_square(F(5, 2), -3, CSC), pre_i, "II-sec"),
+        SolutionRecord("u9", "pre", "V", pre_square(F(-5, 2), -3, SECH), pre_v, None),
+        SolutionRecord("u10", "pre", "Vi", pre_square(F(-5, 2), 3, CSCH), pre_vi, None),
     )
 
 
@@ -454,6 +460,17 @@ def residual_terms_for(rec: SolutionRecord):
     return _TERMS_CACHE[rec.template]
 
 
+def wave_number(lam: float) -> float:
+    """w = (-lam/6)^(1/4) at ``lam``; ValueError unless lam < 0 (real-valued
+    templates) and w > 0, which fails where -lam/6 underflows to 0."""
+    if not lam < 0:
+        raise ValueError(f"the templates need lambda < 0, got {lam!r}")
+    w = (-lam / 6.0) ** 0.25
+    if not w > 0:
+        raise ValueError(f"lambda = {lam!r} is too close to 0: -lambda/6 underflows to 0")
+    return w
+
+
 def _sample(key: str, w: float, singular: bool, count: int, evaluate: Callable):
     """Draw (xi, t) in the sampling domain with the seed ``key`` until
     ``count`` draws are accepted or the OVERSAMPLE budget is spent.
@@ -486,11 +503,9 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     oversampling budget; reports the maximum relative residual against the
     per-sample term-magnitude scale.
     """
-    if lam >= 0:
-        raise ValueError("verification requires lam < 0 (real-valued templates)")
+    w = wave_number(lam)
     rec = get_solution(sid)
     terms = residual_terms_for(rec)
-    w = (-lam / 6.0) ** 0.25
     bounds = [(term, guard_bound(term, w)) for _, term in terms]
 
     def evaluate(xi: float) -> tuple[float, float]:
@@ -515,10 +530,8 @@ def pointwise_compare(
     """Max relative pointwise difference of two templates at shared samples.
 
     Returns (max_relative_difference, samples_used)."""
-    if lam >= 0:
-        raise ValueError("comparison requires lam < 0")
+    w = wave_number(lam)
     r1, r2 = get_solution(sid1), get_solution(sid2)
-    w = (-lam / 6.0) ** 0.25
     b1, b2 = guard_bound(r1.template, w), guard_bound(r2.template, w)
 
     def evaluate(xi: float) -> float:

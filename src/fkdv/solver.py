@@ -26,25 +26,26 @@ subtree's leaves when the budget allows it to finish again.  Output order is
 canonical regardless of exploration order, and every solved point is
 re-verified against the original system, once, before it is returned.
 
-Within one solve the tree runs on small int handles.  Each polynomial is
-interned by value and gets a handle, so equal ones reached along different
-paths share one.  A node's equations and eliminations are handles, and its
-memo key is a tuple of ints, symbols and the bindings as (symbol,
-numerator, denominator), all hashed in C.  What the moves read off a
-polynomial is a fact of its handle, computed once per solve when a move
-first needs it: zero, constant or normal form, the working-order key, the
-univariate coefficients with move 1's roots and leftover factor, the best
-linear pivot, the monomial gcd and its cofactor.  Each substitution of a
-handle under one binding is likewise computed once, so a node's images are
-one dict lookup per handle, and each move-1 root set once per coefficient
-list.  The tables are dropped when solve returns or raises.
+Within one solve the tree runs on records.  Each polynomial is interned by
+value into one ``_Eq`` record, whose identity, hashed in C, stands for the
+value, so a node's equations, eliminations and memo key are records,
+symbols and the bindings as (symbol, numerator, denominator).  What the
+moves read off a polynomial sits on its record, computed once per solve:
+zero, constant or normal form; a normal form's working-order key and its
+univariate coefficients or best linear pivot; and, when a move first needs
+them, move 1's roots and leftover factor, the monomial gcd and its
+cofactor.  Each substitution of a record under one binding is computed
+once too, and each move-1 root set once per coefficient list.  All of it
+sits on one ``_Tree`` per solve, and no record refers to itself, so
+reference counting frees the lot when solve returns or raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from operator import attrgetter
+from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
 from .poly import MPoly, exps_of, monomial, rational_roots
@@ -112,10 +113,10 @@ class Branch:
     free_symbols: tuple[Sym, ...] = ()
     witness: MPoly | None = None
 
-    def sort_key(self, text: Callable[[Fraction], str] = str):
-        """The canonical output order; ``text`` renders a bound value."""
+    def sort_key(self):
+        """The canonical output order."""
         rank = (SOLVED, FREE, CONTRADICTION, STUCK).index(self.status)
-        binds = tuple((s.name, text(v)) for s, v in self.assignment.items())
+        binds = tuple((s.name, str(v)) for s, v in self.assignment.items())
         wit = self.witness.ascii() if self.witness is not None else ""
         rem = tuple(p.ascii() for p in self.remaining)
         return (rank, binds, wit, rem)
@@ -157,21 +158,22 @@ def verify_assignment(
 
 class _Node:
     # bkey holds the bindings as (symbol, numerator, denominator); esyms and
-    # eexprs the eliminations x -> expr in insertion order; eexprs and polys
-    # are handles
-    __slots__ = ("bindings", "bkey", "esyms", "eexprs", "polys")
+    # eexprs the eliminations x -> expr in insertion order; eexprs and eqs
+    # are records
+    __slots__ = ("bindings", "bkey", "esyms", "eexprs", "eqs")
 
-    def __init__(self, bindings, bkey, esyms, eexprs, polys):
+    def __init__(self, bindings, bkey, esyms, eexprs, eqs):
         self.bindings: dict[Sym, Fraction] = bindings
         self.bkey: frozenset[tuple[Sym, int, int]] = bkey
         self.esyms: tuple[Sym, ...] = esyms
-        self.eexprs: tuple[int, ...] = eexprs
-        self.polys: list[int] = polys
+        self.eexprs: tuple[_Eq, ...] = eexprs
+        self.eqs: list[_Eq] = eqs
 
 
 _ZERO = Fraction(0)
-# normal-form facts of the zero and of a nonzero constant polynomial
-_VANISHED, _CONSTANT = -1, -2
+# a record's norm when it is not another record: the polynomial is zero, a
+# nonzero constant or its own normal form
+_VANISHED, _CONSTANT, _NORMAL = object(), object(), object()
 
 
 def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
@@ -212,148 +214,133 @@ def _poly_key(p: MPoly):
     return (p.degree(), len(p.terms), _Text(p))
 
 
-def _common_factor(polys: Sequence, gcd=MPoly.monomial_gcd) -> tuple | None:
-    """The first equation with a non-unit monomial gcd, and that gcd's
-    code, ``gcd`` giving the code of one equation.  On a list sorted by
-    _poly_key and deduplicated it has the least key."""
-    for p in polys:
-        g = gcd(p)
+def _common_factor(eqs: Sequence) -> tuple | None:
+    """The first of ``eqs``, polynomials or records, with a non-unit
+    monomial gcd, and that gcd's code.  On a list sorted by _poly_key and
+    deduplicated it has the least key."""
+    for p in eqs:
+        g = p.monomial_gcd()
         if g:
             return p, g
     return None
 
 
-def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
-    """Explore the case tree; returns canonically sorted leaves."""
-    system = list(system)
-    if not system:
-        raise ValueError("empty system")
-    allowed = set(cfg.unknowns) | set(cfg.presets.as_dict())
-    outside = sorted(
-        {s for p in system for s in p.symbols()} - allowed, key=lambda s: s.key
-    )
-    if outside:
-        raise ValueError(f"system symbols outside unknowns and presets: {outside}")
+class _Eq:
+    """One interned polynomial ``p`` of a solve and the facts the moves read
+    off it.  ``norm``, None until explore first needs it, is the record of
+    the normal form, _VANISHED, _CONSTANT or _NORMAL.  A normal form gets its
+    working-order ``key`` and move 1's ``uni`` (key, symbol, coefficients)
+    or move 2's ``pivot`` (key, symbol, coefficient) at once.  Move 1's
+    ``roots`` and the factor ``left`` after them, the monomial ``gcd`` code
+    and the ``cofactor`` record of p divided by it come when a move first
+    needs them."""
 
-    budget = [cfg.branch_budget]
-    leaves: list[Branch] = []
-    # node state -> (first leaf, end leaf, nodes used) of a finished subtree
-    memo: dict[tuple, tuple[int, int, int]] = {}
-    verified: set[frozenset] = set()
-    # the handle tables of the module docstring: poly maps a handle to its
-    # polynomial and handle_of a polynomial value to its handle; images maps
-    # a binding, (symbol, numerator, denominator) or (symbol, handle), to
-    # {handle: handle of its image}; root_sets maps a coefficient list to
-    # its sorted rational roots
-    poly: list[MPoly] = []
-    handle_of: dict[MPoly, int] = {}
-    images: dict[tuple, dict[int, int]] = {}
-    root_sets: dict[tuple, list[Fraction]] = {}
-    # the facts, each keyed by handle: normal is _VANISHED, _CONSTANT or the
-    # handle of normalize(); order the working-order key _poly_key; pivot
-    # move 2's (key, handle, symbol, coefficient) or None; univariate move
-    # 1's (key, handle, symbol, coefficients) or None; branching move 1's
-    # (roots, factor left or None); common the monomial gcd code and
-    # cofactor the handle of the equation divided by it
-    normal: dict[int, int] = {}
-    order: dict[int, tuple] = {}
-    pivot: dict[int, tuple | None] = {}
-    univariate: dict[int, tuple | None] = {}
-    branching: dict[int, tuple[list[Fraction], MPoly | None]] = {}
-    common: dict[int, int] = {}
-    cofactor: dict[int, int] = {}
+    __slots__ = ("p", "norm", "key", "uni", "pivot", "roots", "left", "gcd", "cofactor")
 
-    def intern(p: MPoly) -> int:
-        h = handle_of.get(p)
-        if h is None:
-            h = handle_of[p] = len(poly)
-            poly.append(p)
-        return h
+    def __init__(self, p: MPoly):
+        self.p = p
+        self.norm = self.key = self.uni = self.pivot = None
+        self.roots = self.left = self.gcd = self.cofactor = None
 
-    def mapped(key: tuple, s: Sym, v: Fraction | MPoly, hs: list[int]) -> list[int]:
-        """The handles of hs with s bound to v; key names the binding."""
-        cache = images.get(key)
-        if cache is None:
-            cache = images[key] = {}
-        out = list(map(cache.get, hs))
+    def make_normal(self) -> None:
+        p = self.p
+        self.norm = _NORMAL
+        self.key = _poly_key(p)
+        if len(p.symbols()) == 1:
+            (x,) = p.symbols()
+            self.uni = (p.degree(), len(p.terms), x.key), x, p.as_univariate(x)
+        elif pivots := p.linear_pivots():
+            # move 1 wins over move 2 wherever a univariate equation is
+            x = min(pivots, key=lambda s: s.key)
+            self.pivot = (len(p.terms), p.degree(), x.key, _Text(p)), x, pivots[x]
+
+    def monomial_gcd(self) -> int:
+        if self.gcd is None:
+            self.gcd = self.p.monomial_gcd()
+        return self.gcd
+
+
+_working_order = attrgetter("key")
+
+
+class _Tree:
+    """One solve: the budget, the leaves, the memo, the verified points and
+    the tables eqs, images and root_sets.  Nothing refers back to it, so it
+    is freed when solve returns or raises."""
+
+    def __init__(self, system: list[MPoly], cfg: SolveConfig):
+        self.system = system
+        self.cfg = cfg
+        self.budget = cfg.branch_budget
+        self.leaves: list[Branch] = []
+        # node state -> (first leaf, end leaf, nodes used) of a finished subtree
+        self.memo: dict[tuple, tuple[int, int, int]] = {}
+        self.verified: set[frozenset] = set()
+        # eqs maps a polynomial to its record; images a binding, (symbol,
+        # numerator, denominator) or (symbol, record), to {record: record of
+        # its image}; root_sets a coefficient list to its sorted rational roots
+        self.eqs: dict[MPoly, _Eq] = {}
+        self.images: dict[tuple, dict[_Eq, _Eq]] = {}
+        self.root_sets: dict[tuple, list[Fraction]] = {}
+
+    def intern(self, p: MPoly) -> _Eq:
+        q = self.eqs.get(p)
+        if q is None:
+            q = self.eqs[p] = _Eq(p)
+        return q
+
+    def mapped(self, key: tuple, s: Sym, v: Fraction | MPoly, qs: list[_Eq]) -> list[_Eq]:
+        """The records of qs with s bound to v; key names the binding."""
+        cache = self.images.setdefault(key, {})
+        out = list(map(cache.get, qs))
         if None in out:
             bind = {s: v}
-            for i, q in enumerate(out):
-                if q is None:
-                    h = hs[i]
-                    out[i] = cache[h] = intern(poly[h].substitute(bind))
+            for i, r in enumerate(out):
+                if r is None:
+                    q = qs[i]
+                    out[i] = cache[q] = self.intern(q.p.substitute(bind))
         return out
 
-    def normal_fact(h: int) -> int:
-        p = poly[h]
-        if p.is_zero():
-            n = _VANISHED
+    def normal(self, q: _Eq):
+        """Set and return q's norm."""
+        p = q.p
+        if not p:
+            q.norm = _VANISHED
         elif p.is_constant():
-            n = _CONSTANT
+            q.norm = _CONSTANT
         else:
-            n = intern(p.normalize())
-            normal.setdefault(n, n)
-            if n not in order:
-                order[n] = _poly_key(poly[n])
-        normal[h] = n
-        return n
+            n = self.intern(p.normalize())
+            if n.norm is None:
+                n.make_normal()
+            if n is not q:
+                q.norm = n
+        return q.norm
 
-    def pivot_fact(h: int) -> tuple | None:
-        p = poly[h]
-        pivots = p.linear_pivots()
-        if not pivots:
-            return None
-        x = min(pivots, key=lambda s: s.key)
-        return (len(p.terms), p.degree(), x.key, _Text(p)), h, x, pivots[x]
-
-    def univariate_fact(h: int) -> tuple | None:
-        p = poly[h]
-        if len(p.symbols()) != 1:
-            return None
-        (x,) = p.symbols()
-        return (p.degree(), len(p.terms), x.key), h, x, p.as_univariate(x)
-
-    def branching_fact(h: int) -> tuple[list[Fraction], MPoly | None]:
-        _, _, x, coeffs = univariate[h]
+    def branch_on(self, q: _Eq) -> None:
+        """Set move 1's roots of q and the normal factor left after them."""
+        _, x, coeffs = q.uni
         key = tuple(coeffs)
-        roots = root_sets.get(key)
+        roots = self.root_sets.get(key)
         if roots is None:
-            roots = root_sets[key] = sorted(rational_roots(coeffs))
-        if not roots:
-            # an equation of the working list is already normal
-            return roots, poly[h]
+            roots = self.root_sets[key] = sorted(rational_roots(coeffs))
+        q.roots = roots
         for root in roots:
             coeffs = _deflate(coeffs, root)
-        if len(coeffs) == 1:
-            return roots, None
-        return roots, MPoly({monomial([(x, i)]): c for i, c in enumerate(coeffs)}).normalize()
+        if not roots:
+            q.left = q.p
+        elif len(coeffs) > 1:
+            q.left = MPoly({monomial([(x, i)]): c for i, c in enumerate(coeffs)}).normalize()
 
-    def facts(table: dict, fact, hs: list[int]) -> list:
-        """The non-None facts of hs, each computed once per solve."""
-        for h in hs:
-            if h not in table:
-                table[h] = fact(h)
-        return [f for f in map(table.__getitem__, hs) if f is not None]
-
-    def monomial_gcd(h: int) -> int:
-        if h not in common:
-            common[h] = poly[h].monomial_gcd()
-        return common[h]
-
-    preset_map = cfg.presets.as_dict()
-    start = [intern(p.substitute(preset_map)) for p in system]
-
-    def finish(node: _Node, status: str, witness: MPoly | None = None) -> None:
+    def finish(self, node: _Node, status: str, witness: MPoly | None = None) -> None:
         # eliminations hold only open symbols (module docstring)
         resolved = dict(node.bindings)
         pending: list[tuple[Sym, MPoly]] = []
         for x, e in zip(reversed(node.esyms), reversed(node.eexprs)):
-            expr = poly[e]
-            if expr.is_constant():
-                resolved[x] = expr.constant_value()
+            if e.p.is_constant():
+                resolved[x] = e.p.constant_value()
             else:
-                pending.append((x, expr))
-        remaining = [poly[h] for h in node.polys]
+                pending.append((x, e.p))
+        remaining = [q.p for q in node.eqs]
         if status != CONTRADICTION:
             # a solved or stuck leaf reports what it still depends on
             remaining += [MPoly.var(x) - expr for x, expr in pending]
@@ -361,30 +348,22 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         assignment = Assignment._trusted(resolved)
         if status == SOLVED:
             # a pending symbol is unresolved, so it is among the free ones
-            free = tuple(s for s in cfg.unknowns if s not in resolved)
+            free = tuple(s for s in self.cfg.unknowns if s not in resolved)
             if free:
                 status = FREE
-            elif (point := frozenset(resolved.items())) not in verified:
+            elif (point := frozenset(resolved.items())) not in self.verified:
                 # each distinct solved point is verified once per solve()
-                ok, bad = verify_assignment(system, assignment.merged(cfg.presets))
+                ok, bad = verify_assignment(self.system, assignment.merged(self.cfg.presets))
                 if not ok:
                     raise InternalInvariantError(
                         f"solved branch fails re-verification on {bad}"
                     )
-                verified.add(point)
-        leaves.append(
-            Branch(
-                assignment=assignment,
-                remaining=tuple(remaining),
-                status=status,
-                free_symbols=free,
-                witness=witness,
-            )
-        )
+                self.verified.add(point)
+        self.leaves.append(Branch(assignment, tuple(remaining), status, free, witness))
 
-    def substituted(node: _Node, s: Sym, v: Fraction, polys: list[int]) -> _Node:
+    def substituted(self, node: _Node, s: Sym, v: Fraction, eqs: list[_Eq]) -> _Node:
         key = (s, v.numerator, v.denominator)
-        out = mapped(key, s, v, [*node.eexprs, *polys])
+        out = self.mapped(key, s, v, [*node.eexprs, *eqs])
         k = len(node.eexprs)
         return _Node(
             {**node.bindings, s: v},
@@ -394,23 +373,22 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
             out[k:],
         )
 
-    def explore(node: _Node) -> None:
-        budget[0] -= 1
-        hs = set()
-        for h in node.polys:
-            n = normal.get(h)
-            if n is None:
-                n = normal_fact(h)
-            if n == _VANISHED:
-                continue
-            if n == _CONSTANT:
-                node.polys = [q for q in node.polys if poly[q]]
-                finish(node, CONTRADICTION, witness=poly[h])
+    def explore(self, node: _Node) -> None:
+        self.budget -= 1
+        found = set()
+        for q in node.eqs:
+            n = q.norm or self.normal(q)
+            if n is _NORMAL:
+                found.add(q)
+            elif n is _CONSTANT:
+                node.eqs = [r for r in node.eqs if r.p]
+                self.finish(node, CONTRADICTION, witness=q.p)
                 return
-            hs.add(n)
+            elif n is not _VANISHED:
+                found.add(n)
         # deterministic working order, and deduplicate repeated equations
-        polys = sorted(hs, key=order.__getitem__)
-        node.polys = polys
+        eqs = sorted(found, key=_working_order)
+        node.eqs = eqs
 
         # The redundant splits of move 3 reach equal nodes along several
         # paths.  A finished subtree is replayed when exploring it again
@@ -418,85 +396,85 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
         # budget minus k, so an entry budget above the nodes it used keeps
         # every leaf the same.  A subtree that did run out is never replayed,
         # as the budget stays spent.
-        key = (node.bkey, node.esyms, node.eexprs, tuple(polys))
-        seen = memo.get(key)
-        if seen is not None and budget[0] >= seen[2]:
+        key = (node.bkey, node.esyms, node.eexprs, tuple(eqs))
+        seen = self.memo.get(key)
+        if seen is not None and self.budget >= seen[2]:
             first, end, used = seen
-            leaves.extend(leaves[first:end])
-            budget[0] -= used - 1
+            self.leaves.extend(self.leaves[first:end])
+            self.budget -= used - 1
             return
-        first, entry = len(leaves), budget[0] + 1
-        expand(node, polys)
-        memo[key] = (first, len(leaves), entry - budget[0])
+        first, entry = len(self.leaves), self.budget + 1
+        self.expand(node, eqs)
+        self.memo[key] = (first, len(self.leaves), entry - self.budget)
 
-    def expand(node: _Node, polys: list[int]) -> None:
-        if not polys:
-            finish(node, SOLVED)
+    def expand(self, node: _Node, eqs: list[_Eq]) -> None:
+        if not eqs:
+            self.finish(node, SOLVED)
             return
-        if budget[0] <= 0:
-            finish(node, STUCK, witness=poly[polys[0]])
+        if self.budget <= 0:
+            self.finish(node, STUCK, witness=eqs[0].p)
             return
 
         # move 1: univariate root branching
-        found = facts(univariate, univariate_fact, polys)
+        found = [q for q in eqs if q.uni is not None]
         if found:
-            _, h, x, _ = min(found, key=lambda f: f[0])
-            if h not in branching:
-                branching[h] = branching_fact(h)
-            roots, left = branching[h]
-            for root in roots:
-                explore(substituted(node, x, root, polys))
-            if left is not None:
-                finish(node, STUCK, witness=left)
+            q = min(found, key=lambda q: q.uni[0])
+            if q.roots is None:
+                self.branch_on(q)
+            for root in q.roots:
+                self.explore(self.substituted(node, q.uni[1], root, eqs))
+            if q.left is not None:
+                self.finish(node, STUCK, witness=q.left)
             return
 
         # move 2: linear elimination with a constant coefficient
-        found = facts(pivot, pivot_fact, polys)
+        found = [q for q in eqs if q.pivot is not None]
         if found:
-            _, h, x, c = min(found, key=lambda f: f[0])
+            q = min(found, key=lambda q: q.pivot[0])
+            _, x, c = q.pivot
             # the pivot is usually an int: divide as a Fraction to stay exact
-            e = intern(poly[h].coefficient_of(x, 0) * (Fraction(-1) / c))
-            out = mapped((x, e), x, poly[e], [*node.eexprs, *polys])
+            e = self.intern(q.p.coefficient_of(x, 0) * (Fraction(-1) / c))
+            out = self.mapped((x, e), x, e.p, [*node.eexprs, *eqs])
             k = len(node.eexprs)
             node.esyms += (x,)
             node.eexprs = (*out[:k], e)
-            node.polys = out[k:]
-            explore(node)
+            node.eqs = out[k:]
+            self.explore(node)
             return
 
         # move 3: common monomial case split
-        split = _common_factor(polys, monomial_gcd)
+        split = _common_factor(eqs)
         if split is not None:
-            h, g = split
-            rest = [q for q in polys if q != h]
+            q, g = split
+            rest = [r for r in eqs if r is not q]
             for s, _ in exps_of(g):
-                explore(substituted(node, s, _ZERO, rest + [h]))
-            if h not in cofactor:
-                cofactor[h] = intern(poly[h].divide_mono(g))
-            explore(_Node(node.bindings, node.bkey, node.esyms, node.eexprs, rest + [cofactor[h]]))
+                self.explore(self.substituted(node, s, _ZERO, rest + [q]))
+            if q.cofactor is None:
+                q.cofactor = self.intern(q.p.divide_mono(g))
+            self.explore(_Node(node.bindings, node.bkey, node.esyms, node.eexprs, rest + [q.cofactor]))
             return
 
-        finish(node, STUCK, witness=poly[polys[0]])
+        self.finish(node, STUCK, witness=eqs[0].p)
 
-    try:
-        explore(_Node({}, frozenset(), (), (), start))
-    finally:
-        # explore and expand refer to each other, so this frame outlives the
-        # call until the cycle collector runs; drop the tables now
-        for table in (memo, poly, handle_of, images, root_sets, normal, order,
-                      pivot, univariate, branching, common, cofactor):
-            table.clear()
-    # replays append the same Branch objects again: key each object once,
-    # and render each bound value once
-    texts: dict[int, str] = {}
 
-    def text(v: Fraction) -> str:
-        t = texts.get(id(v))
-        if t is None:
-            t = texts[id(v)] = str(v)
-        return t
+def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
+    """Explore the case tree; returns canonically sorted leaves."""
+    system = list(system)
+    if not system:
+        raise ValueError("empty system")
+    presets = cfg.presets.as_dict()
+    allowed = set(cfg.unknowns) | set(presets)
+    outside = sorted(
+        {s for p in system for s in p.symbols()} - allowed, key=lambda s: s.key
+    )
+    if outside:
+        raise ValueError(f"system symbols outside unknowns and presets: {outside}")
 
+    tree = _Tree(system, cfg)
+    tree.explore(_Node({}, frozenset(), (), (), [tree.intern(p.substitute(presets)) for p in system]))
+    # replays append the same Branch objects again: key each object once
+    leaves = tree.leaves
     distinct = {id(br): br for br in leaves}
-    keys = {i: br.sort_key(text) for i, br in distinct.items()}
+    keys = {i: br.sort_key() for i, br in distinct.items()}
     leaves.sort(key=lambda br: keys[id(br)])
     return leaves

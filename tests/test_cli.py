@@ -316,6 +316,36 @@ def test_verify_nonpositive_samples_is_usage_error(capsys, samples):
     assert "max()" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["u1", "--lambda=-5e-324"],
+    ["u1", "--lambda=-1e-323"],
+    ["u1", "--lambda=-1.5e-323"],
+    ["u1", "u7", "--compare", "--lambda=-5e-324"],
+])
+def test_verify_lambda_whose_wave_number_underflows_is_usage_error(capsys, args):
+    # -lam/6 underflows to 0, so w = (-lam/6)^(1/4) is 0: rejected before
+    # any sampling, in one line
+    code, out, err = run(["verify", *args], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "underflows to 0" in err
+
+
+def test_verify_samples_above_the_cap_is_usage_error(capsys):
+    # every accepted sample is kept and the time is linear in the count, so
+    # the count is capped like the digits and the order
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "u3", "--samples", str(cli.MAX_SAMPLES + 1)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert out == ""
+    assert f"positive integer of at most {cli.MAX_SAMPLES}" in err
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    out, _ = capsys.readouterr()
+    assert f"at most {cli.MAX_SAMPLES}" in " ".join(out.split())
+
+
 def test_verify_unknown_id(capsys):
     code, _, err = run(["verify", "u11", "--lambda", "-6"], capsys)
     assert code == cli.EXIT_USAGE

@@ -331,6 +331,28 @@ def test_sample_report_requires_negative_lambda():
         sample_report("u3", 1.0)
 
 
+@pytest.mark.parametrize("lam", [-5e-324, -1e-323, -1.5e-323])
+def test_wave_number_that_underflows_is_rejected(lam):
+    # -lam/6 underflows to 0, so w = (-lam/6)^(1/4) would be 0 and the
+    # sampling band 1.2/w a division by 0
+    with pytest.raises(ValueError, match="underflows"):
+        sample_report("u1", lam)
+    with pytest.raises(ValueError, match="underflows"):
+        pointwise_compare("u1", "u7", lam)
+
+
+def test_singular_at_origin_follows_the_template():
+    # a record is singular at xi = 0 exactly when its values have a pole there
+    singular = []
+    for rec in catalog():
+        try:
+            rec.values(1.0, 0.0)
+        except PoleError:
+            singular.append(rec.id)
+        assert rec.singular_at_origin == (rec.id in singular)
+    assert singular == ["u2", "u4", "u5", "u6", "u8", "u10"]
+
+
 def test_sample_report_inconclusive_when_domain_vanishes():
     # the origin-exclusion zone 0.05/max(1, w) shrinks with the band 1.2/w,
     # so the singular u2 keeps its samples at lam = -1e9

@@ -1,7 +1,8 @@
+import gc
 import hashlib
 import time
-import traceback
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import cache
 
@@ -385,16 +386,46 @@ def test_each_polynomial_fact_computed_once(monkeypatch):
     assert _digest(leaves) == PINNED_LEAVES[3, -6, 10000]
 
 
+@contextmanager
+def _refcounting_only():
+    """Run the block with the cycle collector off, so that only reference
+    counting frees what the block drops."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _live_solver_objects():
+    """The numbers of live Branch, _Eq and _Node objects."""
+    counts = Counter(map(type, gc.get_objects()))
+    return counts[solver.Branch], counts[solver._Eq], counts[solver._Node]
+
+
+def test_a_solve_frees_what_it_builds():
+    # nothing of a solve's state takes part in a reference cycle, so the
+    # leaves, records and nodes go as soon as the caller drops the leaves
+    _pre_polys(2)
+    with _refcounting_only():
+        branches = _live_solver_objects()[0]
+        leaves = _pre_solve(2, -6)
+        assert _live_solver_objects()[0] > branches
+        del leaves
+        assert _live_solver_objects() == (branches, 0, 0)
+
+
 def test_interrupted_solve_leaves_no_state(monkeypatch):
-    # a solve that raises half-way must clear its per-solve tables, so the
+    # a solve that raises half-way leaves nothing of itself alive, so the
     # next solve starts afresh and gives its pinned leaves
+    _pre_polys(2)
     monkeypatch.setattr(solver, "verify_assignment", lambda system, asg: (False, system[0]))
-    with pytest.raises(InternalInvariantError) as raised:
-        _pre_solve(2, -6)
-    frame = next(f for f, _ in traceback.walk_tb(raised.tb) if f.f_code is solve.__code__)
-    tables = ("memo", "poly", "handle_of", "images", "root_sets", "normal", "order",
-              "pivot", "univariate", "branching", "common", "cofactor")
-    assert not [name for name in tables if frame.f_locals[name]]
+    with _refcounting_only():
+        branches = _live_solver_objects()[0]
+        with pytest.raises(InternalInvariantError):
+            _pre_solve(2, -6)
+        assert _live_solver_objects() == (branches, 0, 0)
     monkeypatch.undo()
     assert _digest(_pre_solve(2, -6)) == PINNED_LEAVES[2, -6, 10000]
 
