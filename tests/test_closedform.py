@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -390,6 +391,24 @@ def test_pointwise_compare_guard_scales_with_w(lam):
     assert used == 20 and diff > 0.5
     diff, used = pointwise_compare("u7", "u1", lam, SamplePlan(seed=1))
     assert used == 20 and diff <= 1e-10
+
+
+# sha256 of every report's accepted (xi, t, residual) and rejected count for
+# the ten records at speeds the reproduce pin does not reach: the scaled
+# guard bounds at lam = -600, -6e12 and -6e24, and the overflowing ones at
+# -1e200.  The per-sample scale is left out, so a change of the relative
+# residual's scale does not move it.
+SAMPLER_PATHS_SEED_0 = "de87bc7f90ffaeb25fadde9194ff5dcbdbff52a52feda1042ed9ff35c02894e4"
+
+
+def test_sampler_paths_match_pinned_digest():
+    h = hashlib.sha256()
+    for lam in (-600.0, -6e12, -6e24, -1e200):
+        for rec in catalog():
+            rep = sample_report(rec.id, lam, SamplePlan(seed=0))
+            drawn = [(s.xi, s.t, s.residual) for s in rep.samples]
+            h.update(repr((drawn, rep.rejected_samples)).encode())
+    assert h.hexdigest() == SAMPLER_PATHS_SEED_0
 
 
 def test_latex_render_smoke():
