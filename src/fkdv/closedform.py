@@ -25,6 +25,14 @@ tripped bound.  w is an input and only has to be finite, while every
 function value keeps the absolute 1e6 pole guard.  A sample that trips a
 guard counts as a pole and is rejected.
 
+Floats are evaluated on a compiled form (:func:`float_form`): each term's
+float coefficient and its (symbol, exponent) factors, so a point costs no
+rational-to-float conversion and no monomial decoding.  A record compiles
+its template and its five PDE terms on first use, and each reciprocal's
+denominator is compiled on first use; :func:`eval_float` compiles a
+one-off polynomial on the fly and runs the same evaluator,
+:func:`eval_form`.
+
 The closed forms of phi' = k + phi^2 (``PHI_FORMS``) and of the projective
 pair (``ST_CASES``) are polynomials in the same symbols;
 :func:`phi_residual` and :func:`st_residuals` reduce their identities the
@@ -35,7 +43,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -98,6 +108,15 @@ DENOMINATORS: dict[Sym, MPoly] = {
     YCSCH: 1 + _v(MU) * _v(CSCH),
 }
 
+# the compiled float form of each denominator, made on first use
+class _DenominatorForms(dict):
+    def __missing__(self, y: Sym) -> "FloatForm":
+        form = self[y] = float_form(DENOMINATORS[y])
+        return form
+
+
+_DENOMINATOR_FORMS = _DenominatorForms()
+
 # the one rule table: each function symbol's derivative in xi
 RULES: dict[Sym, MPoly] = {s: rule for s, (rule, _) in _FUNCTIONS.items()}
 RULES.update({y: -den.derive(RULES) * _v(y) ** 2 for y, den in DENOMINATORS.items()})
@@ -150,6 +169,17 @@ class SolutionRecord:
         """True iff one of the template's functions has a pole at xi = 0."""
         return not _POLES_AT_ORIGIN.isdisjoint(self.rules)
 
+    @cached_property
+    def template_form(self) -> "FloatForm":
+        """The template compiled for :func:`eval_form`, on first use."""
+        return float_form(self.template)
+
+    @cached_property
+    def term_forms(self) -> list[tuple[MPoly, "FloatForm"]]:
+        """Each of the five PDE terms (:func:`residual_terms_for`) with its
+        form compiled for :func:`eval_form`, on first use."""
+        return [(term, float_form(term)) for _, term in residual_terms_for(self)]
+
     def values(self, w: float, xi: float) -> dict[Sym, float]:
         """Float value of w and of each function symbol at (w, xi),
         guarded; raises PoleError at or near a pole."""
@@ -188,7 +218,7 @@ def function_values(
     try:
         for s in syms:
             if s in DENOMINATORS:
-                point[s] = _guard(1.0 / eval_float(DENOMINATORS[s], point))
+                point[s] = _guard(1.0 / eval_form(_DENOMINATOR_FORMS[s], point))
             else:
                 point[s] = _guard(_FUNCTIONS[s][1](w, xi))
     except (ZeroDivisionError, OverflowError) as exc:
@@ -432,19 +462,47 @@ def guard_bound(p: MPoly, w: float) -> float:
         return math.inf
 
 
-def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
-    """binary64 value of ``p``; raises PoleError when a monomial, a term or
-    the sum leaves the magnitude ``bound`` or overflows."""
-    total = []
+# a polynomial compiled for binary64: per term, its float coefficient and
+# its (symbol, exponent) factors in symbol order
+FloatForm = tuple[tuple[float, tuple[tuple[Sym, int], ...]], ...]
+
+
+def float_form(p: MPoly) -> FloatForm:
+    """``p`` compiled for :func:`eval_form`; raises PoleError when a
+    coefficient overflows a float."""
     try:
-        for k, c in p.terms.items():
-            v = 1.0
-            for s, e in exps_of(k):
-                v *= point[s] ** e
-            total.append(_guard(float(c) * _guard(v, bound), bound))
+        return tuple((float(c), exps_of(k)) for k, c in p.terms.items())
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
-    return _guard(math.fsum(total), bound)
+
+
+def eval_form(form: FloatForm, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
+    """binary64 value of a compiled polynomial; raises PoleError when a
+    monomial, a term or the sum leaves the magnitude ``bound`` or
+    overflows."""
+    # with the bound clamped to the largest float, -lim <= v <= lim is
+    # false exactly when v is nan, infinite or above the bound in magnitude
+    lim = min(bound, sys.float_info.max)
+    total = []
+    try:
+        for c, factors in form:
+            v = 1.0
+            for s, e in factors:
+                v *= point[s] ** e
+            if not (-lim <= v <= lim and -lim <= (v := c * v) <= lim):
+                raise PoleError("magnitude guard tripped")
+            total.append(v)
+        v = math.fsum(total)
+    except OverflowError as exc:
+        raise PoleError(str(exc)) from exc
+    if not -lim <= v <= lim:
+        raise PoleError("magnitude guard tripped")
+    return v
+
+
+def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
+    """binary64 value of ``p``, compiled on the fly (see :func:`eval_form`)."""
+    return eval_form(float_form(p), point, bound)
 
 
 _TERMS_CACHE: dict[MPoly, list[tuple[str, MPoly]]] = {}
@@ -505,12 +563,11 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     """
     w = wave_number(lam)
     rec = get_solution(sid)
-    terms = residual_terms_for(rec)
-    bounds = [(term, guard_bound(term, w)) for _, term in terms]
+    bounds = [(form, guard_bound(term, w)) for term, form in rec.term_forms]
 
     def evaluate(xi: float) -> tuple[float, float]:
         point = rec.values(w, xi)
-        values = [eval_float(term, point, bound) for term, bound in bounds]
+        values = [eval_form(form, point, bound) for form, bound in bounds]
         return math.fsum(values), 1.0 + max(abs(v) for v in values)
 
     drawn, rejected = _sample(
@@ -535,8 +592,8 @@ def pointwise_compare(
     b1, b2 = guard_bound(r1.template, w), guard_bound(r2.template, w)
 
     def evaluate(xi: float) -> float:
-        v1 = eval_float(r1.template, r1.values(w, xi), b1)
-        v2 = eval_float(r2.template, r2.values(w, xi), b2)
+        v1 = eval_form(r1.template_form, r1.values(w, xi), b1)
+        v2 = eval_form(r2.template_form, r2.values(w, xi), b2)
         return abs(v1 - v2) / max(1.0, abs(v1), abs(v2))
 
     drawn, _ = _sample(

@@ -1,10 +1,13 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fkdv.closedform import (
     MAGNITUDE_GUARD,
@@ -13,7 +16,9 @@ from fkdv.closedform import (
     catalog,
     clear_reciprocal,
     eval_float,
+    eval_form,
     exact_residual,
+    float_form,
     get_solution,
     guard_bound,
     pointwise_compare,
@@ -24,8 +29,8 @@ from fkdv.closedform import (
 )
 from fkdv.equation import ito, ode_residual
 from fkdv.errors import PoleError
-from fkdv.poly import MPoly
-from fkdv.symbols import COTW, CSCW, LAM, MU, TAN, W, YM, YP, Sym, a
+from fkdv.poly import MPoly, exps_of, monomial
+from fkdv.symbols import COTW, CSCW, LAM, MU, SEC, TAN, W, YM, YP, Sym, a
 
 _W = MPoly.var(W)
 FUNCTION_SYMBOLS = sorted({s for rec in catalog() for s in rec.rules}, key=lambda s: s.key)
@@ -195,6 +200,103 @@ def test_guard_bound_follows_the_degree_in_w():
     assert guard_bound(_W**7, 1e50) == math.inf
     with pytest.raises(PoleError):
         eval_float(_W**7, {W: 1e50}, math.inf)
+
+
+def _reference_eval_float(p, point, bound=MAGNITUDE_GUARD):
+    # the evaluator before compiled forms: it converted each coefficient,
+    # decoded each monomial and called the guard at every point
+    def guard(v, b):
+        if not math.isfinite(v) or abs(v) > b:
+            raise PoleError("magnitude guard tripped")
+        return v
+
+    total = []
+    try:
+        for k, c in p.terms.items():
+            v = 1.0
+            for s, e in exps_of(k):
+                v *= point[s] ** e
+            total.append(guard(float(c) * guard(v, bound), bound))
+    except OverflowError as exc:
+        raise PoleError(str(exc)) from exc
+    return guard(math.fsum(total), bound)
+
+
+def _outcome(evaluate, *args):
+    # the exact bits of the value, or "pole"; the reference let an overflow
+    # inside the final fsum escape as OverflowError, which the sampler also
+    # counted as a rejected draw, and the compiled evaluator raises PoleError
+    try:
+        return evaluate(*args).hex()
+    except (PoleError, OverflowError):
+        return "pole"
+
+
+_EVAL_SYMS = (W, TAN, SEC)
+_NEAR_OVERFLOW = [1e154, -1e154, 1.3e154, 1e307, -1.7e308, sys.float_info.max]
+_COEFS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=10**9),
+    st.integers(10**300, 10**320),
+    st.fractions(min_value=F(10**300), max_value=F(10**310), max_denominator=10**9),
+)
+_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * len(_EVAL_SYMS)).map(
+        lambda exps: monomial(zip(_EVAL_SYMS, exps))
+    ),
+    _COEFS,
+    min_size=1,
+    max_size=6,
+).map(MPoly)
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from(_NEAR_OVERFLOW),
+)
+_BOUNDS = st.one_of(
+    st.sampled_from([MAGNITUDE_GUARD, math.inf, sys.float_info.max, 0.0, 1e300]),
+    st.floats(0.0, math.inf, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_POLYS, st.tuples(*[_VALUES] * len(_EVAL_SYMS)), _BOUNDS)
+def test_compiled_evaluation_matches_the_reference_bit_for_bit(p, values, bound):
+    point = dict(zip(_EVAL_SYMS, values))
+    expected = _outcome(_reference_eval_float, p, point, bound)
+    assert _outcome(eval_float, p, point, bound) == expected
+    assert _outcome(lambda: eval_form(float_form(p), point, bound)) == expected
+
+
+@pytest.mark.parametrize(
+    ("p", "point"),
+    [
+        (_W * MPoly.var(TAN), {W: 1e200, TAN: 1e200}),  # a monomial
+        (_W * 10**6, {W: 1e307}),  # a term
+        (_W + MPoly.var(TAN), {W: 1e308, TAN: 1e308}),  # the sum
+        (MPoly.const(10**400), {}),  # a coefficient
+    ],
+)
+def test_an_overflow_is_a_pole_under_an_infinite_bound(p, point):
+    with pytest.raises(PoleError):
+        eval_float(p, point, math.inf)
+
+
+def test_stored_forms_are_the_forms_compiled_on_the_fly():
+    for rec in catalog():
+        assert rec.template_form == float_form(rec.template)
+        terms = residual_terms_for(rec)
+        assert [term for term, _ in rec.term_forms] == [term for _, term in terms]
+        assert all(form == float_form(term) for term, form in rec.term_forms)
+
+
+def test_no_form_is_compiled_at_import():
+    code = (
+        "import fkdv.cli, fkdv.closedform as c\n"
+        "assert not c._DENOMINATOR_FORMS\n"
+        "assert not any({'template_form', 'term_forms'} & vars(r).keys() for r in c.catalog())"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 # ---------------------------------------------------------------- residual
