@@ -23,7 +23,10 @@ d in w is bounded by 1e6 * max(1, w)^d on every monomial, term and sum
 and the templates grow like powers of w; a float overflow counts as a
 tripped bound.  w is an input and only has to be finite, while every
 function value keeps the absolute 1e6 pole guard.  A sample that trips a
-guard counts as a pole and is rejected.
+guard counts as a pole and is rejected.  A residual sample is relative to
+max|term|, the largest of the five terms there, so it reads the same at
+any |lam|; a draw without a scale (every term 0) is rejected, as is every
+draw once the terms, of degree 7 in w, underflow the normal float range.
 
 Floats are evaluated on a compiled form (:func:`float_form`): each term's
 float coefficient and its (symbol, exponent) factors, so a point costs no
@@ -402,7 +405,7 @@ def exact_residual(rec: SolutionRecord) -> MPoly:
 
 # the sampling domain: xi = x + lam*t within +-XI_BAND/w and t in T_RANGE,
 # evaluated at the drawn xi (x + lam*t in binary64 loses its digits at large
-# |lam|); a form singular at the origin skips |xi| < XI_EXCLUSION/max(1, w).
+# |lam|); a form singular at the origin skips |xi| < XI_EXCLUSION/w.
 # At most OVERSAMPLE draws per requested sample; a report passes when every
 # sample's relative residual is within TOLERANCE.
 XI_BAND = 1.2
@@ -544,7 +547,7 @@ def _sample(key: str, w: float, singular: bool, count: int, evaluate: Callable):
         if len(accepted) >= count:
             break
         xi = rng.uniform(-XI_BAND, XI_BAND) / w
-        if singular and abs(xi) * max(1.0, w) < XI_EXCLUSION:
+        if singular and abs(xi) * w < XI_EXCLUSION:
             continue
         t = rng.uniform(*T_RANGE)
         try:
@@ -559,16 +562,26 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
 
     Requires at least ``plan.count`` accepted samples within a fixed
     oversampling budget; reports the maximum relative residual against the
-    per-sample term-magnitude scale.
+    per-sample scale max|term|, which follows the terms down to any small
+    |lam|.  A draw whose terms are all 0 has no scale and is rejected, and
+    so is every draw once w^d (d the terms' degree in w) leaves the normal
+    float range, where the terms keep fewer than 53 bits.
     """
     w = wave_number(lam)
     rec = get_solution(sid)
     bounds = [(form, guard_bound(term, w)) for term, form in rec.term_forms]
+    degree = max(term.max_exponent(W) for term, _ in rec.term_forms)
+    underflows = w < 1.0 and w**degree < sys.float_info.min
 
     def evaluate(xi: float) -> tuple[float, float]:
+        if underflows:
+            raise PoleError("the PDE terms underflow")
         point = rec.values(w, xi)
         values = [eval_form(form, point, bound) for form, bound in bounds]
-        return math.fsum(values), 1.0 + max(abs(v) for v in values)
+        scale = max(abs(v) for v in values)
+        if not scale:
+            raise PoleError("every PDE term is 0")
+        return math.fsum(values), scale
 
     drawn, rejected = _sample(
         f"{plan.seed}:{rec.id}:{lam!r}", w, rec.singular_at_origin, plan.count, evaluate

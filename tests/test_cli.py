@@ -393,7 +393,7 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
 # contract: an intended output change (for example the disjoint case splits
 # of ROADMAP item 5) updates the pin here and records the new digest in
 # CHANGES.md.
-REPRODUCE_SEED_7_JSON = "a319834ecc7cf5b841c4964d384fbdd635ff7899f8ba474c5810eb54d12a45b1"
+REPRODUCE_SEED_7_JSON = "cac9605beb9c572413d04d7b42ab57b60fba2c1bfe5c5b1a6fb6772d1cd8f86e"
 DERIVE_FIXTURE_DIGESTS = {
     ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
     ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",

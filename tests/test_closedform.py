@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fkdv import closedform
 from fkdv.closedform import (
     MAGNITUDE_GUARD,
     SQUARES,
@@ -434,6 +435,43 @@ def test_sample_report_requires_negative_lambda():
         sample_report("u3", 1.0)
 
 
+_SPEEDS = [-6.0, -2.5, -6e-8, -6e-20, -6e-100, -6e12]
+
+
+@pytest.mark.parametrize("lam", _SPEEDS)
+def test_every_record_passes_at_small_and_large_speeds(lam):
+    for rec in catalog():
+        assert sample_report(rec.id, lam).verdict == "pass", rec.id
+
+
+@pytest.mark.parametrize("lam", [-6.0, -6e-4, -6e-8, -6e-20, -6e-100])
+def test_a_wrong_template_fails_at_every_speed(lam, monkeypatch):
+    # the residual is relative to max|term|, so a wrong a0 is not hidden
+    # when every PDE term is far below 1 at small |lam|
+    rec = get_solution("u1")
+    monkeypatch.setitem(closedform._BY_ID, "u1", replace(rec, template=rec.template + _W**2))
+    rep = sample_report("u1", lam)
+    assert rep.verdict == "fail" and rep.max_relative_residual > 0.3
+
+
+@pytest.mark.parametrize("lam", [-6e-176, -6e-184, -6e-300])
+def test_draws_whose_terms_underflow_are_rejected(lam):
+    # the PDE terms are of degree 7 in w, and w^7 leaves the normal float
+    # range below about lam = -6e-176 (w = 1e-44): their digits go first,
+    # then at lam = -6e-300 every term is 0, which read as a pass
+    for rec in catalog():
+        rep = sample_report(rec.id, lam)
+        assert rep.verdict == "inconclusive" and rep.max_relative_residual is None
+
+
+def test_a_draw_whose_terms_are_all_zero_is_rejected(monkeypatch):
+    # a constant template has five zero PDE terms, so no draw has a scale
+    rec = get_solution("u3")
+    monkeypatch.setitem(closedform._BY_ID, "u3", replace(rec, template=MPoly.const(3)))
+    rep = sample_report("u3", -6.0)
+    assert rep.verdict == "inconclusive" and rep.rejected_samples == 1000
+
+
 @pytest.mark.parametrize("lam", [-5e-324, -1e-323, -1.5e-323])
 def test_wave_number_that_underflows_is_rejected(lam):
     # -lam/6 underflows to 0, so w = (-lam/6)^(1/4) would be 0 and the
@@ -457,7 +495,7 @@ def test_singular_at_origin_follows_the_template():
 
 
 def test_sample_report_inconclusive_when_domain_vanishes():
-    # the origin-exclusion zone 0.05/max(1, w) shrinks with the band 1.2/w,
+    # the origin-exclusion zone 0.05/w shrinks with the band 1.2/w,
     # so the singular u2 keeps its samples at lam = -1e9
     rep = sample_report("u2", -1.0e9, SamplePlan(seed=1))
     assert rep.verdict == "pass"
