@@ -111,9 +111,10 @@ DENOMINATORS: dict[Sym, MPoly] = {
     YCSCH: 1 + _v(MU) * _v(CSCH),
 }
 
+
 # the compiled float form of each denominator, made on first use
 class _DenominatorForms(dict):
-    def __missing__(self, y: Sym) -> "FloatForm":
+    def __missing__(self, y: Sym) -> FloatForm:
         form = self[y] = float_form(DENOMINATORS[y])
         return form
 
@@ -173,12 +174,12 @@ class SolutionRecord:
         return not _POLES_AT_ORIGIN.isdisjoint(self.rules)
 
     @cached_property
-    def template_form(self) -> "FloatForm":
+    def template_form(self) -> FloatForm:
         """The template compiled for :func:`eval_form`, on first use."""
         return float_form(self.template)
 
     @cached_property
-    def term_forms(self) -> list[tuple[MPoly, "FloatForm"]]:
+    def term_forms(self) -> list[tuple[MPoly, FloatForm]]:
         """Each of the five PDE terms (:func:`residual_terms_for`) with its
         form compiled for :func:`eval_form`, on first use."""
         return [(term, float_form(term)) for _, term in residual_terms_for(self)]
@@ -571,6 +572,7 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     rec = get_solution(sid)
     bounds = [(form, guard_bound(term, w)) for term, form in rec.term_forms]
     degree = max(term.max_exponent(W) for term, _ in rec.term_forms)
+    # (w < 1 is tested first: the power overflows at large w)
     underflows = w < 1.0 and w**degree < sys.float_info.min
 
     def evaluate(xi: float) -> tuple[float, float]:
