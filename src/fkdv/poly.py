@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import attrgetter, mul, or_
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .symbols import ALPHABET, DEGREE_SHIFT, FIELD_BITS, MAX_DEGREE, Sym
 
@@ -109,9 +109,9 @@ def _accumulate(acc: dict[int, Coef], left: Iterable, right: list[tuple[int, Coe
 class MPoly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
-    # _syms caches symbols() and _pivots linear_pivots(); _normal marks a
-    # result of normalize()
-    __slots__ = ("terms", "_hash", "_ascii", "_syms", "_pivots", "_normal")
+    # _syms caches symbols(), _pivots linear_pivots() and _exact the form
+    # Point evaluates; _normal marks a result of normalize()
+    __slots__ = ("terms", "_hash", "_ascii", "_syms", "_pivots", "_exact", "_normal")
 
     def __init__(self, terms: Mapping[int, Coef] | None = None):
         # keys are codes from monomial()
@@ -125,6 +125,7 @@ class MPoly:
         self._ascii = None
         self._syms = None
         self._pivots = None
+        self._exact = None
         self._normal = False
 
     @classmethod
@@ -136,6 +137,7 @@ class MPoly:
         self._ascii = None
         self._syms = None
         self._pivots = None
+        self._exact = None
         self._normal = False
         return self
 
@@ -385,44 +387,23 @@ class MPoly:
         return MPoly._from_codes(acc)
 
     def eval_rat(self, point: Mapping[Sym, Coeffable]) -> Fraction:
-        """Exact evaluation; every symbol must be bound to a rational.
+        """Exact evaluation; every symbol must be bound to a rational (see
+        :class:`Point`)."""
+        at = Point(point, self.symbols())
+        return Fraction(at.scaled(self), at.denominator(self))
 
-        The sum runs over ints.  With D the common denominator of the bound
-        values, each value is N/D, and a term of degree k is scaled by
-        D**(d - k), d the total degree; L clears the coefficients'
-        denominators, so the value is the int sum over L * D**d.  A term
-        with a symbol bound to 0 is skipped, and each power of each N is
-        computed once per call, when a term first needs it."""
-        try:
-            values = {s: _as_rat(point[s]) for s in self.symbols()}
-        except KeyError:
-            missing = min((s for s in self.symbols() if s not in point), key=attrgetter("key"))
-            raise KeyError(f"unbound symbol {missing}") from None
-        den = lcm(*[v.denominator for v in values.values()])
-        powers: dict[Sym, list[int]] = {}  # powers[s][e] = N**e, filled on demand
-        zero = 0  # the fields of the symbols bound to 0
-        for s, v in values.items():
-            n = v.numerator * (den // v.denominator)
-            powers[s] = [1, n]
-            if not n:
-                zero |= _FIELD << s.shift
-        d = max(self.degree(), 0)
-        scale = [1]  # scale[j] = D**j
-        for _ in range(d):
-            scale.append(scale[-1] * den)
-        clear = lcm(*[c.denominator for c in self.terms.values()])
-        total = 0
-        for k, c in self.terms.items():
-            if k & zero:
-                continue
-            v = c if clear == 1 else c.numerator * (clear // c.denominator)
-            for s, e in exps_of(k):
-                row = powers[s]
-                while len(row) <= e:
-                    row.append(row[-1] * row[1])
-                v *= row[e]
-            total += v * scale[d - (k >> DEGREE_SHIFT)]
-        return Fraction(total, clear * scale[d])
+    def _exact_form(self) -> tuple[int, int, tuple]:
+        # (L, d, terms): L the lcm of the coefficient denominators, d the
+        # total degree and per term (code, L * c, d - degree, exps_of(code));
+        # computed once
+        if self._exact is None:
+            clear = lcm(*[c.denominator for c in self.terms.values()])
+            d = max(self.degree(), 0)
+            self._exact = (clear, d, tuple(
+                (k, c.numerator * (clear // c.denominator), d - (k >> DEGREE_SHIFT), exps_of(k))
+                for k, c in self.terms.items()
+            ))
+        return self._exact
 
     def as_univariate(self, x: Sym) -> Optional[list[Coef]]:
         """Dense coefficient list in ``x`` (ascending), or None if any other
@@ -498,6 +479,61 @@ class MPoly:
         text = "".join(parts)
         # the first term's sign takes no spaces, and a plus sign none at all
         return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+class Point:
+    """A rational point at which many polynomials are evaluated exactly.
+
+    With D the common denominator of the bound values, each value is N/D,
+    and a term of degree k of a polynomial of total degree d is scaled by
+    D**(d - k); L clears the polynomial's coefficient denominators, so its
+    value is an int sum over L * D**d.  The point fixes D and each N once;
+    the tables N**e and D**j grow when a term first needs them, and a term
+    with a symbol bound to 0 is skipped.  Only the values of ``syms`` are
+    read, so an entry for another symbol is ignored; a missing one raises
+    KeyError naming the least such symbol."""
+
+    __slots__ = ("powers", "zero", "scale")
+
+    def __init__(self, values: Mapping[Sym, Coeffable], syms: Collection[Sym]):
+        try:
+            rats = {s: _as_rat(values[s]) for s in syms}
+        except KeyError:
+            missing = min((s for s in syms if s not in values), key=attrgetter("key"))
+            raise KeyError(f"unbound symbol {missing}") from None
+        den = lcm(*[v.denominator for v in rats.values()])
+        self.powers: dict[Sym, list[int]] = {}  # powers[s][e] = N**e, N != 0
+        self.zero = 0  # the fields of the symbols bound to 0
+        for s, v in rats.items():
+            n = v.numerator * (den // v.denominator)
+            if n:
+                self.powers[s] = [1, n]
+            else:
+                self.zero |= _FIELD << s.shift
+        self.scale = [1, den]  # scale[j] = D**j
+
+    def scaled(self, p: MPoly) -> int:
+        """The int L * D**d * p(point): 0 exactly where p vanishes."""
+        _, d, terms = p._exact_form()
+        powers, zero, scale = self.powers, self.zero, self.scale
+        while len(scale) <= d:
+            scale.append(scale[-1] * scale[1])
+        total = 0
+        for k, v, gap, factors in terms:
+            if k & zero:
+                continue
+            for s, e in factors:
+                row = powers[s]
+                while len(row) <= e:
+                    row.append(row[-1] * row[1])
+                v *= row[e]
+            total += v * scale[gap]
+        return total
+
+    def denominator(self, p: MPoly) -> int:
+        """L * D**d, so p(point) is ``scaled(p)`` over it."""
+        clear, d, _ = p._exact_form()
+        return clear * self.scale[1] ** d
 
 
 @lru_cache(maxsize=1 << 12)
@@ -625,10 +661,14 @@ def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
 
 
 class _Parser:
-    """Recursive-descent parser for the canonical ASCII polynomial form."""
+    """Recursive-descent parser for the canonical ASCII polynomial form.
+
+    A sum adds its terms into one code-keyed dict, and a product folds its
+    number and ``symbol^e`` factors into one (coefficient, code) pair; only
+    a parenthesized factor becomes an MPoly that is multiplied in."""
 
     def __init__(self, text: str):
-        self.tokens = self._tokenize(text)
+        self.tokens: list[str | None] = self._tokenize(text) + [None]  # None ends the text
         self.pos = 0
 
     @staticmethod
@@ -659,10 +699,10 @@ class _Parser:
         return out
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise ValueError("unexpected end of polynomial text")
         self.pos += 1
@@ -674,38 +714,75 @@ class _Parser:
             raise ValueError(f"trailing tokens at {self.peek()!r}")
         return p
 
-    def expr(self) -> MPoly:
+    def signs(self) -> int:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        p = self.term() * sign
+        return sign
+
+    def expr(self) -> MPoly:
+        acc: dict[int, Coef] = {}
+        self.term(acc, self.signs())
         while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    sign = -sign
-            p = p + self.term() * sign
-        return p
+            self.term(acc, self.signs())
+        return MPoly(acc)
 
-    def term(self) -> MPoly:
-        p = self.factor()
-        while self.peek() == "*":
+    def term(self, acc: dict[int, Coef], coef: Coef) -> None:
+        """acc += coef * the next product.  The product is kept as coef *
+        the monomial of ``code`` * ``poly``, and ``top``, the largest code
+        the product of its factors as polynomials would hold, is checked
+        after each factor while the product is nonzero, as MPoly.__mul__
+        checks it."""
+        code = top = 0
+        poly = None
+        while True:
+            f = self.factor()
+            if not coef:
+                pass  # a zero product stays zero and checks nothing
+            elif isinstance(f, MPoly):
+                if not f:
+                    coef = 0
+                else:
+                    top = _checked(top + max(f.terms))
+                    poly = f if poly is None else poly * f
+            else:
+                c, k = f
+                coef *= c
+                code += k
+                if coef:
+                    top = _checked(top + k)
+            if self.peek() != "*":
+                break
             self.take()
-            p = p * self.factor()
-        return p
+        if not coef:
+            return
+        get = acc.get
+        if poly is None:
+            acc[code] = get(code, 0) + coef
+        else:
+            for k, c in poly.terms.items():
+                acc[code + k] = get(code + k, 0) + coef * c
 
-    def factor(self) -> MPoly:
-        p = self.atom()
+    def factor(self) -> tuple[Coef, int] | MPoly:
+        f = self.atom()
         if self.peek() == "^":
             self.take()
             tok = self.take()
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
-            p = p ** int(tok)
-        return p
+            n = int(tok)
+            if isinstance(f, MPoly):
+                return f**n
+            c, k = f
+            if c:
+                _checked((k >> DEGREE_SHIFT) * n << DEGREE_SHIFT)
+            f = c**n, k * n
+        return f
 
-    def atom(self) -> MPoly:
+    def atom(self) -> tuple[Coef, int] | MPoly:
+        """A parenthesized sum as an MPoly, or a number or symbol as a
+        (coefficient, code) pair; a unary minus binds here, before ``^``."""
         tok = self.take()
         if tok == "(":
             p = self.expr()
@@ -713,7 +790,8 @@ class _Parser:
                 raise ValueError("unbalanced parenthesis")
             return p
         if tok == "-":
-            return -self.atom()
+            f = self.atom()
+            return -f if isinstance(f, MPoly) else (-f[0], f[1])
         if tok.isdigit():
             num = int(tok)
             if self.peek() == "/":
@@ -721,9 +799,10 @@ class _Parser:
                 den = self.take()
                 if not den.isdigit() or int(den) == 0:
                     raise ValueError(f"expected nonzero integer denominator, got {den!r}")
-                return MPoly.const(Fraction(num, int(den)))
-            return MPoly.const(num)
-        return MPoly.var(Sym(tok))
+                return _as_rat(Fraction(num, int(den))), 0
+            return num, 0
+        s = Sym(tok)
+        return 1, _DEG1 + (1 << s.shift)
 
 
 def parse_poly(text: str) -> MPoly:

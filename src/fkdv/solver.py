@@ -48,7 +48,7 @@ from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
-from .poly import MPoly, exps_of, monomial, rational_roots
+from .poly import MPoly, Point, exps_of, monomial, rational_roots
 from .symbols import Sym
 
 SOLVED = "solved"
@@ -142,16 +142,19 @@ def verify_assignment(
 ) -> tuple[bool, MPoly | None]:
     """True iff every polynomial vanishes exactly under the assignment.
 
-    The assignment must bind every symbol of the system; the first failing
+    The assignment must bind every symbol of the system; its values are
+    converted once, to one :class:`Point` shared by every polynomial, and
+    each polynomial's int sum is tested against 0.  The first failing
     polynomial is returned as the witness on False.
     """
-    point = asg.as_dict() if isinstance(asg, Assignment) else dict(asg)
+    point = asg.as_dict() if isinstance(asg, Assignment) else asg
     for p in system:
         missing = [s for s in p.symbols() if s not in point]
         if missing:
             raise UnboundSymbolError(min(missing, key=lambda t: t.key))
+    at = Point(point, frozenset().union(*[p.symbols() for p in system]))
     for p in system:
-        if p.eval_rat(point) != 0:
+        if at.scaled(p):
             return False, p
     return True, None
 

@@ -6,8 +6,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fkdv.errors import UnboundSymbolError
 from fkdv.poly import (
     MPoly,
+    Point,
+    _Parser,
     _derivative,
     _horner,
     _pseudo_divmod,
@@ -16,6 +19,7 @@ from fkdv.poly import (
     parse_poly,
     rational_roots,
 )
+from fkdv.solver import verify_assignment
 from fkdv.symbols import DEGREE_SHIFT, Sym, a, b
 
 
@@ -868,3 +872,246 @@ def test_packed_degree_boundary():
 def test_packed_degree_above_cap_raises(overflow):
     with pytest.raises(ValueError, match="exceeds 255"):
         overflow()
+
+
+# ---------------------------------------------------------------- previous parser and evaluator
+# The parser and the exact evaluator were rewritten for speed: the parser
+# folds a product's numbers and symbol powers into one term instead of
+# building a polynomial per token, and the evaluator converts a point once
+# for a whole system.  The previous implementations are kept here as
+# references; the rewrites must agree with them on every input, errors and
+# their messages included.
+
+
+class _PreviousParser:
+    """The previous parser: every token becomes an MPoly, and a sum is
+    rebuilt for every term."""
+
+    def __init__(self, text):
+        self.tokens = _Parser._tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("unexpected end of polynomial text")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        p = self.expr()
+        if self.peek() is not None:
+            raise ValueError(f"trailing tokens at {self.peek()!r}")
+        return p
+
+    def expr(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        p = self.term() * sign
+        while self.peek() in ("+", "-"):
+            sign = 1
+            while self.peek() in ("+", "-"):
+                if self.take() == "-":
+                    sign = -sign
+            p = p + self.term() * sign
+        return p
+
+    def term(self):
+        p = self.factor()
+        while self.peek() == "*":
+            self.take()
+            p = p * self.factor()
+        return p
+
+    def factor(self):
+        p = self.atom()
+        if self.peek() == "^":
+            self.take()
+            tok = self.take()
+            if not tok.isdigit():
+                raise ValueError(f"expected integer exponent, got {tok!r}")
+            p = p ** int(tok)
+        return p
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            p = self.expr()
+            if self.take() != ")":
+                raise ValueError("unbalanced parenthesis")
+            return p
+        if tok == "-":
+            return -self.atom()
+        if tok.isdigit():
+            num = int(tok)
+            if self.peek() == "/":
+                self.take()
+                den = self.take()
+                if not den.isdigit() or int(den) == 0:
+                    raise ValueError(f"expected nonzero integer denominator, got {den!r}")
+                return MPoly.const(F(num, int(den)))
+            return MPoly.const(num)
+        return MPoly.var(Sym(tok))
+
+
+def _parsed_by(parse, text):
+    """The polynomial ``parse`` makes of ``text``, or the message of the
+    ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _agree_with_previous_parser(text):
+    got = _parsed_by(parse_poly, text)
+    assert got == _parsed_by(lambda t: _PreviousParser(t).parse(), text), text
+    if isinstance(got, MPoly):
+        assert all(c != 0 for c in got.terms.values())
+        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+# symbol powers up to past the degree cap; a parenthesized factor only gets
+# small powers, so no property example expands a large power of a sum
+_SYMBOL_POWERS = st.sampled_from(["a0", "a1", "k", "tau", "ycsch"]).flatmap(
+    lambda s: st.sampled_from([s, f"{s}^2", f"{s}^0", f"{s}^100", f"{s}^200", f"{s}^255", f"{s}^256"])
+)
+_NUMBERS = st.sampled_from(["0", "1", "2", "7", "2^3", "0^0", "0^2", "3/4", "12/6", "0/5", "1/0", "2^3/4"])
+
+
+def _sums(parts):
+    return st.lists(st.tuples(st.sampled_from([" + ", " - ", "-", "+-", "--"]), parts),
+                    min_size=1, max_size=4).map(lambda ts: "".join(op + t for op, t in ts)[1:])
+
+
+_FACTORED = st.recursive(
+    _SYMBOL_POWERS | _NUMBERS,
+    lambda inner: st.one_of(
+        inner.map(lambda t: f"-{t}"),
+        st.tuples(_sums(inner), st.sampled_from(["", "^0", "^2", "^3"])).map(lambda t: f"({t[0]}){t[1]}"),
+        st.lists(inner, min_size=2, max_size=4).map("*".join),
+        _sums(inner),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_FACTORED)
+def test_parser_matches_the_previous_parser_on_factored_text(text):
+    _agree_with_previous_parser(text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(polys(), wide_refs())
+def test_parser_matches_the_previous_parser_on_ascii_text(p, q):
+    _agree_with_previous_parser(p.ascii())
+    _agree_with_previous_parser(_ref_poly(q).ascii())
+
+
+@pytest.mark.parametrize("text", [
+    "a0*-a1^2", "a0*--a1^3", "-a1^2", "a0*-(a1 + 1)^2", "2^3*a0", "1/2^2", "-2^2", "a0*-2^2",
+    "0*a0^200*a1^100", "a0^200*a1^100*0", "a0^200*a1^100", "a0^200*a0^100",
+    "a0*(a1 + 1)^200*(k + 1)^100", "(a0 - a0)*(a1 + 1)^200*(k + 1)^100", "(a0 - a0)^300",
+    "a0^256", "(a0 + 1)^256", "a0^0", "0^0", "3^5*k", "1/2*a0 + 3/2", "1/2*2*a0",
+    "a0^2^3", "(a0^2^3)", "a0*+a1", "a0 *", "a0^-2", "a0^b1", "1/a0", "٣*a0", "a0^²",
+])
+def test_parser_matches_the_previous_parser_on_edge_cases(text):
+    _agree_with_previous_parser(text)
+
+
+def test_parser_keeps_the_degree_cap_and_the_unary_minus_quirk():
+    with pytest.raises(ValueError, match="total degree 300 exceeds 255"):
+        parse_poly("a0^200*a1^100")
+    # a unary minus inside a product binds before ^
+    assert parse_poly("a0*-a1^2") == parse_poly("a0*a1^2")
+    assert parse_poly("-a1^2") == -parse_poly("a1^2")
+
+
+def _previous_eval_rat(p, point):
+    """The previous MPoly.eval_rat: the point is converted for every
+    polynomial."""
+    try:
+        values = {s: F(point[s]) for s in p.symbols()}
+    except KeyError:
+        missing = min((s for s in p.symbols() if s not in point), key=lambda s: s.key)
+        raise KeyError(f"unbound symbol {missing}") from None
+    den = math.lcm(*[v.denominator for v in values.values()])
+    d = max(p.degree(), 0)
+    clear = math.lcm(*[F(c).denominator for c in p.terms.values()])
+    total = 0
+    for k, c in p.terms.items():
+        v = F(c) * clear
+        for s, e in exps_of(k):
+            v *= (values[s] * den) ** e
+        total += v * den ** (d - (k >> DEGREE_SHIFT))
+    return F(total, clear * den**d)
+
+
+def _previous_verify(system, point):
+    for p in system:
+        missing = [s for s in p.symbols() if s not in point]
+        if missing:
+            raise UnboundSymbolError(min(missing, key=lambda t: t.key))
+    for p in system:
+        if _previous_eval_rat(p, point) != 0:
+            return False, p
+    return True, None
+
+
+@st.composite
+def systems_and_points(draw):
+    """A point over _SYMS, values 0, negative and fractional among them, and
+    a system whose polynomials each vanish there or not, as drawn."""
+    point = draw(st.fixed_dictionaries({s: _RATS for s in _SYMS}))
+    system = []
+    for p in draw(st.lists(polys(), max_size=5)):
+        if draw(st.booleans()):
+            p = p - p.substitute(point).constant_value()
+        system.append(p)
+    return system, point
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(systems_and_points())
+def test_verify_assignment_matches_the_previous_evaluation(case):
+    system, point = case
+    ok, witness = verify_assignment(system, point)
+    want_ok, want_witness = _previous_verify(system, point)
+    assert ok == want_ok and witness is want_witness
+    for p in system:
+        got = p.eval_rat(point)
+        assert type(got) is F and got == _previous_eval_rat(p, point)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(polys(), min_size=1, max_size=4), st.fixed_dictionaries({s: _RATS for s in _SYMS}))
+def test_one_point_evaluates_every_polynomial_like_eval_rat(system, values):
+    # the tables the first polynomials grow serve the later ones unchanged
+    at = Point(values, _SYMS)
+    for p in system:
+        assert F(at.scaled(p), at.denominator(p)) == p.eval_rat(values)
+
+
+def test_an_unused_symbol_s_value_is_never_read():
+    p = P("a0^2 - 1/4")
+    point = {A0: F(-1, 2), K: 0.5, Sym("mu"): "not a number"}
+    assert verify_assignment([p, P("2*a0 + 1")], point) == (True, None)
+    assert p.eval_rat(point) == 0
+    # an unused value does not join the common denominator either
+    assert Point(point, p.symbols()).denominator(p) == 4 * 2**2
+    with pytest.raises(TypeError):
+        P("a0 + k").eval_rat(point)
+
+
+def test_eval_rat_names_the_least_unbound_symbol():
+    with pytest.raises(KeyError, match="unbound symbol a1"):
+        P("k*a1 + a2").eval_rat({A0: 1})
+    with pytest.raises(UnboundSymbolError) as err:
+        verify_assignment([P("a0 + 1"), P("k*a1 + a2")], {A0: -1})
+    assert err.value.sym == A1
