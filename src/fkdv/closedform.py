@@ -27,6 +27,8 @@ guard counts as a pole and is rejected.  A residual sample is relative to
 max|term|, the largest of the five terms there, so it reads the same at
 any |lam|; a draw without a scale (every term 0) is rejected, as is every
 draw once the terms, of degree 7 in w, underflow the normal float range.
+A pointwise difference is relative to the larger of the two template
+values in the same way, and a draw where both are 0 is rejected.
 
 Floats are evaluated on a compiled form (:func:`float_form`): each term's
 float coefficient and its (symbol, exponent) factors, so a point costs no
@@ -601,7 +603,9 @@ def pointwise_compare(
 ) -> tuple[float, int]:
     """Max relative pointwise difference of two templates at shared samples.
 
-    Returns (max_relative_difference, samples_used)."""
+    A sample's difference |v1 - v2| is relative to max(|v1|, |v2|), so it
+    reads the same at any |lam|; a draw where both templates are 0 has no
+    scale and is rejected.  Returns (max_relative_difference, samples_used)."""
     w = wave_number(lam)
     r1, r2 = get_solution(sid1), get_solution(sid2)
     b1, b2 = guard_bound(r1.template, w), guard_bound(r2.template, w)
@@ -609,7 +613,10 @@ def pointwise_compare(
     def evaluate(xi: float) -> float:
         v1 = eval_form(r1.template_form, r1.values(w, xi), b1)
         v2 = eval_form(r2.template_form, r2.values(w, xi), b2)
-        return abs(v1 - v2) / max(1.0, abs(v1), abs(v2))
+        scale = max(abs(v1), abs(v2))
+        if not scale:
+            raise PoleError("both templates are 0")
+        return abs(v1 - v2) / scale
 
     drawn, _ = _sample(
         f"{plan.seed}:{r1.id}:{r2.id}:{lam!r}",

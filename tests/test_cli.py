@@ -294,6 +294,14 @@ def test_verify_compare_different_at_large_wave_speed(capsys):
     assert "pointwise DIFFERENT" in out
 
 
+def test_verify_compare_different_at_small_wave_speed(capsys):
+    # the templates go like w^2, so a difference relative to 1 would read
+    # about 1e-17 here; relative to the larger value it stays near 1
+    code, out, _ = run(["verify", "u7", "u2", "--compare", "--lambda=-6e-40"], capsys)
+    assert code == 0
+    assert "pointwise DIFFERENT" in out
+
+
 @pytest.mark.parametrize("lam", ["-600", "-6e4", "-6e6", "-6e12", "-6e14", "-6e16", "-7e24"])
 def test_verify_all_passes_at_large_wave_speeds(capsys, tmp_path, lam):
     # the PDE terms grow like powers of w = (-lam/6)^(1/4); the sampling
