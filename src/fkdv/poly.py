@@ -665,7 +665,7 @@ class _Parser:
 
     A sum adds its terms into one code-keyed dict, and a product folds its
     number and ``symbol^e`` factors into one (coefficient, code) pair; only
-    a parenthesized factor becomes an MPoly that is multiplied in."""
+    a parenthesized sum becomes an MPoly that is multiplied in."""
 
     def __init__(self, text: str):
         self.tokens: list[str | None] = self._tokenize(text) + [None]  # None ends the text
@@ -738,20 +738,15 @@ class _Parser:
         poly = None
         while True:
             f = self.factor()
-            if not coef:
-                pass  # a zero product stays zero and checks nothing
-            elif isinstance(f, MPoly):
-                if not f:
-                    coef = 0
-                else:
+            if isinstance(f, MPoly):
+                if coef:
                     top = _checked(top + max(f.terms))
                     poly = f if poly is None else poly * f
             else:
-                c, k = f
-                coef *= c
-                code += k
+                coef *= f[0]
+                code += f[1]
                 if coef:
-                    top = _checked(top + k)
+                    top = _checked(top + f[1])
             if self.peek() != "*":
                 break
             self.take()
@@ -781,14 +776,18 @@ class _Parser:
         return f
 
     def atom(self) -> tuple[Coef, int] | MPoly:
-        """A parenthesized sum as an MPoly, or a number or symbol as a
-        (coefficient, code) pair; a unary minus binds here, before ``^``."""
+        """A parenthesized sum of two or more terms as an MPoly, anything
+        else as a (coefficient, code) pair; a unary minus binds here, before
+        ``^``."""
         tok = self.take()
         if tok == "(":
             p = self.expr()
             if self.take() != ")":
                 raise ValueError("unbalanced parenthesis")
-            return p
+            if len(p.terms) > 1:
+                return p
+            ((k, c),) = p.terms.items() or [(0, 0)]
+            return c, k
         if tok == "-":
             f = self.atom()
             return -f if isinstance(f, MPoly) else (-f[0], f[1])

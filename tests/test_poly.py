@@ -1019,7 +1019,8 @@ def test_parser_matches_the_previous_parser_on_ascii_text(p, q):
     "0*a0^200*a1^100", "a0^200*a1^100*0", "a0^200*a1^100", "a0^200*a0^100",
     "a0*(a1 + 1)^200*(k + 1)^100", "(a0 - a0)*(a1 + 1)^200*(k + 1)^100", "(a0 - a0)^300",
     "a0^256", "(a0 + 1)^256", "a0^0", "0^0", "3^5*k", "1/2*a0 + 3/2", "1/2*2*a0",
-    "a0^2^3", "(a0^2^3)", "a0*+a1", "a0 *", "a0^-2", "a0^b1", "1/a0", "٣*a0", "a0^²",
+    "(a0*a1)^200", "(2*a0)^3*(-a1)^2", "(0)*a0^200*a1^100", "(a0 - a0)^0", "(7/7)^300",
+    "a0^2^3", "(a0^2^3)", "a0*+a1", "a0 *", "a0^-2", "a0^b1", "1/a0", "()", "٣*a0", "a0^²",
 ])
 def test_parser_matches_the_previous_parser_on_edge_cases(text):
     _agree_with_previous_parser(text)
