@@ -20,7 +20,7 @@ from fkdv.poly import (
     rational_roots,
 )
 from fkdv.solver import verify_assignment
-from fkdv.symbols import DEGREE_SHIFT, Sym, a, b
+from fkdv.symbols import DEGREE_SHIFT, FIELD_BITS, Sym, a, b
 
 
 A0, A1, A2 = a(0), a(1), a(2)
@@ -1035,23 +1035,38 @@ def test_parser_keeps_the_degree_cap_and_the_unary_minus_quirk():
 
 
 def _previous_eval_rat(p, point):
-    """The previous MPoly.eval_rat: the point is converted for every
-    polynomial."""
+    """The previous MPoly.eval_rat: the point is converted again for every
+    polynomial, and so are the polynomial's coefficients."""
     try:
         values = {s: F(point[s]) for s in p.symbols()}
     except KeyError:
         missing = min((s for s in p.symbols() if s not in point), key=lambda s: s.key)
         raise KeyError(f"unbound symbol {missing}") from None
     den = math.lcm(*[v.denominator for v in values.values()])
+    powers = {}  # powers[s][e] = N**e, filled on demand
+    zero = 0  # the fields of the symbols bound to 0
+    for s, v in values.items():
+        n = v.numerator * (den // v.denominator)
+        powers[s] = [1, n]
+        if not n:
+            zero |= ((1 << FIELD_BITS) - 1) << s.shift
     d = max(p.degree(), 0)
-    clear = math.lcm(*[F(c).denominator for c in p.terms.values()])
+    scale = [1]  # scale[j] = D**j
+    for _ in range(d):
+        scale.append(scale[-1] * den)
+    clear = math.lcm(*[c.denominator for c in p.terms.values()])
     total = 0
     for k, c in p.terms.items():
-        v = F(c) * clear
+        if k & zero:
+            continue
+        v = c if clear == 1 else c.numerator * (clear // c.denominator)
         for s, e in exps_of(k):
-            v *= (values[s] * den) ** e
-        total += v * den ** (d - (k >> DEGREE_SHIFT))
-    return F(total, clear * den**d)
+            row = powers[s]
+            while len(row) <= e:
+                row.append(row[-1] * row[1])
+            v *= row[e]
+        total += v * scale[d - (k >> DEGREE_SHIFT)]
+    return F(total, clear * scale[d])
 
 
 def _previous_verify(system, point):
