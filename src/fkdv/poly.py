@@ -392,17 +392,18 @@ class MPoly:
         at = Point(point, self.symbols())
         return Fraction(at.scaled(self), at.denominator(self))
 
-    def _exact_form(self) -> tuple[int, int, tuple]:
-        # (L, d, terms): L the lcm of the coefficient denominators, d the
-        # total degree and per term (code, L * c, d - degree, exps_of(code));
-        # computed once
+    def _exact_form(self) -> tuple[int, int, Mapping[int, Coef]]:
+        # (L, d, {code: L * c}): L the lcm of the coefficient denominators
+        # and d the total degree; the map is terms itself when L is 1.
+        # Computed once.  A term's exponents are decoded when it is
+        # evaluated, through exps_of: decoding every term here would also
+        # decode those the zero skip never reaches
         if self._exact is None:
             clear = lcm(*[c.denominator for c in self.terms.values()])
             d = max(self.degree(), 0)
-            self._exact = (clear, d, tuple(
-                (k, c.numerator * (clear // c.denominator), d - (k >> DEGREE_SHIFT), exps_of(k))
-                for k, c in self.terms.items()
-            ))
+            self._exact = (clear, d, self.terms if clear == 1 else {
+                k: c.numerator * (clear // c.denominator) for k, c in self.terms.items()
+            })
         return self._exact
 
     def as_univariate(self, x: Sym) -> Optional[list[Coef]]:
@@ -513,21 +514,21 @@ class Point:
         self.scale = [1, den]  # scale[j] = D**j
 
     def scaled(self, p: MPoly) -> int:
-        """The int L * D**d * p(point): 0 exactly where p vanishes."""
+        """The integer L * D**d * p(point): 0 exactly where p vanishes."""
         _, d, terms = p._exact_form()
         powers, zero, scale = self.powers, self.zero, self.scale
         while len(scale) <= d:
             scale.append(scale[-1] * scale[1])
         total = 0
-        for k, v, gap, factors in terms:
+        for k, v in terms.items():
             if k & zero:
                 continue
-            for s, e in factors:
+            for s, e in exps_of(k):
                 row = powers[s]
                 while len(row) <= e:
                     row.append(row[-1] * row[1])
                 v *= row[e]
-            total += v * scale[gap]
+            total += v * scale[d - (k >> DEGREE_SHIFT)]
         return total
 
     def denominator(self, p: MPoly) -> int:
