@@ -32,11 +32,11 @@ values in the same way, and a draw where both are 0 is rejected.
 
 Floats are evaluated on a compiled form (:func:`float_form`): each term's
 float coefficient and its (symbol, exponent) factors, so a point costs no
-rational-to-float conversion and no monomial decoding.  A record compiles
-its template and its five PDE terms on first use, and each reciprocal's
-denominator is compiled on first use; :func:`eval_float` compiles a
-one-off polynomial on the fly and runs the same evaluator,
-:func:`eval_form`.
+rational-to-float conversion and no monomial decoding.  The catalog
+polynomials the sampler evaluates (each template, its five PDE terms and
+each reciprocal's denominator) are compiled on first use into one table;
+:func:`eval_float` compiles any other polynomial on the fly and runs the
+same evaluator, :func:`eval_form`.
 
 The closed forms of phi' = k + phi^2 (``PHI_FORMS``) and of the projective
 pair (``ST_CASES``) are polynomials in the same symbols;
@@ -50,7 +50,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -113,16 +112,6 @@ DENOMINATORS: dict[Sym, MPoly] = {
     YCSCH: 1 + _v(MU) * _v(CSCH),
 }
 
-
-# the compiled float form of each denominator, made on first use
-class _DenominatorForms(dict):
-    def __missing__(self, y: Sym) -> FloatForm:
-        form = self[y] = float_form(DENOMINATORS[y])
-        return form
-
-
-_DENOMINATOR_FORMS = _DenominatorForms()
-
 # the one rule table: each function symbol's derivative in xi
 RULES: dict[Sym, MPoly] = {s: rule for s, (rule, _) in _FUNCTIONS.items()}
 RULES.update({y: -den.derive(RULES) * _v(y) ** 2 for y, den in DENOMINATORS.items()})
@@ -175,17 +164,6 @@ class SolutionRecord:
         """True iff one of the template's functions has a pole at xi = 0."""
         return not _POLES_AT_ORIGIN.isdisjoint(self.rules)
 
-    @cached_property
-    def template_form(self) -> FloatForm:
-        """The template compiled for :func:`eval_form`, on first use."""
-        return float_form(self.template)
-
-    @cached_property
-    def term_forms(self) -> list[tuple[MPoly, FloatForm]]:
-        """Each of the five PDE terms (:func:`residual_terms_for`) with its
-        form compiled for :func:`eval_form`, on first use."""
-        return [(term, float_form(term)) for _, term in residual_terms_for(self)]
-
     def values(self, w: float, xi: float) -> dict[Sym, float]:
         """Float value of w and of each function symbol at (w, xi),
         guarded; raises PoleError at or near a pole."""
@@ -224,7 +202,7 @@ def function_values(
     try:
         for s in syms:
             if s in DENOMINATORS:
-                point[s] = _guard(1.0 / eval_form(_DENOMINATOR_FORMS[s], point))
+                point[s] = _guard(1.0 / eval_form(_catalog_form(DENOMINATORS[s]), point))
             else:
                 point[s] = _guard(_FUNCTIONS[s][1](w, xi))
     except (ZeroDivisionError, OverflowError) as exc:
@@ -511,6 +489,18 @@ def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GU
     return eval_form(float_form(p), point, bound)
 
 
+_FORMS: dict[MPoly, FloatForm] = {}
+
+
+def _catalog_form(p: MPoly) -> FloatForm:
+    """The form of a catalog polynomial (a template, a PDE term or a
+    reciprocal's denominator), compiled on first use."""
+    form = _FORMS.get(p)
+    if form is None:
+        form = _FORMS[p] = float_form(p)
+    return form
+
+
 _TERMS_CACHE: dict[MPoly, list[tuple[str, MPoly]]] = {}
 
 
@@ -572,8 +562,9 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     """
     w = wave_number(lam)
     rec = get_solution(sid)
-    bounds = [(form, guard_bound(term, w)) for term, form in rec.term_forms]
-    degree = max(term.max_exponent(W) for term, _ in rec.term_forms)
+    terms = [term for _, term in residual_terms_for(rec)]
+    bounds = [(_catalog_form(term), guard_bound(term, w)) for term in terms]
+    degree = max(term.max_exponent(W) for term in terms)
     # (w < 1 is tested first: the power overflows at large w)
     underflows = w < 1.0 and w**degree < sys.float_info.min
 
@@ -608,11 +599,12 @@ def pointwise_compare(
     scale and is rejected.  Returns (max_relative_difference, samples_used)."""
     w = wave_number(lam)
     r1, r2 = get_solution(sid1), get_solution(sid2)
+    f1, f2 = _catalog_form(r1.template), _catalog_form(r2.template)
     b1, b2 = guard_bound(r1.template, w), guard_bound(r2.template, w)
 
     def evaluate(xi: float) -> float:
-        v1 = eval_form(r1.template_form, r1.values(w, xi), b1)
-        v2 = eval_form(r2.template_form, r2.values(w, xi), b2)
+        v1 = eval_form(f1, r1.values(w, xi), b1)
+        v2 = eval_form(f2, r2.values(w, xi), b2)
         scale = max(abs(v1), abs(v2))
         if not scale:
             raise PoleError("both templates are 0")

@@ -23,6 +23,7 @@ exponent of the earliest symbol.  The int order of the codes is that order.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
@@ -109,9 +110,8 @@ def _accumulate(acc: dict[int, Coef], left: Iterable, right: list[tuple[int, Coe
 class MPoly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
-    # _syms caches symbols(), _pivots linear_pivots() and _exact the form
-    # Point evaluates; _normal marks a result of normalize()
-    __slots__ = ("terms", "_hash", "_ascii", "_syms", "_pivots", "_exact", "_normal")
+    # _syms caches symbols() and _exact the form Point evaluates
+    __slots__ = ("terms", "_hash", "_ascii", "_syms", "_exact")
 
     def __init__(self, terms: Mapping[int, Coef] | None = None):
         # keys are codes from monomial()
@@ -121,24 +121,14 @@ class MPoly:
                 c = _as_rat(c)
                 if c != 0:
                     self.terms[k] = c
-        self._hash = None
-        self._ascii = None
-        self._syms = None
-        self._pivots = None
-        self._exact = None
-        self._normal = False
+        self._hash = self._ascii = self._syms = self._exact = None
 
     @classmethod
     def _raw(cls, terms: dict[int, Coef]) -> "MPoly":
         # internal: takes ownership, trusts no zero coefficients
         self = object.__new__(cls)
         self.terms = terms
-        self._hash = None
-        self._ascii = None
-        self._syms = None
-        self._pivots = None
-        self._exact = None
-        self._normal = False
+        self._hash = self._ascii = self._syms = self._exact = None
         return self
 
     @classmethod
@@ -243,21 +233,19 @@ class MPoly:
 
     def linear_pivots(self) -> dict[Sym, Coef]:
         """{x: c} for each symbol x that occurs only in one term c*x, that
-        is, linearly with a constant coefficient; computed once."""
-        if self._pivots is None:
-            candidates: dict[int, Coef] = {}
-            others = 0
-            for k, c in self.terms.items():
-                if k >> DEGREE_SHIFT == 1:
-                    candidates[k & _EXPS] = c
-                else:
-                    others |= k
-            self._pivots = {
-                _BY_FIELD[(bit.bit_length() - 1) // FIELD_BITS]: c
-                for bit, c in candidates.items()
-                if not others & bit * _FIELD
-            }
-        return self._pivots
+        is, linearly with a constant coefficient."""
+        candidates: dict[int, Coef] = {}
+        others = 0
+        for k, c in self.terms.items():
+            if k >> DEGREE_SHIFT == 1:
+                candidates[k & _EXPS] = c
+            else:
+                others |= k
+        return {
+            _BY_FIELD[(bit.bit_length() - 1) // FIELD_BITS]: c
+            for bit, c in candidates.items()
+            if not others & bit * _FIELD
+        }
 
     def is_constant(self) -> bool:
         return not any(self.terms)
@@ -312,22 +300,20 @@ class MPoly:
 
     def normalize(self) -> "MPoly":
         """Divide by the positive content and make the leading coefficient
-        positive, giving coprime int coefficients.  Idempotent; preserves
-        the zero set exactly."""
-        if self._normal or not self.terms:
+        positive, giving coprime int coefficients.  Idempotent: a normal
+        polynomial is returned itself; preserves the zero set exactly."""
+        if not self.terms:
             return self
         num, den = self._content()
         if self.terms[max(self.terms)] < 0:
             num = -num
         if num == den == 1 and all(type(c) is int for c in self.terms.values()):
-            out = self
-        else:
-            # c * den / num is an integer: num divides every numerator
-            out = MPoly._raw(
-                {k: c.numerator * (den // c.denominator) // num for k, c in self.terms.items()}
-            )
-            out._syms = self._syms  # same monomials
-        out._normal = True
+            return self
+        # c * den / num is an integer: num divides every numerator
+        out = MPoly._raw(
+            {k: c.numerator * (den // c.denominator) // num for k, c in self.terms.items()}
+        )
+        out._syms = self._syms  # same monomials
         return out
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "MPoly":
@@ -661,6 +647,12 @@ def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
     return roots
 
 
+# a token (ASCII digits, a name of ASCII letters, digits and "_" that starts
+# with a letter, or an operator), else a run of ASCII whitespace (what
+# str.isspace accepts below 128), else any other character, which is bad
+_TOKENS = re.compile(r"([0-9]+|[A-Za-z][A-Za-z0-9_]*|[-+*^()/])|[\t-\r\x1c-\x20]+|(.)")
+
+
 class _Parser:
     """Recursive-descent parser for the canonical ASCII polynomial form.
 
@@ -675,28 +667,11 @@ class _Parser:
     @staticmethod
     def _tokenize(text: str) -> list[str]:
         out: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*^()/":
-                out.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                out.append(text[i:j])
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                out.append(text[i:j])
-                i = j
-            else:
-                raise ValueError(f"bad character {ch!r} in polynomial text")
+        for tok, bad in _TOKENS.findall(text):
+            if bad:
+                raise ValueError(f"bad character {bad!r} in polynomial text")
+            if tok:
+                out.append(tok)
         return out
 
     def peek(self) -> str | None:

@@ -1,15 +1,18 @@
 import hashlib
+import importlib
 import json
 import os
 import shlex
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
 from fkdv import cli, fixtures
+from fkdv.poly import MPoly
 from fkdv.symbols import MAX_ORDER
 
 
@@ -500,6 +503,18 @@ def test_readme_command_examples_run(capsys, tmp_path, monkeypatch):
     for argv in commands:
         code, _, err = run(argv, capsys)
         assert code == 0, (argv, err)
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/spans.py wraps fkdv functions and MPoly methods by name; it
+    # is read and run here without importing it as a package or writing
+    # bytecode next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    for module, attr, _, _ in spans._FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    assert set(spans._MPOLY_METHODS) <= MPoly.__dict__.keys()
 
 
 # ---------------------------------------------------------------- script

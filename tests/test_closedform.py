@@ -284,19 +284,21 @@ def test_an_overflow_is_a_pole_under_an_infinite_bound(p, point):
 
 
 def test_stored_forms_are_the_forms_compiled_on_the_fly():
+    # the sampler stores the form of each template, PDE term and reciprocal
+    # denominator it evaluates, and nothing but catalog polynomials
     for rec in catalog():
-        assert rec.template_form == float_form(rec.template)
-        terms = residual_terms_for(rec)
-        assert [term for term, _ in rec.term_forms] == [term for _, term in terms]
-        assert all(form == float_form(term) for term, form in rec.term_forms)
+        sample_report(rec.id, -6.0)
+        pointwise_compare(rec.id, rec.id, -6.0)
+    used = {rec.template for rec in catalog()}
+    used |= {term for rec in catalog() for _, term in residual_terms_for(rec)}
+    used |= {den for y, den in closedform.DENOMINATORS.items() if y in FUNCTION_SYMBOLS}
+    stored = closedform._FORMS
+    assert used <= stored.keys() <= used | set(closedform.DENOMINATORS.values())
+    assert all(form == float_form(p) for p, form in stored.items())
 
 
 def test_no_form_is_compiled_at_import():
-    code = (
-        "import fkdv.cli, fkdv.closedform as c\n"
-        "assert not c._DENOMINATOR_FORMS\n"
-        "assert not any({'template_form', 'term_forms'} & vars(r).keys() for r in c.catalog())"
-    )
+    code = "import fkdv.cli, fkdv.closedform as c\nassert not c._FORMS"
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

@@ -114,6 +114,7 @@ def test_normalize_idempotent_random():
         p = _random_poly(rng)
         n = p.normalize()
         assert n.normalize() == n
+        assert n.normalize() is n
 
 
 def test_normalize_preserves_zero_set():
@@ -1021,9 +1022,56 @@ def test_parser_matches_the_previous_parser_on_ascii_text(p, q):
     "a0^256", "(a0 + 1)^256", "a0^0", "0^0", "3^5*k", "1/2*a0 + 3/2", "1/2*2*a0",
     "(a0*a1)^200", "(2*a0)^3*(-a1)^2", "(0)*a0^200*a1^100", "(a0 - a0)^0", "(7/7)^300",
     "a0^2^3", "(a0^2^3)", "a0*+a1", "a0 *", "a0^-2", "a0^b1", "1/a0", "()", "٣*a0", "a0^²",
+    "a٣", "ａ0", "a0\u00a0+ 1", "a0 + ½", "é", "2_", "_a", "a0 \x1c+\t1",
 ])
 def test_parser_matches_the_previous_parser_on_edge_cases(text):
     _agree_with_previous_parser(text)
+
+
+@pytest.mark.parametrize(("text", "bad"), [
+    ("٣*a0", "٣"), ("a0^²", "²"), ("a٣", "٣"), ("ａ0", "ａ"), ("a0\u00a0+ 1", "\u00a0"),
+    ("a0 + ½", "½"), ("é", "é"),
+])
+def test_parser_accepts_only_ascii(text, bad):
+    with pytest.raises(ValueError) as info:
+        parse_poly(text)
+    assert str(info.value) == f"bad character {bad!r} in polynomial text"
+
+
+def _previous_tokenize(text):
+    """The previous tokenizer, which classified characters with
+    str.isdigit/isalpha and so also took non-ASCII digits and letters."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*^()/":
+            out.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            out.append(text[i:j])
+            i = j
+        elif ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(text[i:j])
+            i = j
+        else:
+            raise ValueError(f"bad character {ch!r} in polynomial text")
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.text(st.sampled_from("a0_9Zz+-*^()/ \t\n\x0b\x1c\x1f!.#~\x00\x7f"), max_size=12)
+       | st.text(st.characters(max_codepoint=127), max_size=12))
+def test_tokenizer_matches_the_previous_tokenizer_on_ascii_text(text):
+    assert _parsed_by(_Parser._tokenize, text) == _parsed_by(_previous_tokenize, text)
 
 
 def test_parser_keeps_the_degree_cap_and_the_unary_minus_quirk():
