@@ -435,19 +435,56 @@ def test_derive_fixture_output_matches_pinned_digest(method, fmt, capsys, tmp_pa
     assert _sha256(out) == DERIVE_FIXTURE_DIGESTS[method, fmt]
 
 
-# sha256 of `derive --json` past the paper orders, where the products are
-# largest: a change to the polynomial kernel must keep these bytes too.
-LAX_FLAGS = ["--alpha", "30", "--beta", "20", "--gamma", "10", "--omega", "1"]
+# sha256 of `derive --json` for every system perfbench's derive-sweep builds
+# (tanh M = 2..5 and projective depth 1..4 for four members of the family)
+# and for Ito at projective depth 8, where the products are largest: a change
+# to the polynomial kernel or to derivation must keep these bytes too.
+FAMILY_FLAGS = {
+    "ito": ["--preset", "ito"],
+    "sk": ["--alpha", "45", "--beta", "15", "--gamma", "15", "--omega", "1"],
+    "lax": ["--alpha", "30", "--beta", "20", "--gamma", "10", "--omega", "1"],
+    "kk": ["--alpha", "20", "--beta", "25", "--gamma", "10", "--omega", "1"],
+}
 DERIVE_DEEP_DIGESTS = {
+    ("ito", "tanh", 2): "fc2ec244f5f3d80b93180841b8f17966a8727221a2d471c3d2868bcf097b6652",
+    ("ito", "tanh", 3): "12f480bc2d5606610bc7e1025c6d6d15fb36214953f8c2aac285f7b351805fc4",
+    ("ito", "tanh", 4): "9c052475a7c4998c94ccfba6cf60b4e311544b4fb7c22779121c2028b93e568a",
     ("ito", "tanh", 5): "6ff251785c2f40e8ab01371939e38f5ba819d115159a7c470e7ac247ebdaf29b",
+    ("sk", "tanh", 2): "0af763b72b7fd34bb662b497404a83a20c2a3396534fc82d4904a415e2d1f1bc",
+    ("sk", "tanh", 3): "64221c38c68f798b0bd3dcc82774903514f90bf9c19ee10871d28ffeb655a86c",
+    ("sk", "tanh", 4): "b9179b27e247726e8295b868d18295e2494396214e4f58c737cf8d9804f92d76",
+    ("sk", "tanh", 5): "9e207c64bb59cb5955aa58e214e13e2cdbf1c8b70c26fc90a989f160f1efaa36",
+    ("lax", "tanh", 2): "9d82c117b2815d70acf2d3c0f0cb08910a0c4db1334698c53d71204a5e4776a6",
+    ("lax", "tanh", 3): "a7bd4fcca3b9ca1e55557879e2a3b5aa732f47264133509e0e0cbe42ebbd0fe9",
+    ("lax", "tanh", 4): "31432085da43f0c7de30c3e9066aa2491e06ee2b6d048937c18ef9a458504f4b",
+    ("lax", "tanh", 5): "99fbd32f58095095ec36cc72d4b9676e596aaf3875f9ed3c4f71d8561c346e07",
+    ("kk", "tanh", 2): "27b2af018c048711f359a703e7d5fca1bffa31cb256f3872a6f46034f528eb95",
+    ("kk", "tanh", 3): "e92f364d310ca279bcce4c09bb960827f1d62fd20d71077d9ce86ae75ca1e4f3",
+    ("kk", "tanh", 4): "03e37c4af31ec76ec843c48baaf3c74022a7d55d6d67c499376256950d35ef6d",
+    ("kk", "tanh", 5): "7b3f1963d83f2312b3896b392d44766bde1c04ebf92817e3926a4628c2dcee3c",
+    ("ito", "pre", 1): "fb0bdb4ce5ee3b9841144ced5ac67fa5c1ecd01344a32ed070c26d117826af48",
+    ("ito", "pre", 2): "52037a9cdf8198833a57af253d18b9b90b022b8dd7f62841161e08fa3d2a5701",
+    ("ito", "pre", 3): "5ddf572b532a183db2636dec70c1dfbf71f12e03b241c045a55c9b3d170002bd",
     ("ito", "pre", 4): "45bb4968ec4f5e1d996f24daac753171b552bfb03f88c3653682a582c24ad313",
+    ("sk", "pre", 1): "3e4e209f9139739c97f64f3c0ba7dcf6f28dc26cf927a235f2c957c4cdcfe724",
+    ("sk", "pre", 2): "98bc4137cd4bdee6a847e4ed82fbd58d3b1cbb5b760e9982e77e0c09aeaf506a",
+    ("sk", "pre", 3): "32db8c54d19fcd6b39e9d2fe8c497750e666ff5b32253422e5e67199fe2c14f5",
+    ("sk", "pre", 4): "2392f089b1caf77e95f4ea8f46815544f0a9a5cf6cea271e346dd9946bb5d2d8",
+    ("lax", "pre", 1): "fc0e90efd9a9ce530d1661c3dbc951a14a5d9ac66345184c5e58bfd2bb2d03cc",
+    ("lax", "pre", 2): "651901677fd32ba5a2a6bc4df5e4fe7af48d7d58e8c69efdc1851c8ff4a56c20",
     ("lax", "pre", 3): "258b9fd9cc1c6bd73431eab88dc7a2c5e7a3e66fdfdb9d3b6aeaa6f7ce014ee8",
+    ("lax", "pre", 4): "130e535f91df53833dca8fb77eb024e90b158d379085c3441bcfa370e52ab9a3",
+    ("kk", "pre", 1): "17cf85dbc828ef3f8846b3c0ab186be4af6e61d9c920ad4cfc1585ce433a84df",
+    ("kk", "pre", 2): "10f625954c173e18dd4eaeea4baabd5f27ef166e906337503db7f87ff2f4e71e",
+    ("kk", "pre", 3): "6f8750166c36f6849cfc626c647c9b2927efe0c62a98b8c6140114cf073def79",
+    ("kk", "pre", 4): "f29fe5395a5c974bc28ae32b2ec7d9b1eb76996c1e37524738001e57dd091c28",
+    ("ito", "pre", 8): "2534fd611d9516be0354d1ca72f9e85cf42dd0846cf721b808661f7059f3d65e",
 }
 
 
 @pytest.mark.parametrize(("family", "method", "order"), list(DERIVE_DEEP_DIGESTS))
 def test_derive_beyond_paper_order_matches_pinned_digest(family, method, order, capsys, tmp_path):
-    flags = ["--preset", "ito"] if family == "ito" else LAX_FLAGS
+    flags = FAMILY_FLAGS[family]
     out = tmp_path / "d.json"
     code, _, _ = run(
         ["derive", "--method", method, *flags, "--order", str(order), "--json", str(out)],
