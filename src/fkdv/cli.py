@@ -114,7 +114,8 @@ def cmd_derive(args) -> int:
         "order": order,
         "systems": system_json(system),
     }
-    _emit(args, "latex", system_latex(system) + "\n")
+    if args.latex:
+        _emit(args, "latex", system_latex(system) + "\n")
 
     diffs = []
     if args.check_fixture:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Mapping
 
 from .poly import MPoly
@@ -41,27 +43,32 @@ def ito() -> EquationSpec:
     return EquationSpec(Fraction(2), Fraction(6), Fraction(3), Fraction(1))
 
 
-def ode_terms(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> list[tuple[str, MPoly]]:
-    """The five PDE terms at the traveling wave ``v``, named as in the PDE,
-    where d/dxi is the derivation that sends each auxiliary symbol to its
-    rule (u_x = v', u_t = lam*v')."""
+def _ode_products(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]):
+    """The five PDE terms at the traveling wave ``v`` as (name, factors),
+    named as in the PDE, where d/dxi is the derivation that sends each
+    auxiliary symbol to its rule (u_x = v', u_t = lam*v')."""
     v1 = v.derive(rules)
     v2 = v1.derive(rules)
     v3 = v2.derive(rules)
     v5 = v3.derive(rules).derive(rules)
     return [
-        ("u_t", v1 * MPoly.var(LAM)),
-        ("omega*u_xxxxx", v5 * spec.omega),
-        ("alpha*u^2*u_x", v * v * v1 * spec.alpha),
-        ("beta*u_x*u_xx", v1 * v2 * spec.beta),
-        ("gamma*u*u_xxx", v * v3 * spec.gamma),
+        ("u_t", (v1, MPoly.var(LAM))),
+        ("omega*u_xxxxx", (MPoly.const(spec.omega), v5)),
+        ("alpha*u^2*u_x", (MPoly.const(spec.alpha), v, v, v1)),
+        ("beta*u_x*u_xx", (MPoly.const(spec.beta), v1, v2)),
+        ("gamma*u*u_xxx", (MPoly.const(spec.gamma), v, v3)),
     ]
+
+
+def ode_terms(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> list[tuple[str, MPoly]]:
+    """The five named PDE terms at ``v`` (see :func:`_ode_products`)."""
+    return [(name, reduce(mul, factors)) for name, factors in _ode_products(spec, v, rules)]
 
 
 def ode_residual(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> MPoly:
     """The traveling-wave ODE expanded at the ansatz ``v``: the sum of
-    :func:`ode_terms`."""
-    return sum((term for _, term in ode_terms(spec, v, rules)), MPoly.zero())
+    :func:`ode_terms`, accumulated into one term map."""
+    return MPoly.sum_of_products(factors for _, factors in _ode_products(spec, v, rules))
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,16 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum_of_products(cls, products: Iterable[Sequence["MPoly"]]) -> "MPoly":
+        """The sum of the products of the factor sequences, each of at least
+        two factors; each product's last multiplication goes straight into
+        one term map."""
+        acc: dict[int, Coef] = {}
+        for *head, last in products:
+            _accumulate(acc, reduce(mul, head).terms.items(), list(last.terms.items()))
+        return cls._from_codes(acc)
+
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")
@@ -267,26 +277,33 @@ class MPoly:
         """Coefficients by the exponents of ``syms``: self is the sum over
         the keys of coefficient * prod(s**e for s, e in zip(syms, key))."""
         mask = sum(_FIELD << s.shift for s in syms)
-        # group the terms by their fields of syms, then take off each group's
-        # fields and their degree
-        groups: dict[int, dict[int, Coef]] = {}
+        # group the terms by their fields of syms, taking off each term's
+        # fields and their degree as it is grouped
+        groups: dict[int, tuple[int, dict[int, Coef]]] = {}
         for k, c in self.terms.items():
             picked = k & mask
-            groups.setdefault(picked, {})[k - picked] = c
-        parts = {}
-        for picked, terms in groups.items():
-            key = tuple((picked >> s.shift) & _FIELD for s in syms)
-            drop = sum(key) * _DEG1
-            parts[key] = MPoly._raw({k - drop: c for k, c in terms.items()})
-        return parts
+            try:
+                drop, terms = groups[picked]
+            except KeyError:
+                degree = sum((picked >> s.shift) & _FIELD for s in syms)
+                drop, terms = groups[picked] = (picked + degree * _DEG1, {})
+            terms[k - drop] = c
+        return {
+            tuple((picked >> s.shift) & _FIELD for s in syms): MPoly._raw(terms)
+            for picked, (_, terms) in groups.items()
+        }
 
     def max_exponent(self, s: Sym) -> int:
         return max(((k >> s.shift) & _FIELD for k in self.terms), default=0)
 
-    def _content(self) -> tuple[int, int]:
+    def _content(self) -> tuple[int, int | None]:
         # (gcd of the numerators, lcm of the denominators) is the content in
-        # lowest terms, as every coefficient is in lowest terms
-        num, den = 0, 1
+        # lowest terms, as every coefficient is in lowest terms; the lcm is
+        # None when every coefficient is an int
+        try:
+            return gcd(*self.terms.values()), None
+        except TypeError:  # gcd rejects a Fraction
+            num, den = 0, 1
         for c in self.terms.values():
             num = gcd(num, c.numerator)
             den = lcm(den, c.denominator)
@@ -296,7 +313,8 @@ class MPoly:
         """Positive gcd of the coefficients; 0 for the zero polynomial."""
         if not self.terms:
             return Fraction(0)
-        return Fraction(*self._content())
+        num, den = self._content()
+        return Fraction(num, den or 1)
 
     def normalize(self) -> "MPoly":
         """Divide by the positive content and make the leading coefficient
@@ -307,12 +325,15 @@ class MPoly:
         num, den = self._content()
         if self.terms[max(self.terms)] < 0:
             num = -num
-        if num == den == 1 and all(type(c) is int for c in self.terms.values()):
-            return self
-        # c * den / num is an integer: num divides every numerator
-        out = MPoly._raw(
-            {k: c.numerator * (den // c.denominator) // num for k, c in self.terms.items()}
-        )
+        if den is None:
+            if num == 1:
+                return self
+            out = MPoly._raw({k: c // num for k, c in self.terms.items()})
+        else:
+            # c * den / num is an integer: num divides every numerator
+            out = MPoly._raw(
+                {k: c.numerator * (den // c.denominator) // num for k, c in self.terms.items()}
+            )
         out._syms = self._syms  # same monomials
         return out
 

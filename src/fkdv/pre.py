@@ -46,20 +46,17 @@ def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
     """(r**s * p with every tau^2 rewritten by the first integral, s), where
     s = max tau exponent // 2; the result has tau-degree <= 1.
 
-    Writing p = sum_q P_q * tau^(2q) with each P_q of tau-degree <= 1, the
-    result is sum_q P_q * (r*tau^2)^q * r^(s-q), evaluated by Horner in r*tau^2.
+    The coefficient of each tau^e in p is multiplied once by the table entry
+    r**s * tau^e = tau^(e%2) * (r*tau^2)^(e//2) * r^(s - e//2), into one
+    term map.  The tau-degree <= 1 representative of r**s * p modulo
+    r*tau^2 - R_TAU2 is unique, so any order of rewriting gives this
+    polynomial.
     """
     s = p.max_exponent(TAU) // 2
     if s == 0:
         return p, 0
-    c = p.split((TAU,))
-    zero = MPoly.zero()
-    # P_q = C_2q + C_(2q+1) * tau, with C_j = c[(j,)] the coefficient of tau^j
-    parts = [c.get((2 * q,), zero) + c.get((2 * q + 1,), zero) * _TAU for q in range(s + 1)]
-    acc = parts[s]
-    for q in range(s - 1, -1, -1):
-        acc = acc * R_TAU2 + parts[q] * _R ** (s - q)
-    return acc, s
+    table = [_TAU ** (e % 2) * R_TAU2 ** (e // 2) * _R ** (s - e // 2) for e in range(2 * s + 2)]
+    return MPoly.sum_of_products((part, table[e]) for (e,), part in p.split((TAU,)).items()), s
 
 
 def build_pre_ansatz(m: int) -> MPoly:

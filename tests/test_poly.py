@@ -544,6 +544,43 @@ def test_integral_coefficients_are_ints_and_boundaries_fractions():
     assert all(type(c) is int for c in r.normalize().terms.values())
 
 
+def _with_fraction_coefficients(p: MPoly) -> MPoly:
+    # the same polynomial with every coefficient a Fraction, so content()
+    # and normalize() take their Fraction loop instead of the int path
+    return MPoly._raw({k: F(c) for k, c in p.terms.items()})
+
+
+@pytest.mark.parametrize(
+    ("text", "content", "normal"),
+    [
+        ("-6*a0^2 + 4*a1 - 10", 2, "3*a0^2 - 2*a1 + 5"),  # negative lead
+        ("12*a0*a1 + 18*k", 6, "2*a0*a1 + 3*k"),  # gcd > 1
+        ("-7*a0^3", 7, "a0^3"),  # one term
+        ("a0 - 3*a1 + 2", 1, "a0 - 3*a1 + 2"),  # already normal
+    ],
+)
+def test_int_content_and_normalize_agree_with_the_fraction_loop(text, content, normal):
+    p = P(text)
+    q = _with_fraction_coefficients(p)
+    assert all(type(c) is int for c in p.terms.values())
+    assert p.content() == q.content() == content
+    assert type(p.content()) is F
+    for n in (p.normalize(), q.normalize()):
+        assert n == P(normal)
+        assert all(type(c) is int for c in n.terms.values())
+    if p == P(normal):
+        assert p.normalize() is p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(), st.integers(-(10**6), 10**6).filter(bool))
+def test_int_path_matches_the_fraction_loop(p, scale):
+    ints = p.normalize() * scale
+    q = _with_fraction_coefficients(ints)
+    assert ints.content() == q.content()
+    assert ints.normalize() == q.normalize() == p.normalize()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(polys(), _RATS)
 def test_normalize_gives_coprime_int_coefficients(p, scale):
@@ -709,6 +746,13 @@ def test_packed_split_matches_the_reference(p, syms):
         expected.setdefault(key, {})[_ref_key(exps)] = c
     got = _ref_poly(p).split(syms)
     assert {key: _ref_of(part) for key, part in got.items()} == expected
+
+
+def test_sum_of_products_adds_every_product_into_one_map():
+    p, q = P("a0 + 1"), P("a1 - 2*k")
+    got = MPoly.sum_of_products([(p, q), (q, MPoly.const(2)), (MPoly.const(3), p, p), (q, -p)])
+    assert got == q * 2 + p * p * 3
+    assert MPoly.sum_of_products([]).is_zero()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fkdv.equation import ito
+from fkdv.equation import EquationSpec, ito, ode_residual
 from fkdv.errors import PoleError
 from fkdv.fixtures import canonical_form, compare_systems, load_fixture
-from fkdv.poly import MPoly, parse_poly
+from fkdv.poly import MPoly, monomial, parse_poly
 from fkdv.closedform import (
     RULES,
     ST_CASES,
@@ -50,6 +51,68 @@ def test_eliminate_tau_clears_one_r_per_pair_of_tau_powers():
     assert s == 2
     assert got == P("a1*tau") * r_tau2**2 + P("b1*sigma*r") * r_tau2 + P("4*r^2")
     assert eliminate_tau(P("a0*tau + sigma")) == (P("a0*tau + sigma"), 0)
+
+
+_TAU, _R = MPoly.var(TAU), MPoly.var(R)
+
+
+def _horner_eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
+    """The previous eliminate_tau, kept verbatim as the reference: Horner in
+    r*tau^2, one intermediate polynomial per power of tau^2."""
+    s = p.max_exponent(TAU) // 2
+    if s == 0:
+        return p, 0
+    c = p.split((TAU,))
+    zero = MPoly.zero()
+    # P_q = C_2q + C_(2q+1) * tau, with C_j = c[(j,)] the coefficient of tau^j
+    parts = [c.get((2 * q,), zero) + c.get((2 * q + 1,), zero) * _TAU for q in range(s + 1)]
+    acc = parts[s]
+    for q in range(s - 1, -1, -1):
+        acc = acc * R_TAU2 + parts[q] * _R ** (s - q)
+    return acc, s
+
+
+# (alpha, beta, gamma, omega) of the members perfbench's derive-sweep derives
+MEMBERS = {"ito": (2, 6, 3, 1), "sk": (45, 15, 15, 1), "lax": (30, 20, 10, 1), "kk": (20, 25, 10, 1)}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("member", list(MEMBERS))
+def test_eliminate_tau_matches_horner_on_every_swept_residual(member, depth):
+    residual = ode_residual(EquationSpec(*map(F, MEMBERS[member])), build_pre_ansatz(depth), PRE_RULES)
+    got, s = eliminate_tau(residual)
+    expected, expected_s = _horner_eliminate_tau(residual)
+    assert s == expected_s > 0
+    assert got == expected and got.ascii() == expected.ascii()
+
+
+@st.composite
+def tau_polys(draw):
+    """Polynomials with tau exponents 0..7 beside other symbols, with int
+    and Fraction coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = {TAU: draw(st.integers(0, 7))}
+        for s in draw(st.lists(st.sampled_from([SIGMA, R, MU, E, RHO, a(0), b(1)]), max_size=3, unique=True)):
+            exps[s] = draw(st.integers(1, 3))
+        coef = draw(st.integers(-20, 20) | st.builds(F, st.integers(-20, 20), st.integers(1, 7)))
+        code = monomial(exps)
+        terms[code] = terms.get(code, 0) + coef
+    return MPoly(terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tau_polys())
+def test_eliminate_tau_matches_horner_on_random_polynomials(p):
+    got, s = eliminate_tau(p)
+    assert (got, s) == _horner_eliminate_tau(p)
+    assert got.max_exponent(TAU) <= 1
+
+
+def test_eliminate_tau_without_tau_squared_returns_the_input_itself():
+    for p in (P("a0*tau + sigma"), P("b1*sigma^4*tau - 3/2"), MPoly.const(7), MPoly.zero()):
+        got, s = eliminate_tau(p)
+        assert s == 0 and got is p
 
 
 def test_tau_first_power_unchanged():
