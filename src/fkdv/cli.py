@@ -246,7 +246,8 @@ def cmd_reproduce(args) -> int:
         _say(args, f"  [{mark}] {s['stage']}: {s['detail']}")
     _say(args, "reproduction " + ("succeeded" if result.exit_code == 0 else "FAILED"))
     _emit(args, "json", result.doc)
-    _emit(args, "latex", result.latex)
+    if args.latex:
+        _emit(args, "latex", result.latex)
     return result.exit_code
 
 

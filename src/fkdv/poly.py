@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import attrgetter, mul, or_
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
@@ -610,13 +610,14 @@ def _derivative(cs: list[int]) -> list[int]:
 def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
     """All rational roots of the dense coefficient list (ascending powers).
 
-    With a_n the leading coefficient of the primitive integer form f of
-    degree n, x = y/a_n turns f into the monic integer polynomial
-    g(y) = a_n**(n-1) * f(y/a_n), whose rational roots are integers.  The
-    integer roots of the square-free part of g are isolated by bisecting
-    integer intervals (lo, hi] inside the Cauchy bound with a Sturm
-    sequence, so the cost depends on the degree and the digit count, not
-    on the size of the coefficients.  Multiplicities are not reported.
+    The primitive integer form f, zero roots removed, is solved in closed
+    form at degree 1 or 2 (``isqrt`` tests the discriminant).  Above that,
+    with a_n its leading coefficient, x = y/a_n turns f into the monic
+    integer polynomial g(y) = a_n**(n-1) * f(y/a_n), whose rational roots
+    are integers.  The integer roots of the square-free part of g are
+    isolated by bisecting integer intervals (lo, hi] inside a Fujiwara
+    bound with a Sturm sequence, so the cost follows the bound's bit length,
+    not the size of the coefficients.  Multiplicities are not reported.
     Rejects the identically zero list: the caller must treat that case as a
     branch, not a root-finding problem.
     """
@@ -632,6 +633,14 @@ def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
     f = _primitive(cs)
     n, an = len(f) - 1, f[-1]
     if n == 0:
+        return roots
+    if n == 1:
+        return roots | {Fraction(-f[0], an)}
+    if n == 2:
+        disc = f[1] * f[1] - 4 * an * f[0]
+        s = isqrt(max(disc, 0))
+        if s * s == disc:
+            roots |= {Fraction(-f[1] + s, 2 * an), Fraction(-f[1] - s, 2 * an)}
         return roots
     g = [c * an ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
     # pseudo-remainders are positive multiples of the remainders over Q, so
@@ -650,9 +659,11 @@ def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
         signs = [v > 0 for v in (_horner(p, x) for p in sturm) if v]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    # Cauchy bound (|h_n| >= 1); variations(lo) - variations(hi) counts the
-    # distinct roots in (lo, hi]
-    bound = 1 + max(abs(c) for c in h)
+    # Fujiwara: every root has |z| <= 2 * max_i |h_(m-i) / h_m|**(1/i), and
+    # |h_m| >= 1, |c| < 2**bits(c) make 2 * max_i 2**ceil(bits(h_(m-i)) / i)
+    # at least that; variations(lo) - variations(hi) counts the distinct
+    # roots in (lo, hi]
+    bound = 2 << max(-(-abs(c).bit_length() // i) for i, c in enumerate(reversed(h[:-1]), 1))
     work = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
     while work:
         lo, hi, vlo, vhi = work.pop()

@@ -134,8 +134,13 @@ IDENTITY_PAIRS = (("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4"))
 @dataclass
 class ReproduceResult:
     doc: dict
-    latex: str
     exit_code: int
+    systems: tuple  # (tanh, pre), what the LaTeX appendix renders
+
+    @property
+    def latex(self) -> str:
+        """The LaTeX appendix, rendered on each read: only ``--latex`` needs it."""
+        return render_latex(*self.systems)
 
 
 def branch_json(br) -> dict:
@@ -299,7 +304,7 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
         "identities": identities,
         "ok": all(s["ok"] for s in stages),
     }
-    return ReproduceResult(doc=doc, latex=render_latex(tanh_system, pre_system), exit_code=exit_code)
+    return ReproduceResult(doc=doc, exit_code=exit_code, systems=(tanh_system, pre_system))
 
 
 def render_latex(tanh_system, pre_system) -> str:

@@ -387,6 +387,13 @@ def test_reproduce_latex_appendix(capsys, tmp_path):
     assert "Solution catalog" in body and "u10" in body
 
 
+def test_reproduce_renders_latex_only_for_latex_flag(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("fkdv.reproduce.render_latex", lambda *systems: calls.append(systems))
+    code, _, _ = run(["reproduce", "--json", str(tmp_path / "r.json")], capsys)
+    assert code == 0 and calls == []
+
+
 def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
     appendix = tmp_path / "appendix.tex"
     run(["reproduce", "--latex", str(appendix)], capsys)

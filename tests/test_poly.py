@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fkdv.errors import UnboundSymbolError
 from fkdv.poly import (
@@ -350,6 +350,118 @@ def linear_and_quadratic_products(draw):
 @given(linear_and_quadratic_products())
 def test_rational_roots_match_fraction_division(coeffs):
     assert rational_roots(coeffs) == _fraction_rational_roots(coeffs)
+
+
+_BIG = st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def low_degree_polys(draw):
+    """Degree <= 2 with coefficients up to 10**30: a factor of either sign,
+    possibly a Fraction, times one of a line q1*x - p1, two lines (a square
+    discriminant; 2*f2 rarely divides -f1 +- s), a line squared (a double
+    root) or a random quadratic (mostly a non-square or negative
+    discriminant), then times x**z for zero roots."""
+    lead = F(draw(st.integers(1, 10**30)), draw(st.sampled_from([1, 7]) | st.integers(1, 10**30)))
+    lead *= draw(st.sampled_from([1, -1]))
+    x = MPoly.var(a(0))
+    kind = draw(st.sampled_from(["line", "roots", "double", "random"]))
+    if kind == "random":
+        body = x * x * draw(_BIG) + x * draw(_BIG) + draw(_BIG)
+    else:
+        p1, q1 = draw(_BIG), draw(st.integers(1, 10**15))
+        p2, q2 = (p1, q1) if kind == "double" else (draw(_BIG), draw(st.integers(1, 10**15)))
+        body = x * q1 - p1 if kind == "line" else (x * q1 - p1) * (x * q2 - p2)
+    poly = body * x ** draw(st.integers(0, 2)) * lead
+    coeffs = poly.as_univariate(a(0))
+    assume(any(coeffs))
+    return coeffs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(low_degree_polys())
+def test_rational_roots_closed_form_matches_fraction_division(coeffs):
+    assert rational_roots(coeffs) == _fraction_rational_roots(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, roots",
+    [
+        ([0, 0, 5], {F(0)}),  # only zero roots
+        ([0, -(10**30), 10**15 * 3], {F(0), F(10**15, 3)}),  # a zero root, then a line
+        ([9 * 10**30, -6 * 10**15, 1], {F(3 * 10**15)}),  # disc = 0: the double root once
+        ([10**30 + 1, 0, 1], set()),  # disc < 0
+        ([-3 * (10**30 + 57), 0, 3], set()),  # disc > 0, not a square
+        ([1, 5, 6], {F(-1, 2), F(-1, 3)}),  # square disc, 2*f2 divides neither -f1 +- s
+        ([-2, -1, -(10**30)], set()),  # negative leading coefficient, disc < 0
+        ([10**30, 10**30 - 1, -1], {F(10**30), F(-1)}),  # negative leading coefficient
+        # Fraction coefficients: (x - 2/3) * (x + 5/7) / 10**30
+        ([F(-10, 21 * 10**30), F(1, 21 * 10**30), F(1, 10**30)], {F(2, 3), F(-5, 7)}),
+    ],
+)
+def test_rational_roots_closed_form_cases(coeffs, roots):
+    assert rational_roots(coeffs) == roots == _fraction_rational_roots(coeffs)
+
+
+@st.composite
+def big_products(draw):
+    """Products of degree 3 to 8 whose factors carry 10**12 to 10**30
+    coefficients: lines q*x - p, with multiplicity, and quadratics
+    u*x^2 + v*x + w, reducible or not, the Sturm search's inputs."""
+    x = MPoly.var(a(0))
+
+    def big():
+        return draw(st.integers(10**12, 10**30)) * draw(st.sampled_from([1, -1]))
+
+    poly, degree = MPoly.const(draw(st.integers(1, 10**6)) * draw(st.sampled_from([1, -1]))), 0
+    target = draw(st.integers(3, 8))
+    while degree < target:
+        if target - degree < 2 or draw(st.booleans()):
+            m = draw(st.integers(1, min(2, target - degree)))
+            poly, degree = poly * (x * draw(st.integers(1, 10**12)) - big()) ** m, degree + m
+        else:
+            u = draw(st.integers(1, 10**12))
+            poly, degree = poly * (x * x * u + x * big() + big()), degree + 2
+    return poly.as_univariate(a(0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(big_products())
+def test_rational_roots_of_big_products_match_fraction_division(coeffs):
+    assert 3 <= len(coeffs) - 1 <= 8
+    assert rational_roots(coeffs) == _fraction_rational_roots(coeffs)
+
+
+def _count_horner(monkeypatch):
+    calls = []
+
+    def counting(cs, x):
+        calls.append(x)
+        return _horner(cs, x)
+
+    monkeypatch.setattr("fkdv.poly._horner", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[5, -3], [-3 * (10**30 + 57), 0, 3], [9 * 10**30, -6 * 10**15, 1], [0, 0, 0, 1, 5, 6]],
+)
+def test_rational_roots_up_to_degree_two_evaluates_nothing(coeffs, monkeypatch):
+    calls = _count_horner(monkeypatch)
+    rational_roots(coeffs)
+    assert calls == []
+
+
+def test_rational_roots_sturm_search_cost_follows_the_bound(monkeypatch):
+    # (16x^2 - (10^14 + 31)) * (7x^2 - (10^12 + 39)) * (3x + 5*10^9): the
+    # Cauchy-bound search evaluated 2,429 Sturm polynomials, the Fujiwara
+    # bound 1,097
+    x = MPoly.var(a(0))
+    poly = (x * x * 16 - (10**14 + 31)) * (x * x * 7 - (10**12 + 39)) * (x * 3 + 5 * 10**9)
+    calls = _count_horner(monkeypatch)
+    assert rational_roots(poly.as_univariate(a(0))) == {F(-5 * 10**9, 3)}
+    assert len(calls) <= 1100
 
 
 # ---------------------------------------------------------------- properties
