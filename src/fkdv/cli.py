@@ -1,10 +1,10 @@
 """Command-line front end: balance, derive, solve, verify, reproduce.
 
 Exit codes: 0 success, 1 failed verification verdicts, 2 usage or balance
-failure, 3 fixture mismatch, 4 inconclusive sampling, 5 internal invariant
-breach, 141 output pipe closed by its reader.  JSON documents embed the run
-manifest and are byte-stable for a fixed manifest and seed (the timestamp
-field stays null unless supplied).
+failure, 3 fixture mismatch, 4 inconclusive sampling (verify only), 5
+internal invariant breach, 141 output pipe closed by its reader.  JSON
+documents embed the run manifest and are byte-stable for a fixed manifest
+and seed (the timestamp field stays null unless supplied).
 """
 
 from __future__ import annotations
@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="run the full end-to-end reproduction")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=7,
+                   help="recorded in the manifest only: every stage is exact")
     p.add_argument("--latex", metavar="PATH", help="write the LaTeX appendix")
     _add_output_flags(p)
     p.set_defaults(func=cmd_reproduce)

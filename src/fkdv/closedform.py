@@ -18,15 +18,16 @@ reciprocal y and reduces each squared function by its Pythagorean relation
 :func:`sample_report` evaluates them in binary64 at random points, and
 :func:`pointwise_compare` evaluates two templates at shared points; both
 draw through one sampler and keep one guard rule.  A polynomial of degree
-d in w is bounded by 1e6 * max(1, w)^d on every monomial, term and sum
-(:func:`guard_bound`, inf when the power overflows), since the PDE terms
-and the templates grow like powers of w; a float overflow counts as a
-tripped bound.  w is an input and only has to be finite, while every
-function value keeps the absolute 1e6 pole guard.  A sample that trips a
-guard counts as a pole and is rejected.  A residual sample is relative to
-max|term|, the largest of the five terms there, so it reads the same at
-any |lam|; a draw without a scale (every term 0) is rejected, as is every
-draw once the terms, of degree 7 in w, underflow the normal float range.
+d in w is bounded by 1e6 * w^d on every monomial, term and sum
+(:func:`guard_bound`, inf when the power overflows); the PDE terms and
+the templates are homogeneous in w, so the bound reads the same at every
+speed.  A float overflow counts as a tripped bound.  w is an input and
+only has to be finite, while every function value keeps the absolute 1e6
+pole guard.  A sample that trips a guard counts as a pole and is
+rejected.  A residual sample is relative to max|term|, the largest of
+the five terms there, so it reads the same at any |lam|; a draw without a
+scale (every term 0) is rejected, as is every draw once the terms, of
+degree 7 in w, underflow the normal float range.
 A pointwise difference is relative to the larger of the two template
 values in the same way, and a draw where both are 0 is rejected.
 
@@ -438,10 +439,12 @@ def _guard(v: float, bound: float = MAGNITUDE_GUARD) -> float:
 
 
 def guard_bound(p: MPoly, w: float) -> float:
-    """The magnitude bound of ``p`` at ``w``: MAGNITUDE_GUARD * max(1, w)^d,
-    d the degree of ``p`` in w, or inf when that power overflows."""
+    """The magnitude bound of ``p`` at ``w``: MAGNITUDE_GUARD * w^d, d the
+    degree of ``p`` in w, or inf when that power overflows.  The templates
+    and their PDE terms are homogeneous in w, so the bound keeps the same
+    distance from the poles at every wave speed, below w = 1 too."""
     try:
-        return MAGNITUDE_GUARD * max(1.0, w) ** p.max_exponent(W)
+        return MAGNITUDE_GUARD * w ** p.max_exponent(W)
     except OverflowError:
         return math.inf
 

@@ -117,14 +117,12 @@ def test_criterion_06_numeric_residuals():
 
 
 def test_criterion_07_cross_method_identities():
-    worst = 0.0
-    for s1, s2 in (("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")):
-        diff, used = closedform.pointwise_compare(s1, s2, -6.0, closedform.SamplePlan(seed=7))
-        assert used >= 20
-        assert diff <= 1e-10, (s1, s2, diff)
-        worst = max(worst, diff)
-    _ok(7, f"u7=u1, u8=u2, u9=u3, u10=u4 pointwise at lambda = -6; "
-           f"worst difference {worst:.3e} <= 1e-10")
+    pairs = (("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4"))
+    for s1, s2 in pairs:
+        t1, t2 = closedform.get_solution(s1).template, closedform.get_solution(s2).template
+        assert closedform.reduced(t1 - t2) == MPoly.zero(), (s1, s2)
+    _ok(7, "u7 - u1, u8 - u2, u9 - u3 and u10 - u4 reduce to the zero polynomial, "
+           "for every lambda < 0")
 
 
 def test_criterion_08_auxiliary_catalogs():

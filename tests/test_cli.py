@@ -13,6 +13,7 @@ import pytest
 
 from fkdv import cli, fixtures
 from fkdv.poly import MPoly
+from fkdv.reproduce import GRID, run_reproduce
 from fkdv.symbols import MAX_ORDER
 
 
@@ -379,6 +380,20 @@ def test_reproduce_seed_7_twice_is_byte_identical(capsys, tmp_path):
     assert {s["stage"] for s in doc["stages"]} >= {"balance", "derive-tanh", "derive-pre"}
 
 
+def test_reproduce_stages_are_exact_and_the_seed_is_only_recorded():
+    doc7, doc8 = run_reproduce(seed=7).doc, run_reproduce(seed=8).doc
+    assert [s["stage"] for s in doc7["stages"]] == [
+        "balance", "derive-tanh", "derive-pre",
+        *(f"solve@{lam}" for lam in GRID),
+        *(f"substitute@{lam}" for lam in GRID),
+        "phi-catalog", "sigma-tau-catalog", "pde-exact", "identities",
+    ]
+    assert doc7.keys() == {"schema", "manifest", "stages", "systems", "solves", "ok"}
+    assert doc7["manifest"]["lambda_values"] == ["-6", "-96", "-486"]
+    assert doc8["manifest"].pop("seed") == 8 and doc7["manifest"].pop("seed") == 7
+    assert doc8 == doc7
+
+
 def test_reproduce_latex_appendix(capsys, tmp_path):
     tex = tmp_path / "appendix.tex"
     code, _, _ = run(["reproduce", "--latex", str(tex)], capsys)
@@ -411,7 +426,7 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
 # contract: an intended output change (for example the disjoint case splits
 # of ROADMAP item 5) updates the pin here and records the new digest in
 # CHANGES.md.
-REPRODUCE_SEED_7_JSON = "cac9605beb9c572413d04d7b42ab57b60fba2c1bfe5c5b1a6fb6772d1cd8f86e"
+REPRODUCE_SEED_7_JSON = "05941468a9896bcaafb7536a891fd8b9c676a8fc180c8249120b055cde155140"
 DERIVE_FIXTURE_DIGESTS = {
     ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
     ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",

@@ -31,6 +31,7 @@ from fkdv.closedform import (
 from fkdv.equation import ito, ode_residual
 from fkdv.errors import PoleError
 from fkdv.poly import MPoly, exps_of, monomial
+from fkdv.reproduce import check_identities
 from fkdv.symbols import COTW, CSCW, LAM, MU, SEC, TAN, W, YM, YP, Sym, a
 
 _W = MPoly.var(W)
@@ -194,7 +195,8 @@ def test_eval_bound_scales_but_the_pole_guard_stays_absolute():
 
 def test_guard_bound_follows_the_degree_in_w():
     assert guard_bound(_W**3 + 1, 10.0) == MAGNITUDE_GUARD * 1e3
-    assert guard_bound(_W**3 + 1, 0.5) == MAGNITUDE_GUARD
+    # below w = 1 the bound shrinks with the polynomial
+    assert guard_bound(_W**3 + 1, 0.5) == MAGNITUDE_GUARD * 0.125
     assert guard_bound(MPoly.const(7), 1e9) == MAGNITUDE_GUARD
     # a power past the float range makes the bound inf, and an evaluation
     # that overflows a float is a pole
@@ -389,6 +391,19 @@ def test_cross_method_identities_are_exact(pair):
     assert shared and all(r1.rules[s] == r2.rules[s] for s in shared)
 
 
+def test_a_mutated_template_fails_the_exact_checks(monkeypatch):
+    assert check_identities() == (True, "u7 - u1, u8 - u2, u9 - u3, u10 - u4 reduce to 0")
+    # u7 + w^2 is no longer u1, and no longer solves the PDE
+    rec = get_solution("u7")
+    mutant = replace(rec, template=rec.template + _W**2)
+    monkeypatch.setattr(
+        closedform, "get_solution", lambda sid: mutant if sid == "u7" else get_solution(sid)
+    )
+    ok, detail = check_identities()
+    assert not ok and detail == "nonzero difference: u7 - u1"
+    assert not exact_residual(mutant).is_zero()
+
+
 # ---------------------------------------------------------------- catalog
 
 
@@ -437,13 +452,17 @@ def test_sample_report_requires_negative_lambda():
         sample_report("u3", 1.0)
 
 
-_SPEEDS = [-6.0, -2.5, -6e-8, -6e-20, -6e-100, -6e12]
+_SPEEDS = [-6.0, -2.5, -6e-4, -6e-8, -6e-20, -6e-100, -6e12]
 
 
 @pytest.mark.parametrize("lam", _SPEEDS)
 def test_every_record_passes_at_small_and_large_speeds(lam):
+    # the guard bound 1e6 * w^d follows the terms below w = 1 too, so draws
+    # keep the same distance from the poles and the worst residual stays at
+    # the level of lam = -6 (a bound held at 1e6 let it reach 3e-10)
     for rec in catalog():
-        assert sample_report(rec.id, lam).verdict == "pass", rec.id
+        rep = sample_report(rec.id, lam)
+        assert rep.verdict == "pass" and rep.max_relative_residual <= 1e-12, rec.id
 
 
 @pytest.mark.parametrize("lam", [-6.0, -6e-4, -6e-8, -6e-20, -6e-100])
@@ -510,7 +529,7 @@ def test_sample_report_inconclusive_when_domain_vanishes():
     # at lam = -6e28, w = 1e7 is an input, not a guarded symbol value
     rep = sample_report("u2", -6.0e28, SamplePlan(seed=1))
     assert rep.verdict == "pass"
-    # at lam = -1e200 the guard bound max(1, w)^7 overflows to inf and every
+    # at lam = -1e200 the guard bound w^7 overflows to inf and every
     # evaluation overflows: each draw outside the exclusion zone is rejected
     rep = sample_report("u2", -1.0e200, SamplePlan(seed=1))
     assert rep.verdict == "inconclusive"
