@@ -449,36 +449,51 @@ def guard_bound(p: MPoly, w: float) -> float:
         return math.inf
 
 
-# a polynomial compiled for binary64: per term, its float coefficient and
-# its (symbol, exponent) factors in symbol order
-FloatForm = tuple[tuple[float, tuple[tuple[Sym, int], ...]], ...]
+# a polynomial compiled for binary64: its distinct (symbol, exponent) factors
+# and, per term, its float coefficient and its factors' indices in symbol order
+FloatForm = tuple[tuple[tuple[Sym, int], ...], tuple[tuple[float, tuple[int, ...]], ...]]
 
 
 def float_form(p: MPoly) -> FloatForm:
     """``p`` compiled for :func:`eval_form`; raises PoleError when a
     coefficient overflows a float."""
+    index: dict[tuple[Sym, int], int] = {}
     try:
-        return tuple((float(c), exps_of(k)) for k, c in p.terms.items())
+        terms = tuple(
+            (float(c), tuple(index.setdefault(f, len(index)) for f in exps_of(k)))
+            for k, c in p.terms.items()
+        )
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
+    return tuple(index), terms
 
 
 def eval_form(form: FloatForm, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
     """binary64 value of a compiled polynomial; raises PoleError when a
     monomial, a term or the sum leaves the magnitude ``bound`` or
     overflows."""
+    factors, terms = form
+    try:
+        powers = [point[s] ** e for s, e in factors]
+    except OverflowError as exc:
+        raise PoleError(str(exc)) from exc
+    return _guarded_sum(terms, powers, bound)
+
+
+def _guarded_sum(terms, powers: list[float], bound: float) -> float:
+    """eval_form's guarded sum of ``terms``, given the values of their factors."""
     # with the bound clamped to the largest float, -lim <= v <= lim is
     # false exactly when v is nan, infinite or above the bound in magnitude
     lim = min(bound, sys.float_info.max)
     total = []
+    for c, factors in terms:
+        v = 1.0
+        for i in factors:
+            v *= powers[i]
+        if not (-lim <= v <= lim and -lim <= (v := c * v) <= lim):
+            raise PoleError("magnitude guard tripped")
+        total.append(v)
     try:
-        for c, factors in form:
-            v = 1.0
-            for s, e in factors:
-                v *= point[s] ** e
-            if not (-lim <= v <= lim and -lim <= (v := c * v) <= lim):
-                raise PoleError("magnitude guard tripped")
-            total.append(v)
         v = math.fsum(total)
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
@@ -566,7 +581,14 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     w = wave_number(lam)
     rec = get_solution(sid)
     terms = [term for _, term in residual_terms_for(rec)]
-    bounds = [(_catalog_form(term), guard_bound(term, w)) for term in terms]
+    # the five terms share one table of factors, so that a draw raises each
+    # (symbol, exponent) power once
+    index: dict[tuple[Sym, int], int] = {}
+    shared = []
+    for term in terms:
+        factors, form = _catalog_form(term)
+        at = [index.setdefault(f, len(index)) for f in factors]
+        shared.append((tuple((c, tuple(at[i] for i in f)) for c, f in form), guard_bound(term, w)))
     degree = max(term.max_exponent(W) for term in terms)
     # (w < 1 is tested first: the power overflows at large w)
     underflows = w < 1.0 and w**degree < sys.float_info.min
@@ -575,7 +597,8 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
         if underflows:
             raise PoleError("the PDE terms underflow")
         point = rec.values(w, xi)
-        values = [eval_form(form, point, bound) for form, bound in bounds]
+        powers = [point[s] ** e for s, e in index]
+        values = [_guarded_sum(form, powers, bound) for form, bound in shared]
         scale = max(abs(v) for v in values)
         if not scale:
             raise PoleError("every PDE term is 0")

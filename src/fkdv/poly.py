@@ -69,6 +69,12 @@ def exps_of(code: int) -> tuple[tuple[Sym, int], ...]:
     return tuple(_decode(code & _EXPS))
 
 
+@lru_cache(maxsize=1 << 12)
+def _symbols_of(fields: int) -> frozenset[Sym]:
+    """The symbols with a nonzero field in ``fields``; memoized like exps_of."""
+    return frozenset(s for s, _ in _decode(fields))
+
+
 def monomial(exps: Mapping[Sym, int] | Iterable[tuple[Sym, int]] = ()) -> int:
     """The code of the product of s**e over ``exps``; 0 is the unit.
 
@@ -237,8 +243,7 @@ class MPoly:
         """The symbols that occur; computed once."""
         if self._syms is None:
             # a field of the OR of the codes is nonzero where some exponent is
-            fields = reduce(or_, self.terms, 0) & _EXPS
-            self._syms = frozenset(s for s, _ in _decode(fields))
+            self._syms = _symbols_of(reduce(or_, self.terms, 0) & _EXPS)
         return self._syms
 
     def linear_pivots(self) -> dict[Sym, Coef]:
@@ -340,6 +345,28 @@ class MPoly:
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "MPoly":
         """Homomorphic substitution; unbound symbols remain."""
         syms = self.symbols()
+        if len(bind) == 1:
+            # one symbol bound to a rational, the solver's every call: each
+            # power of the value is computed once, each term rewritten once
+            ((s, v),) = bind.items()
+            if s not in syms:
+                return self
+            if not isinstance(v, MPoly):
+                v, shift, touched = _as_rat(v), s.shift, _FIELD << s.shift
+                if not v:
+                    return MPoly._raw({k: c for k, c in self.terms.items() if not k & touched})
+                step, powers = (1 << shift) + _DEG1, [1, v]
+                acc = {}
+                get = acc.get
+                for k, c in self.terms.items():
+                    if k & touched:
+                        e = k >> shift & _FIELD
+                        while len(powers) <= e:
+                            powers.append(powers[-1] * v)
+                        k -= e * step
+                        c *= powers[e]
+                    acc[k] = get(k, 0) + c
+                return MPoly._from_codes(acc)
         bind = {
             s: v if isinstance(v, MPoly) else _as_rat(v)
             for s, v in bind.items()
@@ -350,9 +377,6 @@ class MPoly:
         touched = 0
         for s in bind:
             touched |= _FIELD << s.shift
-        if not any(bind.values()):
-            # a binding to 0 drops every term it touches and keeps the rest
-            return MPoly._raw({k: c for k, c in self.terms.items() if not k & touched})
         bound = [(s.shift, (1 << s.shift) + _DEG1, v) for s, v in bind.items()]
         acc: dict[int, Coef] = {}
         get = acc.get

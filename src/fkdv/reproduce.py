@@ -45,12 +45,18 @@ def solve_system(system, presets):
     return solve([eq.poly for eq in system], cfg)
 
 
-def paper_branches(method: str, m: int) -> list[dict]:
+def specialized(m: int) -> list[tuple[closedform.SolutionRecord, dict[Sym, Fraction]]]:
+    """Each catalog record with its exact values at lam = -6*m^4."""
+    return [(rec, rec.specialize(m)) for rec in closedform.catalog()]
+
+
+def paper_branches(method: str, m: int, table=None) -> list[dict]:
     """The generating parameter tuples of ``method``'s catalog records at
-    lam = -6*m^4, without lam, each once, in catalog order."""
+    lam = -6*m^4, without lam, each once, in catalog order (``table`` is
+    ``specialized(m)``, made here when not given)."""
     out: list[dict] = []
-    for rec in closedform.catalog():
-        tup = {s: v for s, v in rec.specialize(m).items() if s is not LAM}
+    for rec, values in table or specialized(m):
+        tup = {s: v for s, v in values.items() if s is not LAM}
         if rec.method == method and tup not in out:
             out.append(tup)
     return out
@@ -85,15 +91,15 @@ def check_solver_run(branches, expected: list[dict], free_expect: dict | None,
     return (not msgs, "; ".join(msgs) or "ok")
 
 
-def check_exact_substitution(tanh_system, pre_system, m: int) -> tuple[bool, str]:
+def check_exact_substitution(tanh_system, pre_system, m: int, table=None) -> tuple[bool, str]:
     """Every catalog parameter tuple annihilates its generating system at
-    lam = -6*m^4, in exact rational arithmetic."""
+    lam = -6*m^4, in exact rational arithmetic; ``table`` is as in
+    :func:`paper_branches`."""
     tanh_polys = [eq.poly for eq in tanh_system]
     pre_polys = [eq.poly for eq in pre_system]
-    for rec in closedform.catalog():
-        asg = rec.specialize(m)
+    for rec, asg in table or specialized(m):
         if rec.method == "pre":
-            asg.update(pre.PAPER_SIGNS)
+            asg = {**asg, **pre.PAPER_SIGNS}
             system = pre_polys
         else:
             system = tanh_polys
@@ -243,18 +249,19 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
             fail_code=3,
         )
 
-    # solve at the grid's wave speeds
+    # solve at the grid's wave speeds; each record is specialized once per m
+    tables = [specialized(m) for m in range(1, len(GRID) + 1)]
     solves = []
     for m, lam in enumerate(GRID, start=1):
         tb = solve_system(tanh_system, {LAM: lam})
         ok_t, msg_t = check_solver_run(
             tb,
-            paper_branches("tanh", m),
+            paper_branches("tanh", m, tables[m - 1]),
             free_expect={a(1): Fraction(0), a(2): Fraction(0)},
             contradiction_binding={a(2): Fraction(-6)},
         )
         pb = solve_system(pre_system, {LAM: lam, **pre.PAPER_SIGNS})
-        ok_p, msg_p = check_solver_run(pb, paper_branches("pre", m), None, None)
+        ok_p, msg_p = check_solver_run(pb, paper_branches("pre", m, tables[m - 1]), None, None)
         stage(f"solve@{lam}", ok_t and ok_p, f"tanh: {msg_t}; pre: {msg_p}")
         solves.append(
             {
@@ -266,7 +273,7 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
 
     # exact substitution of every catalog parameter tuple
     for m, lam in enumerate(GRID, start=1):
-        ok, msg = check_exact_substitution(tanh_system, pre_system, m)
+        ok, msg = check_exact_substitution(tanh_system, pre_system, m, tables[m - 1])
         stage(f"substitute@{lam}", ok, msg)
 
     # auxiliary-equation catalogs

@@ -37,11 +37,16 @@ them, move 1's roots and leftover factor, the monomial gcd and its
 cofactor.  Each substitution of a record under one binding is computed
 once too, and each move-1 root set once per coefficient list.  All of it
 sits on one ``_Tree`` per solve, and no record refers to itself, so
-reference counting frees the lot when solve returns or raises.
+reference counting frees the lot when solve returns or raises.  As a solve
+makes no reference cycles, it pauses the cyclic garbage collector, which
+could only scan what it builds, and restores the caller's setting when it
+returns or raises.  The pause is process-wide; fkdv is single-threaded.
 """
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -473,11 +478,16 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     if outside:
         raise ValueError(f"system symbols outside unknowns and presets: {outside}")
 
-    tree = _Tree(system, cfg)
-    tree.explore(_Node({}, frozenset(), (), (), [tree.intern(p.substitute(presets)) for p in system]))
-    # replays append the same Branch objects again: key each object once
-    leaves = tree.leaves
-    distinct = {id(br): br for br in leaves}
-    keys = {i: br.sort_key() for i, br in distinct.items()}
-    leaves.sort(key=lambda br: keys[id(br)])
-    return leaves
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        tree = _Tree(system, cfg)
+        tree.explore(_Node({}, frozenset(), (), (), [tree.intern(p.substitute(presets)) for p in system]))
+        # replays append the same Branch objects again: sort each object
+        # once and repeat it; equal keys are equal leaves, so ties need no order
+        counts = Counter(map(id, tree.leaves))
+        distinct = {id(br): br for br in tree.leaves}.values()
+        return [br for br in sorted(distinct, key=Branch.sort_key) for _ in range(counts[id(br)])]
+    finally:
+        if collecting:
+            gc.enable()

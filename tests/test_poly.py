@@ -2,15 +2,21 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fkdv.errors import UnboundSymbolError
 from fkdv.poly import (
+    _DEG1,
+    _FIELD,
     MPoly,
     Point,
     _Parser,
+    _accumulate,
+    _as_rat,
     _derivative,
     _horner,
     _pseudo_divmod,
@@ -1335,3 +1341,81 @@ def test_eval_rat_names_the_least_unbound_symbol():
     with pytest.raises(UnboundSymbolError) as err:
         verify_assignment([P("a0 + 1"), P("k*a1 + a2")], {A0: -1})
     assert err.value.sym == A1
+
+
+# ---------------------------------------------------------------- previous substitute
+# substitute gained a path for one binding to a rational, the solver's every
+# call, which computes each power of the value once.  The previous
+# substitute is kept here verbatim as the reference: both paths must give
+# the same terms, in the same order and of the same types.
+
+
+def _previous_substitute(self, bind):
+    """Homomorphic substitution; unbound symbols remain."""
+    syms = self.symbols()
+    bind = {
+        s: v if isinstance(v, MPoly) else _as_rat(v)
+        for s, v in bind.items()
+        if s in syms
+    }
+    if not bind:
+        return self
+    touched = 0
+    for s in bind:
+        touched |= _FIELD << s.shift
+    if not any(bind.values()):
+        # a binding to 0 drops every term it touches and keeps the rest
+        return MPoly._raw({k: c for k, c in self.terms.items() if not k & touched})
+    bound = [(s.shift, (1 << s.shift) + _DEG1, v) for s, v in bind.items()]
+    acc = {}
+    get = acc.get
+    for k, c in self.terms.items():
+        if not k & touched:
+            acc[k] = get(k, 0) + c
+            continue
+        factors = []
+        for shift, step, v in bound:
+            e = (k >> shift) & _FIELD
+            if not e:
+                continue
+            k -= e * step
+            if isinstance(v, MPoly):
+                factors.append(v**e)
+            else:
+                c = c * v**e
+        if not c:
+            continue
+        if factors:
+            _accumulate(acc, [(k, c)], list(reduce(mul, factors).terms.items()))
+        else:
+            acc[k] = get(k, 0) + c
+    return MPoly._from_codes(acc)
+
+
+# 0, small and 10**30-sized ints and Fractions
+_BINDABLE = (
+    st.just(0)
+    | st.integers(-9, 9)
+    | _BIG
+    | st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+    | st.builds(F, _BIG, st.integers(1, 10**30))
+)
+
+
+def _layout(p):
+    return [(k, c, type(c)) for k, c in p.terms.items()]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(polys(), st.sampled_from(_SYMS + [Sym("r")]), _BINDABLE)
+def test_one_binding_matches_the_previous_substitute(p, s, v):
+    got = p.substitute({s: v})
+    assert _layout(got) == _layout(_previous_substitute(p, {s: v}))
+    if s not in p.symbols():
+        assert got is p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys(), st.dictionaries(st.sampled_from(_SYMS), _BINDABLE | polys(), max_size=3))
+def test_every_binding_matches_the_previous_substitute(p, bind):
+    assert _layout(p.substitute(bind)) == _layout(_previous_substitute(p, bind))

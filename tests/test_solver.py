@@ -430,6 +430,43 @@ def test_interrupted_solve_leaves_no_state(monkeypatch):
     assert _digest(_pre_solve(2, -6)) == PINNED_LEAVES[2, -6, 10000]
 
 
+def test_a_solve_pauses_the_cycle_collector_and_restores_it(monkeypatch):
+    # solve turns the collector off while it runs and back on after it
+    # returns or raises; a caller that had it off finds it still off
+    states = []
+
+    def recording(system, asg):
+        states.append(gc.isenabled())
+        return verify_assignment(system, asg)
+
+    monkeypatch.setattr(solver, "verify_assignment", recording)
+    for collecting in (True, False):
+        if not collecting:
+            gc.disable()
+        try:
+            _pre_solve(1, -6)
+            assert gc.isenabled() == collecting
+            with monkeypatch.context() as failing:
+                failing.setattr(solver, "verify_assignment", lambda system, asg: (False, system[0]))
+                with pytest.raises(InternalInvariantError):
+                    _pre_solve(1, -6)
+            assert gc.isenabled() == collecting
+        finally:
+            gc.enable()
+    assert states and not any(states)
+
+
+@pytest.mark.parametrize("budget", [10000, 400])
+def test_leaves_come_sorted_by_their_keys(budget):
+    # each distinct leaf object is sorted once and repeated by its count;
+    # that must equal sorting every leaf by its key, value for value
+    leaves = _pre_solve(2, -6, budget)
+    assert len({id(br) for br in leaves}) < len(leaves)
+    assert leaves == sorted(leaves, key=solver.Branch.sort_key)
+    if budget < 10000:
+        assert any(br.status == "stuck" for br in leaves)
+
+
 # ---------------------------------------------------------------- move 1
 
 

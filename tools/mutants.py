@@ -59,6 +59,12 @@ MUTANTS = (
         "SEC: 1 + _v(TAN) ** 2,",
         "SEC: 1 - _v(TAN) ** 2,",
     ),
+    Mutant(
+        "one-binding substitution with the value's power off by one",
+        "fkdv/poly.py",
+        "c *= powers[e]",
+        "c *= powers[e - 1]",
+    ),
 )
 
 
