@@ -1,8 +1,9 @@
 """Command-line front end: balance, derive, solve, verify, reproduce.
 
 Exit codes: 0 success, 1 failed verification verdicts, 2 usage or balance
-failure, 3 fixture mismatch, 4 inconclusive sampling (verify only), 5
-internal invariant breach, 141 output pipe closed by its reader.  JSON
+failure or an output path that cannot be written, 3 fixture mismatch, 4
+inconclusive sampling (verify only), 5 internal invariant breach, 141
+output pipe closed by its reader.  JSON
 documents embed the run manifest and are byte-stable for a fixed manifest
 and seed (the timestamp field stays null unless supplied).
 """
@@ -83,10 +84,15 @@ def _emit(args, flag: str, content) -> None:
         sys.stdout.write(text)
         return
     path = Path(target)
-    if args.out_dir and not path.is_absolute():
-        path = Path(args.out_dir) / path
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        if args.out_dir and not path.is_absolute():
+            path = Path(args.out_dir) / path
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except BrokenPipeError:  # a pipe's reader left: main's exit 141
+        raise
+    except OSError as exc:  # a path or --out-dir that cannot be written or made
+        raise FkdvError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 def cmd_balance(args) -> int:

@@ -11,11 +11,14 @@ y' = -den'*y^2 for a reciprocal y = 1/den; d/dxi is ``MPoly.derive`` over
 that one rule table, and the PDE terms come from
 :func:`fkdv.equation.ode_terms`.
 
-Two checks use the five PDE terms at lam = -6*w^4
-(:func:`residual_terms_for`).  :func:`exact_residual` sums them, clears the
-reciprocal y and reduces each squared function by its Pythagorean relation
-(sec^2 = 1 + tan^2, ...); a correct template leaves the zero polynomial.
-:func:`sample_report` evaluates them in binary64 at random points, and
+Two checks use the five PDE terms at lam = -6*w^4, made once per record
+(:func:`residual_terms_for`).  :func:`exact_residual` adds them into one
+term map, clears the reciprocal y and reduces each squared function by its
+Pythagorean relation (sec^2 = 1 + tan^2, ...); each rewrite splits the
+polynomial by the powers of one symbol and adds every part times its
+power's image into one term map (``MPoly.sum_of_products``).  A correct
+template leaves the zero polynomial.
+:func:`sample_report` evaluates the terms in binary64 at random points, and
 :func:`pointwise_compare` evaluates two templates at shared points; both
 draw through one sampler and keep one guard rule.  A polynomial of degree
 d in w is bounded by 1e6 * w^d on every monomial, term and sum
@@ -31,13 +34,13 @@ degree 7 in w, underflow the normal float range.
 A pointwise difference is relative to the larger of the two template
 values in the same way, and a draw where both are 0 is rejected.
 
-Floats are evaluated on a compiled form (:func:`float_form`): each term's
-float coefficient and its (symbol, exponent) factors, so a point costs no
-rational-to-float conversion and no monomial decoding.  The catalog
-polynomials the sampler evaluates (each template, its five PDE terms and
-each reciprocal's denominator) are compiled on first use into one table;
-:func:`eval_float` compiles any other polynomial on the fly and runs the
-same evaluator, :func:`eval_form`.
+Floats are evaluated on a compiled form (:func:`float_form`): the polynomials
+evaluated together (a record's five PDE terms, the two templates of a
+comparison, a reciprocal's denominator, :func:`eval_float`'s one polynomial)
+share one table of (symbol, exponent) factors, and each of their terms keeps
+its float coefficient and its factors' indices, so a point raises each power
+once and costs no rational-to-float conversion and no monomial decoding.
+Each group is compiled once, on first use, into one cache.
 
 The closed forms of phi' = k + phi^2 (``PHI_FORMS``) and of the projective
 pair (``ST_CASES``) are polynomials in the same symbols;
@@ -52,7 +55,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .equation import ito, ode_terms
 from .errors import PoleError
@@ -203,7 +207,7 @@ def function_values(
     try:
         for s in syms:
             if s in DENOMINATORS:
-                point[s] = _guard(1.0 / eval_form(_catalog_form(DENOMINATORS[s]), point))
+                point[s] = _guard(1.0 / eval_float(DENOMINATORS[s], point))
             else:
                 point[s] = _guard(_FUNCTIONS[s][1](w, xi))
     except (ZeroDivisionError, OverflowError) as exc:
@@ -351,9 +355,8 @@ def reduce_squares(p: MPoly, squares: Mapping[Sym, MPoly]) -> MPoly:
     """Rewrite s^(2q+e) as s^e * rel^q for each relation s^2 = rel, which
     leaves every such s of degree <= 1 (no rel contains its own s)."""
     for s, rel in squares.items():
-        p = sum(
-            (part * _v(s) ** (e % 2) * rel ** (e // 2) for (e,), part in p.split((s,)).items()),
-            MPoly.zero(),
+        p = MPoly.sum_of_products(
+            (part, _v(s) ** (e % 2) * rel ** (e // 2)) for (e,), part in p.split((s,)).items()
         )
     return p
 
@@ -362,9 +365,7 @@ def clear_reciprocal(p: MPoly, y: Sym) -> MPoly:
     """p * den^d with y = 1/den, where d is the degree of p in y: a
     polynomial free of y that vanishes exactly where p does."""
     den, d = DENOMINATORS[y], p.max_exponent(y)
-    return sum(
-        (part * den ** (d - e) for (e,), part in p.split((y,)).items()), MPoly.zero()
-    )
+    return MPoly.sum_of_products((part, den ** (d - e)) for (e,), part in p.split((y,)).items())
 
 
 def reduced(p: MPoly) -> MPoly:
@@ -379,7 +380,7 @@ def reduced(p: MPoly) -> MPoly:
 def exact_residual(rec: SolutionRecord) -> MPoly:
     """The PDE residual of ``rec``, reduced: zero iff the template solves
     the Ito equation for every lam < 0."""
-    return reduced(sum((term for _, term in residual_terms_for(rec)), MPoly.zero()))
+    return reduced(MPoly.sum_of_products((term,) for _, term in residual_terms_for(rec)))
 
 
 # -- residual sampling --------------------------------------------------------
@@ -449,39 +450,48 @@ def guard_bound(p: MPoly, w: float) -> float:
         return math.inf
 
 
-# a polynomial compiled for binary64: its distinct (symbol, exponent) factors
-# and, per term, its float coefficient and its factors' indices in symbol order
-FloatForm = tuple[tuple[tuple[Sym, int], ...], tuple[tuple[float, tuple[int, ...]], ...]]
+# polynomials evaluated together, compiled for binary64: their distinct
+# (symbol, exponent) factors and, per polynomial and term, its float
+# coefficient and its factors' indices in symbol order
+FloatForm = tuple[
+    tuple[tuple[Sym, int], ...], tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
+]
 
 
-def float_form(p: MPoly) -> FloatForm:
-    """``p`` compiled for :func:`eval_form`; raises PoleError when a
-    coefficient overflows a float."""
+@lru_cache(maxsize=256)
+def float_form(*polys: MPoly) -> FloatForm:
+    """``polys`` compiled once, over one factor table, for
+    :func:`eval_form`; raises PoleError when a coefficient overflows a
+    float."""
     index: dict[tuple[Sym, int], int] = {}
     try:
-        terms = tuple(
-            (float(c), tuple(index.setdefault(f, len(index)) for f in exps_of(k)))
-            for k, c in p.terms.items()
+        forms = tuple(
+            tuple(
+                (float(c), tuple(index.setdefault(f, len(index)) for f in exps_of(k)))
+                for k, c in p.terms.items()
+            )
+            for p in polys
         )
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
-    return tuple(index), terms
+    return tuple(index), forms
 
 
-def eval_form(form: FloatForm, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
-    """binary64 value of a compiled polynomial; raises PoleError when a
-    monomial, a term or the sum leaves the magnitude ``bound`` or
-    overflows."""
-    factors, terms = form
+def eval_form(form: FloatForm, point: Mapping[Sym, float], bounds: Sequence[float]) -> list[float]:
+    """binary64 values of the polynomials compiled together in ``form``,
+    raising each factor's power once; raises PoleError when a monomial, a
+    term or a sum leaves its polynomial's magnitude bound or overflows."""
+    factors, forms = form
     try:
         powers = [point[s] ** e for s, e in factors]
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
-    return _guarded_sum(terms, powers, bound)
+    return [_guarded_sum(terms, powers, bound) for terms, bound in zip(forms, bounds)]
 
 
 def _guarded_sum(terms, powers: list[float], bound: float) -> float:
-    """eval_form's guarded sum of ``terms``, given the values of their factors."""
+    """eval_form's guarded sum of one polynomial's ``terms``, given the
+    values of their factors."""
     # with the bound clamped to the largest float, -lim <= v <= lim is
     # false exactly when v is nan, infinite or above the bound in magnitude
     lim = min(bound, sys.float_info.max)
@@ -503,33 +513,16 @@ def _guarded_sum(terms, powers: list[float], bound: float) -> float:
 
 
 def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
-    """binary64 value of ``p``, compiled on the fly (see :func:`eval_form`)."""
-    return eval_form(float_form(p), point, bound)
+    """binary64 value of ``p`` (see :func:`eval_form`)."""
+    return eval_form(float_form(p), point, (bound,))[0]
 
 
-_FORMS: dict[MPoly, FloatForm] = {}
-
-
-def _catalog_form(p: MPoly) -> FloatForm:
-    """The form of a catalog polynomial (a template, a PDE term or a
-    reciprocal's denominator), compiled on first use."""
-    form = _FORMS.get(p)
-    if form is None:
-        form = _FORMS[p] = float_form(p)
-    return form
-
-
-_TERMS_CACHE: dict[MPoly, list[tuple[str, MPoly]]] = {}
-
-
-def residual_terms_for(rec: SolutionRecord):
+@lru_cache(maxsize=64)
+def residual_terms_for(rec: SolutionRecord) -> tuple[tuple[str, MPoly], ...]:
     """The five named PDE terms of ``rec`` in the Ito equation at
-    lam = -6*w^4."""
-    if rec.template not in _TERMS_CACHE:
-        lam = {LAM: _W**4 * -6}
-        terms = ode_terms(ito(), rec.template, rec.rules)
-        _TERMS_CACHE[rec.template] = [(name, term.substitute(lam)) for name, term in terms]
-    return _TERMS_CACHE[rec.template]
+    lam = -6*w^4, made once per record."""
+    terms = ode_terms(ito(), rec.template, rec.rules)
+    return tuple((name, term.substitute({LAM: _W**4 * -6})) for name, term in terms)
 
 
 def wave_number(lam: float) -> float:
@@ -581,14 +574,7 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     w = wave_number(lam)
     rec = get_solution(sid)
     terms = [term for _, term in residual_terms_for(rec)]
-    # the five terms share one table of factors, so that a draw raises each
-    # (symbol, exponent) power once
-    index: dict[tuple[Sym, int], int] = {}
-    shared = []
-    for term in terms:
-        factors, form = _catalog_form(term)
-        at = [index.setdefault(f, len(index)) for f in factors]
-        shared.append((tuple((c, tuple(at[i] for i in f)) for c, f in form), guard_bound(term, w)))
+    form, bounds = float_form(*terms), [guard_bound(term, w) for term in terms]
     degree = max(term.max_exponent(W) for term in terms)
     # (w < 1 is tested first: the power overflows at large w)
     underflows = w < 1.0 and w**degree < sys.float_info.min
@@ -596,9 +582,7 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     def evaluate(xi: float) -> tuple[float, float]:
         if underflows:
             raise PoleError("the PDE terms underflow")
-        point = rec.values(w, xi)
-        powers = [point[s] ** e for s, e in index]
-        values = [_guarded_sum(form, powers, bound) for form, bound in shared]
+        values = eval_form(form, rec.values(w, xi), bounds)
         scale = max(abs(v) for v in values)
         if not scale:
             raise PoleError("every PDE term is 0")
@@ -625,12 +609,12 @@ def pointwise_compare(
     scale and is rejected.  Returns (max_relative_difference, samples_used)."""
     w = wave_number(lam)
     r1, r2 = get_solution(sid1), get_solution(sid2)
-    f1, f2 = _catalog_form(r1.template), _catalog_form(r2.template)
-    b1, b2 = guard_bound(r1.template, w), guard_bound(r2.template, w)
+    form = float_form(r1.template, r2.template)
+    bounds = [guard_bound(r1.template, w), guard_bound(r2.template, w)]
+    syms = _closure(r1.template, r2.template)
 
     def evaluate(xi: float) -> float:
-        v1 = eval_form(f1, r1.values(w, xi), b1)
-        v2 = eval_form(f2, r2.values(w, xi), b2)
+        v1, v2 = eval_form(form, function_values(syms, w, xi), bounds)
         scale = max(abs(v1), abs(v2))
         if not scale:
             raise PoleError("both templates are 0")

@@ -213,12 +213,12 @@ class MPoly:
 
     @classmethod
     def sum_of_products(cls, products: Iterable[Sequence["MPoly"]]) -> "MPoly":
-        """The sum of the products of the factor sequences, each of at least
-        two factors; each product's last multiplication goes straight into
-        one term map."""
+        """The sum of the products of the nonempty factor sequences; each
+        product's last multiplication goes straight into one term map."""
         acc: dict[int, Coef] = {}
         for *head, last in products:
-            _accumulate(acc, reduce(mul, head).terms.items(), list(last.terms.items()))
+            left = reduce(mul, head).terms.items() if head else [(0, 1)]
+            _accumulate(acc, left, list(last.terms.items()))
         return cls._from_codes(acc)
 
     def __pow__(self, n: int) -> "MPoly":
@@ -377,7 +377,8 @@ class MPoly:
         touched = 0
         for s in bind:
             touched |= _FIELD << s.shift
-        bound = [(s.shift, (1 << s.shift) + _DEG1, v) for s, v in bind.items()]
+        # a polynomial value keeps its powers in one row per call: e -> v**e
+        bound = [(s.shift, (1 << s.shift) + _DEG1, v, {}) for s, v in bind.items()]
         acc: dict[int, Coef] = {}
         get = acc.get
         for k, c in self.terms.items():
@@ -385,13 +386,15 @@ class MPoly:
                 acc[k] = get(k, 0) + c
                 continue
             factors: list[MPoly] = []
-            for shift, step, v in bound:
+            for shift, step, v, powers in bound:
                 e = (k >> shift) & _FIELD
                 if not e:
                     continue
                 k -= e * step
                 if isinstance(v, MPoly):
-                    factors.append(v**e)
+                    if e not in powers:
+                        powers[e] = v**e
+                    factors.append(powers[e])
                 else:
                     c = c * v**e
             if not c:

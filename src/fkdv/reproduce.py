@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__, closedform, fixtures, pre, tanh
 from .equation import EquationSpec, ito
@@ -45,17 +46,19 @@ def solve_system(system, presets):
     return solve([eq.poly for eq in system], cfg)
 
 
-def specialized(m: int) -> list[tuple[closedform.SolutionRecord, dict[Sym, Fraction]]]:
-    """Each catalog record with its exact values at lam = -6*m^4."""
-    return [(rec, rec.specialize(m)) for rec in closedform.catalog()]
+@lru_cache(maxsize=8)
+def specialized(m: int) -> tuple[tuple[closedform.SolutionRecord, dict[Sym, Fraction]], ...]:
+    """Each catalog record with its exact values at lam = -6*m^4, made once
+    per m; the catalog is constant, so callers share the result and must
+    not mutate it."""
+    return tuple((rec, rec.specialize(m)) for rec in closedform.catalog())
 
 
-def paper_branches(method: str, m: int, table=None) -> list[dict]:
+def paper_branches(method: str, m: int) -> list[dict]:
     """The generating parameter tuples of ``method``'s catalog records at
-    lam = -6*m^4, without lam, each once, in catalog order (``table`` is
-    ``specialized(m)``, made here when not given)."""
+    lam = -6*m^4, without lam, each once, in catalog order."""
     out: list[dict] = []
-    for rec, values in table or specialized(m):
+    for rec, values in specialized(m):
         tup = {s: v for s, v in values.items() if s is not LAM}
         if rec.method == method and tup not in out:
             out.append(tup)
@@ -91,13 +94,12 @@ def check_solver_run(branches, expected: list[dict], free_expect: dict | None,
     return (not msgs, "; ".join(msgs) or "ok")
 
 
-def check_exact_substitution(tanh_system, pre_system, m: int, table=None) -> tuple[bool, str]:
+def check_exact_substitution(tanh_system, pre_system, m: int) -> tuple[bool, str]:
     """Every catalog parameter tuple annihilates its generating system at
-    lam = -6*m^4, in exact rational arithmetic; ``table`` is as in
-    :func:`paper_branches`."""
+    lam = -6*m^4, in exact rational arithmetic."""
     tanh_polys = [eq.poly for eq in tanh_system]
     pre_polys = [eq.poly for eq in pre_system]
-    for rec, asg in table or specialized(m):
+    for rec, asg in specialized(m):
         if rec.method == "pre":
             asg = {**asg, **pre.PAPER_SIGNS}
             system = pre_polys
@@ -109,27 +111,34 @@ def check_exact_substitution(tanh_system, pre_system, m: int, table=None) -> tup
     return True, "ok"
 
 
+def check_all_zero(residuals: dict, ok_detail: str, what: str = "residual") -> tuple[bool, str]:
+    """(True, ``ok_detail``) when every value of ``residuals`` is zero (a
+    zero polynomial or False), else (False, the names of the others)."""
+    bad = [name for name, rest in residuals.items() if rest]
+    if bad:
+        return False, f"nonzero {what}: {', '.join(bad)}"
+    return True, ok_detail
+
+
 def check_phi_catalog() -> tuple[bool, str]:
     """phi' - (k + phi^2) reduces to 0 for every closed form of the tanh
     method."""
     forms = closedform.PHI_FORMS
-    bad = [name for name, form in forms.items() if closedform.phi_residual(*form)]
-    if bad:
-        return False, f"nonzero residual: {', '.join(bad)}"
-    return True, f"phi' - (k + phi^2) reduces to 0 for all {len(forms)} forms"
+    return check_all_zero(
+        {name: closedform.phi_residual(*form) for name, form in forms.items()},
+        f"phi' - (k + phi^2) reduces to 0 for all {len(forms)} forms",
+    )
 
 
 def check_st_catalog() -> tuple[bool, str]:
     """Both rules of the projective method, and for r != 0 its first
     integral, reduce to 0 for every sigma-tau case."""
     cases = closedform.ST_CASES
-    bad = [name for name, case in cases.items() if any(closedform.st_residuals(*case))]
-    if bad:
-        return False, f"nonzero residual: {', '.join(bad)}"
     with_r = sum(1 for *_, fixed in cases.values() if fixed[R])
-    return True, (
+    return check_all_zero(
+        {name: any(closedform.st_residuals(*case)) for name, case in cases.items()},
         f"both rules reduce to 0 for all {len(cases)} cases, "
-        f"the first integral for the {with_r} with r != 0"
+        f"the first integral for the {with_r} with r != 0",
     )
 
 
@@ -144,10 +153,7 @@ def check_identities() -> tuple[bool, str]:
         f"{s1} - {s2}": closedform.reduced(get(s1).template - get(s2).template)
         for s1, s2 in IDENTITY_PAIRS
     }
-    bad = [name for name, rest in diffs.items() if rest]
-    if bad:
-        return False, f"nonzero difference: {', '.join(bad)}"
-    return True, f"{', '.join(diffs)} reduce to 0"
+    return check_all_zero(diffs, f"{', '.join(diffs)} reduce to 0", "difference")
 
 
 @dataclass
@@ -249,19 +255,18 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
             fail_code=3,
         )
 
-    # solve at the grid's wave speeds; each record is specialized once per m
-    tables = [specialized(m) for m in range(1, len(GRID) + 1)]
+    # solve at the grid's wave speeds
     solves = []
     for m, lam in enumerate(GRID, start=1):
         tb = solve_system(tanh_system, {LAM: lam})
         ok_t, msg_t = check_solver_run(
             tb,
-            paper_branches("tanh", m, tables[m - 1]),
+            paper_branches("tanh", m),
             free_expect={a(1): Fraction(0), a(2): Fraction(0)},
             contradiction_binding={a(2): Fraction(-6)},
         )
         pb = solve_system(pre_system, {LAM: lam, **pre.PAPER_SIGNS})
-        ok_p, msg_p = check_solver_run(pb, paper_branches("pre", m, tables[m - 1]), None, None)
+        ok_p, msg_p = check_solver_run(pb, paper_branches("pre", m), None, None)
         stage(f"solve@{lam}", ok_t and ok_p, f"tanh: {msg_t}; pre: {msg_p}")
         solves.append(
             {
@@ -273,20 +278,15 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
 
     # exact substitution of every catalog parameter tuple
     for m, lam in enumerate(GRID, start=1):
-        ok, msg = check_exact_substitution(tanh_system, pre_system, m, tables[m - 1])
-        stage(f"substitute@{lam}", ok, msg)
+        stage(f"substitute@{lam}", *check_exact_substitution(tanh_system, pre_system, m))
 
     # auxiliary-equation catalogs
     stage("phi-catalog", *check_phi_catalog())
     stage("sigma-tau-catalog", *check_st_catalog())
 
     # exact PDE residuals, for every lam < 0 at once
-    nonzero = [rec.id for rec in closedform.catalog() if closedform.exact_residual(rec)]
-    stage(
-        "pde-exact",
-        not nonzero,
-        "all 10 residuals reduce to 0" if not nonzero else f"nonzero residual: {', '.join(nonzero)}",
-    )
+    residuals = {rec.id: closedform.exact_residual(rec) for rec in closedform.catalog()}
+    stage("pde-exact", *check_all_zero(residuals, "all 10 residuals reduce to 0"))
 
     # cross-method identities, for every lam < 0 at once
     stage("identities", *check_identities())

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import json
@@ -524,6 +525,28 @@ def test_out_dir_redirects_relative_paths(capsys, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "runs" / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "target", "err_no"),
+    [
+        (["balance", "--preset", "ito", "--json", "{tmp}/missing/x.json"],
+         "{tmp}/missing/x.json", errno.ENOENT),
+        (["reproduce", "--latex", "{tmp}/missing/a.tex"], "{tmp}/missing/a.tex", errno.ENOENT),
+        (["verify", "--all", "--json", "{tmp}"], "{tmp}", errno.EISDIR),
+        (["solve", "--method", "tanh", "--lambda", "-6", "--json", "out.json",
+          "--out-dir", "{tmp}/file/sub"], "{tmp}/file/sub", errno.ENOTDIR),
+        (["balance", "--preset", "ito", "--json", "out.json", "--out-dir", "{tmp}/file"],
+         "{tmp}/file", errno.EEXIST),
+    ],
+    ids=["json", "latex", "json-directory", "out-dir-under-a-file", "out-dir-is-a-file"],
+)
+def test_unwritable_output_path_exits_2_with_one_line(argv, target, err_no, capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    code, _, err = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+    assert code == cli.EXIT_USAGE
+    target = target.replace("{tmp}", str(tmp_path))
+    assert err == f"error: cannot write {target}: {os.strerror(err_no)}\n"
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fkdv import closedform
 from fkdv.closedform import (
+    DENOMINATORS,
     MAGNITUDE_GUARD,
     SQUARES,
     SamplePlan,
@@ -32,7 +34,9 @@ from fkdv.equation import ito, ode_residual
 from fkdv.errors import PoleError
 from fkdv.poly import MPoly, exps_of, monomial
 from fkdv.reproduce import check_identities
-from fkdv.symbols import COTW, CSCW, LAM, MU, SEC, TAN, W, YM, YP, Sym, a
+from fkdv.symbols import (
+    COT, COTH, COTW, CSC, CSCH, CSCW, E, LAM, MU, SEC, SECH, TAN, TANH, W, YM, YP, YSEC, Sym, a,
+)
 
 _W = MPoly.var(W)
 FUNCTION_SYMBOLS = sorted({s for rec in catalog() for s in rec.rules}, key=lambda s: s.key)
@@ -263,12 +267,21 @@ _BOUNDS = st.one_of(
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(_POLYS, st.tuples(*[_VALUES] * len(_EVAL_SYMS)), _BOUNDS)
-def test_compiled_evaluation_matches_the_reference_bit_for_bit(p, values, bound):
+@given(_POLYS, _POLYS, st.tuples(*[_VALUES] * len(_EVAL_SYMS)), _BOUNDS)
+def test_compiled_evaluation_matches_the_reference_bit_for_bit(p, q, values, bound):
     point = dict(zip(_EVAL_SYMS, values))
     expected = _outcome(_reference_eval_float, p, point, bound)
     assert _outcome(eval_float, p, point, bound) == expected
-    assert _outcome(lambda: eval_form(float_form(p), point, bound)) == expected
+    assert _outcome(lambda: eval_form(float_form(p), point, (bound,))[0]) == expected
+    # p and q compiled together over one factor table, each with its own
+    # bound: every value keeps its bits, and the group is a pole when one
+    # of its polynomials is
+    each = [expected, _outcome(_reference_eval_float, q, point, MAGNITUDE_GUARD)]
+    try:
+        grouped = [v.hex() for v in eval_form(float_form(p, q), point, (bound, MAGNITUDE_GUARD))]
+    except PoleError:
+        grouped = "pole"
+    assert grouped == ("pole" if "pole" in each else each)
 
 
 @pytest.mark.parametrize(
@@ -286,21 +299,35 @@ def test_an_overflow_is_a_pole_under_an_infinite_bound(p, point):
 
 
 def test_stored_forms_are_the_forms_compiled_on_the_fly():
-    # the sampler stores the form of each template, PDE term and reciprocal
-    # denominator it evaluates, and nothing but catalog polynomials
+    # the sampler compiles each group it evaluates together once (a record's
+    # five PDE terms, a comparison's two templates, a reciprocal's
+    # denominator) and nothing else; each stored form is the fresh one
+    float_form.cache_clear()
     for rec in catalog():
         sample_report(rec.id, -6.0)
         pointwise_compare(rec.id, rec.id, -6.0)
-    used = {rec.template for rec in catalog()}
-    used |= {term for rec in catalog() for _, term in residual_terms_for(rec)}
-    used |= {den for y, den in closedform.DENOMINATORS.items() if y in FUNCTION_SYMBOLS}
-    stored = closedform._FORMS
-    assert used <= stored.keys() <= used | set(closedform.DENOMINATORS.values())
-    assert all(form == float_form(p) for p, form in stored.items())
+    groups = [tuple(term for _, term in residual_terms_for(rec)) for rec in catalog()]
+    groups += [(rec.template, rec.template) for rec in catalog()]
+    groups += [(den,) for y, den in closedform.DENOMINATORS.items() if y in FUNCTION_SYMBOLS]
+    assert float_form.cache_info().misses == len(groups) == 22
+    assert all(float_form(*g) == float_form.__wrapped__(*g) for g in groups)
+    assert float_form.cache_info().misses == len(groups)
+
+
+def test_repeated_reports_compile_a_record_s_terms_once():
+    terms = tuple(term for _, term in residual_terms_for(get_solution("u3")))
+    float_form.cache_clear()
+    for lam in (-6.0, -96.0, -6.0):
+        assert sample_report("u3", lam).verdict == "pass"
+    # u3 has no reciprocal, so its five terms are the only group compiled
+    assert float_form.cache_info().misses == 1
+    factors, forms = float_form(*terms)
+    assert len(forms) == 5 and len(set(factors)) == len(factors)
+    assert float_form.cache_info().misses == 1
 
 
 def test_no_form_is_compiled_at_import():
-    code = "import fkdv.cli, fkdv.closedform as c\nassert not c._FORMS"
+    code = "import fkdv.cli, fkdv.closedform as c\nassert not c.float_form.cache_info().currsize"
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
@@ -380,6 +407,62 @@ def test_clear_reciprocal_multiplies_out_the_denominator():
 def test_reduce_squares_leaves_degree_at_most_one():
     c, ct = MPoly.var(CSCW), MPoly.var(COTW)
     assert reduce_squares(c**5, {CSCW: SQUARES[CSCW]}) == c * (1 + ct**2) ** 2
+
+
+# The reductions used to rebuild each polynomial with sum(..., MPoly.zero()),
+# one copy of the term map per exponent group; now every part times its
+# power's image is added into one term map.  The previous reductions are
+# kept here verbatim as the references.
+_v = MPoly.var
+
+
+def _reference_reduce_squares(p: MPoly, squares: Mapping[Sym, MPoly]) -> MPoly:
+    """Rewrite s^(2q+e) as s^e * rel^q for each relation s^2 = rel, which
+    leaves every such s of degree <= 1 (no rel contains its own s)."""
+    for s, rel in squares.items():
+        p = sum(
+            (part * _v(s) ** (e % 2) * rel ** (e // 2) for (e,), part in p.split((s,)).items()),
+            MPoly.zero(),
+        )
+    return p
+
+
+def _reference_clear_reciprocal(p: MPoly, y: Sym) -> MPoly:
+    """p * den^d with y = 1/den, where d is the degree of p in y: a
+    polynomial free of y that vanishes exactly where p does."""
+    den, d = DENOMINATORS[y], p.max_exponent(y)
+    return sum(
+        (part * den ** (d - e) for (e,), part in p.split((y,)).items()), MPoly.zero()
+    )
+
+
+_REDUCIBLE_SYMS = [SEC, TAN, CSC, COT, SECH, TANH, CSCH, COTH, CSCW, COTW, E, YM, YP, YSEC, MU, W]
+
+
+@st.composite
+def reducible_polys(draw):
+    """Polynomials in the squared functions, their partners, reciprocals,
+    e, mu and w, with exponents up to 5 and int or Fraction coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        syms = draw(st.lists(st.sampled_from(_REDUCIBLE_SYMS), max_size=3, unique=True))
+        code = monomial({s: draw(st.integers(1, 5)) for s in syms})
+        coef = draw(st.integers(-20, 20) | st.builds(F, st.integers(-20, 20), st.integers(1, 7)))
+        terms[code] = terms.get(code, 0) + coef
+    return MPoly(terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    reducible_polys(),
+    st.sampled_from(list(DENOMINATORS)),
+    st.sets(st.sampled_from(list(SQUARES))),
+)
+def test_reductions_match_the_previous_reductions(p, y, chosen):
+    squares = {s: rel for s, rel in SQUARES.items() if s in chosen}
+    assert reduce_squares(p, squares) == _reference_reduce_squares(p, squares)
+    assert clear_reciprocal(p, y) == _reference_clear_reciprocal(p, y)
+    assert clear_reciprocal(p, y).max_exponent(y) == 0
 
 
 @pytest.mark.parametrize("pair", [("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")])

@@ -868,8 +868,10 @@ def test_packed_split_matches_the_reference(p, syms):
 
 def test_sum_of_products_adds_every_product_into_one_map():
     p, q = P("a0 + 1"), P("a1 - 2*k")
-    got = MPoly.sum_of_products([(p, q), (q, MPoly.const(2)), (MPoly.const(3), p, p), (q, -p)])
-    assert got == q * 2 + p * p * 3
+    got = MPoly.sum_of_products(
+        [(p, q), (q, MPoly.const(2)), (MPoly.const(3), p, p), (q, -p), (p,)]
+    )
+    assert got == q * 2 + p * p * 3 + p
     assert MPoly.sum_of_products([]).is_zero()
 
 

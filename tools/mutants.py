@@ -65,6 +65,12 @@ MUTANTS = (
         "c *= powers[e]",
         "c *= powers[e - 1]",
     ),
+    Mutant(
+        "squares reduced with rel ** (e % 2) for rel ** (e // 2)",
+        "fkdv/closedform.py",
+        "rel ** (e // 2)",
+        "rel ** (e % 2)",
+    ),
 )
 
 
