@@ -91,8 +91,9 @@ def _emit(args, flag: str, content) -> None:
         path.write_text(text)
     except BrokenPipeError:  # a pipe's reader left: main's exit 141
         raise
-    except OSError as exc:  # a path or --out-dir that cannot be written or made
-        raise FkdvError(f"cannot write {exc.filename}: {exc.strerror}") from None
+    except OSError as exc:  # a path or --out-dir that cannot be written or made,
+        # or a write that fails (a full disk), which names no file
+        raise FkdvError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
 def cmd_balance(args) -> int:

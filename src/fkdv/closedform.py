@@ -34,13 +34,10 @@ degree 7 in w, underflow the normal float range.
 A pointwise difference is relative to the larger of the two template
 values in the same way, and a draw where both are 0 is rejected.
 
-Floats are evaluated on a compiled form (:func:`float_form`): the polynomials
-evaluated together (a record's five PDE terms, the two templates of a
-comparison, a reciprocal's denominator, :func:`eval_float`'s one polynomial)
-share one table of (symbol, exponent) factors, and each of their terms keeps
-its float coefficient and its factors' indices, so a point raises each power
-once and costs no rational-to-float conversion and no monomial decoding.
-Each group is compiled once, on first use, into one cache.
+Floats are evaluated one polynomial at a time (:func:`eval_float`): each
+polynomial's terms are converted once, on first use, into one cache of
+float coefficients and (symbol, exponent) pairs, so a point costs no
+rational-to-float conversion and no monomial decoding.
 
 The closed forms of phi' = k + phi^2 (``PHI_FORMS``) and of the projective
 pair (``ST_CASES``) are polynomials in the same symbols;
@@ -56,7 +53,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .equation import ito, ode_terms
 from .errors import PoleError
@@ -307,13 +304,15 @@ def _rule_residuals(
 
 
 def phi_residual(phi: MPoly, k: MPoly) -> MPoly:
-    """phi' - (k + phi^2), reduced: 0 iff ``phi`` solves the tanh rule."""
+    """phi' - (k + phi^2), reduced: 0 proves that ``phi`` solves the tanh
+    rule."""
     return _rule_residuals({PHI: phi}, {K: k}, TANH_RULES)[0]
 
 
 def st_residuals(sigma: MPoly, tau: MPoly, fixed: Mapping[Sym, MPoly]) -> list[MPoly]:
     """Both projective rules at (sigma, tau) and, for r != 0, the first
-    integral r*tau^2 - R_TAU2, reduced: all 0 iff the pair solves them."""
+    integral r*tau^2 - R_TAU2, reduced: all 0 proves that the pair solves
+    them."""
     out = _rule_residuals({SIGMA: sigma, TAU: tau}, fixed, PRE_RULES)
     if fixed[R]:
         at = {SIGMA: sigma, TAU: tau, **fixed}
@@ -369,8 +368,10 @@ def clear_reciprocal(p: MPoly, y: Sym) -> MPoly:
 
 
 def reduced(p: MPoly) -> MPoly:
-    """``p`` with its reciprocals cleared and its squares reduced: the zero
-    polynomial iff ``p`` vanishes identically where it is defined."""
+    """``p`` with its reciprocals cleared and its squares reduced.  The zero
+    polynomial proves that ``p`` vanishes identically where it is defined;
+    a nonzero one proves nothing, as no relation between two functions is
+    applied (tan*cot - 1 stays as it is)."""
     for y in DENOMINATORS:
         if y in p.symbols():
             p = clear_reciprocal(p, y)
@@ -378,8 +379,8 @@ def reduced(p: MPoly) -> MPoly:
 
 
 def exact_residual(rec: SolutionRecord) -> MPoly:
-    """The PDE residual of ``rec``, reduced: zero iff the template solves
-    the Ito equation for every lam < 0."""
+    """The PDE residual of ``rec``, reduced: zero proves that the template
+    solves the Ito equation for every lam < 0 (see :func:`reduced`)."""
     return reduced(MPoly.sum_of_products((term,) for _, term in residual_terms_for(rec)))
 
 
@@ -450,71 +451,39 @@ def guard_bound(p: MPoly, w: float) -> float:
         return math.inf
 
 
-# polynomials evaluated together, compiled for binary64: their distinct
-# (symbol, exponent) factors and, per polynomial and term, its float
-# coefficient and its factors' indices in symbol order
-FloatForm = tuple[
-    tuple[tuple[Sym, int], ...], tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
-]
-
-
 @lru_cache(maxsize=256)
-def float_form(*polys: MPoly) -> FloatForm:
-    """``polys`` compiled once, over one factor table, for
-    :func:`eval_form`; raises PoleError when a coefficient overflows a
-    float."""
-    index: dict[tuple[Sym, int], int] = {}
+def _float_terms(p: MPoly) -> tuple[tuple[float, tuple[tuple[Sym, int], ...]], ...]:
+    """``p`` compiled once for binary64: each term's float coefficient and
+    its (symbol, exponent) pairs in symbol order; raises PoleError when a
+    coefficient overflows a float."""
     try:
-        forms = tuple(
-            tuple(
-                (float(c), tuple(index.setdefault(f, len(index)) for f in exps_of(k)))
-                for k, c in p.terms.items()
-            )
-            for p in polys
-        )
+        return tuple((float(c), exps_of(k)) for k, c in p.terms.items())
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
-    return tuple(index), forms
 
 
-def eval_form(form: FloatForm, point: Mapping[Sym, float], bounds: Sequence[float]) -> list[float]:
-    """binary64 values of the polynomials compiled together in ``form``,
-    raising each factor's power once; raises PoleError when a monomial, a
-    term or a sum leaves its polynomial's magnitude bound or overflows."""
-    factors, forms = form
-    try:
-        powers = [point[s] ** e for s, e in factors]
-    except OverflowError as exc:
-        raise PoleError(str(exc)) from exc
-    return [_guarded_sum(terms, powers, bound) for terms, bound in zip(forms, bounds)]
-
-
-def _guarded_sum(terms, powers: list[float], bound: float) -> float:
-    """eval_form's guarded sum of one polynomial's ``terms``, given the
-    values of their factors."""
+def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
+    """binary64 value of ``p`` at ``point``; raises PoleError when a
+    monomial, a term or the sum leaves ``bound`` in magnitude (an inf bound
+    only asks for finite values) or overflows a float."""
     # with the bound clamped to the largest float, -lim <= v <= lim is
     # false exactly when v is nan, infinite or above the bound in magnitude
     lim = min(bound, sys.float_info.max)
     total = []
-    for c, factors in terms:
-        v = 1.0
-        for i in factors:
-            v *= powers[i]
-        if not (-lim <= v <= lim and -lim <= (v := c * v) <= lim):
-            raise PoleError("magnitude guard tripped")
-        total.append(v)
     try:
+        for c, factors in _float_terms(p):
+            v = 1.0
+            for s, e in factors:
+                v *= point[s] ** e
+            if not (-lim <= v <= lim and -lim <= (v := c * v) <= lim):
+                raise PoleError("magnitude guard tripped")
+            total.append(v)
         v = math.fsum(total)
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
     if not -lim <= v <= lim:
         raise PoleError("magnitude guard tripped")
     return v
-
-
-def eval_float(p: MPoly, point: Mapping[Sym, float], bound: float = MAGNITUDE_GUARD) -> float:
-    """binary64 value of ``p`` (see :func:`eval_form`)."""
-    return eval_form(float_form(p), point, (bound,))[0]
 
 
 @lru_cache(maxsize=64)
@@ -574,7 +543,7 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     w = wave_number(lam)
     rec = get_solution(sid)
     terms = [term for _, term in residual_terms_for(rec)]
-    form, bounds = float_form(*terms), [guard_bound(term, w) for term in terms]
+    bounds = [guard_bound(term, w) for term in terms]
     degree = max(term.max_exponent(W) for term in terms)
     # (w < 1 is tested first: the power overflows at large w)
     underflows = w < 1.0 and w**degree < sys.float_info.min
@@ -582,7 +551,8 @@ def sample_report(sid: str, lam: float, plan: SamplePlan = SamplePlan()) -> Veri
     def evaluate(xi: float) -> tuple[float, float]:
         if underflows:
             raise PoleError("the PDE terms underflow")
-        values = eval_form(form, rec.values(w, xi), bounds)
+        point = rec.values(w, xi)
+        values = [eval_float(term, point, bound) for term, bound in zip(terms, bounds)]
         scale = max(abs(v) for v in values)
         if not scale:
             raise PoleError("every PDE term is 0")
@@ -609,12 +579,12 @@ def pointwise_compare(
     scale and is rejected.  Returns (max_relative_difference, samples_used)."""
     w = wave_number(lam)
     r1, r2 = get_solution(sid1), get_solution(sid2)
-    form = float_form(r1.template, r2.template)
-    bounds = [guard_bound(r1.template, w), guard_bound(r2.template, w)]
+    bound1, bound2 = guard_bound(r1.template, w), guard_bound(r2.template, w)
     syms = _closure(r1.template, r2.template)
 
     def evaluate(xi: float) -> float:
-        v1, v2 = eval_form(form, function_values(syms, w, xi), bounds)
+        point = function_values(syms, w, xi)
+        v1, v2 = eval_float(r1.template, point, bound1), eval_float(r2.template, point, bound2)
         scale = max(abs(v1), abs(v2))
         if not scale:
             raise PoleError("both templates are 0")

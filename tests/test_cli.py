@@ -527,6 +527,9 @@ def test_out_dir_redirects_relative_paths(capsys, tmp_path):
     assert (tmp_path / "runs" / "out.json").exists()
 
 
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 @pytest.mark.parametrize(
     ("argv", "target", "err_no"),
     [
@@ -538,8 +541,14 @@ def test_out_dir_redirects_relative_paths(capsys, tmp_path):
           "--out-dir", "{tmp}/file/sub"], "{tmp}/file/sub", errno.ENOTDIR),
         (["balance", "--preset", "ito", "--json", "out.json", "--out-dir", "{tmp}/file"],
          "{tmp}/file", errno.EEXIST),
+        # the open succeeds and the write fails, which names no file
+        pytest.param(["reproduce", "--json", "/dev/full"], "/dev/full", errno.ENOSPC,
+                     marks=_NEEDS_DEV_FULL),
+        pytest.param(["verify", "u1", "--json", "/dev/full"], "/dev/full", errno.ENOSPC,
+                     marks=_NEEDS_DEV_FULL),
     ],
-    ids=["json", "latex", "json-directory", "out-dir-under-a-file", "out-dir-is-a-file"],
+    ids=["json", "latex", "json-directory", "out-dir-under-a-file", "out-dir-is-a-file",
+         "reproduce-full-device", "verify-full-device"],
 )
 def test_unwritable_output_path_exits_2_with_one_line(argv, target, err_no, capsys, tmp_path):
     (tmp_path / "file").write_text("")

@@ -19,14 +19,14 @@ from fkdv.closedform import (
     catalog,
     clear_reciprocal,
     eval_float,
-    eval_form,
     exact_residual,
-    float_form,
+    function_values,
     get_solution,
     guard_bound,
     pointwise_compare,
     rebuild_from_branch,
     reduce_squares,
+    reduced,
     residual_terms_for,
     sample_report,
 )
@@ -270,18 +270,12 @@ _BOUNDS = st.one_of(
 @given(_POLYS, _POLYS, st.tuples(*[_VALUES] * len(_EVAL_SYMS)), _BOUNDS)
 def test_compiled_evaluation_matches_the_reference_bit_for_bit(p, q, values, bound):
     point = dict(zip(_EVAL_SYMS, values))
-    expected = _outcome(_reference_eval_float, p, point, bound)
-    assert _outcome(eval_float, p, point, bound) == expected
-    assert _outcome(lambda: eval_form(float_form(p), point, (bound,))[0]) == expected
-    # p and q compiled together over one factor table, each with its own
-    # bound: every value keeps its bits, and the group is a pole when one
-    # of its polynomials is
-    each = [expected, _outcome(_reference_eval_float, q, point, MAGNITUDE_GUARD)]
-    try:
-        grouped = [v.hex() for v in eval_form(float_form(p, q), point, (bound, MAGNITUDE_GUARD))]
-    except PoleError:
-        grouped = "pole"
-    assert grouped == ("pole" if "pole" in each else each)
+    # two polynomials at one point, each with its own bound, as the sampler
+    # evaluates a record's terms; the second call of each reads the cache
+    for poly, b in ((p, bound), (q, MAGNITUDE_GUARD)):
+        expected = _outcome(_reference_eval_float, poly, point, b)
+        assert _outcome(eval_float, poly, point, b) == expected
+        assert _outcome(eval_float, poly, point, b) == expected
 
 
 @pytest.mark.parametrize(
@@ -299,35 +293,36 @@ def test_an_overflow_is_a_pole_under_an_infinite_bound(p, point):
 
 
 def test_stored_forms_are_the_forms_compiled_on_the_fly():
-    # the sampler compiles each group it evaluates together once (a record's
-    # five PDE terms, a comparison's two templates, a reciprocal's
-    # denominator) and nothing else; each stored form is the fresh one
-    float_form.cache_clear()
+    # the sampler compiles each polynomial it evaluates once (a record's
+    # five PDE terms, a template, a reciprocal's denominator) and nothing
+    # else; each stored form is the fresh one
+    float_terms = closedform._float_terms
+    float_terms.cache_clear()
     for rec in catalog():
         sample_report(rec.id, -6.0)
         pointwise_compare(rec.id, rec.id, -6.0)
-    groups = [tuple(term for _, term in residual_terms_for(rec)) for rec in catalog()]
-    groups += [(rec.template, rec.template) for rec in catalog()]
-    groups += [(den,) for y, den in closedform.DENOMINATORS.items() if y in FUNCTION_SYMBOLS]
-    assert float_form.cache_info().misses == len(groups) == 22
-    assert all(float_form(*g) == float_form.__wrapped__(*g) for g in groups)
-    assert float_form.cache_info().misses == len(groups)
+    polys = [term for rec in catalog() for _, term in residual_terms_for(rec)]
+    polys += [rec.template for rec in catalog()]
+    polys += [den for y, den in DENOMINATORS.items() if y in FUNCTION_SYMBOLS]
+    assert float_terms.cache_info().misses == len(set(polys)) == 62
+    assert all(float_terms(p) == float_terms.__wrapped__(p) for p in polys)
+    assert float_terms.cache_info().misses == len(set(polys))
 
 
 def test_repeated_reports_compile_a_record_s_terms_once():
-    terms = tuple(term for _, term in residual_terms_for(get_solution("u3")))
-    float_form.cache_clear()
+    terms = [term for _, term in residual_terms_for(get_solution("u3"))]
+    float_terms = closedform._float_terms
+    float_terms.cache_clear()
     for lam in (-6.0, -96.0, -6.0):
         assert sample_report("u3", lam).verdict == "pass"
-    # u3 has no reciprocal, so its five terms are the only group compiled
-    assert float_form.cache_info().misses == 1
-    factors, forms = float_form(*terms)
-    assert len(forms) == 5 and len(set(factors)) == len(factors)
-    assert float_form.cache_info().misses == 1
+    # u3 has no reciprocal, so its five terms are the only polynomials compiled
+    assert float_terms.cache_info().misses == len(set(terms)) == 5
+    assert [len(float_terms(t)) for t in terms] == [len(t.terms) for t in terms]
+    assert float_terms.cache_info().misses == 5
 
 
 def test_no_form_is_compiled_at_import():
-    code = "import fkdv.cli, fkdv.closedform as c\nassert not c.float_form.cache_info().currsize"
+    code = "import fkdv.cli, fkdv.closedform as c\nassert not c._float_terms.cache_info().currsize"
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
@@ -463,6 +458,18 @@ def test_reductions_match_the_previous_reductions(p, y, chosen):
     assert reduce_squares(p, squares) == _reference_reduce_squares(p, squares)
     assert clear_reciprocal(p, y) == _reference_clear_reciprocal(p, y)
     assert clear_reciprocal(p, y).max_exponent(y) == 0
+
+
+@pytest.mark.parametrize(("f", "g"), [(TAN, COT), (TANH, COTH)], ids=["tan", "tanh"])
+def test_a_nonzero_reduction_proves_nothing(f, g):
+    # f*g - 1 vanishes everywhere, but no relation between two function
+    # symbols is applied, so it reduces to itself: a nonzero remainder proves
+    # nothing until the zero test is complete (ROADMAP.md, "One half-angle
+    # variable per closed form")
+    p = MPoly.var(f) * MPoly.var(g) - 1
+    assert reduced(p) == p and not p.is_zero()
+    for xi in (0.3, -1.1, 2.5):
+        assert abs(eval_float(p, function_values([f, g], 1.0, xi))) < 1e-15
 
 
 @pytest.mark.parametrize("pair", [("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")])

@@ -22,3 +22,10 @@ def test_every_mutant_matches_its_file_exactly_once():
         m.name: 1 for m in mutants.MUTANTS
     }
     assert all(m.old != m.new for m in mutants.MUTANTS)
+
+
+def test_every_pytest_check_names_an_existing_test_file():
+    mutants = _load()
+    targets = [arg for m in mutants.MUTANTS for arg in m.check if arg.startswith("tests/")]
+    # reproduce does not run the float evaluator, so some mutant needs a test
+    assert targets and all((mutants.ROOT / t).is_file() for t in targets)

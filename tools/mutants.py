@@ -1,17 +1,20 @@
-"""Mutation gate for `fkdv reproduce`: every listed mutant must make it fail.
+"""Mutation gate: every listed mutant must make its check fail.
 
-A mutant is one exact text replacement in a file under src/.  For each,
-src/ is copied to a temporary directory, the replacement is applied there
-and ``python -m fkdv.cli reproduce`` runs on the copy; the mutant is killed
-when that run exits nonzero.  An unmutated control run comes first and must
-exit 0.  Run it from anywhere, with the standard library only:
+A mutant is one exact text replacement in a file under src/ and a check,
+by default ``fkdv reproduce``.  Code that reproduce does not run (the float
+evaluator behind ``fkdv verify``) names a pytest target instead, run from
+the repository root.  For each mutant, src/ is copied to a temporary
+directory, the replacement is applied there and the check runs on the
+copy; the mutant is killed when the check exits nonzero.  A control run of
+each check on an unmutated copy comes first and must exit 0.  Run it from
+anywhere, with the standard library only (pytest for the pytest checks):
 
     python tools/mutants.py
 
-It prints one line per run, naming the stages that failed, and exits 1
-when an old text does not occur exactly once in its file, when the control
-run fails or when a mutant survives.  A new gate of the form "a mutated X
-fails" adds its mutant to MUTANTS.
+It prints one line per run, naming the reproduce stages or the tests that
+failed, and exits 1 when an old text does not occur exactly once in its
+file, when a control run fails or when a mutant survives.  A new gate of
+the form "a mutated X fails" adds its mutant to MUTANTS.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# the checks, as arguments to the interpreter
+REPRODUCE = ("-m", "fkdv.cli", "reproduce")
+CLOSEDFORM_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_closedform.py")
 
 
 class Mutant(NamedTuple):
@@ -32,6 +40,7 @@ class Mutant(NamedTuple):
     path: str  # relative to src/
     old: str  # must occur exactly once in the file
     new: str
+    check: tuple[str, ...] = REPRODUCE
 
 
 MUTANTS = (
@@ -71,6 +80,20 @@ MUTANTS = (
         "rel ** (e // 2)",
         "rel ** (e % 2)",
     ),
+    Mutant(
+        "float sum with the built-in sum in place of math.fsum",
+        "fkdv/closedform.py",
+        "v = math.fsum(total)",
+        "v = sum(total)",
+        CLOSEDFORM_TESTS,
+    ),
+    Mutant(
+        "float evaluation that ignores its magnitude bound",
+        "fkdv/closedform.py",
+        "lim = min(bound, sys.float_info.max)",
+        "lim = sys.float_info.max",
+        CLOSEDFORM_TESTS,
+    ),
 )
 
 
@@ -78,9 +101,9 @@ def occurrences(mutant: Mutant) -> int:
     return (SRC / mutant.path).read_text().count(mutant.old)
 
 
-def run_reproduce(mutant: Mutant | None) -> tuple[int, list[str]]:
-    """(exit code, failed stage names) of ``fkdv reproduce`` on a copy of
-    src/ with ``mutant`` applied, or on a plain copy for None."""
+def run_check(check: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int, list[str]]:
+    """(exit code, failed reproduce stages or tests) of ``check`` on a copy
+    of src/ with ``mutant`` applied, or on a plain copy for None."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -88,16 +111,18 @@ def run_reproduce(mutant: Mutant | None) -> tuple[int, list[str]]:
             target = src / mutant.path
             target.write_text(target.read_text().replace(mutant.old, mutant.new))
         proc = subprocess.run(
-            [sys.executable, "-m", "fkdv.cli", "reproduce"],
+            [sys.executable, *check],
+            cwd=ROOT,
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
         )
-    failed = [
-        line.split("]", 1)[1].split(":", 1)[0].strip()
-        for line in proc.stdout.splitlines()
-        if line.lstrip().startswith("[FAIL]")
-    ]
+    failed = []
+    for line in proc.stdout.splitlines():
+        if line.lstrip().startswith("[FAIL]"):
+            failed.append(line.split("]", 1)[1].split(":", 1)[0].strip())
+        elif line.startswith("FAILED "):
+            failed.append(line.split()[1])
     return proc.returncode, failed
 
 
@@ -107,11 +132,14 @@ def main() -> int:
         print(f"old text of {m.name!r} occurs {occurrences(m)} times in src/{m.path}")
     if unmatched:
         return 1
-    code, failed = run_reproduce(None)
-    print(f"control: exit {code}" + (f", failed: {', '.join(failed)}" if failed else ""))
-    ok = code == 0
+    ok = True
+    for check in dict.fromkeys(m.check for m in MUTANTS):
+        code, failed = run_check(check)
+        print(f"control {' '.join(check)}: exit {code}"
+              + (f", failed: {', '.join(failed)}" if failed else ""))
+        ok = ok and code == 0
     for m in MUTANTS:
-        code, failed = run_reproduce(m)
+        code, failed = run_check(m.check, m)
         verdict = "killed" if code else "SURVIVED"
         print(f"{verdict}: {m.name} (exit {code}; failed: {', '.join(failed) or 'none'})")
         ok = ok and code != 0
