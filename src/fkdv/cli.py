@@ -11,6 +11,7 @@ and seed (the timestamp field stays null unless supplied).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -62,7 +63,7 @@ def _spec_from_args(args) -> EquationSpec:
     for name in ("alpha", "beta", "gamma", "omega"):
         value = getattr(args, name)
         if value is None:
-            raise BalanceError(f"--{name} is required without --preset ito")
+            raise FkdvError(f"--{name} is required without --preset ito")
         vals[name] = value
     return EquationSpec(**vals)
 
@@ -77,8 +78,10 @@ def _emit(args, flag: str, content) -> None:
     ('-' is stdout, a relative path lands under ``--out-dir``); for --json
     it is a document, written as indented JSON."""
     target = getattr(args, flag, None)
-    if not target:
+    if target is None:
         return
+    if not target:  # Path('') would be the working directory
+        raise FkdvError(f"cannot write '': {os.strerror(errno.ENOENT)}")
     text = json.dumps(content, indent=2) + "\n" if flag == "json" else content
     if target == "-":
         sys.stdout.write(text)
@@ -121,7 +124,7 @@ def cmd_derive(args) -> int:
         "order": order,
         "systems": system_json(system),
     }
-    if args.latex:
+    if args.latex is not None:
         _emit(args, "latex", system_latex(system) + "\n")
 
     diffs = []
@@ -253,7 +256,7 @@ def cmd_reproduce(args) -> int:
         _say(args, f"  [{mark}] {s['stage']}: {s['detail']}")
     _say(args, "reproduction " + ("succeeded" if result.exit_code == 0 else "FAILED"))
     _emit(args, "json", result.doc)
-    if args.latex:
+    if args.latex is not None:
         _emit(args, "latex", result.latex)
     return result.exit_code
 

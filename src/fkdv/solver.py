@@ -21,10 +21,12 @@ elimination.  So the moves take any symbol they find, and an elimination
 is resolved exactly when its expression is constant.
 
 Every discarded case surfaces as a contradiction or stuck leaf; nothing is
-dropped silently.  A node equal to one already explored replays that
-subtree's leaves when the budget allows it to finish again.  Output order is
-canonical regardless of exploration order, and every solved point is
-re-verified against the original system, once, before it is returned.
+dropped silently.  Each distinct leaf is reported once: a leaf equal to one
+already found is not added again, and a node equal to one already explored
+is skipped when the budget allows its subtree to finish again, as that
+subtree's leaves are already found.  Output order is canonical regardless of
+exploration order, and every solved point is re-verified against the
+original system, once, before it is returned.
 
 Within one solve the tree runs on records.  Each polynomial is interned by
 value into one ``_Eq`` record, whose identity, hashed in C, stands for the
@@ -35,18 +37,17 @@ zero, constant or normal form; a normal form's working-order key and its
 univariate coefficients or best linear pivot; and, when a move first needs
 them, move 1's roots and leftover factor, the monomial gcd and its
 cofactor.  Each substitution of a record under one binding is computed
-once too, and each move-1 root set once per coefficient list.  All of it
-sits on one ``_Tree`` per solve, and no record refers to itself, so
-reference counting frees the lot when solve returns or raises.  As a solve
-makes no reference cycles, it pauses the cyclic garbage collector, which
-could only scan what it builds, and restores the caller's setting when it
-returns or raises.  The pause is process-wide; fkdv is single-threaded.
+once too.  All of it sits on one ``_Tree`` per solve, and no record refers
+to itself, so reference counting frees the lot when solve returns or
+raises.  As a solve makes no reference cycles, it pauses the cyclic garbage
+collector, which could only scan what it builds, and restores the caller's
+setting when it returns or raises.  The pause is process-wide; fkdv is
+single-threaded.
 """
 
 from __future__ import annotations
 
 import gc
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -272,24 +273,22 @@ _working_order = attrgetter("key")
 
 
 class _Tree:
-    """One solve: the budget, the leaves, the memo, the verified points and
-    the tables eqs, images and root_sets.  Nothing refers back to it, so it
-    is freed when solve returns or raises."""
+    """One solve: the budget, the distinct leaves, the memo and the tables
+    eqs and images.  Nothing refers back to it, so it is freed when solve
+    returns or raises."""
 
-    def __init__(self, system: list[MPoly], cfg: SolveConfig):
-        self.system = system
+    def __init__(self, cfg: SolveConfig):
         self.cfg = cfg
         self.budget = cfg.branch_budget
-        self.leaves: list[Branch] = []
-        # node state -> (first leaf, end leaf, nodes used) of a finished subtree
-        self.memo: dict[tuple, tuple[int, int, int]] = {}
-        self.verified: set[frozenset] = set()
+        # sort key -> leaf; equal keys are equal leaves, kept once
+        self.leaves: dict[tuple, Branch] = {}
+        # node state -> nodes used by its finished subtree
+        self.memo: dict[tuple, int] = {}
         # eqs maps a polynomial to its record; images a binding, (symbol,
         # numerator, denominator) or (symbol, record), to {record: record of
-        # its image}; root_sets a coefficient list to its sorted rational roots
+        # its image}
         self.eqs: dict[MPoly, _Eq] = {}
         self.images: dict[tuple, dict[_Eq, _Eq]] = {}
-        self.root_sets: dict[tuple, list[Fraction]] = {}
 
     def intern(self, p: MPoly) -> _Eq:
         q = self.eqs.get(p)
@@ -327,11 +326,7 @@ class _Tree:
     def branch_on(self, q: _Eq) -> None:
         """Set move 1's roots of q and the normal factor left after them."""
         _, x, coeffs = q.uni
-        key = tuple(coeffs)
-        roots = self.root_sets.get(key)
-        if roots is None:
-            roots = self.root_sets[key] = sorted(rational_roots(coeffs))
-        q.roots = roots
+        q.roots = roots = sorted(rational_roots(coeffs))
         for root in roots:
             coeffs = _deflate(coeffs, root)
         if not roots:
@@ -353,21 +348,13 @@ class _Tree:
             # a solved or stuck leaf reports what it still depends on
             remaining += [MPoly.var(x) - expr for x, expr in pending]
         free: tuple[Sym, ...] = ()
-        assignment = Assignment._trusted(resolved)
         if status == SOLVED:
             # a pending symbol is unresolved, so it is among the free ones
             free = tuple(s for s in self.cfg.unknowns if s not in resolved)
             if free:
                 status = FREE
-            elif (point := frozenset(resolved.items())) not in self.verified:
-                # each distinct solved point is verified once per solve()
-                ok, bad = verify_assignment(self.system, assignment.merged(self.cfg.presets))
-                if not ok:
-                    raise InternalInvariantError(
-                        f"solved branch fails re-verification on {bad}"
-                    )
-                self.verified.add(point)
-        self.leaves.append(Branch(assignment, tuple(remaining), status, free, witness))
+        leaf = Branch(Assignment._trusted(resolved), tuple(remaining), status, free, witness)
+        self.leaves.setdefault(leaf.sort_key(), leaf)
 
     def substituted(self, node: _Node, s: Sym, v: Fraction, eqs: list[_Eq]) -> _Node:
         key = (s, v.numerator, v.denominator)
@@ -399,21 +386,20 @@ class _Tree:
         node.eqs = eqs
 
         # The redundant splits of move 3 reach equal nodes along several
-        # paths.  A finished subtree is replayed when exploring it again
-        # could not run out of budget: its k-th node would see the entry
-        # budget minus k, so an entry budget above the nodes it used keeps
-        # every leaf the same.  A subtree that did run out is never replayed,
-        # as the budget stays spent.
+        # paths.  A finished subtree is skipped, with its nodes charged to
+        # the budget, when exploring it again could not run out of budget:
+        # its k-th node would see the entry budget minus k, so an entry
+        # budget above the nodes it used finds the same leaves, which are
+        # already found.  A subtree that did run out is explored again, as
+        # the budget stays spent.
         key = (node.bkey, node.esyms, node.eexprs, tuple(eqs))
-        seen = self.memo.get(key)
-        if seen is not None and self.budget >= seen[2]:
-            first, end, used = seen
-            self.leaves.extend(self.leaves[first:end])
+        used = self.memo.get(key)
+        if used is not None and self.budget >= used:
             self.budget -= used - 1
             return
-        first, entry = len(self.leaves), self.budget + 1
+        entry = self.budget + 1
         self.expand(node, eqs)
-        self.memo[key] = (first, len(self.leaves), entry - self.budget)
+        self.memo[key] = entry - self.budget
 
     def expand(self, node: _Node, eqs: list[_Eq]) -> None:
         if not eqs:
@@ -466,7 +452,7 @@ class _Tree:
 
 
 def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
-    """Explore the case tree; returns canonically sorted leaves."""
+    """Explore the case tree; returns its distinct leaves, sorted."""
     system = list(system)
     if not system:
         raise ValueError("empty system")
@@ -481,13 +467,16 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        tree = _Tree(system, cfg)
+        tree = _Tree(cfg)
         tree.explore(_Node({}, frozenset(), (), (), [tree.intern(p.substitute(presets)) for p in system]))
-        # replays append the same Branch objects again: sort each object
-        # once and repeat it; equal keys are equal leaves, so ties need no order
-        counts = Counter(map(id, tree.leaves))
-        distinct = {id(br): br for br in tree.leaves}.values()
-        return [br for br in sorted(distinct, key=Branch.sort_key) for _ in range(counts[id(br)])]
+        leaves = [tree.leaves[k] for k in sorted(tree.leaves)]
+        for br in leaves:
+            # distinct solved leaves are distinct points, each verified once
+            if br.status == SOLVED:
+                ok, bad = verify_assignment(system, br.assignment.merged(cfg.presets))
+                if not ok:
+                    raise InternalInvariantError(f"solved branch fails re-verification on {bad}")
+        return leaves
     finally:
         if collecting:
             gc.enable()

@@ -61,6 +61,30 @@ def test_balance_non_integer_order(capsys):
     assert "no positive integer" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["derive", "--method", "tanh"], "alpha"),
+        (["balance"], "alpha"),
+        (["balance", "--alpha", "2", "--beta", "6"], "gamma"),
+    ],
+)
+def test_missing_coefficient_is_a_usage_error(argv, flag, capsys):
+    # a flag left out is a usage error, not a failure of balancing
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err == f"error: --{flag} is required without --preset ito\n"
+
+
+def test_balance_failure_is_reported_as_a_balance_error(capsys):
+    code, _, err = run(
+        ["balance", "--alpha", "0", "--beta", "0", "--gamma", "0", "--omega", "1"],
+        capsys,
+    )
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("balance error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- derive
 
 
@@ -427,7 +451,7 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
 # contract: an intended output change (for example the disjoint case splits
 # of ROADMAP item 5) updates the pin here and records the new digest in
 # CHANGES.md.
-REPRODUCE_SEED_7_JSON = "05941468a9896bcaafb7536a891fd8b9c676a8fc180c8249120b055cde155140"
+REPRODUCE_SEED_7_JSON = "fbd79031a5abda0d67ce153db75e292489d1227192bba3a56d3a9a042c7f743d"
 DERIVE_FIXTURE_DIGESTS = {
     ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
     ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",
@@ -546,9 +570,17 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no
                      marks=_NEEDS_DEV_FULL),
         pytest.param(["verify", "u1", "--json", "/dev/full"], "/dev/full", errno.ENOSPC,
                      marks=_NEEDS_DEV_FULL),
+        # an empty path names no file, rather than being an absent flag
+        (["reproduce", "--json=", "--latex="], "''", errno.ENOENT),
+        (["reproduce", "--latex="], "''", errno.ENOENT),
+        (["balance", "--preset", "ito", "--json="], "''", errno.ENOENT),
+        (["verify", "u1", "--json="], "''", errno.ENOENT),
+        (["derive", "--method", "tanh", "--preset", "ito", "--latex="], "''", errno.ENOENT),
     ],
     ids=["json", "latex", "json-directory", "out-dir-under-a-file", "out-dir-is-a-file",
-         "reproduce-full-device", "verify-full-device"],
+         "reproduce-full-device", "verify-full-device", "reproduce-empty-paths",
+         "reproduce-empty-latex", "balance-empty-json", "verify-empty-json",
+         "derive-empty-latex"],
 )
 def test_unwritable_output_path_exits_2_with_one_line(argv, target, err_no, capsys, tmp_path):
     (tmp_path / "file").write_text("")

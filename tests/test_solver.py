@@ -274,20 +274,22 @@ def test_scaled_branches_found_on_grid(tanh_system, pre_system):
 
 # sha256 of repr([(sort_key, free symbol names)]) over every leaf of the
 # projective Ito solve with e=1, rho=-1, keyed by (depth, lambda, budget).
-# First recorded before the solver memoized repeated subtrees: replaying a
-# subtree must leave every leaf, and where the budget runs out, unchanged.
-# Re-recorded when stuck leaves began to list their pending eliminations.
-# Disjoint case splits (ROADMAP item 5) will change these digests on purpose.
+# Re-recorded when solve began to report each distinct leaf once: each list
+# is the earlier list, which repeated a leaf once per path that reached it,
+# with adjacent equal entries removed ((1, -6, 5) had no repeat).  Skipping
+# an explored subtree must leave every leaf, and where the budget runs out,
+# unchanged.  Disjoint case splits (ROADMAP item 6) will change these digests
+# on purpose.
 PINNED_LEAVES = {
-    (2, -6, 10000): (267, "a2ae3fcae92bc780059657ccb3aa31fb1f805fda1e90d00f0936a92c55822ffd"),
-    (2, -96, 10000): (267, "524ac0b0df1a9bddeaddafd20fc449f77af5aa2e9ff1791c8813a01370abd524"),
-    (3, -6, 10000): (1354, "d9482564f37eb6be62ae92c5077f445a89b8539d79feed9dba5fec0d8623b948"),
+    (2, -6, 10000): (143, "fc726432fdd6002155ac7594ea5cad625bbb21619431cd4c08ffc760407385aa"),
+    (2, -96, 10000): (143, "c6d3a559a26eca04f34d48c3117c9df2e543e212c216731e84bf343c99e88b1f"),
+    (3, -6, 10000): (341, "75711826d39a1e15ccf82ad6b04719bc3e2e0799ee7b7215530086b823939eff"),
     (1, -6, 5): (6, "e16d6d3dc56589431c5ed3ccb2e17af6420f96ab344c988a45cf524dac4a456e"),
-    (2, -6, 60): (33, "1c74d350b20caa4b30c0e3c125e588aa0157fc84d8f05135c6648aa9b550ac6e"),
-    (2, -6, 250): (129, "e4e296ae23a1e39973248c7517c45b07253e2d68d33947932fad2bfd44c51227"),
-    (2, -6, 400): (217, "061786ab878a24f24f73ea24cc67ee1011e81252cb716fb0b5c576809b2540c7"),
-    (3, -6, 1300): (714, "d8ad9a3f84bcab7b3e5f5fef6c4ce1acbdadf1e53001132e508fca6ee38a109e"),
-    (4, -6, 100000): (6245, "e045856ad00a355f96a588ae34783c0b8f3dffbc38c150b53d93d90c1c4ab3a1"),
+    (2, -6, 60): (25, "b629951328d7f0532ca4a54019c81243f1776989d728c61d1be267b96cf65c86"),
+    (2, -6, 250): (68, "262332291760d9803558c277ed1131c2999667ba7e127cc7249a0152467b5d22"),
+    (2, -6, 400): (124, "ad9b00754e1a642a3d6f8858506bd51949fa5eba2e88b4af7fcb0b6bc9a10ae6"),
+    (3, -6, 1300): (256, "0f8c9b075c91527675da4efc336950627fa3c3a07821bc03eb4ef3debe2aa548"),
+    (4, -6, 100000): (791, "265c7da747571d1816d3f7209efeb2c0c96a3ae96d425d1fb68382a73cd52470"),
 }
 
 
@@ -325,37 +327,48 @@ def test_leaf_list_matches_pinned_digest(depth, lam, budget):
 
 
 def test_each_solved_point_verified_once(monkeypatch):
-    calls = Counter()
+    # the case tree reaches some solved points along two paths; each is
+    # returned once and verified once
+    calls, reached = Counter(), Counter()
+    branch = solver.Branch
+
+    def recording(*args):
+        br = branch(*args)
+        if br.status == "solved":
+            reached[tuple(br.assignment.items())] += 1
+        return br
 
     def counting(system, asg):
         calls[tuple(asg.items())] += 1
         return verify_assignment(system, asg)
 
+    monkeypatch.setattr(solver, "Branch", recording)
     monkeypatch.setattr(solver, "verify_assignment", counting)
     leaves = _pre_solve(2, -6)
     solved = Counter(tuple(br.assignment.items()) for br in leaves if br.status == "solved")
-    assert max(solved.values()) > 1  # the case tree reaches some points twice
+    assert max(reached.values()) > 1 and solved.keys() == reached.keys()
+    assert set(solved.values()) == {1}
     assert len(calls) == len(solved) and set(calls.values()) == {1}
 
 
 def test_each_substitution_and_root_set_computed_once(monkeypatch):
     # move 3 reaches equal nodes along several paths; the per-solve caches
     # must leave one substitution per (polynomial, binding) and one root
-    # search per coefficient list, and the same leaves
+    # search per record, and the same leaves
     _pre_polys(3)
     substitutions, root_searches = Counter(), Counter()
-    substitute, rational_roots = MPoly.substitute, solver.rational_roots
+    substitute, branch_on = MPoly.substitute, solver._Tree.branch_on
 
     def counting_substitute(p, bind):
         substitutions[p.ascii(), tuple(sorted((s.name, str(v)) for s, v in bind.items()))] += 1
         return substitute(p, bind)
 
-    def counting_rational_roots(coeffs):
-        root_searches[tuple(coeffs)] += 1
-        return rational_roots(coeffs)
+    def counting_branch_on(tree, q):
+        root_searches[q.p.ascii()] += 1
+        return branch_on(tree, q)
 
     monkeypatch.setattr(MPoly, "substitute", counting_substitute)
-    monkeypatch.setattr(solver, "rational_roots", counting_rational_roots)
+    monkeypatch.setattr(solver._Tree, "branch_on", counting_branch_on)
     leaves = _pre_solve(3, -6)
     assert len(substitutions) > 1000 and set(substitutions.values()) == {1}
     assert len(root_searches) > 10 and set(root_searches.values()) == {1}
@@ -458,13 +471,37 @@ def test_a_solve_pauses_the_cycle_collector_and_restores_it(monkeypatch):
 
 @pytest.mark.parametrize("budget", [10000, 400])
 def test_leaves_come_sorted_by_their_keys(budget):
-    # each distinct leaf object is sorted once and repeated by its count;
-    # that must equal sorting every leaf by its key, value for value
+    # the leaves are kept by key and returned in key order, each key once
     leaves = _pre_solve(2, -6, budget)
-    assert len({id(br) for br in leaves}) < len(leaves)
+    keys = [br.sort_key() for br in leaves]
+    assert keys == sorted(set(keys))
     assert leaves == sorted(leaves, key=solver.Branch.sort_key)
     if budget < 10000:
         assert any(br.status == "stuck" for br in leaves)
+
+
+class _NeverHits(dict):
+    def get(self, key, default=None):
+        return default
+
+
+class _TreeWithoutMemo(solver._Tree):
+    """A solve whose memo never hits, so every subtree is explored again."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.memo = _NeverHits()
+
+
+@pytest.mark.parametrize("budget", [60, 250, 400, 10000])
+def test_the_memo_changes_no_leaf(budget, monkeypatch):
+    # a skipped subtree adds no leaf and charges its nodes to the budget, so
+    # the leaves, the budget-stuck ones too, are those of a full exploration
+    leaves = _pre_solve(2, -6, budget)
+    keys = [br.sort_key() for br in leaves]
+    assert len(set(keys)) == len(keys)
+    monkeypatch.setattr(solver, "_Tree", _TreeWithoutMemo)
+    assert _pre_solve(2, -6, budget) == leaves
 
 
 # ---------------------------------------------------------------- move 1
@@ -484,7 +521,7 @@ def test_off_grid_projective_solve_keeps_the_irrational_r_factor():
     # is branched on, 6*r^2 - 7 is left and must surface
     leaves = _pre_solve(1, -7)
     stuck = [br for br in leaves if br.status == "stuck" and br.witness == parse_poly("6*r^2 - 7")]
-    assert len(leaves) == 31 and len(stuck) == 2
+    assert len(leaves) == 29 and len(stuck) == 2
     by_point = {tuple(br.assignment.items()): br for br in stuck}
     leaf = by_point[tuple(Assignment({MU: -1, b(1): 0, a(1): 15}).items())]
     # a0 = 5/2*r is still pending on r, so the leaf can be resumed from it

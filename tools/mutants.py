@@ -1,9 +1,10 @@
 """Mutation gate: every listed mutant must make its check fail.
 
 A mutant is one exact text replacement in a file under src/ and a check,
-by default ``fkdv reproduce``.  Code that reproduce does not run (the float
-evaluator behind ``fkdv verify``) names a pytest target instead, run from
-the repository root.  For each mutant, src/ is copied to a temporary
+by default ``fkdv reproduce``.  A fault that reproduce does not see (in the
+float evaluator behind ``fkdv verify``, or in the solver's budget, which
+reproduce never runs out of) names a pytest target instead, run from the
+repository root.  For each mutant, src/ is copied to a temporary
 directory, the replacement is applied there and the check runs on the
 copy; the mutant is killed when the check exits nonzero.  A control run of
 each check on an unmutated copy comes first and must exit 0.  Run it from
@@ -33,6 +34,7 @@ SRC = ROOT / "src"
 # the checks, as arguments to the interpreter
 REPRODUCE = ("-m", "fkdv.cli", "reproduce")
 CLOSEDFORM_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_closedform.py")
+SOLVER_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_solver.py")
 
 
 class Mutant(NamedTuple):
@@ -93,6 +95,19 @@ MUTANTS = (
         "lim = min(bound, sys.float_info.max)",
         "lim = sys.float_info.max",
         CLOSEDFORM_TESTS,
+    ),
+    Mutant(
+        "move 1 that skips its first root",
+        "fkdv/solver.py",
+        "for root in q.roots:",
+        "for root in q.roots[1:]:",
+    ),
+    Mutant(
+        "memo hit that does not charge the skipped subtree to the budget",
+        "fkdv/solver.py",
+        "self.budget -= used - 1",
+        "self.budget -= 0",
+        SOLVER_TESTS,
     ),
 )
 
