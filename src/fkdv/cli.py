@@ -57,15 +57,15 @@ def _say(args, text: str) -> None:
 
 
 def _spec_from_args(args) -> EquationSpec:
-    if args.preset == "ito":
-        return ito()
     vals = {}
     for name in ("alpha", "beta", "gamma", "omega"):
         value = getattr(args, name)
-        if value is None:
+        if args.preset == "ito" and value is not None:
+            raise FkdvError(f"--{name} cannot be combined with --preset ito")
+        if args.preset is None and value is None:
             raise FkdvError(f"--{name} is required without --preset ito")
         vals[name] = value
-    return EquationSpec(**vals)
+    return ito() if args.preset == "ito" else EquationSpec(**vals)
 
 
 def _manifest(args, command: str, method: str | None, lambdas: list[str], seed=None):
@@ -367,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "json", None) == getattr(args, "latex", None) == "-":
+            raise FkdvError("--json and --latex cannot both write to stdout")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -1,8 +1,9 @@
 """Transcribed reference systems shipped as data files.
 
-The derive pipeline never reads these; they exist solely for the
-``--check-fixture`` comparison path and the test suite.  Each file carries a
-checksum over its equations payload so accidental edits are caught.
+The derive pipeline never reads these; ``derive --check-fixture``,
+``reproduce``'s derive stages and the tests compare against them.  Each file
+carries a checksum over its equations payload so accidental edits are
+caught, and is read, checked and parsed once per process.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .equation import SystemEq, equation_tag
@@ -44,6 +46,7 @@ def _checksum(equations: list[dict]) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
+@cache
 def load_fixture(method: str) -> Fixture:
     if method not in _FILES:
         raise ValueError(f"no fixture for method {method!r}")

@@ -715,9 +715,9 @@ _TOKENS = re.compile(r"([0-9]+|[A-Za-z][A-Za-z0-9_]*|[-+*^()/])|[\t-\r\x1c-\x20]
 class _Parser:
     """Recursive-descent parser for the canonical ASCII polynomial form.
 
-    A sum adds its terms into one code-keyed dict, and a product folds its
-    number and ``symbol^e`` factors into one (coefficient, code) pair; only
-    a parenthesized sum becomes an MPoly that is multiplied in."""
+    Every factor is an MPoly, so products and powers are the kernel's own
+    ``*`` and ``**`` with their degree checks; a sum adds its terms into
+    one code-keyed dict."""
 
     def __init__(self, text: str):
         self.tokens: list[str | None] = self._tokenize(text) + [None]  # None ends the text
@@ -758,85 +758,50 @@ class _Parser:
 
     def expr(self) -> MPoly:
         acc: dict[int, Coef] = {}
-        self.term(acc, self.signs())
-        while self.peek() in ("+", "-"):
-            self.term(acc, self.signs())
-        return MPoly(acc)
-
-    def term(self, acc: dict[int, Coef], coef: Coef) -> None:
-        """acc += coef * the next product.  The product is kept as coef *
-        the monomial of ``code`` * ``poly``, and ``top``, the largest code
-        the product of its factors as polynomials would hold, is checked
-        after each factor while the product is nonzero, as MPoly.__mul__
-        checks it."""
-        code = top = 0
-        poly = None
         while True:
-            f = self.factor()
-            if isinstance(f, MPoly):
-                if coef:
-                    top = _checked(top + max(f.terms))
-                    poly = f if poly is None else poly * f
-            else:
-                coef *= f[0]
-                code += f[1]
-                if coef:
-                    top = _checked(top + f[1])
-            if self.peek() != "*":
-                break
-            self.take()
-        if not coef:
-            return
-        get = acc.get
-        if poly is None:
-            acc[code] = get(code, 0) + coef
-        else:
-            for k, c in poly.terms.items():
-                acc[code + k] = get(code + k, 0) + coef * c
+            sign = self.signs()
+            for k, c in self.term().terms.items():
+                acc[k] = acc.get(k, 0) + sign * c
+            if self.peek() not in ("+", "-"):
+                return MPoly(acc)
 
-    def factor(self) -> tuple[Coef, int] | MPoly:
+    def term(self) -> MPoly:
+        p = self.factor()
+        while self.peek() == "*":
+            self.take()
+            p = p * self.factor()
+        return p
+
+    def factor(self) -> MPoly:
         f = self.atom()
         if self.peek() == "^":
             self.take()
             tok = self.take()
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
-            n = int(tok)
-            if isinstance(f, MPoly):
-                return f**n
-            c, k = f
-            if c:
-                _checked((k >> DEGREE_SHIFT) * n << DEGREE_SHIFT)
-            f = c**n, k * n
+            f = f ** int(tok)
         return f
 
-    def atom(self) -> tuple[Coef, int] | MPoly:
-        """A parenthesized sum of two or more terms as an MPoly, anything
-        else as a (coefficient, code) pair; a unary minus binds here, before
-        ``^``."""
+    def atom(self) -> MPoly:
+        """A number, a symbol or a parenthesized sum; a unary minus binds
+        here, before ``^``."""
         tok = self.take()
         if tok == "(":
             p = self.expr()
             if self.take() != ")":
                 raise ValueError("unbalanced parenthesis")
-            if len(p.terms) > 1:
-                return p
-            ((k, c),) = p.terms.items() or [(0, 0)]
-            return c, k
+            return p
         if tok == "-":
-            f = self.atom()
-            return -f if isinstance(f, MPoly) else (-f[0], f[1])
+            return -self.atom()
         if tok.isdigit():
-            num = int(tok)
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if not den.isdigit() or int(den) == 0:
-                    raise ValueError(f"expected nonzero integer denominator, got {den!r}")
-                return _as_rat(Fraction(num, int(den))), 0
-            return num, 0
-        s = Sym(tok)
-        return 1, _DEG1 + (1 << s.shift)
+            if self.peek() != "/":
+                return MPoly.const(int(tok))
+            self.take()
+            den = self.take()
+            if not den.isdigit() or int(den) == 0:
+                raise ValueError(f"expected nonzero integer denominator, got {den!r}")
+            return MPoly.const(Fraction(int(tok), int(den)))
+        return MPoly.var(Sym(tok))
 
 
 def parse_poly(text: str) -> MPoly:

@@ -85,6 +85,21 @@ def test_balance_failure_is_reported_as_a_balance_error(capsys):
     assert err.startswith("balance error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["balance", "--preset", "ito", "--alpha", "5"], "alpha"),
+        (["derive", "--method", "tanh", "--preset", "ito", "--gamma", "3"], "gamma"),
+        (["derive", "--method", "pre", "--preset", "ito", "--beta", "1", "--omega", "2"], "beta"),
+    ],
+)
+def test_preset_with_a_coefficient_flag_is_a_usage_error(argv, flag, capsys):
+    # the preset fixes every coefficient, so a flag beside it would be dropped
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err == f"error: --{flag} cannot be combined with --preset ito\n"
+
+
 # ---------------------------------------------------------------- derive
 
 
@@ -588,6 +603,25 @@ def test_unwritable_output_path_exits_2_with_one_line(argv, target, err_no, caps
     assert code == cli.EXIT_USAGE
     target = target.replace("{tmp}", str(tmp_path))
     assert err == f"error: cannot write {target}: {os.strerror(err_no)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--json", "-", "--latex", "-"],
+        ["derive", "--method", "tanh", "--preset", "ito", "--json", "-", "--latex", "-"],
+    ],
+)
+def test_json_and_latex_both_on_stdout_is_a_usage_error(argv, capsys, monkeypatch):
+    # two documents on one stream could not be read back; nothing runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run_reproduce", no_work)
+    monkeypatch.setattr(cli, "derive", no_work)
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err == "error: --json and --latex cannot both write to stdout\n"
 
 
 @pytest.mark.parametrize(

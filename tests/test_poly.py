@@ -1040,12 +1040,11 @@ def test_packed_degree_above_cap_raises(overflow):
 
 
 # ---------------------------------------------------------------- previous parser and evaluator
-# The parser and the exact evaluator were rewritten for speed: the parser
-# folds a product's numbers and symbol powers into one term instead of
-# building a polynomial per token, and the evaluator converts a point once
-# for a whole system.  The previous implementations are kept here as
-# references; the rewrites must agree with them on every input, errors and
-# their messages included.
+# The parser and the exact evaluator were rewritten: the parser adds a
+# sum's terms into one code-keyed dict instead of rebuilding the sum for
+# every term, and the evaluator converts a point once for a whole system.
+# The previous implementations are kept here as references; the rewrites
+# must agree with them on every input, errors and their messages included.
 
 
 class _PreviousParser:

@@ -97,6 +97,18 @@ MUTANTS = (
         CLOSEDFORM_TESTS,
     ),
     Mutant(
+        "parser sum that drops its minus signs",
+        "fkdv/poly.py",
+        "acc[k] = acc.get(k, 0) + sign * c",
+        "acc[k] = acc.get(k, 0) + c",
+    ),
+    Mutant(
+        "tau' rule with its mu*sigma sign flipped",
+        "fkdv/pre.py",
+        "TAU: _E * _TAU**2 - _MU * _SIGMA + _R}",
+        "TAU: _E * _TAU**2 + _MU * _SIGMA + _R}",
+    ),
+    Mutant(
         "move 1 that skips its first root",
         "fkdv/solver.py",
         "for root in q.roots:",
