@@ -114,6 +114,11 @@ def cmd_balance(args) -> int:
 
 def cmd_derive(args) -> int:
     spec = _spec_from_args(args)
+    if args.check_fixture:
+        fixture = fixtures.load_fixture(args.method)
+        # Ito's default order is the order of both transcriptions
+        if spec != ito() or args.order not in (None, fixture.ansatz_order):
+            raise FkdvError("no transcription exists for this equation/order")
     order, system = derive(args.method, spec, args.order)
     _say(args, f"{args.method} system at order {order}: {len(system)} equations")
     for eq in system:
@@ -129,10 +134,6 @@ def cmd_derive(args) -> int:
 
     diffs = []
     if args.check_fixture:
-        fixture = fixtures.load_fixture(args.method)
-        if spec != ito() or order != fixture.ansatz_order:
-            print("no transcription exists for this equation/order", file=sys.stderr)
-            return EXIT_USAGE
         diffs = fixtures.compare_systems(system, fixture)
         doc["fixture"] = {
             "checked": True,
@@ -151,16 +152,18 @@ def cmd_derive(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    lam = args.lam
+    signs = {s: v for s, v in ((E, args.e), (RHO, args.rho)) if v is not None}
+    if args.method == "tanh" and signs:
+        raise FkdvError("--e and --rho apply only to --method pre")
     _, system = derive(args.method)
-    presets = {LAM: lam} if args.method == "tanh" else {LAM: lam, E: args.e, RHO: args.rho}
+    presets = {LAM: args.lam} if args.method == "tanh" else {LAM: args.lam, **PAPER_SIGNS, **signs}
     branches = solve_system(system, presets)
     counts: dict[str, int] = {}
     for br in branches:
         counts[br.status] = counts.get(br.status, 0) + 1
     _say(
         args,
-        f"{args.method} solve at lambda = {lam}: {len(branches)} branches "
+        f"{args.method} solve at lambda = {args.lam}: {len(branches)} branches "
         + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())),
     )
     for br in branches:
@@ -174,13 +177,13 @@ def cmd_solve(args) -> int:
     doc = {
         "schema": 1,
         "manifest": _manifest(
-            args, "solve", args.method, [str(lam)], seed=None
+            args, "solve", args.method, [str(args.lam)], seed=None
         ),
         "unknowns": [s.name for s in unknowns(system, presets)],
         "branches": [branch_json(br) for br in branches],
     }
     if args.method == "pre":
-        doc["signs"] = {"e": args.e, "rho": args.rho}
+        doc["signs"] = {"e": presets[E], "rho": presets[RHO]}
     _emit(args, "json", doc)
     return EXIT_OK
 
@@ -189,15 +192,12 @@ def cmd_verify(args) -> int:
     known = [rec.id for rec in closedform.catalog()]
     ids = known if args.all else args.ids
     if not ids:
-        print("give solution ids (u1..u10) or --all", file=sys.stderr)
-        return EXIT_USAGE
+        raise FkdvError("give solution ids (u1..u10) or --all")
     bad = [sid for sid in ids if sid not in known]
     if bad:
-        print(f"unknown solution ids: {', '.join(bad)} (u1..u10)", file=sys.stderr)
-        return EXIT_USAGE
+        raise FkdvError(f"unknown solution ids: {', '.join(bad)} (u1..u10)")
     if args.compare and len(ids) != 2:
-        print("--compare needs exactly two solution ids", file=sys.stderr)
-        return EXIT_USAGE
+        raise FkdvError("--compare needs exactly two solution ids")
     lambdas = []
     for text in args.lam or ["-6"]:
         try:
@@ -205,13 +205,8 @@ def cmd_verify(args) -> int:
         except ValueError:
             lam = math.nan
         if not -math.inf < lam < 0:
-            print(f"verification requires a finite lambda < 0, got {text!r}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            closedform.wave_number(lam)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_USAGE
+            raise FkdvError(f"verification requires a finite lambda < 0, got {text!r}")
+        closedform.wave_number(lam)  # its ValueError is a usage error
         lambdas.append(lam)
     plan = closedform.SamplePlan(seed=args.seed, count=args.samples)
     reports = []
@@ -337,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["tanh", "pre"], required=True)
     p.add_argument("--lambda", dest="lam", type=_rational, required=True,
                    help="rational wave speed")
-    p.add_argument("--e", type=int, choices=[-1, 1], default=PAPER_SIGNS[E])
-    p.add_argument("--rho", type=int, choices=[-1, 1], default=PAPER_SIGNS[RHO])
+    p.add_argument("--e", type=int, choices=[-1, 1])
+    p.add_argument("--rho", type=int, choices=[-1, 1])
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)
 

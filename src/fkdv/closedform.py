@@ -368,10 +368,15 @@ def clear_reciprocal(p: MPoly, y: Sym) -> MPoly:
 
 
 def reduced(p: MPoly) -> MPoly:
-    """``p`` with its reciprocals cleared and its squares reduced.  The zero
-    polynomial proves that ``p`` vanishes identically where it is defined;
-    a nonzero one proves nothing, as no relation between two functions is
-    applied (tan*cot - 1 stays as it is)."""
+    """``p`` with its reciprocals cleared and its squares reduced.  Zero
+    proves that ``p`` vanishes identically where it is defined.  The test
+    decides zero when the trigonometric symbols of ``p``, each reciprocal
+    counted by its denominator's, lie in one of {tan, sec}, {cot, csc} or
+    {cotw, cscw}, and the hyperbolic ones in one of {tanh, sech} or
+    {coth, csch}: within a pair the result is A(f) + g*B(f) with
+    g^2 = 1 +- f^2, which vanishes only if A = B = 0, as 1 +- f^2 is not a
+    square.  Across two pairs of one kind a nonzero result proves nothing,
+    as no relation between them is applied (tan*cot - 1 stays as it is)."""
     for y in DENOMINATORS:
         if y in p.symbols():
             p = clear_reciprocal(p, y)

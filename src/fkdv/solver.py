@@ -54,7 +54,7 @@ from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
-from .poly import MPoly, Point, exps_of, monomial, rational_roots
+from .poly import MPoly, Point, _pseudo_divmod, exps_of, monomial, rational_roots
 from .symbols import Sym
 
 SOLVED = "solved"
@@ -185,24 +185,6 @@ _ZERO = Fraction(0)
 _VANISHED, _CONSTANT, _NORMAL = object(), object(), object()
 
 
-def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
-    """Ascending integer coefficients divided by (d*x - n), root = n/d, as
-    often as it divides.  By Gauss's lemma the quotient of an integer
-    polynomial by a primitive integer factor is integral, so the first
-    inexact step proves that the factor does not divide."""
-    n, d = root.numerator, root.denominator
-    while True:
-        quotient, carry = [], 0
-        for c in reversed(coeffs[1:]):
-            carry, rem = divmod(c + n * carry, d)
-            if rem:
-                return coeffs
-            quotient.append(carry)
-        if coeffs[0] + n * carry:
-            return coeffs
-        coeffs = quotient[::-1]
-
-
 class _Text:
     """A polynomial that compares by its canonical text, rendered only when
     a comparison reaches it."""
@@ -328,7 +310,10 @@ class _Tree:
         _, x, coeffs = q.uni
         q.roots = roots = sorted(rational_roots(coeffs))
         for root in roots:
-            coeffs = _deflate(coeffs, root)
+            # divide d*x - n out while it divides: by Gauss's lemma an empty
+            # remainder leaves the exact, integral quotient
+            while not (div := _pseudo_divmod(coeffs, [-root.numerator, root.denominator]))[1]:
+                coeffs = div[0]
         if not roots:
             q.left = q.p
         elif len(coeffs) > 1:

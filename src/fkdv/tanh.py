@@ -60,43 +60,25 @@ class BalanceTerm:
         return f"{head}+{self.intercept}"
 
 
-def linear_balance(order1: tuple[int, int], order2: tuple[int, int]) -> int | None:
-    """Positive integer m with s1*m+i1 == s2*m+i2, if any."""
-    (s1, i1), (s2, i2) = order1, order2
-    if s1 == s2:
-        return None
-    num, den = i2 - i1, s1 - s2
-    if num % den or num // den < 1:
-        return None
-    return num // den
-
-
 def balance_M(terms: Sequence[BalanceTerm]) -> int:
-    """Smallest positive integer M at which the two dominant orders agree.
+    """Smallest positive integer M at which two distinct order expressions
+    share the highest order.
 
-    Every pair with distinct order expressions is considered; a candidate M
-    is kept only when the balanced value is maximal among all terms at that
-    M.  Raises BalanceError, naming the dominant orders, when no pair gives
-    a positive integer.
+    Two expressions s1*M + i1 and s2*M + i2 meet at M = (i2 - i1)/(s1 - s2),
+    never beyond the spread of the intercepts, so one scan of M = 1 .. that
+    spread finds the first.  Raises BalanceError, naming the dominant
+    orders, when no M in it balances.
     """
     exprs = sorted({(t.slope, t.intercept) for t in terms}, reverse=True)
     if len(exprs) < 2:
         raise BalanceError("need at least two distinct order expressions")
-    candidates = [
-        m
-        for i, (s1, i1) in enumerate(exprs)
-        for other in exprs[i + 1 :]
-        if (m := linear_balance((s1, i1), other)) is not None
-        and all(s * m + c <= s1 * m + i1 for s, c in exprs)
-    ]
-    if not candidates:
-        (s1, i1), (s2, i2) = exprs[0], exprs[1]
-        o1 = BalanceTerm(s1, i1, "").order_str()
-        o2 = BalanceTerm(s2, i2, "").order_str()
-        raise BalanceError(
-            f"balancing {o1} against {o2} gives no positive integer order"
-        )
-    return min(candidates)
+    intercepts = [i for _, i in exprs]
+    for m in range(1, max(intercepts) - min(intercepts) + 1):
+        orders = [s * m + i for s, i in exprs]
+        if orders.count(max(orders)) > 1:
+            return m
+    o1, o2 = (BalanceTerm(s, i, "").order_str() for s, i in exprs[:2])
+    raise BalanceError(f"balancing {o1} against {o2} gives no positive integer order")
 
 
 def build_ansatz(m: int) -> MPoly:

@@ -157,6 +157,25 @@ def test_derive_fixture_out_of_scope(capsys):
         assert "no transcription" in err
 
 
+@pytest.mark.parametrize("spec", [
+    ["--preset", "ito", "--order", "3"],
+    ["--alpha", "45", "--beta", "15", "--gamma", "15", "--omega", "1"],
+])
+def test_derive_fixture_out_of_scope_fails_before_any_output(spec, capsys, tmp_path):
+    # the check comes before the derivation: no system is printed and no
+    # file is written
+    tex, doc = tmp_path / "x.tex", tmp_path / "x.json"
+    code, out, err = run(
+        ["derive", "--method", "tanh", *spec, "--check-fixture",
+         "--latex", str(tex), "--json", str(doc)],
+        capsys,
+    )
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: no transcription exists for this equation/order\n"
+    assert not tex.exists() and not doc.exists()
+
+
 def test_derive_order_zero_is_usage_error(capsys):
     code, _, err = run(["derive", "--method", "tanh", "--preset", "ito", "--order", "0"], capsys)
     assert code == cli.EXIT_USAGE
@@ -216,6 +235,25 @@ def test_solve_pre_contains_paper_branch(capsys, tmp_path):
     assert doc["unknowns"] == ["a0", "a1", "b1", "mu", "r"]
     bindings = [br["bindings"] for br in doc["branches"] if br["status"] == "solved"]
     assert {"a0": "5/2", "a1": "15", "b1": "0", "mu": "-1", "r": "1"} in bindings
+
+
+@pytest.mark.parametrize("flag", [["--e", "-1"], ["--rho", "1"]])
+def test_solve_tanh_rejects_the_projective_signs(flag, capsys):
+    code, out, err = run(["solve", "--method", "tanh", "--lambda", "-6", *flag], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: --e and --rho apply only to --method pre\n"
+
+
+def test_solve_pre_signs_default_to_the_paper_s(capsys):
+    code, out, _ = run(["solve", "--method", "pre", "--lambda", "-6", "--json", "-"], capsys)
+    assert code == 0
+    assert json.loads(out)["signs"] == {"e": 1, "rho": -1}
+    code, out, _ = run(
+        ["solve", "--method", "pre", "--lambda", "-6", "--rho", "1", "--json", "-"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["signs"] == {"e": 1, "rho": 1}
 
 
 def test_solve_json_is_deterministic(capsys, tmp_path):
@@ -302,7 +340,7 @@ def test_verify_compare_checks_its_ids_before_sampling(capsys):
     code, out, err = run(["verify", "--all", "--compare"], capsys)
     assert code == cli.EXIT_USAGE
     assert out == ""
-    assert err == "--compare needs exactly two solution ids\n"
+    assert err == "error: --compare needs exactly two solution ids\n"
 
 
 def test_verify_nonnegative_lambda_rejected(capsys):

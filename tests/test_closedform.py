@@ -33,7 +33,7 @@ from fkdv.closedform import (
 from fkdv.equation import ito, ode_residual
 from fkdv.errors import PoleError
 from fkdv.poly import MPoly, exps_of, monomial
-from fkdv.reproduce import check_identities
+from fkdv.reproduce import check_identities, run_reproduce
 from fkdv.symbols import (
     COT, COTH, COTW, CSC, CSCH, CSCW, E, LAM, MU, SEC, SECH, TAN, TANH, W, YM, YP, YSEC, Sym, a,
 )
@@ -470,6 +470,47 @@ def test_a_nonzero_reduction_proves_nothing(f, g):
     assert reduced(p) == p and not p.is_zero()
     for xi in (0.3, -1.1, 2.5):
         assert abs(eval_float(p, function_values([f, g], 1.0, xi))) < 1e-15
+
+
+# the pairs within one of which, per kind, a reduction decides zero
+_TRIG_PAIRS = ({TAN, SEC}, {COT, CSC}, {COTW, CSCW})
+_HYPERBOLIC_PAIRS = ({TANH, SECH}, {COTH, CSCH})
+
+
+def _decides_zero(p):
+    """True when the function symbols of p, each reciprocal counted by its
+    denominator's, lie in one trigonometric and one hyperbolic pair (1/xi
+    and the parameters are independent of both)."""
+    syms = set(p.symbols())
+    for y in syms & DENOMINATORS.keys():
+        syms |= DENOMINATORS[y].symbols()
+    return all(
+        any(syms & set().union(*pairs) <= pair for pair in pairs)
+        for pairs in (_TRIG_PAIRS, _HYPERBOLIC_PAIRS)
+    )
+
+
+def test_every_reduction_reproduce_makes_decides_zero(monkeypatch):
+    # so each exact verdict reproduce prints is a decision, not only a proof
+    # of the zero polynomial
+    inputs = []
+
+    def recording(p):
+        inputs.append(p)
+        return reduced(p)
+
+    monkeypatch.setattr(closedform, "reduced", recording)
+    assert run_reproduce().exit_code == 0
+    assert len(inputs) == 33
+    assert all(_decides_zero(p) for p in inputs)
+
+
+def test_a_nonzero_reduction_within_one_pair_proves_u5_and_u6_differ():
+    # cot(w*xi) and csc(w*xi) form one pair, so the nonzero remainder proves
+    # that the two templates differ, exactly and without sampling
+    diff = get_solution("u5").template - get_solution("u6").template
+    assert _decides_zero(diff) and not _decides_zero(MPoly.var(TAN) * MPoly.var(COT))
+    assert reduced(diff) == 30 * MPoly.var(W) ** 2 * MPoly.var(CSCW)
 
 
 @pytest.mark.parametrize("pair", [("u7", "u1"), ("u8", "u2"), ("u9", "u3"), ("u10", "u4")])

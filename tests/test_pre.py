@@ -27,7 +27,6 @@ from fkdv.pre import (
 from fkdv.symbols import (
     E, LAM, MU, R, RHO, SEC, SECH, SIGMA, TAN, TANH, TAU, XINV, YSEC, YSECH, a, b,
 )
-from fkdv.tanh import linear_balance
 
 
 def P(text):
@@ -218,14 +217,6 @@ def test_ansatz_collapses_to_constant():
 def test_ansatz_depth_zero_rejected():
     with pytest.raises(ValueError):
         build_pre_ansatz(0)
-
-
-# ---------------------------------------------------------------- degrees
-
-
-def test_pairwise_balances_solve_to_two():
-    assert linear_balance((2, 3), (1, 5)) == 2
-    assert linear_balance((3, 1), (2, 3)) == 2
 
 
 # ---------------------------------------------------------------- residual

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fkdv import solver
 from fkdv.closedform import catalog
 from fkdv.errors import InternalInvariantError, UnboundSymbolError
-from fkdv.poly import MPoly, monomial, parse_poly
+from fkdv.poly import MPoly, monomial, parse_poly, rational_roots
 from fkdv.reproduce import (
     GRID,
     derive,
@@ -554,6 +554,62 @@ def test_move_1_leaves_account_for_every_factor(case):
     for q in quads:
         rest = rest * parse_poly(q)
     assert stuck == ([rest.normalize()] if quads else [])
+
+
+def _deflate(coeffs: list[int], root: F) -> list[int]:
+    """Ascending integer coefficients divided by (d*x - n), root = n/d, as
+    often as it divides.  By Gauss's lemma the quotient of an integer
+    polynomial by a primitive integer factor is integral, so the first
+    inexact step proves that the factor does not divide."""
+    n, d = root.numerator, root.denominator
+    while True:
+        quotient, carry = [], 0
+        for c in reversed(coeffs[1:]):
+            carry, rem = divmod(c + n * carry, d)
+            if rem:
+                return coeffs
+            quotient.append(carry)
+        if coeffs[0] + n * carry:
+            return coeffs
+        coeffs = quotient[::-1]
+
+
+def _left_by_previous_deflation(p):
+    # move 1's leftover as computed before the kernel's pseudo-division
+    # took its place: the previous _deflate, root by root
+    (x,) = p.symbols()
+    coeffs = p.as_univariate(x)
+    roots = sorted(rational_roots(coeffs))
+    for root in roots:
+        coeffs = _deflate(coeffs, root)
+    if not roots:
+        return p
+    if len(coeffs) > 1:
+        return MPoly({monomial([(x, i)]): c for i, c in enumerate(coeffs)}).normalize()
+    return None
+
+
+@st.composite
+def _scaled_root_products(draw):
+    # c * prod (d_i*x - n_i)^m_i * (x^2 + s): large roots, repeated roots,
+    # and a quadratic that has rational roots for some s
+    x = MPoly.var(a(0))
+    p = draw(st.integers(-10**6, 10**6).filter(bool)) * (x**2 + draw(st.integers(-30, 30)))
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(-10**30, 10**30))
+        d = draw(st.integers(1, 10**30))
+        p = p * (d * x - n) ** draw(st.integers(1, 3))
+    return p.normalize()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_scaled_root_products())
+def test_move_1_leaves_what_the_previous_deflation_left(p):
+    tree = solver._Tree(SolveConfig(unknowns=(a(0),)))
+    q = tree.intern(p)
+    q.make_normal()
+    tree.branch_on(q)
+    assert q.left == _left_by_previous_deflation(p)
 
 
 # ---------------------------------------------------------------- move 2

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fkdv.closedform import PHI_FORMS, eval_float, phi_residual
 from fkdv.equation import EquationSpec, ito
@@ -48,6 +49,67 @@ def test_balance_non_integer_fails_with_orders_named():
 def test_balance_needs_two_distinct_orders():
     with pytest.raises(BalanceError):
         balance_M([BalanceTerm.derivative(5), BalanceTerm.derivative(5)])
+
+
+# The pairwise search that the scan in balance_M replaced, kept as the
+# reference the scan must agree with, errors and their texts included.
+
+
+def linear_balance(order1: tuple[int, int], order2: tuple[int, int]) -> int | None:
+    """Positive integer m with s1*m+i1 == s2*m+i2, if any."""
+    (s1, i1), (s2, i2) = order1, order2
+    if s1 == s2:
+        return None
+    num, den = i2 - i1, s1 - s2
+    if num % den or num // den < 1:
+        return None
+    return num // den
+
+
+def _pairwise_balance_M(terms):
+    """Smallest positive integer M at which the two dominant orders agree.
+
+    Every pair with distinct order expressions is considered; a candidate M
+    is kept only when the balanced value is maximal among all terms at that
+    M.  Raises BalanceError, naming the dominant orders, when no pair gives
+    a positive integer.
+    """
+    exprs = sorted({(t.slope, t.intercept) for t in terms}, reverse=True)
+    if len(exprs) < 2:
+        raise BalanceError("need at least two distinct order expressions")
+    candidates = [
+        m
+        for i, (s1, i1) in enumerate(exprs)
+        for other in exprs[i + 1 :]
+        if (m := linear_balance((s1, i1), other)) is not None
+        and all(s * m + c <= s1 * m + i1 for s, c in exprs)
+    ]
+    if not candidates:
+        (s1, i1), (s2, i2) = exprs[0], exprs[1]
+        o1 = BalanceTerm(s1, i1, "").order_str()
+        o2 = BalanceTerm(s2, i2, "").order_str()
+        raise BalanceError(
+            f"balancing {o1} against {o2} gives no positive integer order"
+        )
+    return min(candidates)
+
+
+def _balanced(balance, terms):
+    try:
+        return balance(terms)
+    except BalanceError as exc:
+        return str(exc)
+
+
+_TERMS = st.lists(
+    st.builds(BalanceTerm, st.integers(0, 5), st.integers(0, 30), st.just("")), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_TERMS)
+def test_balance_scan_agrees_with_the_pairwise_search(terms):
+    assert _balanced(balance_M, terms) == _balanced(_pairwise_balance_M, terms)
 
 
 def test_omega_zero_rejected():

@@ -2,8 +2,10 @@
 
 A mutant is one exact text replacement in a file under src/ and a check,
 by default ``fkdv reproduce``.  A fault that reproduce does not see (in the
-float evaluator behind ``fkdv verify``, or in the solver's budget, which
-reproduce never runs out of) names a pytest target instead, run from the
+float evaluator behind ``fkdv verify``, in the solver's budget, which
+reproduce never runs out of, in move 1 on a repeated root, whose extra
+stuck leaf no reproduce stage fails on, or in the length of the wave-speed
+grid, which no stage checks) names a pytest target instead, run from the
 repository root.  For each mutant, src/ is copied to a temporary
 directory, the replacement is applied there and the check runs on the
 copy; the mutant is killed when the check exits nonzero.  A control run of
@@ -35,6 +37,7 @@ SRC = ROOT / "src"
 REPRODUCE = ("-m", "fkdv.cli", "reproduce")
 CLOSEDFORM_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_closedform.py")
 SOLVER_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_solver.py")
+ACCEPTANCE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py")
 
 
 class Mutant(NamedTuple):
@@ -120,6 +123,32 @@ MUTANTS = (
         "self.budget -= used - 1",
         "self.budget -= 0",
         SOLVER_TESTS,
+    ),
+    Mutant(
+        "move 1 that divides each root out only once",
+        "fkdv/solver.py",
+        "while not (div := _pseudo_divmod(",
+        "if not (div := _pseudo_divmod(",
+        SOLVER_TESTS,
+    ),
+    Mutant(
+        "balance scan that accepts a single top order",
+        "fkdv/tanh.py",
+        "if orders.count(max(orders)) > 1:",
+        "if orders.count(max(orders)) > 0:",
+    ),
+    Mutant(
+        "two-point wave-speed grid",
+        "fkdv/reproduce.py",
+        "for m in (1, 2, 3))",
+        "for m in (1, 2))",
+        ACCEPTANCE_TESTS,
+    ),
+    Mutant(
+        "normalize without its content division",
+        "fkdv/poly.py",
+        "num, den = self._content()\n        if self.terms[max(self.terms)] < 0:",
+        "num, den = 1, self._content()[1]\n        if self.terms[max(self.terms)] < 0:",
     ),
 )
 
