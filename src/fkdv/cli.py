@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,7 +59,7 @@ def _say(args, text: str) -> None:
 
 def _spec_from_args(args) -> EquationSpec:
     vals = {}
-    for name in ("alpha", "beta", "gamma", "omega"):
+    for name in (field.name for field in fields(EquationSpec)):
         value = getattr(args, name)
         if args.preset == "ito" and value is not None:
             raise FkdvError(f"--{name} cannot be combined with --preset ito")
@@ -196,6 +197,8 @@ def cmd_verify(args) -> int:
     bad = [sid for sid in ids if sid not in known]
     if bad:
         raise FkdvError(f"unknown solution ids: {', '.join(bad)} (u1..u10)")
+    if repeated := [sid for i, sid in enumerate(ids) if sid in ids[:i]]:
+        raise FkdvError(f"solution id {repeated[0]} is given more than once")
     if args.compare and len(ids) != 2:
         raise FkdvError("--compare needs exactly two solution ids")
     lambdas = []

@@ -8,8 +8,8 @@ three function symbols (see :mod:`fkdv.symbols`).  Each function is a symbol
 with a derivative rule that stays inside the polynomial ring, e.g.
 tan' = (w/2)*(1 + tan^2) and sec' = (w/2)*sec*tan at the angle w*xi/2, and
 y' = -den'*y^2 for a reciprocal y = 1/den; d/dxi is ``MPoly.derive`` over
-that one rule table, and the PDE terms come from
-:func:`fkdv.equation.ode_terms`.
+that one rule table, and the PDE terms come from the equation's term table
+through :func:`fkdv.equation.ode_terms`.
 
 Two checks use the five PDE terms at lam = -6*w^4, made once per record
 (:func:`residual_terms_for`).  :func:`exact_residual` adds them into one

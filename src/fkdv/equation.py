@@ -1,4 +1,4 @@
-"""Fifth-order KdV coefficient family and the traveling-wave ODE combination.
+"""Fifth-order KdV coefficient family, stated once as a table of terms.
 
 The family is u_t + omega*u_xxxxx + alpha*u^2*u_x + beta*u_x*u_xx
 + gamma*u*u_xxx = 0; the Ito equation is the member (2, 6, 3, 1).  Under
@@ -6,12 +6,14 @@ u(x,t) = v(xi), xi = x + lam*t, the PDE becomes the ODE
 
     lam*v' + alpha*v^2*v' + beta*v'*v'' + gamma*v*v''' + omega*v''''' = 0
 
-which is what both ansatz modules expand, each with its own derivative rules.
+which is what both ansatz modules expand, each with its own derivative
+rules, from the one term table :meth:`EquationSpec.terms`; the tanh
+balance reads its orders from the same table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -29,14 +31,26 @@ class EquationSpec:
     omega: Fraction
 
     def __post_init__(self):
-        for field in ("alpha", "beta", "gamma", "omega"):
-            v = getattr(self, field)
+        for field in fields(self):
+            v = getattr(self, field.name)
             if isinstance(v, int):
-                object.__setattr__(self, field, Fraction(v))
+                object.__setattr__(self, field.name, Fraction(v))
             elif not isinstance(v, Fraction):
-                raise TypeError(f"{field} must be rational")
+                raise TypeError(f"{field.name} must be rational")
         if self.omega == 0:
             raise ValueError("omega must be nonzero: the family is fifth order")
+
+    def terms(self) -> list[tuple[str, MPoly, tuple[int, ...]]]:
+        """The five PDE terms as (name, coefficient, orders): a term is its
+        coefficient times the x-derivatives of u of its orders, with
+        u_t = lam*u_x at the traveling wave."""
+        return [
+            ("u_t", MPoly.var(LAM), (1,)),
+            ("omega*u_xxxxx", MPoly.const(self.omega), (5,)),
+            ("alpha*u^2*u_x", MPoly.const(self.alpha), (0, 0, 1)),
+            ("beta*u_x*u_xx", MPoly.const(self.beta), (1, 2)),
+            ("gamma*u*u_xxx", MPoly.const(self.gamma), (0, 3)),
+        ]
 
 
 def ito() -> EquationSpec:
@@ -44,24 +58,18 @@ def ito() -> EquationSpec:
 
 
 def _ode_products(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]):
-    """The five PDE terms at the traveling wave ``v`` as (name, factors),
-    named as in the PDE, where d/dxi is the derivation that sends each
-    auxiliary symbol to its rule (u_x = v', u_t = lam*v')."""
-    v1 = v.derive(rules)
-    v2 = v1.derive(rules)
-    v3 = v2.derive(rules)
-    v5 = v3.derive(rules).derive(rules)
-    return [
-        ("u_t", (v1, MPoly.var(LAM))),
-        ("omega*u_xxxxx", (MPoly.const(spec.omega), v5)),
-        ("alpha*u^2*u_x", (MPoly.const(spec.alpha), v, v, v1)),
-        ("beta*u_x*u_xx", (MPoly.const(spec.beta), v1, v2)),
-        ("gamma*u*u_xxx", (MPoly.const(spec.gamma), v, v3)),
-    ]
+    """The PDE terms at the traveling wave ``v`` as (name, factors): the
+    coefficient, then v^(o) for each order o, where d/dxi is the derivation
+    that sends each auxiliary symbol to its rule."""
+    terms = spec.terms()
+    derivatives = [v]
+    for _ in range(max(max(orders) for _, _, orders in terms)):
+        derivatives.append(derivatives[-1].derive(rules))
+    return [(name, (coef, *(derivatives[o] for o in orders))) for name, coef, orders in terms]
 
 
 def ode_terms(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> list[tuple[str, MPoly]]:
-    """The five named PDE terms at ``v`` (see :func:`_ode_products`)."""
+    """The named PDE terms at ``v``, multiplied out (see :func:`_ode_products`)."""
     return [(name, reduce(mul, factors)) for name, factors in _ode_products(spec, v, rules)]
 
 

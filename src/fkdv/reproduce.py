@@ -6,7 +6,7 @@ cross-method identities to the zero polynomial.  Every verdict is exact."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -214,12 +214,7 @@ def manifest(command: str, spec: EquationSpec, method: str | None, lambdas: list
     """The run manifest every JSON document embeds."""
     return {
         "command": command,
-        "equation": {
-            "alpha": str(spec.alpha),
-            "beta": str(spec.beta),
-            "gamma": str(spec.gamma),
-            "omega": str(spec.omega),
-        },
+        "equation": {field.name: str(getattr(spec, field.name)) for field in fields(spec)},
         "method": method,
         "lambda_values": lambdas,
         "seed": seed,

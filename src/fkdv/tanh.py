@@ -4,7 +4,9 @@ The method is one rule table: phi is a symbol of the polynomial kernel and
 d/dxi is the derivation ``MPoly.derive(TANH_RULES)``, under which the
 parameters are constants.  The ansatz and the ODE residual are plain
 MPolys in phi; the coefficients in phi are the polynomials of the algebraic
-system.
+system.  The balance reads the derivative orders of each term from the
+equation's term table (:meth:`fkdv.equation.EquationSpec.terms`), the same
+table the residual is built from.
 """
 
 from __future__ import annotations
@@ -29,27 +31,6 @@ class BalanceTerm:
     slope: int
     intercept: int
     label: str
-
-    @classmethod
-    def derivative(cls, p: int) -> "BalanceTerm":
-        # order of v^(p) is M + p
-        if p < 0:
-            raise ValueError("derivative order must be >= 0")
-        return cls(1, p, f"v^({p})")
-
-    @classmethod
-    def product(cls, p: int, q: int) -> "BalanceTerm":
-        # order of v^(p) * v^(q) is 2M + p + q
-        if p < 0 or q < 0:
-            raise ValueError("derivative orders must be >= 0")
-        return cls(2, p + q, f"v^({p})*v^({q})")
-
-    @classmethod
-    def power_derivative(cls, p: int, q: int) -> "BalanceTerm":
-        # order of v^p * v^(q) is (p+1)M + q
-        if p < 0 or q < 0:
-            raise ValueError("orders must be >= 0")
-        return cls(p + 1, q, f"v^{p}*v^({q})")
 
     def order_str(self) -> str:
         if self.slope == 0:
@@ -101,12 +82,18 @@ def extract_system(residual: MPoly) -> list[SystemEq]:
 
 
 def balance_terms_for(spec: EquationSpec) -> list[BalanceTerm]:
-    """Balance bookkeeping for the ODE terms present in ``spec``."""
-    terms = [BalanceTerm.derivative(1), BalanceTerm.derivative(5)]
-    if spec.alpha != 0:
-        terms.append(BalanceTerm.power_derivative(2, 1))
-    if spec.beta != 0:
-        terms.append(BalanceTerm.product(1, 2))
-    if spec.gamma != 0:
-        terms.append(BalanceTerm.power_derivative(1, 3))
-    return terms
+    """Balance bookkeeping for the PDE terms of ``spec`` with a nonzero
+    coefficient: the product of v^(o) over a term's orders has order
+    len(orders)*M + sum(orders) in phi."""
+    return [
+        BalanceTerm(len(orders), sum(orders), _label(orders))
+        for _, coef, orders in spec.terms()
+        if coef
+    ]
+
+
+def _label(orders: tuple[int, ...]) -> str:
+    """v^n for the n underived factors, then v^(o) for each derivative."""
+    zeros = orders.count(0)
+    derived = [f"v^({o})" for o in orders if o]
+    return "*".join([f"v^{zeros}", *derived] if zeros else derived)

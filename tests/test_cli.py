@@ -77,12 +77,57 @@ def test_missing_coefficient_is_a_usage_error(argv, flag, capsys):
 
 
 def test_balance_failure_is_reported_as_a_balance_error(capsys):
-    code, _, err = run(
+    code, out, err = run(
         ["balance", "--alpha", "0", "--beta", "0", "--gamma", "0", "--omega", "1"],
         capsys,
     )
     assert code == cli.EXIT_USAGE
-    assert err.startswith("balance error: ") and err.count("\n") == 1
+    assert out == "  v^(1)          order M+1\n  v^(5)          order M+5\n"
+    assert err == "balance error: balancing M+5 against M+1 gives no positive integer order\n"
+
+
+# The exact `balance --json -` documents, labels and orders included: the
+# terms with a zero coefficient are left out, the others keep the PDE's order
+_BALANCE_PINS = {
+    "ito": (["--preset", "ito"], ("2", "6", "3", "1"),
+            [("v^(1)", "M+1"), ("v^(5)", "M+5"), ("v^2*v^(1)", "3M+1"),
+             ("v^(1)*v^(2)", "2M+3"), ("v^1*v^(3)", "2M+3")]),
+    "alpha-only": (["--alpha", "2", "--beta", "0", "--gamma", "0", "--omega", "1"],
+                   ("2", "0", "0", "1"),
+                   [("v^(1)", "M+1"), ("v^(5)", "M+5"), ("v^2*v^(1)", "3M+1")]),
+    "beta-only": (["--alpha", "0", "--beta", "1", "--gamma", "0", "--omega", "1"],
+                  ("0", "1", "0", "1"),
+                  [("v^(1)", "M+1"), ("v^(5)", "M+5"), ("v^(1)*v^(2)", "2M+3")]),
+    "no-beta": (["--alpha", "1/3", "--beta", "0", "--gamma", "5/2", "--omega", "1"],
+                ("1/3", "0", "5/2", "1"),
+                [("v^(1)", "M+1"), ("v^(5)", "M+5"), ("v^2*v^(1)", "3M+1"),
+                 ("v^1*v^(3)", "2M+3")]),
+}
+
+
+@pytest.mark.parametrize("member", list(_BALANCE_PINS))
+def test_balance_json_is_pinned(member, capsys):
+    flags, (alpha, beta, gamma, omega), orders = _BALANCE_PINS[member]
+    code, out, err = run(["balance", *flags, "--json", "-"], capsys)
+    doc = {
+        "schema": 1,
+        "manifest": {
+            "command": "balance",
+            "equation": {"alpha": alpha, "beta": beta, "gamma": gamma, "omega": omega},
+            "method": None,
+            "lambda_values": [],
+            "seed": None,
+            "tool_version": "0.1.0",
+            "timestamp": None,
+        },
+        "M": 2,
+        "orders": [{"term": term, "order": order} for term, order in orders],
+    }
+    assert code == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert err == "".join(f"  {term:<14} order {order}\n" for term, order in orders) + (
+        "balanced ansatz order M = 2\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -341,6 +386,16 @@ def test_verify_compare_checks_its_ids_before_sampling(capsys):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err == "error: --compare needs exactly two solution ids\n"
+
+
+@pytest.mark.parametrize("args", [["u1", "u1"], ["u1", "u1", "--compare"], ["u3", "u1", "u3"]])
+def test_verify_repeated_id_is_a_usage_error(capsys, args):
+    # a repeated id would be sampled and reported twice, and --compare
+    # would compare a record with itself; rejected before any sampling
+    code, out, err = run(["verify", *args], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: solution id {args[0]} is given more than once\n"
 
 
 def test_verify_nonnegative_lambda_rejected(capsys):

@@ -1,16 +1,18 @@
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fkdv.closedform import PHI_FORMS, eval_float, phi_residual
-from fkdv.equation import EquationSpec, ito
+from fkdv.equation import EquationSpec, ito, ode_terms
 from fkdv.errors import BalanceError
 from fkdv.fixtures import compare_systems, load_fixture
 from fkdv.poly import MPoly, parse_poly
 from fkdv.symbols import LAM, Sym, a
+from fkdv.symbols import PHI as PHI_SYM
 from fkdv.tanh import (
     TANH_RULES,
     BalanceTerm,
@@ -31,24 +33,24 @@ def test_balance_ito():
 
 
 def test_balance_vvppp_against_fifth():
-    terms = [BalanceTerm.power_derivative(1, 3), BalanceTerm.derivative(5)]
+    terms = [BalanceTerm(2, 3, "v^1*v^(3)"), BalanceTerm(1, 5, "v^(5)")]
     assert balance_M(terms) == 2
 
 
 def test_balance_cubic_term_against_third():
-    terms = [BalanceTerm.power_derivative(2, 1), BalanceTerm.derivative(3)]
+    terms = [BalanceTerm(3, 1, "v^2*v^(1)"), BalanceTerm(1, 3, "v^(3)")]
     assert balance_M(terms) == 1
 
 
 def test_balance_non_integer_fails_with_orders_named():
-    terms = [BalanceTerm.power_derivative(2, 2), BalanceTerm.derivative(5)]
+    terms = [BalanceTerm(3, 2, "v^2*v^(2)"), BalanceTerm(1, 5, "v^(5)")]
     with pytest.raises(BalanceError, match=r"3M\+2.*M\+5"):
         balance_M(terms)
 
 
 def test_balance_needs_two_distinct_orders():
     with pytest.raises(BalanceError):
-        balance_M([BalanceTerm.derivative(5), BalanceTerm.derivative(5)])
+        balance_M([BalanceTerm(1, 5, "v^(5)"), BalanceTerm(1, 5, "v^(5)")])
 
 
 # The pairwise search that the scan in balance_M replaced, kept as the
@@ -110,6 +112,65 @@ _TERMS = st.lists(
 @given(_TERMS)
 def test_balance_scan_agrees_with_the_pairwise_search(terms):
     assert _balanced(balance_M, terms) == _balanced(_pairwise_balance_M, terms)
+
+
+# The if-chain on alpha, beta and gamma that the term table replaced, with
+# the three constructors it built the terms with, kept as the reference the
+# table must agree with.
+
+
+def _previous_balance_terms_for(spec):
+    def derivative(p):  # order of v^(p) is M + p
+        return BalanceTerm(1, p, f"v^({p})")
+
+    def product(p, q):  # order of v^(p) * v^(q) is 2M + p + q
+        return BalanceTerm(2, p + q, f"v^({p})*v^({q})")
+
+    def power_derivative(p, q):  # order of v^p * v^(q) is (p+1)M + q
+        return BalanceTerm(p + 1, q, f"v^{p}*v^({q})")
+
+    terms = [derivative(1), derivative(5)]
+    if spec.alpha != 0:
+        terms.append(power_derivative(2, 1))
+    if spec.beta != 0:
+        terms.append(product(1, 2))
+    if spec.gamma != 0:
+        terms.append(power_derivative(1, 3))
+    return terms
+
+
+# a coefficient is zero about half the time, so every subset of the three
+# nonlinear terms is drawn
+_COEF = st.one_of(st.just(F(0)), st.fractions(-50, 50, max_denominator=12))
+_OMEGA = st.fractions(-50, 50, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_COEF, _COEF, _COEF, _OMEGA)
+def test_balance_terms_agree_with_the_previous_if_chain(alpha, beta, gamma, omega):
+    spec = EquationSpec(alpha, beta, gamma, omega)
+    terms, previous = balance_terms_for(spec), _previous_balance_terms_for(spec)
+    assert [astuple(t) for t in terms] == [astuple(t) for t in previous]
+    assert _balanced(balance_M, terms) == _balanced(balance_M, previous)
+
+
+@pytest.mark.parametrize("spec", [
+    ito(),
+    EquationSpec(F(45), F(15), F(15), F(1)),
+    EquationSpec(F(1, 3), F(0), F(5, 2), F(-2)),
+    EquationSpec(F(0), F(1), F(0), F(1)),
+], ids=["ito", "sk", "no-beta", "beta-only"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_balance_order_is_the_phi_degree_of_the_term(spec, m):
+    # each balance term is a term of the residual with a nonzero
+    # coefficient, in the table's order; its order at M = m is the highest
+    # power of phi in that term of the expanded residual
+    named = dict(ode_terms(spec, build_ansatz(m), TANH_RULES))
+    present = [name for name, coef, _ in spec.terms() if coef]
+    terms = balance_terms_for(spec)
+    assert len(terms) == len(present)
+    for name, t in zip(present, terms):
+        assert t.slope * m + t.intercept == named[name].max_exponent(PHI_SYM), name
 
 
 def test_omega_zero_rejected():

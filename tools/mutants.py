@@ -4,9 +4,10 @@ A mutant is one exact text replacement in a file under src/ and a check,
 by default ``fkdv reproduce``.  A fault that reproduce does not see (in the
 float evaluator behind ``fkdv verify``, in the solver's budget, which
 reproduce never runs out of, in move 1 on a repeated root, whose extra
-stuck leaf no reproduce stage fails on, or in the length of the wave-speed
-grid, which no stage checks) names a pytest target instead, run from the
-repository root.  For each mutant, src/ is copied to a temporary
+stuck leaf no reproduce stage fails on, in the length of the wave-speed
+grid, which no stage checks, or in the balance order of beta*u_x*u_xx,
+which Ito's balance at M = 2 does not depend on) names a pytest target
+instead, run from the repository root.  For each mutant, src/ is copied to a temporary
 directory, the replacement is applied there and the check runs on the
 copy; the mutant is killed when the check exits nonzero.  A control run of
 each check on an unmutated copy comes first and must exit 0.  Run it from
@@ -38,6 +39,7 @@ REPRODUCE = ("-m", "fkdv.cli", "reproduce")
 CLOSEDFORM_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_closedform.py")
 SOLVER_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_solver.py")
 ACCEPTANCE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py")
+TANH_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_tanh.py")
 
 
 class Mutant(NamedTuple):
@@ -136,6 +138,13 @@ MUTANTS = (
         "fkdv/tanh.py",
         "if orders.count(max(orders)) > 1:",
         "if orders.count(max(orders)) > 0:",
+    ),
+    Mutant(
+        "balance order from the largest derivative order in place of their sum",
+        "fkdv/tanh.py",
+        "BalanceTerm(len(orders), sum(orders), _label(orders))",
+        "BalanceTerm(len(orders), max(orders), _label(orders))",
+        TANH_TESTS,
     ),
     Mutant(
         "two-point wave-speed grid",
