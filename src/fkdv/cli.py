@@ -191,6 +191,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     known = [rec.id for rec in closedform.catalog()]
+    if args.all and args.ids:
+        raise FkdvError("--all cannot be combined with solution ids")
     ids = known if args.all else args.ids
     if not ids:
         raise FkdvError("give solution ids (u1..u10) or --all")
@@ -210,6 +212,8 @@ def cmd_verify(args) -> int:
         if not -math.inf < lam < 0:
             raise FkdvError(f"verification requires a finite lambda < 0, got {text!r}")
         closedform.wave_number(lam)  # its ValueError is a usage error
+        if lam in lambdas:
+            raise FkdvError(f"wave speed {lam:g} is given more than once")
         lambdas.append(lam)
     plan = closedform.SamplePlan(seed=args.seed, count=args.samples)
     reports = []

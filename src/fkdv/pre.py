@@ -25,7 +25,7 @@ from __future__ import annotations
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .poly import MPoly, exps_of, monomial
-from .symbols import E, MU, R, RHO, SIGMA, TAU, a, b
+from .symbols import E, LAM, MU, R, RHO, SIGMA, TAU, Sym, a, b
 
 _E = MPoly.var(E)
 _MU = MPoly.var(MU)
@@ -67,6 +67,18 @@ def build_pre_ansatz(m: int) -> MPoly:
     for j in range(1, m + 1):
         v = v + _SIGMA ** (j - 1) * (_SIGMA * MPoly.var(a(j)) + _TAU * MPoly.var(b(j)))
     return v
+
+
+def weights(m: int) -> dict[Sym, int]:
+    """Weights under which the depth-m system is weighted-homogeneous, for
+    the scaling u -> s^2*u(s*xi): u has weight 2 and each d/dxi adds 1, so
+    sigma, tau and r have 2, 1 and 2 and mu, e and rho 0 (the rules and the
+    first integral), a0 has 2, a_j has 2 - 2j, b_j has 3 - 2j, and lam has
+    4 (lam*u' against u^(5))."""
+    out = {E: 0, MU: 0, RHO: 0, R: 2, LAM: 4, a(0): 2}
+    for j in range(1, m + 1):
+        out.update({a(j): 2 - 2 * j, b(j): 3 - 2 * j})
+    return out
 
 
 def pre_ode_residual(spec: EquationSpec, v: MPoly) -> tuple[MPoly, int]:

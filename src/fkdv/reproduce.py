@@ -1,5 +1,6 @@
 """One-shot end-to-end reproduction: balance, derive both systems against
-their transcriptions, solve at three rational wave speeds, substitute every
+their transcriptions, solve at three rational wave speeds (one solve per
+method, mapped to the other two by the scaling symmetry), substitute every
 catalog parameter tuple exactly, and reduce the auxiliary-equation
 identities, the PDE residual of all ten closed forms and the four
 cross-method identities to the zero polynomial.  Every verdict is exact."""
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 from . import __version__, closedform, fixtures, pre, tanh
 from .equation import EquationSpec, ito
-from .solver import Assignment, SolveConfig, solve, verify_assignment
+from .solver import Assignment, SolveConfig, scale_leaves, solve, verify_assignment
 from .symbols import LAM, MAX_ORDER, R, Sym, a
 
 # The solved wave speeds lam = -6*m^4 for m = 1, 2, 3, in that order: there
@@ -44,6 +45,15 @@ def solve_system(system, presets):
     """Branch-solve ``system`` for every symbol ``presets`` does not bind."""
     cfg = SolveConfig(unknowns=unknowns(system, presets), presets=Assignment(presets))
     return solve([eq.poly for eq in system], cfg)
+
+
+def solve_grid(system, presets, weights) -> list:
+    """The leaves of ``system`` at each GRID speed, ``presets`` binding the
+    other symbols: one solve at lam = -6, whose leaves the scaling symmetry
+    with s = m and ``weights`` maps to lam = -6*m^4."""
+    presets = {LAM: GRID[0], **presets}
+    leaves, polys = solve_system(system, presets), [eq.poly for eq in system]
+    return [leaves] + [scale_leaves(polys, presets, leaves, weights, m) for m in range(2, len(GRID) + 1)]
 
 
 @lru_cache(maxsize=8)
@@ -252,15 +262,16 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
 
     # solve at the grid's wave speeds
     solves = []
+    tanh_grid = solve_grid(tanh_system, {}, tanh.weights(order))
+    pre_grid = solve_grid(pre_system, pre.PAPER_SIGNS, pre.weights(1))
     for m, lam in enumerate(GRID, start=1):
-        tb = solve_system(tanh_system, {LAM: lam})
+        tb, pb = tanh_grid[m - 1], pre_grid[m - 1]
         ok_t, msg_t = check_solver_run(
             tb,
             paper_branches("tanh", m),
             free_expect={a(1): Fraction(0), a(2): Fraction(0)},
             contradiction_binding={a(2): Fraction(-6)},
         )
-        pb = solve_system(pre_system, {LAM: lam, **pre.PAPER_SIGNS})
         ok_p, msg_p = check_solver_run(pb, paper_branches("pre", m), None, None)
         stage(f"solve@{lam}", ok_t and ok_p, f"tanh: {msg_t}; pre: {msg_p}")
         solves.append(

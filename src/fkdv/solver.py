@@ -43,6 +43,9 @@ raises.  As a solve makes no reference cycles, it pauses the cyclic garbage
 collector, which could only scan what it builds, and restores the caller's
 setting when it returns or raises.  The pause is process-wide; fkdv is
 single-threaded.
+
+A solve's leaves also give those at scaled presets: ``scale_leaves`` maps
+them by the scaling symmetry of a weighted-homogeneous system.
 """
 
 from __future__ import annotations
@@ -111,13 +114,18 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Branch:
-    """One leaf of the case tree."""
+    """One leaf of the case tree.  ``origin``, not compared, is what
+    ``scale_leaves`` needs: for a contradiction, the normal forms (None at
+    the root) whose images under a binding, (symbol, value) or None, are its
+    remaining polynomials; else the symbols of the pending eliminations that
+    end them."""
 
     assignment: Assignment
     remaining: tuple[MPoly, ...]
     status: str
     free_symbols: tuple[Sym, ...] = ()
     witness: MPoly | None = None
+    origin: tuple = field(default=(), compare=False, repr=False)
 
     def sort_key(self):
         """The canonical output order."""
@@ -168,15 +176,19 @@ def verify_assignment(
 class _Node:
     # bkey holds the bindings as (symbol, numerator, denominator); esyms and
     # eexprs the eliminations x -> expr in insertion order; eexprs and eqs
-    # are records
-    __slots__ = ("bindings", "bkey", "esyms", "eexprs", "eqs")
+    # are records.  eqs came from the normal-form records parent under the
+    # binding whose key of _Tree.images is bound, or None for none; parent
+    # is None at the root
+    __slots__ = ("bindings", "bkey", "esyms", "eexprs", "eqs", "parent", "bound")
 
-    def __init__(self, bindings, bkey, esyms, eexprs, eqs):
+    def __init__(self, bindings, bkey, esyms, eexprs, eqs, parent, bound):
         self.bindings: dict[Sym, Fraction] = bindings
         self.bkey: frozenset[tuple[Sym, int, int]] = bkey
         self.esyms: tuple[Sym, ...] = esyms
         self.eexprs: tuple[_Eq, ...] = eexprs
         self.eqs: list[_Eq] = eqs
+        self.parent: list[_Eq] | None = parent
+        self.bound: tuple | None = bound
 
 
 _ZERO = Fraction(0)
@@ -254,6 +266,13 @@ class _Eq:
 _working_order = attrgetter("key")
 
 
+def _binding(key: tuple | None) -> tuple | None:
+    """The binding a key of _Tree.images names, as (symbol, value)."""
+    if key is None or len(key) == 2:  # none, or (symbol, record)
+        return key and (key[0], key[1].p)
+    return key[0], Fraction(key[1], key[2])
+
+
 class _Tree:
     """One solve: the budget, the distinct leaves, the memo and the tables
     eqs and images.  Nothing refers back to it, so it is freed when solve
@@ -329,16 +348,19 @@ class _Tree:
             else:
                 pending.append((x, e.p))
         remaining = [q.p for q in node.eqs]
-        if status != CONTRADICTION:
+        if status == CONTRADICTION:
+            origin = (node.parent and [q.p for q in node.parent], _binding(node.bound))
+        else:
             # a solved or stuck leaf reports what it still depends on
             remaining += [MPoly.var(x) - expr for x, expr in pending]
+            origin = tuple([x for x, _ in pending])
         free: tuple[Sym, ...] = ()
         if status == SOLVED:
             # a pending symbol is unresolved, so it is among the free ones
             free = tuple(s for s in self.cfg.unknowns if s not in resolved)
             if free:
                 status = FREE
-        leaf = Branch(Assignment._trusted(resolved), tuple(remaining), status, free, witness)
+        leaf = Branch(Assignment._trusted(resolved), tuple(remaining), status, free, witness, origin)
         self.leaves.setdefault(leaf.sort_key(), leaf)
 
     def substituted(self, node: _Node, s: Sym, v: Fraction, eqs: list[_Eq]) -> _Node:
@@ -351,6 +373,8 @@ class _Tree:
             node.esyms,
             tuple(out[:k]),
             out[k:],
+            eqs,
+            key,
         )
 
     def explore(self, node: _Node) -> None:
@@ -413,11 +437,13 @@ class _Tree:
             _, x, c = q.pivot
             # the pivot is usually an int: divide as a Fraction to stay exact
             e = self.intern(q.p.coefficient_of(x, 0) * (Fraction(-1) / c))
-            out = self.mapped((x, e), x, e.p, [*node.eexprs, *eqs])
+            key = (x, e)
+            out = self.mapped(key, x, e.p, [*node.eexprs, *eqs])
             k = len(node.eexprs)
             node.esyms += (x,)
             node.eexprs = (*out[:k], e)
             node.eqs = out[k:]
+            node.parent, node.bound = eqs, key
             self.explore(node)
             return
 
@@ -430,7 +456,8 @@ class _Tree:
                 self.explore(self.substituted(node, s, _ZERO, rest + [q]))
             if q.cofactor is None:
                 q.cofactor = self.intern(q.p.divide_mono(g))
-            self.explore(_Node(node.bindings, node.bkey, node.esyms, node.eexprs, rest + [q.cofactor]))
+            forms = rest + [q.cofactor]
+            self.explore(_Node(node.bindings, node.bkey, node.esyms, node.eexprs, forms, forms, None))
             return
 
         self.finish(node, STUCK, witness=eqs[0].p)
@@ -453,15 +480,86 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     gc.disable()
     try:
         tree = _Tree(cfg)
-        tree.explore(_Node({}, frozenset(), (), (), [tree.intern(p.substitute(presets)) for p in system]))
-        leaves = [tree.leaves[k] for k in sorted(tree.leaves)]
-        for br in leaves:
-            # distinct solved leaves are distinct points, each verified once
-            if br.status == SOLVED:
-                ok, bad = verify_assignment(system, br.assignment.merged(cfg.presets))
-                if not ok:
-                    raise InternalInvariantError(f"solved branch fails re-verification on {bad}")
-        return leaves
+        root = [tree.intern(p.substitute(presets)) for p in system]
+        tree.explore(_Node({}, frozenset(), (), (), root, None, None))
+        return _verified(system, [tree.leaves[k] for k in sorted(tree.leaves)], cfg.presets)
     finally:
         if collecting:
             gc.enable()
+
+
+def _verified(system: list[MPoly], leaves: list[Branch], presets: Assignment) -> list[Branch]:
+    """``leaves`` once each solved one is re-verified against ``system``."""
+    for br in leaves:
+        # distinct solved leaves are distinct points, each verified once
+        if br.status == SOLVED:
+            ok, bad = verify_assignment(system, br.assignment.merged(presets))
+            if not ok:
+                raise InternalInvariantError(f"solved branch fails re-verification on {bad}")
+    return leaves
+
+
+def scale_leaves(system: Sequence[MPoly], presets: Mapping[Sym, Fraction | int],
+                 leaves: Sequence[Branch], weights: Mapping[Sym, int], s: int) -> list[Branch]:
+    """The leaves ``leaves`` of ``system`` solved at ``presets``, x = v,
+    mapped to x = s**w_x * v, sorted, each solved one re-verified there.
+
+    ``system`` must be weighted-homogeneous under ``weights``, checked
+    exactly (else InternalInvariantError).  Then tau_s: x -> s**-w_x * x
+    maps the case tree node by node: a binding x = v becomes s**w_x * v, a
+    normal form N becomes normalize(tau_s(N)), a pending elimination x - e
+    becomes s**w_x * tau_s(x - e), and a contradiction's raw images are
+    formed again from its origin.  The moves choose by degree, term count
+    and symbol, which tau_s keeps, and break the ties left by rendered
+    text, which it may not keep: the mapped leaves are those of a direct
+    solve wherever those ties break alike, which the tests pin for every
+    system reproduce solves.
+    """
+    system = list(system)
+    if missing := set().union(*(p.symbols() for p in system)) - weights.keys():
+        raise InternalInvariantError(f"no weight for {sorted(missing, key=lambda t: t.key)}")
+
+    def degree(code: int) -> int:
+        return sum(weights[x] * e for x, e in exps_of(code))
+
+    for p in system:
+        if len({degree(k) for k in p.terms}) > 1:
+            raise InternalInvariantError(f"{p} is not weighted-homogeneous")
+    factor = {x: Fraction(s) ** w for x, w in weights.items()}
+    scaled = {x: v * factor[x] for x, v in presets.items()}
+
+    normal: dict[MPoly, MPoly] = {}  # leaves share their normal forms
+
+    def image(p: MPoly, top: int | None = None) -> MPoly:
+        """s**top * tau_s(p), or normalize(tau_s(p)) without top: the terms
+        times the ints s**(hi - degree) for the highest degree hi."""
+        if top is not None:
+            return MPoly({k: c * Fraction(s) ** (top - degree(k)) for k, c in p.terms.items()})
+        if p not in normal:
+            ds = list(map(degree, p.terms))
+            terms = {k: c * s ** (max(ds) - d) for (k, c), d in zip(p.terms.items(), ds)}
+            normal[p] = MPoly._raw(terms).normalize()
+        return normal[p]
+
+    out = []
+    for br in leaves:
+        if br.status == CONTRADICTION:
+            forms, bound = br.origin
+            if forms is None:
+                images = [p.substitute(scaled) for p in system]
+            else:
+                images = list(map(image, forms))
+                if bound is not None:
+                    x, v = bound
+                    bind = {x: image(v, weights[x]) if isinstance(v, MPoly) else v * factor[x]}
+                    images = [p.substitute(bind) for p in images]
+            remaining = [p for p in images if p]
+            witness = next(p for p in remaining if p.is_constant())
+        else:
+            k = len(br.remaining) - len(br.origin)
+            remaining = list(map(image, br.remaining[:k]))
+            remaining += [image(p, weights[x]) for x, p in zip(br.origin, br.remaining[k:])]
+            witness = None if br.witness is None else image(br.witness)
+        asg = Assignment._trusted({x: v * factor[x] for x, v in br.assignment.items()})
+        out.append(Branch(asg, tuple(remaining), br.status, br.free_symbols, witness))
+    return _verified(system, sorted(out, key=Branch.sort_key), Assignment._trusted(scaled))

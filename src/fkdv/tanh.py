@@ -18,7 +18,7 @@ from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
 from .errors import BalanceError
 from .poly import MPoly
-from .symbols import K, PHI, a
+from .symbols import K, LAM, PHI, Sym, a
 
 _PHI = MPoly.var(PHI)
 TANH_RULES = {PHI: MPoly.var(K) + _PHI**2}
@@ -67,6 +67,14 @@ def build_ansatz(m: int) -> MPoly:
     if m < 1:
         raise ValueError("ansatz order must be >= 1")
     return sum((MPoly.var(a(j)) * _PHI**j for j in range(m + 1)), MPoly.zero())
+
+
+def weights(m: int) -> dict[Sym, int]:
+    """Weights under which the order-m system is weighted-homogeneous, for
+    the scaling u -> s^2*u(s*xi): u has weight 2 and each d/dxi adds 1, so
+    phi and k have 1 and 2 (phi' = k + phi^2), a_j has 2 - j, and lam has 4
+    (lam*u' against u^(5))."""
+    return {K: 2, LAM: 4, **{a(j): 2 - j for j in range(m + 1)}}
 
 
 def ode_residual(spec: EquationSpec, v: MPoly) -> MPoly:

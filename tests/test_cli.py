@@ -398,6 +398,35 @@ def test_verify_repeated_id_is_a_usage_error(capsys, args):
     assert err == f"error: solution id {args[0]} is given more than once\n"
 
 
+@pytest.mark.parametrize(
+    ("lams", "shown"),
+    [
+        (["--lambda", "-6", "--lambda", "-6"], "-6"),
+        (["--lambda", "-6", "--lambda=-6.0"], "-6"),
+        (["--lambda=-2.5", "--lambda=-6", "--lambda=-25e-1"], "-2.5"),
+    ],
+)
+def test_verify_repeated_wave_speed_is_a_usage_error(capsys, lams, shown, monkeypatch):
+    # a wave speed repeated after parsing would be sampled and reported
+    # twice; rejected before any sampling
+    monkeypatch.setattr(cli.closedform, "sample_report", None)
+    code, out, err = run(["verify", "u1", *lams], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: wave speed {shown} is given more than once\n"
+
+
+@pytest.mark.parametrize("ids", [["u1", "u1"], ["u1"], ["u3", "u9", "--compare"]])
+def test_verify_ids_next_to_all_are_a_usage_error(capsys, ids, monkeypatch):
+    # --all names every id, so any id given with it is rejected before any
+    # sampling, a repeated one included
+    monkeypatch.setattr(cli.closedform, "sample_report", None)
+    code, out, err = run(["verify", "--all", *ids], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: --all cannot be combined with solution ids\n"
+
+
 def test_verify_nonnegative_lambda_rejected(capsys):
     code, _, _ = run(["verify", "u3", "--lambda", "2"], capsys)
     assert code == cli.EXIT_USAGE

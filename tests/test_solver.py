@@ -9,20 +9,23 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fkdv import solver
+from fkdv import pre, reproduce, solver, tanh
 from fkdv.closedform import catalog
 from fkdv.errors import InternalInvariantError, UnboundSymbolError
 from fkdv.poly import MPoly, monomial, parse_poly, rational_roots
 from fkdv.reproduce import (
     GRID,
+    branch_json,
     derive,
     paper_branches,
+    solve_grid,
     solve_system,
     unknowns,
 )
 from fkdv.solver import (
     Assignment,
     SolveConfig,
+    scale_leaves,
     solve,
     verify_assignment,
 )
@@ -312,10 +315,13 @@ def _pre_solve(depth, lam, budget=10000):
     return solve(_pre_polys(depth), cfg)
 
 
+def _leaf_keys(leaves):
+    return [(br.sort_key(), [s.name for s in br.free_symbols]) for br in leaves]
+
+
 def _digest(leaves):
     """(leaf count, digest) in the form of PINNED_LEAVES."""
-    text = repr([(br.sort_key(), [s.name for s in br.free_symbols]) for br in leaves])
-    return len(leaves), hashlib.sha256(text.encode()).hexdigest()
+    return len(leaves), hashlib.sha256(repr(_leaf_keys(leaves)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(("depth", "lam", "budget"), list(PINNED_LEAVES))
@@ -324,6 +330,125 @@ def test_leaf_list_matches_pinned_digest(depth, lam, budget):
     assert _digest(leaves) == PINNED_LEAVES[depth, lam, budget]
     if budget < 10000:
         assert any(br.status == "stuck" for br in leaves)
+
+
+# ---------------------------------------------------------------- scaling map
+
+
+def _method_case(method, order, lam):
+    """(polys, presets, weights) of ``method``'s Ito system of ``order`` at
+    ``lam``, with the paper's signs for the projective method."""
+    _, system = derive(method, order=order)
+    if method == "tanh":
+        return [eq.poly for eq in system], {LAM: F(lam)}, tanh.weights(order)
+    return [eq.poly for eq in system], {LAM: F(lam), E: 1, RHO: -1}, pre.weights(order)
+
+
+def _direct(polys, presets):
+    syms = set().union(*(p.symbols() for p in polys)) - set(presets)
+    cfg = SolveConfig(unknowns=tuple(sorted(syms)), presets=Assignment(presets))
+    return solve(polys, cfg)
+
+
+@pytest.mark.parametrize(
+    ("method", "order"), [("tanh", 2), ("tanh", 3), ("tanh", 4), ("pre", 1), ("pre", 2), ("pre", 3)]
+)
+def test_scaled_leaves_are_the_leaves_solved_at_the_scaled_speed(method, order):
+    # the case tree at lam = s^4*(-6) is the tree at -6 under the scaling
+    # symmetry: every leaf, its remaining polynomials and witness included
+    polys, presets, weights = _method_case(method, order, -6)
+    leaves = _direct(polys, presets)
+    for s in (2, 3, 5):
+        mapped = scale_leaves(polys, presets, leaves, weights, s)
+        direct = _direct(polys, {**presets, LAM: F(-6 * s**4)})
+        assert _leaf_keys(mapped) == _leaf_keys(direct), (method, order, s)
+        assert mapped == direct
+
+
+def test_scaling_the_depth_2_tree_gives_the_pinned_leaves_at_minus_96():
+    polys, presets, weights = _method_case("pre", 2, -6)
+    mapped = scale_leaves(polys, presets, _pre_solve(2, -6), weights, 2)
+    assert _digest(mapped) == PINNED_LEAVES[2, -96, 10000]
+
+
+@pytest.mark.parametrize(("method", "order"), [("tanh", 2), ("pre", 1), ("pre", 2)])
+def test_scale_one_is_the_identity(method, order):
+    polys, presets, weights = _method_case(method, order, -6)
+    leaves = _direct(polys, presets)
+    mapped = scale_leaves(polys, presets, leaves, weights, 1)
+    assert mapped == leaves and _leaf_keys(mapped) == _leaf_keys(leaves)
+
+
+def test_the_tanh_contradiction_maps_to_its_raw_images_at_minus_96(tanh_system):
+    # a contradiction's remaining polynomials are raw images, not normal
+    # forms: -3 and -3*k at lam = -6, -48 and -48*k at lam = -96
+    polys, presets, weights = _method_case("tanh", 2, -6)
+    mapped = scale_leaves(polys, presets, _direct(polys, presets), weights, 2)
+    expected = {
+        "bindings": {"a1": "0", "a2": "-6"},
+        "status": "contradiction",
+        "witness": "-48",
+        "remaining": ["-48", "-48*k"],
+    }
+    assert [branch_json(br) for br in mapped if br.status == "contradiction"] == [expected]
+    direct = solve_system(tanh_system, {LAM: F(-96)})
+    assert [branch_json(br) for br in direct if br.status == "contradiction"] == [expected]
+
+
+@pytest.mark.parametrize(
+    ("texts", "weights"),
+    [
+        # move 1 binds k = 1 or -1, where k^4 + 2 leaves 3; at lam = -6*s^4,
+        # k = s^2 or -s^2 and 3*s^8 is left
+        (["6*k^2 + lam", "36*k^4 + 2*lam^2"], {K: 2, LAM: 4}),
+        # move 2 eliminates a0 = 6 - k^2, whose constant scales as lam does,
+        # and (a0 + k^2)^2 + lam^2 leaves 72, or 72*s^8
+        (["a0 + k^2 + lam", "a0^2 + 2*a0*k^2 + k^4 + lam^2"], {a(0): 4, K: 2, LAM: 4}),
+        # a contradiction at the root, before any binding
+        (["a0 - k", "lam"], {a(0): 2, K: 2, LAM: 4}),
+    ],
+)
+def test_a_contradiction_maps_under_the_scaled_binding(texts, weights):
+    # the derived systems meet contradictions only under bindings the
+    # scaling leaves alone (x = 0, or an elimination homogeneous in x's
+    # weight); these meet them after a binding that scales.  No working-order
+    # tie is broken by text here, so the map is exact at every s
+    polys = [parse_poly(t) for t in texts]
+    leaves = _direct(polys, {LAM: F(-6)})
+    assert any(br.status == "contradiction" for br in leaves)
+    for s in (2, 3, 5):
+        mapped = scale_leaves(polys, {LAM: F(-6)}, leaves, weights, s)
+        assert _leaf_keys(mapped) == _leaf_keys(_direct(polys, {LAM: F(-6 * s**4)}))
+
+
+def test_the_homogeneity_check_rejects_a_system_with_one_term_added():
+    polys, presets, weights = _method_case("pre", 1, -6)
+    leaves = _direct(polys, presets)
+    broken = [polys[0] + MPoly.var(a(1)) * MPoly.var(R), *polys[1:]]
+    with pytest.raises(InternalInvariantError, match="not weighted-homogeneous"):
+        scale_leaves(broken, presets, leaves, weights, 2)
+    with pytest.raises(InternalInvariantError, match="no weight for"):
+        scale_leaves(polys, presets, leaves, {x: w for x, w in weights.items() if x != MU}, 2)
+
+
+def test_reproduce_solves_each_method_once(monkeypatch):
+    # the grid's other speeds come from the scaling map, not from solve
+    calls = []
+
+    def counting(system, cfg):
+        calls.append(cfg.presets[LAM])
+        return solve(system, cfg)
+
+    monkeypatch.setattr(reproduce, "solve", counting)
+    assert reproduce.run_reproduce().exit_code == 0
+    assert calls == [GRID[0], GRID[0]]
+
+
+def test_solve_grid_gives_the_leaves_of_each_grid_speed(tanh_system):
+    grid = solve_grid(tanh_system, {}, tanh.weights(2))
+    assert len(grid) == len(GRID)
+    for lam, leaves in zip(GRID, grid):
+        assert _leaf_keys(leaves) == _leaf_keys(solve_system(tanh_system, {LAM: lam}))
 
 
 def test_each_solved_point_verified_once(monkeypatch):

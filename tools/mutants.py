@@ -5,7 +5,8 @@ by default ``fkdv reproduce``.  A fault that reproduce does not see (in the
 float evaluator behind ``fkdv verify``, in the solver's budget, which
 reproduce never runs out of, in move 1 on a repeated root, whose extra
 stuck leaf no reproduce stage fails on, in the length of the wave-speed
-grid, which no stage checks, or in the balance order of beta*u_x*u_xx,
+grid, which no stage checks, in the raw images of a mapped contradiction
+leaf, which no stage reads, or in the balance order of beta*u_x*u_xx,
 which Ito's balance at M = 2 does not depend on) names a pytest target
 instead, run from the repository root.  For each mutant, src/ is copied to a temporary
 directory, the replacement is applied there and the check runs on the
@@ -152,6 +153,19 @@ MUTANTS = (
         "for m in (1, 2, 3))",
         "for m in (1, 2))",
         ACCEPTANCE_TESTS,
+    ),
+    Mutant(
+        "b_j weight 2 - 2j",
+        "fkdv/pre.py",
+        "b(j): 3 - 2 * j",
+        "b(j): 2 - 2 * j",
+    ),
+    Mutant(
+        "contradiction images under the unscaled binding",
+        "fkdv/solver.py",
+        "bind = {x: image(v, weights[x]) if isinstance(v, MPoly) else v * factor[x]}",
+        "bind = {x: v}",
+        SOLVER_TESTS,
     ),
     Mutant(
         "normalize without its content division",
