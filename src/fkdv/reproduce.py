@@ -13,7 +13,8 @@ from functools import lru_cache
 
 from . import __version__, closedform, fixtures, pre, tanh
 from .equation import EquationSpec, ito
-from .solver import Assignment, SolveConfig, scale_leaves, solve, verify_assignment
+from .poly import rational_roots
+from .solver import STUCK, Assignment, SolveConfig, scale_leaves, solve, verify_assignment
 from .symbols import LAM, MAX_ORDER, R, Sym, a
 
 # The solved wave speeds lam = -6*m^4 for m = 1, 2, 3, in that order: there
@@ -101,6 +102,15 @@ def check_solver_run(branches, expected: list[dict], free_expect: dict | None,
         )
         if not ok_con:
             msgs.append(f"contradiction branch through {contradiction_binding} not found")
+    # move 1 divides every rational root out of the factor it leaves, and
+    # no grid solve runs out of budget, so no stuck witness keeps one
+    rooted = [
+        br.witness.ascii() for br in branches
+        if br.status == STUCK and len(xs := br.witness.symbols()) == 1
+        and rational_roots(br.witness.as_univariate(*xs))
+    ]
+    if rooted:
+        msgs.append(f"stuck leaves keep a rational root: {', '.join(dict.fromkeys(rooted))}")
     return (not msgs, "; ".join(msgs) or "ok")
 
 

@@ -2,8 +2,9 @@
 
 The solver explores a case tree over exact rational assignments.  At each
 node it substitutes what is known, drops vanished equations, and flags any
-surviving nonzero constant as a contradiction.  Otherwise it applies the
-first available move:
+surviving nonzero constant as a contradiction, which reports the normal
+forms of its nonzero equations, so that its witness is 1.  Otherwise it
+applies the first available move:
 
 1. branch on the rational roots of the best univariate equation
    (lowest degree, then fewest terms, then symbol order); the factor left
@@ -45,7 +46,8 @@ setting when it returns or raises.  The pause is process-wide; fkdv is
 single-threaded.
 
 A solve's leaves also give those at scaled presets: ``scale_leaves`` maps
-them by the scaling symmetry of a weighted-homogeneous system.
+them, polynomial by polynomial, by the scaling symmetry of a
+weighted-homogeneous system.
 """
 
 from __future__ import annotations
@@ -114,18 +116,17 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Branch:
-    """One leaf of the case tree.  ``origin``, not compared, is what
-    ``scale_leaves`` needs: for a contradiction, the normal forms (None at
-    the root) whose images under a binding, (symbol, value) or None, are its
-    remaining polynomials; else the symbols of the pending eliminations that
-    end them."""
+    """One leaf of the case tree.  Its witness and its remaining
+    polynomials are normal forms (a contradiction's witness is the constant
+    1), except the pending eliminations x - e that end ``remaining``; their
+    symbols x are ``pending``, which equality ignores."""
 
     assignment: Assignment
     remaining: tuple[MPoly, ...]
     status: str
     free_symbols: tuple[Sym, ...] = ()
     witness: MPoly | None = None
-    origin: tuple = field(default=(), compare=False, repr=False)
+    pending: tuple[Sym, ...] = field(default=(), compare=False, repr=False)
 
     def sort_key(self):
         """The canonical output order."""
@@ -176,22 +177,19 @@ def verify_assignment(
 class _Node:
     # bkey holds the bindings as (symbol, numerator, denominator); esyms and
     # eexprs the eliminations x -> expr in insertion order; eexprs and eqs
-    # are records.  eqs came from the normal-form records parent under the
-    # binding whose key of _Tree.images is bound, or None for none; parent
-    # is None at the root
-    __slots__ = ("bindings", "bkey", "esyms", "eexprs", "eqs", "parent", "bound")
+    # are records
+    __slots__ = ("bindings", "bkey", "esyms", "eexprs", "eqs")
 
-    def __init__(self, bindings, bkey, esyms, eexprs, eqs, parent, bound):
+    def __init__(self, bindings, bkey, esyms, eexprs, eqs):
         self.bindings: dict[Sym, Fraction] = bindings
         self.bkey: frozenset[tuple[Sym, int, int]] = bkey
         self.esyms: tuple[Sym, ...] = esyms
         self.eexprs: tuple[_Eq, ...] = eexprs
         self.eqs: list[_Eq] = eqs
-        self.parent: list[_Eq] | None = parent
-        self.bound: tuple | None = bound
 
 
 _ZERO = Fraction(0)
+_ONE = MPoly.const(1)
 # a record's norm when it is not another record: the polynomial is zero, a
 # nonzero constant or its own normal form
 _VANISHED, _CONSTANT, _NORMAL = object(), object(), object()
@@ -264,13 +262,6 @@ class _Eq:
 
 
 _working_order = attrgetter("key")
-
-
-def _binding(key: tuple | None) -> tuple | None:
-    """The binding a key of _Tree.images names, as (symbol, value)."""
-    if key is None or len(key) == 2:  # none, or (symbol, record)
-        return key and (key[0], key[1].p)
-    return key[0], Fraction(key[1], key[2])
 
 
 class _Tree:
@@ -347,35 +338,33 @@ class _Tree:
                 resolved[x] = e.p.constant_value()
             else:
                 pending.append((x, e.p))
-        remaining = [q.p for q in node.eqs]
         if status == CONTRADICTION:
-            origin = (node.parent and [q.p for q in node.parent], _binding(node.bound))
+            # each nonzero image in normal form, so every constant reads 1
+            witness, pending = _ONE, []
+            norms = [(q, q.norm or self.normal(q)) for q in node.eqs]
+            remaining = [
+                q.p if n is _NORMAL else _ONE if n is _CONSTANT else n.p
+                for q, n in norms if n is not _VANISHED
+            ]
         else:
             # a solved or stuck leaf reports what it still depends on
-            remaining += [MPoly.var(x) - expr for x, expr in pending]
-            origin = tuple([x for x, _ in pending])
+            remaining = [q.p for q in node.eqs] + [MPoly.var(x) - expr for x, expr in pending]
         free: tuple[Sym, ...] = ()
         if status == SOLVED:
             # a pending symbol is unresolved, so it is among the free ones
             free = tuple(s for s in self.cfg.unknowns if s not in resolved)
             if free:
                 status = FREE
-        leaf = Branch(Assignment._trusted(resolved), tuple(remaining), status, free, witness, origin)
+        syms = tuple([x for x, _ in pending])
+        leaf = Branch(Assignment._trusted(resolved), tuple(remaining), status, free, witness, syms)
         self.leaves.setdefault(leaf.sort_key(), leaf)
 
     def substituted(self, node: _Node, s: Sym, v: Fraction, eqs: list[_Eq]) -> _Node:
         key = (s, v.numerator, v.denominator)
         out = self.mapped(key, s, v, [*node.eexprs, *eqs])
         k = len(node.eexprs)
-        return _Node(
-            {**node.bindings, s: v},
-            node.bkey.union((key,)),
-            node.esyms,
-            tuple(out[:k]),
-            out[k:],
-            eqs,
-            key,
-        )
+        bkey = node.bkey.union((key,))
+        return _Node({**node.bindings, s: v}, bkey, node.esyms, tuple(out[:k]), out[k:])
 
     def explore(self, node: _Node) -> None:
         self.budget -= 1
@@ -385,8 +374,7 @@ class _Tree:
             if n is _NORMAL:
                 found.add(q)
             elif n is _CONSTANT:
-                node.eqs = [r for r in node.eqs if r.p]
-                self.finish(node, CONTRADICTION, witness=q.p)
+                self.finish(node, CONTRADICTION)
                 return
             elif n is not _VANISHED:
                 found.add(n)
@@ -437,13 +425,11 @@ class _Tree:
             _, x, c = q.pivot
             # the pivot is usually an int: divide as a Fraction to stay exact
             e = self.intern(q.p.coefficient_of(x, 0) * (Fraction(-1) / c))
-            key = (x, e)
-            out = self.mapped(key, x, e.p, [*node.eexprs, *eqs])
+            out = self.mapped((x, e), x, e.p, [*node.eexprs, *eqs])
             k = len(node.eexprs)
             node.esyms += (x,)
             node.eexprs = (*out[:k], e)
             node.eqs = out[k:]
-            node.parent, node.bound = eqs, key
             self.explore(node)
             return
 
@@ -456,8 +442,7 @@ class _Tree:
                 self.explore(self.substituted(node, s, _ZERO, rest + [q]))
             if q.cofactor is None:
                 q.cofactor = self.intern(q.p.divide_mono(g))
-            forms = rest + [q.cofactor]
-            self.explore(_Node(node.bindings, node.bkey, node.esyms, node.eexprs, forms, forms, None))
+            self.explore(_Node(node.bindings, node.bkey, node.esyms, node.eexprs, rest + [q.cofactor]))
             return
 
         self.finish(node, STUCK, witness=eqs[0].p)
@@ -481,7 +466,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     try:
         tree = _Tree(cfg)
         root = [tree.intern(p.substitute(presets)) for p in system]
-        tree.explore(_Node({}, frozenset(), (), (), root, None, None))
+        tree.explore(_Node({}, frozenset(), (), (), root))
         return _verified(system, [tree.leaves[k] for k in sorted(tree.leaves)], cfg.presets)
     finally:
         if collecting:
@@ -506,14 +491,14 @@ def scale_leaves(system: Sequence[MPoly], presets: Mapping[Sym, Fraction | int],
 
     ``system`` must be weighted-homogeneous under ``weights``, checked
     exactly (else InternalInvariantError).  Then tau_s: x -> s**-w_x * x
-    maps the case tree node by node: a binding x = v becomes s**w_x * v, a
-    normal form N becomes normalize(tau_s(N)), a pending elimination x - e
-    becomes s**w_x * tau_s(x - e), and a contradiction's raw images are
-    formed again from its origin.  The moves choose by degree, term count
-    and symbol, which tau_s keeps, and break the ties left by rendered
-    text, which it may not keep: the mapped leaves are those of a direct
-    solve wherever those ties break alike, which the tests pin for every
-    system reproduce solves.
+    maps the case tree node by node, so each leaf maps polynomial by
+    polynomial: a binding x = v becomes s**w_x * v, a normal form N,
+    witness or remaining, becomes normalize(tau_s(N)), and a pending
+    elimination x - e becomes s**w_x * tau_s(x - e).  The moves choose by
+    degree, term count and symbol, which tau_s keeps, and break the ties
+    left by rendered text, which it may not keep: the mapped leaves are
+    those of a direct solve wherever those ties break alike, which the
+    tests pin for every system reproduce solves.
     """
     system = list(system)
     if missing := set().union(*(p.symbols() for p in system)) - weights.keys():
@@ -543,23 +528,10 @@ def scale_leaves(system: Sequence[MPoly], presets: Mapping[Sym, Fraction | int],
 
     out = []
     for br in leaves:
-        if br.status == CONTRADICTION:
-            forms, bound = br.origin
-            if forms is None:
-                images = [p.substitute(scaled) for p in system]
-            else:
-                images = list(map(image, forms))
-                if bound is not None:
-                    x, v = bound
-                    bind = {x: image(v, weights[x]) if isinstance(v, MPoly) else v * factor[x]}
-                    images = [p.substitute(bind) for p in images]
-            remaining = [p for p in images if p]
-            witness = next(p for p in remaining if p.is_constant())
-        else:
-            k = len(br.remaining) - len(br.origin)
-            remaining = list(map(image, br.remaining[:k]))
-            remaining += [image(p, weights[x]) for x, p in zip(br.origin, br.remaining[k:])]
-            witness = None if br.witness is None else image(br.witness)
+        k = len(br.remaining) - len(br.pending)
+        remaining = list(map(image, br.remaining[:k]))
+        remaining += [image(p, weights[x]) for x, p in zip(br.pending, br.remaining[k:])]
+        witness = None if br.witness is None else image(br.witness)
         asg = Assignment._trusted({x: v * factor[x] for x, v in br.assignment.items()})
-        out.append(Branch(asg, tuple(remaining), br.status, br.free_symbols, witness))
+        out.append(Branch(asg, tuple(remaining), br.status, br.free_symbols, witness, br.pending))
     return _verified(system, sorted(out, key=Branch.sort_key), Assignment._trusted(scaled))

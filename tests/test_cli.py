@@ -588,7 +588,7 @@ def test_derive_latex_block_appears_in_reproduce_appendix(capsys, tmp_path):
 # contract: an intended output change (for example the disjoint case splits
 # of ROADMAP item 5) updates the pin here and records the new digest in
 # CHANGES.md.
-REPRODUCE_SEED_7_JSON = "fbd79031a5abda0d67ce153db75e292489d1227192bba3a56d3a9a042c7f743d"
+REPRODUCE_SEED_7_JSON = "c64901ba730660c19f6ad6214ae41ef020caea7c1842b957ce34e4dd7a17a004"
 DERIVE_FIXTURE_DIGESTS = {
     ("tanh", "json"): "1100971ad2c172a95a8b0b9eb7915af51b39cc66623db5cbd086efde532bc2c8",
     ("tanh", "latex"): "098f7bf4c1447173497a1d94fe4df59c1cc557d607742b46c250653bb5f3937a",

@@ -279,20 +279,22 @@ def test_scaled_branches_found_on_grid(tanh_system, pre_system):
 # projective Ito solve with e=1, rho=-1, keyed by (depth, lambda, budget).
 # Re-recorded when solve began to report each distinct leaf once: each list
 # is the earlier list, which repeated a leaf once per path that reached it,
-# with adjacent equal entries removed ((1, -6, 5) had no repeat).  Skipping
-# an explored subtree must leave every leaf, and where the budget runs out,
-# unchanged.  Disjoint case splits (ROADMAP item 6) will change these digests
-# on purpose.
+# with adjacent equal entries removed ((1, -6, 5) had no repeat).
+# Re-recorded when contradiction leaves began to report normal forms: leaves
+# that differed only in a raw constant merged, and PINNED_PAIRS held.
+# Skipping an explored subtree must leave every leaf, and where the budget
+# runs out, unchanged.  Disjoint case splits (ROADMAP item 6) will change
+# these digests on purpose.
 PINNED_LEAVES = {
-    (2, -6, 10000): (143, "fc726432fdd6002155ac7594ea5cad625bbb21619431cd4c08ffc760407385aa"),
-    (2, -96, 10000): (143, "c6d3a559a26eca04f34d48c3117c9df2e543e212c216731e84bf343c99e88b1f"),
-    (3, -6, 10000): (341, "75711826d39a1e15ccf82ad6b04719bc3e2e0799ee7b7215530086b823939eff"),
+    (2, -6, 10000): (140, "0d994089ae76f26bb5362615fcbd265062a713fb3fb432442315bbfe49f35794"),
+    (2, -96, 10000): (140, "e8266ae0bdbcc4d66e76ffc4f3f1f984e4f59b50d8926b1c0c8d5a7b6780de6a"),
+    (3, -6, 10000): (328, "d941ed176d0cff0b076dd3e13771e2b73b79fb793b87781ffe295488598361f5"),
     (1, -6, 5): (6, "e16d6d3dc56589431c5ed3ccb2e17af6420f96ab344c988a45cf524dac4a456e"),
     (2, -6, 60): (25, "b629951328d7f0532ca4a54019c81243f1776989d728c61d1be267b96cf65c86"),
-    (2, -6, 250): (68, "262332291760d9803558c277ed1131c2999667ba7e127cc7249a0152467b5d22"),
-    (2, -6, 400): (124, "ad9b00754e1a642a3d6f8858506bd51949fa5eba2e88b4af7fcb0b6bc9a10ae6"),
-    (3, -6, 1300): (256, "0f8c9b075c91527675da4efc336950627fa3c3a07821bc03eb4ef3debe2aa548"),
-    (4, -6, 100000): (791, "265c7da747571d1816d3f7209efeb2c0c96a3ae96d425d1fb68382a73cd52470"),
+    (2, -6, 250): (68, "9a2464cf1c27ca86d2c63488e46dd72febb4f2a96f51d16a8ddef4c715872312"),
+    (2, -6, 400): (122, "43f2a7da5a83b321df3133ce2a4c1d914f103e7f331488d0b57ff6e94b366c6a"),
+    (3, -6, 1300): (244, "1eb35edc178b65ab711f0f06da2d76556c079e7f9a6066fe7872859740cc462c"),
+    (4, -6, 100000): (672, "afd839bb8e0eaf96f239e0f0825c7f5827c6605b610aff4d718ec272af3b097f"),
 }
 
 
@@ -332,6 +334,54 @@ def test_leaf_list_matches_pinned_digest(depth, lam, budget):
         assert any(br.status == "stuck" for br in leaves)
 
 
+# sha256 of repr(sorted distinct (status, bindings)) over the leaves of each
+# PINNED_LEAVES case and of reproduce's grid solves, keyed like
+# PINNED_LEAVES or by (method, lambda).  What a leaf reports beyond its
+# status and bindings (witness, remaining polynomials) may change its text,
+# and leaves that then agree merge; these pairs must not move.
+PINNED_PAIRS = {
+    (2, -6, 10000): (79, "18845ee6bb084393e7741e44ba811d45b86ecd47f64ef249aa31627b73f69595"),
+    (2, -96, 10000): (79, "ff516b6502f9c43bc3d9103b768391c986c7046393498511539792e8799acae3"),
+    (3, -6, 10000): (145, "f9c256850c06a4161f3b0c76951be260f11ed823ddc839266bfb4aba2e5a0163"),
+    (1, -6, 5): (6, "c53081f99ee455fcdfe38e95047653ea454dd533ffdbc1cb7890715b4729ceb0"),
+    (2, -6, 60): (24, "9001a69b123fd9935a14f32bcfe7b2eed834b2268033beb2d70860eab4d7eb70"),
+    (2, -6, 250): (61, "240e8bf30da30370e8d94cf8554e2e1ab9b481bbd3d70e364e20d4c76463df3b"),
+    (2, -6, 400): (77, "b2a44aace5f94c61ef99d02a94809129bec1dd21c2575acf5c4d3d67fd86af9f"),
+    (3, -6, 1300): (92, "7e3ab0d65d339a42a9f820cc44993a8735d52c095571777a544d0d99eaaac2f7"),
+    (4, -6, 100000): (301, "9db269743124cee6ce15c4cc22f6f79215b8ddf7f418c2fdd3c6d1105c60d671"),
+    ("tanh", -6): (4, "d48769e5b9e54e75b22521b43c84cf0135011f2128bb1a203c4f225acbfc1c4b"),
+    ("tanh", -96): (4, "a5c28f585eebdd75ae0ee71c815f3d3dcfe2f1b8808f63118ac8ecda740fec0f"),
+    ("tanh", -486): (4, "8b7242000cb8dbce2d34d5f5acc309c25c8aa1cd40317733c11ed4e175637fbd"),
+    ("pre", -6): (30, "d810d29dc8a900b083ef3291f159daa4e46bef297b56d155134780bae0f5c7ae"),
+    ("pre", -96): (30, "ceb30c430e71f4aba9a0c55184965c4d7c996a0b24823833eb19947fbcb886ba"),
+    ("pre", -486): (30, "2360311a4c8bb5537a8561602b64e43910d5660b8481bb731ee7affc4d4e7a08"),
+}
+
+
+def _pairs_digest(leaves):
+    """(pair count, digest) in the form of PINNED_PAIRS."""
+    pairs = sorted(
+        {(br.status, tuple((s.name, str(v)) for s, v in br.assignment.items())) for br in leaves}
+    )
+    return len(pairs), hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(("depth", "lam", "budget"), list(PINNED_LEAVES))
+def test_status_and_bindings_match_pinned_digest(depth, lam, budget):
+    assert _pairs_digest(_pre_solve(depth, lam, budget)) == PINNED_PAIRS[depth, lam, budget]
+
+
+@pytest.mark.parametrize("method", ["tanh", "pre"])
+def test_reproduce_grid_status_and_bindings_match_pinned_digest(method):
+    order, system = derive(method)
+    if method == "tanh":
+        grid = solve_grid(system, {}, tanh.weights(order))
+    else:
+        grid = solve_grid(system, pre.PAPER_SIGNS, pre.weights(order))
+    for lam, leaves in zip(GRID, grid):
+        assert _pairs_digest(leaves) == PINNED_PAIRS[method, int(lam)], lam
+
+
 # ---------------------------------------------------------------- scaling map
 
 
@@ -363,6 +413,16 @@ def test_scaled_leaves_are_the_leaves_solved_at_the_scaled_speed(method, order):
         direct = _direct(polys, {**presets, LAM: F(-6 * s**4)})
         assert _leaf_keys(mapped) == _leaf_keys(direct), (method, order, s)
         assert mapped == direct
+    _assert_contradictions_in_normal_form(leaves)
+
+
+def _assert_contradictions_in_normal_form(leaves):
+    """Every polynomial a contradiction leaf reports is its own normal form,
+    and its witness is 1."""
+    for br in leaves:
+        if br.status == "contradiction":
+            assert br.witness == MPoly.const(1)
+            assert all(p.normalize() == p for p in br.remaining)
 
 
 def test_scaling_the_depth_2_tree_gives_the_pinned_leaves_at_minus_96():
@@ -379,16 +439,16 @@ def test_scale_one_is_the_identity(method, order):
     assert mapped == leaves and _leaf_keys(mapped) == _leaf_keys(leaves)
 
 
-def test_the_tanh_contradiction_maps_to_its_raw_images_at_minus_96(tanh_system):
-    # a contradiction's remaining polynomials are raw images, not normal
-    # forms: -3 and -3*k at lam = -6, -48 and -48*k at lam = -96
+def test_the_tanh_contradiction_reports_normal_forms_at_minus_96(tanh_system):
+    # a contradiction reports the normal forms of its images: the raw images
+    # -3 and -3*k at lam = -6, and -48 and -48*k at lam = -96, read 1 and k
     polys, presets, weights = _method_case("tanh", 2, -6)
     mapped = scale_leaves(polys, presets, _direct(polys, presets), weights, 2)
     expected = {
         "bindings": {"a1": "0", "a2": "-6"},
         "status": "contradiction",
-        "witness": "-48",
-        "remaining": ["-48", "-48*k"],
+        "witness": "1",
+        "remaining": ["1", "k"],
     }
     assert [branch_json(br) for br in mapped if br.status == "contradiction"] == [expected]
     direct = solve_system(tanh_system, {LAM: F(-96)})
@@ -399,10 +459,10 @@ def test_the_tanh_contradiction_maps_to_its_raw_images_at_minus_96(tanh_system):
     ("texts", "weights"),
     [
         # move 1 binds k = 1 or -1, where k^4 + 2 leaves 3; at lam = -6*s^4,
-        # k = s^2 or -s^2 and 3*s^8 is left
+        # k = s^2 or -s^2 and 3*s^8 is left; both report the witness 1
         (["6*k^2 + lam", "36*k^4 + 2*lam^2"], {K: 2, LAM: 4}),
         # move 2 eliminates a0 = 6 - k^2, whose constant scales as lam does,
-        # and (a0 + k^2)^2 + lam^2 leaves 72, or 72*s^8
+        # and (a0 + k^2)^2 + lam^2 leaves 72, or 72*s^8, each reported as 1
         (["a0 + k^2 + lam", "a0^2 + 2*a0*k^2 + k^4 + lam^2"], {a(0): 4, K: 2, LAM: 4}),
         # a contradiction at the root, before any binding
         (["a0 - k", "lam"], {a(0): 2, K: 2, LAM: 4}),
@@ -411,7 +471,8 @@ def test_the_tanh_contradiction_maps_to_its_raw_images_at_minus_96(tanh_system):
 def test_a_contradiction_maps_under_the_scaled_binding(texts, weights):
     # the derived systems meet contradictions only under bindings the
     # scaling leaves alone (x = 0, or an elimination homogeneous in x's
-    # weight); these meet them after a binding that scales.  No working-order
+    # weight); these meet them after a binding that scales, where the raw
+    # constants scale but their normal form 1 does not.  No working-order
     # tie is broken by text here, so the map is exact at every s
     polys = [parse_poly(t) for t in texts]
     leaves = _direct(polys, {LAM: F(-6)})
@@ -419,6 +480,8 @@ def test_a_contradiction_maps_under_the_scaled_binding(texts, weights):
     for s in (2, 3, 5):
         mapped = scale_leaves(polys, {LAM: F(-6)}, leaves, weights, s)
         assert _leaf_keys(mapped) == _leaf_keys(_direct(polys, {LAM: F(-6 * s**4)}))
+        _assert_contradictions_in_normal_form(mapped)
+    _assert_contradictions_in_normal_form(leaves)
 
 
 def test_the_homogeneity_check_rejects_a_system_with_one_term_added():

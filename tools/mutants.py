@@ -3,16 +3,16 @@
 A mutant is one exact text replacement in a file under src/ and a check,
 by default ``fkdv reproduce``.  A fault that reproduce does not see (in the
 float evaluator behind ``fkdv verify``, in the solver's budget, which
-reproduce never runs out of, in move 1 on a repeated root, whose extra
-stuck leaf no reproduce stage fails on, in the length of the wave-speed
-grid, which no stage checks, in the raw images of a mapped contradiction
-leaf, which no stage reads, or in the balance order of beta*u_x*u_xx,
-which Ito's balance at M = 2 does not depend on) names a pytest target
-instead, run from the repository root.  For each mutant, src/ is copied to a temporary
-directory, the replacement is applied there and the check runs on the
-copy; the mutant is killed when the check exits nonzero.  A control run of
-each check on an unmutated copy comes first and must exit 0.  Run it from
-anywhere, with the standard library only (pytest for the pytest checks):
+reproduce never runs out of, in the length of the wave-speed grid, which
+no stage checks, in a contradiction leaf that reports its raw images,
+which only a direct solve at a scaled speed shows, or in the balance
+order of beta*u_x*u_xx, which Ito's balance at M = 2 does not depend on)
+names a pytest target instead, run from the repository root.  For each
+mutant, src/ is copied to a temporary directory, the replacement is
+applied there and the check runs on the copy; the mutant is killed when
+the check exits nonzero.  A control run of each check on an unmutated copy
+comes first and must exit 0.  Run it from anywhere, with the standard
+library only (pytest for the pytest checks):
 
     python tools/mutants.py
 
@@ -132,7 +132,6 @@ MUTANTS = (
         "fkdv/solver.py",
         "while not (div := _pseudo_divmod(",
         "if not (div := _pseudo_divmod(",
-        SOLVER_TESTS,
     ),
     Mutant(
         "balance scan that accepts a single top order",
@@ -161,10 +160,10 @@ MUTANTS = (
         "b(j): 2 - 2 * j",
     ),
     Mutant(
-        "contradiction images under the unscaled binding",
+        "a contradiction that reports its raw images",
         "fkdv/solver.py",
-        "bind = {x: image(v, weights[x]) if isinstance(v, MPoly) else v * factor[x]}",
-        "bind = {x: v}",
+        "q.p if n is _NORMAL else _ONE if n is _CONSTANT else n.p",
+        "q.p",
         SOLVER_TESTS,
     ),
     Mutant(
