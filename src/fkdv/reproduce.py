@@ -14,7 +14,8 @@ from functools import lru_cache
 from . import __version__, closedform, fixtures, pre, tanh
 from .equation import EquationSpec, ito
 from .poly import rational_roots
-from .solver import STUCK, Assignment, SolveConfig, scale_leaves, solve, verify_assignment
+from .solver import CONTRADICTION, FREE, SOLVED, STUCK, Assignment, SolveConfig
+from .solver import scale_leaves, solve, verify_assignment
 from .symbols import LAM, MAX_ORDER, R, Sym, a
 
 # The solved wave speeds lam = -6*m^4 for m = 1, 2, 3, in that order: there
@@ -78,14 +79,14 @@ def paper_branches(method: str, m: int) -> list[dict]:
 
 def check_solver_run(branches, expected: list[dict], free_expect: dict | None,
                      contradiction_binding: dict | None) -> tuple[bool, str]:
-    got = [br.assignment.as_dict() for br in branches if br.status == "solved"]
+    got = [br.assignment.as_dict() for br in branches if br.status == SOLVED]
     missing = [exp for exp in expected if exp not in got]
     msgs = []
     if missing:
         msgs.append(f"missing solved branches: {missing}")
     if free_expect is not None:
         ok_free = any(
-            br.status == "solved_with_free_symbols"
+            br.status == FREE
             and br.assignment.as_dict() == free_expect
             for br in branches
         )
@@ -93,7 +94,7 @@ def check_solver_run(branches, expected: list[dict], free_expect: dict | None,
             msgs.append("free-constant branch not found")
     if contradiction_binding is not None:
         ok_con = any(
-            br.status == "contradiction"
+            br.status == CONTRADICTION
             and all(
                 br.assignment.as_dict().get(s) == v
                 for s, v in contradiction_binding.items()

@@ -2,9 +2,8 @@
 
 The solver explores a case tree over exact rational assignments.  At each
 node it substitutes what is known, drops vanished equations, and flags any
-surviving nonzero constant as a contradiction, which reports the normal
-forms of its nonzero equations, so that its witness is 1.  Otherwise it
-applies the first available move:
+surviving nonzero constant as a contradiction, which reports its bindings
+only.  Otherwise it applies the first available move:
 
 1. branch on the rational roots of the best univariate equation
    (lowest degree, then fewest terms, then symbol order); the factor left
@@ -117,16 +116,14 @@ class Assignment:
 @dataclass(frozen=True)
 class Branch:
     """One leaf of the case tree.  Its witness and its remaining
-    polynomials are normal forms (a contradiction's witness is the constant
-    1), except the pending eliminations x - e that end ``remaining``; their
-    symbols x are ``pending``, which equality ignores."""
+    polynomials, the equations and then the pending eliminations x - e, are
+    normal forms; a contradiction has neither."""
 
     assignment: Assignment
     remaining: tuple[MPoly, ...]
     status: str
     free_symbols: tuple[Sym, ...] = ()
     witness: MPoly | None = None
-    pending: tuple[Sym, ...] = field(default=(), compare=False, repr=False)
 
     def sort_key(self):
         """The canonical output order."""
@@ -189,7 +186,6 @@ class _Node:
 
 
 _ZERO = Fraction(0)
-_ONE = MPoly.const(1)
 # a record's norm when it is not another record: the polynomial is zero, a
 # nonzero constant or its own normal form
 _VANISHED, _CONSTANT, _NORMAL = object(), object(), object()
@@ -332,31 +328,24 @@ class _Tree:
     def finish(self, node: _Node, status: str, witness: MPoly | None = None) -> None:
         # eliminations hold only open symbols (module docstring)
         resolved = dict(node.bindings)
-        pending: list[tuple[Sym, MPoly]] = []
+        pending = []
         for x, e in zip(reversed(node.esyms), reversed(node.eexprs)):
             if e.p.is_constant():
                 resolved[x] = e.p.constant_value()
-            else:
-                pending.append((x, e.p))
-        if status == CONTRADICTION:
-            # each nonzero image in normal form, so every constant reads 1
-            witness, pending = _ONE, []
-            norms = [(q, q.norm or self.normal(q)) for q in node.eqs]
-            remaining = [
-                q.p if n is _NORMAL else _ONE if n is _CONSTANT else n.p
-                for q, n in norms if n is not _VANISHED
-            ]
-        else:
-            # a solved or stuck leaf reports what it still depends on
-            remaining = [q.p for q in node.eqs] + [MPoly.var(x) - expr for x, expr in pending]
+            elif status != CONTRADICTION:
+                # x - e as a record, so each is normalized once per solve
+                q = self.intern(MPoly.var(x) - e.p)
+                pending.append(q.p if (q.norm or self.normal(q)) is _NORMAL else q.norm.p)
+        # a contradiction reports its bindings only, a solved or stuck leaf
+        # also what it still depends on
+        remaining = () if status == CONTRADICTION else (*[q.p for q in node.eqs], *pending)
         free: tuple[Sym, ...] = ()
         if status == SOLVED:
             # a pending symbol is unresolved, so it is among the free ones
             free = tuple(s for s in self.cfg.unknowns if s not in resolved)
             if free:
                 status = FREE
-        syms = tuple([x for x, _ in pending])
-        leaf = Branch(Assignment._trusted(resolved), tuple(remaining), status, free, witness, syms)
+        leaf = Branch(Assignment._trusted(resolved), remaining, status, free, witness)
         self.leaves.setdefault(leaf.sort_key(), leaf)
 
     def substituted(self, node: _Node, s: Sym, v: Fraction, eqs: list[_Eq]) -> _Node:
@@ -492,9 +481,8 @@ def scale_leaves(system: Sequence[MPoly], presets: Mapping[Sym, Fraction | int],
     ``system`` must be weighted-homogeneous under ``weights``, checked
     exactly (else InternalInvariantError).  Then tau_s: x -> s**-w_x * x
     maps the case tree node by node, so each leaf maps polynomial by
-    polynomial: a binding x = v becomes s**w_x * v, a normal form N,
-    witness or remaining, becomes normalize(tau_s(N)), and a pending
-    elimination x - e becomes s**w_x * tau_s(x - e).  The moves choose by
+    polynomial: a binding x = v becomes s**w_x * v, and a normal form N,
+    witness or remaining, becomes normalize(tau_s(N)).  The moves choose by
     degree, term count and symbol, which tau_s keeps, and break the ties
     left by rendered text, which it may not keep: the mapped leaves are
     those of a direct solve wherever those ties break alike, which the
@@ -515,11 +503,9 @@ def scale_leaves(system: Sequence[MPoly], presets: Mapping[Sym, Fraction | int],
 
     normal: dict[MPoly, MPoly] = {}  # leaves share their normal forms
 
-    def image(p: MPoly, top: int | None = None) -> MPoly:
-        """s**top * tau_s(p), or normalize(tau_s(p)) without top: the terms
-        times the ints s**(hi - degree) for the highest degree hi."""
-        if top is not None:
-            return MPoly({k: c * Fraction(s) ** (top - degree(k)) for k, c in p.terms.items()})
+    def image(p: MPoly) -> MPoly:
+        """normalize(tau_s(p)): the terms times the ints s**(hi - degree)
+        for the highest degree hi."""
         if p not in normal:
             ds = list(map(degree, p.terms))
             terms = {k: c * s ** (max(ds) - d) for (k, c), d in zip(p.terms.items(), ds)}
@@ -528,10 +514,7 @@ def scale_leaves(system: Sequence[MPoly], presets: Mapping[Sym, Fraction | int],
 
     out = []
     for br in leaves:
-        k = len(br.remaining) - len(br.pending)
-        remaining = list(map(image, br.remaining[:k]))
-        remaining += [image(p, weights[x]) for x, p in zip(br.pending, br.remaining[k:])]
         witness = None if br.witness is None else image(br.witness)
         asg = Assignment._trusted({x: v * factor[x] for x, v in br.assignment.items()})
-        out.append(Branch(asg, tuple(remaining), br.status, br.free_symbols, witness, br.pending))
+        out.append(Branch(asg, tuple(map(image, br.remaining)), br.status, br.free_symbols, witness))
     return _verified(system, sorted(out, key=Branch.sort_key), Assignment._trusted(scaled))

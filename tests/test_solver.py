@@ -89,8 +89,8 @@ def test_tanh_contradiction_through_a2_minus_6(tanh_branches):
     ]
     assert hits
     for br in hits:
-        assert br.witness is not None
-        assert br.witness.is_constant() and br.witness.constant_value() != 0
+        # a contradiction reports its bindings only
+        assert br.witness is None and br.remaining == ()
 
 
 def test_tanh_free_constant_branch(tanh_branches):
@@ -282,19 +282,22 @@ def test_scaled_branches_found_on_grid(tanh_system, pre_system):
 # with adjacent equal entries removed ((1, -6, 5) had no repeat).
 # Re-recorded when contradiction leaves began to report normal forms: leaves
 # that differed only in a raw constant merged, and PINNED_PAIRS held.
+# Re-recorded when every leaf began to report normal forms, its pending
+# eliminations included, and a contradiction only its bindings: only
+# contradiction leaves merged, one per pair, and PINNED_PAIRS held.
 # Skipping an explored subtree must leave every leaf, and where the budget
 # runs out, unchanged.  Disjoint case splits (ROADMAP item 6) will change
 # these digests on purpose.
 PINNED_LEAVES = {
-    (2, -6, 10000): (140, "0d994089ae76f26bb5362615fcbd265062a713fb3fb432442315bbfe49f35794"),
-    (2, -96, 10000): (140, "e8266ae0bdbcc4d66e76ffc4f3f1f984e4f59b50d8926b1c0c8d5a7b6780de6a"),
-    (3, -6, 10000): (328, "d941ed176d0cff0b076dd3e13771e2b73b79fb793b87781ffe295488598361f5"),
+    (2, -6, 10000): (121, "447a19235e567cd4d40cad08a34ac4dcbf5376b234b30b67f845a8568b65cbdb"),
+    (2, -96, 10000): (121, "fd9be25f748b75a6a0cac8521e23ae570da53e956bcef93b0cf9b7aa4fca078d"),
+    (3, -6, 10000): (263, "d290bb7e56f0e26e6ba4908180498a8684d45a6ef4a3b3847953757921ff5a2a"),
     (1, -6, 5): (6, "e16d6d3dc56589431c5ed3ccb2e17af6420f96ab344c988a45cf524dac4a456e"),
     (2, -6, 60): (25, "b629951328d7f0532ca4a54019c81243f1776989d728c61d1be267b96cf65c86"),
-    (2, -6, 250): (68, "9a2464cf1c27ca86d2c63488e46dd72febb4f2a96f51d16a8ddef4c715872312"),
-    (2, -6, 400): (122, "43f2a7da5a83b321df3133ce2a4c1d914f103e7f331488d0b57ff6e94b366c6a"),
-    (3, -6, 1300): (244, "1eb35edc178b65ab711f0f06da2d76556c079e7f9a6066fe7872859740cc462c"),
-    (4, -6, 100000): (672, "afd839bb8e0eaf96f239e0f0825c7f5827c6605b610aff4d718ec272af3b097f"),
+    (2, -6, 250): (68, "448e1603db0c19ea697a3d494f6eceeec3dc77d0136ba89183f79d2dcc585ca2"),
+    (2, -6, 400): (110, "ce7e855a7865daa833e6bb08fbd5a9fe285e7a65730eef43985d843b051dea26"),
+    (3, -6, 1300): (186, "4346d3dbf8fba6dea99d2eb66c7aab49e6b4d97a23602c757d7e7b0f4a5e87f3"),
+    (4, -6, 100000): (563, "8c0aa2889ea603fcc662ce52d403306266880af1642f0e14e9431aebff6c97b0"),
 }
 
 
@@ -408,21 +411,22 @@ def test_scaled_leaves_are_the_leaves_solved_at_the_scaled_speed(method, order):
     # symmetry: every leaf, its remaining polynomials and witness included
     polys, presets, weights = _method_case(method, order, -6)
     leaves = _direct(polys, presets)
+    _assert_leaves_in_normal_form(leaves)
     for s in (2, 3, 5):
         mapped = scale_leaves(polys, presets, leaves, weights, s)
         direct = _direct(polys, {**presets, LAM: F(-6 * s**4)})
         assert _leaf_keys(mapped) == _leaf_keys(direct), (method, order, s)
         assert mapped == direct
-    _assert_contradictions_in_normal_form(leaves)
+        _assert_leaves_in_normal_form(mapped)
 
 
-def _assert_contradictions_in_normal_form(leaves):
-    """Every polynomial a contradiction leaf reports is its own normal form,
-    and its witness is 1."""
+def _assert_leaves_in_normal_form(leaves):
+    """Every polynomial a leaf reports, its witness and each remaining one,
+    is its own normal form, and a contradiction reports none."""
     for br in leaves:
-        if br.status == "contradiction":
-            assert br.witness == MPoly.const(1)
-            assert all(p.normalize() == p for p in br.remaining)
+        reported = [p for p in (br.witness, *br.remaining) if p is not None]
+        assert all(p.normalize() == p for p in reported), br
+        assert br.status != "contradiction" or not reported, br
 
 
 def test_scaling_the_depth_2_tree_gives_the_pinned_leaves_at_minus_96():
@@ -439,17 +443,12 @@ def test_scale_one_is_the_identity(method, order):
     assert mapped == leaves and _leaf_keys(mapped) == _leaf_keys(leaves)
 
 
-def test_the_tanh_contradiction_reports_normal_forms_at_minus_96(tanh_system):
-    # a contradiction reports the normal forms of its images: the raw images
-    # -3 and -3*k at lam = -6, and -48 and -48*k at lam = -96, read 1 and k
+def test_the_tanh_contradiction_reports_its_bindings_only_at_minus_96(tanh_system):
+    # a contradiction reports no polynomial: not the raw images -3 and -3*k
+    # of lam = -6, nor -48 and -48*k of lam = -96, nor their normal forms
     polys, presets, weights = _method_case("tanh", 2, -6)
     mapped = scale_leaves(polys, presets, _direct(polys, presets), weights, 2)
-    expected = {
-        "bindings": {"a1": "0", "a2": "-6"},
-        "status": "contradiction",
-        "witness": "1",
-        "remaining": ["1", "k"],
-    }
+    expected = {"bindings": {"a1": "0", "a2": "-6"}, "status": "contradiction"}
     assert [branch_json(br) for br in mapped if br.status == "contradiction"] == [expected]
     direct = solve_system(tanh_system, {LAM: F(-96)})
     assert [branch_json(br) for br in direct if br.status == "contradiction"] == [expected]
@@ -459,10 +458,10 @@ def test_the_tanh_contradiction_reports_normal_forms_at_minus_96(tanh_system):
     ("texts", "weights"),
     [
         # move 1 binds k = 1 or -1, where k^4 + 2 leaves 3; at lam = -6*s^4,
-        # k = s^2 or -s^2 and 3*s^8 is left; both report the witness 1
+        # k = s^2 or -s^2 and 3*s^8 is left; neither is reported
         (["6*k^2 + lam", "36*k^4 + 2*lam^2"], {K: 2, LAM: 4}),
         # move 2 eliminates a0 = 6 - k^2, whose constant scales as lam does,
-        # and (a0 + k^2)^2 + lam^2 leaves 72, or 72*s^8, each reported as 1
+        # and (a0 + k^2)^2 + lam^2 leaves 72, or 72*s^8, neither reported
         (["a0 + k^2 + lam", "a0^2 + 2*a0*k^2 + k^4 + lam^2"], {a(0): 4, K: 2, LAM: 4}),
         # a contradiction at the root, before any binding
         (["a0 - k", "lam"], {a(0): 2, K: 2, LAM: 4}),
@@ -472,16 +471,16 @@ def test_a_contradiction_maps_under_the_scaled_binding(texts, weights):
     # the derived systems meet contradictions only under bindings the
     # scaling leaves alone (x = 0, or an elimination homogeneous in x's
     # weight); these meet them after a binding that scales, where the raw
-    # constants scale but their normal form 1 does not.  No working-order
-    # tie is broken by text here, so the map is exact at every s
+    # constants scale but a contradiction reports none of them.  No
+    # working-order tie is broken by text here, so the map is exact at every s
     polys = [parse_poly(t) for t in texts]
     leaves = _direct(polys, {LAM: F(-6)})
     assert any(br.status == "contradiction" for br in leaves)
     for s in (2, 3, 5):
         mapped = scale_leaves(polys, {LAM: F(-6)}, leaves, weights, s)
         assert _leaf_keys(mapped) == _leaf_keys(_direct(polys, {LAM: F(-6 * s**4)}))
-        _assert_contradictions_in_normal_form(mapped)
-    _assert_contradictions_in_normal_form(leaves)
+        _assert_leaves_in_normal_form(mapped)
+    _assert_leaves_in_normal_form(leaves)
 
 
 def test_the_homogeneity_check_rejects_a_system_with_one_term_added():
@@ -712,8 +711,9 @@ def test_off_grid_projective_solve_keeps_the_irrational_r_factor():
     assert len(leaves) == 29 and len(stuck) == 2
     by_point = {tuple(br.assignment.items()): br for br in stuck}
     leaf = by_point[tuple(Assignment({MU: -1, b(1): 0, a(1): 15}).items())]
-    # a0 = 5/2*r is still pending on r, so the leaf can be resumed from it
-    assert parse_poly("a0 - 5/2*r") in leaf.remaining
+    # a0 = 5/2*r is still pending on r, so the leaf can be resumed from it;
+    # the elimination is reported in normal form
+    assert parse_poly("2*a0 - 5*r") in leaf.remaining
 
 
 @st.composite
@@ -817,12 +817,13 @@ def test_non_unit_integer_pivot_eliminates_exactly():
     assert all(type(v) is F for br in leaves for _, v in br.assignment.items())
 
 
-def test_non_unit_pivot_left_pending_stays_exact():
-    # a1 stays free, so the elimination of a0 = (1 - 2*a1)/3 is reported
+def test_non_unit_pivot_left_pending_is_reported_in_normal_form():
+    # a1 stays free, so the elimination of a0 = (1 - 2*a1)/3 is reported,
+    # as the normal form of a0 - (1 - 2*a1)/3
     leaves = solve([parse_poly("3*a0 + 2*a1 - 1")], SolveConfig(unknowns=(a(0), a(1))))
     assert [br.status for br in leaves] == [solver.FREE]
     (rem,) = leaves[0].remaining
-    assert rem == parse_poly("a0 + 2/3*a1 - 1/3")
+    assert rem == parse_poly("3*a0 + 2*a1 - 1")
     assert all(type(c) in (int, F) for c in rem.terms.values())
 
 

@@ -4,9 +4,10 @@ A mutant is one exact text replacement in a file under src/ and a check,
 by default ``fkdv reproduce``.  A fault that reproduce does not see (in the
 float evaluator behind ``fkdv verify``, in the solver's budget, which
 reproduce never runs out of, in the length of the wave-speed grid, which
-no stage checks, in a contradiction leaf that reports its raw images,
-which only a direct solve at a scaled speed shows, or in the balance
-order of beta*u_x*u_xx, which Ito's balance at M = 2 does not depend on)
+no stage checks, in a contradiction leaf that reports its equations or a
+pending elimination left as x - e, text that no stage reads, or in the
+balance order of beta*u_x*u_xx, which Ito's balance at M = 2 does not
+depend on)
 names a pytest target instead, run from the repository root.  For each
 mutant, src/ is copied to a temporary directory, the replacement is
 applied there and the check runs on the copy; the mutant is killed when
@@ -160,9 +161,16 @@ MUTANTS = (
         "b(j): 2 - 2 * j",
     ),
     Mutant(
-        "a contradiction that reports its raw images",
+        "a contradiction that reports its equations",
         "fkdv/solver.py",
-        "q.p if n is _NORMAL else _ONE if n is _CONSTANT else n.p",
+        "remaining = () if status == CONTRADICTION else (",
+        "remaining = (",
+        SOLVER_TESTS,
+    ),
+    Mutant(
+        "a pending elimination left as x - e",
+        "fkdv/solver.py",
+        "q.p if (q.norm or self.normal(q)) is _NORMAL else q.norm.p",
         "q.p",
         SOLVER_TESTS,
     ),
