@@ -4,11 +4,17 @@ A coefficient is an ``int`` when it is integral and a
 :class:`fractions.Fraction` (aliased ``Rat``) otherwise, so integer
 arithmetic, the common case after :meth:`MPoly.normalize`, never builds a big
 rational.  Every value entering the kernel goes through :func:`_as_rat`, which
-turns an integral ``Fraction`` into its ``int``; Fraction arithmetic may still
-yield an integral ``Fraction``, which equals and hashes like the ``int``, and
-``normalize()`` always returns coprime ``int`` coefficients.  No ``/`` runs
-between two ints: an exact quotient is ``//`` by a known divisor, any other
-is ``Fraction`` division.  Values handed out of the kernel
+turns an integral ``Fraction`` into its ``int``.  Products (``*`` of two
+polynomials, ``**`` to a power other than 1, :meth:`MPoly.sum_of_products` and
+:meth:`MPoly.derive`) are fraction-free: each operand that holds a
+``Fraction`` is scaled once by the lcm of its denominators, the products are
+summed in ints over one common denominator, and each result coefficient is
+divided by it once, so every integral coefficient they return is an ``int``.
+``+``, ``*`` by a scalar and ``substitute`` use ``Fraction`` arithmetic, which
+may still yield an integral ``Fraction``; it equals and hashes like the
+``int``, and ``normalize()`` always returns coprime ``int`` coefficients.  No
+``/`` runs between two ints: an exact quotient is ``//`` by a known divisor,
+any other is ``Fraction`` division.  Values handed out of the kernel
 (``constant_value``, ``eval_rat``, ``content``, ``rational_roots``) are
 ``Fraction``.
 
@@ -113,6 +119,35 @@ def _accumulate(acc: dict[int, Coef], left: Iterable, right: list[tuple[int, Coe
             acc[k] = get(k, 0) + c1 * c2
 
 
+def _cleared(terms: Mapping[int, Coef]) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(code, L * c)]) over the terms, L the lcm of their denominators."""
+    clear = lcm(*[c.denominator for c in terms.values()])
+    return clear, [(k, c.numerator * (clear // c.denominator)) for k, c in terms.items()]
+
+
+def _accumulate_cleared(
+    acc: dict[int, int], den: int, clear: int, left: list[tuple[int, int]],
+    right: Mapping[int, Coef],
+) -> int:
+    """Add den * (left / clear) * right to acc, which holds den times a sum,
+    in ints; returns the new den.  ``left`` is ints over ``clear`` (see
+    _cleared) and right is cleared here, so the product's denominator d is
+    clear times the lcm of right's.  When d does not divide den, den grows
+    to lcm(den, d) and acc is rescaled."""
+    lr, right = _cleared(right)
+    d = clear * lr
+    if den % d:
+        grow = d // gcd(den, d)
+        for k in acc:
+            acc[k] *= grow
+        den *= grow
+    if den != d:
+        scale = den // d
+        left = [(k, c * scale) for k, c in left]
+    _accumulate(acc, left, right)
+    return den
+
+
 class MPoly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
@@ -138,12 +173,16 @@ class MPoly:
         return self
 
     @classmethod
-    def _from_codes(cls, acc: dict[int, Coef]) -> "MPoly":
-        # internal: the nonzero terms of a code-keyed sum.  The largest code
-        # is checked: in a product it is a term of top degree, which never
-        # cancels
+    def _from_codes(cls, acc: dict[int, Coef], den: int = 1) -> "MPoly":
+        # internal: the nonzero terms of a code-keyed sum, each divided by
+        # den.  The largest code is checked: in a product it is a term of
+        # top degree, which never cancels
         _checked(max(acc, default=0))
-        return cls._raw({k: c for k, c in acc.items() if c != 0})
+        if den == 1:
+            return cls._raw({k: c for k, c in acc.items() if c})
+        return cls._raw(
+            {k: c // den if not c % den else Fraction(c, den) for k, c in acc.items() if c}
+        )
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -200,12 +239,20 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other: Coeffable) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
+        # isinstance with MPoly first: with Fraction, an ABC, it costs a
+        # Python-level __instancecheck__ call on every polynomial product
+        if not isinstance(other, MPoly):
             other = _as_rat(other)
             if other == 0:
                 return MPoly.zero()
             return MPoly._raw({k: c * other for k, c in self.terms.items()})
         acc: dict[int, Coef] = {}
+        try:
+            # gcd rejects a Fraction; the leading 1 spares it any arithmetic
+            gcd(1, *self.terms.values(), *other.terms.values())
+        except TypeError:
+            den = _accumulate_cleared(acc, 1, *_cleared(self.terms), other.terms)
+            return MPoly._from_codes(acc, den)
         _accumulate(acc, self.terms.items(), list(other.terms.items()))
         return MPoly._from_codes(acc)
 
@@ -214,12 +261,21 @@ class MPoly:
     @classmethod
     def sum_of_products(cls, products: Iterable[Sequence["MPoly"]]) -> "MPoly":
         """The sum of the products of the nonempty factor sequences; each
-        product's last multiplication goes straight into one term map."""
+        product's last multiplication goes straight into one term map, in
+        ints over a common denominator once a Fraction occurs."""
         acc: dict[int, Coef] = {}
+        den = 1  # acc holds den times the sum
         for *head, last in products:
-            left = reduce(mul, head).terms.items() if head else [(0, 1)]
-            _accumulate(acc, left, list(last.terms.items()))
-        return cls._from_codes(acc)
+            left = reduce(mul, head).terms if head else {0: 1}
+            try:  # gcd(1, ...) is 1, or rejects a Fraction: see __mul__
+                ints = den == 1 and gcd(1, *left.values(), *last.terms.values())
+            except TypeError:
+                ints = False
+            if ints:
+                _accumulate(acc, left.items(), list(last.terms.items()))
+            else:
+                den = _accumulate_cleared(acc, den, *_cleared(left), last.terms)
+        return cls._from_codes(acc, den)
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -227,6 +283,10 @@ class MPoly:
         _checked(self.degree() * n << DEGREE_SHIFT)
         if not n:
             return MPoly.const(1)
+        if n > 1 and len(self.terms) == 1:
+            # a monomial: its code times n, its coefficient to the n
+            ((k, c),) = self.terms.items()
+            return MPoly._raw({k * n: _as_rat(c**n)})
         # left-to-right binary powering: square per bit, times self per 1 bit
         result = self
         for bit in bin(n)[3:]:
@@ -409,16 +469,29 @@ class MPoly:
         """The derivation sending each symbol in ``rules`` to its rule and
         every other symbol to 0: the sum over s of (d/ds self) * rules[s]."""
         acc: dict[int, Coef] = {}
+        den = 1  # as in sum_of_products
+        try:
+            gcd(1, *self.terms.values())  # see __mul__
+            clear, terms = 1, self.terms.items()
+        except TypeError:
+            clear, terms = _cleared(self.terms)
         for s, rule in rules.items():
             shift = s.shift
             step = (1 << shift) + _DEG1
             partial = []
-            for k, c in self.terms.items():
+            for k, c in terms:
                 e = (k >> shift) & _FIELD
                 if e:
                     partial.append((k - step, c * e))
-            _accumulate(acc, partial, list(rule.terms.items()))
-        return MPoly._from_codes(acc)
+            try:  # as in sum_of_products
+                ints = den == clear == 1 and gcd(1, *rule.terms.values())
+            except TypeError:
+                ints = False
+            if ints:
+                _accumulate(acc, partial, list(rule.terms.items()))
+            else:
+                den = _accumulate_cleared(acc, den, clear, partial, rule.terms)
+        return MPoly._from_codes(acc, den)
 
     def eval_rat(self, point: Mapping[Sym, Coeffable]) -> Fraction:
         """Exact evaluation; every symbol must be bound to a rational (see

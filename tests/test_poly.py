@@ -550,7 +550,7 @@ def test_parse_rejects_malformed_text_with_value_error(text):
 
 
 def test_power_of_a_large_constant_is_fast():
-    # binary powering takes 17 squarings here, not 100000 products
+    # a constant is a monomial, so its power is one int power, not 100000 products
     start = time.perf_counter()
     assert parse_poly("3^100000") == MPoly.const(3**100000)
     assert time.perf_counter() - start < 0.5
@@ -1420,3 +1420,133 @@ def test_one_binding_matches_the_previous_substitute(p, s, v):
 @given(polys(), st.dictionaries(st.sampled_from(_SYMS), _BINDABLE | polys(), max_size=3))
 def test_every_binding_matches_the_previous_substitute(p, bind):
     assert _layout(p.substitute(bind)) == _layout(_previous_substitute(p, bind))
+
+
+# ---------------------------------------------------------------- previous products
+# *, sum_of_products and derive now multiply ints over one common
+# denominator.  Their previous loops, which multiplied the coefficients as
+# they were, are kept here verbatim as the Fraction references (the
+# reference sum and power multiply with the reference *): each result must
+# have the same terms in the same order, and every integral coefficient must
+# be an int.
+
+
+def _previous_mul(self, other):
+    acc = {}
+    _accumulate(acc, self.terms.items(), list(other.terms.items()))
+    return MPoly._from_codes(acc)
+
+
+def _previous_pow(self, n):
+    # the previous binary powering, without its negative-power and degree checks
+    if not n:
+        return MPoly.const(1)
+    result = self
+    for bit in bin(n)[3:]:
+        result = _previous_mul(result, result)
+        if bit == "1":
+            result = _previous_mul(result, self)
+    return result
+
+
+def _previous_sum_of_products(products):
+    acc = {}
+    for *head, last in products:
+        left = reduce(_previous_mul, head).terms.items() if head else [(0, 1)]
+        _accumulate(acc, left, list(last.terms.items()))
+    return MPoly._from_codes(acc)
+
+
+def _previous_derive(self, rules):
+    acc = {}
+    for s, rule in rules.items():
+        shift = s.shift
+        step = (1 << shift) + _DEG1
+        partial = []
+        for k, c in self.terms.items():
+            e = (k >> shift) & _FIELD
+            if e:
+                partial.append((k - step, c * e))
+        _accumulate(acc, partial, list(rule.terms.items()))
+    return MPoly._from_codes(acc)
+
+
+def _assert_parity(got, ref):
+    assert list(got.terms.items()) == list(ref.terms.items())
+    assert all(type(c) is (int if c.denominator == 1 else F) for c in got.terms.values())
+
+
+@st.composite
+def kinded_polys(draw):
+    # int, Fraction or mixed coefficients; the Fractions have coprime
+    # denominators among them, and an integral one stays a Fraction, as +
+    # can leave it
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        syms = draw(st.lists(st.sampled_from(_SYMS), max_size=2, unique=True))
+        mono = monomial({s: draw(st.integers(1, 3)) for s in syms})
+        num = draw(st.integers(-9, 9).filter(bool))
+        if kind == "int" or (kind == "mixed" and draw(st.booleans())):
+            terms[mono] = num
+        else:
+            terms[mono] = F(num, draw(st.sampled_from([1, 2, 3, 4, 5, 7])))
+    return MPoly._raw(terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kinded_polys(), kinded_polys(), st.integers(0, 4))
+def test_product_matches_the_previous_mul(p, q, n):
+    _assert_parity(p * q, _previous_mul(p, q))
+    _assert_parity(q * p, _previous_mul(q, p))
+    if n == 1:  # p**1 is p itself, integral Fractions included
+        assert p**n is p
+    else:
+        _assert_parity(p**n, _previous_pow(p, n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(kinded_polys(), min_size=1, max_size=3), max_size=5))
+def test_sum_of_products_matches_the_previous_loop(products):
+    _assert_parity(MPoly.sum_of_products(products), _previous_sum_of_products(products))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kinded_polys(), st.dictionaries(st.sampled_from(_SYMS), kinded_polys(), max_size=3))
+def test_derive_matches_the_previous_loop(p, rules):
+    _assert_parity(p.derive(rules), _previous_derive(p, rules))
+
+
+def test_the_common_denominator_grows_with_coprime_denominators():
+    half, third, ints = P("1/2*a0"), P("1/3*a1"), (P("a0 - 1"), P("k"))
+    for products in ([(half,), (third,), ints], [ints, (half,), (third, P("2*k")), (P("3/2"),)]):
+        _assert_parity(MPoly.sum_of_products(products), _previous_sum_of_products(products))
+    assert MPoly.sum_of_products([(half,), (third,), ints]) == P("1/2*a0 + 1/3*a1 + a0*k - k")
+    rules = {A0: P("1/3*k"), A1: P("1/5*k^2")}
+    p = P("1/2*a0^2 + a1")
+    _assert_parity(p.derive(rules), _previous_derive(p, rules))
+    assert p.derive(rules) == P("1/3*a0*k + 1/5*k^2")
+
+
+def test_cleared_products_return_ints_and_cancel_to_zero():
+    p, q = P("1/2*a0 + 3/4"), P("4*a1 + 4*k")
+    assert all(type(c) is int for c in (p * q).terms.values())
+    got = MPoly.sum_of_products([(p, q), (P("1/3*k"), P("3"))])
+    assert got == P("2*a0*a1 + 2*a0*k + 3*a1 + 4*k")
+    assert all(type(c) is int for c in got.terms.values())
+    assert MPoly.sum_of_products([(p, q), (-p, q)]).is_zero()
+    assert MPoly.sum_of_products([(p,), (P("1/3"),), (-p,), (P("-1/3"),)]).is_zero()
+    assert P("1/2*a0^2 - 1/2*a1^2").derive({A0: P("a1"), A1: P("a0")}).is_zero()
+
+
+@pytest.mark.parametrize("scale", [1, F(1, 2)], ids=["int", "fraction"])
+def test_products_keep_the_degree_cap_on_both_paths(scale):
+    high, top = MPoly.var(A0) ** 200 * scale, MPoly.var(K) ** 56
+    with pytest.raises(ValueError, match="exceeds 255"):
+        high * top
+    # the over-cap term cancels, and the cap still holds
+    with pytest.raises(ValueError, match="exceeds 255"):
+        MPoly.sum_of_products([(high, top), (-high, top)])
+    p = (MPoly.var(A0) + MPoly.var(b(1))) * MPoly.var(A1) ** 254 * scale
+    with pytest.raises(ValueError, match="exceeds 255"):
+        p.derive({A0: MPoly.var(K) ** 2, b(1): -(MPoly.var(K) ** 2)})

@@ -175,6 +175,12 @@ MUTANTS = (
         SOLVER_TESTS,
     ),
     Mutant(
+        "a partial sum that is not rescaled when the common denominator grows",
+        "fkdv/poly.py",
+        "acc[k] *= grow",
+        "acc[k] *= 1",
+    ),
+    Mutant(
         "normalize without its content division",
         "fkdv/poly.py",
         "num, den = self._content()\n        if self.terms[max(self.terms)] < 0:",
