@@ -4,13 +4,12 @@ the fifth-order KdV family."""
 __version__ = "0.1.0"
 
 from .equation import EquationSpec, SystemEq, ito
-from .poly import MPoly, Rat, parse_poly, rational_roots
+from .poly import MPoly, parse_poly, rational_roots
 from .symbols import Sym, sym
 
 __all__ = [
     "EquationSpec",
     "MPoly",
-    "Rat",
     "Sym",
     "SystemEq",
     "__version__",

@@ -462,7 +462,7 @@ def _float_terms(p: MPoly) -> tuple[tuple[float, tuple[tuple[Sym, int], ...]], .
     its (symbol, exponent) pairs in symbol order; raises PoleError when a
     coefficient overflows a float."""
     try:
-        return tuple((float(c), exps_of(k)) for k, c in p.terms.items())
+        return tuple((c / p.den, exps_of(k)) for k, c in p.terms.items())
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
 

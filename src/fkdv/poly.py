@@ -1,26 +1,24 @@
 """Sparse exact multivariate polynomials over the rationals.
 
-A coefficient is an ``int`` when it is integral and a
-:class:`fractions.Fraction` (aliased ``Rat``) otherwise, so integer
-arithmetic, the common case after :meth:`MPoly.normalize`, never builds a big
-rational.  Every value entering the kernel goes through :func:`_as_rat`, which
-turns an integral ``Fraction`` into its ``int``.  Products (``*`` of two
-polynomials, ``**`` to a power other than 1, :meth:`MPoly.sum_of_products` and
-:meth:`MPoly.derive`) are fraction-free: each operand that holds a
-``Fraction`` is scaled once by the lcm of its denominators, the products are
-summed in ints over one common denominator, and each result coefficient is
-divided by it once, so every integral coefficient they return is an ``int``.
-``+``, ``*`` by a scalar and ``substitute`` use ``Fraction`` arithmetic, which
-may still yield an integral ``Fraction``; it equals and hashes like the
-``int``, and ``normalize()`` always returns coprime ``int`` coefficients.  No
-``/`` runs between two ints: an exact quotient is ``//`` by a known divisor,
-any other is ``Fraction`` division.  Values handed out of the kernel
-(``constant_value``, ``eval_rat``, ``content``, ``rational_roots``) are
-``Fraction``.
+A polynomial is its int coefficients ``terms`` over one positive int
+denominator ``den``, in lowest terms: ``gcd(den, *terms.values()) == 1``, so
+equal values have equal ``terms`` and ``den`` (Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2).  Every operation runs in
+ints.  A product, a sum of products, a derivation, the parser's sums and a
+substitution of polynomials add int products into one term map over a
+common denominator, which grows to the lcm when a product's denominator
+does not divide it, the partial sum rescaled once; a sum of two
+polynomials brings both to the lcm of their denominators.  Each result is
+divided once by the gcd of its denominator and coefficients.  Rationals enter through :func:`_as_rat`, which takes an int
+or a ``Fraction`` and rejects anything else.  Values handed out of the
+kernel are ``Fraction`` (``constant_value``, ``eval_rat``, ``content``,
+``rational_roots``), or for a coefficient (``linear_pivots``,
+``as_univariate``) an ``int`` when integral.  :meth:`MPoly.normalize` gives
+denominator 1 and coprime coefficients, the form the solver works in.
 
 A monomial is one int code, built by :func:`monomial` and decoded by
-:func:`exps_of`; a polynomial's ``terms`` maps codes to nonzero coefficients,
-so equal values have equal term maps and the kernel hashes only ints.
+:func:`exps_of`; a polynomial's ``terms`` maps codes to nonzero
+coefficients, so the kernel hashes only ints.
 
 The canonical term order is graded lexicographic with the fixed symbol order
 from :mod:`fkdv.symbols`: higher total degree first, ties broken by the
@@ -38,9 +36,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .symbols import ALPHABET, DEGREE_SHIFT, FIELD_BITS, MAX_DEGREE, Sym
 
-Rat = Fraction
-
-Coef = Union[int, Fraction]  # int when integral, see the module docstring
+Coef = Union[int, Fraction]  # a coefficient handed out: int when integral
 Coeffable = Union["MPoly", Fraction, int]
 
 _FIELD = (1 << FIELD_BITS) - 1  # one exponent field
@@ -101,7 +97,7 @@ def monomial(exps: Mapping[Sym, int] | Iterable[tuple[Sym, int]] = ()) -> int:
 
 
 def _as_rat(v) -> Coef:
-    """The canonical coefficient: an int when ``v`` is integral, else the
+    """The canonical rational: an int when ``v`` is integral, else the
     Fraction itself; floats and other types raise TypeError."""
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
@@ -110,32 +106,16 @@ def _as_rat(v) -> Coef:
     raise TypeError(f"expected rational, got {type(v).__name__}")
 
 
-def _accumulate(acc: dict[int, Coef], left: Iterable, right: list[tuple[int, Coef]]) -> None:
-    """acc += left * right over (code, coefficient) pairs."""
-    get = acc.get
-    for k1, c1 in left:
-        for k2, c2 in right:
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
+def _handed(c: int, den: int) -> Coef:
+    # the coefficient c / den as handed out: an int when integral
+    return c // den if not c % den else Fraction(c, den)
 
 
-def _cleared(terms: Mapping[int, Coef]) -> tuple[int, list[tuple[int, int]]]:
-    """(L, [(code, L * c)]) over the terms, L the lcm of their denominators."""
-    clear = lcm(*[c.denominator for c in terms.values()])
-    return clear, [(k, c.numerator * (clear // c.denominator)) for k, c in terms.items()]
-
-
-def _accumulate_cleared(
-    acc: dict[int, int], den: int, clear: int, left: list[tuple[int, int]],
-    right: Mapping[int, Coef],
-) -> int:
-    """Add den * (left / clear) * right to acc, which holds den times a sum,
-    in ints; returns the new den.  ``left`` is ints over ``clear`` (see
-    _cleared) and right is cleared here, so the product's denominator d is
-    clear times the lcm of right's.  When d does not divide den, den grows
-    to lcm(den, d) and acc is rescaled."""
-    lr, right = _cleared(right)
-    d = clear * lr
+def _accumulate(acc: dict[int, int], den: int, left: Iterable, right: Collection, d: int) -> int:
+    """Add left * right / d to acc, which holds den times a sum, in ints,
+    and return the new den.  ``left`` and ``right`` are (code, int) pairs.
+    When d does not divide den, den grows to lcm(den, d) and acc is
+    rescaled; the product is then scaled by den / d."""
     if den % d:
         grow = d // gcd(den, d)
         for k in acc:
@@ -144,45 +124,58 @@ def _accumulate_cleared(
     if den != d:
         scale = den // d
         left = [(k, c * scale) for k, c in left]
-    _accumulate(acc, left, right)
+    get = acc.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
     return den
 
 
 class MPoly:
-    """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
+    """Immutable sparse polynomial ``terms`` over ``den``; do not mutate
+    ``terms`` after creation."""
 
-    # _syms caches symbols() and _exact the form Point evaluates
-    __slots__ = ("terms", "_hash", "_ascii", "_syms", "_exact")
+    # _syms caches symbols()
+    __slots__ = ("terms", "den", "_hash", "_ascii", "_syms")
 
-    def __init__(self, terms: Mapping[int, Coef] | None = None):
-        # keys are codes from monomial()
-        self.terms: dict[int, Coef] = {}
-        if terms:
-            for k, c in terms.items():
-                c = _as_rat(c)
-                if c != 0:
-                    self.terms[k] = c
-        self._hash = self._ascii = self._syms = self._exact = None
+    def __init__(self, terms: Mapping[int, Coeffable] | None = None):
+        # keys are codes from monomial(), values rationals: each is scaled
+        # to the lcm of their denominators, which leaves them coprime to it
+        rats = {k: _as_rat(c) for k, c in terms.items()} if terms else {}
+        self.den = lcm(*[c.denominator for c in rats.values()])
+        self.terms: dict[int, int] = {
+            k: c.numerator * (self.den // c.denominator) for k, c in rats.items() if c
+        }
+        self._hash = self._ascii = self._syms = None
 
     @classmethod
-    def _raw(cls, terms: dict[int, Coef]) -> "MPoly":
-        # internal: takes ownership, trusts no zero coefficients
+    def _raw(cls, terms: dict[int, int], den: int = 1) -> "MPoly":
+        # internal: takes ownership, trusts no zero coefficients and lowest
+        # terms
         self = object.__new__(cls)
         self.terms = terms
-        self._hash = self._ascii = self._syms = self._exact = None
+        self.den = den
+        self._hash = self._ascii = self._syms = None
         return self
 
     @classmethod
-    def _from_codes(cls, acc: dict[int, Coef], den: int = 1) -> "MPoly":
-        # internal: the nonzero terms of a code-keyed sum, each divided by
-        # den.  The largest code is checked: in a product it is a term of
-        # top degree, which never cancels
+    def _lowest(cls, terms: dict[int, int], den: int) -> "MPoly":
+        # internal: nonzero terms over den, divided by their common factor
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: c // g for k, c in terms.items()}
+        return cls._raw(terms, den)
+
+    @classmethod
+    def _from_codes(cls, acc: dict[int, int], den: int = 1) -> "MPoly":
+        # internal: the nonzero terms of a code-keyed sum over den.  The
+        # largest code is checked: in a product it is a term of top degree,
+        # which never cancels
         _checked(max(acc, default=0))
-        if den == 1:
-            return cls._raw({k: c for k, c in acc.items() if c})
-        return cls._raw(
-            {k: c // den if not c % den else Fraction(c, den) for k, c in acc.items() if c}
-        )
+        return cls._lowest({k: c for k, c in acc.items() if c}, den)
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -191,7 +184,7 @@ class MPoly:
     @classmethod
     def const(cls, c) -> "MPoly":
         c = _as_rat(c)
-        return cls._raw({} if c == 0 else {0: c})
+        return cls._raw({0: c.numerator}, c.denominator) if c else cls._raw({})
 
     @classmethod
     def var(cls, s: Sym) -> "MPoly":
@@ -203,35 +196,43 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    # each operator tests isinstance with MPoly first: with Fraction, an
+    # ABC, it costs a Python-level __instancecheck__ call
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = MPoly.const(other)
-        return isinstance(other, MPoly) and self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.den, frozenset(self.terms.items())))
         return self._hash
 
     def __add__(self, other: Coeffable) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
             other = MPoly.const(other)
-        out = dict(self.terms)
+        # both over den, the lcm of the two denominators
+        den = lcm(self.den, other.den)
+        grow, scale = den // self.den, den // other.den
+        out = dict(self.terms) if grow == 1 else {k: c * grow for k, c in self.terms.items()}
+        get = out.get
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
+            c = get(k, 0) + c * scale
+            if c:
+                out[k] = c
             else:
-                out[k] = s
-        return MPoly._raw(out)
+                del out[k]
+        return MPoly._lowest(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._raw({k: -c for k, c in self.terms.items()})
+        return MPoly._raw({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: Coeffable) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
             other = MPoly.const(other)
         return self + (-other)
 
@@ -239,42 +240,25 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other: Coeffable) -> "MPoly":
-        # isinstance with MPoly first: with Fraction, an ABC, it costs a
-        # Python-level __instancecheck__ call on every polynomial product
         if not isinstance(other, MPoly):
-            other = _as_rat(other)
-            if other == 0:
-                return MPoly.zero()
-            return MPoly._raw({k: c * other for k, c in self.terms.items()})
-        acc: dict[int, Coef] = {}
-        try:
-            # gcd rejects a Fraction; the leading 1 spares it any arithmetic
-            gcd(1, *self.terms.values(), *other.terms.values())
-        except TypeError:
-            den = _accumulate_cleared(acc, 1, *_cleared(self.terms), other.terms)
-            return MPoly._from_codes(acc, den)
-        _accumulate(acc, self.terms.items(), list(other.terms.items()))
-        return MPoly._from_codes(acc)
+            v = _as_rat(other)
+            out = {k: c * v.numerator for k, c in self.terms.items()} if v else {}
+            return MPoly._lowest(out, self.den * v.denominator)
+        acc: dict[int, int] = {}
+        den = _accumulate(acc, 1, self.terms.items(), list(other.terms.items()), self.den * other.den)
+        return MPoly._from_codes(acc, den)
 
     __rmul__ = __mul__
 
     @classmethod
     def sum_of_products(cls, products: Iterable[Sequence["MPoly"]]) -> "MPoly":
         """The sum of the products of the nonempty factor sequences; each
-        product's last multiplication goes straight into one term map, in
-        ints over a common denominator once a Fraction occurs."""
-        acc: dict[int, Coef] = {}
+        product's last multiplication goes straight into one term map."""
+        acc: dict[int, int] = {}
         den = 1  # acc holds den times the sum
         for *head, last in products:
-            left = reduce(mul, head).terms if head else {0: 1}
-            try:  # gcd(1, ...) is 1, or rejects a Fraction: see __mul__
-                ints = den == 1 and gcd(1, *left.values(), *last.terms.values())
-            except TypeError:
-                ints = False
-            if ints:
-                _accumulate(acc, left.items(), list(last.terms.items()))
-            else:
-                den = _accumulate_cleared(acc, den, *_cleared(left), last.terms)
+            left = reduce(mul, head) if head else MPoly.const(1)
+            den = _accumulate(acc, den, left.terms.items(), list(last.terms.items()), left.den * last.den)
         return cls._from_codes(acc, den)
 
     def __pow__(self, n: int) -> "MPoly":
@@ -284,9 +268,9 @@ class MPoly:
         if not n:
             return MPoly.const(1)
         if n > 1 and len(self.terms) == 1:
-            # a monomial: its code times n, its coefficient to the n
+            # a monomial: its code times n, its coefficient and den to the n
             ((k, c),) = self.terms.items()
-            return MPoly._raw({k * n: _as_rat(c**n)})
+            return MPoly._raw({k * n: c**n}, self.den**n)
         # left-to-right binary powering: square per bit, times self per 1 bit
         result = self
         for bit in bin(n)[3:]:
@@ -309,7 +293,7 @@ class MPoly:
     def linear_pivots(self) -> dict[Sym, Coef]:
         """{x: c} for each symbol x that occurs only in one term c*x, that
         is, linearly with a constant coefficient."""
-        candidates: dict[int, Coef] = {}
+        candidates: dict[int, int] = {}
         others = 0
         for k, c in self.terms.items():
             if k >> DEGREE_SHIFT == 1:
@@ -317,7 +301,7 @@ class MPoly:
             else:
                 others |= k
         return {
-            _BY_FIELD[(bit.bit_length() - 1) // FIELD_BITS]: c
+            _BY_FIELD[(bit.bit_length() - 1) // FIELD_BITS]: _handed(c, self.den)
             for bit, c in candidates.items()
             if not others & bit * _FIELD
         }
@@ -330,13 +314,13 @@ class MPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return Fraction(self.terms[0])
+        return Fraction(self.terms[0], self.den)
 
     def coefficient_of(self, s: Sym, power: int) -> "MPoly":
         """Polynomial coefficient of s**power (s removed from the monomials)."""
         drop = power * ((1 << s.shift) + _DEG1)
         out = {k - drop: c for k, c in self.terms.items() if (k >> s.shift) & _FIELD == power}
-        return MPoly._raw(out)
+        return MPoly._lowest(out, self.den)
 
     def split(self, syms: Sequence[Sym]) -> dict[tuple[int, ...], "MPoly"]:
         """Coefficients by the exponents of ``syms``: self is the sum over
@@ -344,7 +328,7 @@ class MPoly:
         mask = sum(_FIELD << s.shift for s in syms)
         # group the terms by their fields of syms, taking off each term's
         # fields and their degree as it is grouped
-        groups: dict[int, tuple[int, dict[int, Coef]]] = {}
+        groups: dict[int, tuple[int, dict[int, int]]] = {}
         for k, c in self.terms.items():
             picked = k & mask
             try:
@@ -354,96 +338,59 @@ class MPoly:
                 drop, terms = groups[picked] = (picked + degree * _DEG1, {})
             terms[k - drop] = c
         return {
-            tuple((picked >> s.shift) & _FIELD for s in syms): MPoly._raw(terms)
+            tuple((picked >> s.shift) & _FIELD for s in syms): MPoly._lowest(terms, self.den)
             for picked, (_, terms) in groups.items()
         }
 
     def max_exponent(self, s: Sym) -> int:
         return max(((k >> s.shift) & _FIELD for k in self.terms), default=0)
 
-    def _content(self) -> tuple[int, int | None]:
-        # (gcd of the numerators, lcm of the denominators) is the content in
-        # lowest terms, as every coefficient is in lowest terms; the lcm is
-        # None when every coefficient is an int
-        try:
-            return gcd(*self.terms.values()), None
-        except TypeError:  # gcd rejects a Fraction
-            num, den = 0, 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return num, den
-
     def content(self) -> Fraction:
         """Positive gcd of the coefficients; 0 for the zero polynomial."""
-        if not self.terms:
-            return Fraction(0)
-        num, den = self._content()
-        return Fraction(num, den or 1)
+        return Fraction(gcd(*self.terms.values()), self.den)
 
     def normalize(self) -> "MPoly":
         """Divide by the positive content and make the leading coefficient
-        positive, giving coprime int coefficients.  Idempotent: a normal
-        polynomial is returned itself; preserves the zero set exactly."""
+        positive, giving den 1 and coprime coefficients.  Idempotent: a
+        normal polynomial is returned itself; preserves the zero set
+        exactly."""
         if not self.terms:
             return self
-        num, den = self._content()
+        g = gcd(*self.terms.values())
         if self.terms[max(self.terms)] < 0:
-            num = -num
-        if den is None:
-            if num == 1:
-                return self
-            out = MPoly._raw({k: c // num for k, c in self.terms.items()})
-        else:
-            # c * den / num is an integer: num divides every numerator
-            out = MPoly._raw(
-                {k: c.numerator * (den // c.denominator) // num for k, c in self.terms.items()}
-            )
+            g = -g
+        if g == self.den == 1:
+            return self
+        out = MPoly._raw({k: c // g for k, c in self.terms.items()})
         out._syms = self._syms  # same monomials
         return out
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "MPoly":
-        """Homomorphic substitution; unbound symbols remain."""
+        """Homomorphic substitution; unbound symbols remain.  The symbols
+        bound to rationals are bound one at a time, then those bound to
+        polynomials in one pass."""
         syms = self.symbols()
-        if len(bind) == 1:
-            # one symbol bound to a rational, the solver's every call: each
-            # power of the value is computed once, each term rewritten once
-            ((s, v),) = bind.items()
+        out, polys = self, {}
+        for s, v in bind.items():
             if s not in syms:
-                return self
-            if not isinstance(v, MPoly):
-                v, shift, touched = _as_rat(v), s.shift, _FIELD << s.shift
-                if not v:
-                    return MPoly._raw({k: c for k, c in self.terms.items() if not k & touched})
-                step, powers = (1 << shift) + _DEG1, [1, v]
-                acc = {}
-                get = acc.get
-                for k, c in self.terms.items():
-                    if k & touched:
-                        e = k >> shift & _FIELD
-                        while len(powers) <= e:
-                            powers.append(powers[-1] * v)
-                        k -= e * step
-                        c *= powers[e]
-                    acc[k] = get(k, 0) + c
-                return MPoly._from_codes(acc)
-        bind = {
-            s: v if isinstance(v, MPoly) else _as_rat(v)
-            for s, v in bind.items()
-            if s in syms
-        }
-        if not bind:
-            return self
+                continue
+            if isinstance(v, MPoly):
+                polys[s] = v
+            else:
+                out = out._bind_rat(s, _as_rat(v))
+        if not polys:
+            return out
         touched = 0
-        for s in bind:
+        for s in polys:
             touched |= _FIELD << s.shift
-        # a polynomial value keeps its powers in one row per call: e -> v**e
-        bound = [(s.shift, (1 << s.shift) + _DEG1, v, {}) for s, v in bind.items()]
-        acc: dict[int, Coef] = {}
+        # a value keeps its powers in one row per call: e -> v**e
+        bound = [(s.shift, (1 << s.shift) + _DEG1, v, {}) for s, v in polys.items()]
+        acc: dict[int, int] = {}
+        den = 1  # acc holds den times the sum over out.den
         get = acc.get
-        for k, c in self.terms.items():
+        for k, c in out.terms.items():
             if not k & touched:
-                acc[k] = get(k, 0) + c
+                acc[k] = get(k, 0) + c * den
                 continue
             factors: list[MPoly] = []
             for shift, step, v, powers in bound:
@@ -451,46 +398,54 @@ class MPoly:
                 if not e:
                     continue
                 k -= e * step
-                if isinstance(v, MPoly):
-                    if e not in powers:
-                        powers[e] = v**e
-                    factors.append(powers[e])
-                else:
-                    c = c * v**e
-            if not c:
-                continue
-            if factors:
-                _accumulate(acc, [(k, c)], list(reduce(mul, factors).terms.items()))
-            else:
-                acc[k] = get(k, 0) + c
-        return MPoly._from_codes(acc)
+                if e not in powers:
+                    powers[e] = v**e
+                factors.append(powers[e])
+            q = reduce(mul, factors)
+            den = _accumulate(acc, den, [(k, c)], list(q.terms.items()), q.den)
+        return MPoly._from_codes(acc, den * out.den)
+
+    def _bind_rat(self, s: Sym, v: Coef) -> "MPoly":
+        # self with s bound to the rational v = n/m, in one int loop: s**e
+        # becomes n**e * m**(top - e) over m**top, top the largest exponent
+        # of s, and each power is computed once per call
+        shift, touched = s.shift, _FIELD << s.shift
+        if not v:
+            return MPoly._lowest({k: c for k, c in self.terms.items() if not k & touched}, self.den)
+        n, m = v.numerator, v.denominator
+        top = self.max_exponent(s) if m != 1 else 0
+        lifts = [1]  # lifts[j] = m**j
+        for _ in range(top):
+            lifts.append(lifts[-1] * m)
+        step, powers = (1 << shift) + _DEG1, [1, n]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, c in self.terms.items():
+            e = k >> shift & _FIELD
+            if e:
+                while len(powers) <= e:
+                    powers.append(powers[-1] * n)
+                k -= e * step
+                c *= powers[e]
+            if top:
+                c *= lifts[top - e]
+            acc[k] = get(k, 0) + c
+        return MPoly._from_codes(acc, self.den * lifts[top])
 
     def derive(self, rules: Mapping[Sym, "MPoly"]) -> "MPoly":
         """The derivation sending each symbol in ``rules`` to its rule and
         every other symbol to 0: the sum over s of (d/ds self) * rules[s]."""
-        acc: dict[int, Coef] = {}
+        acc: dict[int, int] = {}
         den = 1  # as in sum_of_products
-        try:
-            gcd(1, *self.terms.values())  # see __mul__
-            clear, terms = 1, self.terms.items()
-        except TypeError:
-            clear, terms = _cleared(self.terms)
         for s, rule in rules.items():
             shift = s.shift
             step = (1 << shift) + _DEG1
             partial = []
-            for k, c in terms:
+            for k, c in self.terms.items():
                 e = (k >> shift) & _FIELD
                 if e:
                     partial.append((k - step, c * e))
-            try:  # as in sum_of_products
-                ints = den == clear == 1 and gcd(1, *rule.terms.values())
-            except TypeError:
-                ints = False
-            if ints:
-                _accumulate(acc, partial, list(rule.terms.items()))
-            else:
-                den = _accumulate_cleared(acc, den, clear, partial, rule.terms)
+            den = _accumulate(acc, den, partial, list(rule.terms.items()), self.den * rule.den)
         return MPoly._from_codes(acc, den)
 
     def eval_rat(self, point: Mapping[Sym, Coeffable]) -> Fraction:
@@ -498,20 +453,6 @@ class MPoly:
         :class:`Point`)."""
         at = Point(point, self.symbols())
         return Fraction(at.scaled(self), at.denominator(self))
-
-    def _exact_form(self) -> tuple[int, int, Mapping[int, Coef]]:
-        # (L, d, {code: L * c}): L the lcm of the coefficient denominators
-        # and d the total degree; the map is terms itself when L is 1.
-        # Computed once.  A term's exponents are decoded when it is
-        # evaluated, through exps_of: decoding every term here would also
-        # decode those the zero skip never reaches
-        if self._exact is None:
-            clear = lcm(*[c.denominator for c in self.terms.values()])
-            d = max(self.degree(), 0)
-            self._exact = (clear, d, self.terms if clear == 1 else {
-                k: c.numerator * (clear // c.denominator) for k, c in self.terms.items()
-            })
-        return self._exact
 
     def as_univariate(self, x: Sym) -> Optional[list[Coef]]:
         """Dense coefficient list in ``x`` (ascending), or None if any other
@@ -523,7 +464,7 @@ class MPoly:
             e = (k >> shift) & _FIELD
             if k != e * step:
                 return None
-            coeffs[e] = coeffs.get(e, 0) + c
+            coeffs[e] = _handed(c, self.den)
         n = max(coeffs, default=0)
         return [coeffs.get(i, 0) for i in range(n + 1)]
 
@@ -546,19 +487,19 @@ class MPoly:
         """Exact division by the monomial of code ``g``, which must divide
         every term."""
         fields = [(s.shift, e) for s, e in exps_of(g)]
-        out: dict[int, Coef] = {}
+        out: dict[int, int] = {}
         for k, c in self.terms.items():
             for shift, e in fields:
                 if (k >> shift) & _FIELD < e:
                     raise ValueError(f"{_ascii_mono(g)} does not divide {_ascii_mono(k)}")
             out[k - g] = c
-        return MPoly._raw(out)
+        return MPoly._raw(out, self.den)
 
     def ascii(self) -> str:
         """Canonical ASCII form: graded-lex descending, ``^`` powers,
         ``*`` products.  Bit-stable for equal polynomials; computed once."""
         if self._ascii is None:
-            self._ascii = self._render(str, _ascii_mono, "*")
+            self._ascii = self._render(_ascii_coef, _ascii_mono, "*")
         return self._ascii
 
     __str__ = ascii
@@ -571,18 +512,22 @@ class MPoly:
 
     def _render(self, coef, mono, times: str) -> str:
         # the terms in graded-lex descending order, each as its sign and
-        # coef(|c|) times mono(code); a unit factor is left out
+        # coef(n, d) times mono(code), n/d the magnitude in lowest terms; a
+        # unit factor is left out
         if not self.terms:
             return "0"
         parts = []
         for k, c in sorted(self.terms.items(), reverse=True):
-            mag = -c if c < 0 else c
+            n, d = -c if c < 0 else c, self.den
+            if d != 1:
+                g = gcd(n, d)
+                n, d = n // g, d // g
             if not k:
-                body = coef(mag)
-            elif mag == 1:
+                body = coef(n, d)
+            elif n == d == 1:
                 body = mono(k)
             else:
-                body = f"{coef(mag)}{times}{mono(k)}"
+                body = f"{coef(n, d)}{times}{mono(k)}"
             parts.append(f" - {body}" if c < 0 else f" + {body}")
         text = "".join(parts)
         # the first term's sign takes no spaces, and a plus sign none at all
@@ -594,12 +539,12 @@ class Point:
 
     With D the common denominator of the bound values, each value is N/D,
     and a term of degree k of a polynomial of total degree d is scaled by
-    D**(d - k); L clears the polynomial's coefficient denominators, so its
-    value is an int sum over L * D**d.  The point fixes D and each N once;
-    the tables N**e and D**j grow when a term first needs them, and a term
-    with a symbol bound to 0 is skipped.  Only the values of ``syms`` are
-    read, so an entry for another symbol is ignored; a missing one raises
-    KeyError naming the least such symbol."""
+    D**(d - k), so the value of ``terms`` over ``den`` is an int sum over
+    den * D**d.  The point fixes D and each N once; the tables N**e and D**j
+    grow when a term first needs them, and a term with a symbol bound to 0
+    is skipped.  Only the values of ``syms`` are read, so an entry for
+    another symbol is ignored; a missing one raises KeyError naming the
+    least such symbol."""
 
     __slots__ = ("powers", "zero", "scale")
 
@@ -621,13 +566,13 @@ class Point:
         self.scale = [1, den]  # scale[j] = D**j
 
     def scaled(self, p: MPoly) -> int:
-        """The integer L * D**d * p(point): 0 exactly where p vanishes."""
-        _, d, terms = p._exact_form()
+        """The integer den * D**d * p(point): 0 exactly where p vanishes."""
+        d = max(p.degree(), 0)
         powers, zero, scale = self.powers, self.zero, self.scale
         while len(scale) <= d:
             scale.append(scale[-1] * scale[1])
         total = 0
-        for k, v in terms.items():
+        for k, v in p.terms.items():
             if k & zero:
                 continue
             for s, e in exps_of(k):
@@ -639,9 +584,8 @@ class Point:
         return total
 
     def denominator(self, p: MPoly) -> int:
-        """L * D**d, so p(point) is ``scaled(p)`` over it."""
-        clear, d, _ = p._exact_form()
-        return clear * self.scale[1] ** d
+        """den * D**d, so p(point) is ``scaled(p)`` over it."""
+        return p.den * self.scale[1] ** max(p.degree(), 0)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -656,10 +600,12 @@ def _latex_mono(k: int) -> str:
     return " ".join(s.latex() if e == 1 else f"{s.latex()}^{{{e}}}" for s, e in _decode(k & _EXPS))
 
 
-def _latex_coef(c: Coef) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
+def _ascii_coef(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _latex_coef(n: int, d: int) -> str:
+    return str(n) if d == 1 else rf"\frac{{{n}}}{{{d}}}"
 
 
 def _primitive(cs: Sequence[Fraction | int]) -> list[int]:
@@ -830,13 +776,14 @@ class _Parser:
         return sign
 
     def expr(self) -> MPoly:
-        acc: dict[int, Coef] = {}
+        acc: dict[int, int] = {}
+        den = 1  # acc holds den times the sum
         while True:
             sign = self.signs()
-            for k, c in self.term().terms.items():
-                acc[k] = acc.get(k, 0) + sign * c
+            t = self.term()
+            den = _accumulate(acc, den, [(0, sign)], t.terms.items(), t.den)
             if self.peek() not in ("+", "-"):
-                return MPoly(acc)
+                return MPoly._from_codes(acc, den)
 
     def term(self) -> MPoly:
         p = self.factor()

@@ -210,8 +210,9 @@ def test_guard_bound_follows_the_degree_in_w():
 
 
 def _reference_eval_float(p, point, bound=MAGNITUDE_GUARD):
-    # the evaluator before compiled forms: it converted each coefficient,
-    # decoded each monomial and called the guard at every point
+    # the evaluator before compiled forms: it converted each coefficient
+    # (the Fraction of its int over den), decoded each monomial and called
+    # the guard at every point
     def guard(v, b):
         if not math.isfinite(v) or abs(v) > b:
             raise PoleError("magnitude guard tripped")
@@ -223,7 +224,7 @@ def _reference_eval_float(p, point, bound=MAGNITUDE_GUARD):
             v = 1.0
             for s, e in exps_of(k):
                 v *= point[s] ** e
-            total.append(guard(float(c) * guard(v, bound), bound))
+            total.append(guard(float(F(c, p.den)) * guard(v, bound), bound))
     except OverflowError as exc:
         raise PoleError(str(exc)) from exc
     return guard(math.fsum(total), bound)

@@ -3,7 +3,6 @@ import random
 import time
 from fractions import Fraction as F
 from functools import reduce
-from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,8 +14,6 @@ from fkdv.poly import (
     MPoly,
     Point,
     _Parser,
-    _accumulate,
-    _as_rat,
     _derivative,
     _horner,
     _pseudo_divmod,
@@ -35,6 +32,23 @@ K = Sym("k")
 
 def P(text):
     return parse_poly(text)
+
+
+def _rats(p):
+    """The rational view of ``p``'s int ``terms`` over ``den``: code ->
+    Fraction, in p's term order."""
+    return {k: F(c, p.den) for k, c in p.terms.items()}
+
+
+def _assert_canonical(p):
+    """``p`` is in lowest terms: nonzero int coefficients over a positive
+    int den sharing no factor with all of them, so the same value built
+    again from its rationals has the same terms, den and hash."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert math.gcd(p.den, *p.terms.values()) == 1
+    q = MPoly(_rats(p))
+    assert (q.terms, q.den, hash(q)) == (p.terms, p.den, hash(p))
 
 
 # ---------------------------------------------------------------- symbols
@@ -602,9 +616,9 @@ def test_partial_and_zero_bindings_match_constant_polynomials(p, bind):
         assert got == p.substitute({s: MPoly.const(v) for s, v in rats.items()})
         assert all(v != 0 for v in got.terms.values())
     # binding to 0 keeps the untouched terms, codes and coefficients
-    for k, c in p.substitute(zero).terms.items():
+    for k, c in _rats(p.substitute(zero)).items():
         assert not {s for s, _ in exps_of(k)} & zero.keys()
-        assert k in p.terms and p.terms[k] == c
+        assert k in p.terms and _rats(p)[k] == c
 
 
 def _rebuilt_symbols(p):
@@ -628,7 +642,7 @@ def test_ascii_stable_and_parses_after_arithmetic(p, q, bind):
     assert p.ascii() == first == str(p)
     for r in (p + q, p * q, p.substitute(bind), (p * q).substitute(bind)):
         text = r.ascii()
-        assert text == r.ascii() == MPoly(dict(sorted(r.terms.items()))).ascii()
+        assert text == r.ascii() == MPoly(dict(sorted(_rats(r).items()))).ascii()
         assert parse_poly(text) == r
     assert p.ascii() == first
 
@@ -644,28 +658,43 @@ def test_float_coefficients_rejected():
 
 
 def test_integral_coefficients_are_ints_and_boundaries_fractions():
+    # 3*a0 + 2 + 1/2*k is the int coefficients (6, 4, 1) over den 2
     p = MPoly.var(A0) * F(6, 2) + MPoly.const(F(4, 2)) + P("1/2*k")
-    assert {type(c) for c in p.terms.values()} == {int, F}
+    assert p.terms == {monomial({A0: 1}): 6, 0: 4, monomial({K: 1}): 1} and p.den == 2
     assert type(MPoly.var(A0).terms[monomial({A0: 1})]) is int
     assert type(MPoly.const(F(8, 4)).constant_value()) is F
     assert type(MPoly.zero().constant_value()) is F
     assert type(P("2*a0 + 4").content()) is F
     assert type(P("2*a0 + 4").eval_rat({A0: 1})) is F
+    # a coefficient handed out is an int when integral, else a Fraction
+    coeffs = P("3/2*a0 + 2").as_univariate(A0)
+    assert coeffs == [2, F(3, 2)] and [type(c) for c in coeffs] == [int, F]
+    pivots = P("2*a0 + 1/2*a1 + k^2").linear_pivots()
+    assert pivots == {A0: 2, A1: F(1, 2)} and type(pivots[A0]) is int
     # int and Fraction coefficients of equal value make equal polynomials
     q = MPoly({monomial({A0: 1}): F(3), monomial(): F(1, 2)})
     assert q == P("3*a0 + 1/2") and hash(q) == hash(P("3*a0 + 1/2"))
-    # Fraction arithmetic can leave an integral Fraction; normalize() makes
-    # it an int even when there is nothing to divide out
+    # a result is in lowest terms: here the denominator cancels
     r = P("1/2*a0 + 3/2") * 2
-    assert {type(c) for c in r.terms.values()} == {F}
-    assert r.normalize() == P("a0 + 3")
-    assert all(type(c) is int for c in r.normalize().terms.values())
+    assert (r.terms, r.den) == ({monomial({A0: 1}): 1, 0: 3}, 1)
+    assert r.normalize() is r
 
 
-def _with_fraction_coefficients(p: MPoly) -> MPoly:
-    # the same polynomial with every coefficient a Fraction, so content()
-    # and normalize() take their Fraction loop instead of the int path
-    return MPoly._raw({k: F(c) for k, c in p.terms.items()})
+def _fraction_content(p):
+    # the content from the rational view: the gcd of the numerators over
+    # the lcm of the denominators, every coefficient in lowest terms
+    rats = _rats(p).values()
+    return F(math.gcd(*[c.numerator for c in rats]), math.lcm(*[c.denominator for c in rats]))
+
+
+def _fraction_normalize(p):
+    # the rational view divided by the content, negated when its leading
+    # coefficient is negative
+    rats = _rats(p)
+    content = _fraction_content(p)
+    if rats and rats[max(rats)] < 0:
+        content = -content
+    return {k: c / content for k, c in rats.items()}
 
 
 @pytest.mark.parametrize(
@@ -679,13 +708,12 @@ def _with_fraction_coefficients(p: MPoly) -> MPoly:
 )
 def test_int_content_and_normalize_agree_with_the_fraction_loop(text, content, normal):
     p = P(text)
-    q = _with_fraction_coefficients(p)
-    assert all(type(c) is int for c in p.terms.values())
-    assert p.content() == q.content() == content
-    assert type(p.content()) is F
-    for n in (p.normalize(), q.normalize()):
-        assert n == P(normal)
-        assert all(type(c) is int for c in n.terms.values())
+    assert p.content() == content and type(p.content()) is F
+    for q in (p, p * F(1, 6)):  # over den 1, and over a den above 1
+        assert q.content() == _fraction_content(q)
+        n = q.normalize()
+        assert n == P(normal) and n.den == 1
+        assert _rats(n) == _fraction_normalize(q)
     if p == P(normal):
         assert p.normalize() is p
 
@@ -694,9 +722,10 @@ def test_int_content_and_normalize_agree_with_the_fraction_loop(text, content, n
 @given(polys(), st.integers(-(10**6), 10**6).filter(bool))
 def test_int_path_matches_the_fraction_loop(p, scale):
     ints = p.normalize() * scale
-    q = _with_fraction_coefficients(ints)
-    assert ints.content() == q.content()
-    assert ints.normalize() == q.normalize() == p.normalize()
+    for q in (ints, ints * F(1, 7), p):
+        assert q.content() == _fraction_content(q)
+        assert _rats(q.normalize()) == _fraction_normalize(q)
+    assert ints.normalize() == p.normalize()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -704,13 +733,13 @@ def test_int_path_matches_the_fraction_loop(p, scale):
 def test_normalize_gives_coprime_int_coefficients(p, scale):
     n = (p * scale).normalize()
     coeffs = list(n.terms.values())
-    assert all(type(c) is int for c in coeffs)
+    assert n.den == 1 and all(type(c) is int for c in coeffs)
     if coeffs:
         assert math.gcd(*coeffs) == 1
         lead = max(n.terms)
         assert n.terms[lead] > 0
         # n is p up to a nonzero rational factor
-        assert n * (p * scale).terms[lead] == (p * scale) * n.terms[lead]
+        assert n * _rats(p * scale)[lead] == (p * scale) * n.terms[lead]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -759,12 +788,13 @@ def _ref_cmp(a: tuple, b: tuple) -> int:
 
 
 def _ref_of(p: MPoly) -> dict:
-    # the decoded exponents, after checking that each key is a plain int
-    # whose degree field agrees with its fields (monomial() raises above
-    # the degree cap) and that no coefficient is zero
-    for k, c in p.terms.items():
-        assert type(k) is int and monomial(exps_of(k)) == k and c != 0
-    return {exps_of(k): c for k, c in p.terms.items()}
+    # the decoded exponents and rational coefficients, after checking that
+    # each key is a plain int whose degree field agrees with its fields
+    # (monomial() raises above the degree cap) and that p is in lowest terms
+    for k in p.terms:
+        assert type(k) is int and monomial(exps_of(k)) == k
+    _assert_canonical(p)
+    return {exps_of(k): c for k, c in _rats(p).items()}
 
 
 def _ref_poly(ref: dict) -> MPoly:
@@ -964,8 +994,8 @@ _KERNEL_OPS = ("add", "sub", "undo", "scale", "mul", "square", "conjugate", "sub
     ),
 )
 def test_kernel_keeps_int_codes_and_matches_the_reference(p, q, ops):
-    # after each operation _ref_of checks the keys and coefficients and
-    # decodes them; at most three operations on degree 20 stay within the
+    # after each operation _ref_of checks the keys, the coefficients and
+    # the lowest terms and decodes them; at most three operations on degree 20 stay within the
     # degree cap (the largest, two squarings after a conjugate, reach 240)
     poly, other, ref = _ref_poly(p), _ref_poly(q), p
     for op, s, v in ops:
@@ -1136,8 +1166,7 @@ def _agree_with_previous_parser(text):
     got = _parsed_by(parse_poly, text)
     assert got == _parsed_by(lambda t: _PreviousParser(t).parse(), text), text
     if isinstance(got, MPoly):
-        assert all(c != 0 for c in got.terms.values())
-        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+        _assert_canonical(got)
 
 
 # symbol powers up to past the degree cap; a parenthesized factor only gets
@@ -1265,9 +1294,10 @@ def _previous_eval_rat(p, point):
     scale = [1]  # scale[j] = D**j
     for _ in range(d):
         scale.append(scale[-1] * den)
-    clear = math.lcm(*[c.denominator for c in p.terms.values()])
+    rats = _rats(p)
+    clear = math.lcm(*[c.denominator for c in rats.values()])
     total = 0
-    for k, c in p.terms.items():
+    for k, c in rats.items():
         if k & zero:
             continue
         v = c if clear == 1 else c.numerator * (clear // c.denominator)
@@ -1346,31 +1376,33 @@ def test_eval_rat_names_the_least_unbound_symbol():
 
 # ---------------------------------------------------------------- previous substitute
 # substitute gained a path for one binding to a rational, the solver's every
-# call, which computes each power of the value once.  The previous
-# substitute is kept here verbatim as the reference: both paths must give
-# the same terms, in the same order and of the same types.
+# call, which computes each power of the value once, and the kernel then
+# moved from int-or-Fraction coefficients to int coefficients over one
+# denominator.  The previous substitute is kept here as the reference,
+# verbatim but for running on the rational view (_rats) with the Fraction
+# products below: both must give the same rational terms in the same order.
 
 
 def _previous_substitute(self, bind):
     """Homomorphic substitution; unbound symbols remain."""
     syms = self.symbols()
     bind = {
-        s: v if isinstance(v, MPoly) else _as_rat(v)
+        s: _rats(v) if isinstance(v, MPoly) else F(v)
         for s, v in bind.items()
         if s in syms
     }
     if not bind:
-        return self
+        return _rats(self)
     touched = 0
     for s in bind:
         touched |= _FIELD << s.shift
     if not any(bind.values()):
         # a binding to 0 drops every term it touches and keeps the rest
-        return MPoly._raw({k: c for k, c in self.terms.items() if not k & touched})
+        return {k: c for k, c in _rats(self).items() if not k & touched}
     bound = [(s.shift, (1 << s.shift) + _DEG1, v) for s, v in bind.items()]
     acc = {}
     get = acc.get
-    for k, c in self.terms.items():
+    for k, c in _rats(self).items():
         if not k & touched:
             acc[k] = get(k, 0) + c
             continue
@@ -1380,17 +1412,17 @@ def _previous_substitute(self, bind):
             if not e:
                 continue
             k -= e * step
-            if isinstance(v, MPoly):
-                factors.append(v**e)
+            if isinstance(v, dict):
+                factors.append(_previous_pow(v, e))
             else:
                 c = c * v**e
         if not c:
             continue
         if factors:
-            _accumulate(acc, [(k, c)], list(reduce(mul, factors).terms.items()))
+            _fraction_accumulate(acc, [(k, c)], list(reduce(_previous_mul, factors).items()))
         else:
             acc[k] = get(k, 0) + c
-    return MPoly._from_codes(acc)
+    return _nonzero(acc)
 
 
 # 0, small and 10**30-sized ints and Fractions
@@ -1403,15 +1435,11 @@ _BINDABLE = (
 )
 
 
-def _layout(p):
-    return [(k, c, type(c)) for k, c in p.terms.items()]
-
-
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(polys(), st.sampled_from(_SYMS + [Sym("r")]), _BINDABLE)
 def test_one_binding_matches_the_previous_substitute(p, s, v):
     got = p.substitute({s: v})
-    assert _layout(got) == _layout(_previous_substitute(p, {s: v}))
+    _assert_parity(got, _previous_substitute(p, {s: v}))
     if s not in p.symbols():
         assert got is p
 
@@ -1419,42 +1447,54 @@ def test_one_binding_matches_the_previous_substitute(p, s, v):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(polys(), st.dictionaries(st.sampled_from(_SYMS), _BINDABLE | polys(), max_size=3))
 def test_every_binding_matches_the_previous_substitute(p, bind):
-    assert _layout(p.substitute(bind)) == _layout(_previous_substitute(p, bind))
+    _assert_parity(p.substitute(bind), _previous_substitute(p, bind))
 
 
 # ---------------------------------------------------------------- previous products
-# *, sum_of_products and derive now multiply ints over one common
-# denominator.  Their previous loops, which multiplied the coefficients as
-# they were, are kept here verbatim as the Fraction references (the
-# reference sum and power multiply with the reference *): each result must
-# have the same terms in the same order, and every integral coefficient must
-# be an int.
+# *, sum_of_products and derive multiply ints over one common denominator.
+# Their previous loops, which multiplied Fraction coefficients as they were,
+# are kept here as the references on the rational view (the reference sum
+# and power multiply with the reference *): each result must have the same
+# rational terms in the same order, in lowest terms.
 
 
-def _previous_mul(self, other):
+def _fraction_accumulate(acc, left, right):
+    """acc += left * right over (code, Fraction) pairs."""
+    get = acc.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+
+
+def _nonzero(acc):
+    return {k: c for k, c in acc.items() if c}
+
+
+def _previous_mul(p, q):
     acc = {}
-    _accumulate(acc, self.terms.items(), list(other.terms.items()))
-    return MPoly._from_codes(acc)
+    _fraction_accumulate(acc, p.items(), list(q.items()))
+    return _nonzero(acc)
 
 
-def _previous_pow(self, n):
+def _previous_pow(p, n):
     # the previous binary powering, without its negative-power and degree checks
     if not n:
-        return MPoly.const(1)
-    result = self
+        return {0: F(1)}
+    result = p
     for bit in bin(n)[3:]:
         result = _previous_mul(result, result)
         if bit == "1":
-            result = _previous_mul(result, self)
+            result = _previous_mul(result, p)
     return result
 
 
 def _previous_sum_of_products(products):
     acc = {}
     for *head, last in products:
-        left = reduce(_previous_mul, head).terms.items() if head else [(0, 1)]
-        _accumulate(acc, left, list(last.terms.items()))
-    return MPoly._from_codes(acc)
+        left = reduce(_previous_mul, map(_rats, head)).items() if head else [(0, 1)]
+        _fraction_accumulate(acc, left, list(_rats(last).items()))
+    return _nonzero(acc)
 
 
 def _previous_derive(self, rules):
@@ -1463,24 +1503,23 @@ def _previous_derive(self, rules):
         shift = s.shift
         step = (1 << shift) + _DEG1
         partial = []
-        for k, c in self.terms.items():
+        for k, c in _rats(self).items():
             e = (k >> shift) & _FIELD
             if e:
                 partial.append((k - step, c * e))
-        _accumulate(acc, partial, list(rule.terms.items()))
-    return MPoly._from_codes(acc)
+        _fraction_accumulate(acc, partial, list(_rats(rule).items()))
+    return _nonzero(acc)
 
 
 def _assert_parity(got, ref):
-    assert list(got.terms.items()) == list(ref.terms.items())
-    assert all(type(c) is (int if c.denominator == 1 else F) for c in got.terms.values())
+    assert list(_rats(got).items()) == list(ref.items())
+    _assert_canonical(got)
 
 
 @st.composite
 def kinded_polys(draw):
     # int, Fraction or mixed coefficients; the Fractions have coprime
-    # denominators among them, and an integral one stays a Fraction, as +
-    # can leave it
+    # denominators among them, and an integral one is an int once built
     kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
@@ -1491,18 +1530,18 @@ def kinded_polys(draw):
             terms[mono] = num
         else:
             terms[mono] = F(num, draw(st.sampled_from([1, 2, 3, 4, 5, 7])))
-    return MPoly._raw(terms)
+    return MPoly(terms)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kinded_polys(), kinded_polys(), st.integers(0, 4))
 def test_product_matches_the_previous_mul(p, q, n):
-    _assert_parity(p * q, _previous_mul(p, q))
-    _assert_parity(q * p, _previous_mul(q, p))
-    if n == 1:  # p**1 is p itself, integral Fractions included
+    _assert_parity(p * q, _previous_mul(_rats(p), _rats(q)))
+    _assert_parity(q * p, _previous_mul(_rats(q), _rats(p)))
+    if n == 1:  # p**1 is p itself
         assert p**n is p
     else:
-        _assert_parity(p**n, _previous_pow(p, n))
+        _assert_parity(p**n, _previous_pow(_rats(p), n))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1530,13 +1569,34 @@ def test_the_common_denominator_grows_with_coprime_denominators():
 
 def test_cleared_products_return_ints_and_cancel_to_zero():
     p, q = P("1/2*a0 + 3/4"), P("4*a1 + 4*k")
-    assert all(type(c) is int for c in (p * q).terms.values())
+    assert (p * q).den == 1
     got = MPoly.sum_of_products([(p, q), (P("1/3*k"), P("3"))])
-    assert got == P("2*a0*a1 + 2*a0*k + 3*a1 + 4*k")
-    assert all(type(c) is int for c in got.terms.values())
+    assert got == P("2*a0*a1 + 2*a0*k + 3*a1 + 4*k") and got.den == 1
     assert MPoly.sum_of_products([(p, q), (-p, q)]).is_zero()
     assert MPoly.sum_of_products([(p,), (P("1/3"),), (-p,), (P("-1/3"),)]).is_zero()
     assert P("1/2*a0^2 - 1/2*a1^2").derive({A0: P("a1"), A1: P("a0")}).is_zero()
+
+
+# ---------------------------------------------------------------- lowest terms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kinded_polys(), kinded_polys(), _RATS, st.sampled_from(_SYMS))
+def test_every_operation_returns_lowest_terms(p, q, v, s):
+    # each result is canonical, and the same value built again from its
+    # rationals (in _assert_canonical) or through a sum that cancels has
+    # the same terms, den and hash
+    results = [
+        p + q, p - q, v - p, -p, p * q, p * v, p**2, p**3,
+        MPoly.sum_of_products([(p, q), (q,), (p, p, q)]), p.derive({s: q, K: p}),
+        p.substitute({s: v}), p.substitute({s: q}), p.substitute({s: v, K: q, A2: v}),
+        p.coefficient_of(s, 1), *p.split((s,)).values(), p.divide_mono(p.monomial_gcd()),
+        p.normalize(), parse_poly(p.ascii()), MPoly.const(v), MPoly(_rats(p)),
+    ]
+    for r in results:
+        _assert_canonical(r)
+        same = (r + q) - q
+        assert (same.terms, same.den, hash(same)) == (r.terms, r.den, hash(r))
 
 
 @pytest.mark.parametrize("scale", [1, F(1, 2)], ids=["int", "fraction"])

@@ -5,9 +5,10 @@ by default ``fkdv reproduce``.  A fault that reproduce does not see (in the
 float evaluator behind ``fkdv verify``, in the solver's budget, which
 reproduce never runs out of, in the length of the wave-speed grid, which
 no stage checks, in a contradiction leaf that reports its equations or a
-pending elimination left as x - e, text that no stage reads, or in the
+pending elimination left as x - e, text that no stage reads, in the
 balance order of beta*u_x*u_xx, which Ito's balance at M = 2 does not
-depend on)
+depend on, or in a kernel result left out of lowest terms, which every
+stage reads only through normal forms)
 names a pytest target instead, run from the repository root.  For each
 mutant, src/ is copied to a temporary directory, the replacement is
 applied there and the check runs on the copy; the mutant is killed when
@@ -25,6 +26,7 @@ the form "a mutated X fails" adds its mutant to MUTANTS.
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -42,6 +44,7 @@ CLOSEDFORM_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests
 SOLVER_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_solver.py")
 ACCEPTANCE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py")
 TANH_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_tanh.py")
+POLY_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_poly.py")
 
 
 class Mutant(NamedTuple):
@@ -106,8 +109,8 @@ MUTANTS = (
     Mutant(
         "parser sum that drops its minus signs",
         "fkdv/poly.py",
-        "acc[k] = acc.get(k, 0) + sign * c",
-        "acc[k] = acc.get(k, 0) + c",
+        "[(0, sign)]",
+        "[(0, 1)]",
     ),
     Mutant(
         "tau' rule with its mu*sigma sign flipped",
@@ -183,8 +186,15 @@ MUTANTS = (
     Mutant(
         "normalize without its content division",
         "fkdv/poly.py",
-        "num, den = self._content()\n        if self.terms[max(self.terms)] < 0:",
-        "num, den = 1, self._content()[1]\n        if self.terms[max(self.terms)] < 0:",
+        "g = gcd(*self.terms.values())",
+        "g = 1",
+    ),
+    Mutant(
+        "a result not reduced to lowest terms",
+        "fkdv/poly.py",
+        "g = gcd(den, *terms.values())",
+        "g = 1",
+        POLY_TESTS,
     ),
 )
 
@@ -219,6 +229,9 @@ def run_check(check: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int
 
 
 def main() -> int:
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args()
     unmatched = [m for m in MUTANTS if occurrences(m) != 1]
     for m in unmatched:
         print(f"old text of {m.name!r} occurs {occurrences(m)} times in src/{m.path}")
