@@ -16,8 +16,8 @@ Two checks use the five PDE terms at lam = -6*w^4, made once per record
 term map, clears the reciprocal y and reduces each squared function by its
 Pythagorean relation (sec^2 = 1 + tan^2, ...); each rewrite splits the
 polynomial by the powers of one symbol and adds every part times its
-power's image into one term map (``MPoly.sum_of_products``).  A correct
-template leaves the zero polynomial.
+power's image into one term map (``MPoly.sum_of_products``), each image
+built once per process.  A correct template leaves the zero polynomial.
 :func:`sample_report` evaluates the terms in binary64 at random points, and
 :func:`pointwise_compare` evaluates two templates at shared points; both
 draw through one sampler and keep one guard rule.  A polynomial of degree
@@ -350,21 +350,38 @@ def rebuild_from_branch(rec: SolutionRecord, m: int, xi: float) -> float:
 # -- exact residual -----------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _square_image(s: Sym, rel: MPoly, e: int) -> MPoly:
+    # s^e under s^2 = rel, built once per (symbol, relation, exponent) and
+    # shared by every caller
+    return _v(s) ** (e % 2) * rel ** (e // 2)
+
+
+@lru_cache(maxsize=64)
+def _reciprocal_image(y: Sym, n: int) -> MPoly:
+    # den^n for y = 1/den, built once per (symbol, power) and shared
+    return DENOMINATORS[y] ** n
+
+
 def reduce_squares(p: MPoly, squares: Mapping[Sym, MPoly]) -> MPoly:
     """Rewrite s^(2q+e) as s^e * rel^q for each relation s^2 = rel, which
-    leaves every such s of degree <= 1 (no rel contains its own s)."""
+    leaves every such s of degree <= 1 (no rel contains its own s).  The
+    image of each power is built once per process and relation."""
     for s, rel in squares.items():
         p = MPoly.sum_of_products(
-            (part, _v(s) ** (e % 2) * rel ** (e // 2)) for (e,), part in p.split((s,)).items()
+            (part, _square_image(s, rel, e)) for (e,), part in p.split((s,)).items()
         )
     return p
 
 
 def clear_reciprocal(p: MPoly, y: Sym) -> MPoly:
     """p * den^d with y = 1/den, where d is the degree of p in y: a
-    polynomial free of y that vanishes exactly where p does."""
-    den, d = DENOMINATORS[y], p.max_exponent(y)
-    return MPoly.sum_of_products((part, den ** (d - e)) for (e,), part in p.split((y,)).items())
+    polynomial free of y that vanishes exactly where p does.  Each part
+    y^e is multiplied by den^(d-e), built once per process and power."""
+    d = p.max_exponent(y)
+    return MPoly.sum_of_products(
+        (part, _reciprocal_image(y, d - e)) for (e,), part in p.split((y,)).items()
+    )
 
 
 def reduced(p: MPoly) -> MPoly:

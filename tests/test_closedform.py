@@ -33,9 +33,11 @@ from fkdv.closedform import (
 from fkdv.equation import ito, ode_residual
 from fkdv.errors import PoleError
 from fkdv.poly import MPoly, exps_of, monomial
+from fkdv.pre import R_TAU2, _tau_images
 from fkdv.reproduce import check_identities, run_reproduce
 from fkdv.symbols import (
-    COT, COTH, COTW, CSC, CSCH, CSCW, E, LAM, MU, SEC, SECH, TAN, TANH, W, YM, YP, YSEC, Sym, a,
+    COT, COTH, COTW, CSC, CSCH, CSCW, E, LAM, MU, R, SEC, SECH, TAN, TANH, TAU, W, YM, YP, YSEC,
+    Sym, a,
 )
 
 _W = MPoly.var(W)
@@ -459,6 +461,29 @@ def test_reductions_match_the_previous_reductions(p, y, chosen):
     assert reduce_squares(p, squares) == _reference_reduce_squares(p, squares)
     assert clear_reciprocal(p, y) == _reference_clear_reciprocal(p, y)
     assert clear_reciprocal(p, y).max_exponent(y) == 0
+
+
+def test_reduce_squares_rewrites_one_symbol_by_each_relation_given():
+    # the images are cached per relation, not per symbol alone
+    c, ct = MPoly.var(CSCW), MPoly.var(COTW)
+    for rel in (1 + ct**2, ct**2 - 1, 1 + ct**2):
+        assert reduce_squares(c**5, {CSCW: rel}) == c * rel**2
+
+
+def test_cached_images_equal_fresh_builds_after_a_reproduce_run():
+    # every cached image of the catalog reductions and of tau elimination
+    # equals a fresh build, so no caller mutates a shared image
+    assert run_reproduce().exit_code == 0
+    for s, rel in SQUARES.items():
+        for e in range(12):
+            assert closedform._square_image(s, rel, e) == _v(s) ** (e % 2) * rel ** (e // 2)
+    for y, den in DENOMINATORS.items():
+        for n in range(12):
+            assert closedform._reciprocal_image(y, n) == den**n
+    for s in range(5):
+        assert _tau_images(s) == tuple(
+            _v(TAU) ** (e % 2) * R_TAU2 ** (e // 2) * _v(R) ** (s - e // 2) for e in range(2 * s + 2)
+        )
 
 
 @pytest.mark.parametrize(("f", "g"), [(TAN, COT), (TANH, COTH)], ids=["tan", "tanh"])

@@ -19,6 +19,7 @@ from fkdv.closedform import (
 from fkdv.pre import (
     PRE_RULES,
     R_TAU2,
+    _tau_images,
     build_pre_ansatz,
     eliminate_tau,
     pre_ode_residual,
@@ -69,6 +70,19 @@ def _horner_eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
     for q in range(s - 1, -1, -1):
         acc = acc * R_TAU2 + parts[q] * _R ** (s - q)
     return acc, s
+
+
+def fresh_tau_images(s: int) -> tuple[MPoly, ...]:
+    """r**s * tau^e for e = 0 .. 2s+1 with every tau^2 rewritten, built
+    from the first integral's text, independently of the cached table."""
+    r_tau2 = P("-e*(r^2 - 2*mu*r*sigma + (mu^2+rho)*sigma^2)")
+    return tuple(T ** (e % 2) * r_tau2 ** (e // 2) * _R ** (s - e // 2) for e in range(2 * s + 2))
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_each_cached_tau_image_equals_a_fresh_build(s):
+    assert _tau_images(s) == fresh_tau_images(s)
+    assert _tau_images(s) is _tau_images(s)
 
 
 # (alpha, beta, gamma, omega) of the members perfbench's derive-sweep derives

@@ -13,7 +13,10 @@ Run it from anywhere, with the standard library only.
 
 The record gives, per workload and side, the median and quartiles
 (``statistics.quantiles``, n=4) of every end-to-end metric and every run's
-value; per metric, the number of pairs in which the change reads lower;
+value, and the same for ``wall_s_raw`` and ``cold_s_raw``, each run's
+unscaled wall_s and cold_s medians read from its perfbench report file (the
+scaling by speed-kernel samples moves from process to process on its own);
+per metric, the number of pairs in which the change reads lower;
 and the seeds, the number of pairs, both revisions, the Python version,
 ``nproc`` and whether bytecode writing was off.  A run whose output checks
 fail counts in ``incorrect_runs``.
@@ -37,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "perfbench")
 SEEDS = list(range(100, 110))  # 10 pairs, the fewest a claimed gain may rest on
+RAW = ("wall_s", "cold_s")  # also recorded unscaled, as <name>_raw
 
 
 def git(*args: str) -> str:
@@ -61,13 +65,19 @@ def export(rev: str | None, dest: Path) -> str:
 
 def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last line of one perfbench run: correct, attempted, failed and
-    the metrics."""
+    the metrics, with the unscaled median of each RAW metric from the
+    report file the line before it names."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=side, check=True, capture_output=True, text=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    *_, head, last = proc.stdout.splitlines()
+    out = json.loads(last)
+    report = json.loads((side / json.loads(head)["report"]).read_text())
+    for name in RAW:
+        out["metrics"][f"{name}_raw"] = {"value": report[name]["raw"]["median"], "unit": "s"}
+    return out
 
 
 def summary(values: list[float]) -> dict:

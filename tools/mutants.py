@@ -7,8 +7,10 @@ reproduce never runs out of, in the length of the wave-speed grid, which
 no stage checks, in a contradiction leaf that reports its equations or a
 pending elimination left as x - e, text that no stage reads, in the
 balance order of beta*u_x*u_xx, which Ito's balance at M = 2 does not
-depend on, or in a kernel result left out of lowest terms, which every
-stage reads only through normal forms)
+depend on, in a kernel result left out of lowest terms, which every
+stage reads only through normal forms, or in a cached rewrite image that
+every reproduce stage reads through one relation per symbol or whose
+extra factor of r or of a denominator no stage sees)
 names a pytest target instead, run from the repository root.  For each
 mutant, src/ is copied to a temporary directory, the replacement is
 applied there and the check runs on the copy; the mutant is killed when
@@ -45,6 +47,7 @@ SOLVER_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/tes
 ACCEPTANCE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py")
 TANH_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_tanh.py")
 POLY_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_poly.py")
+PRE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_pre.py")
 
 
 class Mutant(NamedTuple):
@@ -195,6 +198,28 @@ MUTANTS = (
         "g = gcd(den, *terms.values())",
         "g = 1",
         POLY_TESTS,
+    ),
+    Mutant(
+        "tau image table with one r too many",
+        "fkdv/pre.py",
+        "_R ** (s - e // 2)",
+        "_R ** (s - e // 2 + 1)",
+        PRE_TESTS,
+    ),
+    Mutant(
+        "square images cached per (symbol, exponent), whatever the relation",
+        "fkdv/closedform.py",
+        "@lru_cache(maxsize=256)\ndef _square_image(",
+        "@lambda f: lambda s, rel, e, seen={}: seen.setdefault((s, e), f(s, rel, e))\n"
+        "def _square_image(",
+        CLOSEDFORM_TESTS,
+    ),
+    Mutant(
+        "reciprocal image table with one denominator too many",
+        "fkdv/closedform.py",
+        "return DENOMINATORS[y] ** n",
+        "return DENOMINATORS[y] ** (n + 1)",
+        CLOSEDFORM_TESTS,
     ),
 )
 
