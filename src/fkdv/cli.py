@@ -23,8 +23,8 @@ from pathlib import Path
 from . import __version__, closedform, fixtures, tanh
 from .equation import EquationSpec, equation_tag, ito
 from .errors import BalanceError, FkdvError, InternalInvariantError
-from .pre import PAPER_SIGNS
 from .reproduce import (
+    METHODS,
     branch_json,
     derive,
     manifest,
@@ -153,11 +153,12 @@ def cmd_derive(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    paper_signs = METHODS[args.method].PAPER_SIGNS
     signs = {s: v for s, v in ((E, args.e), (RHO, args.rho)) if v is not None}
-    if args.method == "tanh" and signs:
+    if signs and not paper_signs:
         raise FkdvError("--e and --rho apply only to --method pre")
     _, system = derive(args.method)
-    presets = {LAM: args.lam} if args.method == "tanh" else {LAM: args.lam, **PAPER_SIGNS, **signs}
+    presets = {LAM: args.lam, **paper_signs, **signs}
     branches = solve_system(system, presets)
     counts: dict[str, int] = {}
     for br in branches:
@@ -183,8 +184,8 @@ def cmd_solve(args) -> int:
         "unknowns": [s.name for s in unknowns(system, presets)],
         "branches": [branch_json(br) for br in branches],
     }
-    if args.method == "pre":
-        doc["signs"] = {"e": presets[E], "rho": presets[RHO]}
+    if paper_signs:
+        doc["signs"] = {s.name: presets[s] for s in paper_signs}
     _emit(args, "json", doc)
     return EXIT_OK
 
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("derive", help="expand the residual and extract the system")
-    p.add_argument("--method", choices=["tanh", "pre"], required=True)
+    p.add_argument("--method", choices=list(METHODS), required=True)
     _add_spec_flags(p)
     p.add_argument("--order", type=int,
                    help=f"ansatz order, at most {MAX_ORDER} "
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("solve", help="branch-solve a derived system at rational lambda")
-    p.add_argument("--method", choices=["tanh", "pre"], required=True)
+    p.add_argument("--method", choices=list(METHODS), required=True)
     p.add_argument("--lambda", dest="lam", type=_rational, required=True,
                    help="rational wave speed")
     p.add_argument("--e", type=int, choices=[-1, 1])

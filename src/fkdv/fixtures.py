@@ -31,7 +31,6 @@ class FixtureEq:
 
 @dataclass(frozen=True)
 class Fixture:
-    method: str
     ansatz_order: int
     equations: tuple[FixtureEq, ...]
 
@@ -56,13 +55,9 @@ def load_fixture(method: str) -> Fixture:
         raise InternalInvariantError(f"fixture {_FILES[method]} failed its checksum")
     eqs = []
     for entry in doc["equations"]:
-        key = (
-            (entry["power"], None)
-            if method == "tanh"
-            else (entry["sigma_power"], entry["tau_degree"])
-        )
+        key = (entry.get("power", entry.get("sigma_power")), entry.get("tau_degree"))
         eqs.append(FixtureEq(label=entry["label"], key=key, poly=parse_poly(entry["expr"])))
-    return Fixture(method=method, ansatz_order=doc["ansatz_order"], equations=tuple(eqs))
+    return Fixture(ansatz_order=doc["ansatz_order"], equations=tuple(eqs))
 
 
 def _only_in(p: MPoly, q: MPoly) -> list[str]:

@@ -98,6 +98,16 @@ def pre_ode_residual(spec: EquationSpec, v: MPoly) -> tuple[MPoly, int]:
     return eliminate_tau(_shared_residual(spec, v, PRE_RULES))
 
 
+def default_order(spec: EquationSpec) -> int:
+    """Depth 1, the paper's, for every member of the family."""
+    return 1
+
+
+def derive_system(spec: EquationSpec, order: int) -> list[SystemEq]:
+    """The depth-``order`` system of ``spec``, built by this module's functions."""
+    return extract_pre_system(pre_ode_residual(spec, build_pre_ansatz(order)))
+
+
 def split_r(p: MPoly) -> tuple[int, MPoly]:
     """Factor out the largest power of r dividing every term.
 

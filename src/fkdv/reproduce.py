@@ -23,18 +23,22 @@ from .symbols import LAM, MAX_ORDER, R, Sym, a
 GRID = tuple(Fraction(-6 * m**4) for m in (1, 2, 3))
 
 
+# each method is a module with default_order, derive_system, weights and PAPER_SIGNS
+METHODS = {"tanh": tanh, "pre": pre}
+
+
 def derive(method: str, spec: EquationSpec | None = None, order: int | None = None):
-    """(order, system) of ``method`` ("tanh" or "pre") for ``spec`` (Ito by
-    default); the order defaults to the balanced M for tanh and to depth 1
-    for the projective method.  An order above MAX_ORDER raises ValueError."""
-    spec = spec or ito()
+    """(order, system) of the method named ``method`` for ``spec`` (Ito by
+    default); the order defaults to the method's ``default_order``.  An
+    unknown name or an order above MAX_ORDER raises ValueError."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; the methods are {', '.join(METHODS)}")
+    spec, mod = spec or ito(), METHODS[method]
     if order is None:
-        order = tanh.balance_M(tanh.balance_terms_for(spec)) if method == "tanh" else 1
+        order = mod.default_order(spec)
     if order > MAX_ORDER:
         raise ValueError(f"order {order} is above the maximum order {MAX_ORDER}")
-    if method == "tanh":
-        return order, tanh.extract_system(tanh.ode_residual(spec, tanh.build_ansatz(order)))
-    return order, pre.extract_pre_system(pre.pre_ode_residual(spec, pre.build_pre_ansatz(order)))
+    return order, mod.derive_system(spec, order)
 
 
 def unknowns(system, presets) -> tuple[Sym, ...]:
@@ -115,18 +119,13 @@ def check_solver_run(branches, expected: list[dict], free_expect: dict | None,
     return (not msgs, "; ".join(msgs) or "ok")
 
 
-def check_exact_substitution(tanh_system, pre_system, m: int) -> tuple[bool, str]:
-    """Every catalog parameter tuple annihilates its generating system at
-    lam = -6*m^4, in exact rational arithmetic."""
-    tanh_polys = [eq.poly for eq in tanh_system]
-    pre_polys = [eq.poly for eq in pre_system]
+def check_exact_substitution(systems: dict, m: int) -> tuple[bool, str]:
+    """Every catalog parameter tuple annihilates the system of its method in
+    ``systems`` (method name to system) at lam = -6*m^4, with the method's
+    signs, in exact rational arithmetic."""
+    polys = {name: [eq.poly for eq in system] for name, system in systems.items()}
     for rec, asg in specialized(m):
-        if rec.method == "pre":
-            asg = {**asg, **pre.PAPER_SIGNS}
-            system = pre_polys
-        else:
-            system = tanh_polys
-        ok, witness = verify_assignment(system, asg)
+        ok, witness = verify_assignment(polys[rec.method], {**asg, **METHODS[rec.method].PAPER_SIGNS})
         if not ok:
             return False, f"{rec.id} ({rec.anchor}) fails on {witness}"
     return True, "ok"
@@ -258,44 +257,34 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
         return ok
 
     # balance, derive and compare both systems with their transcriptions
-    order, tanh_system = derive("tanh")
-    stage("balance", order == 2, f"M = {order}")
-    _, pre_system = derive("pre")
-    for method, system, count in (("tanh", tanh_system, 8), ("pre", pre_system, 13)):
-        diffs = fixtures.compare_systems(system, fixtures.load_fixture(method))
-        stage(
-            f"derive-{method}",
-            not diffs and len(system) == count,
-            f"{len(system)} equations; "
-            + ("matches transcription" if not diffs else diffs[0].describe()),
-            fail_code=3,
-        )
+    orders, systems = {}, {}
+    for name in METHODS:
+        orders[name], systems[name] = derive(name)
+    stage("balance", orders["tanh"] == 2, f"M = {orders['tanh']}")
+    for name, count in {"tanh": 8, "pre": 13}.items():
+        diffs = fixtures.compare_systems(systems[name], fixtures.load_fixture(name))
+        stage(f"derive-{name}", not diffs and len(systems[name]) == count,
+              f"{len(systems[name])} equations; "
+              + ("matches transcription" if not diffs else diffs[0].describe()), fail_code=3)
 
-    # solve at the grid's wave speeds
+    # solve at the grid's wave speeds; besides the catalog's branches, tanh
+    # has a free-constant branch and a contradiction through a2 = -6
+    extra = {"tanh": ({a(1): Fraction(0), a(2): Fraction(0)}, {a(2): Fraction(-6)})}
+    grids = {name: solve_grid(systems[name], mod.PAPER_SIGNS, mod.weights(orders[name]))
+             for name, mod in METHODS.items()}
     solves = []
-    tanh_grid = solve_grid(tanh_system, {}, tanh.weights(order))
-    pre_grid = solve_grid(pre_system, pre.PAPER_SIGNS, pre.weights(1))
     for m, lam in enumerate(GRID, start=1):
-        tb, pb = tanh_grid[m - 1], pre_grid[m - 1]
-        ok_t, msg_t = check_solver_run(
-            tb,
-            paper_branches("tanh", m),
-            free_expect={a(1): Fraction(0), a(2): Fraction(0)},
-            contradiction_binding={a(2): Fraction(-6)},
-        )
-        ok_p, msg_p = check_solver_run(pb, paper_branches("pre", m), None, None)
-        stage(f"solve@{lam}", ok_t and ok_p, f"tanh: {msg_t}; pre: {msg_p}")
-        solves.append(
-            {
-                "lambda": str(lam),
-                "tanh_branches": [branch_json(br) for br in tb],
-                "pre_branches": [branch_json(br) for br in pb],
-            }
-        )
+        leaves = {name: grid[m - 1] for name, grid in grids.items()}
+        runs = {name: check_solver_run(tree, paper_branches(name, m), *extra.get(name, (None, None)))
+                for name, tree in leaves.items()}
+        stage(f"solve@{lam}", all(ok for ok, _ in runs.values()),
+              "; ".join(f"{name}: {msg}" for name, (_, msg) in runs.items()))
+        solves.append({"lambda": str(lam), **{f"{name}_branches": [branch_json(br) for br in tree]
+                                              for name, tree in leaves.items()}})
 
     # exact substitution of every catalog parameter tuple
     for m, lam in enumerate(GRID, start=1):
-        stage(f"substitute@{lam}", *check_exact_substitution(tanh_system, pre_system, m))
+        stage(f"substitute@{lam}", *check_exact_substitution(systems, m))
 
     # auxiliary-equation catalogs
     stage("phi-catalog", *check_phi_catalog())
@@ -311,14 +300,14 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
     doc = {
         "schema": 1,
         "manifest": manifest(
-            "reproduce", ito(), "tanh+pre", [str(v) for v in GRID], seed, timestamp
+            "reproduce", ito(), "+".join(METHODS), [str(v) for v in GRID], seed, timestamp
         ),
         "stages": stages,
-        "systems": {"tanh": system_json(tanh_system), "pre": system_json(pre_system)},
+        "systems": {name: system_json(system) for name, system in systems.items()},
         "solves": solves,
         "ok": all(s["ok"] for s in stages),
     }
-    return ReproduceResult(doc=doc, exit_code=exit_code, systems=(tanh_system, pre_system))
+    return ReproduceResult(doc=doc, exit_code=exit_code, systems=tuple(systems.values()))
 
 
 def render_latex(tanh_system, pre_system) -> str:

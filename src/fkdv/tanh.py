@@ -23,6 +23,9 @@ from .symbols import K, LAM, PHI, Sym, a
 _PHI = MPoly.var(PHI)
 TANH_RULES = {PHI: MPoly.var(K) + _PHI**2}
 
+# the method has no sign symbols, so a solve presets none
+PAPER_SIGNS: dict[Sym, int] = {}
+
 
 @dataclass(frozen=True)
 class BalanceTerm:
@@ -87,6 +90,16 @@ def extract_system(residual: MPoly) -> list[SystemEq]:
         SystemEq(power=j, poly=c.normalize())
         for (j,), c in sorted(residual.split((PHI,)).items())
     ]
+
+
+def default_order(spec: EquationSpec) -> int:
+    """The balanced ansatz order M of ``spec``."""
+    return balance_M(balance_terms_for(spec))
+
+
+def derive_system(spec: EquationSpec, order: int) -> list[SystemEq]:
+    """The order-``order`` system of ``spec``, built by this module's functions."""
+    return extract_system(ode_residual(spec, build_ansatz(order)))
 
 
 def balance_terms_for(spec: EquationSpec) -> list[BalanceTerm]:

@@ -8,11 +8,12 @@ import subprocess
 import sys
 import time
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fkdv import cli, fixtures
+from fkdv import cli, fixtures, pre, reproduce, tanh
 from fkdv.poly import MPoly
 from fkdv.reproduce import GRID, run_reproduce
 from fkdv.symbols import MAX_ORDER
@@ -178,9 +179,7 @@ def test_derive_pre_order_two_generates(capsys, tmp_path):
 
 def test_derive_fixture_mismatch_exits_3(capsys, monkeypatch):
     real = fixtures.load_fixture("tanh")
-    broken = fixtures.Fixture(
-        method="tanh", ansatz_order=2, equations=real.equations[:-1]
-    )
+    broken = fixtures.Fixture(ansatz_order=2, equations=real.equations[:-1])
     monkeypatch.setattr(cli.fixtures, "load_fixture", lambda method: broken)
     code, _, err = run(
         ["derive", "--method", "tanh", "--preset", "ito", "--check-fixture"], capsys
@@ -239,6 +238,37 @@ def test_derive_order_above_cap_is_usage_error(method, order, capsys):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err == f"error: order {order} is above the maximum order {MAX_ORDER}\n"
+
+
+@pytest.mark.parametrize(("method", "order"), [("Tanh", None), ("bogus", 2)])
+def test_derive_unknown_method_is_value_error(method, order):
+    # an unknown name is not taken for the projective method
+    with pytest.raises(ValueError, match=f"unknown method {method!r}; the methods are tanh, pre"):
+        reproduce.derive(method, order=order)
+
+
+def test_derive_calls_its_method_s_stages_through_their_modules(monkeypatch):
+    # perfbench/spans.py counts tanh.* and pre.* by replacing these module
+    # attributes, so derive must reach each of them through its module
+    stages = {
+        "tanh": (tanh, ("build_ansatz", "ode_residual", "extract_system")),
+        "pre": (pre, ("build_pre_ansatz", "pre_ode_residual", "extract_pre_system")),
+    }
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, names in stages.values():
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for method, (_, names) in stages.items():
+        calls.clear()
+        reproduce.derive(method)
+        assert calls == Counter(names), method
 
 
 def test_derive_latex_output(capsys, tmp_path):

@@ -10,7 +10,8 @@ balance order of beta*u_x*u_xx, which Ito's balance at M = 2 does not
 depend on, in a kernel result left out of lowest terms, which every
 stage reads only through normal forms, or in a cached rewrite image that
 every reproduce stage reads through one relation per symbol or whose
-extra factor of r or of a denominator no stage sees)
+extra factor of r or of a denominator no stage sees, or in the sign flags
+of ``fkdv solve``, which reproduce never parses)
 names a pytest target instead, run from the repository root.  For each
 mutant, src/ is copied to a temporary directory, the replacement is
 applied there and the check runs on the copy; the mutant is killed when
@@ -48,6 +49,7 @@ ACCEPTANCE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests
 TANH_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_tanh.py")
 POLY_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_poly.py")
 PRE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_pre.py")
+CLI_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_cli.py")
 
 
 class Mutant(NamedTuple):
@@ -220,6 +222,13 @@ MUTANTS = (
         "return DENOMINATORS[y] ** n",
         "return DENOMINATORS[y] ** (n + 1)",
         CLOSEDFORM_TESTS,
+    ),
+    Mutant(
+        "the tanh method presets the paper's signs",
+        "fkdv/tanh.py",
+        "PAPER_SIGNS: dict[Sym, int] = {}",
+        'PAPER_SIGNS: dict[Sym, int] = {Sym("e"): 1, Sym("rho"): -1}',
+        CLI_TESTS,
     ),
 )
 
