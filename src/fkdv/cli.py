@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,7 +58,7 @@ def _say(args, text: str) -> None:
 
 def _spec_from_args(args) -> EquationSpec:
     vals = {}
-    for name in (field.name for field in fields(EquationSpec)):
+    for name in EquationSpec._fields:
         value = getattr(args, name)
         if args.preset == "ito" and value is not None:
             raise FkdvError(f"--{name} cannot be combined with --preset ito")

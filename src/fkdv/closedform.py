@@ -50,10 +50,9 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .equation import ito, ode_terms
 from .errors import PoleError
@@ -133,7 +132,6 @@ SQUARES: dict[Sym, MPoly] = {
 # -- the ten-solution catalog -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class SolutionRecord:
     """One closed-form solution template, parameterized by the wave speed.
 
@@ -150,16 +148,17 @@ class SolutionRecord:
     their templates and the cross-method identities instead.
     """
 
-    id: str
-    method: str  # tanh | pre
-    anchor: str  # source branch letter a-d / roman i-Vi
-    template: MPoly
-    params: dict[Sym, MPoly]
-    aux_form: str | None = None
-    rules: dict[Sym, MPoly] = field(init=False, repr=False)
+    __slots__ = ("id", "method", "anchor", "template", "params", "aux_form", "rules")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", {s: RULES[s] for s in _closure(self.template)})
+    def __init__(self, id: str, method: str, anchor: str, template: MPoly,
+                 params: dict[Sym, MPoly], aux_form: str | None = None):
+        self.id = id
+        self.method = method  # tanh | pre
+        self.anchor = anchor  # source branch letter a-d / roman i-Vi
+        self.template = template
+        self.params = params
+        self.aux_form = aux_form
+        self.rules = {s: RULES[s] for s in _closure(template)}
 
     @property
     def singular_at_origin(self) -> bool:
@@ -421,22 +420,19 @@ OVERSAMPLE = 50
 TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(NamedTuple):
     count: int = 20
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(NamedTuple):
     xi: float
     t: float
     residual: float
     scale: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     solution_id: str
     lam: float
     samples: tuple[SamplePoint, ...]

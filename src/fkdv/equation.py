@@ -13,32 +13,34 @@ balance reads its orders from the same table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .poly import MPoly
 from .symbols import LAM, Sym
 
 
-@dataclass(frozen=True)
-class EquationSpec:
+class _Coefficients(NamedTuple):
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
     omega: Fraction
 
-    def __post_init__(self):
-        for field in fields(self):
-            v = getattr(self, field.name)
-            if isinstance(v, int):
-                object.__setattr__(self, field.name, Fraction(v))
-            elif not isinstance(v, Fraction):
-                raise TypeError(f"{field.name} must be rational")
-        if self.omega == 0:
+
+class EquationSpec(_Coefficients):
+    # the checks sit on a subclass, as a NamedTuple body cannot define __new__
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        given = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(cls._fields, given):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"{name} must be rational")
+        if given.omega == 0:
             raise ValueError("omega must be nonzero: the family is fifth order")
+        return super().__new__(cls, *map(Fraction, given))
 
     def terms(self) -> list[tuple[str, MPoly, tuple[int, ...]]]:
         """The five PDE terms as (name, coefficient, orders): a term is its
@@ -79,8 +81,7 @@ def ode_residual(spec: EquationSpec, v: MPoly, rules: Mapping[Sym, MPoly]) -> MP
     return MPoly.sum_of_products(factors for _, factors in _ode_products(spec, v, rules))
 
 
-@dataclass(frozen=True)
-class SystemEq:
+class SystemEq(NamedTuple):
     """One extracted coefficient equation, tagged with its origin."""
 
     power: int

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .equation import SystemEq, equation_tag
 from .errors import InternalInvariantError
@@ -22,15 +22,13 @@ from .pre import split_r
 _FILES = {"tanh": "tanh_ito_m2.json", "pre": "pre_ito_m1.json"}
 
 
-@dataclass(frozen=True)
-class FixtureEq:
+class FixtureEq(NamedTuple):
     label: int
     key: tuple[int, int | None]  # (power, tau_degree)
     poly: MPoly
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     ansatz_order: int
     equations: tuple[FixtureEq, ...]
 
@@ -66,8 +64,7 @@ def _only_in(p: MPoly, q: MPoly) -> list[str]:
             if q.terms.get(k) != c]
 
 
-@dataclass(frozen=True)
-class FixtureDiff:
+class FixtureDiff(NamedTuple):
     key: tuple[int, int | None]
     label: int | None
     generated: MPoly | None  # canonical form, None when missing

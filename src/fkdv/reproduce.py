@@ -7,9 +7,9 @@ cross-method identities to the zero polynomial.  Every verdict is exact."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import __version__, closedform, fixtures, pre, tanh
 from .equation import EquationSpec, ito
@@ -176,8 +176,7 @@ def check_identities() -> tuple[bool, str]:
     return check_all_zero(diffs, f"{', '.join(diffs)} reduce to 0", "difference")
 
 
-@dataclass
-class ReproduceResult:
+class ReproduceResult(NamedTuple):
     doc: dict
     exit_code: int
     systems: tuple  # (tanh, pre), what the LaTeX appendix renders
@@ -234,7 +233,7 @@ def manifest(command: str, spec: EquationSpec, method: str | None, lambdas: list
     """The run manifest every JSON document embeds."""
     return {
         "command": command,
-        "equation": {field.name: str(getattr(spec, field.name)) for field in fields(spec)},
+        "equation": {name: str(v) for name, v in zip(spec._fields, spec)},
         "method": method,
         "lambda_values": lambdas,
         "seed": seed,

@@ -52,10 +52,9 @@ weighted-homogeneous system.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalInvariantError, UnboundSymbolError
 from .poly import MPoly, Point, _pseudo_divmod, exps_of, monomial, rational_roots
@@ -113,8 +112,7 @@ class Assignment:
         return f"Assignment({body})"
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One leaf of the case tree.  Its witness and its remaining
     polynomials, the equations and then the pending eliminations x - e, are
     normal forms; a contradiction has neither."""
@@ -134,19 +132,24 @@ class Branch:
         return (rank, binds, wit, rem)
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class _SolveFields(NamedTuple):
     unknowns: tuple[Sym, ...]
-    presets: Assignment = field(default_factory=Assignment)
-    branch_budget: int = 10000
+    presets: Assignment
+    branch_budget: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "unknowns", tuple(self.unknowns))
-        overlap = [s for s in self.unknowns if s in self.presets]
+
+class SolveConfig(_SolveFields):
+    __slots__ = ()
+
+    # an Assignment is immutable, so the default presets are shared
+    def __new__(cls, unknowns, presets=Assignment(), branch_budget=10000):
+        unknowns = tuple(unknowns)
+        overlap = [s for s in unknowns if s in presets]
         if overlap:
             raise ValueError(f"presets and unknowns overlap: {overlap}")
-        if self.branch_budget < 1:
+        if branch_budget < 1:
             raise ValueError("branch budget must be positive")
+        return super().__new__(cls, unknowns, presets, branch_budget)
 
 
 def verify_assignment(
@@ -357,18 +360,19 @@ class _Tree:
 
     def explore(self, node: _Node) -> None:
         self.budget -= 1
-        found = set()
+        found = []
         for q in node.eqs:
             n = q.norm or self.normal(q)
             if n is _NORMAL:
-                found.add(q)
+                found.append(q)
             elif n is _CONSTANT:
                 self.finish(node, CONTRADICTION)
                 return
             elif n is not _VANISHED:
-                found.add(n)
-        # deterministic working order, and deduplicate repeated equations
-        eqs = sorted(found, key=_working_order)
+                found.append(n)
+        # deterministic working order, and deduplicate repeated equations in
+        # insertion order, so the sort's comparisons do not follow addresses
+        eqs = sorted(dict.fromkeys(found), key=_working_order)
         node.eqs = eqs
 
         # The redundant splits of move 3 reach equal nodes along several

@@ -11,8 +11,7 @@ table the residual is built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
@@ -27,8 +26,7 @@ TANH_RULES = {PHI: MPoly.var(K) + _PHI**2}
 PAPER_SIGNS: dict[Sym, int] = {}
 
 
-@dataclass(frozen=True)
-class BalanceTerm:
+class BalanceTerm(NamedTuple):
     """Order bookkeeping for one ODE term, linear in the ansatz degree M."""
 
     slope: int

@@ -2,8 +2,9 @@
 is complete: for every workload of BENCHMARK.json and each side, the median
 and quartiles of every end-to-end metric it names, plus the seeds, the
 number of pairs, both revisions, the Python version and nproc.  A record
-made since the raw metrics were added has them too: each side's unscaled
-wall_s and cold_s medians, summarized the same way."""
+made since a raw metric was added has it too: each side's unscaled wall_s
+and cold_s medians from BENCH_37 on, and its unscaled setup_s median from
+BENCH_39 on, summarized the same way."""
 
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
-RAW = ("wall_s_raw", "cold_s_raw")
+RAW = {"wall_s_raw": 37, "cold_s_raw": 37, "setup_s_raw": 39}  # the first record with it
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
@@ -23,13 +24,11 @@ def test_benchmark_record_is_complete(path):
     assert all(record["revisions"][side] for side in ("base", "change"))
     assert record["python"] and record["nproc"] >= 1
     assert set(record["workloads"]) == {w["name"] for w in bench["workloads"]}
+    raw = [name for name, first in RAW.items() if int(path.stem.removeprefix("BENCH_")) >= first]
     for workload in record["workloads"].values():
         for side in ("base", "change"):
-            names = [metric["name"] for metric in bench["end_to_end"]]
-            if any(name in workload[side] for name in RAW):
-                names += RAW
-                assert all(v > 0 for name in RAW for v in workload[side][name]["values"])
-            for name in names:
+            assert all(v > 0 for name in raw for v in workload[side][name]["values"])
+            for name in [metric["name"] for metric in bench["end_to_end"]] + raw:
                 summary = workload[side][name]
                 assert summary["q1"] <= summary["median"] <= summary["q3"]
                 assert len(summary["values"]) == record["pairs"]

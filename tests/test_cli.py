@@ -841,6 +841,22 @@ def test_console_script_entry_point():
     assert "M = 2" in proc.stdout
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every command, and perfbench's setup_s, pays for a fresh `import
+    # fkdv.cli`; dataclasses alone pulled in inspect, ast, dis and tokenize
+    code = "import sys, fkdv.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "fkdv.cli" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect"}) == []
+
+
 def test_closed_output_pipe_exits_141_without_traceback():
     # the reader has gone before anything is written, as with `| head` on
     # a long output

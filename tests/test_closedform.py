@@ -3,7 +3,6 @@ import math
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 from typing import Mapping
 
@@ -16,6 +15,7 @@ from fkdv.closedform import (
     MAGNITUDE_GUARD,
     SQUARES,
     SamplePlan,
+    SolutionRecord,
     catalog,
     clear_reciprocal,
     eval_float,
@@ -56,6 +56,11 @@ def _value(rec, p, xi, lam=-6.0):
 
 def _at_lambda(p):
     return p.substitute({LAM: _W**4 * -6})
+
+
+def _with_template(rec, template):
+    """A new record like ``rec`` with another template (its rules follow)."""
+    return SolutionRecord(rec.id, rec.method, rec.anchor, template, rec.params, rec.aux_form)
 
 
 # ---------------------------------------------------------------- rule tables
@@ -365,7 +370,7 @@ def test_exact_residual_is_zero(sid):
 @pytest.mark.parametrize("sid", ["u1", "u3", "u5", "u8"])
 def test_wrong_a0_gives_nonzero_residual(sid):
     rec = get_solution(sid)
-    shifted = replace(rec, template=rec.template + _W**2)
+    shifted = _with_template(rec, rec.template + _W**2)
     assert not exact_residual(shifted).is_zero()
 
 
@@ -552,7 +557,7 @@ def test_a_mutated_template_fails_the_exact_checks(monkeypatch):
     assert check_identities() == (True, "u7 - u1, u8 - u2, u9 - u3, u10 - u4 reduce to 0")
     # u7 + w^2 is no longer u1, and no longer solves the PDE
     rec = get_solution("u7")
-    mutant = replace(rec, template=rec.template + _W**2)
+    mutant = _with_template(rec, rec.template + _W**2)
     monkeypatch.setattr(
         closedform, "get_solution", lambda sid: mutant if sid == "u7" else get_solution(sid)
     )
@@ -627,7 +632,7 @@ def test_a_wrong_template_fails_at_every_speed(lam, monkeypatch):
     # the residual is relative to max|term|, so a wrong a0 is not hidden
     # when every PDE term is far below 1 at small |lam|
     rec = get_solution("u1")
-    monkeypatch.setitem(closedform._BY_ID, "u1", replace(rec, template=rec.template + _W**2))
+    monkeypatch.setitem(closedform._BY_ID, "u1", _with_template(rec, rec.template + _W**2))
     rep = sample_report("u1", lam)
     assert rep.verdict == "fail" and rep.max_relative_residual > 0.3
 
@@ -645,7 +650,7 @@ def test_draws_whose_terms_underflow_are_rejected(lam):
 def test_a_draw_whose_terms_are_all_zero_is_rejected(monkeypatch):
     # a constant template has five zero PDE terms, so no draw has a scale
     rec = get_solution("u3")
-    monkeypatch.setitem(closedform._BY_ID, "u3", replace(rec, template=MPoly.const(3)))
+    monkeypatch.setitem(closedform._BY_ID, "u3", _with_template(rec, MPoly.const(3)))
     rep = sample_report("u3", -6.0)
     assert rep.verdict == "inconclusive" and rep.rejected_samples == 1000
 

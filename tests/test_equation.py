@@ -52,3 +52,25 @@ def test_named_terms_are_the_pde_terms(method):
         "beta*u_x*u_xx": MPoly.zero(),
         "gamma*u*u_xxx": v * v3 * spec.gamma,
     }
+
+
+def test_spec_converts_int_coefficients_to_fractions():
+    spec = EquationSpec(2, beta=6, gamma=F(3), omega=True)
+    assert spec == SPECS["ito"]
+    assert [type(v) for v in spec] == [F] * 4
+    assert EquationSpec._fields == ("alpha", "beta", "gamma", "omega")
+
+
+def test_spec_rejects_a_coefficient_that_is_not_rational():
+    with pytest.raises(TypeError, match="^gamma must be rational$"):
+        EquationSpec(F(2), 6, 0.5, 1)
+
+
+def test_spec_rejects_omega_zero():
+    with pytest.raises(ValueError, match="^omega must be nonzero: the family is fifth order$"):
+        EquationSpec(2, 6, 3, F(0))
+
+
+def test_spec_is_immutable():
+    with pytest.raises(AttributeError):
+        SPECS["ito"].omega = F(2)

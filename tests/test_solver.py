@@ -158,8 +158,22 @@ def test_symbols_outside_unknowns_rejected(tanh_system):
 
 
 def test_presets_and_unknowns_must_be_disjoint():
-    with pytest.raises(ValueError):
-        SolveConfig(unknowns=(a(0),), presets=Assignment({a(0): F(1)}))
+    with pytest.raises(ValueError, match=r"^presets and unknowns overlap: \[a1\]$"):
+        SolveConfig(unknowns=(a(0), a(1)), presets=Assignment({a(1): F(1), MU: F(2)}))
+
+
+def test_branch_budget_must_be_positive():
+    assert SolveConfig((a(0),), branch_budget=1).branch_budget == 1
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="^branch budget must be positive$"):
+            SolveConfig(unknowns=(a(0),), branch_budget=budget)
+
+
+def test_solve_config_defaults():
+    cfg = SolveConfig(iter([a(0), MU]))
+    assert cfg.unknowns == (a(0), MU)
+    assert cfg.presets == Assignment() and len(cfg.presets) == 0
+    assert cfg.branch_budget == 10000
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -584,6 +598,34 @@ def test_each_polynomial_fact_computed_once(monkeypatch):
     assert {name for name, _ in calls} == set(names)
     assert set(calls.values()) == {1}
     assert _digest(leaves) == PINNED_LEAVES[3, -6, 10000]
+
+
+def test_text_comparisons_do_not_follow_memory_addresses(monkeypatch):
+    # explore deduplicates a node's equations in insertion order, not in a
+    # set of identity-hashed records, so the _Text comparisons of its sort,
+    # which perfbench traces as poly.ascii_calls, do not depend on where
+    # the records sit in memory, and unrelated allocations leave them be
+    _pre_polys(2)
+    calls = Counter()
+
+    def counting(name):
+        method = getattr(solver._Text, name)
+
+        def wrapper(t, other):
+            calls[name] += 1
+            return method(t, other)
+
+        return wrapper
+
+    for name in ("__eq__", "__lt__"):
+        monkeypatch.setattr(solver._Text, name, counting(name))
+    ballast, counts = [], []
+    for size in (0, 1, 3, 10, 33, 100, 333):
+        ballast.append([solver._Eq(MPoly.const(1)) for _ in range(size)])
+        calls.clear()
+        assert _digest(_pre_solve(2, -6)) == PINNED_LEAVES[2, -6, 10000]
+        counts.append(dict(calls))
+    assert calls and all(c == counts[0] for c in counts)
 
 
 @contextmanager

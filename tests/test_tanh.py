@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
@@ -150,7 +149,7 @@ _OMEGA = st.fractions(-50, 50, max_denominator=12).filter(bool)
 def test_balance_terms_agree_with_the_previous_if_chain(alpha, beta, gamma, omega):
     spec = EquationSpec(alpha, beta, gamma, omega)
     terms, previous = balance_terms_for(spec), _previous_balance_terms_for(spec)
-    assert [astuple(t) for t in terms] == [astuple(t) for t in previous]
+    assert [tuple(t) for t in terms] == [tuple(t) for t in previous]
     assert _balanced(balance_M, terms) == _balanced(balance_M, previous)
 
 

@@ -13,9 +13,10 @@ Run it from anywhere, with the standard library only.
 
 The record gives, per workload and side, the median and quartiles
 (``statistics.quantiles``, n=4) of every end-to-end metric and every run's
-value, and the same for ``wall_s_raw`` and ``cold_s_raw``, each run's
-unscaled wall_s and cold_s medians read from its perfbench report file (the
-scaling by speed-kernel samples moves from process to process on its own);
+value, and the same for ``setup_s_raw``, ``wall_s_raw`` and
+``cold_s_raw``, each run's unscaled setup_s, wall_s and cold_s medians read
+from its perfbench report file (the scaling by speed-kernel samples moves
+from process to process on its own);
 per metric, the number of pairs in which the change reads lower;
 and the seeds, the number of pairs, both revisions, the Python version,
 ``nproc`` and whether bytecode writing was off.  A run whose output checks
@@ -40,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "perfbench")
 SEEDS = list(range(100, 110))  # 10 pairs, the fewest a claimed gain may rest on
-RAW = ("wall_s", "cold_s")  # also recorded unscaled, as <name>_raw
+RAW = ("setup_s", "wall_s", "cold_s")  # also recorded unscaled, as <name>_raw
 
 
 def git(*args: str) -> str:

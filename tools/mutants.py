@@ -10,8 +10,10 @@ balance order of beta*u_x*u_xx, which Ito's balance at M = 2 does not
 depend on, in a kernel result left out of lowest terms, which every
 stage reads only through normal forms, or in a cached rewrite image that
 every reproduce stage reads through one relation per symbol or whose
-extra factor of r or of a denominator no stage sees, or in the sign flags
-of ``fkdv solve``, which reproduce never parses)
+extra factor of r or of a denominator no stage sees, in the sign flags
+of ``fkdv solve``, which reproduce never parses, or in the validation of
+an EquationSpec or a SolveConfig, which reproduce only builds from valid
+fields)
 names a pytest target instead, run from the repository root.  For each
 mutant, src/ is copied to a temporary directory, the replacement is
 applied there and the check runs on the copy; the mutant is killed when
@@ -50,6 +52,7 @@ TANH_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_
 POLY_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_poly.py")
 PRE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_pre.py")
 CLI_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_cli.py")
+EQUATION_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_equation.py")
 
 
 class Mutant(NamedTuple):
@@ -229,6 +232,20 @@ MUTANTS = (
         "PAPER_SIGNS: dict[Sym, int] = {}",
         'PAPER_SIGNS: dict[Sym, int] = {Sym("e"): 1, Sym("rho"): -1}',
         CLI_TESTS,
+    ),
+    Mutant(
+        "EquationSpec accepts omega = 0",
+        "fkdv/equation.py",
+        "if given.omega == 0:",
+        "if given.omega == 0 and False:",
+        EQUATION_TESTS,
+    ),
+    Mutant(
+        "SolveConfig accepts presets that overlap the unknowns",
+        "fkdv/solver.py",
+        "overlap = [s for s in unknowns if s in presets]",
+        "overlap = []",
+        SOLVER_TESTS,
     ),
 )
 
