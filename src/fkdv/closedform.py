@@ -152,13 +152,16 @@ class SolutionRecord:
 
     def __init__(self, id: str, method: str, anchor: str, template: MPoly,
                  params: dict[Sym, MPoly], aux_form: str | None = None):
-        self.id = id
-        self.method = method  # tanh | pre
-        self.anchor = anchor  # source branch letter a-d / roman i-Vi
-        self.template = template
-        self.params = params
-        self.aux_form = aux_form
-        self.rules = {s: RULES[s] for s in _closure(template)}
+        # method: tanh | pre; anchor: the source branch letter a-d / roman i-Vi
+        rules = {s: RULES[s] for s in _closure(template)}
+        for name, value in zip(self.__slots__, (id, method, anchor, template, params, aux_form, rules)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        # the catalog records are shared, and residual_terms_for caches on them
+        raise AttributeError(f"SolutionRecord is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
 
     @property
     def singular_at_origin(self) -> bool:

@@ -42,6 +42,11 @@ class EquationSpec(_Coefficients):
             raise ValueError("omega must be nonzero: the family is fifth order")
         return super().__new__(cls, *map(Fraction, given))
 
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, and _replace through it, would skip the checks
+        return cls(*iterable)
+
     def terms(self) -> list[tuple[str, MPoly, tuple[int, ...]]]:
         """The five PDE terms as (name, coefficient, orders): a term is its
         coefficient times the x-derivatives of u of its orders, with

@@ -151,6 +151,11 @@ class SolveConfig(_SolveFields):
             raise ValueError("branch budget must be positive")
         return super().__new__(cls, unknowns, presets, branch_budget)
 
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, and _replace through it, would skip the checks
+        return cls(*iterable)
+
 
 def verify_assignment(
     system: Sequence[MPoly], asg: Assignment | Mapping[Sym, Fraction | int]

@@ -1,3 +1,4 @@
+import ast
 import errno
 import hashlib
 import importlib
@@ -841,10 +842,29 @@ def test_console_script_entry_point():
     assert "M = 2" in proc.stdout
 
 
+def _outside_imports():
+    """The top-level import statements of fkdv's modules that name no fkdv
+    module, as source lines."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__"
+            ):
+                yield ast.unparse(node)
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
     # every command, and perfbench's setup_s, pays for a fresh `import
-    # fkdv.cli`; dataclasses alone pulled in inspect, ast, dis and tokenize
-    code = "import sys, fkdv.cli; print(*sorted(sys.modules))"
+    # fkdv.cli`; dataclasses alone pulled in inspect, ast, dis and tokenize.
+    # The check covers what fkdv controls: what its standard-library imports
+    # load on their own is subtracted (on Python 3.12 and later
+    # importlib.resources imports inspect)
+    statements = sorted(set(_outside_imports()))
+    assert [s for s in statements if {"dataclasses", "inspect"} & set(s.replace(",", " ").split())] == []
+    code = "; ".join(
+        ["import sys", *statements, "base = set(sys.modules)", "import fkdv.cli"]
+        + ["print(*sorted(set(sys.modules) - base))"]
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},

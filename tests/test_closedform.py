@@ -575,6 +575,17 @@ def test_catalog_has_ten_records():
     assert [r.id for r in recs] == [f"u{i}" for i in range(1, 11)]
 
 
+def test_catalog_records_are_immutable():
+    # residual_terms_for caches on the shared records by identity
+    rec = get_solution("u1")
+    for name in SolutionRecord.__slots__:
+        with pytest.raises(AttributeError, match=f"^SolutionRecord is immutable: cannot change {name}$"):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError, match="^SolutionRecord is immutable"):
+            delattr(rec, name)
+    assert rec.id == "u1" and rec.rules
+
+
 def test_u5_anchor_and_params():
     rec = get_solution("u5")
     assert rec.anchor == "i" and rec.method == "pre"

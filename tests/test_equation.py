@@ -74,3 +74,13 @@ def test_spec_rejects_omega_zero():
 def test_spec_is_immutable():
     with pytest.raises(AttributeError):
         SPECS["ito"].omega = F(2)
+
+
+def test_replace_and_make_check_like_the_constructor():
+    spec = SPECS["ito"]._replace(beta=4)
+    assert spec == EquationSpec(2, 4, 3, 1) and type(spec.beta) is F
+    assert EquationSpec._make([2, 6, 3, 1]) == SPECS["ito"]
+    with pytest.raises(ValueError, match="^omega must be nonzero"):
+        SPECS["ito"]._replace(omega=F(0))
+    with pytest.raises(TypeError, match="^omega must be rational$"):
+        EquationSpec._make([1, 2, 3, 0.5])

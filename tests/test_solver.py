@@ -169,6 +169,17 @@ def test_branch_budget_must_be_positive():
             SolveConfig(unknowns=(a(0),), branch_budget=budget)
 
 
+def test_replace_and_make_check_like_the_constructor():
+    cfg = SolveConfig((a(0), a(1)))
+    assert cfg._replace(branch_budget=5) == SolveConfig((a(0), a(1)), branch_budget=5)
+    with pytest.raises(ValueError, match="^branch budget must be positive$"):
+        cfg._replace(branch_budget=0)
+    with pytest.raises(ValueError, match=r"^presets and unknowns overlap: \[a1\]$"):
+        cfg._replace(presets=Assignment({a(1): F(1)}))
+    with pytest.raises(ValueError, match="^branch budget must be positive$"):
+        SolveConfig._make([(a(0),), Assignment(), 0])
+
+
 def test_solve_config_defaults():
     cfg = SolveConfig(iter([a(0), MU]))
     assert cfg.unknowns == (a(0), MU)
