@@ -13,11 +13,11 @@ through :func:`fkdv.equation.ode_terms`.
 
 Two checks use the five PDE terms at lam = -6*w^4, made once per record
 (:func:`residual_terms_for`).  :func:`exact_residual` adds them into one
-term map, clears the reciprocal y and reduces each squared function by its
-Pythagorean relation (sec^2 = 1 + tan^2, ...); each rewrite splits the
-polynomial by the powers of one symbol and adds every part times its
-power's image into one term map (``MPoly.sum_of_products``), each image
-built once per process.  A correct template leaves the zero polynomial.
+term map, clears each reciprocal y by den*y = 1 and reduces each squared
+function by its Pythagorean relation (sec^2 = 1 + tan^2, ...); each is one
+kernel rewrite by a side relation (:func:`fkdv.poly.reduce_power`), which
+tau elimination shares with its one cache of images.  A correct template
+leaves the zero polynomial.
 :func:`sample_report` evaluates the terms in binary64 at random points, and
 :func:`pointwise_compare` evaluates two templates at shared points; both
 draw through one sampler and keep one guard rule.  A polynomial of degree
@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .equation import ito, ode_terms
 from .errors import PoleError
-from .poly import MPoly, exps_of
+from .poly import MPoly, exps_of, reduce_power
 from .pre import PAPER_SIGNS, PRE_RULES, R_TAU2
 from .symbols import (
     COT, COTH, COTW, CSC, CSCH, CSCW, E, K, LAM, MU, PHI, R, RHO, SEC, SECH, SIGMA, TAN,
@@ -352,40 +352,6 @@ def rebuild_from_branch(rec: SolutionRecord, m: int, xi: float) -> float:
 # -- exact residual -----------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _square_image(s: Sym, rel: MPoly, e: int) -> MPoly:
-    # s^e under s^2 = rel, built once per (symbol, relation, exponent) and
-    # shared by every caller
-    return _v(s) ** (e % 2) * rel ** (e // 2)
-
-
-@lru_cache(maxsize=64)
-def _reciprocal_image(y: Sym, n: int) -> MPoly:
-    # den^n for y = 1/den, built once per (symbol, power) and shared
-    return DENOMINATORS[y] ** n
-
-
-def reduce_squares(p: MPoly, squares: Mapping[Sym, MPoly]) -> MPoly:
-    """Rewrite s^(2q+e) as s^e * rel^q for each relation s^2 = rel, which
-    leaves every such s of degree <= 1 (no rel contains its own s).  The
-    image of each power is built once per process and relation."""
-    for s, rel in squares.items():
-        p = MPoly.sum_of_products(
-            (part, _square_image(s, rel, e)) for (e,), part in p.split((s,)).items()
-        )
-    return p
-
-
-def clear_reciprocal(p: MPoly, y: Sym) -> MPoly:
-    """p * den^d with y = 1/den, where d is the degree of p in y: a
-    polynomial free of y that vanishes exactly where p does.  Each part
-    y^e is multiplied by den^(d-e), built once per process and power."""
-    d = p.max_exponent(y)
-    return MPoly.sum_of_products(
-        (part, _reciprocal_image(y, d - e)) for (e,), part in p.split((y,)).items()
-    )
-
-
 def reduced(p: MPoly) -> MPoly:
     """``p`` with its reciprocals cleared and its squares reduced.  Zero
     proves that ``p`` vanishes identically where it is defined.  The test
@@ -396,10 +362,13 @@ def reduced(p: MPoly) -> MPoly:
     g^2 = 1 +- f^2, which vanishes only if A = B = 0, as 1 +- f^2 is not a
     square.  Across two pairs of one kind a nonzero result proves nothing,
     as no relation between them is applied (tan*cot - 1 stays as it is)."""
-    for y in DENOMINATORS:
+    for y, den in DENOMINATORS.items():
         if y in p.symbols():
-            p = clear_reciprocal(p, y)
-    return reduce_squares(p, {s: rel for s, rel in SQUARES.items() if s in p.symbols()})
+            p = reduce_power(p, y, 1, lead=den, n=1)[0]
+    for s, rel in SQUARES.items():
+        if s in p.symbols():
+            p = reduce_power(p, s, rel)[0]
+    return p
 
 
 def exact_residual(rec: SolutionRecord) -> MPoly:

@@ -588,6 +588,34 @@ class Point:
         return p.den * self.scale[1] ** max(p.degree(), 0)
 
 
+@lru_cache(maxsize=256)
+def _image(s: Sym, j: int, rel: Coeffable, q: int, lead: Coeffable, k: int) -> MPoly:
+    # s**j * rel**q * lead**k, built once per process and shared by every
+    # caller, so no caller may mutate it
+    return MPoly.var(s) ** j * rel**q * lead**k
+
+
+def reduce_power(p: MPoly, s: Sym, rel: Coeffable, lead: Coeffable = 1, n: int = 2) -> tuple[MPoly, int]:
+    """(lead**top * p with each s**e rewritten by lead * s**n = rel, top),
+    where top = max exponent of s // n; (p itself, 0) when top is 0.
+
+    The part of p at each s**e is multiplied once by the image
+    s**(e % n) * rel**(e // n) * lead**(top - e // n), into one term map.
+    The images are cached by what they are products of, a unit relation or
+    lead at power 0, so each is built once per process.  When rel is free
+    of s, the representative of lead**top * p modulo lead * s**n - rel with
+    s-degree < n is unique, so any order of rewriting gives this polynomial.
+    """
+    top = p.max_exponent(s) // n
+    if not top:
+        return p, 0
+    qs, ks = rel != 1, lead != 1
+    return MPoly.sum_of_products(
+        (part, _image(s, e % n, rel, e // n * qs, lead, (top - e // n) * ks))
+        for (e,), part in p.split((s,)).items()
+    ), top
+
+
 @lru_cache(maxsize=1 << 12)
 def _ascii_mono(k: int) -> str:
     """The text of a monomial code; memoized like exps_of, as equal terms

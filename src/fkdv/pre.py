@@ -10,9 +10,8 @@ integral
 eliminates every tau power above one (``eliminate_tau``).  The division by r
 is kept polynomial by r-clearing: the reduced polynomial is returned with the
 power of r it was multiplied by, so the true value is poly / r**r_power.  The
-image of each power of tau under that rewrite depends only on s, the r-power
-cleared, so it is built once per process, on first use, and shared.  The
-sign symbols e and rho stay fully symbolic during generation; no e^2 = 1
+rewrite is the kernel's ``reduce_power`` by r*tau^2 = R_TAU2.  The sign
+symbols e and rho stay fully symbolic during generation; no e^2 = 1
 rewriting is applied (solving substitutes the signs later).
 
 Because e is symbolic, tau elimination does not commute with
@@ -24,11 +23,9 @@ is the convention the reference system transcription follows.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .equation import EquationSpec, SystemEq
 from .equation import ode_residual as _shared_residual
-from .poly import MPoly, exps_of, monomial
+from .poly import MPoly, exps_of, monomial, reduce_power
 from .symbols import E, LAM, MU, R, RHO, SIGMA, TAU, Sym, a, b
 
 _E = MPoly.var(E)
@@ -46,28 +43,11 @@ PAPER_SIGNS = {E: 1, RHO: -1}
 R_TAU2 = -(_E * (_R**2 - _MU * _R * _SIGMA * 2 + (_MU**2 + MPoly.var(RHO)) * _SIGMA**2))
 
 
-@lru_cache(maxsize=16)
-def _tau_images(s: int) -> tuple[MPoly, ...]:
-    """The images of r**s * tau^e for e = 0 .. 2s+1, tau^(e%2) *
-    (r*tau^2)^(e//2) * r^(s - e//2) with r*tau^2 = R_TAU2.  Built once per
-    s and shared by every caller, so no caller may mutate an entry."""
-    return tuple(_TAU ** (e % 2) * R_TAU2 ** (e // 2) * _R ** (s - e // 2) for e in range(2 * s + 2))
-
-
 def eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
     """(r**s * p with every tau^2 rewritten by the first integral, s), where
-    s = max tau exponent // 2; the result has tau-degree <= 1.
-
-    The coefficient of each tau^e in p is multiplied once by the image of
-    r**s * tau^e (``_tau_images``, built once per s), into one term map.
-    The tau-degree <= 1 representative of r**s * p modulo r*tau^2 - R_TAU2
-    is unique, so any order of rewriting gives this polynomial.
-    """
-    s = p.max_exponent(TAU) // 2
-    if s == 0:
-        return p, 0
-    images = _tau_images(s)
-    return MPoly.sum_of_products((part, images[e]) for (e,), part in p.split((TAU,)).items()), s
+    s = max tau exponent // 2: ``reduce_power`` by r*tau^2 = R_TAU2, so the
+    result has tau-degree <= 1 and does not depend on the order of rewriting."""
+    return reduce_power(p, TAU, R_TAU2, _R)
 
 
 def build_pre_ansatz(m: int) -> MPoly:

@@ -9,7 +9,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fkdv import closedform
+from fkdv import closedform, poly
 from fkdv.closedform import (
     DENOMINATORS,
     MAGNITUDE_GUARD,
@@ -17,7 +17,6 @@ from fkdv.closedform import (
     SamplePlan,
     SolutionRecord,
     catalog,
-    clear_reciprocal,
     eval_float,
     exact_residual,
     function_values,
@@ -25,18 +24,17 @@ from fkdv.closedform import (
     guard_bound,
     pointwise_compare,
     rebuild_from_branch,
-    reduce_squares,
     reduced,
     residual_terms_for,
     sample_report,
 )
-from fkdv.equation import ito, ode_residual
+from fkdv.equation import EquationSpec, ito, ode_residual
 from fkdv.errors import PoleError
-from fkdv.poly import MPoly, exps_of, monomial
-from fkdv.pre import R_TAU2, _tau_images
+from fkdv.poly import MPoly, exps_of, monomial, reduce_power
+from fkdv.pre import build_pre_ansatz, pre_ode_residual
 from fkdv.reproduce import check_identities, run_reproduce
 from fkdv.symbols import (
-    COT, COTH, COTW, CSC, CSCH, CSCW, E, LAM, MU, R, SEC, SECH, TAN, TANH, TAU, W, YM, YP, YSEC,
+    COT, COTH, COTW, CSC, CSCH, CSCW, E, LAM, MU, SEC, SECH, TAN, TANH, TAU, W, YM, YP, YSEC,
     Sym, a,
 )
 
@@ -374,6 +372,18 @@ def test_wrong_a0_gives_nonzero_residual(sid):
     assert not exact_residual(shifted).is_zero()
 
 
+def clear_reciprocal(p: MPoly, y: Sym) -> MPoly:
+    """``reduced``'s clearing of y = 1/den: the kernel rewrite by den*y = 1."""
+    return reduce_power(p, y, 1, lead=DENOMINATORS[y], n=1)[0]
+
+
+def reduce_squares(p: MPoly, squares: Mapping[Sym, MPoly]) -> MPoly:
+    """``reduced``'s reduction of each s^2 = rel in turn: the kernel rewrite."""
+    for s, rel in squares.items():
+        p = reduce_power(p, s, rel)[0]
+    return p
+
+
 def _reduced_residual(rec, rules):
     p = _at_lambda(ode_residual(ito(), rec.template, rules))
     for y in rec.rules.keys() & {YM, YP}:
@@ -414,8 +424,8 @@ def test_reduce_squares_leaves_degree_at_most_one():
 
 # The reductions used to rebuild each polynomial with sum(..., MPoly.zero()),
 # one copy of the term map per exponent group; now every part times its
-# power's image is added into one term map.  The previous reductions are
-# kept here verbatim as the references.
+# power's image is added into one term map by ``reduce_power``.  The previous
+# reductions are kept here verbatim as the references.
 _v = MPoly.var
 
 
@@ -464,8 +474,9 @@ def reducible_polys(draw):
 def test_reductions_match_the_previous_reductions(p, y, chosen):
     squares = {s: rel for s, rel in SQUARES.items() if s in chosen}
     assert reduce_squares(p, squares) == _reference_reduce_squares(p, squares)
-    assert clear_reciprocal(p, y) == _reference_clear_reciprocal(p, y)
-    assert clear_reciprocal(p, y).max_exponent(y) == 0
+    cleared, d = reduce_power(p, y, 1, lead=DENOMINATORS[y], n=1)
+    assert cleared == _reference_clear_reciprocal(p, y)
+    assert d == p.max_exponent(y) and cleared.max_exponent(y) == 0
 
 
 def test_reduce_squares_rewrites_one_symbol_by_each_relation_given():
@@ -475,20 +486,25 @@ def test_reduce_squares_rewrites_one_symbol_by_each_relation_given():
         assert reduce_squares(c**5, {CSCW: rel}) == c * rel**2
 
 
-def test_cached_images_equal_fresh_builds_after_a_reproduce_run():
-    # every cached image of the catalog reductions and of tau elimination
-    # equals a fresh build, so no caller mutates a shared image
+# (alpha, beta, gamma, omega) of the members perfbench's derive-sweep derives
+SWEPT_MEMBERS = [(2, 6, 3, 1), (45, 15, 15, 1), (30, 20, 10, 1), (20, 25, 10, 1)]
+
+
+def test_cached_images_equal_fresh_builds_after_a_reproduce_run(monkeypatch):
+    # every image that the catalog reductions and tau elimination read in a
+    # reproduce run and a depth 1-4 derive of the swept members equals a
+    # fresh build from its key, so no caller mutates a shared image
+    cached, keys = poly._image, set()
+    monkeypatch.setattr(poly, "_image", lambda *key: keys.add(key) or cached(*key))
     assert run_reproduce().exit_code == 0
-    for s, rel in SQUARES.items():
-        for e in range(12):
-            assert closedform._square_image(s, rel, e) == _v(s) ** (e % 2) * rel ** (e // 2)
-    for y, den in DENOMINATORS.items():
-        for n in range(12):
-            assert closedform._reciprocal_image(y, n) == den**n
-    for s in range(5):
-        assert _tau_images(s) == tuple(
-            _v(TAU) ** (e % 2) * R_TAU2 ** (e // 2) * _v(R) ** (s - e // 2) for e in range(2 * s + 2)
-        )
+    for member in SWEPT_MEMBERS:
+        for depth in range(1, 5):
+            pre_ode_residual(EquationSpec(*map(F, member)), build_pre_ansatz(depth))
+    assert {key[0] for key in keys} == {TAU, E, *SQUARES, *DENOMINATORS}
+    for s, j, rel, q, lead, k in keys:
+        image = cached(s, j, rel, q, lead, k)
+        assert image == _v(s) ** j * rel**q * lead**k
+        assert cached(s, j, rel, q, lead, k) is image
 
 
 @pytest.mark.parametrize(("f", "g"), [(TAN, COT), (TANH, COTH)], ids=["tan", "tanh"])

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fkdv.equation import EquationSpec, ito, ode_residual
 from fkdv.errors import PoleError
 from fkdv.fixtures import canonical_form, compare_systems, load_fixture
-from fkdv.poly import MPoly, monomial, parse_poly
+from fkdv import poly
+from fkdv.poly import MPoly, monomial, parse_poly, reduce_power
 from fkdv.closedform import (
     RULES,
     ST_CASES,
@@ -19,7 +20,6 @@ from fkdv.closedform import (
 from fkdv.pre import (
     PRE_RULES,
     R_TAU2,
-    _tau_images,
     build_pre_ansatz,
     eliminate_tau,
     pre_ode_residual,
@@ -74,15 +74,28 @@ def _horner_eliminate_tau(p: MPoly) -> tuple[MPoly, int]:
 
 def fresh_tau_images(s: int) -> tuple[MPoly, ...]:
     """r**s * tau^e for e = 0 .. 2s+1 with every tau^2 rewritten, built
-    from the first integral's text, independently of the cached table."""
+    from the first integral's text, independently of the cached images."""
     r_tau2 = P("-e*(r^2 - 2*mu*r*sigma + (mu^2+rho)*sigma^2)")
     return tuple(T ** (e % 2) * r_tau2 ** (e // 2) * _R ** (s - e // 2) for e in range(2 * s + 2))
 
 
 @pytest.mark.parametrize("s", range(5))
 def test_each_cached_tau_image_equals_a_fresh_build(s):
-    assert _tau_images(s) == fresh_tau_images(s)
-    assert _tau_images(s) is _tau_images(s)
+    # the kernel's image of r**s * tau^e, keyed by its factors tau^(e%2),
+    # R_TAU2^(e//2) and r^(s - e//2), after one elimination that reads them
+    eliminate_tau(sum((T**e for e in range(2 * s + 2)), MPoly.zero()))
+    for e, fresh in enumerate(fresh_tau_images(s)):
+        key = (TAU, e % 2, R_TAU2, e // 2, _R, s - e // 2)
+        assert poly._image(*key) == fresh
+        assert poly._image(*key) is poly._image(*key)
+
+
+def test_one_symbol_rewritten_under_each_lead_given():
+    # the images are cached per lead as well as per relation: a unit lead
+    # enters the key at power 0, so r and mu tell a key without the lead apart
+    for lead in (1, _R, P("mu"), _R):
+        got, s = reduce_power(T**3 + 1, TAU, R_TAU2, lead)
+        assert s == 1 and got == T * R_TAU2 + lead
 
 
 # (alpha, beta, gamma, omega) of the members perfbench's derive-sweep derives

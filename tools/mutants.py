@@ -9,8 +9,9 @@ pending elimination left as x - e, text that no stage reads, in the
 balance order of beta*u_x*u_xx, which Ito's balance at M = 2 does not
 depend on, in a kernel result left out of lowest terms, which every
 stage reads only through normal forms, or in a cached rewrite image that
-every reproduce stage reads through one relation per symbol or whose
-extra factor of r or of a denominator no stage sees, in the sign flags
+every reproduce stage reads through one relation and one lead per symbol
+or whose extra factor of r, of a denominator or of a relation no stage
+sees, in the sign flags
 of ``fkdv solve``, which reproduce never parses, or in the validation of
 an EquationSpec or a SolveConfig, which reproduce only builds from valid
 fields)
@@ -95,10 +96,10 @@ MUTANTS = (
         "c *= powers[e - 1]",
     ),
     Mutant(
-        "squares reduced with rel ** (e % 2) for rel ** (e // 2)",
-        "fkdv/closedform.py",
-        "rel ** (e // 2)",
-        "rel ** (e % 2)",
+        "a side relation rewritten with rel ** (e % n) for rel ** (e // n)",
+        "fkdv/poly.py",
+        "rel, e // n * qs,",
+        "rel, e % n * qs,",
     ),
     Mutant(
         "float sum with the built-in sum in place of math.fsum",
@@ -205,26 +206,40 @@ MUTANTS = (
         POLY_TESTS,
     ),
     Mutant(
-        "tau image table with one r too many",
-        "fkdv/pre.py",
-        "_R ** (s - e // 2)",
-        "_R ** (s - e // 2 + 1)",
+        "a rewrite image with one lead too many, seen by tau elimination",
+        "fkdv/poly.py",
+        "return MPoly.var(s) ** j * rel**q * lead**k",
+        "return MPoly.var(s) ** j * rel**q * lead ** (k + 1)",
         PRE_TESTS,
     ),
     Mutant(
-        "square images cached per (symbol, exponent), whatever the relation",
-        "fkdv/closedform.py",
-        "@lru_cache(maxsize=256)\ndef _square_image(",
-        "@lambda f: lambda s, rel, e, seen={}: seen.setdefault((s, e), f(s, rel, e))\n"
-        "def _square_image(",
+        "a rewrite image with one lead too many, seen by reciprocal clearing",
+        "fkdv/poly.py",
+        "(top - e // n) * ks",
+        "(top - e // n + 1) * ks",
         CLOSEDFORM_TESTS,
     ),
     Mutant(
-        "reciprocal image table with one denominator too many",
-        "fkdv/closedform.py",
-        "return DENOMINATORS[y] ** n",
-        "return DENOMINATORS[y] ** (n + 1)",
+        "a side relation rewritten with rel ** (e // n + 1) for rel ** (e // n)",
+        "fkdv/poly.py",
+        "rel, e // n * qs,",
+        "rel, (e // n + 1) * qs,",
+    ),
+    Mutant(
+        "rewrite images cached whatever the relation",
+        "fkdv/poly.py",
+        "@lru_cache(maxsize=256)\ndef _image(",
+        "@lambda f: lambda s, j, rel, q, lead, k, seen={}: "
+        "seen.setdefault((s, j, q, lead, k), f(s, j, rel, q, lead, k))\ndef _image(",
         CLOSEDFORM_TESTS,
+    ),
+    Mutant(
+        "rewrite images cached whatever the lead",
+        "fkdv/poly.py",
+        "@lru_cache(maxsize=256)\ndef _image(",
+        "@lambda f: lambda s, j, rel, q, lead, k, seen={}: "
+        "seen.setdefault((s, j, rel, q, k), f(s, j, rel, q, lead, k))\ndef _image(",
+        PRE_TESTS,
     ),
     Mutant(
         "the tanh method presets the paper's signs",
