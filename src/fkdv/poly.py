@@ -4,12 +4,14 @@ A polynomial is its int coefficients ``terms`` over one positive int
 denominator ``den``, in lowest terms: ``gcd(den, *terms.values()) == 1``, so
 equal values have equal ``terms`` and ``den`` (Geddes, Czapor & Labahn,
 *Algorithms for Computer Algebra*, 1992, ch. 2).  Every operation runs in
-ints.  A product, a sum of products, a derivation, the parser's sums and a
-substitution of polynomials add int products into one term map over a
-common denominator, which grows to the lcm when a product's denominator
-does not divide it, the partial sum rescaled once; a sum of two
-polynomials brings both to the lcm of their denominators.  Each result is
-divided once by the gcd of its denominator and coefficients.  Rationals enter through :func:`_as_rat`, which takes an int
+ints.  A product, a sum of products, a derivation, a substitution of
+polynomials and the parser's sums, whose terms are mostly products of
+numbers and symbols folded into one int term, add int products into one
+term map over a common denominator, which grows to the lcm when a
+product's denominator does not divide it, the partial sum rescaled once;
+a sum of two polynomials brings both to the lcm of their denominators.
+Each result is divided once by the gcd of its denominator and
+coefficients.  Rationals enter through :func:`_as_rat`, which takes an int
 or a ``Fraction`` and rejects anything else.  Values handed out of the
 kernel are ``Fraction`` (``constant_value``, ``eval_rat``, ``content``,
 ``rational_roots``), or for a coefficient (``linear_pivots``,
@@ -753,18 +755,30 @@ def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
     return roots
 
 
-# a token (ASCII digits, a name of ASCII letters, digits and "_" that starts
-# with a letter, or an operator), else a run of ASCII whitespace (what
-# str.isspace accepts below 128), else any other character, which is bad
-_TOKENS = re.compile(r"([0-9]+|[A-Za-z][A-Za-z0-9_]*|[-+*^()/])|[\t-\r\x1c-\x20]+|(.)")
+# a token: ASCII digits, a name of ASCII letters, digits and "_" that
+# starts with a letter, or any other one character but ASCII whitespace
+# (what str.isspace accepts below 128), which must be an operator
+_TOKENS = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^\t-\r\x1c-\x20]")
+_GOOD_FIRST = frozenset("-+*^()/0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_SYMBOL_CODES = {s.name: _DEG1 + (1 << s.shift) for s in ALPHABET}  # name -> code
+_END = "unexpected end of polynomial text"
+
+
+def _int_term(code: int, num: int, den: int) -> MPoly:
+    # num/den times the monomial of code
+    return MPoly._lowest({code: num}, den) if num else MPoly.zero()
 
 
 class _Parser:
     """Recursive-descent parser for the canonical ASCII polynomial form.
 
-    Every factor is an MPoly, so products and powers are the kernel's own
-    ``*`` and ``**`` with their degree checks; a sum adds its terms into
-    one code-keyed dict."""
+    A product of numbers and symbols, each with an optional power, is one
+    int term num/den times a monomial, whose code is the sum of the
+    factors' codes as in :func:`monomial`.  The term becomes an MPoly only
+    when it is multiplied by a parenthesized sum, and from there on the
+    product is the kernel's own ``*``.  Every step keeps the degree checks
+    of the kernel's ``*`` and ``**``.  A sum adds its terms into one
+    code-keyed dict."""
 
     def __init__(self, text: str):
         self.tokens: list[str | None] = self._tokenize(text) + [None]  # None ends the text
@@ -772,88 +786,115 @@ class _Parser:
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
-        out: list[str] = []
-        for tok, bad in _TOKENS.findall(text):
-            if bad:
-                raise ValueError(f"bad character {bad!r} in polynomial text")
-            if tok:
-                out.append(tok)
+        out = _TOKENS.findall(text)
+        bad = {tok for tok in set(out) if tok[0] not in _GOOD_FIRST}
+        if bad:
+            tok = next(tok for tok in out if tok in bad)
+            raise ValueError(f"bad character {tok!r} in polynomial text")
         return out
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos]
 
     def take(self) -> str:
         tok = self.tokens[self.pos]
         if tok is None:
-            raise ValueError("unexpected end of polynomial text")
+            raise ValueError(_END)
         self.pos += 1
         return tok
 
     def parse(self) -> MPoly:
         p = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing tokens at {self.peek()!r}")
+        if self.tokens[self.pos] is not None:
+            raise ValueError(f"trailing tokens at {self.tokens[self.pos]!r}")
         return p
-
-    def signs(self) -> int:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        return sign
 
     def expr(self) -> MPoly:
         acc: dict[int, int] = {}
         den = 1  # acc holds den times the sum
+        tokens = self.tokens
         while True:
-            sign = self.signs()
-            t = self.term()
-            den = _accumulate(acc, den, [(0, sign)], t.terms.items(), t.den)
-            if self.peek() not in ("+", "-"):
+            sign = 1
+            while tokens[self.pos] in ("+", "-"):
+                if self.take() == "-":
+                    sign = -sign
+            den = _accumulate(acc, den, [(0, sign)], *self.term())
+            if tokens[self.pos] not in ("+", "-"):
                 return MPoly._from_codes(acc, den)
 
-    def term(self) -> MPoly:
-        p = self.factor()
-        while self.peek() == "*":
-            self.take()
-            p = p * self.factor()
-        return p
+    def term(self) -> tuple[Collection[tuple[int, int]], int]:
+        """A product, as its (code, coefficient) pairs over a denominator.
 
-    def factor(self) -> MPoly:
-        f = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if not tok.isdigit():
-                raise ValueError(f"expected integer exponent, got {tok!r}")
-            f = f ** int(tok)
-        return f
-
-    def atom(self) -> MPoly:
-        """A number, a symbol or a parenthesized sum; a unary minus binds
-        here, before ``^``."""
-        tok = self.take()
-        if tok == "(":
-            p = self.expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parenthesis")
-            return p
-        if tok == "-":
-            return -self.atom()
-        if tok.isdigit():
-            if self.peek() != "/":
-                return MPoly.const(int(tok))
-            self.take()
-            den = self.take()
-            if not den.isdigit() or int(den) == 0:
-                raise ValueError(f"expected nonzero integer denominator, got {den!r}")
-            return MPoly.const(Fraction(int(tok), int(den)))
-        return MPoly.var(Sym(tok))
+        A factor is a number, ``n/d``, a symbol or a parenthesized sum, with
+        an optional power; a unary minus inside the product binds before
+        ``^``."""
+        tokens, pos = self.tokens, self.pos
+        code, num, den = 0, 1, 1  # the product of the int factors
+        p = None  # the product, from the first parenthesized sum on
+        while True:
+            sign = 1
+            while tokens[pos] == "-":
+                pos += 1
+                sign = -sign
+            tok = tokens[pos]
+            pos += 1
+            f = None  # the factor when it is a parenthesized sum
+            if tok in _SYMBOL_CODES:
+                fcode, fnum, fden = _SYMBOL_CODES[tok], 1, 1
+            elif tok is None:
+                raise ValueError(_END)
+            elif tok.isdigit():
+                fcode, fnum, fden = 0, int(tok), 1
+                if tokens[pos] == "/":
+                    d = tokens[pos + 1]
+                    if d is None:
+                        raise ValueError(_END)
+                    if not d.isdigit() or int(d) == 0:
+                        raise ValueError(f"expected nonzero integer denominator, got {d!r}")
+                    fden, pos = int(d), pos + 2
+            elif tok == "(":
+                self.pos = pos
+                f = self.expr()
+                if self.take() != ")":
+                    raise ValueError("unbalanced parenthesis")
+                pos = self.pos
+                if sign < 0:
+                    f = -f
+            else:
+                Sym(tok)  # raises: not in the symbol alphabet
+            if tokens[pos] == "^":
+                n = tokens[pos + 1]
+                if n is None:
+                    raise ValueError(_END)
+                if not n.isdigit():
+                    raise ValueError(f"expected integer exponent, got {n!r}")
+                n, pos = int(n), pos + 2
+                if f is not None:
+                    f = f**n
+                else:
+                    if fcode:  # a symbol, of degree 1
+                        _checked(n << DEGREE_SHIFT)
+                    fcode, fnum, fden, sign = fcode * n, fnum**n, fden**n, sign**n
+            if f is None and p is None:
+                code, num, den = code + fcode, num * sign * fnum, den * fden
+                if num and code >= _DEG_LIMIT:
+                    _checked(code)
+            else:
+                if f is None:
+                    f = _int_term(fcode, sign * fnum, fden)
+                p = (_int_term(code, num, den) if p is None else p) * f
+            if tokens[pos] != "*":
+                self.pos = pos
+                if p is not None:
+                    return p.terms.items(), p.den
+                return ((code, num),) if num else (), den
+            pos += 1
 
 
 def parse_poly(text: str) -> MPoly:
     """Parse the ASCII polynomial grammar (integers, rationals ``n/d``,
-    symbols, ``+ - * ^`` and parentheses)."""
+    symbols, ``+ - * ^`` and parentheses).
+
+    A minus sign at the start of a term negates the whole term, so ``-a1^2``
+    is ``-(a1^2)``; a unary minus inside a product binds before ``^``, so
+    ``a0*-a1^2`` is ``a0*(-a1)^2``, that is ``a0*a1^2``.  A total degree
+    above 255 raises ValueError, as in the kernel."""
     return _Parser(text).parse()
 

@@ -1,13 +1,17 @@
+import json
 import math
 import random
 import time
 from fractions import Fraction as F
 from functools import reduce
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fkdv import fixtures
 from fkdv.errors import UnboundSymbolError
+from fkdv.fixtures import load_fixture
 from fkdv.poly import (
     _DEG1,
     _FIELD,
@@ -1205,6 +1209,20 @@ def test_parser_matches_the_previous_parser_on_factored_text(text):
 def test_parser_matches_the_previous_parser_on_ascii_text(p, q):
     _agree_with_previous_parser(p.ascii())
     _agree_with_previous_parser(_ref_poly(q).ascii())
+
+
+@pytest.mark.parametrize("method", ["tanh", "pre"])
+def test_previous_parser_reads_each_transcription_as_load_fixture_holds_it(method):
+    # the parser's real traffic: long flat sums inside products of powers of
+    # sums, such as e^5*(mu^2+rho)^2*(12*mu*e^3-6*mu*e+a1)*b1, a shape the
+    # strategies above never produce
+    path = resources.files("fkdv").joinpath("fixtures", fixtures._FILES[method])
+    entries = json.loads(path.read_text())["equations"]
+    held = load_fixture(method).equations
+    assert [eq.label for eq in held] == [entry["label"] for entry in entries]
+    for entry, eq in zip(entries, held):
+        assert _PreviousParser(entry["expr"]).parse() == eq.poly, entry["label"]
+        _assert_canonical(eq.poly)
 
 
 @pytest.mark.parametrize("text", [

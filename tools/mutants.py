@@ -8,13 +8,13 @@ no stage checks, in a contradiction leaf that reports its equations or a
 pending elimination left as x - e, text that no stage reads, in the
 balance order of beta*u_x*u_xx, which Ito's balance at M = 2 does not
 depend on, in a kernel result left out of lowest terms, which every
-stage reads only through normal forms, or in a cached rewrite image that
-every reproduce stage reads through one relation and one lead per symbol
-or whose extra factor of r, of a denominator or of a relation no stage
-sees, in the sign flags
-of ``fkdv solve``, which reproduce never parses, or in the validation of
-an EquationSpec or a SolveConfig, which reproduce only builds from valid
-fields)
+stage reads only through normal forms, in the sign of a unary minus
+inside a product, which no transcription writes, in a cached rewrite
+image that every reproduce stage reads through one relation and one lead
+per symbol or whose extra factor of r, of a denominator or of a relation
+no stage sees, in the sign flags of ``fkdv solve``, which reproduce never
+parses, or in the validation of an EquationSpec or a SolveConfig, which
+reproduce only builds from valid fields)
 names a pytest target instead, run from the repository root.  For each
 mutant, src/ is copied to a temporary directory, the replacement is
 applied there and the check runs on the copy; the mutant is killed when
@@ -120,6 +120,13 @@ MUTANTS = (
         "fkdv/poly.py",
         "[(0, sign)]",
         "[(0, 1)]",
+    ),
+    Mutant(
+        "a unary minus applied after a folded factor's power",
+        "fkdv/poly.py",
+        "fden**n, sign**n",
+        "fden**n, sign",
+        POLY_TESTS,
     ),
     Mutant(
         "tau' rule with its mu*sigma sign flipped",
