@@ -757,7 +757,8 @@ def rational_roots(coeffs: Iterable[Fraction | int]) -> set[Fraction]:
 
 # a token: ASCII digits, a name of ASCII letters, digits and "_" that
 # starts with a letter, or any other one character but ASCII whitespace
-# (what str.isspace accepts below 128), which must be an operator
+# (what str.isspace accepts below 128); a token whose first character is
+# not in _GOOD_FIRST is that one bad character
 _TOKENS = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^\t-\r\x1c-\x20]")
 _GOOD_FIRST = frozenset("-+*^()/0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _SYMBOL_CODES = {s.name: _DEG1 + (1 << s.shift) for s in ALPHABET}  # name -> code
@@ -778,11 +779,11 @@ class _Parser:
     when it is multiplied by a parenthesized sum, and from there on the
     product is the kernel's own ``*``.  Every step keeps the degree checks
     of the kernel's ``*`` and ``**``.  A sum adds its terms into one
-    code-keyed dict."""
+    code-keyed dict.  ``expr`` and ``term`` take the position of their
+    first token and return the position after their last."""
 
     def __init__(self, text: str):
         self.tokens: list[str | None] = self._tokenize(text) + [None]  # None ends the text
-        self.pos = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
@@ -793,39 +794,34 @@ class _Parser:
             raise ValueError(f"bad character {tok!r} in polynomial text")
         return out
 
-    def take(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok is None:
-            raise ValueError(_END)
-        self.pos += 1
-        return tok
-
     def parse(self) -> MPoly:
-        p = self.expr()
-        if self.tokens[self.pos] is not None:
-            raise ValueError(f"trailing tokens at {self.tokens[self.pos]!r}")
+        p, pos = self.expr(0)
+        if self.tokens[pos] is not None:
+            raise ValueError(f"trailing tokens at {self.tokens[pos]!r}")
         return p
 
-    def expr(self) -> MPoly:
+    def expr(self, pos: int) -> tuple[MPoly, int]:
+        tokens = self.tokens
         acc: dict[int, int] = {}
         den = 1  # acc holds den times the sum
-        tokens = self.tokens
         while True:
             sign = 1
-            while tokens[self.pos] in ("+", "-"):
-                if self.take() == "-":
+            while tokens[pos] in ("+", "-"):
+                if tokens[pos] == "-":
                     sign = -sign
-            den = _accumulate(acc, den, [(0, sign)], *self.term())
-            if tokens[self.pos] not in ("+", "-"):
-                return MPoly._from_codes(acc, den)
+                pos += 1
+            pairs, d, pos = self.term(pos)
+            den = _accumulate(acc, den, [(0, sign)], pairs, d)
+            if tokens[pos] not in ("+", "-"):
+                return MPoly._from_codes(acc, den), pos
 
-    def term(self) -> tuple[Collection[tuple[int, int]], int]:
+    def term(self, pos: int) -> tuple[Collection[tuple[int, int]], int, int]:
         """A product, as its (code, coefficient) pairs over a denominator.
 
         A factor is a number, ``n/d``, a symbol or a parenthesized sum, with
         an optional power; a unary minus inside the product binds before
         ``^``."""
-        tokens, pos = self.tokens, self.pos
+        tokens = self.tokens
         code, num, den = 0, 1, 1  # the product of the int factors
         p = None  # the product, from the first parenthesized sum on
         while True:
@@ -844,27 +840,23 @@ class _Parser:
                 fcode, fnum, fden = 0, int(tok), 1
                 if tokens[pos] == "/":
                     d = tokens[pos + 1]
-                    if d is None:
-                        raise ValueError(_END)
-                    if not d.isdigit() or int(d) == 0:
-                        raise ValueError(f"expected nonzero integer denominator, got {d!r}")
+                    if d is None or not d.isdigit() or int(d) == 0:
+                        raise ValueError(_END if d is None else
+                                         f"expected nonzero integer denominator, got {d!r}")
                     fden, pos = int(d), pos + 2
             elif tok == "(":
-                self.pos = pos
-                f = self.expr()
-                if self.take() != ")":
-                    raise ValueError("unbalanced parenthesis")
-                pos = self.pos
+                f, pos = self.expr(pos)
+                if tokens[pos] != ")":
+                    raise ValueError(_END if tokens[pos] is None else "unbalanced parenthesis")
+                pos += 1
                 if sign < 0:
                     f = -f
             else:
                 Sym(tok)  # raises: not in the symbol alphabet
             if tokens[pos] == "^":
                 n = tokens[pos + 1]
-                if n is None:
-                    raise ValueError(_END)
-                if not n.isdigit():
-                    raise ValueError(f"expected integer exponent, got {n!r}")
+                if n is None or not n.isdigit():
+                    raise ValueError(_END if n is None else f"expected integer exponent, got {n!r}")
                 n, pos = int(n), pos + 2
                 if f is not None:
                     f = f**n
@@ -881,10 +873,9 @@ class _Parser:
                     f = _int_term(fcode, sign * fnum, fden)
                 p = (_int_term(code, num, den) if p is None else p) * f
             if tokens[pos] != "*":
-                self.pos = pos
                 if p is not None:
-                    return p.terms.items(), p.den
-                return ((code, num),) if num else (), den
+                    return p.terms.items(), p.den, pos
+                return ((code, num),) if num else (), den, pos
             pos += 1
 
 
