@@ -866,7 +866,7 @@ class _Parser:
                     fcode, fnum, fden, sign = fcode * n, fnum**n, fden**n, sign**n
             if f is None and p is None:
                 code, num, den = code + fcode, num * sign * fnum, den * fden
-                if num and code >= _DEG_LIMIT:
+                if num and code >= _DEG_LIMIT:  # a zero product has no degree
                     _checked(code)
             else:
                 if f is None:
