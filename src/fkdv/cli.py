@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -68,11 +69,6 @@ def _spec_from_args(args) -> EquationSpec:
     return ito() if args.preset == "ito" else EquationSpec(**vals)
 
 
-def _manifest(args, command: str, method: str | None, lambdas: list[str], seed=None):
-    spec = _spec_from_args(args) if hasattr(args, "preset") else ito()
-    return manifest(command, spec, method, lambdas, seed, getattr(args, "timestamp", None))
-
-
 def _emit(args, flag: str, content) -> None:
     """Write ``content`` where the ``--json`` or ``--latex`` flag points
     ('-' is stdout, a relative path lands under ``--out-dir``); for --json
@@ -106,8 +102,8 @@ def cmd_balance(args) -> int:
         _say(args, f"  {t.label:<14} order {t.order_str()}")
     m = tanh.balance_M(terms)
     _say(args, f"balanced ansatz order M = {m}")
-    doc = {"schema": 1, "manifest": _manifest(args, "balance", None, []), "M": m,
-           "orders": [{"term": t.label, "order": t.order_str()} for t in terms]}
+    doc = {"schema": 1, "manifest": manifest("balance", spec, None, [], None, args.timestamp),
+           "M": m, "orders": [{"term": t.label, "order": t.order_str()} for t in terms]}
     _emit(args, "json", doc)
     return EXIT_OK
 
@@ -125,7 +121,7 @@ def cmd_derive(args) -> int:
         _say(args, f"  [{equation_tag(eq.power, eq.tau_degree)}] {eq.poly.ascii()} = 0")
     doc = {
         "schema": 1,
-        "manifest": _manifest(args, "derive", args.method, []),
+        "manifest": manifest("derive", spec, args.method, [], None, args.timestamp),
         "order": order,
         "systems": system_json(system),
     }
@@ -177,9 +173,7 @@ def cmd_solve(args) -> int:
         _say(args, f"  [{br.status}] {{{binds}}}{extra}")
     doc = {
         "schema": 1,
-        "manifest": _manifest(
-            args, "solve", args.method, [str(args.lam)], seed=None
-        ),
+        "manifest": manifest("solve", ito(), args.method, [str(args.lam)], None, args.timestamp),
         "unknowns": [s.name for s in unknowns(system, presets)],
         "branches": [branch_json(br) for br in branches],
     }
@@ -234,7 +228,8 @@ def cmd_verify(args) -> int:
                 worst_exit = EXIT_FAILED
     doc = {
         "schema": 1,
-        "manifest": _manifest(args, "verify", None, [str(v) for v in lambdas], args.seed),
+        "manifest": manifest("verify", ito(), None, [str(v) for v in lambdas],
+                             args.seed, args.timestamp),
         "reports": reports,
     }
     if args.compare:
@@ -309,7 +304,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timestamp", help="manifest timestamp (omitted = null, keeps output reproducible)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="fkdv",
         description="Exact tanh / projective-Riccati traveling-wave engine "

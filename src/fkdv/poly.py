@@ -4,19 +4,22 @@ A polynomial is its int coefficients ``terms`` over one positive int
 denominator ``den``, in lowest terms: ``gcd(den, *terms.values()) == 1``, so
 equal values have equal ``terms`` and ``den`` (Geddes, Czapor & Labahn,
 *Algorithms for Computer Algebra*, 1992, ch. 2).  Every operation runs in
-ints.  A product, a sum of products, a derivation, a substitution of
-polynomials and the parser's sums, whose terms are mostly products of
-numbers and symbols folded into one int term, add int products into one
-term map over a common denominator, which grows to the lcm when a
-product's denominator does not divide it, the partial sum rescaled once;
-a sum of two polynomials brings both to the lcm of their denominators.
-Each result is divided once by the gcd of its denominator and
-coefficients.  Rationals enter through :func:`_as_rat`, which takes an int
-or a ``Fraction`` and rejects anything else.  Values handed out of the
-kernel are ``Fraction`` (``constant_value``, ``eval_rat``, ``content``,
-``rational_roots``), or for a coefficient (``linear_pivots``,
-``as_univariate``) an ``int`` when integral.  :meth:`MPoly.normalize` gives
-denominator 1 and coprime coefficients, the form the solver works in.
+ints.  A product, a sum of products, a derivation and the parser's sums,
+whose terms are mostly products of numbers and symbols folded into one int
+term, add int products into one term map over a common denominator, which
+grows to the lcm when a product's denominator does not divide it, the
+partial sum rescaled once; a sum of two polynomials brings both to the lcm
+of their denominators.  Each result is divided once by the gcd of its
+denominator and coefficients.  A substitution of polynomials for symbols
+and a rewrite by a side relation are both one sum of products:
+:meth:`MPoly.split` groups the terms by the exponents of the symbols, and
+each group is multiplied by the image of its exponents.  Rationals enter
+through :func:`_as_rat`, which takes an int or a ``Fraction`` and rejects
+anything else.  Values handed out of the kernel are ``Fraction``
+(``constant_value``, ``eval_rat``, ``content``, ``rational_roots``), or for
+a coefficient (``linear_pivots``, ``as_univariate``) an ``int`` when
+integral.  :meth:`MPoly.normalize` gives denominator 1 and coprime
+coefficients, the form the solver works in.
 
 A monomial is one int code, built by :func:`monomial` and decoded by
 :func:`exps_of`; a polynomial's ``terms`` maps codes to nonzero
@@ -259,7 +262,7 @@ class MPoly:
         acc: dict[int, int] = {}
         den = 1  # acc holds den times the sum
         for *head, last in products:
-            left = reduce(mul, head) if head else MPoly.const(1)
+            left = reduce(mul, head) if head else _ONE
             den = _accumulate(acc, den, left.terms.items(), list(last.terms.items()), left.den * last.den)
         return cls._from_codes(acc, den)
 
@@ -320,29 +323,25 @@ class MPoly:
 
     def coefficient_of(self, s: Sym, power: int) -> "MPoly":
         """Polynomial coefficient of s**power (s removed from the monomials)."""
-        drop = power * ((1 << s.shift) + _DEG1)
-        out = {k - drop: c for k, c in self.terms.items() if (k >> s.shift) & _FIELD == power}
-        return MPoly._lowest(out, self.den)
+        return self.split((s,)).get((power,)) or MPoly.zero()
 
     def split(self, syms: Sequence[Sym]) -> dict[tuple[int, ...], "MPoly"]:
         """Coefficients by the exponents of ``syms``: self is the sum over
         the keys of coefficient * prod(s**e for s, e in zip(syms, key))."""
-        mask = sum(_FIELD << s.shift for s in syms)
+        shifts = [s.shift for s in syms]
+        mask = sum([_FIELD << shift for shift in shifts])
         # group the terms by their fields of syms, taking off each term's
-        # fields and their degree as it is grouped
-        groups: dict[int, tuple[int, dict[int, int]]] = {}
+        # fields and their degree as it is grouped: picked -> (exponents,
+        # the code taken off, terms)
+        groups: dict[int, tuple[tuple[int, ...], int, dict[int, int]]] = {}
         for k, c in self.terms.items():
             picked = k & mask
-            try:
-                drop, terms = groups[picked]
-            except KeyError:
-                degree = sum((picked >> s.shift) & _FIELD for s in syms)
-                drop, terms = groups[picked] = (picked + degree * _DEG1, {})
-            terms[k - drop] = c
-        return {
-            tuple((picked >> s.shift) & _FIELD for s in syms): MPoly._lowest(terms, self.den)
-            for picked, (_, terms) in groups.items()
-        }
+            group = groups.get(picked)
+            if group is None:
+                exps = tuple([picked >> shift & _FIELD for shift in shifts])
+                group = groups[picked] = (exps, picked + sum(exps) * _DEG1, {})
+            group[2][k - group[1]] = c
+        return {exps: MPoly._lowest(terms, self.den) for exps, _, terms in groups.values()}
 
     def max_exponent(self, s: Sym) -> int:
         return max(((k >> s.shift) & _FIELD for k in self.terms), default=0)
@@ -369,8 +368,10 @@ class MPoly:
 
     def substitute(self, bind: Mapping[Sym, Coeffable]) -> "MPoly":
         """Homomorphic substitution; unbound symbols remain.  The symbols
-        bound to rationals are bound one at a time, then those bound to
-        polynomials in one pass."""
+        bound to rationals are bound one at a time.  Those bound to
+        polynomials are bound together, as :func:`reduce_power` rewrites:
+        the part at each exponent tuple of theirs is multiplied by the
+        values' powers, all into one term map."""
         syms = self.symbols()
         out, polys = self, {}
         for s, v in bind.items():
@@ -382,30 +383,11 @@ class MPoly:
                 out = out._bind_rat(s, _as_rat(v))
         if not polys:
             return out
-        touched = 0
-        for s in polys:
-            touched |= _FIELD << s.shift
-        # a value keeps its powers in one row per call: e -> v**e
-        bound = [(s.shift, (1 << s.shift) + _DEG1, v, {}) for s, v in polys.items()]
-        acc: dict[int, int] = {}
-        den = 1  # acc holds den times the sum over out.den
-        get = acc.get
-        for k, c in out.terms.items():
-            if not k & touched:
-                acc[k] = get(k, 0) + c * den
-                continue
-            factors: list[MPoly] = []
-            for shift, step, v, powers in bound:
-                e = (k >> shift) & _FIELD
-                if not e:
-                    continue
-                k -= e * step
-                if e not in powers:
-                    powers[e] = v**e
-                factors.append(powers[e])
-            q = reduce(mul, factors)
-            den = _accumulate(acc, den, [(k, c)], list(q.terms.items()), q.den)
-        return MPoly._from_codes(acc, den * out.den)
+        values = list(polys.values())
+        return MPoly.sum_of_products(
+            (*(v**e for v, e in zip(values, es) if e), part)
+            for es, part in out.split(list(polys)).items()
+        )
 
     def _bind_rat(self, s: Sym, v: Coef) -> "MPoly":
         # self with s bound to the rational v = n/m, in one int loop: s**e
@@ -534,6 +516,9 @@ class MPoly:
         text = "".join(parts)
         # the first term's sign takes no spaces, and a plus sign none at all
         return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+_ONE = MPoly.const(1)  # the unit head of sum_of_products' one-factor products
 
 
 class Point:

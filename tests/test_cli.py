@@ -78,6 +78,18 @@ def test_missing_coefficient_is_a_usage_error(argv, flag, capsys):
     assert out == "" and err == f"error: --{flag} is required without --preset ito\n"
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once; a usage error leaves it fit for the next call
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--method", "tanh"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--lambda" in capsys.readouterr().err
+    code, out, _ = run(["balance", "--preset", "ito"], capsys)
+    assert code == cli.EXIT_OK and "M = 2" in out
+    assert cli.build_parser() is parser
+
+
 def test_balance_failure_is_reported_as_a_balance_error(capsys):
     code, out, err = run(
         ["balance", "--alpha", "0", "--beta", "0", "--gamma", "0", "--omega", "1"],

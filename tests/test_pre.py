@@ -9,6 +9,8 @@ from fkdv.errors import PoleError
 from fkdv.fixtures import canonical_form, compare_systems, load_fixture
 from fkdv import poly
 from fkdv.poly import MPoly, monomial, parse_poly, reduce_power
+from fkdv.reproduce import derive, solve_system
+from fkdv.solver import verify_assignment
 from fkdv.closedform import (
     RULES,
     ST_CASES,
@@ -26,7 +28,7 @@ from fkdv.pre import (
     split_r,
 )
 from fkdv.symbols import (
-    E, LAM, MU, R, RHO, SEC, SECH, SIGMA, TAN, TANH, TAU, XINV, YSEC, YSECH, a, b,
+    E, K, LAM, MU, R, RHO, SEC, SECH, SIGMA, TAN, TANH, TAU, XINV, YSEC, YSECH, a, b,
 )
 
 
@@ -415,3 +417,41 @@ def test_case_i_excluded_from_first_integral():
     assert len(st_residuals(sigma, tau, fixed)) == 2
     at = {SIGMA: sigma, TAU: tau, **fixed}
     assert not reduced((P("r") * T**2 - R_TAU2).substitute(at)).is_zero()
+
+
+# ---------------------------------------------------------------- tanh inside the projective method
+# At mu = 0, e = 1 and rho = -1 the pair reads tau' = tau^2 + r, the tanh
+# method's phi' = k + phi^2 with phi = tau and k = r, and its first integral
+# is r*tau^2 = sigma^2 - r^2.  So a tanh ansatz of order M, rewritten by that
+# integral, is a projective ansatz of depth M, and every tanh solved point
+# maps to a point of the projective system.
+
+
+def _projective_image(point, order):
+    """The projective unknowns of depth ``order`` that a tanh point gives."""
+    k = point[K]
+    u = sum((MPoly.const(point[a(j)]) * T**j for j in range(order + 1)), MPoly.zero())
+    cleared, top = reduce_power(u, TAU, S**2 - k**2, lead=k)
+    parts = (cleared * F(1, k**top)).split((SIGMA, TAU))
+    image = {MU: F(0), R: k, a(0): F(0)}
+    image.update((s, F(0)) for j in range(1, order + 1) for s in (a(j), b(j)))
+    for (i, t), c in parts.items():
+        image[a(i) if not t else b(i + 1)] = c.constant_value()
+    return image
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_every_tanh_point_maps_to_a_projective_point(order):
+    presets = {LAM: F(-6)}
+    _, tanh_system = derive("tanh", order=order)
+    _, pre_system = derive("pre", order=order)
+    points = [br.assignment for br in solve_system(tanh_system, presets) if br.status == "solved"]
+    images = [_projective_image(p, order) for p in points]
+    zeros = {s: F(0) for j in range(3, order + 1) for s in (a(j), b(j))}
+    assert sorted(images, key=lambda im: im[R]) == [
+        {MU: 0, R: F(-1, 4), a(0): F(-5, 2), a(1): 0, b(1): 0, a(2): 120, b(2): 0, **zeros},
+        {MU: 0, R: F(1, 4), a(0): F(5, 2), a(1): 0, b(1): 0, a(2): -120, b(2): 0, **zeros},
+    ]
+    signs = {E: 1, RHO: -1, **presets}
+    for image in images:
+        assert verify_assignment([eq.poly for eq in pre_system], {**signs, **image}) == (True, None)

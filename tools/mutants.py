@@ -96,6 +96,12 @@ MUTANTS = (
         "c *= powers[e - 1]",
     ),
     Mutant(
+        "a polynomial binding that pairs the bound symbols' exponents with the wrong values",
+        "fkdv/poly.py",
+        "zip(values, es)",
+        "zip(values[::-1], es)",
+    ),
+    Mutant(
         "a side relation rewritten with rel ** (e % n) for rel ** (e // n)",
         "fkdv/poly.py",
         "rel, e // n * qs,",
