@@ -8,9 +8,9 @@ only.  Otherwise it applies the first available move:
 1. branch on the rational roots of the best univariate equation
    (lowest degree, then fewest terms, then symbol order); the factor left
    after dividing the roots out, if any, ends in a stuck leaf;
-2. eliminate a symbol that occurs linearly with a constant coefficient,
-   recording the dependency and resolving it to a rational once the
-   remaining symbols are pinned;
+2. eliminate a symbol that occurs linearly with a constant coefficient
+   (fewest terms, lowest degree, symbol order, then working order), and
+   resolve it to a rational once the remaining symbols are pinned;
 3. split on a common monomial factor: each variable in the factor to zero,
    plus the cofactor branch.
 
@@ -200,16 +200,13 @@ _VANISHED, _CONSTANT, _NORMAL = object(), object(), object()
 
 
 class _Text:
-    """A polynomial that compares by its canonical text, rendered only when
-    a comparison reaches it."""
+    """A polynomial that sorts by its canonical text, rendered only when a
+    comparison reaches it; distinct records never share a text."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: MPoly):
         self.p = p
-
-    def __eq__(self, other: "_Text") -> bool:
-        return self.p.ascii() == other.p.ascii()
 
     def __lt__(self, other: "_Text") -> bool:
         return self.p.ascii() < other.p.ascii()
@@ -235,10 +232,10 @@ class _Eq:
     off it.  ``norm``, None until explore first needs it, is the record of
     the normal form, _VANISHED, _CONSTANT or _NORMAL.  A normal form gets its
     working-order ``key`` and move 1's ``uni`` (key, symbol, coefficients)
-    or move 2's ``pivot`` (key, symbol, coefficient) at once.  Move 1's
-    ``roots`` and the factor ``left`` after them, the monomial ``gcd`` code
-    and the ``cofactor`` record of p divided by it come when a move first
-    needs them."""
+    or move 2's ``pivot`` (key, symbol, coefficient; a tie falls to the
+    working order) at once.  Move 1's ``roots``, the factor ``left`` after
+    them, the monomial ``gcd`` code and the ``cofactor`` record of p divided
+    by it come when a move first needs them."""
 
     __slots__ = ("p", "norm", "key", "uni", "pivot", "roots", "left", "gcd", "cofactor")
 
@@ -257,7 +254,7 @@ class _Eq:
         elif pivots := p.linear_pivots():
             # move 1 wins over move 2 wherever a univariate equation is
             x = min(pivots, key=lambda s: s.key)
-            self.pivot = (len(p.terms), p.degree(), x.key, _Text(p)), x, pivots[x]
+            self.pivot = (len(p.terms), p.degree(), x.key), x, pivots[x]
 
     def monomial_gcd(self) -> int:
         if self.gcd is None:
@@ -421,8 +418,8 @@ class _Tree:
         if found:
             q = min(found, key=lambda q: q.pivot[0])
             _, x, c = q.pivot
-            # the pivot is usually an int: divide as a Fraction to stay exact
-            e = self.intern(q.p.coefficient_of(x, 0) * (Fraction(-1) / c))
+            # p = c*x + rest, so x = x - p/c; c is usually an int: divide as a Fraction
+            e = self.intern(MPoly.var(x) - q.p * (Fraction(1) / c))
             out = self.mapped((x, e), x, e.p, [*node.eexprs, *eqs])
             k = len(node.eexprs)
             node.esyms += (x,)

@@ -4,8 +4,11 @@ The production pipeline never touches sympy; these tests rebuild the ODE
 residuals from scratch with sympy's own differentiation and compare the
 collected coefficient systems term by term, so a systematic error in the
 polynomial kernel, the rewrite rules or the transcriptions would surface
-here.
+here.  A Gröbner basis of the depth-1 projective system checks the
+solver's isolated points the same way.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +16,8 @@ sp = pytest.importorskip("sympy")
 
 from fkdv.fixtures import canonical_form
 from fkdv.poly import MPoly, exps_of
+from fkdv.reproduce import derive, solve_system
+from fkdv.symbols import E, LAM, R, RHO
 
 
 def _mpoly_to_sympy(p: MPoly, table):
@@ -108,3 +113,54 @@ def test_pre_system_matches_sympy_derivation(pre_system):
         low = min(m[0] for m in cp.monoms())
         stripped = sp.expand(sp.cancel(c / r**low))
         assert _proportional(stripped, mine, gens), key
+
+
+def _pieces(eqs, gens):
+    """Lex Gröbner bases whose generators are irreducible over Q and whose
+    zero sets together make up that of ``eqs``: a generator that factors
+    splits the basis into one piece per factor."""
+    basis = sp.groebner(eqs, *gens, order="lex")
+    if basis.exprs == [1]:
+        return []
+    for g in basis.exprs:
+        _, factors = sp.factor_list(g, *gens)
+        if len(factors) > 1 or factors[0][1] > 1:
+            return [piece for f, _ in factors for piece in _pieces([*basis.exprs, f], gens)]
+    return [basis]
+
+
+@pytest.mark.parametrize(("lam", "count"), [(-6, 4), (-96, 4), (-7, 0)])
+def test_depth_1_isolated_rational_points_are_the_solved_points(lam, count):
+    # the solver's solved points with r != 0 against the isolated rational
+    # zeros of the depth-1 system at (e, rho) = (1, -1) and 1 - r*z; at
+    # lambda = -7 the paper's branches need a0 = +-5*sqrt(42)/12
+    _, system = derive("pre", order=1)
+    presets = {LAM: Fraction(lam), E: 1, RHO: -1}
+    syms = sorted(set().union(*(eq.poly.symbols() for eq in system)) - set(presets))
+    z, *gens = sp.symbols(["z"] + [s.name for s in syms])
+    table = {s.name: g for s, g in zip(syms, gens)}
+    table.update({s.name: sp.Rational(v) for s, v in presets.items()})
+    eqs = [_mpoly_to_sympy(eq.poly.normalize(), table) for eq in system]
+    eqs.append(1 - table[R.name] * z)
+    pieces = _pieces(eqs, (z, *gens))
+    curves = [piece for piece in pieces if not piece.is_zero_dimensional]
+    jacobian = sp.Matrix(eqs).jacobian((z, *gens))
+    isolated = set()
+    for piece in pieces:
+        if not piece.is_zero_dimensional:
+            continue
+        for sol in sp.solve_poly_system(piece.exprs, z, *gens):
+            at = dict(zip((z, *gens), sol))
+            if all(v.is_Rational for v in sol) and not any(
+                all(g.subs(at) == 0 for g in curve.exprs) for curve in curves
+            ):
+                # a regular zero, so isolated whatever the pieces
+                assert jacobian.subs(at).rank() == len(at)
+                isolated.add(tuple(Fraction(int(v.p), int(v.q)) for v in sol[1:]))
+    solved = {
+        tuple(br.assignment[s] for s in syms)
+        for br in solve_system(system, presets)
+        if br.status == "solved" and br.assignment[R]
+    }
+    assert len(isolated) == count
+    assert solved == isolated

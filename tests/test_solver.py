@@ -880,6 +880,17 @@ def test_non_unit_pivot_left_pending_is_reported_in_normal_form():
     assert all(type(c) in (int, F) for c in rem.terms.values())
 
 
+def test_tied_pivot_keys_fall_to_the_working_order():
+    # both equations have 3 terms, degree 2 and the pivot a1, so a1 is
+    # eliminated by the first in working order: a0*k + a1 + 2, by its text,
+    # which stays pending as the leaf's last remaining polynomial
+    system = [parse_poly("a1 + a2*k + 1"), parse_poly("a1 + a0*k + 2")]
+    leaves = solve(system, SolveConfig(unknowns=(a(0), a(1), a(2), K)))
+    assert [(br.status, len(br.assignment)) for br in leaves] == [("stuck", 0)]
+    assert leaves[0].witness == parse_poly("a0*k - a2*k + 1")
+    assert [p.ascii() for p in leaves[0].remaining] == ["a0*k - a2*k + 1", "a0*k + a1 + 2"]
+
+
 def _old_linear_symbols(p):
     # the move-2 predicate before the one-pass scan
     return {

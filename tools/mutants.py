@@ -12,15 +12,19 @@ stage reads only through normal forms, in the sign of a unary minus
 inside a product, which no transcription writes, in a cached rewrite
 image that every reproduce stage reads through one relation and one lead
 per symbol or whose extra factor of r, of a denominator or of a relation
-no stage sees, in the sign flags of ``fkdv solve``, which reproduce never
-parses, or in the validation of an EquationSpec or a SolveConfig, which
-reproduce only builds from valid fields)
-names a pytest target instead, run from the repository root.  For each
-mutant, src/ is copied to a temporary directory, the replacement is
-applied there and the check runs on the copy; the mutant is killed when
-the check exits nonzero.  A control run of each check on an unmutated copy
-comes first and must exit 0.  Run it from anywhere, with the standard
-library only (pytest for the pytest checks):
+no stage sees, in move 2's choice between equal pivot keys, which no
+system reproduce solves has, in the sign flags of ``fkdv solve``, which
+reproduce never parses, or in the validation of an EquationSpec or a
+SolveConfig, which reproduce only builds from valid fields) names a pytest
+target instead, run from the repository root.  So does a second mutant of
+a fault that reproduce sees, to show that an independent check sees it
+too: the Gröbner basis of tests/test_cross_derivation.py, whose other
+tests never run the solver.  For each mutant, src/ is copied to a
+temporary directory, the replacement is applied there and the check runs
+on the copy; the mutant is killed when the check exits nonzero.  A
+control run of each check on an unmutated copy comes first and must exit
+0.  Run it from anywhere, with the standard library only (pytest for the
+pytest checks, and sympy, a test extra, for the Gröbner basis):
 
     python tools/mutants.py
 
@@ -54,6 +58,7 @@ POLY_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_
 PRE_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_pre.py")
 CLI_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_cli.py")
 EQUATION_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_equation.py")
+CROSS_TESTS = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_cross_derivation.py")
 
 
 class Mutant(NamedTuple):
@@ -145,6 +150,26 @@ MUTANTS = (
         "fkdv/solver.py",
         "for root in q.roots:",
         "for root in q.roots[1:]:",
+    ),
+    Mutant(
+        "move 1 that skips its first root, seen by the Gröbner basis at depth 1",
+        "fkdv/solver.py",
+        "for root in q.roots:",
+        "for root in q.roots[1:]:",
+        CROSS_TESTS,
+    ),
+    Mutant(
+        "move 2 that breaks a pivot tie against the working order",
+        "fkdv/solver.py",
+        "q = min(found, key=lambda q: q.pivot[0])",
+        "q = min(reversed(found), key=lambda q: q.pivot[0])",
+        SOLVER_TESTS,
+    ),
+    Mutant(
+        "move 2 eliminates x as x + p/c",
+        "fkdv/solver.py",
+        "MPoly.var(x) - q.p * (Fraction(1) / c)",
+        "MPoly.var(x) + q.p * (Fraction(1) / c)",
     ),
     Mutant(
         "memo hit that does not charge the skipped subtree to the budget",
