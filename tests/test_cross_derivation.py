@@ -16,14 +16,14 @@ sp = pytest.importorskip("sympy")
 
 from fkdv.fixtures import canonical_form
 from fkdv.poly import MPoly, exps_of
-from fkdv.reproduce import derive, solve_system
+from fkdv.reproduce import derive, solve_system, unknowns
 from fkdv.symbols import E, LAM, R, RHO
 
 
 def _mpoly_to_sympy(p: MPoly, table):
     total = sp.Integer(0)
     for code, coeff in p.terms.items():
-        term = sp.Rational(coeff.numerator, coeff.denominator)
+        term = sp.Rational(coeff, p.den)
         for s, e in exps_of(code):
             term *= table[s.name] ** e
         total += term
@@ -136,11 +136,11 @@ def test_depth_1_isolated_rational_points_are_the_solved_points(lam, count):
     # lambda = -7 the paper's branches need a0 = +-5*sqrt(42)/12
     _, system = derive("pre", order=1)
     presets = {LAM: Fraction(lam), E: 1, RHO: -1}
-    syms = sorted(set().union(*(eq.poly.symbols() for eq in system)) - set(presets))
+    syms = unknowns(system, presets)
     z, *gens = sp.symbols(["z"] + [s.name for s in syms])
     table = {s.name: g for s, g in zip(syms, gens)}
     table.update({s.name: sp.Rational(v) for s, v in presets.items()})
-    eqs = [_mpoly_to_sympy(eq.poly.normalize(), table) for eq in system]
+    eqs = [_mpoly_to_sympy(eq.poly, table) for eq in system]
     eqs.append(1 - table[R.name] * z)
     pieces = _pieces(eqs, (z, *gens))
     curves = [piece for piece in pieces if not piece.is_zero_dimensional]
