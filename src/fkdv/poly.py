@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import attrgetter, mul, or_
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
@@ -748,6 +748,11 @@ _TOKENS = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^\t-\r\x1c-\x20]")
 _GOOD_FIRST = frozenset("-+*^()/0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _SYMBOL_CODES = {s.name: _DEG1 + (1 << s.shift) for s in ALPHABET}  # name -> code
 _END = "unexpected end of polynomial text"
+# the most terms a power of a sum may expand to, C(t + n - 1, n) for t terms
+# to the n, and the most term pairs a product of two sums may make: the
+# slowest power of a sum of symbols and 1 within it, (a0 + a1 + 1)^116,
+# parses in about 1 s (Python 3.11, 2 CPUs)
+_EXPANSION_CAP = 7000
 
 
 def _int_term(code: int, num: int, den: int) -> MPoly:
@@ -764,8 +769,11 @@ class _Parser:
     when it is multiplied by a parenthesized sum, and from there on the
     product is the kernel's own ``*``.  Every step keeps the degree checks
     of the kernel's ``*`` and ``**``.  A sum adds its terms into one
-    code-keyed dict.  ``expr`` and ``term`` take the position of their
-    first token and return the position after their last."""
+    code-keyed dict.  A power of a sum, or a product of two sums, whose
+    expansion exceeds _EXPANSION_CAP raises ValueError before it is
+    expanded; a text over the degree cap as well reports the degree cap.
+    ``expr`` and ``term`` take the position of their first token and
+    return the position after their last."""
 
     def __init__(self, text: str):
         self.tokens: list[str | None] = self._tokenize(text) + [None]  # None ends the text
@@ -844,6 +852,10 @@ class _Parser:
                     raise ValueError(_END if n is None else f"expected integer exponent, got {n!r}")
                 n, pos = int(n), pos + 2
                 if f is not None:
+                    _checked(f.degree() * n << DEGREE_SHIFT)  # the degree cap first, as in **
+                    if n > 1 and (count := comb(len(f.terms) + n - 1, n)) > _EXPANSION_CAP:
+                        raise ValueError(f"a sum of {len(f.terms)} terms to the power {n} expands "
+                                         f"to up to {count} terms, above {_EXPANSION_CAP}")
                     f = f**n
                 else:
                     if fcode:  # a symbol, of degree 1
@@ -856,7 +868,13 @@ class _Parser:
             else:
                 if f is None:
                     f = _int_term(fcode, sign * fnum, fden)
-                p = (_int_term(code, num, den) if p is None else p) * f
+                left = _int_term(code, num, den) if p is None else p
+                sizes = len(left.terms), len(f.terms)
+                if min(sizes) > 1 and sizes[0] * sizes[1] > _EXPANSION_CAP:
+                    _checked(left.degree() + f.degree() << DEGREE_SHIFT)  # the degree cap first
+                    raise ValueError(f"a product of sums of {sizes[0]} and {sizes[1]} terms makes "
+                                     f"{sizes[0] * sizes[1]} term pairs, above {_EXPANSION_CAP}")
+                p = left * f
             if tokens[pos] != "*":
                 if p is not None:
                     return p.terms.items(), p.den, pos
@@ -871,6 +889,8 @@ def parse_poly(text: str) -> MPoly:
     A minus sign at the start of a term negates the whole term, so ``-a1^2``
     is ``-(a1^2)``; a unary minus inside a product binds before ``^``, so
     ``a0*-a1^2`` is ``a0*(-a1)^2``, that is ``a0*a1^2``.  A total degree
-    above 255 raises ValueError, as in the kernel."""
+    above 255 raises ValueError, as in the kernel, and so does a power or a
+    product of sums that would expand to more than 7,000 terms or term
+    pairs."""
     return _Parser(text).parse()
 

@@ -59,22 +59,27 @@ def solve_grid(system, presets, weights) -> list:
     with s = m and ``weights`` maps to lam = -6*m^4."""
     presets = {LAM: GRID[0], **presets}
     leaves, polys = solve_system(system, presets), [eq.poly for eq in system]
-    return [leaves] + [scale_leaves(polys, presets, leaves, weights, m) for m in range(2, len(GRID) + 1)]
+    return [leaves, *scale_leaves(polys, presets, leaves, weights, range(2, len(GRID) + 1))]
 
 
 @lru_cache(maxsize=8)
-def specialized(m: int) -> tuple[tuple[closedform.SolutionRecord, dict[Sym, Fraction]], ...]:
-    """Each catalog record with its exact values at lam = -6*m^4, made once
-    per m; the catalog is constant, so callers share the result and must
-    not mutate it."""
-    return tuple((rec, rec.specialize(m)) for rec in closedform.catalog())
+def specialized(m: int) -> tuple[tuple[closedform.SolutionRecord, dict[Sym, Fraction], tuple], ...]:
+    """Each catalog record with its exact values at lam = -6*m^4 and the
+    key (method, values), equal for records that share both, made once per
+    m; the catalog is constant, so callers share the result and must not
+    mutate it."""
+    out = []
+    for rec in closedform.catalog():
+        values = rec.specialize(m)
+        out.append((rec, values, (rec.method, frozenset(values.items()))))
+    return tuple(out)
 
 
 def paper_branches(method: str, m: int) -> list[dict]:
     """The generating parameter tuples of ``method``'s catalog records at
     lam = -6*m^4, without lam, each once, in catalog order."""
     out: list[dict] = []
-    for rec, values in specialized(m):
+    for rec, values, _ in specialized(m):
         tup = {s: v for s, v in values.items() if s is not LAM}
         if rec.method == method and tup not in out:
             out.append(tup)
@@ -122,10 +127,15 @@ def check_solver_run(branches, expected: list[dict], free_expect: dict | None,
 def check_exact_substitution(systems: dict, m: int) -> tuple[bool, str]:
     """Every catalog parameter tuple annihilates the system of its method in
     ``systems`` (method name to system) at lam = -6*m^4, with the method's
-    signs, in exact rational arithmetic."""
+    signs, in exact rational arithmetic.  Records that share a method and
+    a tuple share one check; a failure names the first failing record in
+    catalog order."""
     polys = {name: [eq.poly for eq in system] for name, system in systems.items()}
-    for rec, asg in specialized(m):
-        ok, witness = verify_assignment(polys[rec.method], {**asg, **METHODS[rec.method].PAPER_SIGNS})
+    verdicts: dict[tuple, tuple[bool, object]] = {}
+    for rec, asg, key in specialized(m):
+        if key not in verdicts:
+            verdicts[key] = verify_assignment(polys[rec.method], {**asg, **METHODS[rec.method].PAPER_SIGNS})
+        ok, witness = verdicts[key]
         if not ok:
             return False, f"{rec.id} ({rec.anchor}) fails on {witness}"
     return True, "ok"

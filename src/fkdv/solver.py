@@ -45,8 +45,8 @@ setting when it returns or raises.  The pause is process-wide; fkdv is
 single-threaded.
 
 A solve's leaves also give those at scaled presets: ``scale_leaves`` maps
-them, polynomial by polynomial, by the scaling symmetry of a
-weighted-homogeneous system.
+them to every scale it is given, polynomial by polynomial, by the scaling
+symmetry of a weighted-homogeneous system.
 """
 
 from __future__ import annotations
@@ -480,47 +480,60 @@ def _verified(system: list[MPoly], leaves: list[Branch], presets: Assignment) ->
 
 
 def scale_leaves(system: Sequence[MPoly], presets: Mapping[Sym, Fraction | int],
-                 leaves: Sequence[Branch], weights: Mapping[Sym, int], s: int) -> list[Branch]:
-    """The leaves ``leaves`` of ``system`` solved at ``presets``, x = v,
-    mapped to x = s**w_x * v, sorted, each solved one re-verified there.
+                 leaves: Sequence[Branch], weights: Mapping[Sym, int],
+                 scales: Sequence[int]) -> list[list[Branch]]:
+    """For each s of ``scales``, the leaves ``leaves`` of ``system`` solved
+    at ``presets``, x = v, mapped to x = s**w_x * v, sorted, each solved one
+    re-verified there.
 
     ``system`` must be weighted-homogeneous under ``weights``, checked
-    exactly (else InternalInvariantError).  Then tau_s: x -> s**-w_x * x
-    maps the case tree node by node, so each leaf maps polynomial by
-    polynomial: a binding x = v becomes s**w_x * v, and a normal form N,
-    witness or remaining, becomes normalize(tau_s(N)).  The moves choose by
-    degree, term count and symbol, which tau_s keeps, and break the ties
-    left by rendered text, which it may not keep: the mapped leaves are
-    those of a direct solve wherever those ties break alike, which the
-    tests pin for every system reproduce solves.
+    exactly and once for all scales (else InternalInvariantError).  Then
+    tau_s: x -> s**-w_x * x maps the case tree node by node, so each leaf
+    maps polynomial by polynomial: a binding x = v becomes s**w_x * v, and
+    a normal form N, witness or remaining, becomes normalize(tau_s(N)).
+    The moves choose by degree, term count and symbol, which tau_s keeps,
+    and break the ties left by rendered text, which it may not keep: the
+    mapped leaves are those of a direct solve wherever those ties break
+    alike, which the tests pin for every system reproduce solves.
     """
     system = list(system)
     if missing := set().union(*(p.symbols() for p in system)) - weights.keys():
         raise InternalInvariantError(f"no weight for {sorted(missing, key=lambda t: t.key)}")
 
+    degrees: dict[int, int] = {}  # monomial code -> weighted degree, for the check and every scale
+
     def degree(code: int) -> int:
-        return sum(weights[x] * e for x, e in exps_of(code))
+        if code not in degrees:
+            degrees[code] = sum(weights[x] * e for x, e in exps_of(code))
+        return degrees[code]
 
     for p in system:
         if len({degree(k) for k in p.terms}) > 1:
             raise InternalInvariantError(f"{p} is not weighted-homogeneous")
-    factor = {x: Fraction(s) ** w for x, w in weights.items()}
-    scaled = {x: v * factor[x] for x, v in presets.items()}
 
-    normal: dict[MPoly, MPoly] = {}  # leaves share their normal forms
+    lifts: dict[MPoly, list[int]] = {}  # p -> hi - degree per term, hi the highest degree
+    normal: dict[tuple[MPoly, int], MPoly] = {}  # leaves share their normal forms
 
-    def image(p: MPoly) -> MPoly:
-        """normalize(tau_s(p)): the terms times the ints s**(hi - degree)
-        for the highest degree hi."""
-        if p not in normal:
-            ds = list(map(degree, p.terms))
-            terms = {k: c * s ** (max(ds) - d) for (k, c), d in zip(p.terms.items(), ds)}
-            normal[p] = MPoly._raw(terms).normalize()
-        return normal[p]
+    def image(p: MPoly, s: int) -> MPoly:
+        """normalize(tau_s(p)): the terms times the ints s**(hi - degree)."""
+        if (p, s) not in normal:
+            if p not in lifts:
+                ds = list(map(degree, p.terms))
+                lifts[p] = [max(ds) - d for d in ds]
+            terms = {k: c * s**e for (k, c), e in zip(p.terms.items(), lifts[p])}
+            normal[p, s] = MPoly._raw(terms).normalize()
+        return normal[p, s]
 
     out = []
-    for br in leaves:
-        witness = None if br.witness is None else image(br.witness)
-        asg = Assignment._trusted({x: v * factor[x] for x, v in br.assignment.items()})
-        out.append(Branch(asg, tuple(map(image, br.remaining)), br.status, br.free_symbols, witness))
-    return _verified(system, sorted(out, key=Branch.sort_key), Assignment._trusted(scaled))
+    for s in scales:
+        factor = {x: Fraction(s) ** w for x, w in weights.items()}
+        mapped = []
+        for br in leaves:
+            witness = None if br.witness is None else image(br.witness, s)
+            remaining = tuple(image(p, s) for p in br.remaining)
+            # x = 0 maps to itself, and most leaf bindings of the derived systems are 0
+            bound = {x: v * factor[x] if v else v for x, v in br.assignment._map.items()}
+            mapped.append(Branch(Assignment._trusted(bound), remaining, br.status, br.free_symbols, witness))
+        scaled = Assignment._trusted({x: v * factor[x] for x, v in presets.items()})
+        out.append(_verified(system, sorted(mapped, key=Branch.sort_key), scaled))
+    return out

@@ -5,7 +5,8 @@ residuals from scratch with sympy's own differentiation and compare the
 collected coefficient systems term by term, so a systematic error in the
 polynomial kernel, the rewrite rules or the transcriptions would surface
 here.  A Gröbner basis of the depth-1 projective system checks the
-solver's isolated points the same way.
+solver's isolated points the same way, and ``sympy.solve`` every
+component of the tanh systems at M = 2 and 3.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ sp = pytest.importorskip("sympy")
 from fkdv.fixtures import canonical_form
 from fkdv.poly import MPoly, exps_of
 from fkdv.reproduce import derive, solve_system, unknowns
-from fkdv.symbols import E, LAM, R, RHO
+from fkdv.symbols import E, LAM, R, RHO, a
 
 
 def _mpoly_to_sympy(p: MPoly, table):
@@ -164,3 +165,41 @@ def test_depth_1_isolated_rational_points_are_the_solved_points(lam, count):
     }
     assert len(isolated) == count
     assert solved == isolated
+
+
+@pytest.mark.parametrize("lam", [-6, -96, -7])
+@pytest.mark.parametrize("order", [2, 3])
+def test_tanh_leaves_are_the_components_sympy_solves(order, lam):
+    # sympy.solve gives every component of the tanh system at a fixed lam:
+    # the family a1 = ... = aM = 0 and two points, rational at lam = -6*m^4
+    # and with k = +-sqrt(42)/24 at lam = -7, where the solver ends them in
+    # one stuck leaf
+    _, system = derive("tanh", order=order)
+    presets = {LAM: Fraction(lam)}
+    syms = unknowns(system, presets)
+    gens = sp.symbols([s.name for s in syms])
+    table = {s.name: g for s, g in zip(syms, gens)}
+    table[LAM.name] = sp.Integer(lam)
+    found = sp.solve([_mpoly_to_sympy(eq.poly, table) for eq in system], gens, dict=True)
+    points = [sol for sol in found if len(sol) == len(gens)]
+    rational = [sol for sol in points if all(v.is_Rational for v in sol.values())]
+    irrational = [sol for sol in points if sol not in rational]
+    families = [sol for sol in found if len(sol) < len(gens)]
+    leaves = solve_system(system, presets)
+
+    solved = {tuple(br.assignment[s] for s in syms) for br in leaves if br.status == "solved"}
+    assert solved == {tuple(Fraction(int(sol[g].p), int(sol[g].q)) for g in gens) for sol in rational}
+    family = {a(j): 0 for j in range(1, order + 1)}
+    assert families == [{table[s.name]: 0 for s in family}]
+    free = [br for br in leaves if br.status == "solved_with_free_symbols"]
+    assert [br.assignment.as_dict() for br in free] == [family]
+    assert [s.name for s in free[0].free_symbols] == ["a0", "k"]
+    stuck = [br for br in leaves if br.status == "stuck"]
+    if lam == -7:
+        k = table["k"]
+        assert sorted(sol[k] for sol in irrational) == [-sp.sqrt(42) / 24, sp.sqrt(42) / 24]
+        (leaf,) = stuck
+        witness = _mpoly_to_sympy(leaf.witness, table)
+        assert all(sp.expand(witness.subs(sol)) == 0 for sol in irrational)
+    else:
+        assert irrational == [] and stuck == []

@@ -1292,6 +1292,41 @@ def test_parser_keeps_the_degree_cap_and_the_unary_minus_quirk():
     assert parse_poly("-a1^2") == -parse_poly("a1^2")
 
 
+@pytest.mark.parametrize("text", ["(a0 + a1 + k + lam + 1)^40", "((a0 + a1 + 1)^10 + k)^10"])
+def test_parser_refuses_a_short_text_that_expands_too_far_at_once(text):
+    # without the expansion cap these took 55 s and 3.3 s, for 26 and 25
+    # characters
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="terms, above 7000"):
+        parse_poly(text)
+    assert time.perf_counter() - start < 1
+
+
+def _sum_of_powers(s, count):
+    return "(" + " + ".join(f"{s}^{e}" for e in range(count)) + ")"
+
+
+def test_parser_expansion_cap_counts_power_terms_and_product_pairs():
+    # C(t + n - 1, n) terms for t terms to the n: 5,985 at n = 17, 7,315 at 18
+    assert len(parse_poly("(a0 + a1 + k + lam + 1)^17").terms) == 5985
+    with pytest.raises(ValueError, match="a sum of 5 terms to the power 18 expands to up to 7315 terms"):
+        parse_poly("(a0 + a1 + k + lam + 1)^18")
+    # 70 by 100 term pairs are at the cap, 71 by 100 above it
+    assert len(parse_poly(_sum_of_powers("a0", 70) + "*" + _sum_of_powers("k", 100)).terms) == 7000
+    with pytest.raises(ValueError, match="sums of 71 and 100 terms makes 7100 term pairs"):
+        parse_poly(_sum_of_powers("a0", 71) + "*" + _sum_of_powers("k", 100))
+    # a one-term factor and a first power expand nothing, however long the sum
+    wide = " + ".join(f"a0^{i}*k^{j}" for i in range(84) for j in range(84))
+    assert len(parse_poly(f"2*a1*({wide})^1*3").terms) == 84 * 84
+
+
+@pytest.mark.parametrize("text", ["(a0 + a1 + k + lam + 1)^300", "(a0 + 1)^200*(k + 1)^100"])
+def test_parser_reports_the_degree_cap_before_the_expansion_cap(text):
+    # each is over both caps: C(304, 300) terms, and 201 by 101 term pairs
+    with pytest.raises(ValueError, match="total degree 300 exceeds 255"):
+        parse_poly(text)
+
+
 def _previous_eval_rat(p, point):
     """The previous MPoly.eval_rat: the point is converted again for every
     polynomial, and so are the polynomial's coefficients."""

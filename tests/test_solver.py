@@ -437,8 +437,8 @@ def test_scaled_leaves_are_the_leaves_solved_at_the_scaled_speed(method, order):
     polys, presets, weights = _method_case(method, order, -6)
     leaves = _direct(polys, presets)
     _assert_leaves_in_normal_form(leaves)
-    for s in (2, 3, 5):
-        mapped = scale_leaves(polys, presets, leaves, weights, s)
+    scaled = scale_leaves(polys, presets, leaves, weights, (2, 3, 5))
+    for s, mapped in zip((2, 3, 5), scaled, strict=True):
         direct = _direct(polys, {**presets, LAM: F(-6 * s**4)})
         assert _leaf_keys(mapped) == _leaf_keys(direct), (method, order, s)
         assert mapped == direct
@@ -456,7 +456,7 @@ def _assert_leaves_in_normal_form(leaves):
 
 def test_scaling_the_depth_2_tree_gives_the_pinned_leaves_at_minus_96():
     polys, presets, weights = _method_case("pre", 2, -6)
-    mapped = scale_leaves(polys, presets, _pre_solve(2, -6), weights, 2)
+    (mapped,) = scale_leaves(polys, presets, _pre_solve(2, -6), weights, (2,))
     assert _digest(mapped) == PINNED_LEAVES[2, -96, 10000]
 
 
@@ -464,7 +464,7 @@ def test_scaling_the_depth_2_tree_gives_the_pinned_leaves_at_minus_96():
 def test_scale_one_is_the_identity(method, order):
     polys, presets, weights = _method_case(method, order, -6)
     leaves = _direct(polys, presets)
-    mapped = scale_leaves(polys, presets, leaves, weights, 1)
+    (mapped,) = scale_leaves(polys, presets, leaves, weights, (1,))
     assert mapped == leaves and _leaf_keys(mapped) == _leaf_keys(leaves)
 
 
@@ -472,7 +472,7 @@ def test_the_tanh_contradiction_reports_its_bindings_only_at_minus_96(tanh_syste
     # a contradiction reports no polynomial: not the raw images -3 and -3*k
     # of lam = -6, nor -48 and -48*k of lam = -96, nor their normal forms
     polys, presets, weights = _method_case("tanh", 2, -6)
-    mapped = scale_leaves(polys, presets, _direct(polys, presets), weights, 2)
+    (mapped,) = scale_leaves(polys, presets, _direct(polys, presets), weights, (2,))
     expected = {"bindings": {"a1": "0", "a2": "-6"}, "status": "contradiction"}
     assert [branch_json(br) for br in mapped if br.status == "contradiction"] == [expected]
     direct = solve_system(tanh_system, {LAM: F(-96)})
@@ -501,8 +501,8 @@ def test_a_contradiction_maps_under_the_scaled_binding(texts, weights):
     polys = [parse_poly(t) for t in texts]
     leaves = _direct(polys, {LAM: F(-6)})
     assert any(br.status == "contradiction" for br in leaves)
-    for s in (2, 3, 5):
-        mapped = scale_leaves(polys, {LAM: F(-6)}, leaves, weights, s)
+    scaled = scale_leaves(polys, {LAM: F(-6)}, leaves, weights, (2, 3, 5))
+    for s, mapped in zip((2, 3, 5), scaled, strict=True):
         assert _leaf_keys(mapped) == _leaf_keys(_direct(polys, {LAM: F(-6 * s**4)}))
         _assert_leaves_in_normal_form(mapped)
     _assert_leaves_in_normal_form(leaves)
@@ -513,9 +513,9 @@ def test_the_homogeneity_check_rejects_a_system_with_one_term_added():
     leaves = _direct(polys, presets)
     broken = [polys[0] + MPoly.var(a(1)) * MPoly.var(R), *polys[1:]]
     with pytest.raises(InternalInvariantError, match="not weighted-homogeneous"):
-        scale_leaves(broken, presets, leaves, weights, 2)
+        scale_leaves(broken, presets, leaves, weights, (2, 3))
     with pytest.raises(InternalInvariantError, match="no weight for"):
-        scale_leaves(polys, presets, leaves, {x: w for x, w in weights.items() if x != MU}, 2)
+        scale_leaves(polys, presets, leaves, {x: w for x, w in weights.items() if x != MU}, (2, 3))
 
 
 def test_reproduce_solves_each_method_once(monkeypatch):
@@ -529,6 +529,45 @@ def test_reproduce_solves_each_method_once(monkeypatch):
     monkeypatch.setattr(reproduce, "solve", counting)
     assert reproduce.run_reproduce().exit_code == 0
     assert calls == [GRID[0], GRID[0]]
+
+
+def test_reproduce_maps_both_scaled_speeds_in_one_call(monkeypatch):
+    calls = []
+
+    def counting(system, presets, leaves, weights, scales):
+        calls.append(tuple(scales))
+        return scale_leaves(system, presets, leaves, weights, scales)
+
+    monkeypatch.setattr(reproduce, "scale_leaves", counting)
+    assert reproduce.run_reproduce().exit_code == 0
+    assert calls == [(2, 3), (2, 3)]
+
+
+def test_the_substitute_stage_names_the_first_failing_record(tanh_system, pre_system):
+    # the extra factor vanishes at u1's tuple (a0 = -5*m^2) but not at u3's
+    # (a0 = 5*m^2), so u1 and u2 pass and u3 is the first record to fail
+    extra = (MPoly.var(a(0)) + 5) * (MPoly.var(a(0)) + 20) * (MPoly.var(a(0)) + 45)
+    first, *rest = tanh_system
+    altered = [first._replace(poly=first.poly + extra), *rest]
+    for m in range(1, len(GRID) + 1):
+        ok, detail = reproduce.check_exact_substitution({"tanh": altered, "pre": pre_system}, m)
+        assert not ok and detail.startswith("u3 "), (m, detail)
+
+
+def test_the_substitute_stage_checks_each_distinct_tuple_once(monkeypatch, tanh_system, pre_system):
+    # u1/u2, u3/u4, u5/u8 and u6/u7 share their tuples: 6 checks per speed
+    calls = []
+
+    def counting(system, asg):
+        calls.append((len(system), frozenset(asg.items())))
+        return verify_assignment(system, asg)
+
+    monkeypatch.setattr(reproduce, "verify_assignment", counting)
+    systems = {"tanh": tanh_system, "pre": pre_system}
+    for m in range(1, len(GRID) + 1):
+        calls.clear()
+        assert reproduce.check_exact_substitution(systems, m) == (True, "ok")
+        assert len(calls) == len(set(calls)) == 6, m
 
 
 def test_solve_grid_gives_the_leaves_of_each_grid_speed(tanh_system):

@@ -14,8 +14,10 @@ image that every reproduce stage reads through one relation and one lead
 per symbol or whose extra factor of r, of a denominator or of a relation
 no stage sees, in move 2's choice between equal pivot keys, which no
 system reproduce solves has, in the sign flags of ``fkdv solve``, which
-reproduce never parses, or in the validation of an EquationSpec or a
-SolveConfig, which reproduce only builds from valid fields) names a pytest
+reproduce never parses, in the validation of an EquationSpec or a
+SolveConfig, which reproduce only builds from valid fields, or in a
+substitute check that reuses one verdict for all tuples of a method,
+where every tuple passes) names a pytest
 target instead, run from the repository root.  So does a second mutant of
 a fault that reproduce sees, to show that an independent check sees it
 too: the Gröbner basis of tests/test_cross_derivation.py, whose other
@@ -196,6 +198,19 @@ MUTANTS = (
         "BalanceTerm(len(orders), sum(orders), _label(orders))",
         "BalanceTerm(len(orders), max(orders), _label(orders))",
         TANH_TESTS,
+    ),
+    Mutant(
+        "scale_leaves maps every scale by the first",
+        "fkdv/solver.py",
+        "for s in scales:",
+        "for s in [scales[0]] * len(scales):",
+    ),
+    Mutant(
+        "check_exact_substitution dedupes on the method alone",
+        "fkdv/reproduce.py",
+        "(rec.method, frozenset(values.items()))",
+        "rec.method",
+        SOLVER_TESTS,
     ),
     Mutant(
         "two-point wave-speed grid",
