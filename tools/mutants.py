@@ -17,16 +17,17 @@ system reproduce solves has, in the sign flags of ``fkdv solve``, which
 reproduce never parses, in the validation of an EquationSpec or a
 SolveConfig, which reproduce only builds from valid fields, or in a
 substitute check that reuses one verdict for all tuples of a method,
-where every tuple passes) names a pytest
-target instead, run from the repository root.  So does a second mutant of
-a fault that reproduce sees, to show that an independent check sees it
-too: the Gröbner basis of tests/test_cross_derivation.py, whose other
-tests never run the solver.  For each mutant, src/ is copied to a
-temporary directory, the replacement is applied there and the check runs
-on the copy; the mutant is killed when the check exits nonzero.  A
-control run of each check on an unmutated copy comes first and must exit
-0.  Run it from anywhere, with the standard library only (pytest for the
-pytest checks, and sympy, a test extra, for the Gröbner basis):
+where every tuple passes) names a pytest target instead, run from the
+repository root.  So does a second mutant of a fault that reproduce
+sees, to show that an independent check sees it too: the Gröbner basis
+of tests/test_cross_derivation.py, which runs before that file's
+comparison of the tanh solve with sympy.solve.  For each mutant, src/ is
+copied to a temporary directory, the replacement is applied there and
+the check runs on the copy; the mutant is killed when the check exits
+nonzero.  A control run of each check on an unmutated copy comes first
+and must exit 0.  Run it from anywhere, with the standard library only
+(pytest for the pytest checks, and sympy, a test extra, for the Gröbner
+basis):
 
     python tools/mutants.py
 
