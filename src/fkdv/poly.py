@@ -272,10 +272,6 @@ class MPoly:
         _checked(self.degree() * n << DEGREE_SHIFT)
         if not n:
             return MPoly.const(1)
-        if n > 1 and len(self.terms) == 1:
-            # a monomial: its code times n, its coefficient and den to the n
-            ((k, c),) = self.terms.items()
-            return MPoly._raw({k * n: c**n}, self.den**n)
         # left-to-right binary powering: square per bit, times self per 1 bit
         result = self
         for bit in bin(n)[3:]:
@@ -753,6 +749,10 @@ _END = "unexpected end of polynomial text"
 # slowest power of a sum of symbols and 1 within it, (a0 + a1 + 1)^116,
 # parses in about 1 s (Python 3.11, 2 CPUs)
 _EXPANSION_CAP = 7000
+# each term of a power counts 1 + n*(b - 1)/_BITS_PER_TERM, b the bits of the
+# sum's largest int coefficient: the slowest power within the cap with b > 1
+# found, (c*a0 + c)^197 for c = 10^27 - 1, parses in 0.7-0.9 s
+_BITS_PER_TERM = 512
 
 
 def _int_term(code: int, num: int, den: int) -> MPoly:
@@ -853,9 +853,12 @@ class _Parser:
                 n, pos = int(n), pos + 2
                 if f is not None:
                     _checked(f.degree() * n << DEGREE_SHIFT)  # the degree cap first, as in **
-                    if n > 1 and (count := comb(len(f.terms) + n - 1, n)) > _EXPANSION_CAP:
-                        raise ValueError(f"a sum of {len(f.terms)} terms to the power {n} expands "
-                                         f"to up to {count} terms, above {_EXPANSION_CAP}")
+                    count = comb(len(f.terms) + n - 1, n) if n > 1 else 0
+                    bits = max(map(abs, f.terms.values()), default=1).bit_length()
+                    if (cost := count + count * n * (bits - 1) // _BITS_PER_TERM) > _EXPANSION_CAP:
+                        heavy = f", with its {bits}-bit coefficients as costly as {cost} terms" * (bits > 1)
+                        raise ValueError(f"a sum of {len(f.terms)} terms to the power {n} expands to up "
+                                         f"to {count} terms{heavy}, above {_EXPANSION_CAP}")
                     f = f**n
                 else:
                     if fcode:  # a symbol, of degree 1
@@ -891,6 +894,6 @@ def parse_poly(text: str) -> MPoly:
     ``a0*-a1^2`` is ``a0*(-a1)^2``, that is ``a0*a1^2``.  A total degree
     above 255 raises ValueError, as in the kernel, and so does a power or a
     product of sums that would expand to more than 7,000 terms or term
-    pairs."""
+    pairs, a power's terms weighted by its coefficients' bits."""
     return _Parser(text).parse()
 

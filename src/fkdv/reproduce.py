@@ -86,32 +86,13 @@ def paper_branches(method: str, m: int) -> list[dict]:
     return out
 
 
-def check_solver_run(branches, expected: list[dict], free_expect: dict | None,
-                     contradiction_binding: dict | None) -> tuple[bool, str]:
-    got = [br.assignment.as_dict() for br in branches if br.status == SOLVED]
-    missing = [exp for exp in expected if exp not in got]
-    msgs = []
-    if missing:
-        msgs.append(f"missing solved branches: {missing}")
-    if free_expect is not None:
-        ok_free = any(
-            br.status == FREE
-            and br.assignment.as_dict() == free_expect
-            for br in branches
-        )
-        if not ok_free:
-            msgs.append("free-constant branch not found")
-    if contradiction_binding is not None:
-        ok_con = any(
-            br.status == CONTRADICTION
-            and all(
-                br.assignment.as_dict().get(s) == v
-                for s, v in contradiction_binding.items()
-            )
-            for br in branches
-        )
-        if not ok_con:
-            msgs.append(f"contradiction branch through {contradiction_binding} not found")
+def check_solver_run(branches, expected: list[tuple[str, dict]]) -> tuple[bool, str]:
+    """(True, "ok") when each (status, bindings) pair of ``expected`` is a
+    leaf of ``branches``, its bindings matched exactly, and no stuck
+    witness in one symbol keeps a rational root; else (False, the faults)."""
+    got = [(br.status, br.assignment.as_dict()) for br in branches]
+    missing = [f"{status} {Assignment(b)}" for status, b in expected if (status, b) not in got]
+    msgs = [f"missing leaves: {', '.join(missing)}"] if missing else []
     # move 1 divides every rational root out of the factor it leaves, and
     # no grid solve runs out of budget, so no stuck witness keeps one
     rooted = [
@@ -277,14 +258,15 @@ def run_reproduce(seed: int = 7, timestamp: str | None = None) -> ReproduceResul
               + ("matches transcription" if not diffs else diffs[0].describe()), fail_code=3)
 
     # solve at the grid's wave speeds; besides the catalog's branches, tanh
-    # has a free-constant branch and a contradiction through a2 = -6
-    extra = {"tanh": ({a(1): Fraction(0), a(2): Fraction(0)}, {a(2): Fraction(-6)})}
+    # has a free-constant leaf and a contradiction through a2 = -6, which
+    # the scaling map keeps: 0 maps to 0, and a2 has weight 0
+    extra = {"tanh": [(FREE, {a(1): 0, a(2): 0}), (CONTRADICTION, {a(1): 0, a(2): -6})], "pre": []}
     grids = {name: solve_grid(systems[name], mod.PAPER_SIGNS, mod.weights(orders[name]))
              for name, mod in METHODS.items()}
     solves = []
     for m, lam in enumerate(GRID, start=1):
         leaves = {name: grid[m - 1] for name, grid in grids.items()}
-        runs = {name: check_solver_run(tree, paper_branches(name, m), *extra.get(name, (None, None)))
+        runs = {name: check_solver_run(tree, [(SOLVED, t) for t in paper_branches(name, m)] + extra[name])
                 for name, tree in leaves.items()}
         stage(f"solve@{lam}", all(ok for ok, _ in runs.values()),
               "; ".join(f"{name}: {msg}" for name, (_, msg) in runs.items()))

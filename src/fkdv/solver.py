@@ -183,10 +183,9 @@ class _Node:
     # bkey holds the bindings as (symbol, numerator, denominator); esyms and
     # eexprs the eliminations x -> expr in insertion order; eexprs and eqs
     # are records
-    __slots__ = ("bindings", "bkey", "esyms", "eexprs", "eqs")
+    __slots__ = ("bkey", "esyms", "eexprs", "eqs")
 
-    def __init__(self, bindings, bkey, esyms, eexprs, eqs):
-        self.bindings: dict[Sym, Fraction] = bindings
+    def __init__(self, bkey, esyms, eexprs, eqs):
         self.bkey: frozenset[tuple[Sym, int, int]] = bkey
         self.esyms: tuple[Sym, ...] = esyms
         self.eexprs: tuple[_Eq, ...] = eexprs
@@ -331,8 +330,9 @@ class _Tree:
             q.left = MPoly({monomial([(x, i)]): c for i, c in enumerate(coeffs)}).normalize()
 
     def finish(self, node: _Node, status: str, witness: MPoly | None = None) -> None:
-        # eliminations hold only open symbols (module docstring)
-        resolved = dict(node.bindings)
+        # eliminations hold only open symbols (module docstring); most
+        # bindings are 0, which share one Fraction
+        resolved = {s: Fraction(n, d) if n else _ZERO for s, n, d in node.bkey}
         pending = []
         for x, e in zip(reversed(node.esyms), reversed(node.eexprs)):
             if e.p.is_constant():
@@ -357,8 +357,7 @@ class _Tree:
         key = (s, v.numerator, v.denominator)
         out = self.mapped(key, s, v, [*node.eexprs, *eqs])
         k = len(node.eexprs)
-        bkey = node.bkey.union((key,))
-        return _Node({**node.bindings, s: v}, bkey, node.esyms, tuple(out[:k]), out[k:])
+        return _Node(node.bkey.union((key,)), node.esyms, tuple(out[:k]), out[k:])
 
     def explore(self, node: _Node) -> None:
         self.budget -= 1
@@ -437,7 +436,7 @@ class _Tree:
                 self.explore(self.substituted(node, s, _ZERO, rest + [q]))
             if q.cofactor is None:
                 q.cofactor = self.intern(q.p.divide_mono(g))
-            self.explore(_Node(node.bindings, node.bkey, node.esyms, node.eexprs, rest + [q.cofactor]))
+            self.explore(_Node(node.bkey, node.esyms, node.eexprs, rest + [q.cofactor]))
             return
 
         self.finish(node, STUCK, witness=eqs[0].p)
@@ -461,7 +460,7 @@ def solve(system: Sequence[MPoly], cfg: SolveConfig) -> list[Branch]:
     try:
         tree = _Tree(cfg)
         root = [tree.intern(p.substitute(presets)) for p in system]
-        tree.explore(_Node({}, frozenset(), (), (), root))
+        tree.explore(_Node(frozenset(), (), (), root))
         return _verified(system, [tree.leaves[k] for k in sorted(tree.leaves)], cfg.presets)
     finally:
         if collecting:

@@ -1320,6 +1320,26 @@ def test_parser_expansion_cap_counts_power_terms_and_product_pairs():
     assert len(parse_poly(f"2*a1*({wide})^1*3").terms) == 84 * 84
 
 
+def test_parser_expansion_cap_weighs_a_power_by_its_coefficients_bits():
+    # 5,995 terms are under the cap by count, but with 30-bit coefficients
+    # they took 6.4 s to expand, against 1.1 s for (a0 + a1 + 1)^108
+    # (Python 3.11, 2 CPUs)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="power 108 expands to up to 5995 terms, with its 30-bit "
+                                         "coefficients as costly as 42667 terms, above 7000"):
+        parse_poly("(123456789*a0 + 987654321*a1 + 1)^108")
+    assert time.perf_counter() - start < 0.1
+    # each of the n + 1 terms counts 1 + n*(b - 1)/512: 16*390 at n = 15, 17*416 at 16
+    big = "9" * 4000
+    assert len(parse_poly(f"({big}*a0 + {big})^15").terms) == 16
+    with pytest.raises(ValueError, match="17 terms, with its 13288-bit coefficients as costly as 7075 terms"):
+        parse_poly(f"({big}*a0 + {big})^16")
+    # a sum with rational coefficients counts its int ones over their common
+    # denominator: 1/2*a0 + 1/3*a1 + 1 is (3*a0 + 2*a1 + 6)/6
+    with pytest.raises(ValueError, match="3-bit coefficients as costly as 7163 terms"):
+        parse_poly("(1/2*a0 + 1/3*a1 + 1)^100")
+
+
 @pytest.mark.parametrize("text", ["(a0 + a1 + k + lam + 1)^300", "(a0 + 1)^200*(k + 1)^100"])
 def test_parser_reports_the_degree_cap_before_the_expansion_cap(text):
     # each is over both caps: C(304, 300) terms, and 201 by 101 term pairs

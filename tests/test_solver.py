@@ -543,6 +543,23 @@ def test_reproduce_maps_both_scaled_speeds_in_one_call(monkeypatch):
     assert calls == [(2, 3), (2, 3)]
 
 
+def test_the_solve_stage_names_each_missing_leaf(tanh_system):
+    # the expected leaves match exactly: removing any one, or dropping the
+    # contradiction's zero binding, fails the check and names the leaf
+    leaves = solve_system(tanh_system, {LAM: GRID[0]})
+    expected = [(solver.SOLVED, t) for t in paper_branches("tanh", 1)]
+    expected += [(solver.FREE, {a(1): 0, a(2): 0}), (solver.CONTRADICTION, {a(1): 0, a(2): -6})]
+    assert reproduce.check_solver_run(leaves, expected) == (True, "ok")
+    for status in (solver.SOLVED, solver.FREE, solver.CONTRADICTION):
+        gone = next(br for br in leaves if br.status == status)
+        ok, detail = reproduce.check_solver_run([br for br in leaves if br is not gone], expected)
+        assert not ok and detail == f"missing leaves: {status} {gone.assignment}", detail
+    assert str(gone.assignment) == "Assignment(a1=0, a2=-6)"
+    partial = [br._replace(assignment=Assignment({a(2): -6})) if br is gone else br for br in leaves]
+    ok, detail = reproduce.check_solver_run(partial, expected)
+    assert not ok and detail == "missing leaves: contradiction Assignment(a1=0, a2=-6)"
+
+
 def test_the_substitute_stage_names_the_first_failing_record(tanh_system, pre_system):
     # the extra factor vanishes at u1's tuple (a0 = -5*m^2) but not at u3's
     # (a0 = 5*m^2), so u1 and u2 pass and u3 is the first record to fail

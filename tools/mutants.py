@@ -234,6 +234,13 @@ MUTANTS = (
         SOLVER_TESTS,
     ),
     Mutant(
+        "a contradiction that keeps only its nonzero bindings",
+        "fkdv/solver.py",
+        "Assignment._trusted(resolved)",
+        "Assignment._trusted(resolved if status != CONTRADICTION"
+        " else {s: v for s, v in resolved.items() if v})",
+    ),
+    Mutant(
         "a pending elimination left as x - e",
         "fkdv/solver.py",
         "q.p if (q.norm or self.normal(q)) is _NORMAL else q.norm.p",
